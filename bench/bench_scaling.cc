@@ -1,6 +1,6 @@
 // Scaling study of the parameter-server training simulation (§III-A2's
 // 50-PS / 200-worker deployment): pre-training throughput vs worker count,
-// shard count, and batch size on a fixed synthetic KG.
+// batch size and dimension on a fixed synthetic KG.
 
 #include <cstdio>
 
@@ -48,44 +48,23 @@ void Run() {
                     .c_str());
   }
 
-  // Workers sweep (shards fixed).
+  // Workers sweep.
   {
-    TablePrinter t({"workers", "shards", "triples/s", "final mean hinge"});
+    TablePrinter t({"workers", "triples/s", "final mean hinge"});
     for (uint32_t workers : {1u, 2u, 4u, 8u}) {
       core::PkgmModel model(ModelOptionsFor(pkg, opt.dim));
       core::ShardedTrainerOptions sharded;
       sharded.num_workers = workers;
-      sharded.num_shards = 8;
       sharded.learning_rate = 0.05f;
       core::ShardedTrainer trainer(&model, &pkg.observed, sharded);
       core::EpochStats s = trainer.Train(epochs);
-      t.AddRow({StrFormat("%u", workers), "8",
+      t.AddRow({StrFormat("%u", workers),
                 WithThousandsSeparators(
                     static_cast<uint64_t>(s.triples_per_second)),
                 StrFormat("%.4f", s.mean_hinge)});
     }
     std::printf("\nworker sweep (single-core host: expect flat or worse —\n"
                 "the sweep measures coordination overhead, not speedup):\n%s",
-                t.ToString().c_str());
-  }
-
-  // Shard-contention sweep (workers fixed).
-  {
-    TablePrinter t({"workers", "shards", "triples/s", "final mean hinge"});
-    for (uint32_t shards : {1u, 2u, 8u, 32u}) {
-      core::PkgmModel model(ModelOptionsFor(pkg, opt.dim));
-      core::ShardedTrainerOptions sharded;
-      sharded.num_workers = 4;
-      sharded.num_shards = shards;
-      sharded.learning_rate = 0.05f;
-      core::ShardedTrainer trainer(&model, &pkg.observed, sharded);
-      core::EpochStats s = trainer.Train(epochs);
-      t.AddRow({"4", StrFormat("%u", shards),
-                WithThousandsSeparators(
-                    static_cast<uint64_t>(s.triples_per_second)),
-                StrFormat("%.4f", s.mean_hinge)});
-    }
-    std::printf("\nshard sweep (lock contention falls as shards grow):\n%s",
                 t.ToString().c_str());
   }
 

@@ -121,7 +121,6 @@ void Run() {
     core::PkgmModel model(model_opt);
     core::ShardedTrainerOptions sharded;
     sharded.num_workers = 4;   // paper: 200 workers
-    sharded.num_shards = 8;    // paper: 50 parameter servers
     sharded.batch_size = 512;
     sharded.learning_rate = 0.05f;
     sharded.seed = opt.seed;
@@ -138,9 +137,9 @@ void Run() {
       }
     }
     std::printf(
-        "\nparameter-server simulation, %u workers x %u shards "
+        "\nparameter-server simulation, %u workers "
         "(%u epochs in %.1fs):\n%s",
-        sharded.num_workers, sharded.num_shards, opt.pretrain_epochs,
+        sharded.num_workers, opt.pretrain_epochs,
         sw.ElapsedSeconds(), t.ToString().c_str());
   }
 }
@@ -158,7 +157,6 @@ struct PretrainConfig {
   uint32_t epochs = 5;
   uint32_t seed_epochs = 2;  // seed loop is slow; fewer epochs suffice
   uint32_t workers = 8;
-  uint32_t shards = 8;
   uint32_t batch = 512;
   float lr = 0.05f;
   float margin = 2.0f;
@@ -317,7 +315,6 @@ TrainResult RunSharded(const kg::SyntheticPkg& pkg, const PretrainConfig& c) {
   core::PkgmModel model(ModelOptionsFor(pkg, c));
   core::ShardedTrainerOptions sopt;
   sopt.num_workers = c.workers;
-  sopt.num_shards = c.shards;
   sopt.batch_size = c.batch;
   sopt.learning_rate = c.lr;
   sopt.margin = c.margin;
@@ -491,11 +488,11 @@ int RunJson(const char* argv0, const char* path, bool smoke,
                  simd::ActiveIsaName());
     std::fprintf(f,
                  "  \"config\": {\"dim\": %u, \"epochs\": %u, "
-                 "\"batch_size\": %u, \"workers\": %u, \"num_shards\": %u, "
+                 "\"batch_size\": %u, \"workers\": %u, "
                  "\"learning_rate\": %g, \"margin\": %g, "
                  "\"optimizer\": \"sgd\", \"triples\": %llu, "
                  "\"smoke\": %s},\n",
-                 c.dim, c.epochs, c.batch, c.workers, c.shards,
+                 c.dim, c.epochs, c.batch, c.workers,
                  static_cast<double>(c.lr), static_cast<double>(c.margin),
                  static_cast<unsigned long long>(pkg.observed.size()),
                  smoke ? "true" : "false");

@@ -8,11 +8,11 @@
 //      the offered load exceeds what the server admits;
 //   3. open-loop measurement is honest: at the same offered rate, latency
 //      measured from the *intended* send time (open loop) is never lower
-//      than the closed-loop number that coordinated omission produces;
-//   4. the io_uring network backend earns its keep: at the same offered
-//      rate over loopback it moves the same frames in materially fewer
-//      syscalls than epoll (batched SQE submission), with p999 no worse.
-//      The leg skips (reported, not failed) on kernels without io_uring.
+//      than the closed-loop number that coordinated omission produces.
+//
+// It also reports, ungated, the same open-loop load over a loopback
+// NetServer/NetClient pair: latency plus the epoll loop's syscalls per
+// served frame.
 //
 //   bench_tail_latency [--smoke] [--json PATH]
 //
@@ -41,7 +41,6 @@
 #include "bench/bench_common.h"
 #include "core/embedding_source.h"
 #include "core/service.h"
-#include "net/io_backend.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "serve/knowledge_server.h"
@@ -212,10 +211,9 @@ HerdResult RunHerd(const core::ServiceVectorProvider* slow_provider,
 }
 
 // ---------------------------------------------------------------------------
-// Phase: network I/O backends over loopback. The same open-loop load runs
-// through a real NetServer/NetClient pair once per backend; the measured
-// quantity is syscalls per served frame — waits + per-chunk recvs + sends,
-// the numbers batched SQE submission exists to shrink.
+// Phase: network I/O over loopback. The same open-loop load runs through a
+// real NetServer/NetClient pair; besides latency it reports syscalls per
+// served frame — waits + per-chunk recvs + sends.
 
 /// Adapts the future-returning NetClient::SubmitBatch to the load
 /// generator's callback seam (same shape as pkgm_serve's drain): a
@@ -278,7 +276,6 @@ class FutureDrain {
 };
 
 struct NetIoLeg {
-  bool ran = false;
   serve::LoadGenReport report;
   serve::NetCounters net;
   /// (io_wait_calls + io_recv_syscalls + io_send_syscalls) per frame moved.
@@ -286,8 +283,7 @@ struct NetIoLeg {
 };
 
 NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
-                     const char* backend, double offered_qps,
-                     uint64_t requests) {
+                     double offered_qps, uint64_t requests) {
   serve::KnowledgeServerOptions sopt;
   sopt.num_workers = 4;
   sopt.enable_cache = true;
@@ -296,7 +292,6 @@ NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
   server.Start();
 
   net::NetServerOptions nopt;
-  nopt.io_backend = backend;
   // One event-loop thread: the measured quantity is syscalls per frame on
   // one core under fan-in, so concentrate the fan-in instead of diluting
   // events across loops that then mostly sleep.
@@ -305,10 +300,8 @@ NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
   PKGM_CHECK_OK(net_server.Start());
 
   net::NetClientOptions copt;
-  copt.io_backend = backend;
-  // Enough connections that the event-loop thread multiplexes many — the
-  // fan-in shape the backends are built for, and the one where their
-  // syscall structure diverges (per-conn syscalls vs shared submissions).
+  // Enough connections that the event-loop thread multiplexes many: the
+  // fan-in shape where one epoll_wait can return several ready sockets.
   copt.num_connections = 16;
   auto client = net::NetClient::Connect("127.0.0.1", net_server.port(), copt);
   PKGM_CHECK(client.ok());
@@ -338,7 +331,6 @@ NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
                             leg.net.io_send_syscalls;
   leg.syscalls_per_frame = static_cast<double>(syscalls) /
                            static_cast<double>(frames > 0 ? frames : 1);
-  leg.ran = true;
 
   client.value().reset();
   net_server.Stop();
@@ -521,66 +513,29 @@ void Run(bool smoke, const std::string& json_path) {
   PKGM_CHECK_GT(slo_report.ok, 0u);
   PKGM_CHECK_GE(open_p999, 0.95 * closed_p999);
 
-  // ---- Phase 5: net I/O backends over loopback at the same offered rate.
-  const bool uring_available = net::UringAvailable();
-  // The rate is deliberately high (batching is the property under test —
-  // it only exists when events are dense enough to share a submission),
-  // but still below capacity so the achieved rate tracks the offered one.
+  // ---- Phase 5: the same open-loop load over loopback sockets (reported,
+  // not gated). Below capacity, so the achieved rate tracks the offered one.
   const double net_offered = std::min(0.6 * capacity, smoke ? 8000.0 : 11000.0);
   const uint64_t net_requests =
       static_cast<uint64_t>(net_offered * (smoke ? 2.5 : 3.0));
-  const NetIoLeg epoll_leg =
-      RunNetIoLeg(provider, "epoll", net_offered, net_requests);
-  NetIoLeg uring_leg;
-  if (uring_available) {
-    uring_leg = RunNetIoLeg(provider, "uring", net_offered, net_requests);
-  } else {
-    std::printf(
-        "net i/o: io_uring unavailable on this kernel; epoll leg only\n");
-  }
+  const NetIoLeg net_leg = RunNetIoLeg(provider, net_offered, net_requests);
   {
-    TablePrinter table({"backend", "offered/s", "achieved/s", "p999 us",
+    TablePrinter table({"loop", "offered/s", "achieved/s", "p999 us",
                         "frames", "waits", "recv sys", "send sys",
-                        "submits", "sys/frame"});
-    const auto add_leg = [&table](const NetIoLeg& leg) {
-      table.AddRow(
-          {leg.net.io_backend, StrFormat("%.0f", leg.report.offered_qps),
-           StrFormat("%.0f", leg.report.achieved_qps),
-           StrFormat("%.0f", leg.report.latency_us.Percentile(0.999)),
-           WithThousandsSeparators(leg.net.frames_in + leg.net.frames_out),
-           WithThousandsSeparators(leg.net.io_wait_calls),
-           WithThousandsSeparators(leg.net.io_recv_syscalls),
-           WithThousandsSeparators(leg.net.io_send_syscalls),
-           WithThousandsSeparators(leg.net.io_recv_submissions +
-                                   leg.net.io_send_submissions),
-           StrFormat("%.3f", leg.syscalls_per_frame)});
-    };
-    add_leg(epoll_leg);
-    if (uring_leg.ran) add_leg(uring_leg);
-    std::printf("net i/o backends over loopback (%llu requests at %.0f/s):\n%s",
+                        "sys/frame"});
+    table.AddRow(
+        {net_leg.net.io_backend, StrFormat("%.0f", net_leg.report.offered_qps),
+         StrFormat("%.0f", net_leg.report.achieved_qps),
+         StrFormat("%.0f", net_leg.report.latency_us.Percentile(0.999)),
+         WithThousandsSeparators(net_leg.net.frames_in +
+                                 net_leg.net.frames_out),
+         WithThousandsSeparators(net_leg.net.io_wait_calls),
+         WithThousandsSeparators(net_leg.net.io_recv_syscalls),
+         WithThousandsSeparators(net_leg.net.io_send_syscalls),
+         StrFormat("%.3f", net_leg.syscalls_per_frame)});
+    std::printf("net i/o over loopback (%llu requests at %.0f/s):\n%s\n",
                 static_cast<unsigned long long>(net_requests), net_offered,
                 table.ToString().c_str());
-  }
-  if (uring_leg.ran) {
-    const double syscall_ratio =
-        uring_leg.syscalls_per_frame / epoll_leg.syscalls_per_frame;
-    const double epoll_net_p999 =
-        epoll_leg.report.latency_us.Percentile(0.999);
-    const double uring_net_p999 =
-        uring_leg.report.latency_us.Percentile(0.999);
-    std::printf("uring/epoll syscalls per frame: %.3f (gate < 0.5), p999 %.0f "
-                "vs %.0f us\n\n",
-                syscall_ratio, uring_net_p999, epoll_net_p999);
-    // The batching gate: the ring must at least halve the syscalls behind
-    // the same frame stream. The p999 gate allows generous slack — on a
-    // small CI host the tail is scheduler noise — but catches a backend
-    // that stalls or serializes.
-    PKGM_CHECK_EQ(uring_leg.net.io_backend, std::string("io_uring"));
-    PKGM_CHECK_LT(syscall_ratio, 0.5);
-    PKGM_CHECK_LE(uring_net_p999,
-                  std::max(2.0 * epoll_net_p999, epoll_net_p999 + 20000.0));
-  } else {
-    std::printf("\n");
   }
 
   // ---- Phase 6 (full mode): sweep offered load through saturation.
@@ -613,10 +568,8 @@ void Run(bool smoke, const std::string& json_path) {
   }
 
   std::printf("tail-latency gate passed: coalescing ratio %.2f < 0.8, "
-              "p999 inside SLO with shedding, open >= closed p999%s.\n",
-              fetch_ratio,
-              uring_leg.ran ? ", uring halves syscalls per frame"
-                            : " (uring leg skipped)");
+              "p999 inside SLO with shedding, open >= closed p999.\n",
+              fetch_ratio);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -640,34 +593,20 @@ void Run(bool smoke, const std::string& json_path) {
     JsonLoadGenFields(f, open_report);
     std::fprintf(f, "},\"closed\":{");
     JsonLoadGenFields(f, closed_report);
-    const auto json_net_leg = [f](const NetIoLeg& leg) {
-      JsonLoadGenFields(f, leg.report);
-      std::fprintf(
-          f,
-          ",\"io_backend\":\"%s\",\"frames\":%llu,\"io_wait_calls\":%llu,"
-          "\"io_recv_syscalls\":%llu,\"io_send_syscalls\":%llu,"
-          "\"io_recv_submissions\":%llu,\"io_send_submissions\":%llu,"
-          "\"syscalls_per_frame\":%.4f",
-          leg.net.io_backend.c_str(),
-          static_cast<unsigned long long>(leg.net.frames_in +
-                                          leg.net.frames_out),
-          static_cast<unsigned long long>(leg.net.io_wait_calls),
-          static_cast<unsigned long long>(leg.net.io_recv_syscalls),
-          static_cast<unsigned long long>(leg.net.io_send_syscalls),
-          static_cast<unsigned long long>(leg.net.io_recv_submissions),
-          static_cast<unsigned long long>(leg.net.io_send_submissions),
-          leg.syscalls_per_frame);
-    };
-    std::fprintf(f, "}},\"net_io\":{\"uring_available\":%s,\"epoll\":{",
-                 uring_available ? "true" : "false");
-    json_net_leg(epoll_leg);
-    std::fprintf(f, "}");
-    if (uring_leg.ran) {
-      std::fprintf(f, ",\"io_uring\":{");
-      json_net_leg(uring_leg);
-      std::fprintf(f, "},\"syscalls_per_frame_ratio\":%.4f",
-                   uring_leg.syscalls_per_frame / epoll_leg.syscalls_per_frame);
-    }
+    std::fprintf(f, "}},\"net_io\":{");
+    JsonLoadGenFields(f, net_leg.report);
+    std::fprintf(
+        f,
+        ",\"io_backend\":\"%s\",\"frames\":%llu,\"io_wait_calls\":%llu,"
+        "\"io_recv_syscalls\":%llu,\"io_send_syscalls\":%llu,"
+        "\"syscalls_per_frame\":%.4f",
+        net_leg.net.io_backend.c_str(),
+        static_cast<unsigned long long>(net_leg.net.frames_in +
+                                        net_leg.net.frames_out),
+        static_cast<unsigned long long>(net_leg.net.io_wait_calls),
+        static_cast<unsigned long long>(net_leg.net.io_recv_syscalls),
+        static_cast<unsigned long long>(net_leg.net.io_send_syscalls),
+        net_leg.syscalls_per_frame);
     std::fprintf(f, "},\"sweep\":[");
     for (size_t i = 0; i < sweep.size(); ++i) {
       std::fprintf(f, "%s{", i == 0 ? "" : ",");

@@ -21,11 +21,9 @@ NegativeSampler::Options FillNegativeOptions(NegativeSampler::Options neg,
   return neg;
 }
 
-size_t NextPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
+// Enough row-lock stripes that two workers almost never collide; a power
+// of two, so StripeOf can mask.
+constexpr size_t kNumStripes = 1024;
 
 // One producer-filled unit of work: the positives of one mini-batch plus
 // their pre-drawn negatives. Batches are recycled through a free list, so
@@ -89,14 +87,9 @@ ShardedTrainer::ShardedTrainer(PkgmModel* model, const kg::TripleSource* store,
   PKGM_CHECK(model != nullptr);
   PKGM_CHECK(store != nullptr);
   PKGM_CHECK_GT(options.num_workers, 0u);
-  PKGM_CHECK_GT(options.num_shards, 0u);
   PKGM_CHECK_GT(options.batch_size, 0u);
-  // Enough stripes that two workers almost never collide on a row lock;
-  // num_shards (the legacy partition count) only raises the floor.
-  const size_t stripes =
-      NextPow2(std::max<size_t>(1024, options.num_shards));
-  stripes_ = std::make_unique<Stripe[]>(stripes);
-  stripe_mask_ = stripes - 1;
+  stripes_ = std::make_unique<Stripe[]>(kNumStripes);
+  stripe_mask_ = kNumStripes - 1;
 }
 
 size_t ShardedTrainer::StripeOf(uint32_t table_tag, uint32_t row) const {

@@ -34,10 +34,6 @@ namespace pkgm::core {
 ///     deterministically (independent of which worker ran which batch).
 struct ShardedTrainerOptions {
   uint32_t num_workers = 4;
-  /// Legacy parameter-server partition count. Row-level striped locks
-  /// replaced per-shard mutexes; this now only sets a floor on the stripe
-  /// count (the default floor is already far above typical values).
-  uint32_t num_shards = 8;
   uint32_t batch_size = 512;
   float learning_rate = 0.02f;
   float margin = 2.0f;

@@ -1,14 +1,11 @@
 #include "net/client_io.h"
 
 #include <errno.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <vector>
+#include <cstring>
 
-#include "net/io_backend.h"
-#include "net/uring.h"
 #include "util/string_util.h"
 
 namespace pkgm::net {
@@ -16,154 +13,50 @@ namespace {
 
 constexpr size_t kRecvBufBytes = 64 * 1024;
 
-/// Blocking syscalls, one sendmsg per gather and one read per chunk — the
-/// portable path and the shape NetClient always had.
-class PlainClientIo : public ClientConnIo {
- public:
-  PlainClientIo() : recv_buf_(kRecvBufBytes) {}
-
-  const char* name() const override { return "plain"; }
-
-  Status SendAll(int fd, const iovec* iov, int iovcnt) override {
-    std::vector<iovec> vec(iov, iov + iovcnt);
-    size_t idx = 0;
-    while (idx < vec.size()) {
-      msghdr msg;
-      std::memset(&msg, 0, sizeof(msg));
-      msg.msg_iov = vec.data() + idx;
-      msg.msg_iovlen = vec.size() - idx;
-      const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IoError(
-            StrFormat("sendmsg: %s", std::strerror(errno)));
-      }
-      // Retire fully-written iovecs; a partial tail advances in place.
-      size_t sent = static_cast<size_t>(n);
-      while (sent > 0 && idx < vec.size()) {
-        if (sent >= vec[idx].iov_len) {
-          sent -= vec[idx].iov_len;
-          ++idx;
-        } else {
-          vec[idx].iov_base = static_cast<char*>(vec[idx].iov_base) + sent;
-          vec[idx].iov_len -= sent;
-          sent = 0;
-        }
-      }
-    }
-    return Status::Ok();
-  }
-
-  ssize_t Recv(int fd, const char** data) override {
-    while (true) {
-      const ssize_t n = ::read(fd, recv_buf_.data(), recv_buf_.size());
-      if (n < 0 && errno == EINTR) continue;
-      if (n > 0) *data = recv_buf_.data();
-      return n < 0 ? -errno : n;
-    }
-  }
-
- private:
-  std::vector<char> recv_buf_;
-};
-
-/// io_uring path: two tiny rings, one per I/O direction, because the writer
-/// (under the connection mutex) and the reader thread run concurrently and
-/// a UringQueue is single-threaded. Each op copies into / reads from
-/// internal buffers and is waited to completion — never abandoned — so the
-/// kernel can never touch caller memory after a call returns.
-class UringClientIo : public ClientConnIo {
- public:
-  UringClientIo() : recv_buf_(kRecvBufBytes) {}
-
-  const char* name() const override { return "io_uring"; }
-
-  Status Init() {
-    Status status = send_ring_.Init(8);
-    if (!status.ok()) return status;
-    return recv_ring_.Init(8);
-  }
-
-  Status SendAll(int fd, const iovec* iov, int iovcnt) override {
-    // One gathered copy, then as many SENDMSG ops as partial writes force.
-    send_buf_.clear();
-    for (int i = 0; i < iovcnt; ++i) {
-      send_buf_.append(static_cast<const char*>(iov[i].iov_base),
-                       iov[i].iov_len);
-    }
-    size_t off = 0;
-    while (off < send_buf_.size()) {
-      io_uring_sqe* sqe = send_ring_.GetSqe();
-      if (sqe == nullptr) {
-        return Status::IoError("io_uring send ring wedged");
-      }
-      send_iov_.iov_base = send_buf_.data() + off;
-      send_iov_.iov_len = send_buf_.size() - off;
-      std::memset(&send_msg_, 0, sizeof(send_msg_));
-      send_msg_.msg_iov = &send_iov_;
-      send_msg_.msg_iovlen = 1;
-      PrepSendmsg(sqe, fd, &send_msg_, /*user_data=*/1);
-      int32_t res;
-      const Status status = WaitOne(send_ring_, &res);
-      if (!status.ok()) return status;
-      if (res < 0) {
-        if (res == -EINTR || res == -EAGAIN) continue;
-        return Status::IoError(
-            StrFormat("io_uring sendmsg: %s", std::strerror(-res)));
-      }
-      off += static_cast<size_t>(res);
-    }
-    return Status::Ok();
-  }
-
-  ssize_t Recv(int fd, const char** data) override {
-    while (true) {
-      io_uring_sqe* sqe = recv_ring_.GetSqe();
-      if (sqe == nullptr) return -EIO;
-      PrepRecv(sqe, fd, recv_buf_.data(), recv_buf_.size(),
-               /*user_data=*/1);
-      int32_t res;
-      if (!WaitOne(recv_ring_, &res).ok()) return -EIO;
-      if (res == -EINTR || res == -EAGAIN) continue;
-      if (res > 0) *data = recv_buf_.data();
-      return res;
-    }
-  }
-
- private:
-  /// Submits the queued op and blocks until its completion arrives. EINTR
-  /// and spurious wakeups keep waiting: the op stays in flight and its
-  /// buffers are this object's, so returning early is never an option.
-  static Status WaitOne(UringQueue& ring, int32_t* res) {
-    bool done = false;
-    while (!done) {
-      const Status status = ring.SubmitAndWait(-1);
-      if (!status.ok()) return status;
-      ring.ForEachCompletion([&](uint64_t, int32_t r, uint32_t) {
-        *res = r;
-        done = true;
-      });
-    }
-    return Status::Ok();
-  }
-
-  UringQueue send_ring_;
-  UringQueue recv_ring_;
-  std::string send_buf_;
-  iovec send_iov_{};
-  msghdr send_msg_{};
-  std::vector<char> recv_buf_;
-};
-
 }  // namespace
 
-std::unique_ptr<ClientConnIo> CreateClientIo(
-    const std::string& backend_override) {
-  if (SelectIoBackend(backend_override) == IoBackendKind::kUring) {
-    auto io = std::make_unique<UringClientIo>();
-    if (io->Init().ok()) return io;
+ClientConnIo::ClientConnIo() : recv_buf_(kRecvBufBytes) {}
+
+Status ClientConnIo::SendAll(int fd, const iovec* iov, int iovcnt) {
+  std::vector<iovec> vec(iov, iov + iovcnt);
+  size_t idx = 0;
+  while (idx < vec.size()) {
+    msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = vec.data() + idx;
+    msg.msg_iovlen = vec.size() - idx;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(StrFormat("sendmsg: %s", std::strerror(errno)));
+    }
+    // Retire fully-written iovecs; a partial tail advances in place.
+    size_t sent = static_cast<size_t>(n);
+    while (sent > 0 && idx < vec.size()) {
+      if (sent >= vec[idx].iov_len) {
+        sent -= vec[idx].iov_len;
+        ++idx;
+      } else {
+        vec[idx].iov_base = static_cast<char*>(vec[idx].iov_base) + sent;
+        vec[idx].iov_len -= sent;
+        sent = 0;
+      }
+    }
   }
-  return std::make_unique<PlainClientIo>();
+  return Status::Ok();
+}
+
+ssize_t ClientConnIo::Recv(int fd, const char** data) {
+  while (true) {
+    const ssize_t n = ::read(fd, recv_buf_.data(), recv_buf_.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n > 0) *data = recv_buf_.data();
+    return n < 0 ? -errno : n;
+  }
+}
+
+std::unique_ptr<ClientConnIo> CreateClientIo(const std::string&) {
+  return std::make_unique<ClientConnIo>();
 }
 
 }  // namespace pkgm::net

@@ -6,40 +6,41 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/status.h"
 
 namespace pkgm::net {
 
-/// Client-side I/O seam for one pooled NetClient connection, whose sockets
-/// are blocking: a writer path (serialized under the connection mutex) and
-/// a reader path (the dedicated reader thread). The two paths may run
-/// concurrently on the same instance, but each path is single-threaded.
+/// Blocking socket I/O for one pooled NetClient connection: a writer path
+/// (serialized under the connection mutex) and a reader path (the
+/// dedicated reader thread). The two paths may run concurrently on the
+/// same instance, but each path is single-threaded.
 class ClientConnIo {
  public:
-  virtual ~ClientConnIo() = default;
+  ClientConnIo();
 
-  /// "plain" or "io_uring".
-  virtual const char* name() const = 0;
+  /// Names the I/O path in reports: "plain" (one sendmsg per gather, one
+  /// read per chunk).
+  const char* name() const { return "plain"; }
 
   /// Blocking gather-write of every iovec, retrying partial writes and
   /// EINTR until all bytes are on the socket. MSG_NOSIGNAL semantics: a
   /// peer that closed mid-write surfaces as an error, never SIGPIPE.
-  virtual Status SendAll(int fd, const iovec* iov, int iovcnt) = 0;
+  Status SendAll(int fd, const iovec* iov, int iovcnt);
 
   /// Blocking receive. Returns > 0 with `*data` pointing at the received
   /// bytes in an internal buffer (valid until the next Recv), 0 on EOF, or
   /// a negative errno on a fatal error. EINTR is retried internally.
-  virtual ssize_t Recv(int fd, const char** data) = 0;
+  ssize_t Recv(int fd, const char** data);
+
+ private:
+  std::vector<char> recv_buf_;
 };
 
-/// Picks the client I/O path: `backend_override` (NetClientOptions) wins,
-/// then PKGM_NET_IO, then the runtime probe — the same selection the server
-/// uses. io_uring rides two small rings (one per path) and batches a whole
-/// SubmitBatch flush into one submission; the fallback is plain blocking
-/// sendmsg/read. Never fails: a ring that cannot be built degrades to plain.
-std::unique_ptr<ClientConnIo> CreateClientIo(
-    const std::string& backend_override);
+/// Heap-allocated ClientConnIo. There is one client I/O path, so the
+/// argument is unused.
+std::unique_ptr<ClientConnIo> CreateClientIo(const std::string& unused = "");
 
 }  // namespace pkgm::net
 

@@ -38,12 +38,10 @@ serve::ServiceResponse NetworkErrorResponse() {
 struct NetClient::Conn {
   std::mutex mu;
   ScopedFd fd;
-  /// The I/O path (plain or io_uring), created once per connection and
-  /// reused across reconnects: its writer side runs under `mu`, its reader
-  /// side only on the reader thread, and a new reader is spawned only
-  /// after the old one joined — so the raw pointer the reader captures
-  /// stays valid for its whole life.
-  std::unique_ptr<ClientConnIo> io;
+  /// Reused across reconnects: its writer side runs under `mu`, its
+  /// reader side only on the reader thread, and a new reader is spawned
+  /// only after the old one joined.
+  ClientConnIo io;
   std::thread reader;
 
   struct PendingBatch {
@@ -90,7 +88,6 @@ StatusOr<std::unique_ptr<NetClient>> NetClient::Connect(
     if (!fd.ok()) return fd.status();
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->fd = std::move(fd.value());
-    conn->io = CreateClientIo(options.io_backend);
     Conn* raw = conn.get();
     NetClient* raw_client = client.get();
     conn->reader = std::thread([raw_client, raw] {
@@ -137,7 +134,7 @@ Status NetClient::SendFrames(Conn& conn, const iovec* iov, int iovcnt) {
     Conn* raw = &conn;
     conn.reader = std::thread([this, raw] { ReaderLoop(*raw); });
   }
-  const Status status = conn.io->SendAll(conn.fd.get(), iov, iovcnt);
+  const Status status = conn.io.SendAll(conn.fd.get(), iov, iovcnt);
   if (!status.ok()) {
     // Wake the reader; it fails the pending entries (including this
     // frame's, which the caller registered before sending) and closes.
@@ -176,8 +173,8 @@ std::vector<std::future<serve::ServiceResponse>> NetClient::SubmitBatch(
   Conn& conn = PickConn();
   std::lock_guard<std::mutex> lock(conn.mu);
   // Encode every typed frame and register its pending entry first, then
-  // ship the whole batch in one gathered submission: a mixed-kind batch
-  // costs one send syscall (or one ring submission), not one per kind.
+  // ship the whole batch in one gathered sendmsg: a mixed-kind batch costs
+  // one send syscall, not one per kind.
   std::vector<std::string> frames;
   std::vector<uint64_t> correlation_ids;
   for (uint8_t kind = 0; kind <= serve::kMaxTaskKind; ++kind) {
@@ -344,13 +341,12 @@ void NetClient::FailPending(Conn& conn) {
 
 void NetClient::ReaderLoop(Conn& conn) {
   FrameDecoder decoder(options_.max_frame_bytes);
-  const int fd = conn.fd.get();          // stable: only the reader closes it
-  ClientConnIo* io = conn.io.get();      // stable: replaced only after join
+  const int fd = conn.fd.get();  // stable: only the reader closes it
   bool healthy = true;
 
   while (healthy) {
     const char* data = nullptr;
-    const ssize_t n = io->Recv(fd, &data);
+    const ssize_t n = conn.io.Recv(fd, &data);
     if (n <= 0) break;  // EOF or error (EINTR retried inside): tear down
     decoder.Feed(data, static_cast<size_t>(n));
 

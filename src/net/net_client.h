@@ -30,10 +30,6 @@ struct NetClientOptions {
   /// First correlation id handed out. Production keeps the default; tests
   /// pin it near UINT64_MAX to exercise wraparound.
   uint64_t start_correlation_id = 1;
-  /// I/O backend override for this client's sockets: "uring", "epoll"
-  /// (plain blocking syscalls), or "" to defer to PKGM_NET_IO and then the
-  /// runtime probe (see CreateClientIo).
-  std::string io_backend;
 };
 
 /// Client library for the PKGM wire protocol — the downstream-task side of
@@ -97,9 +93,8 @@ class NetClient {
   /// Sends an encoded frame on `conn`, reconnecting first if it is dead.
   /// Registration of the pending entry must happen before calling.
   Status SendFrame(Conn& conn, const std::string& frame);
-  /// Gathered variant: every frame in `iov` goes out in one submission
-  /// (one sendmsg, or one io_uring send), so a multi-kind batch costs one
-  /// syscall instead of one per typed frame.
+  /// Gathered variant: every frame in `iov` goes out in one sendmsg, so a
+  /// multi-kind batch costs one syscall instead of one per typed frame.
   Status SendFrames(Conn& conn, const iovec* iov, int iovcnt);
   void ReaderLoop(Conn& conn);
   /// Fails every pending entry on `conn` with kNetworkError.

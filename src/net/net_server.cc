@@ -1,6 +1,7 @@
 #include "net/net_server.h"
 
 #include <errno.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -22,8 +23,25 @@ namespace pkgm::net {
 namespace {
 
 constexpr int kPollWaitMs = 100;
+constexpr int kMaxEvents = 64;
+constexpr size_t kReadChunkBytes = 64 * 1024;
+// epoll user-data tags for the two non-connection fds. Connection ids
+// start at 2 (next_conn_id_), so there is no collision.
+constexpr uint64_t kListenerTag = 0;
+constexpr uint64_t kWakeupTag = 1;
 
 using Clock = std::chrono::steady_clock;
+
+Status EpollCtl(int epoll_fd, int op, int fd, uint32_t events, uint64_t tag) {
+  epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = events;
+  ev.data.u64 = tag;
+  if (::epoll_ctl(epoll_fd, op, fd, &ev) < 0) {
+    return Status::IoError(StrFormat("epoll_ctl: %s", std::strerror(errno)));
+  }
+  return Status::Ok();
+}
 
 /// Encodes the response frame matching a request frame's reply type. The
 /// lookup path answers kVectors; the inference kinds answer their typed
@@ -57,22 +75,26 @@ struct NetServer::Connection {
   /// not yet been appended to the outbox.
   uint64_t in_flight_frames = 0;
   Clock::time_point last_activity;
-  /// An async (kAsync) send is in flight with the backend; its bytes stay
-  /// in the outbox until OnSendComplete retires them, so send_inflight
-  /// implies a non-empty outbox and the drain condition is unchanged.
-  bool send_inflight = false;
+  /// EPOLLIN is armed; cleared for good when the drain starts.
   bool reading = true;
+  /// EPOLLOUT is armed: a flush would block and waits for send space.
+  bool want_send = false;
 
   explicit Connection(size_t max_frame_bytes) : decoder(max_frame_bytes) {}
+
+  /// Re-arms the socket's epoll interest from `reading` and `want_send`.
+  void UpdateInterest(int epoll_fd) const {
+    EpollCtl(epoll_fd, EPOLL_CTL_MOD, fd.get(),
+             (reading ? EPOLLIN : 0u) | (want_send ? EPOLLOUT : 0u), id);
+  }
 };
 
-/// Per-thread event loop state. `conns` and `backend` are touched only by
-/// the owning thread; `inbox_fds`/`completions` are the cross-thread
-/// mailboxes.
+/// Per-thread event loop state. `conns` is touched only by the owning
+/// thread; `inbox_fds`/`completions` are the cross-thread mailboxes.
 struct NetServer::IoThread {
   size_t index = 0;
+  ScopedFd epoll_fd;
   ScopedFd event_fd;
-  std::thread thread;
 
   std::mutex mu;
   std::vector<int> inbox_fds;
@@ -83,37 +105,15 @@ struct NetServer::IoThread {
   std::vector<Completion> completions;
 
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
-  std::unique_ptr<LoopHandler> loop_handler;
-  /// Declared last: destroyed first, while the handler, connections and
-  /// eventfd it references are still alive.
-  std::unique_ptr<IoBackend> backend;
-};
 
-/// Adapts backend callbacks onto the server's loop methods for one thread.
-struct NetServer::LoopHandler : public IoEventHandler {
-  NetServer* server = nullptr;
-  IoThread* io = nullptr;
+  // Syscall accounting: bumped only by the loop thread, read cross-thread
+  // by net_counters().
+  std::atomic<uint64_t> wait_calls{0};
+  std::atomic<uint64_t> recv_syscalls{0};
+  std::atomic<uint64_t> send_syscalls{0};
 
-  void OnAcceptReady() override {
-    if (!server->draining_.load(std::memory_order_acquire)) {
-      server->AcceptNew(*io);
-    }
-  }
-  void OnWakeup() override { server->DrainMailboxes(*io); }
-  void OnData(uint64_t tag, const char* data, size_t len) override {
-    server->OnConnData(*io, tag, data, len);
-  }
-  void OnPeerClosed(uint64_t tag) override {
-    server->CloseConnection(*io, tag);
-  }
-  void OnSendComplete(uint64_t tag, int64_t n) override {
-    server->OnSendComplete(*io, tag, n);
-  }
-  void OnSendSpace(uint64_t tag) override {
-    auto it = io->conns.find(tag);
-    if (it == io->conns.end()) return;
-    server->FlushOutbox(*io, *it->second);
-  }
+  /// Declared last: the loop it runs uses every member above.
+  std::thread thread;
 };
 
 /// Completion state shared by the per-request callbacks of one request
@@ -163,30 +163,6 @@ NetServer::NetServer(FrameHandler* handler, NetServerOptions options)
 
 NetServer::~NetServer() { Stop(); }
 
-Status NetServer::BuildIoThreads(IoBackendKind kind) {
-  for (size_t i = 0; i < options_.num_io_threads; ++i) {
-    auto io = std::make_unique<IoThread>();
-    io->index = i;
-    io->event_fd.Reset(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
-    if (!io->event_fd.valid()) {
-      return Status::IoError(StrFormat("eventfd: %s", std::strerror(errno)));
-    }
-    io->loop_handler = std::make_unique<LoopHandler>();
-    io->loop_handler->server = this;
-    io->loop_handler->io = io.get();
-    io->backend = CreateIoBackend(kind);
-    Status status =
-        io->backend->Init(io->loop_handler.get(), io->event_fd.get());
-    if (!status.ok()) return status;
-    if (i == 0) {
-      status = io->backend->AttachListener(listener_.get());
-      if (!status.ok()) return status;
-    }
-    io_threads_.push_back(std::move(io));
-  }
-  return Status::Ok();
-}
-
 Status NetServer::Start() {
   PKGM_CHECK(!started_) << "NetServer::Start called twice";
   auto listener =
@@ -195,20 +171,27 @@ Status NetServer::Start() {
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener.value());
 
-  IoBackendKind kind = SelectIoBackend(options_.io_backend);
-  Status built = BuildIoThreads(kind);
-  if (!built.ok() && kind == IoBackendKind::kUring) {
-    // The probe passed but a real ring did not come up (e.g. a memlock
-    // limit hit with full-size rings). All threads must agree on a
-    // backend, so rebuild everything on epoll.
-    PKGM_LOG(Warning) << "io_uring backend init failed ("
-                      << built.ToString() << "); falling back to epoll";
-    io_threads_.clear();
-    kind = IoBackendKind::kEpoll;
-    built = BuildIoThreads(kind);
+  for (size_t i = 0; i < options_.num_io_threads; ++i) {
+    auto io = std::make_unique<IoThread>();
+    io->index = i;
+    io->epoll_fd.Reset(::epoll_create1(EPOLL_CLOEXEC));
+    if (!io->epoll_fd.valid()) {
+      return Status::IoError(
+          StrFormat("epoll_create1: %s", std::strerror(errno)));
+    }
+    io->event_fd.Reset(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
+    if (!io->event_fd.valid()) {
+      return Status::IoError(StrFormat("eventfd: %s", std::strerror(errno)));
+    }
+    Status status = EpollCtl(io->epoll_fd.get(), EPOLL_CTL_ADD,
+                             io->event_fd.get(), EPOLLIN, kWakeupTag);
+    if (status.ok() && i == 0) {
+      status = EpollCtl(io->epoll_fd.get(), EPOLL_CTL_ADD, listener_.get(),
+                        EPOLLIN, kListenerTag);
+    }
+    if (!status.ok()) return status;
+    io_threads_.push_back(std::move(io));
   }
-  if (!built.ok()) return built;
-  io_backend_name_ = IoBackendKindName(kind);
 
   for (size_t i = 0; i < io_threads_.size(); ++i) {
     io_threads_[i]->thread = std::thread([this, i] { IoLoop(i); });
@@ -273,7 +256,8 @@ void NetServer::AddConnection(IoThread& io, int raw_fd) {
   // be closed by the drain sweep.
   conn->reading = !draining_.load(std::memory_order_acquire);
 
-  if (!io.backend->AddConnection(conn->id, conn->fd.get(), conn->reading)
+  if (!EpollCtl(io.epoll_fd.get(), EPOLL_CTL_ADD, conn->fd.get(),
+                conn->reading ? EPOLLIN : 0u, conn->id)
            .ok()) {
     return;
   }
@@ -305,9 +289,8 @@ void NetServer::AcceptNew(IoThread& io) {
 void NetServer::CloseConnection(IoThread& io, uint64_t conn_id) {
   auto it = io.conns.find(conn_id);
   if (it == io.conns.end()) return;
-  // RemoveConnection runs while the fd is still open (the backend must
-  // flush/cancel kernel ops that reference it); the erase then closes it.
-  io.backend->RemoveConnection(conn_id);
+  ::epoll_ctl(io.epoll_fd.get(), EPOLL_CTL_DEL, it->second->fd.get(),
+              nullptr);
   io.conns.erase(it);  // ScopedFd closes the socket
   ++connections_closed_;
 }
@@ -334,9 +317,6 @@ void NetServer::RetireOutboxBytes(Connection& conn, size_t n) {
 }
 
 bool NetServer::FlushOutbox(IoThread& io, Connection& conn) {
-  // One async send at a time per connection: its bytes stay queued until
-  // OnSendComplete retires them and resumes the flush.
-  if (conn.send_inflight) return true;
   // Gather up to kFlushIovecs queued frames per submission: under
   // pipelined load the outbox routinely holds many small response frames,
   // and one gathered send drains what used to take one send() each.
@@ -352,36 +332,30 @@ bool NetServer::FlushOutbox(IoThread& io, Connection& conn) {
       iov[iovcnt].iov_len = entry.size() - offset;
       ++iovcnt;
     }
-    const SendResult result =
-        io.backend->SubmitSend(conn.id, conn.fd.get(), iov, iovcnt);
-    switch (result.kind) {
-      case SendResult::Kind::kSent:
-        RetireOutboxBytes(conn, result.bytes);
-        continue;
-      case SendResult::Kind::kWouldBlock:
-        return true;  // backend calls OnSendSpace when a retry can progress
-      case SendResult::Kind::kAsync:
-        conn.send_inflight = true;
-        return true;  // OnSendComplete retires and resumes
-      case SendResult::Kind::kError:
-        CloseConnection(io, conn.id);  // EPIPE/ECONNRESET/...
-        return false;
+    msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    // MSG_NOSIGNAL: a peer that closed mid-write must surface EPIPE, not
+    // kill the process with SIGPIPE.
+    io.send_syscalls.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t n = ::sendmsg(conn.fd.get(), &msg, MSG_NOSIGNAL);
+    if (n > 0) {
+      RetireOutboxBytes(conn, static_cast<size_t>(n));
+      continue;
     }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Kernel buffer full: EPOLLOUT resumes the flush.
+      if (!conn.want_send) {
+        conn.want_send = true;
+        conn.UpdateInterest(io.epoll_fd.get());
+      }
+      return true;
+    }
+    CloseConnection(io, conn.id);  // EPIPE/ECONNRESET/...
+    return false;
   }
   return true;
-}
-
-void NetServer::OnSendComplete(IoThread& io, uint64_t tag, int64_t n) {
-  auto it = io.conns.find(tag);
-  if (it == io.conns.end()) return;
-  Connection& conn = *it->second;
-  conn.send_inflight = false;
-  if (n < 0) {
-    CloseConnection(io, tag);
-    return;
-  }
-  RetireOutboxBytes(conn, static_cast<size_t>(n));
-  FlushOutbox(io, conn);
 }
 
 bool NetServer::SendOnLoop(IoThread& io, Connection& conn,
@@ -545,14 +519,26 @@ bool NetServer::RouteToHandler(IoThread& io, Connection& conn, Frame frame) {
                                 "frame refused by handler"));
 }
 
-void NetServer::OnConnData(IoThread& io, uint64_t tag, const char* data,
+bool NetServer::ReadReady(IoThread& io, Connection& conn) {
+  // Level-triggered: read 64K chunks until the socket is drained, handing
+  // each to the decoder as it lands.
+  char buf[kReadChunkBytes];
+  while (conn.reading) {
+    io.recv_syscalls.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t n = ::read(conn.fd.get(), buf, sizeof(buf));
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n <= 0) {  // EOF or hard error
+      CloseConnection(io, conn.id);
+      return false;
+    }
+    if (!OnConnData(io, conn, buf, static_cast<size_t>(n))) return false;
+    if (static_cast<size_t>(n) < sizeof(buf)) return true;  // drained
+  }
+  return true;
+}
+
+bool NetServer::OnConnData(IoThread& io, Connection& conn, const char* data,
                            size_t len) {
-  auto it = io.conns.find(tag);
-  if (it == io.conns.end()) return;
-  Connection& conn = *it->second;
-  // Bytes that race the drain cutoff are dropped: the peer's new requests
-  // are not accepted mid-drain (same as the pre-seam read-disable).
-  if (!conn.reading) return;
   bytes_in_ += static_cast<uint64_t>(len);
   conn.last_activity = Clock::now();
   conn.decoder.Feed(data, len);
@@ -560,15 +546,15 @@ void NetServer::OnConnData(IoThread& io, uint64_t tag, const char* data,
   std::string error;
   while (true) {
     const FrameDecoder::Result result = conn.decoder.Next(&frame, &error);
-    if (result == FrameDecoder::Result::kNeedMore) return;
+    if (result == FrameDecoder::Result::kNeedMore) return true;
     if (result == FrameDecoder::Result::kError) {
       // Malformed frame: the stream is unrecoverable, close exactly this
       // connection. Everyone else is unaffected.
       ++protocol_errors_;
       CloseConnection(io, conn.id);
-      return;
+      return false;
     }
-    if (!HandleFrame(io, conn, std::move(frame))) return;
+    if (!HandleFrame(io, conn, std::move(frame))) return false;
   }
 }
 
@@ -591,6 +577,46 @@ void NetServer::DrainMailboxes(IoThread& io) {
   }
 }
 
+void NetServer::PollEvents(IoThread& io) {
+  epoll_event events[kMaxEvents];
+  io.wait_calls.fetch_add(1, std::memory_order_relaxed);
+  const int n_events =
+      ::epoll_wait(io.epoll_fd.get(), events, kMaxEvents, kPollWaitMs);
+  for (int i = 0; i < n_events; ++i) {
+    const uint64_t tag = events[i].data.u64;
+    if (tag == kListenerTag) {
+      if (!draining_.load(std::memory_order_acquire)) AcceptNew(io);
+      continue;
+    }
+    if (tag == kWakeupTag) {
+      // Consume the wake before swapping the mailboxes out, so a post that
+      // lands after the swap signals again.
+      uint64_t counter;
+      [[maybe_unused]] ssize_t r =
+          ::read(io.event_fd.get(), &counter, sizeof(counter));
+      DrainMailboxes(io);
+      continue;
+    }
+    auto it = io.conns.find(tag);
+    if (it == io.conns.end()) continue;  // closed earlier in this batch
+    Connection& conn = *it->second;
+    if (events[i].events & (EPOLLERR | EPOLLHUP)) {
+      CloseConnection(io, tag);
+      continue;
+    }
+    if ((events[i].events & EPOLLIN) && !ReadReady(io, conn)) continue;
+    if (events[i].events & EPOLLOUT) {
+      // One-shot: disarm before flushing; a flush that would block again
+      // re-arms.
+      if (conn.want_send) {
+        conn.want_send = false;
+        conn.UpdateInterest(io.epoll_fd.get());
+      }
+      FlushOutbox(io, conn);
+    }
+  }
+}
+
 void NetServer::IoLoop(size_t thread_index) {
   IoThread& io = *io_threads_[thread_index];
   bool drain_seen = false;
@@ -598,10 +624,7 @@ void NetServer::IoLoop(size_t thread_index) {
   Clock::time_point last_idle_scan = Clock::now();
 
   while (true) {
-    // One backend iteration: wait for events (epoll_wait, or one
-    // submit-and-wait io_uring_enter) and dispatch them through the
-    // LoopHandler callbacks.
-    io.backend->Poll(kPollWaitMs);
+    PollEvents(io);
     const bool draining = draining_.load(std::memory_order_acquire);
 
     if (draining && !drain_seen) {
@@ -609,14 +632,16 @@ void NetServer::IoLoop(size_t thread_index) {
       drain_deadline =
           Clock::now() + std::chrono::milliseconds(options_.drain_timeout_ms);
       if (thread_index == 0 && listener_.valid()) {
-        io.backend->DetachListener();
+        ::epoll_ctl(io.epoll_fd.get(), EPOLL_CTL_DEL, listener_.get(),
+                    nullptr);
         // The fd itself is closed by Stop() after every thread has joined.
         ::shutdown(listener_.get(), SHUT_RDWR);
       }
+      // Stop reading: requests arriving mid-drain are not accepted.
       for (auto& [id, conn] : io.conns) {
         if (conn->reading) {
           conn->reading = false;
-          io.backend->PauseRecv(id);
+          conn->UpdateInterest(io.epoll_fd.get());
         }
       }
     }
@@ -670,16 +695,11 @@ serve::NetCounters NetServer::net_counters() const {
   net.protocol_errors = protocol_errors_.load();
   net.backpressure_disconnects = backpressure_disconnects_.load();
   net.idle_disconnects = idle_disconnects_.load();
-  net.io_backend = io_backend_name_;
+  net.io_backend = "epoll";
   for (const auto& io : io_threads_) {
-    if (io->backend == nullptr) continue;
-    const IoBackendStats s = io->backend->stats();
-    net.io_wait_calls += s.wait_calls;
-    net.io_recv_syscalls += s.recv_syscalls;
-    net.io_send_syscalls += s.send_syscalls;
-    net.io_recv_submissions += s.recv_submissions;
-    net.io_send_submissions += s.send_submissions;
-    net.io_wakeups += s.wakeups;
+    net.io_wait_calls += io->wait_calls.load(std::memory_order_relaxed);
+    net.io_recv_syscalls += io->recv_syscalls.load(std::memory_order_relaxed);
+    net.io_send_syscalls += io->send_syscalls.load(std::memory_order_relaxed);
   }
   return net;
 }
@@ -700,7 +720,6 @@ std::string NetServer::StatsJson() const {
   if (server_ == nullptr) {
     // Transport-only server: splice the net counters into the handler's
     // own JSON object so one snapshot carries both.
-    const serve::NetCounters net = net_counters();
     std::string inner = handler_->StatsJson();
     // Strip the handler object's braces; tolerate an empty "{}" snapshot.
     std::string fields;
@@ -710,30 +729,7 @@ std::string NetServer::StatsJson() const {
         close > open + 1) {
       fields = inner.substr(open + 1, close - open - 1);
     }
-    std::string json = "{\"net\": {";
-    json += StrFormat(
-        "\"connections_accepted\": %llu, \"connections_closed\": %llu, "
-        "\"frames_in\": %llu, \"frames_out\": %llu, \"bytes_in\": %llu, "
-        "\"bytes_out\": %llu, \"protocol_errors\": %llu, "
-        "\"backpressure_disconnects\": %llu, \"idle_disconnects\": %llu, "
-        "\"io_backend\": \"%s\", \"io_wait_calls\": %llu, "
-        "\"io_recv_syscalls\": %llu, \"io_send_syscalls\": %llu, "
-        "\"io_recv_submissions\": %llu, \"io_send_submissions\": %llu}",
-        static_cast<unsigned long long>(net.connections_accepted),
-        static_cast<unsigned long long>(net.connections_closed),
-        static_cast<unsigned long long>(net.frames_in),
-        static_cast<unsigned long long>(net.frames_out),
-        static_cast<unsigned long long>(net.bytes_in),
-        static_cast<unsigned long long>(net.bytes_out),
-        static_cast<unsigned long long>(net.protocol_errors),
-        static_cast<unsigned long long>(net.backpressure_disconnects),
-        static_cast<unsigned long long>(net.idle_disconnects),
-        net.io_backend.c_str(),
-        static_cast<unsigned long long>(net.io_wait_calls),
-        static_cast<unsigned long long>(net.io_recv_syscalls),
-        static_cast<unsigned long long>(net.io_send_syscalls),
-        static_cast<unsigned long long>(net.io_recv_submissions),
-        static_cast<unsigned long long>(net.io_send_submissions));
+    std::string json = "{\"net\":" + net_counters().ToJson();
     if (!fields.empty()) {
       json += ", ";
       json += fields;

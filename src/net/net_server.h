@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "net/io_backend.h"
 #include "net/socket_util.h"
 #include "net/wire.h"
 #include "serve/knowledge_server.h"
@@ -43,11 +42,6 @@ struct NetServerOptions {
   /// Kernel send-buffer size for accepted sockets; 0 keeps the default
   /// (tests shrink it to exercise the outbox bound deterministically).
   int so_sndbuf_bytes = 0;
-  /// I/O backend override: "uring", "epoll", or "" to defer to the
-  /// PKGM_NET_IO environment variable and then the runtime probe. A uring
-  /// request on a kernel without support falls back to epoll with one
-  /// warning (see SelectIoBackend).
-  std::string io_backend;
 };
 
 /// Server-side extension seam: application logic for frame types the
@@ -86,19 +80,17 @@ class FrameHandler {
 /// that decodes wire-protocol frames into ServiceRequest batches, submits
 /// them to a KnowledgeServer — whose admission control, deadlines, cache
 /// and registry hot swap are untouched — and completes responses
-/// asynchronously. How readiness/completion is obtained lives behind the
-/// IoBackend seam: epoll (portable) or io_uring (batched submission, one
-/// syscall per loop iteration), selected per NetServerOptions::io_backend /
-/// PKGM_NET_IO / runtime probe.
+/// asynchronously.
 ///
-/// Threading model: N I/O threads each own an IoBackend instance and a set
-/// of connections; thread 0 additionally owns the listener. A request frame
-/// is decoded on its connection's I/O thread and submitted via
-/// SubmitBatchAsync; the knowledge-server worker that finishes the last
-/// request of the frame encodes the response and posts it back to the
-/// owning I/O thread (eventfd wakeup), which writes it out. An I/O thread
-/// therefore never blocks on compute, and a socket is only ever touched by
-/// its owning thread.
+/// Threading model: N I/O threads each run one level-triggered epoll loop
+/// over their own set of non-blocking connections (one read() per ready
+/// chunk, one gathered sendmsg() per flush); thread 0 additionally owns
+/// the listener. A request frame is decoded on its connection's I/O
+/// thread and submitted via SubmitBatchAsync; the knowledge-server worker
+/// that finishes the last request of the frame encodes the response and
+/// posts it back to the owning I/O thread (eventfd wakeup), which writes
+/// it out. An I/O thread therefore never blocks on compute, and a socket
+/// is only ever touched by its owning thread.
 ///
 /// Failure containment: a malformed frame (bad magic/version/CRC/oversize
 /// or garbled payload) closes exactly the offending connection; an unknown
@@ -143,20 +135,22 @@ class NetServer {
   struct IoThread;
   struct FrameState;
   struct HandlerRespondState;
-  struct LoopHandler;
 
-  Status BuildIoThreads(IoBackendKind kind);
   void IoLoop(size_t thread_index);
+  /// One epoll_wait (bounded by the poll interval) and the dispatch of
+  /// every event it returned.
+  void PollEvents(IoThread& io);
   void AddConnection(IoThread& io, int fd);
   void AcceptNew(IoThread& io);
   /// Consumes the cross-thread mailboxes (new fds, posted completions).
   void DrainMailboxes(IoThread& io);
-  /// Backend delivered `len` received bytes for `tag`: feed the decoder and
-  /// process complete frames.
-  void OnConnData(IoThread& io, uint64_t tag, const char* data, size_t len);
-  /// Backend finished an async send: retire `n` written bytes (or close on
-  /// a negative errno) and continue flushing.
-  void OnSendComplete(IoThread& io, uint64_t tag, int64_t n);
+  /// Reads a readable socket until it would block. Returns false when the
+  /// connection was closed.
+  bool ReadReady(IoThread& io, Connection& conn);
+  /// Feeds received bytes to the decoder and handles every complete
+  /// frame. Returns false when the connection was closed.
+  bool OnConnData(IoThread& io, Connection& conn, const char* data,
+                  size_t len);
   /// Returns false when the frame killed the connection.
   bool HandleFrame(IoThread& io, Connection& conn, Frame frame);
   /// Routes one request frame to handler_ (kError/kUnsupported when absent
@@ -183,8 +177,6 @@ class NetServer {
 
   ScopedFd listener_;
   uint16_t port_ = 0;
-  /// Resolved backend name ("epoll" / "io_uring"), valid after Start().
-  std::string io_backend_name_;
   std::vector<std::unique_ptr<IoThread>> io_threads_;
   std::atomic<uint64_t> next_conn_id_{2};  // 0 = listener tag, 1 = eventfd tag
   std::atomic<size_t> next_io_thread_{0};

@@ -53,6 +53,31 @@ std::string HistogramJson(const Histogram& h,
 
 }  // namespace
 
+std::string NetCounters::ToJson() const {
+  auto u64 = [](uint64_t v) {
+    return std::to_string(static_cast<unsigned long long>(v));
+  };
+  std::string json = "{";
+  json += "\"connections_accepted\":" + u64(connections_accepted);
+  json += ",\"connections_closed\":" + u64(connections_closed);
+  json += ",\"connections_active\":" + u64(connections_active);
+  json += ",\"frames_in\":" + u64(frames_in);
+  json += ",\"frames_out\":" + u64(frames_out);
+  json += ",\"bytes_in\":" + u64(bytes_in);
+  json += ",\"bytes_out\":" + u64(bytes_out);
+  json += ",\"requests_in\":" + u64(requests_in);
+  json += ",\"protocol_errors\":" + u64(protocol_errors);
+  json += ",\"backpressure_disconnects\":" + u64(backpressure_disconnects);
+  json += ",\"idle_disconnects\":" + u64(idle_disconnects);
+  json += ",\"io_backend\":\"" + JsonEscape(io_backend) + "\"";
+  json += ",\"io_wait_calls\":" + u64(io_wait_calls);
+  json += ",\"io_recv_syscalls\":" + u64(io_recv_syscalls);
+  json += ",\"io_send_syscalls\":" + u64(io_send_syscalls);
+  json += ",\"frames_per_syscall\":" + StrFormat("%.3f", FramesPerSyscall());
+  json += "}";
+  return json;
+}
+
 void ServerStats::RecordCompleted(ResponseCode code, double queue_micros,
                                   double compute_micros) {
   switch (code) {
@@ -170,10 +195,6 @@ std::string ServerStats::ToTable(uint64_t queue_depth, const CacheStats* cache,
     counters.AddRow(
         {"net io send syscalls", std::to_string(net->io_send_syscalls)});
     counters.AddRow(
-        {"net io recv submissions", std::to_string(net->io_recv_submissions)});
-    counters.AddRow(
-        {"net io send submissions", std::to_string(net->io_send_submissions)});
-    counters.AddRow(
         {"net frames per syscall", StrFormat("%.2f", net->FramesPerSyscall())});
   }
 
@@ -244,30 +265,7 @@ std::string ServerStats::StatsJson(uint64_t queue_depth,
         static_cast<unsigned long long>(coalescer->joined),
         static_cast<unsigned long long>(coalescer->bypassed));
   }
-  if (net != nullptr) {
-    json += ",\"net\":{";
-    json += "\"connections_accepted\":" + u64(net->connections_accepted);
-    json += ",\"connections_closed\":" + u64(net->connections_closed);
-    json += ",\"connections_active\":" + u64(net->connections_active);
-    json += ",\"frames_in\":" + u64(net->frames_in);
-    json += ",\"frames_out\":" + u64(net->frames_out);
-    json += ",\"bytes_in\":" + u64(net->bytes_in);
-    json += ",\"bytes_out\":" + u64(net->bytes_out);
-    json += ",\"requests_in\":" + u64(net->requests_in);
-    json += ",\"protocol_errors\":" + u64(net->protocol_errors);
-    json += ",\"backpressure_disconnects\":" +
-            u64(net->backpressure_disconnects);
-    json += ",\"idle_disconnects\":" + u64(net->idle_disconnects);
-    json += ",\"io_backend\":\"" + JsonEscape(net->io_backend) + "\"";
-    json += ",\"io_wait_calls\":" + u64(net->io_wait_calls);
-    json += ",\"io_recv_syscalls\":" + u64(net->io_recv_syscalls);
-    json += ",\"io_send_syscalls\":" + u64(net->io_send_syscalls);
-    json += ",\"io_recv_submissions\":" + u64(net->io_recv_submissions);
-    json += ",\"io_send_submissions\":" + u64(net->io_send_submissions);
-    json += ",\"frames_per_syscall\":" +
-            StrFormat("%.3f", net->FramesPerSyscall());
-    json += "}";
-  }
+  if (net != nullptr) json += ",\"net\":" + net->ToJson();
   json += ",\"latency\":{\"queue\":" + HistogramJson(QueueLatency(), quantiles_) +
           ",\"execute\":" + HistogramJson(ComputeLatency(), quantiles_) + "}";
   json += "}";

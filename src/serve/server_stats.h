@@ -25,7 +25,8 @@ struct NetCounters {
   uint64_t frames_out = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
-  /// Wire-level requests decoded out of kGetVectors frames.
+  /// Wire-level requests decoded out of request frames of all four kinds
+  /// (kGetVectors, kRecommend, kClassify, kAlign).
   uint64_t requests_in = 0;
   /// Malformed frames (bad magic/version/CRC/oversize/garbled payload);
   /// each one closes exactly the offending connection.
@@ -35,29 +36,28 @@ struct NetCounters {
   /// Connections reaped by the idle timeout.
   uint64_t idle_disconnects = 0;
 
-  /// I/O backend the event loops run on ("epoll" / "io_uring").
+  /// The event loop the I/O threads run ("epoll").
   std::string io_backend;
-  /// Blocking waits (epoll_wait or io_uring_enter — every enter is one
-  /// syscall), summed across I/O threads.
+  /// epoll_wait calls, summed across I/O threads.
   uint64_t io_wait_calls = 0;
-  /// Per-chunk recv/send syscalls (epoll path; 0 on io_uring, where the
-  /// ops ride the ring as submissions).
+  /// Per-chunk read() and per-flush sendmsg() syscalls.
   uint64_t io_recv_syscalls = 0;
   uint64_t io_send_syscalls = 0;
-  /// RECV / SENDMSG SQEs submitted to the ring (io_uring path).
-  uint64_t io_recv_submissions = 0;
-  uint64_t io_send_submissions = 0;
-  /// Cross-thread wakeup signals consumed by the loops.
-  uint64_t io_wakeups = 0;
 
-  /// Frames moved (in + out) per I/O syscall (waits + recvs + sends): the
-  /// batched-submission win in one number — higher is better.
+  /// Frames moved (in + out) per I/O syscall (waits + recvs + sends): how
+  /// many frames each wakeup, read and gathered write carries on average
+  /// — higher is better.
   double FramesPerSyscall() const {
     const uint64_t syscalls =
         io_wait_calls + io_recv_syscalls + io_send_syscalls;
     return static_cast<double>(frames_in + frames_out) /
            static_cast<double>(syscalls > 0 ? syscalls : 1);
   }
+
+  /// The "net" object of every StatsJson snapshot — a KnowledgeServer
+  /// front end's (ServerStats::StatsJson) and a transport-only daemon's
+  /// (NetServer::StatsJson) — so both report one key set.
+  std::string ToJson() const;
 };
 
 /// Thread-safe metrics for the knowledge server: request counters by

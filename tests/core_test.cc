@@ -342,7 +342,6 @@ TEST(ShardedTrainerTest, LearnsLikeSingleThreaded) {
   PkgmModel model(SmallModel(20, 4, 16));
   ShardedTrainerOptions opt;
   opt.num_workers = 3;
-  opt.num_shards = 4;
   opt.batch_size = 4;
   opt.learning_rate = 0.1f;
   opt.seed = 13;

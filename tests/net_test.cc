@@ -2,15 +2,13 @@
 // over loopback against a real KnowledgeServer. The core acceptance
 // property is parity — vectors served over the socket are bit-identical to
 // direct KnowledgeServer::Submit — including across a registry hot swap
-// mid-stream. Every case runs as a backend matrix over both I/O backends
-// (epoll and io_uring); the uring leg skips cleanly on kernels without
-// io_uring, and both legs must behave identically.
+// mid-stream.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -22,7 +20,6 @@
 
 #include "core/pkgm_model.h"
 #include "core/service.h"
-#include "net/io_backend.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "net/socket_util.h"
@@ -124,6 +121,24 @@ bool RawReadFrame(int fd, FrameDecoder* decoder, Frame* frame) {
   }
 }
 
+/// Keys of the flat "net" object in a StatsJson snapshot, in order.
+std::vector<std::string> NetKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  const size_t net = json.find("\"net\":");
+  if (net == std::string::npos) return keys;
+  const size_t open = json.find('{', net);
+  const size_t close = json.find('}', open);
+  const std::string body = json.substr(open + 1, close - open - 1);
+  // Each member is "key":value; no value holds a comma.
+  for (size_t pos = body.find('"'); pos != std::string::npos;) {
+    const size_t end = body.find('"', pos + 1);
+    keys.push_back(body.substr(pos + 1, end - pos - 1));
+    const size_t comma = body.find(',', end);
+    pos = comma == std::string::npos ? comma : body.find('"', comma);
+  }
+  return keys;
+}
+
 /// Waits until `condition` holds, polling; false on timeout.
 template <typename F>
 bool WaitFor(F condition, int timeout_ms = 5000) {
@@ -136,46 +151,14 @@ bool WaitFor(F condition, int timeout_ms = 5000) {
   return true;
 }
 
-/// Backend-matrix base: the parameter ("epoll" / "uring") pins both the
-/// server's and the client's I/O backend; the uring leg skips where the
-/// kernel has no io_uring.
-class BackendTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    if (std::string(GetParam()) == "uring" && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-
-  NetServerOptions ServerOptions() const {
-    NetServerOptions options;
-    options.io_backend = GetParam();
-    return options;
-  }
-
-  NetClientOptions ClientOptions() const {
-    NetClientOptions options;
-    options.io_backend = GetParam();
-    return options;
-  }
-};
-
-class NetServerTest : public BackendTest {};
-class NetClientTest : public BackendTest {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetServerTest,
-                         ::testing::Values("epoll", "uring"));
-INSTANTIATE_TEST_SUITE_P(Backends, NetClientTest,
-                         ::testing::Values("epoll", "uring"));
-
-TEST_P(NetServerTest, EndToEndParityWithDirectSubmit) {
+TEST(NetServerTest, EndToEndParityWithDirectSubmit) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
 
-  NetClientOptions copt = ClientOptions();
+  NetClientOptions copt;
   copt.num_connections = 2;
   auto client = NetClient::Connect("127.0.0.1", net.port(), copt);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -212,16 +195,16 @@ TEST_P(NetServerTest, EndToEndParityWithDirectSubmit) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, ParityAcrossRegistryHotSwapMidStream) {
+TEST(NetServerTest, ParityAcrossRegistryHotSwapMidStream) {
   Fixture fx;
   store::ModelRegistry registry;
   registry.Publish(fx.model, fx.provider, store::StoreBackendInfo{});
 
   KnowledgeServer server(&registry);
   server.Start();
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", net.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
 
   // Stream batches while publishing fresh generations (new provider
@@ -261,14 +244,14 @@ TEST_P(NetServerTest, ParityAcrossRegistryHotSwapMidStream) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, DeadlineExpiresAcrossTheWire) {
+TEST(NetServerTest, DeadlineExpiresAcrossTheWire) {
   Fixture fx;
   // Workers not started yet: accepted requests sit queued until Start(),
   // so a short relative deadline deterministically expires in the queue.
   KnowledgeServer server(fx.provider.get());
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", net.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
 
   ServiceRequest request = MakeRequest(1, ServiceForm::kCondensed);
@@ -283,14 +266,14 @@ TEST_P(NetServerTest, DeadlineExpiresAcrossTheWire) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, AdmissionRejectionPropagatesOverWire) {
+TEST(NetServerTest, AdmissionRejectionPropagatesOverWire) {
   Fixture fx;
   KnowledgeServerOptions sopt;
   sopt.queue_capacity = 1;  // one batch fits, the second is rejected
   KnowledgeServer server(fx.provider.get(), sopt);
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", net.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
 
   std::vector<ServiceRequest> first(4, MakeRequest(1, ServiceForm::kCondensed));
@@ -316,14 +299,14 @@ TEST_P(NetServerTest, AdmissionRejectionPropagatesOverWire) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, MalformedFrameClosesOnlyTheOffendingConnection) {
+TEST(NetServerTest, MalformedFrameClosesOnlyTheOffendingConnection) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
 
-  auto client = NetClient::Connect("127.0.0.1", net.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.value()->Ping().ok());
 
@@ -346,11 +329,11 @@ TEST_P(NetServerTest, MalformedFrameClosesOnlyTheOffendingConnection) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, UnknownFrameTypeAnsweredWithErrorConnectionSurvives) {
+TEST(NetServerTest, UnknownFrameTypeAnsweredWithErrorConnectionSurvives) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
 
   auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
@@ -384,11 +367,11 @@ TEST_P(NetServerTest, UnknownFrameTypeAnsweredWithErrorConnectionSurvives) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, SlowReaderIsDisconnectedByBackpressure) {
+TEST(NetServerTest, SlowReaderIsDisconnectedByBackpressure) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServerOptions nopt = ServerOptions();
+  NetServerOptions nopt;
   nopt.max_outbox_bytes = 16 * 1024;  // tight bound
   nopt.so_sndbuf_bytes = 4 * 1024;    // tiny kernel buffer → outbox fills
   NetServer net(&server, nopt);
@@ -427,13 +410,13 @@ TEST_P(NetServerTest, SlowReaderIsDisconnectedByBackpressure) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, GracefulDrainCompletesAcceptedRequests) {
+TEST(NetServerTest, GracefulDrainCompletesAcceptedRequests) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", net.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
 
   std::vector<std::future<ServiceResponse>> futures;
@@ -459,11 +442,11 @@ TEST_P(NetServerTest, GracefulDrainCompletesAcceptedRequests) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, IdleConnectionsAreReaped) {
+TEST(NetServerTest, IdleConnectionsAreReaped) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServerOptions nopt = ServerOptions();
+  NetServerOptions nopt;
   nopt.idle_timeout_ms = 100;
   NetServer net(&server, nopt);
   ASSERT_TRUE(net.Start().ok());
@@ -481,13 +464,13 @@ TEST_P(NetServerTest, IdleConnectionsAreReaped) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, PingAndStatsProbes) {
+TEST(NetServerTest, PingAndStatsProbes) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server, ServerOptions());
+  NetServer net(&server);
   ASSERT_TRUE(net.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", net.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
 
   EXPECT_TRUE(client.value()->Ping().ok());
@@ -499,32 +482,30 @@ TEST_P(NetServerTest, PingAndStatsProbes) {
   EXPECT_NE(stats.value().find("\"net\""), std::string::npos);
   EXPECT_NE(stats.value().find("\"accepted\""), std::string::npos);
 
-  // The stats report which I/O backend actually serves the sockets, plus
-  // the syscall accounting the bench gate reads.
-  const std::string expected_backend = std::string("\"io_backend\":\"") +
-      (std::string(GetParam()) == "uring" ? "io_uring" : "epoll") + "\"";
-  EXPECT_NE(stats.value().find(expected_backend), std::string::npos)
+  // The stats name the event loop serving the sockets, plus the syscall
+  // accounting.
+  EXPECT_NE(stats.value().find("\"io_backend\":\"epoll\""),
+            std::string::npos)
       << stats.value();
   EXPECT_NE(stats.value().find("\"io_wait_calls\""), std::string::npos);
   EXPECT_NE(stats.value().find("\"frames_per_syscall\""), std::string::npos);
-  EXPECT_EQ(net.net_counters().io_backend,
-            std::string(GetParam()) == "uring" ? "io_uring" : "epoll");
+  EXPECT_EQ(net.net_counters().io_backend, "epoll");
 
   client.value().reset();
   net.Stop();
   server.Stop();
 }
 
-TEST_P(NetClientTest, ReconnectsAfterServerRestart) {
+TEST(NetClientTest, ReconnectsAfterServerRestart) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
 
-  auto first = std::make_unique<NetServer>(&server, ServerOptions());
+  auto first = std::make_unique<NetServer>(&server);
   ASSERT_TRUE(first->Start().ok());
   const uint16_t port = first->port();
 
-  NetClientOptions copt = ClientOptions();
+  NetClientOptions copt;
   copt.reconnect_backoff_initial_ms = 10;
   auto client = NetClient::Connect("127.0.0.1", port, copt);
   ASSERT_TRUE(client.ok());
@@ -546,7 +527,7 @@ TEST_P(NetClientTest, ReconnectsAfterServerRestart) {
   EXPECT_GE(client.value()->network_errors(), 1u);
 
   // Restart on the same port; the client must recover via reconnect.
-  NetServerOptions nopt = ServerOptions();
+  NetServerOptions nopt;
   nopt.port = port;
   NetServer second(&server, nopt);
   ASSERT_TRUE(second.Start().ok());
@@ -624,12 +605,12 @@ class ReversingPushHandler : public FrameHandler {
   std::vector<Parked> parked_;
 };
 
-TEST_P(NetClientTest, ManyInFlightCallsResolveOutOfOrder) {
+TEST(NetClientTest, ManyInFlightCallsResolveOutOfOrder) {
   ReversingPushHandler handler;
-  NetServer server(&handler, ServerOptions());
+  NetServer server(&handler);
   ASSERT_TRUE(server.Start().ok());
 
-  auto client = NetClient::Connect("127.0.0.1", server.port(), ClientOptions());
+  auto client = NetClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
 
   constexpr uint32_t kInFlight = 64;
@@ -663,13 +644,13 @@ TEST_P(NetClientTest, ManyInFlightCallsResolveOutOfOrder) {
   server.Stop();
 }
 
-TEST_P(NetClientTest, CorrelationIdWraparound) {
+TEST(NetClientTest, CorrelationIdWraparound) {
   ReversingPushHandler handler;
-  NetServer server(&handler, ServerOptions());
+  NetServer server(&handler);
   ASSERT_TRUE(server.Start().ok());
 
   // Pin the counter so the ids cross UINT64_MAX -> 0 mid-test.
-  NetClientOptions copt = ClientOptions();
+  NetClientOptions copt;
   copt.start_correlation_id = std::numeric_limits<uint64_t>::max() - 3;
   auto client = NetClient::Connect("127.0.0.1", server.port(), copt);
   ASSERT_TRUE(client.ok());
@@ -705,15 +686,15 @@ TEST_P(NetClientTest, CorrelationIdWraparound) {
   server.Stop();
 }
 
-TEST_P(NetClientTest, ReconnectDuringPendingPush) {
+TEST(NetClientTest, ReconnectDuringPendingPush) {
   ReversingPushHandler handler;
-  NetServerOptions nopt = ServerOptions();
+  NetServerOptions nopt;
   nopt.drain_timeout_ms = 50;  // force-close the parked push quickly
   auto first = std::make_unique<NetServer>(&handler, nopt);
   ASSERT_TRUE(first->Start().ok());
   const uint16_t port = first->port();
 
-  NetClientOptions copt = ClientOptions();
+  NetClientOptions copt;
   copt.reconnect_backoff_initial_ms = 10;
   auto client = NetClient::Connect("127.0.0.1", port, copt);
   ASSERT_TRUE(client.ok());
@@ -737,7 +718,7 @@ TEST_P(NetClientTest, ReconnectDuringPendingPush) {
 
   // Restart on the same port; the client must reconnect and the next push
   // must complete (the handler answers it at the next barrier).
-  NetServerOptions nopt2 = ServerOptions();
+  NetServerOptions nopt2;
   nopt2.port = port;
   NetServer second(&handler, nopt2);
   ASSERT_TRUE(second.Start().ok());
@@ -762,72 +743,33 @@ TEST_P(NetClientTest, ReconnectDuringPendingPush) {
   second.Stop();
 }
 
-/// Pins the uring-availability probe for a scope; restores the real probe
-/// on destruction so later tests see the actual kernel.
-struct ProbeOverrideGuard {
-  explicit ProbeOverrideGuard(int forced) {
-    SetUringProbeOverrideForTesting(forced);
-  }
-  ~ProbeOverrideGuard() { SetUringProbeOverrideForTesting(-1); }
-};
-
-// Not part of the backend matrix: these pin the probe rather than the
-// backend, so they run once.
-TEST(IoBackendSelectionTest, UringRequestFallsBackToEpollWhenUnavailable) {
-  ProbeOverrideGuard guard(0);  // pretend the kernel has no io_uring
-
+// A transport-only server (pkgm_psd's shape) and a KnowledgeServer front
+// end (pkgm_netd's) report one "net" schema, which the smokes, pkgm_serve
+// and the benchmark read by key.
+TEST(NetServerTest, StatsJsonNetKeysMatchAcrossServerKinds) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServerOptions nopt;
-  nopt.io_backend = "uring";
-  NetServer net(&server, nopt);
-  // Start must succeed anyway — the selection logs once and degrades.
-  ASSERT_TRUE(net.Start().ok());
-  EXPECT_EQ(net.net_counters().io_backend, "epoll");
+  NetServer knowledge_net(&server);
+  ASSERT_TRUE(knowledge_net.Start().ok());
+  ReversingPushHandler handler;
+  NetServer handler_net(&handler);
+  ASSERT_TRUE(handler_net.Start().ok());
 
-  // And the degraded server still serves traffic.
-  auto client = NetClient::Connect("127.0.0.1", net.port());
-  ASSERT_TRUE(client.ok());
-  EXPECT_TRUE(client.value()->Ping().ok());
-  ServiceResponse over_wire =
-      client.value()->Submit(MakeRequest(3, ServiceForm::kCondensed)).get();
-  ServiceResponse direct =
-      server.Submit(MakeRequest(3, ServiceForm::kCondensed)).get();
-  ExpectSameResponse(over_wire, direct);
+  const std::vector<std::string> keys = NetKeys(knowledge_net.StatsJson());
+  EXPECT_EQ(NetKeys(handler_net.StatsJson()), keys)
+      << handler_net.StatsJson();
+  for (const char* key :
+       {"io_backend", "frames_in", "frames_out", "bytes_in", "bytes_out",
+        "io_wait_calls", "io_recv_syscalls", "io_send_syscalls",
+        "protocol_errors", "requests_in", "connections_active",
+        "frames_per_syscall"}) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+  }
 
-  client.value().reset();
-  net.Stop();
+  handler_net.Stop();
+  knowledge_net.Stop();
   server.Stop();
-}
-
-TEST(IoBackendSelectionTest, EnvPinRespectedAndExplicitEpollNeverProbes) {
-  // The selection reads PKGM_NET_IO when no explicit override is given, so
-  // take the env over for the duration (CI runs this suite under a pin).
-  const char* saved = std::getenv("PKGM_NET_IO");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::unsetenv("PKGM_NET_IO");
-
-  // An explicit "epoll" request must select epoll even when the probe
-  // reports uring available.
-  ProbeOverrideGuard guard(1);
-  EXPECT_EQ(SelectIoBackend("epoll"), IoBackendKind::kEpoll);
-  EXPECT_EQ(SelectIoBackend("uring"), IoBackendKind::kUring);
-  // Default selection follows the (overridden) probe.
-  EXPECT_EQ(SelectIoBackend(""), IoBackendKind::kUring);
-  // The env pin fills in when no explicit override is given, and the
-  // explicit override wins over the env.
-  ::setenv("PKGM_NET_IO", "epoll", 1);
-  EXPECT_EQ(SelectIoBackend(""), IoBackendKind::kEpoll);
-  EXPECT_EQ(SelectIoBackend("uring"), IoBackendKind::kUring);
-  ::unsetenv("PKGM_NET_IO");
-
-  SetUringProbeOverrideForTesting(0);
-  EXPECT_EQ(SelectIoBackend(""), IoBackendKind::kEpoll);
-  // "uring" with no uring support degrades instead of failing.
-  EXPECT_EQ(SelectIoBackend("uring"), IoBackendKind::kEpoll);
-
-  if (!saved_value.empty()) ::setenv("PKGM_NET_IO", saved_value.c_str(), 1);
 }
 
 }  // namespace

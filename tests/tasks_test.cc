@@ -259,7 +259,6 @@ TEST(ShardedPipelineTest, ShardedTrainingProducesUsableServices) {
   opt.dim = 12;
   opt.use_sharded_trainer = true;
   opt.sharded.num_workers = 3;
-  opt.sharded.num_shards = 4;
   opt.sharded.learning_rate = 0.1f;
   // The pipelined trainer draws negatives from a producer-owned stream, so
   // the trajectory differs from the seed implementation; a few extra epochs

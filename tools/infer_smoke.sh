@@ -5,23 +5,13 @@
 # then assert from the server's JSON stats that every task kind was served
 # and the run was protocol- and shed-clean.
 #
-#   infer_smoke.sh <pkgm_netd> <pkgm_serve> <workdir> [requests] [backend]
-#
-# The optional 5th argument pins the I/O backend ("uring" or "epoll") on
-# both the daemon and the client (see loopback_smoke.sh for the degrade
-# semantics of a uring pin).
+#   infer_smoke.sh <pkgm_netd> <pkgm_serve> <workdir> [requests]
 set -u
 
 NETD="$1"
 SERVE="$2"
 WORKDIR="$3"
 REQUESTS="${4:-3000}"
-BACKEND="${5:-}"
-
-BACKEND_ARGS=()
-if [ -n "$BACKEND" ]; then
-  BACKEND_ARGS=(--io-backend "$BACKEND")
-fi
 
 mkdir -p "$WORKDIR"
 PORT_FILE="$WORKDIR/netd.port"
@@ -30,7 +20,7 @@ DAEMON_STATS="$WORKDIR/daemon_stats.json"
 rm -f "$PORT_FILE" "$CLIENT_STATS" "$DAEMON_STATS"
 
 "$NETD" --port 0 --port-file "$PORT_FILE" --stats-json "$DAEMON_STATS" \
-        --io-threads 2 --workers 2 --infer 1 "${BACKEND_ARGS[@]}" &
+        --io-threads 2 --workers 2 --infer 1 &
 NETD_PID=$!
 trap 'kill -9 $NETD_PID 2>/dev/null' EXIT
 
@@ -52,7 +42,7 @@ PORT=$(cat "$PORT_FILE")
 
 "$SERVE" --connect "127.0.0.1:$PORT" --connections 2 --threads 2 \
          --workload mixed --rate 1500 --duration-requests "$REQUESTS" \
-         --stats-json "$CLIENT_STATS" "${BACKEND_ARGS[@]}"
+         --stats-json "$CLIENT_STATS"
 SERVE_RC=$?
 if [ "$SERVE_RC" -ne 0 ]; then
   echo "FAIL: pkgm_serve --connect --workload mixed exited with $SERVE_RC" >&2
@@ -69,13 +59,12 @@ if [ "$NETD_RC" -ne 0 ]; then
   exit 1
 fi
 
-python3 - "$CLIENT_STATS" "$DAEMON_STATS" "$REQUESTS" "$BACKEND" <<'EOF'
+python3 - "$CLIENT_STATS" "$DAEMON_STATS" "$REQUESTS" <<'EOF'
 import json, sys
 
 client = json.load(open(sys.argv[1]))
 daemon = json.load(open(sys.argv[2]))
 requests = int(sys.argv[3])
-backend_pin = sys.argv[4]
 
 net = client["net"]
 assert net["protocol_errors"] == 0, f"protocol errors: {net}"
@@ -89,12 +78,9 @@ tasks = client["tasks"]
 for kind in ("lookup", "recommend", "classify", "align"):
     assert tasks[kind] > 0, f"no {kind} traffic served: {tasks}"
 assert client["ok"] >= requests, f"ok too low: {client}"
-# The daemon's own final snapshot must agree the run was clean, and must
-# report which I/O backend its loops ran on (an epoll pin never degrades).
+# The daemon's own final snapshot must agree the run was clean.
 assert daemon["net"]["protocol_errors"] == 0, daemon["net"]
-assert daemon["net"]["io_backend"] in ("epoll", "io_uring"), daemon["net"]
-if backend_pin == "epoll":
-    assert daemon["net"]["io_backend"] == "epoll", daemon["net"]
+assert daemon["net"]["io_backend"] == "epoll", daemon["net"]
 print("infer smoke OK:",
       f"io_backend={daemon['net']['io_backend']}",
       f"tasks={tasks}",

@@ -3,20 +3,13 @@
 # ephemeral port, drive it with pkgm_serve --connect, then assert via the
 # server's JSON stats that the run was protocol-clean.
 #
-#   loopback_smoke.sh <pkgm_netd> <pkgm_serve> <workdir> [requests] [backend]
-#
-# The optional 5th argument pins the I/O backend ("uring" or "epoll") on
-# both the daemon and the client, and the stats assertion then also checks
-# the daemon actually ran on it (uring pins degrade to epoll — with a
-# logged warning — on kernels without io_uring, so the check is skipped
-# unless the pin is epoll or io_uring is known to be available).
+#   loopback_smoke.sh <pkgm_netd> <pkgm_serve> <workdir> [requests]
 set -u
 
 NETD="$1"
 SERVE="$2"
 WORKDIR="$3"
 REQUESTS="${4:-2000}"
-BACKEND="${5:-}"
 
 mkdir -p "$WORKDIR"
 PORT_FILE="$WORKDIR/netd.port"
@@ -24,13 +17,8 @@ CLIENT_STATS="$WORKDIR/client_stats.json"
 DAEMON_STATS="$WORKDIR/daemon_stats.json"
 rm -f "$PORT_FILE" "$CLIENT_STATS" "$DAEMON_STATS"
 
-BACKEND_ARGS=()
-if [ -n "$BACKEND" ]; then
-  BACKEND_ARGS=(--io-backend "$BACKEND")
-fi
-
 "$NETD" --port 0 --port-file "$PORT_FILE" --stats-json "$DAEMON_STATS" \
-        --io-threads 2 --workers 2 "${BACKEND_ARGS[@]}" &
+        --io-threads 2 --workers 2 &
 NETD_PID=$!
 trap 'kill -9 $NETD_PID 2>/dev/null' EXIT
 
@@ -50,8 +38,7 @@ fi
 PORT=$(cat "$PORT_FILE")
 
 "$SERVE" --connect "127.0.0.1:$PORT" --connections 2 --threads 2 \
-         --duration-requests "$REQUESTS" --stats-json "$CLIENT_STATS" \
-         "${BACKEND_ARGS[@]}"
+         --duration-requests "$REQUESTS" --stats-json "$CLIENT_STATS"
 SERVE_RC=$?
 if [ "$SERVE_RC" -ne 0 ]; then
   echo "FAIL: pkgm_serve --connect exited with $SERVE_RC" >&2
@@ -68,13 +55,12 @@ if [ "$NETD_RC" -ne 0 ]; then
   exit 1
 fi
 
-python3 - "$CLIENT_STATS" "$DAEMON_STATS" "$REQUESTS" "$BACKEND" <<'EOF'
+python3 - "$CLIENT_STATS" "$DAEMON_STATS" "$REQUESTS" <<'EOF'
 import json, sys
 
 client = json.load(open(sys.argv[1]))
 daemon = json.load(open(sys.argv[2]))
 requests = int(sys.argv[3])
-backend_pin = sys.argv[4]
 
 net = client["net"]
 assert net["protocol_errors"] == 0, f"protocol errors: {net}"
@@ -83,11 +69,7 @@ assert net["requests_in"] >= requests, f"requests_in too low: {net}"
 assert client["accepted"] >= requests, f"accepted too low: {client}"
 # The daemon's own final snapshot must agree the run was clean.
 assert daemon["net"]["protocol_errors"] == 0, daemon["net"]
-# The backend the loops actually ran on is in the stats; an epoll pin must
-# hold exactly (it never degrades), and any run must report a known value.
-assert daemon["net"]["io_backend"] in ("epoll", "io_uring"), daemon["net"]
-if backend_pin == "epoll":
-    assert daemon["net"]["io_backend"] == "epoll", daemon["net"]
+assert daemon["net"]["io_backend"] == "epoll", daemon["net"]
 print("loopback smoke OK:",
       f"requests_in={net['requests_in']}",
       f"frames_in={net['frames_in']}",

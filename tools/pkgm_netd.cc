@@ -9,11 +9,7 @@
 //             [--store path.pkgs] [--store-dtype fp32|int8]
 //             [--idle-timeout-ms N] [--max-outbox-mb N] [--reuseport 0|1]
 //             [--port-file PATH] [--run-seconds N] [--stats-json PATH]
-//             [--io-backend uring|epoll]
-//
-//   --io-backend pins the event-loop I/O backend; unset, PKGM_NET_IO and
-//   then a runtime probe decide (io_uring where the kernel has it, epoll
-//   otherwise). The listening line reports which backend actually serves.
+//             [--infer 0|1]
 //
 //   --port 0 (default) binds an ephemeral port; --port-file writes the
 //   bound port for scripted callers. --run-seconds 0 (default) serves
@@ -67,8 +63,6 @@ struct NetdFlags {
   std::string stats_json_path;
   /// Train + serve the three downstream-inference tasks (wire v3 frames).
   bool infer = false;
-  /// "uring" / "epoll" pin; "" defers to PKGM_NET_IO + runtime probe.
-  std::string io_backend;
 };
 
 int Usage() {
@@ -81,7 +75,7 @@ int Usage() {
                "                 [--idle-timeout-ms N] [--max-outbox-mb N]\n"
                "                 [--reuseport 0|1] [--port-file PATH]\n"
                "                 [--run-seconds N] [--stats-json PATH]\n"
-               "                 [--infer 0|1] [--io-backend uring|epoll]\n");
+               "                 [--infer 0|1]\n");
   return 2;
 }
 
@@ -131,8 +125,6 @@ bool ParseFlags(int argc, char** argv, NetdFlags* flags) {
       flags->stats_json_path = v;
     } else if (std::strcmp(arg, "--infer") == 0 && (v = next())) {
       flags->infer = std::atoi(v) != 0;
-    } else if (std::strcmp(arg, "--io-backend") == 0 && (v = next())) {
-      flags->io_backend = v;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg);
       return false;
@@ -213,7 +205,6 @@ int Run(const NetdFlags& flags) {
   nopt.idle_timeout_ms = flags.idle_timeout_ms;
   nopt.max_outbox_bytes = static_cast<size_t>(flags.max_outbox_mb) << 20;
   nopt.reuseport = flags.reuseport;
-  nopt.io_backend = flags.io_backend;
   net::NetServer net_server(server.get(), nopt);
   Status started = net_server.Start();
   if (!started.ok()) {

@@ -13,7 +13,6 @@
 //              [--store path.pkgs] [--store-dtype fp32|int8]
 //              [--hot-swaps N] [--swap-interval-ms N]
 //              [--connect host:port] [--connections N] [--items N]
-//              [--io-backend uring|epoll]
 //              [--stats-json PATH] [--workload lookup|mixed]
 //              [--mix-recommend R] [--mix-classify R] [--mix-align R]
 //              [--num-users N] [--top-k N]
@@ -122,7 +121,6 @@ struct ServeFlags {
   int swap_interval_ms = 20;
   std::string connect;               // host:port; empty = in-process server
   size_t connections = 1;            // client socket pool (connect mode)
-  std::string io_backend;            // client I/O pin; "" = env + probe
   uint32_t items = 1000;             // item-space size in connect mode
   std::string stats_json_path;       // write server stats JSON here at end
   std::string workload = "lookup";   // lookup | mixed (open-loop only)
@@ -150,7 +148,6 @@ int Usage() {
                "[--store-dtype fp32|int8]\n"
                "                  [--hot-swaps N] [--swap-interval-ms N]\n"
                "                  [--connect host:port] [--connections N]\n"
-               "                  [--io-backend uring|epoll]\n"
                "                  [--items N] [--stats-json PATH]\n"
                "                  [--workload lookup|mixed] "
                "[--mix-recommend R]\n"
@@ -219,8 +216,6 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       flags->connect = v;
     } else if (std::strcmp(arg, "--connections") == 0 && (v = next())) {
       flags->connections = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(arg, "--io-backend") == 0 && (v = next())) {
-      flags->io_backend = v;
     } else if (std::strcmp(arg, "--items") == 0 && (v = next())) {
       flags->items = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (std::strcmp(arg, "--stats-json") == 0 && (v = next())) {
@@ -426,7 +421,6 @@ int Run(const ServeFlags& flags) {
     }
     net::NetClientOptions copt;
     copt.num_connections = flags.connections;
-    copt.io_backend = flags.io_backend;
     auto connected = net::NetClient::Connect(host, port, copt);
     if (!connected.ok()) {
       std::fprintf(stderr, "connect to %s failed: %s\n",
@@ -774,8 +768,8 @@ int Run(const ServeFlags& flags) {
     std::printf("server-side stats:\n%s\n", server->StatsReport().c_str());
   }
   if (client != nullptr) {
-    // End-of-run I/O accounting from the remote daemon: which backend its
-    // event loops ran on and what the frame stream cost in syscalls.
+    // End-of-run I/O accounting from the remote daemon: what the frame
+    // stream cost its event loops in syscalls.
     std::string io_json = stats_json;
     if (io_json.empty()) {
       auto fetched = client->ServerStatsJson();
@@ -786,19 +780,15 @@ int Run(const ServeFlags& flags) {
       const uint64_t waits = JsonU64Field(io_json, "io_wait_calls");
       const uint64_t recvs = JsonU64Field(io_json, "io_recv_syscalls");
       const uint64_t sends = JsonU64Field(io_json, "io_send_syscalls");
-      const uint64_t submissions =
-          JsonU64Field(io_json, "io_recv_submissions") +
-          JsonU64Field(io_json, "io_send_submissions");
       const uint64_t frames = JsonU64Field(io_json, "frames_in") +
                               JsonU64Field(io_json, "frames_out");
       const uint64_t syscalls = waits + recvs + sends;
       std::printf(
-          "remote server i/o: %s backend — %s waits, %s recv + %s send "
-          "syscalls, %s ring submissions, %.2f frames/syscall\n\n",
+          "remote server i/o: %s loop — %s waits, %s recv + %s send "
+          "syscalls, %.2f frames/syscall\n\n",
           backend.c_str(), WithThousandsSeparators(waits).c_str(),
           WithThousandsSeparators(recvs).c_str(),
           WithThousandsSeparators(sends).c_str(),
-          WithThousandsSeparators(submissions).c_str(),
           static_cast<double>(frames) /
               static_cast<double>(syscalls > 0 ? syscalls : 1));
     }
