@@ -281,72 +281,28 @@ void BlobPutF32Run(const float* v, size_t n, std::string* out) {
   }
 }
 
-class BlobCursor {
- public:
-  explicit BlobCursor(std::string_view data) : data_(data) {}
+uint32_t BlobLoadU32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
+         (static_cast<uint32_t>(b[2]) << 16) |
+         (static_cast<uint32_t>(b[3]) << 24);
+}
 
-  size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-
-  bool ReadU8(uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool ReadU16(uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = static_cast<uint16_t>(Byte(0) | (Byte(1) << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool ReadU32(uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = Byte(0) | (Byte(1) << 8) | (Byte(2) << 16) | (Byte(3) << 24);
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadF32Run(float* out, size_t n) {
-    if (n == 0) return true;
-    if (remaining() < n * sizeof(float)) return false;
-    if (kBlobHostLittleEndian) {
-      std::memcpy(out, data_.data() + pos_, n * sizeof(float));
-      pos_ += n * sizeof(float);
-      return true;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t bits;
-      if (!ReadU32(&bits)) return false;
-      std::memcpy(&out[i], &bits, sizeof(out[i]));
-    }
-    return true;
-  }
-
- private:
-  uint32_t Byte(size_t i) const {
-    return static_cast<uint8_t>(data_[pos_ + i]);
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// `filtered` = apply the id % num_shards == shard predicate. Unfiltered
-// serialization passes num_shards = 1 (every id matches shard 0).
-// Returns the number of rows written.
-size_t SerializeSlab(const GradSlab& slab, uint32_t shard,
-                     uint32_t num_shards, std::string* out) {
-  const uint32_t n = slab.row_size();
+// Rows written for `slab` under the id % num_shards == shard filter
+// (num_shards == 1 keeps every row).
+uint32_t SlabRowCount(const GradSlab& slab, uint32_t shard,
+                      uint32_t num_shards) {
+  if (num_shards <= 1) return static_cast<uint32_t>(slab.size());
   uint32_t count = 0;
-  if (num_shards <= 1) {
-    count = static_cast<uint32_t>(slab.size());
-  } else {
-    for (size_t i = 0; i < slab.size(); ++i) {
-      if (slab.id_at(i) % num_shards == shard) ++count;
-    }
+  for (size_t i = 0; i < slab.size(); ++i) {
+    if (slab.id_at(i) % num_shards == shard) ++count;
   }
+  return count;
+}
+
+void SerializeSlab(const GradSlab& slab, uint32_t count, uint32_t shard,
+                   uint32_t num_shards, std::string* out) {
+  const uint32_t n = slab.row_size();
   BlobPutU32(count == 0 ? 0 : n, out);
   BlobPutU32(count, out);
   for (size_t i = 0; i < slab.size(); ++i) {
@@ -355,14 +311,26 @@ size_t SerializeSlab(const GradSlab& slab, uint32_t shard,
     BlobPutU32(id, out);
     BlobPutF32Run(slab.row_at(i), n, out);
   }
-  return count;
 }
+
+constexpr size_t kBlobHeaderBytes = 8;
+constexpr size_t kSlabHeaderBytes = 8;
 
 Status BlobCorruption(const char* what) {
   return Status::Corruption(std::string("GradArena blob: ") + what);
 }
 
 }  // namespace
+
+size_t GradArenaBlobBytes(const uint32_t counts[4],
+                          const uint32_t row_sizes[4]) {
+  size_t bytes = kBlobHeaderBytes;
+  for (int t = 0; t < 4; ++t) {
+    const size_t entry_bytes = 4 + 4 * static_cast<size_t>(row_sizes[t]);
+    bytes += kSlabHeaderBytes + counts[t] * entry_bytes;
+  }
+  return bytes;
+}
 
 size_t SerializeGradArena(const GradArena& arena, std::string* out) {
   return SerializeGradArena(arena, 0, 1, out);
@@ -372,74 +340,122 @@ size_t SerializeGradArena(const GradArena& arena, uint32_t shard,
                           uint32_t num_shards, std::string* out) {
   PKGM_CHECK_GT(num_shards, 0u);
   PKGM_CHECK_LT(shard, num_shards);
+  const GradSlab* slabs[4] = {&arena.entities(), &arena.relations(),
+                              &arena.transfers(), &arena.hyperplanes()};
+  uint32_t counts[4], row_sizes[4];
+  size_t rows = 0;
+  for (int t = 0; t < 4; ++t) {
+    counts[t] = SlabRowCount(*slabs[t], shard, num_shards);
+    row_sizes[t] = slabs[t]->row_size();
+    rows += counts[t];
+  }
+  out->reserve(out->size() + GradArenaBlobBytes(counts, row_sizes));
   BlobPutU32(kGradArenaBlobMagic, out);
   out->push_back(static_cast<char>(kGradArenaBlobVersion));
   out->push_back(static_cast<char>(4));  // num_slabs
   BlobPutU16(0, out);                    // reserved
-  size_t rows = 0;
-  rows += SerializeSlab(arena.entities(), shard, num_shards, out);
-  rows += SerializeSlab(arena.relations(), shard, num_shards, out);
-  rows += SerializeSlab(arena.transfers(), shard, num_shards, out);
-  rows += SerializeSlab(arena.hyperplanes(), shard, num_shards, out);
+  for (int t = 0; t < 4; ++t) {
+    SerializeSlab(*slabs[t], counts[t], shard, num_shards, out);
+  }
   return rows;
+}
+
+Status VisitGradArenaBlob(std::string_view blob,
+                          const GradBlobRowVisitor& visit) {
+  if (blob.size() < kBlobHeaderBytes) {
+    return BlobCorruption("truncated header");
+  }
+  const char* p = blob.data();
+  if (BlobLoadU32(p) != kGradArenaBlobMagic) return BlobCorruption("bad magic");
+  if (static_cast<uint8_t>(p[4]) != kGradArenaBlobVersion) {
+    return BlobCorruption("unsupported version");
+  }
+  if (static_cast<uint8_t>(p[5]) != 4) {
+    return BlobCorruption("unexpected slab count");
+  }
+  if (p[6] != 0 || p[7] != 0) return BlobCorruption("non-zero reserved bits");
+
+  // Structure first: every slab header and byte budget, then trailing
+  // bytes, so no row is visited in a blob that will be refused.
+  struct SlabSpan {
+    uint32_t row_size;
+    uint32_t count;
+    size_t offset;  // first row
+  };
+  SlabSpan slabs[4];
+  size_t pos = kBlobHeaderBytes;
+  for (SlabSpan& slab : slabs) {
+    if (blob.size() - pos < kSlabHeaderBytes) {
+      return BlobCorruption("truncated slab header");
+    }
+    slab.row_size = BlobLoadU32(p + pos);
+    slab.count = BlobLoadU32(p + pos + 4);
+    pos += kSlabHeaderBytes;
+    slab.offset = pos;
+    if (slab.count == 0) continue;
+    if (slab.row_size == 0) return BlobCorruption("zero row size");
+    // Rows of (4-byte id + row_size floats) must fit in the bytes left.
+    // Division keeps the guard overflow-proof.
+    const uint64_t entry_bytes = 4 + static_cast<uint64_t>(slab.row_size) * 4;
+    if (entry_bytes > (blob.size() - pos) / slab.count) {
+      return BlobCorruption("slab count exceeds byte budget");
+    }
+    pos += static_cast<size_t>(entry_bytes * slab.count);
+  }
+  if (pos != blob.size()) return BlobCorruption("trailing bytes");
+
+  std::vector<float> copy;
+  for (uint32_t t = 0; t < 4; ++t) {
+    const SlabSpan& slab = slabs[t];
+    const size_t entry_bytes = 4 + 4 * static_cast<size_t>(slab.row_size);
+    for (uint32_t i = 0; i < slab.count; ++i) {
+      const char* entry = p + slab.offset + i * entry_bytes;
+      const char* values = entry + 4;
+      const float* row;
+      if (kBlobHostLittleEndian &&
+          reinterpret_cast<uintptr_t>(values) % alignof(float) == 0) {
+        // The received bytes are the row: no copy. The bytes were written
+        // by read()/memcpy, never through another type, as with the mmap'd
+        // stores' float views.
+        row = reinterpret_cast<const float*>(values);
+      } else {
+        copy.resize(slab.row_size);
+        for (uint32_t j = 0; j < slab.row_size; ++j) {
+          const uint32_t bits = BlobLoadU32(values + 4 * j);
+          std::memcpy(&copy[j], &bits, sizeof(float));
+        }
+        row = copy.data();
+      }
+      PKGM_RETURN_IF_ERROR(visit(t, BlobLoadU32(entry), row, slab.row_size));
+    }
+  }
+  return Status::Ok();
 }
 
 Status DeserializeGradArena(std::string_view blob, GradArena* arena,
                             uint64_t* rows_applied) {
-  BlobCursor cursor(blob);
-  uint32_t magic;
-  uint8_t version, num_slabs;
-  uint16_t reserved;
-  if (!cursor.ReadU32(&magic) || !cursor.ReadU8(&version) ||
-      !cursor.ReadU8(&num_slabs) || !cursor.ReadU16(&reserved)) {
-    return BlobCorruption("truncated header");
-  }
-  if (magic != kGradArenaBlobMagic) return BlobCorruption("bad magic");
-  if (version != kGradArenaBlobVersion) {
-    return BlobCorruption("unsupported version");
-  }
-  if (num_slabs != 4) return BlobCorruption("unexpected slab count");
-  if (reserved != 0) return BlobCorruption("non-zero reserved bits");
-
-  uint64_t applied = 0;
   GradSlab* slabs[4] = {&arena->entities(), &arena->relations(),
                         &arena->transfers(), &arena->hyperplanes()};
-  std::vector<float> row;
-  for (GradSlab* slab : slabs) {
-    uint32_t row_size, count;
-    if (!cursor.ReadU32(&row_size) || !cursor.ReadU32(&count)) {
-      return BlobCorruption("truncated slab header");
-    }
-    if (count == 0) continue;
-    if (row_size == 0) return BlobCorruption("zero row size");
-    // Allocation guard: count rows of (4-byte id + row_size floats) must
-    // fit in the bytes actually left. Division keeps it overflow-proof.
-    const uint64_t entry_bytes = 4 + static_cast<uint64_t>(row_size) * 4;
-    if (entry_bytes > cursor.remaining() / count) {
-      return BlobCorruption("slab count exceeds byte budget");
-    }
-    if (!slab->empty() && slab->row_size() != row_size) {
-      return BlobCorruption("row size disagrees with target arena");
-    }
-    row.resize(row_size);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t id;
-      if (!cursor.ReadU32(&id) || !cursor.ReadF32Run(row.data(), row_size)) {
-        return BlobCorruption("truncated slab rows");
-      }
-      const size_t before = slab->size();
-      float* dst = slab->Row(id, row_size);
-      if (slab->size() > before) {
-        // Fresh row: copy, so the round trip is bit-exact (+= into the
-        // zero-initialized row would flush -0.0f payloads to +0.0f).
-        std::memcpy(dst, row.data(), row_size * sizeof(float));
-      } else {
-        for (uint32_t j = 0; j < row_size; ++j) dst[j] += row[j];
-      }
-      ++applied;
-    }
-  }
-  if (!cursor.done()) return BlobCorruption("trailing bytes");
+  uint64_t applied = 0;
+  PKGM_RETURN_IF_ERROR(VisitGradArenaBlob(
+      blob, [&](uint32_t t, uint32_t id, const float* row,
+                uint32_t row_size) -> Status {
+        GradSlab* slab = slabs[t];
+        if (!slab->empty() && slab->row_size() != row_size) {
+          return BlobCorruption("row size disagrees with target arena");
+        }
+        const size_t before = slab->size();
+        float* dst = slab->Row(id, row_size);
+        if (slab->size() > before) {
+          // Fresh row: copy, so the round trip is bit-exact (+= into the
+          // zero-initialized row would flush -0.0f payloads to +0.0f).
+          std::memcpy(dst, row, row_size * sizeof(float));
+        } else {
+          for (uint32_t j = 0; j < row_size; ++j) dst[j] += row[j];
+        }
+        ++applied;
+        return Status::Ok();
+      }));
   if (rows_applied != nullptr) *rows_applied = applied;
   return Status::Ok();
 }

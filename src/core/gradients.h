@@ -2,6 +2,7 @@
 #define PKGM_CORE_GRADIENTS_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -147,11 +148,13 @@ constexpr uint8_t kGradArenaBlobVersion = 1;
 ///   per slab (entities, relations, transfers, hyperplanes, in order):
 ///     u32 row_size, u32 count, count * {u32 id, row_size * f32}
 ///
-/// An empty slab serializes as row_size 0, count 0. Rows keep their
-/// first-touch order, so serialize → deserialize into an empty arena is a
-/// bit-exact reproduction (including row order and -0.0f payloads).
-/// Returns the number of rows written (a worker skips the push entirely
-/// when its shard's slice is empty).
+/// An empty slab serializes as row_size 0, count 0. Every field is 4 bytes
+/// wide after the 8-byte header, so rows stay 4-byte aligned relative to
+/// the blob. Rows keep their first-touch order, so serialize → deserialize
+/// into an empty arena is a bit-exact reproduction (including row order and
+/// -0.0f payloads). `out` is grown once, to the blob's exact size. Returns
+/// the number of rows written (a worker skips the push entirely when its
+/// shard's slice is empty).
 size_t SerializeGradArena(const GradArena& arena, std::string* out);
 
 /// Shard-filtered variant: only rows whose id satisfies
@@ -161,15 +164,35 @@ size_t SerializeGradArena(const GradArena& arena, std::string* out);
 size_t SerializeGradArena(const GradArena& arena, uint32_t shard,
                           uint32_t num_shards, std::string* out);
 
+/// Bytes of a blob whose slab t holds counts[t] rows of row_sizes[t]
+/// floats (slabs in serialization order).
+size_t GradArenaBlobBytes(const uint32_t counts[4],
+                          const uint32_t row_sizes[4]);
+
+/// Called for each row of a GradArena blob, in blob order: `slab` is the
+/// slab index (0 entities, 1 relations, 2 transfers, 3 hyperplanes) and
+/// `row` holds `row_size` floats, valid only during the call. A non-OK
+/// return stops the visit and is returned by VisitGradArenaBlob.
+using GradBlobRowVisitor = std::function<Status(
+    uint32_t slab, uint32_t id, const float* row, uint32_t row_size)>;
+
+/// The GradArena blob parser. Checks the whole blob first — bad
+/// magic/version, non-zero reserved bits, a zero row size, a count that
+/// exceeds the bytes left (before any allocation), truncation, trailing
+/// bytes — and returns a Corruption status without visiting any row; then
+/// calls `visit` for every row. On a little-endian host a row is passed as
+/// a pointer into `blob` whenever it is 4-byte aligned there (no copy);
+/// otherwise it is copied out first.
+Status VisitGradArenaBlob(std::string_view blob,
+                          const GradBlobRowVisitor& visit);
+
 /// Parses a blob produced by SerializeGradArena and ACCUMULATES its rows
 /// into `arena` (fresh rows are copied bit-exactly; rows already present
 /// are added element-wise, so several workers' blobs merge like local
-/// accumulation). Rejects corrupt input — bad magic/version, non-zero
-/// reserved bits, truncation, counts that exceed the byte budget (checked
-/// before any allocation), row_size disagreeing with a non-empty target
-/// slab, or trailing bytes — with a Corruption status; on failure `arena`
-/// may hold a prefix of the blob's rows. `rows_applied`, when non-null,
-/// receives the number of rows accumulated.
+/// accumulation). Rejects what VisitGradArenaBlob rejects, and a row_size
+/// disagreeing with a non-empty target slab, with a Corruption status; on
+/// failure `arena` may hold a prefix of the blob's rows. `rows_applied`,
+/// when non-null, receives the number of rows accumulated.
 Status DeserializeGradArena(std::string_view blob, GradArena* arena,
                             uint64_t* rows_applied = nullptr);
 

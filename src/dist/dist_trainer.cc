@@ -7,6 +7,7 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -125,7 +126,7 @@ struct DistTrainer::BatchScratch {
   std::vector<std::vector<uint32_t>> shard_ents;       // per shard
   std::vector<std::vector<uint32_t>> shard_rels;
   std::vector<std::future<StatusOr<net::Frame>>> pull_futures;
-  std::vector<net::RowsSection> rows;
+  std::vector<net::RowsView> views;
 };
 
 DistTrainer::DistTrainer(const kg::TripleSource* store,
@@ -226,64 +227,55 @@ Status DistTrainer::Connect() {
   return Status::Ok();
 }
 
-Status DistTrainer::ApplyRowsSections(
-    const std::vector<net::RowsSection>& sections) {
-  for (const net::RowsSection& sec : sections) {
-    const uint32_t dim = replica_->dim();
-    uint32_t want_row = 0;
-    switch (sec.table) {
-      case net::ParamTable::kEntity:
-      case net::ParamTable::kRelation:
-      case net::ParamTable::kHyperplane:
-        want_row = dim;
-        break;
-      case net::ParamTable::kTransfer:
-        want_row = dim * dim;
-        break;
+Status DistTrainer::ApplyRows(std::string_view payload,
+                              std::vector<net::RowsView>* views) {
+  PKGM_RETURN_IF_ERROR(net::DecodeRowsView(payload, views));
+  const uint32_t dim = replica_->dim();
+  for (const net::RowsView& sec : *views) {
+    uint32_t want_row = dim;
+    if (sec.table == net::ParamTable::kTransfer) {
+      want_row = replica_->use_relation_module() ? dim * dim : 0;
+    } else if (sec.table == net::ParamTable::kHyperplane) {
+      want_row =
+          replica_->scorer() == core::TripleScorerKind::kTransH ? dim : 0;
     }
-    if (sec.row_size != want_row) {
+    if (want_row == 0 || sec.row_size != want_row) {
       return Status::IoError("pulled row size disagrees with the replica");
     }
-    const float* src = sec.values.data();
-    for (uint32_t id : sec.ids) {
+    const uint32_t num_keys = sec.table == net::ParamTable::kEntity
+                                  ? replica_->num_entities()
+                                  : replica_->num_relations();
+    for (uint32_t i = 0; i < sec.count; ++i) {
+      const uint32_t id = sec.id(i);
+      if (id >= num_keys) {
+        return Status::IoError("pulled row id out of the replica's range");
+      }
       float* dst = nullptr;
       switch (sec.table) {
         case net::ParamTable::kEntity:
-          if (id >= replica_->num_entities()) break;
           dst = replica_->entity(id);
           break;
         case net::ParamTable::kRelation:
-          if (id >= replica_->num_relations()) break;
           dst = replica_->relation(id);
           break;
         case net::ParamTable::kTransfer:
-          if (id >= replica_->num_relations()) break;
           dst = replica_->transfer(id);
           break;
         case net::ParamTable::kHyperplane:
-          if (id >= replica_->num_relations()) break;
           dst = replica_->hyperplane(id);
           break;
       }
-      if (dst == nullptr) {
-        return Status::IoError("pulled row id out of the replica's range");
-      }
       // Concurrent workers may refresh the same row; both write current
       // shard values, so the race is benign (hogwild regime).
-      std::memcpy(dst, src, sec.row_size * sizeof(float));
-      src += sec.row_size;
+      sec.CopyRow(i, dst);
     }
-    rows_pulled_.fetch_add(sec.ids.size());
+    rows_pulled_.fetch_add(sec.count);
   }
   return Status::Ok();
 }
 
 Status DistTrainer::PullBatchRows(BatchScratch* sc) {
   const size_t num_shards = clients_.size();
-  const bool transfers = replica_->use_relation_module();
-  const bool hyperplanes =
-      replica_->scorer() == core::TripleScorerKind::kTransH;
-
   sc->shard_ents.resize(num_shards);
   sc->shard_rels.resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -292,37 +284,72 @@ Status DistTrainer::PullBatchRows(BatchScratch* sc) {
   }
   for (uint32_t e : sc->ent_ids) sc->shard_ents[e % num_shards].push_back(e);
   for (uint32_t r : sc->rel_ids) sc->shard_rels[r % num_shards].push_back(r);
+  return PullShardRows(sc);
+}
 
-  sc->pull_futures.clear();
-  for (size_t s = 0; s < num_shards; ++s) {
-    std::vector<net::PullSection> sections;
-    if (!sc->shard_ents[s].empty()) {
-      sections.push_back({net::ParamTable::kEntity, sc->shard_ents[s]});
-    }
-    if (!sc->shard_rels[s].empty()) {
-      sections.push_back({net::ParamTable::kRelation, sc->shard_rels[s]});
-      if (transfers) {
-        sections.push_back({net::ParamTable::kTransfer, sc->shard_rels[s]});
-      }
-      if (hyperplanes) {
-        sections.push_back(
-            {net::ParamTable::kHyperplane, sc->shard_rels[s]});
-      }
-    }
-    if (sections.empty()) continue;
-    const uint64_t cid = clients_[s]->NextCorrelationId();
-    sc->pull_futures.push_back(
-        clients_[s]->CallFrame(cid, net::EncodePullRows(cid, sections)));
-    ++pulls_;
-  }
+Status DistTrainer::PullShardRows(BatchScratch* sc) {
+  const size_t num_shards = clients_.size();
+  const bool transfers = replica_->use_relation_module();
+  const bool hyperplanes =
+      replica_->scorer() == core::TripleScorerKind::kTransH;
+  // kRows bytes per pulled id: the id plus its row, and for a relation id
+  // its transfer and hyperplane rows too.
+  const size_t dim = replica_->dim();
+  const size_t ent_bytes = 4 + 4 * dim;
+  const size_t rel_bytes = (4 + 4 * dim) + (transfers ? 4 + 4 * dim * dim : 0) +
+                           (hyperplanes ? 4 + 4 * dim : 0);
+  // A reply must fit the client decoder's cap (NetClientOptions default),
+  // less the section count and up to four section headers.
+  const size_t budget =
+      net::kDefaultMaxFrameBytes - 4 - 4 * net::kRowsSectionHeaderBytes;
 
-  for (auto& fut : sc->pull_futures) {
-    StatusOr<net::Frame> reply =
-        AwaitType(fut, net::FrameType::kRows, options_.io_timeout_ms);
-    if (!reply.ok()) return reply.status();
-    sc->rows.clear();
-    PKGM_RETURN_IF_ERROR(net::DecodeRows(reply.value().payload, &sc->rows));
-    PKGM_RETURN_IF_ERROR(ApplyRowsSections(sc->rows));
+  std::vector<size_t> next_ent(num_shards, 0), next_rel(num_shards, 0);
+  for (bool more = true; more;) {
+    // One frame per shard in flight at a time, so a shard never queues
+    // more than one reply per worker.
+    more = false;
+    sc->pull_futures.clear();
+    for (size_t s = 0; s < num_shards; ++s) {
+      const std::vector<uint32_t>& ents = sc->shard_ents[s];
+      const std::vector<uint32_t>& rels = sc->shard_rels[s];
+      size_t& e = next_ent[s];
+      size_t& r = next_rel[s];
+      if (e == ents.size() && r == rels.size()) continue;
+      const size_t ne = std::min(ents.size() - e, budget / ent_bytes);
+      const size_t nr =
+          std::min(rels.size() - r, (budget - ne * ent_bytes) / rel_bytes);
+      if (ne == 0 && nr == 0) {
+        return Status::InvalidArgument(
+            "one pulled row exceeds the frame size cap");
+      }
+      std::vector<net::PullSection> sections;
+      if (ne > 0) {
+        sections.push_back({net::ParamTable::kEntity,
+                            {ents.begin() + e, ents.begin() + e + ne}});
+      }
+      if (nr > 0) {
+        const std::vector<uint32_t> ids(rels.begin() + r,
+                                        rels.begin() + r + nr);
+        sections.push_back({net::ParamTable::kRelation, ids});
+        if (transfers) sections.push_back({net::ParamTable::kTransfer, ids});
+        if (hyperplanes) {
+          sections.push_back({net::ParamTable::kHyperplane, ids});
+        }
+      }
+      e += ne;
+      r += nr;
+      more = more || e < ents.size() || r < rels.size();
+      const uint64_t cid = clients_[s]->NextCorrelationId();
+      sc->pull_futures.push_back(
+          clients_[s]->CallFrame(cid, net::EncodePullRows(cid, sections)));
+      ++pulls_;
+    }
+    for (auto& fut : sc->pull_futures) {
+      StatusOr<net::Frame> reply =
+          AwaitType(fut, net::FrameType::kRows, options_.io_timeout_ms);
+      if (!reply.ok()) return reply.status();
+      PKGM_RETURN_IF_ERROR(ApplyRows(reply.value().payload, &sc->views));
+    }
   }
   return Status::Ok();
 }
@@ -412,7 +439,9 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
     core::GradArena arena;
     core::HingeWorkspace ws;
     BatchScratch scratch;
-    std::string blob;
+    // Reused across batches and shards: CallFrame has sent every byte by
+    // the time it returns.
+    std::string push_frame;
     // Per-shard ack queue: the staleness bound. An entry is an
     // unacknowledged push; front() is always the oldest.
     std::vector<std::deque<std::future<StatusOr<net::Frame>>>> inflight(
@@ -469,15 +498,18 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
       if (!arena.empty()) {
         const float scale = 1.0f / static_cast<float>(pb->pos.size());
         for (size_t s = 0; s < num_shards; ++s) {
-          blob.clear();
+          // The shard's slice is serialized straight into the frame.
+          push_frame.clear();
+          const uint64_t cid = clients_[s]->NextCorrelationId();
+          const size_t start =
+              net::BeginPushGrads(cid, scale, epoch, &push_frame);
           if (core::SerializeGradArena(
                   arena, static_cast<uint32_t>(s),
-                  static_cast<uint32_t>(num_shards), &blob) == 0) {
+                  static_cast<uint32_t>(num_shards), &push_frame) == 0) {
             continue;
           }
-          const uint64_t cid = clients_[s]->NextCorrelationId();
-          auto fut = clients_[s]->CallFrame(
-              cid, net::EncodePushGrads(cid, scale, epoch, blob));
+          net::FinishFrame(start, &push_frame);
+          auto fut = clients_[s]->CallFrame(cid, push_frame);
           ++pushes_;
           if (options_.max_inflight_pushes == 0) {
             PKGM_RETURN_IF_ERROR(wait_ack(fut));
@@ -574,56 +606,20 @@ Status DistTrainer::PullFullModel() {
     return Status::FailedPrecondition("Connect() has not succeeded");
   }
   const size_t num_shards = clients_.size();
-  struct TableSpec {
-    net::ParamTable table;
-    uint32_t num_keys;
-    uint32_t row_size;
-  };
-  std::vector<TableSpec> specs;
-  const uint32_t dim = replica_->dim();
-  specs.push_back({net::ParamTable::kEntity, replica_->num_entities(), dim});
-  specs.push_back(
-      {net::ParamTable::kRelation, replica_->num_relations(), dim});
-  if (replica_->use_relation_module()) {
-    specs.push_back(
-        {net::ParamTable::kTransfer, replica_->num_relations(), dim * dim});
-  }
-  if (replica_->scorer() == core::TripleScorerKind::kTransH) {
-    specs.push_back(
-        {net::ParamTable::kHyperplane, replica_->num_relations(), dim});
-  }
-
-  std::vector<net::RowsSection> rows;
+  BatchScratch sc;
+  sc.shard_ents.resize(num_shards);
+  sc.shard_rels.resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    for (const TableSpec& spec : specs) {
-      // ~1 MiB of row payload per pull, well under the 4 MiB frame cap.
-      const size_t rows_per_chunk = std::max<size_t>(
-          1, (1u << 20) / (static_cast<size_t>(spec.row_size) * 4 + 4));
-      net::PullSection section;
-      section.table = spec.table;
-      for (uint32_t id = static_cast<uint32_t>(s); id < spec.num_keys;
-           id += static_cast<uint32_t>(num_shards)) {
-        section.ids.push_back(id);
-        if (section.ids.size() < rows_per_chunk && id + num_shards <
-                                                        spec.num_keys) {
-          continue;
-        }
-        const uint64_t cid = clients_[s]->NextCorrelationId();
-        auto fut = clients_[s]->CallFrame(
-            cid, net::EncodePullRows(cid, {section}));
-        ++pulls_;
-        StatusOr<net::Frame> reply =
-            AwaitType(fut, net::FrameType::kRows, options_.io_timeout_ms);
-        if (!reply.ok()) return reply.status();
-        rows.clear();
-        PKGM_RETURN_IF_ERROR(
-            net::DecodeRows(reply.value().payload, &rows));
-        PKGM_RETURN_IF_ERROR(ApplyRowsSections(rows));
-        section.ids.clear();
-      }
+    for (uint32_t e = static_cast<uint32_t>(s); e < replica_->num_entities();
+         e += static_cast<uint32_t>(num_shards)) {
+      sc.shard_ents[s].push_back(e);
+    }
+    for (uint32_t r = static_cast<uint32_t>(s); r < replica_->num_relations();
+         r += static_cast<uint32_t>(num_shards)) {
+      sc.shard_rels[s].push_back(r);
     }
   }
-  return Status::Ok();
+  return PullShardRows(&sc);
 }
 
 double DistTrainer::EvaluateMeanHinge() {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/negative_sampler.h"
@@ -85,8 +86,8 @@ class DistTrainer {
   /// Runs n epochs, returning the last epoch's stats.
   StatusOr<core::EpochStats> Train(uint32_t n);
 
-  /// Refreshes every replica row from its shard (chunked pulls), so the
-  /// replica can be checkpointed / exported / evaluated.
+  /// Refreshes every replica row from its shard (frames chunked to the
+  /// frame cap), so the replica can be checkpointed / exported / evaluated.
   Status PullFullModel();
 
   /// Mean hinge over the store's triples on the current replica, drawing
@@ -113,8 +114,14 @@ class DistTrainer {
   /// Pulls the rows named by `ent_ids` / `rel_ids` (sorted unique, split
   /// per shard inside) into the replica.
   Status PullBatchRows(BatchScratch* scratch);
-  /// Writes one decoded kRows payload into the replica.
-  Status ApplyRowsSections(const std::vector<net::RowsSection>& sections);
+  /// Pulls `shard_ents[s]` / `shard_rels[s]` from every shard s into the
+  /// replica, in as many kRows frames per shard as the client's frame cap
+  /// requires.
+  Status PullShardRows(BatchScratch* scratch);
+  /// Copies every row of one kRows payload into the replica, straight from
+  /// the payload bytes (`views` is reused scratch).
+  Status ApplyRows(std::string_view payload,
+                   std::vector<net::RowsView>* views);
   /// Sends the epoch barrier to every shard and waits for the releases.
   Status EpochBarrier(uint32_t epoch);
 

@@ -1,5 +1,6 @@
 #include "dist/param_server.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -35,6 +36,30 @@ ParamServer::ParamServer(const ParamServerOptions& options)
       v_hyperplanes_ = Mat(model_.num_relations(), model_.dim());
     }
   }
+  for (uint8_t t = 0; t <= net::kMaxParamTable; ++t) {
+    const ParamTable table = static_cast<ParamTable>(t);
+    if (RowSizeOf(table) == 0) continue;
+    // Owned key k lands at k / num_shards.
+    seen_[t].assign(NumKeysOf(table) / options_.num_shards + 1, 0);
+  }
+}
+
+size_t ParamServer::MaxPushPayloadBytes() const {
+  uint32_t counts[4] = {0, 0, 0, 0};
+  uint32_t row_sizes[4] = {0, 0, 0, 0};
+  for (uint8_t t = 0; t <= net::kMaxParamTable; ++t) {
+    const ParamTable table = static_cast<ParamTable>(t);
+    row_sizes[t] = RowSizeOf(table);
+    if (row_sizes[t] == 0) continue;
+    // Keys k < NumKeysOf(table) with k % num_shards == shard_index.
+    const uint32_t keys = NumKeysOf(table);
+    counts[t] = keys > options_.shard_index
+                    ? (keys - options_.shard_index - 1) / options_.num_shards +
+                          1
+                    : 0;
+  }
+  return net::kPushGradsPrefixBytes +
+         core::GradArenaBlobBytes(counts, row_sizes);
 }
 
 net::ShardInfo ParamServer::Info() const {
@@ -104,57 +129,53 @@ bool ParamServer::HandleFrame(const Frame& frame, Respond respond) {
   }
 }
 
+std::string ParamServer::Reject(const Frame& frame, std::string_view why) {
+  ++rejects_;
+  return net::EncodeError(frame.correlation_id, WireCode::kInvalidItem, why);
+}
+
 std::string ParamServer::HandlePull(const Frame& frame) {
   std::vector<net::PullSection> sections;
   Status st = net::DecodePullRows(frame.payload, &sections);
-  if (!st.ok()) {
-    ++rejects_;
-    return net::EncodeError(frame.correlation_id, WireCode::kInvalidItem,
-                            st.message());
-  }
+  if (!st.ok()) return Reject(frame, st.message());
   ++pulls_;
 
-  std::vector<net::RowsSection> out;
-  out.reserve(sections.size());
+  // Validate every section before gathering a row.
+  std::vector<uint32_t> row_sizes(sections.size());
   uint64_t rows = 0;
-  for (const net::PullSection& sec : sections) {
-    const uint32_t row_size = RowSizeOf(sec.table);
-    if (row_size == 0) {
-      ++rejects_;
-      return net::EncodeError(
-          frame.correlation_id, WireCode::kInvalidItem,
-          StrFormat("table %u not present under this model configuration",
-                    static_cast<unsigned>(sec.table)));
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const net::PullSection& sec = sections[s];
+    row_sizes[s] = RowSizeOf(sec.table);
+    if (row_sizes[s] == 0) {
+      return Reject(frame,
+                    StrFormat("table %u not present under this model "
+                              "configuration",
+                              static_cast<unsigned>(sec.table)));
     }
     const uint32_t num_keys = NumKeysOf(sec.table);
-    net::RowsSection rs;
-    rs.table = sec.table;
-    rs.row_size = row_size;
-    rs.ids = sec.ids;
-    rs.values.resize(static_cast<size_t>(sec.ids.size()) * row_size);
-    float* dst = rs.values.data();
     for (uint32_t id : sec.ids) {
       if (id >= num_keys || !OwnsKey(id)) {
-        ++rejects_;
-        return net::EncodeError(
-            frame.correlation_id, WireCode::kInvalidItem,
-            StrFormat("row %u of table %u is not served by shard %u/%u",
-                      static_cast<unsigned>(id),
-                      static_cast<unsigned>(sec.table),
-                      static_cast<unsigned>(options_.shard_index),
-                      static_cast<unsigned>(options_.num_shards)));
+        return Reject(
+            frame, StrFormat("row %u of table %u is not served by shard %u/%u",
+                             static_cast<unsigned>(id),
+                             static_cast<unsigned>(sec.table),
+                             static_cast<unsigned>(options_.shard_index),
+                             static_cast<unsigned>(options_.num_shards)));
       }
-      // Unlocked read: a concurrent push may be rewriting this row, so a
-      // worker can observe a torn / slightly stale value — the same benign
-      // race the in-process hogwild trainer runs under.
-      std::memcpy(dst, RowPtr(sec.table, id), row_size * sizeof(float));
-      dst += row_size;
-      ++rows;
     }
-    out.push_back(std::move(rs));
+    rows += sec.ids.size();
   }
+  // Unlocked reads, gathered straight into the reply frame: a concurrent
+  // push may be rewriting a row, so a worker can observe a torn / slightly
+  // stale value — the same benign race the in-process hogwild trainer runs
+  // under.
+  std::string reply;
+  net::AppendRowsFrame(
+      frame.correlation_id, sections, row_sizes,
+      [this](ParamTable table, uint32_t id) { return RowPtr(table, id); },
+      &reply);
   rows_pulled_.fetch_add(rows);
-  return net::EncodeRows(frame.correlation_id, out);
+  return reply;
 }
 
 std::string ParamServer::HandlePush(const Frame& frame) {
@@ -162,51 +183,43 @@ std::string ParamServer::HandlePush(const Frame& frame) {
   uint32_t epoch = 0;
   std::string_view blob;
   Status st = net::DecodePushGrads(frame.payload, &scale, &epoch, &blob);
-  if (!st.ok()) {
-    ++rejects_;
-    return net::EncodeError(frame.correlation_id, WireCode::kInvalidItem,
-                            st.message());
-  }
+  if (!st.ok()) return Reject(frame, st.message());
 
   std::lock_guard<std::mutex> lock(apply_mu_);
-  scratch_.Clear();
-  uint64_t rows = 0;
-  st = core::DeserializeGradArena(blob, &scratch_, &rows);
-  if (!st.ok()) {
-    ++rejects_;
-    return net::EncodeError(frame.correlation_id, WireCode::kInvalidItem,
-                            st.message());
-  }
-
-  // Validate every row before touching the model, so a bad push is
-  // all-or-nothing.
-  const auto validate_slab = [&](const core::GradSlab& slab,
-                                 ParamTable table) -> const char* {
-    if (slab.empty()) return nullptr;
-    if (RowSizeOf(table) == 0) return "table not present";
-    if (slab.row_size() != RowSizeOf(table)) return "row size mismatch";
-    const uint32_t num_keys = NumKeysOf(table);
-    for (size_t i = 0; i < slab.size(); ++i) {
-      const uint32_t id = slab.id_at(i);
-      if (id >= num_keys || !OwnsKey(id)) return "row not owned by shard";
+  // Pass 1 checks the whole blob before the model is touched, so a bad
+  // push is all-or-nothing. A repeated id is refused: pass 2 applies rows
+  // one by one, so it could not merge them.
+  if (++push_serial_ == 0) {
+    for (std::vector<uint32_t>& seen : seen_) {
+      std::fill(seen.begin(), seen.end(), 0);
     }
-    return nullptr;
-  };
-  const ParamTable tables[4] = {ParamTable::kEntity, ParamTable::kRelation,
-                                ParamTable::kTransfer,
-                                ParamTable::kHyperplane};
-  const core::GradSlab* slabs[4] = {&scratch_.entities(),
-                                    &scratch_.relations(),
-                                    &scratch_.transfers(),
-                                    &scratch_.hyperplanes()};
-  for (int t = 0; t < 4; ++t) {
-    if (const char* what = validate_slab(*slabs[t], tables[t])) {
-      ++rejects_;
-      return net::EncodeError(
-          frame.correlation_id, WireCode::kInvalidItem,
-          StrFormat("push to table %d refused: %s", t, what));
-    }
+    push_serial_ = 1;
   }
+  st = core::VisitGradArenaBlob(
+      blob, [&](uint32_t slab, uint32_t id, const float*,
+                uint32_t row_size) -> Status {
+        // Blob slabs are in ParamTable order.
+        const ParamTable table = static_cast<ParamTable>(slab);
+        const char* what = nullptr;
+        if (RowSizeOf(table) == 0) {
+          what = "table not present";
+        } else if (row_size != RowSizeOf(table)) {
+          what = "row size mismatch";
+        } else if (id >= NumKeysOf(table) || !OwnsKey(id)) {
+          what = "row not owned by shard";
+        } else if (uint32_t& seen = seen_[slab][id / options_.num_shards];
+                   seen == push_serial_) {
+          what = "duplicate row id";
+        } else {
+          seen = push_serial_;
+          return Status::Ok();
+        }
+        return Status::InvalidArgument(
+            StrFormat("push to table %u refused: %s (row %u)",
+                      static_cast<unsigned>(slab), what,
+                      static_cast<unsigned>(id)));
+      });
+  if (!st.ok()) return Reject(frame, st.message());
 
   // Apply with the same arithmetic as the in-process trainers: Adam
   // mirrors Trainer::ApplyGradients (step incremented first, so t starts
@@ -226,40 +239,41 @@ std::string ParamServer::HandlePush(const Frame& frame) {
   }
   const float sgd_alpha = -options_.learning_rate * scale;
 
-  const auto apply_slab = [&](const core::GradSlab& slab, Mat* table, Mat* m,
-                              Mat* v) {
-    const uint32_t n = slab.row_size();
-    for (size_t i = 0; i < slab.size(); ++i) {
-      const uint32_t id = slab.id_at(i);
-      const float* g = slab.row_at(i);
-      float* row = table->Row(id);
-      if (adam) {
-        kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row, m->Row(id),
-                          v->Row(id));
-      } else {
-        kernels_.axpy(n, sgd_alpha, g, row);
-      }
-    }
+  // Pass 2 applies each row straight from the received bytes. Ids are
+  // distinct within a table, so renormalizing a row right after its update
+  // equals renormalizing after the whole table's.
+  struct TableState {
+    Mat* table;
+    Mat* m;
+    Mat* v;
   };
-
-  apply_slab(scratch_.entities(), &model_.entity_table(), &m_entities_,
-             &v_entities_);
-  if (options_.normalize_entities) {
-    const core::GradSlab& ge = scratch_.entities();
-    for (size_t i = 0; i < ge.size(); ++i) model_.NormalizeEntity(ge.id_at(i));
-  }
-  apply_slab(scratch_.relations(), &model_.relation_table(), &m_relations_,
-             &v_relations_);
-  apply_slab(scratch_.transfers(), &model_.transfer_table(), &m_transfers_,
-             &v_transfers_);
-  const core::GradSlab& gw = scratch_.hyperplanes();
-  if (!gw.empty()) {
-    apply_slab(gw, &model_.hyperplane_table(), &m_hyperplanes_,
-               &v_hyperplanes_);
-    for (size_t i = 0; i < gw.size(); ++i) {
-      model_.NormalizeHyperplane(gw.id_at(i));
-    }
-  }
+  const TableState tables[4] = {
+      {&model_.entity_table(), &m_entities_, &v_entities_},
+      {&model_.relation_table(), &m_relations_, &v_relations_},
+      {&model_.transfer_table(), &m_transfers_, &v_transfers_},
+      {&model_.hyperplane_table(), &m_hyperplanes_, &v_hyperplanes_}};
+  uint64_t rows = 0;
+  // Cannot fail: pass 1 accepted this blob.
+  (void)core::VisitGradArenaBlob(
+      blob, [&](uint32_t slab, uint32_t id, const float* g,
+                uint32_t n) -> Status {
+        const TableState& ts = tables[slab];
+        float* row = ts.table->Row(id);
+        if (adam) {
+          kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row,
+                            ts.m->Row(id), ts.v->Row(id));
+        } else {
+          kernels_.axpy(n, sgd_alpha, g, row);
+        }
+        const ParamTable table = static_cast<ParamTable>(slab);
+        if (table == ParamTable::kEntity && options_.normalize_entities) {
+          model_.NormalizeEntity(id);
+        } else if (table == ParamTable::kHyperplane) {
+          model_.NormalizeHyperplane(id);
+        }
+        ++rows;
+        return Status::Ok();
+      });
 
   ++pushes_;
   rows_applied_.fetch_add(rows);

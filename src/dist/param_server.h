@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,7 +56,9 @@ struct ParamServerOptions {
 ///     ShardedTrainer's unlocked parameter reads.
 ///   * kPushGrads applies under one apply mutex, so updates from
 ///     concurrent workers serialize per shard and the optimizer state
-///     (Adam moments, step count) stays consistent.
+///     (Adam moments, step count) stays consistent. A push is checked
+///     whole first (all-or-nothing; a repeated row id is refused), then
+///     applied row by row straight from the received frame bytes.
 ///   * kBarrier replies are parked until every expected worker arrives at
 ///     the same epoch. Parked responds count as outstanding frames in the
 ///     NetServer, so AbortBarriers() must run before NetServer::Stop().
@@ -89,6 +92,12 @@ class ParamServer : public net::FrameHandler {
   /// Pushes applied (= the Adam bias-correction step count).
   uint64_t step() const { return step_.load(); }
 
+  /// Bytes of the largest valid kPushGrads payload under this shard's model
+  /// shape: one row per owned key of every present table (a push repeating
+  /// an id is refused). The NetServer in front of the shard must accept
+  /// frames at least this large.
+  size_t MaxPushPayloadBytes() const;
+
  private:
   bool OwnsKey(uint32_t key) const {
     return key % options_.num_shards == options_.shard_index;
@@ -105,6 +114,8 @@ class ParamServer : public net::FrameHandler {
   /// kError) for the request.
   std::string HandlePull(const net::Frame& frame);
   std::string HandlePush(const net::Frame& frame);
+  /// Counts a refused request and encodes its kError/kInvalidItem reply.
+  std::string Reject(const net::Frame& frame, std::string_view why);
   /// Parks or completes the respond; never returns a frame.
   void HandleBarrier(const net::Frame& frame, Respond respond);
 
@@ -112,9 +123,13 @@ class ParamServer : public net::FrameHandler {
   core::PkgmModel model_;
   const simd::KernelTable& kernels_;
 
-  /// Serializes pushes: optimizer state + scratch arena live under it.
+  /// Serializes pushes: optimizer state and the duplicate-id stamps live
+  /// under it.
   std::mutex apply_mu_;
-  core::GradArena scratch_;
+  /// Per table, seen_[t][id / num_shards] == push_serial_ marks an owned id
+  /// already present in the push being checked.
+  std::vector<uint32_t> seen_[4];
+  uint32_t push_serial_ = 0;
   Mat m_entities_, v_entities_;
   Mat m_relations_, v_relations_;
   Mat m_transfers_, v_transfers_;

@@ -5,17 +5,11 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <vector>
 
 #include "util/string_util.h"
 
 namespace pkgm::net {
-namespace {
-
-constexpr size_t kRecvBufBytes = 64 * 1024;
-
-}  // namespace
-
-ClientConnIo::ClientConnIo() : recv_buf_(kRecvBufBytes) {}
 
 Status ClientConnIo::SendAll(int fd, const iovec* iov, int iovcnt) {
   std::vector<iovec> vec(iov, iov + iovcnt);
@@ -46,11 +40,10 @@ Status ClientConnIo::SendAll(int fd, const iovec* iov, int iovcnt) {
   return Status::Ok();
 }
 
-ssize_t ClientConnIo::Recv(int fd, const char** data) {
+ssize_t ClientConnIo::Recv(int fd, char* dst, size_t len) {
   while (true) {
-    const ssize_t n = ::read(fd, recv_buf_.data(), recv_buf_.size());
+    const ssize_t n = ::read(fd, dst, len);
     if (n < 0 && errno == EINTR) continue;
-    if (n > 0) *data = recv_buf_.data();
     return n < 0 ? -errno : n;
   }
 }

@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
@@ -18,8 +17,6 @@ namespace pkgm::net {
 /// same instance, but each path is single-threaded.
 class ClientConnIo {
  public:
-  ClientConnIo();
-
   /// Names the I/O path in reports: "plain" (one sendmsg per gather, one
   /// read per chunk).
   const char* name() const { return "plain"; }
@@ -29,13 +26,10 @@ class ClientConnIo {
   /// peer that closed mid-write surfaces as an error, never SIGPIPE.
   Status SendAll(int fd, const iovec* iov, int iovcnt);
 
-  /// Blocking receive. Returns > 0 with `*data` pointing at the received
-  /// bytes in an internal buffer (valid until the next Recv), 0 on EOF, or
-  /// a negative errno on a fatal error. EINTR is retried internally.
-  ssize_t Recv(int fd, const char** data);
-
- private:
-  std::vector<char> recv_buf_;
+  /// Blocking receive of up to `len` bytes into `dst`. Returns the byte
+  /// count (> 0), 0 on EOF, or a negative errno on a fatal error. EINTR is
+  /// retried internally.
+  ssize_t Recv(int fd, char* dst, size_t len);
 };
 
 /// Heap-allocated ClientConnIo. There is one client I/O path, so the

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -345,10 +346,10 @@ void NetClient::ReaderLoop(Conn& conn) {
   bool healthy = true;
 
   while (healthy) {
-    const char* data = nullptr;
-    const ssize_t n = conn.io.Recv(fd, &data);
+    const std::span<char> dst = decoder.PrepareRead();
+    const ssize_t n = conn.io.Recv(fd, dst.data(), dst.size());
     if (n <= 0) break;  // EOF or error (EINTR retried inside): tear down
-    decoder.Feed(data, static_cast<size_t>(n));
+    decoder.CommitRead(static_cast<size_t>(n));
 
     Frame frame;
     std::string error;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +25,6 @@ namespace {
 
 constexpr int kPollWaitMs = 100;
 constexpr int kMaxEvents = 64;
-constexpr size_t kReadChunkBytes = 64 * 1024;
 // epoll user-data tags for the two non-connection fds. Connection ids
 // start at 2 (next_conn_id_), so there is no collision.
 constexpr uint64_t kListenerTag = 0;
@@ -520,28 +520,27 @@ bool NetServer::RouteToHandler(IoThread& io, Connection& conn, Frame frame) {
 }
 
 bool NetServer::ReadReady(IoThread& io, Connection& conn) {
-  // Level-triggered: read 64K chunks until the socket is drained, handing
-  // each to the decoder as it lands.
-  char buf[kReadChunkBytes];
+  // Level-triggered: read until the socket is drained, each read() landing
+  // straight in the connection's decoder.
   while (conn.reading) {
+    const std::span<char> dst = conn.decoder.PrepareRead();
     io.recv_syscalls.fetch_add(1, std::memory_order_relaxed);
-    const ssize_t n = ::read(conn.fd.get(), buf, sizeof(buf));
+    const ssize_t n = ::read(conn.fd.get(), dst.data(), dst.size());
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n <= 0) {  // EOF or hard error
       CloseConnection(io, conn.id);
       return false;
     }
-    if (!OnConnData(io, conn, buf, static_cast<size_t>(n))) return false;
-    if (static_cast<size_t>(n) < sizeof(buf)) return true;  // drained
+    conn.decoder.CommitRead(static_cast<size_t>(n));
+    if (!OnConnData(io, conn, static_cast<size_t>(n))) return false;
+    if (static_cast<size_t>(n) < dst.size()) return true;  // drained
   }
   return true;
 }
 
-bool NetServer::OnConnData(IoThread& io, Connection& conn, const char* data,
-                           size_t len) {
+bool NetServer::OnConnData(IoThread& io, Connection& conn, size_t len) {
   bytes_in_ += static_cast<uint64_t>(len);
   conn.last_activity = Clock::now();
-  conn.decoder.Feed(data, len);
   Frame frame;
   std::string error;
   while (true) {

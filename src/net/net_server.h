@@ -83,14 +83,15 @@ class FrameHandler {
 /// asynchronously.
 ///
 /// Threading model: N I/O threads each run one level-triggered epoll loop
-/// over their own set of non-blocking connections (one read() per ready
-/// chunk, one gathered sendmsg() per flush); thread 0 additionally owns
-/// the listener. A request frame is decoded on its connection's I/O
-/// thread and submitted via SubmitBatchAsync; the knowledge-server worker
-/// that finishes the last request of the frame encodes the response and
-/// posts it back to the owning I/O thread (eventfd wakeup), which writes
-/// it out. An I/O thread therefore never blocks on compute, and a socket
-/// is only ever touched by its owning thread.
+/// over their own set of non-blocking connections (read() straight into
+/// the connection's FrameDecoder, one gathered sendmsg() per flush);
+/// thread 0 additionally owns the listener. A request frame is decoded on
+/// its connection's I/O thread and submitted via SubmitBatchAsync; the
+/// knowledge-server worker that finishes the last request of the frame
+/// encodes the response and posts it back to the owning I/O thread
+/// (eventfd wakeup), which writes it out. An I/O thread therefore never
+/// blocks on compute, and a socket is only ever touched by its owning
+/// thread.
 ///
 /// Failure containment: a malformed frame (bad magic/version/CRC/oversize
 /// or garbled payload) closes exactly the offending connection; an unknown
@@ -147,10 +148,10 @@ class NetServer {
   /// Reads a readable socket until it would block. Returns false when the
   /// connection was closed.
   bool ReadReady(IoThread& io, Connection& conn);
-  /// Feeds received bytes to the decoder and handles every complete
-  /// frame. Returns false when the connection was closed.
-  bool OnConnData(IoThread& io, Connection& conn, const char* data,
-                  size_t len);
+  /// Accounts `len` bytes just read into the connection's decoder and
+  /// handles every complete frame. Returns false when the connection was
+  /// closed.
+  bool OnConnData(IoThread& io, Connection& conn, size_t len);
   /// Returns false when the frame killed the connection.
   bool HandleFrame(IoThread& io, Connection& conn, Frame frame);
   /// Routes one request frame to handler_ (kError/kUnsupported when absent

@@ -74,6 +74,36 @@ void PutF32Run(const float* v, size_t n, std::string* out) {
   }
 }
 
+uint32_t LoadU32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
+         (static_cast<uint32_t>(b[2]) << 16) |
+         (static_cast<uint32_t>(b[3]) << 24);
+}
+
+void StoreU32(uint32_t v, char* p) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void LoadU32Run(const char* src, size_t n, uint32_t* out) {
+  if (kHostLittleEndian) {
+    if (n > 0) std::memcpy(out, src, n * sizeof(uint32_t));
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) out[i] = LoadU32(src + 4 * i);
+}
+
+void LoadF32Run(const char* src, size_t n, float* out) {
+  if (kHostLittleEndian) {
+    if (n > 0) std::memcpy(out, src, n * sizeof(float));
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t bits = LoadU32(src + 4 * i);
+    std::memcpy(&out[i], &bits, sizeof(float));
+  }
+}
+
 /// Bounds-checked sequential reader over a payload. Every Read* returns
 /// false instead of running past the end, so decoders degrade to a clean
 /// Corruption status on truncated or garbled frames.
@@ -99,7 +129,7 @@ class Cursor {
 
   bool ReadU32(uint32_t* v) {
     if (remaining() < 4) return false;
-    *v = Byte(0) | (Byte(1) << 8) | (Byte(2) << 16) | (Byte(3) << 24);
+    *v = LoadU32(data_.data() + pos_);
     pos_ += 4;
     return true;
   }
@@ -119,31 +149,18 @@ class Cursor {
   }
 
   bool ReadU32Run(uint32_t* out, size_t n) {
-    if (n == 0) return true;
-    if (remaining() < n * sizeof(uint32_t)) return false;
-    if (kHostLittleEndian) {
-      std::memcpy(out, data_.data() + pos_, n * sizeof(uint32_t));
-      pos_ += n * sizeof(uint32_t);
-      return true;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (!ReadU32(&out[i])) return false;
-    }
+    const char* src = Take(n * sizeof(uint32_t));
+    if (src == nullptr) return false;
+    LoadU32Run(src, n, out);
     return true;
   }
 
-  bool ReadF32Run(float* out, size_t n) {
-    if (n == 0) return true;
-    if (remaining() < n * sizeof(float)) return false;
-    if (kHostLittleEndian) {
-      std::memcpy(out, data_.data() + pos_, n * sizeof(float));
-      pos_ += n * sizeof(float);
-      return true;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (!ReadF32(&out[i])) return false;
-    }
-    return true;
+  /// The next `n` bytes in place (consumed), or nullptr when fewer remain.
+  const char* Take(size_t n) {
+    if (remaining() < n) return nullptr;
+    const char* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
   }
 
   /// The rest of the payload as a view (consumes it).
@@ -179,6 +196,11 @@ struct Crc32cTable {
 };
 
 constexpr size_t kGetVectorsEntryBytes = 12;
+// Stream-buffer sizes for socket reads: connections that only ever carry
+// small frames stay at the minimum; a read that fills the buffer doubles it
+// for the next one, up to the maximum.
+constexpr size_t kMinReadBytes = 4u << 10;
+constexpr size_t kMaxReadBytes = 64u << 10;
 constexpr size_t kVectorsEntryHeaderBytes = 8;
 // The three v3 inference request kinds share one 16-byte entry layout:
 // two u32 task operands, u8 mode, u8 reserved, u16 tenant, u32 deadline.
@@ -331,17 +353,32 @@ serve::ResponseCode ResponseCodeFromWire(WireCode code) {
   return serve::ResponseCode::kNetworkError;
 }
 
-void AppendFrame(FrameType type, uint64_t correlation_id,
-                 std::string_view payload, std::string* out) {
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
+size_t BeginFrame(FrameType type, uint64_t correlation_id, std::string* out) {
+  const size_t start = out->size();
   PutU32(kWireMagic, out);
   PutU8(kWireVersion, out);
   PutU8(static_cast<uint8_t>(type), out);
   PutU16(0, out);  // flags
   PutU64(correlation_id, out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  PutU32(Crc32c(payload.data(), payload.size()), out);
+  PutU32(0, out);  // payload_len, patched by FinishFrame
+  PutU32(0, out);  // payload CRC32C, patched by FinishFrame
+  return start;
+}
+
+void FinishFrame(size_t start, std::string* out) {
+  const size_t payload_at = start + kFrameHeaderBytes;
+  const size_t payload_len = out->size() - payload_at;
+  char* header = out->data() + start;
+  StoreU32(static_cast<uint32_t>(payload_len), header + 16);
+  StoreU32(Crc32c(out->data() + payload_at, payload_len), header + 20);
+}
+
+void AppendFrame(FrameType type, uint64_t correlation_id,
+                 std::string_view payload, std::string* out) {
+  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
+  const size_t start = BeginFrame(type, correlation_id, out);
   out->append(payload);
+  FinishFrame(start, out);
 }
 
 std::string EncodeGetVectors(
@@ -417,14 +454,86 @@ std::string EncodeControl(FrameType type, uint64_t correlation_id) {
   return frame;
 }
 
-void FrameDecoder::Feed(const void* data, size_t len) {
-  // Compact once consumption passes half the buffer so the stream cannot
-  // grow it without bound.
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
+void FrameDecoder::Compact(size_t capacity) {
+  const size_t pending = end_ - begin_;
+  if (capacity > buf_cap_) {
+    std::unique_ptr<char[]> grown(new char[capacity]);
+    if (pending > 0) std::memcpy(grown.get(), buf_.get() + begin_, pending);
+    buf_ = std::move(grown);
+    buf_cap_ = capacity;
+  } else if (begin_ > 0 && pending > 0) {
+    std::memmove(buf_.get(), buf_.get() + begin_, pending);
   }
-  buffer_.append(static_cast<const char*>(data), len);
+  begin_ = 0;
+  end_ = pending;
+}
+
+size_t FrameDecoder::PendingSmallFrameBytes() const {
+  if (end_ - begin_ < kFrameHeaderBytes) return 0;
+  const uint32_t payload_len = LoadU32(buf_.get() + begin_ + 16);
+  return payload_len < kLargePayloadBytes ? kFrameHeaderBytes + payload_len
+                                          : 0;
+}
+
+void FrameDecoder::Feed(const void* data, size_t len) {
+  const char* bytes = static_cast<const char*>(data);
+  if (LargePending()) {
+    const size_t take =
+        std::min<size_t>(len, large_header_.payload_len - large_filled_);
+    if (large_filled_ + take > large_.size()) {
+      large_.resize(std::min<size_t>(
+          large_header_.payload_len,
+          std::max(large_filled_ + take, 2 * large_.size())));
+    }
+    std::memcpy(large_.data() + large_filled_, bytes, take);
+    large_filled_ += take;
+    bytes += take;
+    len -= take;
+  }
+  if (len == 0) return;
+  if (buf_cap_ - end_ < len) {
+    // Grow to fit, at least doubling so byte-at-a-time feeds stay linear.
+    const size_t needed = end_ - begin_ + len;
+    Compact(needed <= buf_cap_ ? buf_cap_ : std::max(needed, 2 * buf_cap_));
+  }
+  std::memcpy(buf_.get() + end_, bytes, len);
+  end_ += len;
+}
+
+std::span<char> FrameDecoder::PrepareRead() {
+  if (LargePending()) {
+    if (large_filled_ == large_.size()) {
+      large_.resize(std::min<size_t>(large_header_.payload_len,
+                                     2 * large_.size()));
+    }
+    return {large_.data() + large_filled_, large_.size() - large_filled_};
+  }
+  size_t capacity = std::max(buf_cap_, kMinReadBytes);
+  if (last_read_filled_) {
+    capacity = std::max(capacity, std::min(2 * buf_cap_, kMaxReadBytes));
+  }
+  // A small frame is returned from the stream buffer, so it must fit whole.
+  capacity = std::max(capacity, PendingSmallFrameBytes());
+  if (capacity > buf_cap_ || begin_ > 0) Compact(capacity);
+  if (end_ == buf_cap_) Compact(2 * buf_cap_);
+  return {buf_.get() + end_, buf_cap_ - end_};
+}
+
+void FrameDecoder::CommitRead(size_t n) {
+  if (LargePending()) {
+    large_filled_ += n;
+    return;
+  }
+  end_ += n;
+  last_read_filled_ = end_ == buf_cap_;
+}
+
+FrameDecoder::Result FrameDecoder::Fail(std::string message,
+                                        std::string* error) {
+  poisoned_ = true;
+  large_ = std::string();
+  if (error != nullptr) *error = std::move(message);
+  return Result::kError;
 }
 
 FrameDecoder::Result FrameDecoder::Next(Frame* frame, std::string* error) {
@@ -432,53 +541,78 @@ FrameDecoder::Result FrameDecoder::Next(Frame* frame, std::string* error) {
     if (error != nullptr) *error = "stream already failed protocol validation";
     return Result::kError;
   }
-  const std::string_view view =
-      std::string_view(buffer_).substr(consumed_);
-  if (view.size() < kFrameHeaderBytes) return Result::kNeedMore;
+  if (in_large_) {
+    if (LargePending()) return Result::kNeedMore;
+    if (Crc32c(large_.data(), large_.size()) != large_header_.crc) {
+      return Fail("payload CRC32C mismatch", error);
+    }
+    frame->type = static_cast<FrameType>(large_header_.type);
+    frame->correlation_id = large_header_.correlation_id;
+    frame->payload = std::move(large_);
+    large_ = std::string();
+    largest_large_payload_ =
+        std::max<size_t>(largest_large_payload_, large_header_.payload_len);
+    in_large_ = false;
+    large_filled_ = 0;
+    return Result::kFrame;
+  }
 
-  Cursor header(view.substr(0, kFrameHeaderBytes));
-  uint32_t magic, payload_len, crc;
-  uint8_t version, type;
+  const size_t pending = end_ - begin_;
+  if (pending < kFrameHeaderBytes) return Result::kNeedMore;
+  const char* head = buf_.get() + begin_;
+  Cursor cursor(std::string_view(head, kFrameHeaderBytes));
+  uint32_t magic;
+  uint8_t version;
   uint16_t flags;
-  uint64_t correlation_id;
-  header.ReadU32(&magic);
-  header.ReadU8(&version);
-  header.ReadU8(&type);
-  header.ReadU16(&flags);
-  header.ReadU64(&correlation_id);
-  header.ReadU32(&payload_len);
-  header.ReadU32(&crc);
+  Header h;
+  cursor.ReadU32(&magic);
+  cursor.ReadU8(&version);
+  cursor.ReadU8(&h.type);
+  cursor.ReadU16(&flags);
+  cursor.ReadU64(&h.correlation_id);
+  cursor.ReadU32(&h.payload_len);
+  cursor.ReadU32(&h.crc);
 
-  auto fail = [&](std::string message) {
-    poisoned_ = true;
-    if (error != nullptr) *error = std::move(message);
-    return Result::kError;
-  };
   if (magic != kWireMagic) {
-    return fail(StrFormat("bad magic 0x%08x", magic));
+    return Fail(StrFormat("bad magic 0x%08x", magic), error);
   }
   if (version != kWireVersion) {
-    return fail(StrFormat("unsupported wire version %u", version));
+    return Fail(StrFormat("unsupported wire version %u", version), error);
   }
   if (flags != 0) {
-    return fail(StrFormat("non-zero reserved flags 0x%04x", flags));
+    return Fail(StrFormat("non-zero reserved flags 0x%04x", flags), error);
   }
-  if (payload_len > max_frame_bytes_) {
-    return fail(StrFormat("payload length %u exceeds cap %zu", payload_len,
-                          max_frame_bytes_));
+  if (h.payload_len > max_frame_bytes_) {
+    return Fail(StrFormat("payload length %u exceeds cap %zu", h.payload_len,
+                          max_frame_bytes_),
+                error);
   }
-  if (view.size() < kFrameHeaderBytes + payload_len) return Result::kNeedMore;
+  const char* payload = head + kFrameHeaderBytes;
+  const size_t have = pending - kFrameHeaderBytes;
+  if (have >= h.payload_len) {
+    if (Crc32c(payload, h.payload_len) != h.crc) {
+      return Fail("payload CRC32C mismatch", error);
+    }
+    frame->type = static_cast<FrameType>(h.type);
+    frame->correlation_id = h.correlation_id;
+    frame->payload.assign(payload, h.payload_len);
+    begin_ += kFrameHeaderBytes + h.payload_len;
+    if (begin_ == end_) begin_ = end_ = 0;
+    return Result::kFrame;
+  }
+  if (h.payload_len < kLargePayloadBytes) return Result::kNeedMore;
 
-  const std::string_view payload =
-      view.substr(kFrameHeaderBytes, payload_len);
-  if (Crc32c(payload.data(), payload.size()) != crc) {
-    return fail("payload CRC32C mismatch");
-  }
-  frame->type = static_cast<FrameType>(type);
-  frame->correlation_id = correlation_id;
-  frame->payload.assign(payload.data(), payload.size());
-  consumed_ += kFrameHeaderBytes + payload_len;
-  return Result::kFrame;
+  // An incomplete large payload: every pending byte after the header is
+  // its prefix, and the rest is received into its own buffer.
+  large_.resize(std::min<size_t>(
+      h.payload_len,
+      std::max({2 * have, kLargePayloadBytes, largest_large_payload_})));
+  if (have > 0) std::memcpy(large_.data(), payload, have);
+  large_filled_ = have;
+  large_header_ = h;
+  in_large_ = true;
+  begin_ = end_ = 0;
+  return Result::kNeedMore;
 }
 
 Status DecodeGetVectors(std::string_view payload,
@@ -655,33 +789,71 @@ Status DecodePullRows(std::string_view payload,
   return Status::Ok();
 }
 
+namespace {
+
+void PutRowsSectionHeader(ParamTable table, uint32_t row_size, size_t count,
+                          std::string* out) {
+  PutU8(static_cast<uint8_t>(table), out);
+  PutU32(row_size, out);
+  PutU32(static_cast<uint32_t>(count), out);
+}
+
+}  // namespace
+
 std::string EncodeRows(uint64_t correlation_id,
                        const std::vector<RowsSection>& sections) {
-  std::string payload;
-  size_t bytes = 4;
+  size_t bytes = kFrameHeaderBytes + 4;
   for (const RowsSection& s : sections) {
-    bytes += 13 + 4 * s.ids.size() + 4 * s.values.size();
-  }
-  payload.reserve(bytes);
-  PutU32(static_cast<uint32_t>(sections.size()), &payload);
-  for (const RowsSection& s : sections) {
-    PutU8(static_cast<uint8_t>(s.table), &payload);
-    PutU32(s.row_size, &payload);
-    PutU32(static_cast<uint32_t>(s.ids.size()), &payload);
-    PutU32Run(s.ids.data(), s.ids.size(), &payload);
-    PutF32Run(s.values.data(), s.values.size(), &payload);
+    bytes += kRowsSectionHeaderBytes + 4 * s.ids.size() + 4 * s.values.size();
   }
   std::string frame;
-  AppendFrame(FrameType::kRows, correlation_id, payload, &frame);
+  frame.reserve(bytes);
+  const size_t start = BeginFrame(FrameType::kRows, correlation_id, &frame);
+  PutU32(static_cast<uint32_t>(sections.size()), &frame);
+  for (const RowsSection& s : sections) {
+    PutRowsSectionHeader(s.table, s.row_size, s.ids.size(), &frame);
+    PutU32Run(s.ids.data(), s.ids.size(), &frame);
+    PutF32Run(s.values.data(), s.values.size(), &frame);
+  }
+  FinishFrame(start, &frame);
   return frame;
 }
 
-Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out) {
+void AppendRowsFrame(uint64_t correlation_id,
+                     const std::vector<PullSection>& sections,
+                     const std::vector<uint32_t>& row_sizes,
+                     const RowSource& row, std::string* out) {
+  size_t bytes = kFrameHeaderBytes + 4;
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const size_t entry_bytes = 4 + 4 * static_cast<size_t>(row_sizes[s]);
+    bytes += kRowsSectionHeaderBytes + sections[s].ids.size() * entry_bytes;
+  }
+  out->reserve(out->size() + bytes);
+  const size_t start = BeginFrame(FrameType::kRows, correlation_id, out);
+  PutU32(static_cast<uint32_t>(sections.size()), out);
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const PullSection& sec = sections[s];
+    PutRowsSectionHeader(sec.table, row_sizes[s], sec.ids.size(), out);
+    PutU32Run(sec.ids.data(), sec.ids.size(), out);
+    for (uint32_t id : sec.ids) {
+      PutF32Run(row(sec.table, id), row_sizes[s], out);
+    }
+  }
+  FinishFrame(start, out);
+}
+
+uint32_t RowsView::id(size_t i) const { return LoadU32(ids + 4 * i); }
+
+void RowsView::CopyRow(size_t i, float* dst) const {
+  LoadF32Run(values + 4 * i * row_size, row_size, dst);
+}
+
+Status DecodeRowsView(std::string_view payload, std::vector<RowsView>* out) {
   Cursor cursor(payload);
   uint32_t num_sections;
   if (!cursor.ReadU32(&num_sections)) return Truncated("kRows");
-  // Each section costs at least its 9-byte header.
-  if (static_cast<uint64_t>(num_sections) * 9 > cursor.remaining()) {
+  if (static_cast<uint64_t>(num_sections) * kRowsSectionHeaderBytes >
+      cursor.remaining()) {
     return Status::Corruption(
         StrFormat("kRows declares %u sections with %zu bytes left",
                   num_sections, cursor.remaining()));
@@ -690,9 +862,9 @@ Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out) {
   out->reserve(num_sections);
   for (uint32_t s = 0; s < num_sections; ++s) {
     uint8_t table;
-    uint32_t row_size, count;
-    if (!cursor.ReadU8(&table) || !cursor.ReadU32(&row_size) ||
-        !cursor.ReadU32(&count)) {
+    RowsView view;
+    if (!cursor.ReadU8(&table) || !cursor.ReadU32(&view.row_size) ||
+        !cursor.ReadU32(&view.count)) {
       return Truncated("kRows");
     }
     if (table > kMaxParamTable) {
@@ -700,22 +872,17 @@ Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out) {
     }
     // Entry cost: 4-byte id + row_size floats. Dividing (rather than
     // multiplying count * entry) keeps the guard overflow-proof.
-    const uint64_t entry_bytes = 4 + static_cast<uint64_t>(row_size) * 4;
-    if (count > 0 && entry_bytes > cursor.remaining() / count) {
+    const uint64_t entry_bytes = 4 + static_cast<uint64_t>(view.row_size) * 4;
+    if (view.count > 0 && entry_bytes > cursor.remaining() / view.count) {
       return Status::Corruption(StrFormat(
           "kRows section declares %u rows of %u floats with %zu bytes left",
-          count, row_size, cursor.remaining()));
+          view.count, view.row_size, cursor.remaining()));
     }
-    RowsSection section;
-    section.table = static_cast<ParamTable>(table);
-    section.row_size = row_size;
-    section.ids.resize(count);
-    section.values.resize(static_cast<size_t>(count) * row_size);
-    if (!cursor.ReadU32Run(section.ids.data(), count) ||
-        !cursor.ReadF32Run(section.values.data(), section.values.size())) {
-      return Truncated("kRows");
-    }
-    out->push_back(std::move(section));
+    view.table = static_cast<ParamTable>(table);
+    view.ids = cursor.Take(4 * static_cast<size_t>(view.count));
+    view.values =
+        cursor.Take(4 * static_cast<size_t>(view.count) * view.row_size);
+    out->push_back(view);
   }
   if (!cursor.done()) {
     return Status::Corruption("trailing bytes after kRows sections");
@@ -723,16 +890,40 @@ Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out) {
   return Status::Ok();
 }
 
+Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out) {
+  std::vector<RowsView> views;
+  PKGM_RETURN_IF_ERROR(DecodeRowsView(payload, &views));
+  out->clear();
+  out->reserve(views.size());
+  for (const RowsView& view : views) {
+    RowsSection section;
+    section.table = view.table;
+    section.row_size = view.row_size;
+    section.ids.resize(view.count);
+    section.values.resize(static_cast<size_t>(view.count) * view.row_size);
+    LoadU32Run(view.ids, view.count, section.ids.data());
+    LoadF32Run(view.values, section.values.size(), section.values.data());
+    out->push_back(std::move(section));
+  }
+  return Status::Ok();
+}
+
 std::string EncodePushGrads(uint64_t correlation_id, float scale,
                             uint32_t epoch, std::string_view arena_blob) {
-  std::string payload;
-  payload.reserve(8 + arena_blob.size());
-  PutF32(scale, &payload);
-  PutU32(epoch, &payload);
-  payload.append(arena_blob);
   std::string frame;
-  AppendFrame(FrameType::kPushGrads, correlation_id, payload, &frame);
+  frame.reserve(kFrameHeaderBytes + kPushGradsPrefixBytes + arena_blob.size());
+  const size_t start = BeginPushGrads(correlation_id, scale, epoch, &frame);
+  frame.append(arena_blob);
+  FinishFrame(start, &frame);
   return frame;
+}
+
+size_t BeginPushGrads(uint64_t correlation_id, float scale, uint32_t epoch,
+                      std::string* out) {
+  const size_t start = BeginFrame(FrameType::kPushGrads, correlation_id, out);
+  PutF32(scale, out);
+  PutU32(epoch, out);
+  return start;
 }
 
 Status DecodePushGrads(std::string_view payload, float* scale,

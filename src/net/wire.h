@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +45,10 @@ constexpr uint8_t kWireVersion = 3;
 constexpr size_t kFrameHeaderBytes = 24;
 /// Default cap on payload_len; NetServer/NetClient make it configurable.
 constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
+/// Payloads at least this long that are still incomplete when their header
+/// is parsed are received straight into a buffer of their own (see
+/// FrameDecoder).
+constexpr size_t kLargePayloadBytes = 64u << 10;
 
 enum class FrameType : uint8_t {
   /// Client → server: batched service-vector request.
@@ -153,6 +160,13 @@ struct Frame {
 void AppendFrame(FrameType type, uint64_t correlation_id,
                  std::string_view payload, std::string* out);
 
+/// In-place framing: BeginFrame appends a header whose payload_len and CRC
+/// are still zero and returns its offset in `out`; the caller appends the
+/// payload bytes right after it, and FinishFrame(start, out) patches
+/// payload_len and the CRC32C over everything appended since the header.
+size_t BeginFrame(FrameType type, uint64_t correlation_id, std::string* out);
+void FinishFrame(size_t start, std::string* out);
+
 /// kGetVectors payload: u32 count, then per request
 /// {u32 item, u8 mode, u8 form, u16 tenant, u32 deadline_micros}.
 /// The tenant field (ex-reserved; older clients always sent 0, which is
@@ -184,16 +198,40 @@ std::string EncodeControl(FrameType type, uint64_t correlation_id);
 
 // ------------------------------------------------------------- decoding --
 
-/// Incremental frame extraction over a byte stream: feed arbitrarily
-/// fragmented reads, pull complete validated frames out. Single-owner
-/// (one per connection), not thread-safe.
+/// Incremental frame extraction over a byte stream: fragmented reads go
+/// in, complete validated frames come out. Single-owner (one per
+/// connection), not thread-safe.
+///
+/// Receive path: a socket reader asks PrepareRead() where to read() to and
+/// reports the byte count with CommitRead(), so received bytes are written
+/// once. Small frames sit in a stream buffer — 4 KiB, doubled after a read
+/// that fills it up to 64 KiB, and always large enough for the pending
+/// frame — and are copied out by Next(). A payload of at least
+/// kLargePayloadBytes that is incomplete when its header is parsed gets a
+/// std::string of its own, which later reads fill directly and Next()
+/// moves whole into Frame::payload.
+///
+/// Memory bound: that string starts at min(payload_len, max(2 x the
+/// payload bytes already received, kLargePayloadBytes, the largest such
+/// payload this stream has completed)) and doubles as it fills, capped at
+/// payload_len. However large a length a header declares, the payload
+/// buffer therefore never exceeds twice what the peer has sent on the
+/// stream or kLargePayloadBytes, whichever is larger.
 class FrameDecoder {
  public:
   explicit FrameDecoder(size_t max_frame_bytes = kDefaultMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  /// Buffers `len` more stream bytes.
+  /// Copies `len` more stream bytes in (in-memory replays and tests; socket
+  /// readers use PrepareRead/CommitRead and skip this copy).
   void Feed(const void* data, size_t len);
+
+  /// The non-empty region the next read() should fill, valid until the next
+  /// call on this decoder. Call Next() until kNeedMore before asking again.
+  std::span<char> PrepareRead();
+  /// Records that the first `n` bytes of the last PrepareRead() region
+  /// were filled.
+  void CommitRead(size_t n);
 
   enum class Result {
     /// A complete frame was validated and moved into *frame.
@@ -208,13 +246,48 @@ class FrameDecoder {
 
   Result Next(Frame* frame, std::string* error);
 
-  /// Bytes buffered but not yet consumed by Next().
-  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  /// Bytes received but not yet returned in a frame by Next().
+  size_t buffered_bytes() const {
+    return end_ - begin_ + (in_large_ ? large_filled_ : 0);
+  }
+  /// Bytes of storage the decoder holds: the stream buffer plus any large
+  /// payload under assembly.
+  size_t held_bytes() const { return buf_cap_ + large_.capacity(); }
 
  private:
+  struct Header {
+    uint8_t type = 0;
+    uint64_t correlation_id = 0;
+    uint32_t payload_len = 0;
+    uint32_t crc = 0;
+  };
+
+  /// True while a large payload is still missing bytes.
+  bool LargePending() const {
+    return in_large_ && large_filled_ < large_header_.payload_len;
+  }
+  /// Moves the unconsumed stream bytes to the front of a buffer of at least
+  /// `capacity` bytes (reallocating only to grow).
+  void Compact(size_t capacity);
+  /// Length of the small frame whose header starts the unconsumed stream
+  /// bytes, or 0 (no complete header yet, or a large payload).
+  size_t PendingSmallFrameBytes() const;
+  Result Fail(std::string message, std::string* error);
+
   const size_t max_frame_bytes_;
-  std::string buffer_;
-  size_t consumed_ = 0;
+  /// Stream buffer; bytes [begin_, end_) are received and unconsumed.
+  std::unique_ptr<char[]> buf_;
+  size_t buf_cap_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  /// The last read filled the stream buffer: grow it for the next one.
+  bool last_read_filled_ = false;
+  /// The large payload under assembly (see the class comment).
+  bool in_large_ = false;
+  Header large_header_;
+  std::string large_;
+  size_t large_filled_ = 0;
+  size_t largest_large_payload_ = 0;
   bool poisoned_ = false;
 };
 
@@ -284,18 +357,63 @@ std::string EncodePullRows(uint64_t correlation_id,
 Status DecodePullRows(std::string_view payload,
                       std::vector<PullSection>* out);
 
+/// Bytes of a kRows section header: u8 table, u32 row_size, u32 count.
+constexpr size_t kRowsSectionHeaderBytes = 9;
+
 /// kRows payload: u32 num_sections, then per section {u8 table,
 /// u32 row_size, u32 count, count * u32 id, count * row_size * f32}.
 /// Ids and values travel as two contiguous runs so both sides memcpy.
 std::string EncodeRows(uint64_t correlation_id,
                        const std::vector<RowsSection>& sections);
+
+/// Supplies the `row_size` floats of row `id` of `table` while a kRows
+/// frame is written.
+using RowSource = std::function<const float*(ParamTable table, uint32_t id)>;
+
+/// Appends the kRows frame answering `sections` to `out`, reserved to its
+/// exact size, with every row gathered from `row` straight into the frame.
+/// `row_sizes[s]` is the row length of section s.
+void AppendRowsFrame(uint64_t correlation_id,
+                     const std::vector<PullSection>& sections,
+                     const std::vector<uint32_t>& row_sizes,
+                     const RowSource& row, std::string* out);
+
+/// One kRows section as a view into the payload it was decoded from, which
+/// must outlive it: `ids` holds `count` little-endian u32 ids and `values`
+/// the `count * row_size` little-endian f32 row values, in id order.
+struct RowsView {
+  ParamTable table = ParamTable::kEntity;
+  uint32_t row_size = 0;
+  uint32_t count = 0;
+  const char* ids = nullptr;
+  const char* values = nullptr;
+
+  uint32_t id(size_t i) const;
+  /// Copies row i's `row_size` floats to `dst`.
+  void CopyRow(size_t i, float* dst) const;
+};
+
+/// The kRows parser: validates the payload (section count and each
+/// section's row budget checked against the bytes present before any
+/// allocation, trailing bytes rejected) and returns its sections as views,
+/// copying no row.
+Status DecodeRowsView(std::string_view payload, std::vector<RowsView>* out);
+/// DecodeRowsView, with every section copied out.
 Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out);
+
+/// Bytes of the kPushGrads scale/epoch prefix ahead of the blob.
+constexpr size_t kPushGradsPrefixBytes = 8;
 
 /// kPushGrads payload: f32 scale, u32 epoch, then a serialized GradArena
 /// blob (see core::SerializeGradArena) to the payload end. The blob keeps
 /// its own corruption-rejecting header; this codec treats it as bytes.
 std::string EncodePushGrads(uint64_t correlation_id, float scale,
                             uint32_t epoch, std::string_view arena_blob);
+/// In-place kPushGrads: appends the header and the scale/epoch prefix to
+/// `out` and returns the frame's start; append the blob (for instance with
+/// core::SerializeGradArena) and close the frame with FinishFrame.
+size_t BeginPushGrads(uint64_t correlation_id, float scale, uint32_t epoch,
+                      std::string* out);
 Status DecodePushGrads(std::string_view payload, float* scale,
                        uint32_t* epoch, std::string_view* arena_blob);
 

@@ -7,12 +7,16 @@
 // pushes the final mean hinge lands within 2% of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/gradients.h"
@@ -27,6 +31,7 @@
 #include "net/net_server.h"
 #include "net/wire.h"
 #include "tensor/simd/kernel_dispatch.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace pkgm::dist {
@@ -62,6 +67,8 @@ struct Cluster {
       shards.push_back(std::make_unique<ParamServer>(opt));
       net::NetServerOptions nopt;
       nopt.bind_address = "127.0.0.1";
+      nopt.max_frame_bytes = std::max(nopt.max_frame_bytes,
+                                      shards.back()->MaxPushPayloadBytes());
       servers.push_back(
           std::make_unique<net::NetServer>(shards.back().get(), nopt));
       ASSERT_TRUE(servers.back()->Start().ok());
@@ -344,6 +351,75 @@ TEST(ParamServerTest, PushAppliesAdamWithStepParity) {
             0);
 }
 
+TEST(ParamServerTest, PushRepeatingARowIdRefusedWhole) {
+  ParamServerOptions base;
+  base.model = TestModelOptions();
+  base.optimizer = core::OptimizerKind::kSgd;
+  base.learning_rate = 0.1f;
+  Cluster cluster;
+  cluster.Start(1, base);
+  const core::PkgmModel initial(TestModelOptions());
+  const uint32_t dim = initial.dim();
+
+  core::GradArena arena;
+  for (uint32_t d = 0; d < dim; ++d) {
+    arena.Entity(2, dim)[d] = 1.0f;
+    arena.Entity(5, dim)[d] = -1.0f;
+    arena.Relation(1, dim)[d] = 0.5f;
+  }
+  std::string blob;
+  ASSERT_EQ(core::SerializeGradArena(arena, &blob), 3u);
+  // Repeat entity 2's entry (the first of the entity slab, whose header
+  // sits at offset 8) and bump the slab's count from 2 to 3.
+  const size_t entry_bytes = 4 + 4 * dim;
+  std::string repeated = blob;
+  repeated.insert(16 + 2 * entry_bytes, blob.substr(16, entry_bytes));
+  const uint32_t three = 3;
+  std::memcpy(&repeated[12], &three, sizeof(three));
+  // The blob itself is well formed; refusing it is the shard's decision.
+  ASSERT_TRUE(core::VisitGradArenaBlob(repeated, [](uint32_t, uint32_t,
+                                                    const float*, uint32_t) {
+                return Status::Ok();
+              }).ok());
+
+  auto client = MustConnect(cluster.ports[0]);
+  uint64_t cid = client->NextCorrelationId();
+  EXPECT_FALSE(
+      Call(client.get(), net::EncodePushGrads(cid, 1.0f, 0, repeated)).ok());
+  EXPECT_NE(cluster.shards[0]->StatsJson().find("\"rejects\": 1,"),
+            std::string::npos)
+      << cluster.shards[0]->StatsJson();
+  EXPECT_EQ(cluster.shards[0]->step(), 0u);
+
+  // No row moved, the unrepeated rows included.
+  std::vector<PullSection> sections(2);
+  sections[0].table = ParamTable::kEntity;
+  sections[0].ids = {2, 5};
+  sections[1].table = ParamTable::kRelation;
+  sections[1].ids = {1};
+  cid = client->NextCorrelationId();
+  StatusOr<Frame> reply =
+      Call(client.get(), net::EncodePullRows(cid, sections));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  std::vector<RowsSection> rows;
+  ASSERT_TRUE(net::DecodeRows(reply->payload, &rows).ok());
+  EXPECT_EQ(std::memcmp(rows[0].values.data(), initial.entity(2),
+                        dim * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(rows[0].values.data() + dim, initial.entity(5),
+                        dim * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(rows[1].values.data(), initial.relation(1),
+                        dim * sizeof(float)),
+            0);
+
+  // The same rows without the repeat are applied.
+  cid = client->NextCorrelationId();
+  EXPECT_TRUE(
+      Call(client.get(), net::EncodePushGrads(cid, 1.0f, 0, blob)).ok());
+  EXPECT_EQ(cluster.shards[0]->step(), 1u);
+}
+
 TEST(ParamServerTest, BarrierReleasesMismatchesAndAborts) {
   ParamServerOptions base;
   base.model = TestModelOptions();
@@ -494,6 +570,86 @@ TEST(DistTrainerTest, OneWorkerSyncPushBitExactVsShardedTrainer) {
             evaluator.EvaluateMeanHinge(store.triples()));
 }
 
+TEST(DistTrainerTest, FramesOverFourMiBBitExactAtDim64) {
+  // d = 64 makes each transfer row 16 KiB. With 300 relations drawn
+  // uniformly, one 512-triple batch touches nearly all of them, so its
+  // kRows reply and its push both exceed the 4 MiB default frame cap: the
+  // pull is split across frames, the push needs the shard's raised cap,
+  // and every one of these frames takes the large-payload receive path.
+  core::PkgmModelOptions mo;
+  mo.num_entities = 600;
+  mo.num_relations = 300;
+  mo.dim = 64;
+  mo.seed = 91;
+  kg::TripleStore store;
+  Rng rng(5);
+  while (store.size() < 1024) {
+    store.Add(static_cast<uint32_t>(rng.Uniform(mo.num_entities)),
+              static_cast<uint32_t>(rng.Uniform(mo.num_relations)),
+              static_cast<uint32_t>(rng.Uniform(mo.num_entities)));
+  }
+  const uint32_t epochs = 2;
+  const uint32_t batch = 512;
+
+  core::PkgmModel ref(mo);
+  core::ShardedTrainerOptions sopt;
+  sopt.num_workers = 1;
+  sopt.batch_size = batch;
+  sopt.learning_rate = 0.05f;
+  sopt.seed = 321;
+  core::ShardedTrainer reference(&ref, &store, sopt);
+  std::vector<core::EpochStats> ref_stats;
+  for (uint32_t e = 0; e < epochs; ++e) {
+    ref_stats.push_back(reference.RunEpoch());
+  }
+
+  ParamServerOptions base;
+  base.model = mo;
+  base.optimizer = core::OptimizerKind::kSgd;
+  base.learning_rate = 0.05f;
+  Cluster cluster;
+  cluster.Start(1, base);
+  ASSERT_GT(cluster.shards[0]->MaxPushPayloadBytes(),
+            net::kDefaultMaxFrameBytes);
+  DistTrainerOptions dopt;
+  dopt.shard_endpoints = cluster.endpoints;
+  dopt.num_workers = 1;
+  dopt.batch_size = batch;
+  dopt.learning_rate = 0.05f;
+  dopt.seed = 321;
+  dopt.max_inflight_pushes = 0;
+  DistTrainer trainer(&store, dopt);
+  ASSERT_TRUE(trainer.Connect().ok());
+  for (uint32_t e = 0; e < epochs; ++e) {
+    StatusOr<core::EpochStats> stats = trainer.RunEpoch();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->mean_hinge, ref_stats[e].mean_hinge) << "epoch " << e;
+    EXPECT_EQ(stats->active_pairs, ref_stats[e].active_pairs);
+  }
+  // More pull frames than batches: batch pulls were split.
+  const uint64_t batches = epochs * ((store.size() + batch - 1) / batch);
+  EXPECT_GT(trainer.pulls(), batches);
+  ASSERT_TRUE(trainer.PullFullModel().ok());
+
+  core::PkgmModel* replica = trainer.replica();
+  for (uint32_t e = 0; e < ref.num_entities(); ++e) {
+    ASSERT_EQ(std::memcmp(replica->entity(e), ref.entity(e),
+                          ref.dim() * sizeof(float)),
+              0)
+        << "entity " << e;
+  }
+  for (uint32_t r = 0; r < ref.num_relations(); ++r) {
+    ASSERT_EQ(std::memcmp(replica->relation(r), ref.relation(r),
+                          ref.dim() * sizeof(float)),
+              0)
+        << "relation " << r;
+    ASSERT_EQ(std::memcmp(replica->transfer(r), ref.transfer(r),
+                          ref.dim() * ref.dim() * sizeof(float)),
+              0)
+        << "transfer " << r;
+  }
+}
+
 TEST(DistTrainerTest, TwoWorkersTwoShardsHingeParity) {
   // A real (if small) synthetic PKG so hogwild noise averages out enough
   // for the 2% acceptance bound to be a meaningful assertion.
@@ -555,6 +711,471 @@ TEST(DistTrainerTest, TwoWorkersTwoShardsHingeParity) {
   ASSERT_GT(ref_hinge, 0.0);
   EXPECT_NEAR(dist_hinge / ref_hinge, 1.0, 0.02)
       << "dist " << dist_hinge << " vs ref " << ref_hinge;
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation of the parameter-server data path's parsers: the frame
+// decoder (random chunkings, both receive paths), the kRows view decoder,
+// the GradArena blob visitor and a live shard's HandleFrame. Valid input
+// must round-trip; mutated input must either be rejected or be exactly
+// what an independent reference accepts, and a refused push must leave the
+// shard's model bytes untouched. The sanitizer CI job runs this too.
+// ---------------------------------------------------------------------------
+
+constexpr int kMutationsPerInput = 2000;
+
+/// One random mutation of `in`: bit flips, a truncation, a splice of a
+/// prefix of `in` onto a suffix of `other`, or an inflated u32 at one of
+/// `fields` (the offsets of counts, row sizes and lengths).
+std::string Mutate(const std::string& in, const std::string& other,
+                   const std::vector<size_t>& fields, Rng* rng) {
+  std::string out = in;
+  switch (rng->Uniform(4)) {
+    case 0:
+      for (uint64_t f = rng->Uniform(3); f < 3 && !out.empty(); ++f) {
+        out[rng->Uniform(out.size())] ^=
+            static_cast<char>(1u << rng->Uniform(8));
+      }
+      break;
+    case 1:
+      out.resize(rng->Uniform(out.size() + 1));
+      break;
+    case 2:
+      out = in.substr(0, rng->Uniform(in.size() + 1)) +
+            other.substr(rng->Uniform(other.size() + 1));
+      break;
+    default: {
+      const size_t at = fields[rng->Uniform(fields.size())];
+      if (at + 4 > out.size()) break;
+      uint32_t v;
+      std::memcpy(&v, &out[at], sizeof(v));
+      const uint32_t inflated[] = {v + 1,        2 * v + 1,   v + 0x10000u,
+                                   0x40000000u, 0x7fffffffu, 0xffffffffu};
+      v = inflated[rng->Uniform(6)];
+      std::memcpy(&out[at], &v, sizeof(v));
+      break;
+    }
+  }
+  return out;
+}
+
+/// A 2-shard TransH model with the relation module, so all four tables
+/// exist; the fuzzed shard is shard 0 (even keys).
+ParamServerOptions FuzzShardOptions() {
+  ParamServerOptions opt;
+  opt.model = TestModelOptions();
+  opt.model.scorer = core::TripleScorerKind::kTransH;
+  opt.shard_index = 0;
+  opt.num_shards = 2;
+  opt.learning_rate = 0.1f;
+  return opt;
+}
+
+std::vector<PullSection> FuzzPullSections() {
+  std::vector<PullSection> sections(4);
+  sections[0] = {ParamTable::kEntity, {0, 2, 28}};
+  sections[1] = {ParamTable::kRelation, {0, 2}};
+  sections[2] = {ParamTable::kTransfer, {2}};
+  sections[3] = {ParamTable::kHyperplane, {0}};
+  return sections;
+}
+
+/// Offsets of the num_sections and per-section id counts of a kPullRows
+/// payload.
+std::vector<size_t> PullFields(const std::vector<PullSection>& sections) {
+  std::vector<size_t> fields = {0};
+  size_t pos = 4;
+  for (const PullSection& s : sections) {
+    fields.push_back(pos + 1);
+    pos += 5 + 4 * s.ids.size();
+  }
+  return fields;
+}
+
+/// Offsets of the num_sections, row sizes and counts of a kRows payload.
+std::vector<size_t> RowsFields(const std::vector<RowsSection>& sections) {
+  std::vector<size_t> fields = {0};
+  size_t pos = 4;
+  for (const RowsSection& s : sections) {
+    fields.push_back(pos + 1);
+    fields.push_back(pos + 5);
+    pos += 9 + 4 * s.ids.size() + 4 * s.values.size();
+  }
+  return fields;
+}
+
+/// Offsets of the slab row sizes and counts of a GradArena blob.
+std::vector<size_t> BlobFields(const std::string& blob) {
+  std::vector<size_t> fields;
+  size_t pos = 8;
+  for (int t = 0; t < 4; ++t) {
+    uint32_t row_size, count;
+    std::memcpy(&row_size, &blob[pos], 4);
+    std::memcpy(&count, &blob[pos + 4], 4);
+    fields.push_back(pos);
+    fields.push_back(pos + 4);
+    pos += 8 + static_cast<size_t>(count) * (4 + 4 * row_size);
+  }
+  return fields;
+}
+
+/// Shard 0's slice of a gradient touching every table, as a blob.
+std::string FuzzBlob(uint32_t dim) {
+  core::GradArena arena;
+  for (uint32_t e : {0u, 2u, 4u, 3u}) {
+    for (uint32_t d = 0; d < dim; ++d) arena.Entity(e, dim)[d] = 0.25f * d - e;
+  }
+  for (uint32_t r : {0u, 2u, 1u}) {
+    arena.Relation(r, dim)[r % dim] = -0.0f;
+    arena.Transfer(r, dim * dim)[r] = 1.5f;
+    arena.Hyperplane(r, dim)[0] = 2.0f;
+  }
+  std::string blob;
+  core::SerializeGradArena(arena, 0, 2, &blob);
+  return blob;
+}
+
+struct RefRow {
+  uint32_t slab = 0;
+  uint32_t id = 0;
+  std::vector<float> values;
+};
+
+/// Reference walk of the blob layout documented in core/gradients.h,
+/// written independently of VisitGradArenaBlob (little-endian hosts).
+bool RefParseBlob(std::string_view b, std::vector<RefRow>* rows) {
+  rows->clear();
+  size_t pos = 0;
+  auto u32 = [&](uint32_t* v) {
+    if (b.size() - pos < 4) return false;
+    std::memcpy(v, b.data() + pos, 4);
+    pos += 4;
+    return true;
+  };
+  uint32_t magic, version_word;
+  if (!u32(&magic) || magic != core::kGradArenaBlobMagic) return false;
+  if (!u32(&version_word)) return false;
+  if (version_word != (core::kGradArenaBlobVersion | (4u << 8))) return false;
+  for (uint32_t slab = 0; slab < 4; ++slab) {
+    uint32_t row_size, count;
+    if (!u32(&row_size) || !u32(&count)) return false;
+    if (count > 0 && row_size == 0) return false;
+    for (uint32_t i = 0; i < count; ++i) {
+      RefRow row;
+      row.slab = slab;
+      if (!u32(&row.id) || (b.size() - pos) / 4 < row_size) return false;
+      row.values.resize(row_size);
+      std::memcpy(row.values.data(), b.data() + pos, 4 * row_size);
+      pos += 4 * static_cast<size_t>(row_size);
+      rows->push_back(std::move(row));
+    }
+  }
+  return pos == b.size();
+}
+
+/// What shard 0 of FuzzShardOptions() must apply: a well-formed blob after
+/// the scale/epoch prefix, every row of its table's size, owned, in range,
+/// and no id twice within a table.
+bool PushShouldApply(std::string_view payload, const core::PkgmModel& m,
+                     std::vector<RefRow>* rows) {
+  if (payload.size() < 8 || !RefParseBlob(payload.substr(8), rows)) {
+    return false;
+  }
+  const uint32_t d = m.dim();
+  const uint32_t row_sizes[4] = {d, d, d * d, d};
+  const uint32_t keys[4] = {m.num_entities(), m.num_relations(),
+                            m.num_relations(), m.num_relations()};
+  std::set<std::pair<uint32_t, uint32_t>> seen;
+  for (const RefRow& row : *rows) {
+    if (row.values.size() != row_sizes[row.slab] ||
+        row.id >= keys[row.slab] || row.id % 2 != 0 ||
+        !seen.insert({row.slab, row.id}).second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every row of a TransH model with the relation module, as bytes (an
+/// applied mutated push may have written NaNs, which float == would not
+/// match to themselves).
+std::string ModelBytes(const core::PkgmModel& m) {
+  const size_t d = m.dim();
+  std::string bytes;
+  auto append = [&](const float* row, size_t n) {
+    bytes.append(reinterpret_cast<const char*>(row), n * sizeof(float));
+  };
+  for (uint32_t e = 0; e < m.num_entities(); ++e) append(m.entity(e), d);
+  for (uint32_t r = 0; r < m.num_relations(); ++r) {
+    append(m.relation(r), d);
+    append(m.transfer(r), d * d);
+    append(m.hyperplane(r), d);
+  }
+  return bytes;
+}
+
+Frame DecodeOneFrame(const std::string& bytes) {
+  net::FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  Frame frame;
+  std::string error;
+  EXPECT_EQ(decoder.Next(&frame, &error), net::FrameDecoder::Result::kFrame)
+      << error;
+  return frame;
+}
+
+std::string Payload(const std::string& frame_bytes) {
+  return frame_bytes.substr(net::kFrameHeaderBytes);
+}
+
+TEST(MutationTest, FrameDecoderOverRandomChunkings) {
+  const ParamServerOptions opt = FuzzShardOptions();
+  const core::PkgmModel model(opt.model);
+  const std::vector<PullSection> pulls = FuzzPullSections();
+  std::vector<RowsSection> rows;
+  for (const PullSection& p : pulls) {
+    RowsSection s;
+    s.table = p.table;
+    s.row_size = p.table == ParamTable::kTransfer ? 64 : 8;
+    for (uint32_t id : p.ids) {
+      s.ids.push_back(id);
+      s.values.insert(s.values.end(), s.row_size, 0.5f * id);
+    }
+    rows.push_back(std::move(s));
+  }
+  // One payload over kLargePayloadBytes, so the large receive path runs.
+  RowsSection big;
+  big.table = ParamTable::kTransfer;
+  big.row_size = 64;
+  for (uint32_t id = 0; id < 300; ++id) {
+    big.ids.push_back(id);
+    big.values.insert(big.values.end(), 64, 0.25f * id);
+  }
+  const std::vector<std::string> frames = {
+      net::EncodePullRows(1, pulls), net::EncodeRows(2, rows),
+      net::EncodePushGrads(3, 0.5f, 1, FuzzBlob(8)),
+      net::EncodeRows(4, {big})};
+  std::string stream;
+  std::vector<size_t> fields;
+  for (const std::string& f : frames) {
+    fields.push_back(stream.size() + 16);  // payload_len
+    stream += f;
+  }
+  const std::string other = frames[2] + frames[0];
+
+  Rng rng(20211);
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    const std::string input =
+        iter == 0 ? stream : Mutate(stream, other, fields, &rng);
+    net::FrameDecoder decoder;
+    const bool socket = rng.Uniform(2) == 0;
+    std::string reencoded;
+    size_t frames_out = 0;
+    bool failed = false;
+    for (size_t pos = 0; pos < input.size() && !failed;) {
+      const size_t max_chunk =
+          rng.Uniform(2) == 0 ? 64 : 3 * net::kLargePayloadBytes;
+      const size_t chunk = 1 + rng.Uniform(max_chunk);
+      size_t n = std::min(chunk, input.size() - pos);
+      if (socket) {
+        const std::span<char> dst = decoder.PrepareRead();
+        ASSERT_FALSE(dst.empty());
+        n = std::min(n, dst.size());
+        std::memcpy(dst.data(), input.data() + pos, n);
+        decoder.CommitRead(n);
+      } else {
+        decoder.Feed(input.data() + pos, n);
+      }
+      pos += n;
+      EXPECT_LE(decoder.held_bytes(), 4 * pos + 4 * net::kLargePayloadBytes);
+      Frame frame;
+      std::string error;
+      net::FrameDecoder::Result result;
+      while ((result = decoder.Next(&frame, &error)) ==
+             net::FrameDecoder::Result::kFrame) {
+        net::AppendFrame(frame.type, frame.correlation_id, frame.payload,
+                         &reencoded);
+        ++frames_out;
+      }
+      failed = result == net::FrameDecoder::Result::kError;
+    }
+    // Every frame that came out is exactly the bytes that went in.
+    ASSERT_LE(reencoded.size(), input.size());
+    EXPECT_EQ(input.compare(0, reencoded.size(), reencoded), 0);
+    if (input == stream) {
+      EXPECT_FALSE(failed);
+      EXPECT_EQ(frames_out, frames.size());
+    }
+  }
+}
+
+TEST(MutationTest, RowsViewDecoder) {
+  std::vector<RowsSection> sections(3);
+  sections[0] = {ParamTable::kEntity, 8, {0, 2}, std::vector<float>(16, 1.0f)};
+  sections[1] = {ParamTable::kTransfer, 64, {4}, std::vector<float>(64, -2.0f)};
+  sections[2] = {ParamTable::kHyperplane, 8, {}, {}};
+  const std::string payload = Payload(net::EncodeRows(1, sections));
+  const std::string other = Payload(net::EncodePullRows(1, FuzzPullSections()));
+  const std::vector<size_t> fields = RowsFields(sections);
+
+  Rng rng(20212);
+  std::vector<net::RowsView> views;
+  std::vector<RowsSection> decoded;
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    const std::string input =
+        iter == 0 ? payload : Mutate(payload, other, fields, &rng);
+    const bool ok = net::DecodeRowsView(input, &views).ok();
+    EXPECT_EQ(net::DecodeRows(input, &decoded).ok(), ok);
+    if (input == payload) {
+      ASSERT_TRUE(ok);
+    }
+    if (!ok) continue;
+    // Accepted means canonical: the decoded sections re-encode to exactly
+    // the input, with valid table bytes.
+    for (const net::RowsView& v : views) {
+      EXPECT_LE(static_cast<uint8_t>(v.table), net::kMaxParamTable);
+    }
+    EXPECT_TRUE(Payload(net::EncodeRows(1, decoded)) == input);
+  }
+}
+
+TEST(MutationTest, GradArenaBlobVisitor) {
+  const std::string blob = FuzzBlob(8);
+  const std::string other = FuzzBlob(4);
+  const std::vector<size_t> fields = BlobFields(blob);
+
+  Rng rng(20213);
+  std::vector<RefRow> want;
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    const std::string input =
+        iter == 0 ? blob : Mutate(blob, other, fields, &rng);
+    // Misaligned copies too, so the copy-out path runs as well.
+    const std::string shifted = " " + input;
+    const std::string_view view =
+        rng.Uniform(2) == 0 ? std::string_view(input)
+                            : std::string_view(shifted).substr(1);
+    std::vector<RefRow> got;
+    const Status st = core::VisitGradArenaBlob(
+        view, [&](uint32_t slab, uint32_t id, const float* row,
+                  uint32_t row_size) {
+          got.push_back({slab, id, std::vector<float>(row, row + row_size)});
+          return Status::Ok();
+        });
+    const bool ref_ok = RefParseBlob(input, &want);
+    ASSERT_EQ(st.ok(), ref_ok) << st.ToString();
+    if (input == blob) {
+      ASSERT_TRUE(st.ok());
+    }
+    if (!st.ok()) {
+      EXPECT_TRUE(got.empty());  // structure is checked before any row
+      continue;
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].slab, want[i].slab);
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(std::memcmp(got[i].values.data(), want[i].values.data(),
+                            4 * want[i].values.size()),
+                0);
+    }
+  }
+}
+
+TEST(MutationTest, LiveShardHandleFrame) {
+  ParamServer shard(FuzzShardOptions());
+  const core::PkgmModel& model = shard.model();
+  const std::vector<PullSection> pulls = FuzzPullSections();
+  const std::string pull_payload = Payload(net::EncodePullRows(1, pulls));
+  const std::string blob = FuzzBlob(model.dim());
+  const std::string push_payload =
+      Payload(net::EncodePushGrads(1, 0.5f, 0, blob));
+  std::vector<size_t> push_fields = {0, 4};
+  for (size_t f : BlobFields(blob)) push_fields.push_back(8 + f);
+
+  Rng rng(20214);
+  uint64_t applied = 0;
+  for (int iter = 0; iter <= 2 * kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    const bool push = iter % 2 == 1;
+    const std::string& valid = push ? push_payload : pull_payload;
+    Frame request;
+    request.type = push ? FrameType::kPushGrads : FrameType::kPullRows;
+    request.correlation_id = static_cast<uint64_t>(iter);
+    request.payload =
+        iter < 2 ? valid
+                 : Mutate(valid, push ? pull_payload : push_payload,
+                          push ? push_fields : PullFields(pulls), &rng);
+    const std::string before = ModelBytes(model);
+    std::string reply_bytes;
+    ASSERT_TRUE(shard.HandleFrame(
+        request, [&](std::string bytes) { reply_bytes = std::move(bytes); }));
+    const Frame reply = DecodeOneFrame(reply_bytes);
+    EXPECT_EQ(reply.correlation_id, request.correlation_id);
+
+    bool should_serve = false;
+    std::vector<PullSection> want_pull;
+    std::vector<RefRow> want_push;
+    if (push) {
+      should_serve = PushShouldApply(request.payload, model, &want_push);
+    } else if (net::DecodePullRows(request.payload, &want_pull).ok()) {
+      should_serve = true;
+      for (const PullSection& s : want_pull) {
+        const uint32_t keys = s.table == ParamTable::kEntity
+                                  ? model.num_entities()
+                                  : model.num_relations();
+        for (uint32_t id : s.ids) {
+          should_serve = should_serve && id < keys && id % 2 == 0;
+        }
+      }
+    }
+    if (iter < 2) {
+      ASSERT_TRUE(should_serve);
+    }
+    if (!should_serve) {
+      ASSERT_EQ(reply.type, FrameType::kError);
+      net::WireCode code;
+      std::string message;
+      ASSERT_TRUE(net::DecodeError(reply.payload, &code, &message).ok());
+      EXPECT_EQ(code, net::WireCode::kInvalidItem);
+      EXPECT_TRUE(ModelBytes(model) == before) << message;
+      continue;
+    }
+    if (push) {
+      ASSERT_EQ(reply.type, FrameType::kPushAck);
+      uint32_t rows = 0;
+      ASSERT_TRUE(net::DecodePushAck(reply.payload, &rows).ok());
+      EXPECT_EQ(rows, want_push.size());
+      ++applied;
+      continue;
+    }
+    // A served pull returns the model's rows, section for section.
+    ASSERT_EQ(reply.type, FrameType::kRows);
+    EXPECT_TRUE(ModelBytes(model) == before);
+    std::vector<RowsSection> got;
+    ASSERT_TRUE(net::DecodeRows(reply.payload, &got).ok());
+    ASSERT_EQ(got.size(), want_pull.size());
+    for (size_t s = 0; s < got.size(); ++s) {
+      ASSERT_EQ(got[s].table, want_pull[s].table);
+      ASSERT_EQ(got[s].ids, want_pull[s].ids);
+      for (size_t i = 0; i < got[s].ids.size(); ++i) {
+        const uint32_t id = got[s].ids[i];
+        const float* row = got[s].table == ParamTable::kEntity
+                               ? model.entity(id)
+                           : got[s].table == ParamTable::kRelation
+                               ? model.relation(id)
+                           : got[s].table == ParamTable::kTransfer
+                               ? model.transfer(id)
+                               : model.hyperplane(id);
+        EXPECT_EQ(std::memcmp(got[s].values.data() + i * got[s].row_size, row,
+                              4 * got[s].row_size),
+                  0);
+      }
+    }
+  }
+  EXPECT_EQ(shard.step(), applied);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -896,6 +898,198 @@ TEST(FrameDecoderTest, BufferCompaction) {
     ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kFrame);
   }
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Receive path: payloads of kLargePayloadBytes or more, PrepareRead /
+// CommitRead, and the decoder's memory bound
+// ---------------------------------------------------------------------------
+
+/// A kStatsJson frame whose payload is exactly `len` patterned bytes.
+std::string PatternFrame(uint64_t correlation_id, size_t len) {
+  std::string payload(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    payload[i] = static_cast<char>((i * 31 + correlation_id) % 251);
+  }
+  return EncodeStatsJson(correlation_id, payload);
+}
+
+/// Delivers `bytes` the way a socket reader does — read() into
+/// PrepareRead(), CommitRead(), then Next() until kNeedMore — in chunks of
+/// the given sizes (cycled), collecting every frame.
+std::vector<Frame> ReadInChunks(FrameDecoder* decoder, const std::string& bytes,
+                                const std::vector<size_t>& chunks) {
+  std::vector<Frame> frames;
+  size_t pos = 0;
+  for (size_t c = 0; pos < bytes.size(); ++c) {
+    const std::span<char> dst = decoder->PrepareRead();
+    EXPECT_FALSE(dst.empty());
+    const size_t n = std::min(
+        {dst.size(), chunks[c % chunks.size()], bytes.size() - pos});
+    std::memcpy(dst.data(), bytes.data() + pos, n);
+    decoder->CommitRead(n);
+    pos += n;
+    Frame frame;
+    std::string error;
+    FrameDecoder::Result result;
+    while ((result = decoder->Next(&frame, &error)) ==
+           FrameDecoder::Result::kFrame) {
+      frames.push_back(std::move(frame));
+    }
+    EXPECT_EQ(result, FrameDecoder::Result::kNeedMore) << error;
+  }
+  return frames;
+}
+
+/// The same through Feed().
+std::vector<Frame> FeedInChunks(FrameDecoder* decoder, const std::string& bytes,
+                                const std::vector<size_t>& chunks) {
+  std::vector<Frame> frames;
+  size_t pos = 0;
+  for (size_t c = 0; pos < bytes.size(); ++c) {
+    const size_t n = std::min(chunks[c % chunks.size()], bytes.size() - pos);
+    decoder->Feed(bytes.data() + pos, n);
+    pos += n;
+    Frame frame;
+    std::string error;
+    FrameDecoder::Result result;
+    while ((result = decoder->Next(&frame, &error)) ==
+           FrameDecoder::Result::kFrame) {
+      frames.push_back(std::move(frame));
+    }
+    EXPECT_EQ(result, FrameDecoder::Result::kNeedMore) << error;
+  }
+  return frames;
+}
+
+void ExpectSameFrame(const Frame& got, const std::string& encoded) {
+  const Frame want = MustDecode(encoded);
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.correlation_id, want.correlation_id);
+  EXPECT_TRUE(got.payload == want.payload);
+}
+
+TEST(FrameDecoderTest, LargeFrameInUnevenChunks) {
+  const std::string bytes = PatternFrame(5, 3 * kLargePayloadBytes + 77);
+  for (const std::vector<size_t>& chunks :
+       {std::vector<size_t>{1, 7, 4093, 65536, 13, 200000},
+        std::vector<size_t>{24}, std::vector<size_t>{25, 100000},
+        std::vector<size_t>{1u << 20}}) {
+    FrameDecoder read_decoder;
+    std::vector<Frame> frames = ReadInChunks(&read_decoder, bytes, chunks);
+    ASSERT_EQ(frames.size(), 1u);
+    ExpectSameFrame(frames[0], bytes);
+    EXPECT_EQ(read_decoder.buffered_bytes(), 0u);
+
+    FrameDecoder feed_decoder;
+    frames = FeedInChunks(&feed_decoder, bytes, chunks);
+    ASSERT_EQ(frames.size(), 1u);
+    ExpectSameFrame(frames[0], bytes);
+    EXPECT_EQ(feed_decoder.buffered_bytes(), 0u);
+  }
+}
+
+TEST(FrameDecoderTest, ByteAtATimeAcrossLargeThreshold) {
+  for (size_t len : {kLargePayloadBytes - 1, kLargePayloadBytes,
+                     kLargePayloadBytes + 1}) {
+    const std::string bytes = PatternFrame(len, len);
+    FrameDecoder read_decoder;
+    std::vector<Frame> frames = ReadInChunks(&read_decoder, bytes, {1});
+    ASSERT_EQ(frames.size(), 1u) << len;
+    ExpectSameFrame(frames[0], bytes);
+    FrameDecoder feed_decoder;
+    frames = FeedInChunks(&feed_decoder, bytes, {1});
+    ASSERT_EQ(frames.size(), 1u) << len;
+    ExpectSameFrame(frames[0], bytes);
+  }
+}
+
+TEST(FrameDecoderTest, LargeFrameFollowedBySmallFrames) {
+  const std::vector<std::string> parts = {
+      PatternFrame(1, 2 * kLargePayloadBytes + 3),
+      EncodeControl(FrameType::kPing, 2), PatternFrame(3, 100),
+      PatternFrame(4, kLargePayloadBytes + 9),
+      EncodeControl(FrameType::kPong, 5)};
+  std::string stream;
+  for (const std::string& part : parts) stream += part;
+  for (const std::vector<size_t>& chunks :
+       {std::vector<size_t>{stream.size()}, std::vector<size_t>{3000},
+        std::vector<size_t>{kLargePayloadBytes + 200, 5}}) {
+    for (bool socket : {true, false}) {
+      FrameDecoder decoder;
+      const std::vector<Frame> frames =
+          socket ? ReadInChunks(&decoder, stream, chunks)
+                 : FeedInChunks(&decoder, stream, chunks);
+      ASSERT_EQ(frames.size(), parts.size());
+      for (size_t i = 0; i < parts.size(); ++i) {
+        ExpectSameFrame(frames[i], parts[i]);
+      }
+      EXPECT_EQ(decoder.buffered_bytes(), 0u);
+    }
+  }
+}
+
+TEST(FrameDecoderTest, FlippedBitInLargeFramePoisons) {
+  std::string bytes = PatternFrame(9, 2 * kLargePayloadBytes);
+  bytes[kFrameHeaderBytes + kLargePayloadBytes + 17] ^= 0x10;
+  bytes += EncodeControl(FrameType::kPing, 10);
+  FrameDecoder decoder;
+  Frame frame;
+  std::string error;
+  FrameDecoder::Result result = FrameDecoder::Result::kNeedMore;
+  for (size_t pos = 0;
+       pos < bytes.size() && result == FrameDecoder::Result::kNeedMore;) {
+    const std::span<char> dst = decoder.PrepareRead();
+    const size_t n = std::min(dst.size(), bytes.size() - pos);
+    std::memcpy(dst.data(), bytes.data() + pos, n);
+    decoder.CommitRead(n);
+    pos += n;
+    result = decoder.Next(&frame, &error);
+  }
+  EXPECT_EQ(result, FrameDecoder::Result::kError);
+  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
+  // Poisoned for good: the valid ping behind it never comes out.
+  EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kError);
+}
+
+TEST(FrameDecoderTest, HeaderAloneCannotPinMaxFrameBytes) {
+  // A header declaring the largest legal payload, then 1 KiB of it: the
+  // decoder's memory follows the bytes received, not the declared length.
+  std::string bytes = PatternFrame(11, 1024);
+  const uint32_t declared = static_cast<uint32_t>(kDefaultMaxFrameBytes);
+  std::memcpy(&bytes[16], &declared, sizeof(declared));  // payload_len
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  Frame frame;
+  std::string error;
+  EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kNeedMore);
+  EXPECT_LE(decoder.held_bytes(), 2 * bytes.size() + kLargePayloadBytes);
+  EXPECT_EQ(decoder.buffered_bytes(), 1024u);
+}
+
+TEST(FrameDecoderTest, SecondLargeFrameAllocatedInOneStep) {
+  const size_t len = 5 * kLargePayloadBytes;
+  const std::string first = PatternFrame(1, len);
+  const std::string second = PatternFrame(2, len);
+  FrameDecoder decoder;
+  Frame frame;
+  std::string error;
+  // First large payload on the stream: 64 KiB up front, then doubling.
+  decoder.Feed(first.data(), kFrameHeaderBytes + 1024);
+  ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kNeedMore);
+  EXPECT_EQ(decoder.PrepareRead().size(), kLargePayloadBytes - 1024);
+  decoder.Feed(first.data() + kFrameHeaderBytes + 1024,
+               first.size() - kFrameHeaderBytes - 1024);
+  ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kFrame);
+  ExpectSameFrame(frame, first);
+  // The next one no larger than it: the whole payload in one step.
+  decoder.Feed(second.data(), kFrameHeaderBytes + 1024);
+  ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kNeedMore);
+  EXPECT_EQ(decoder.PrepareRead().size(), len - 1024);
+  const std::vector<Frame> rest = ReadInChunks(
+      &decoder, second.substr(kFrameHeaderBytes + 1024), {len});
+  ASSERT_EQ(rest.size(), 1u);
+  ExpectSameFrame(rest[0], second);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -160,6 +161,8 @@ int Run(const PsdFlags& flags) {
   nopt.bind_address = flags.bind;
   nopt.port = flags.port;
   nopt.num_io_threads = static_cast<size_t>(flags.io_threads);
+  nopt.max_frame_bytes =
+      std::max(nopt.max_frame_bytes, shard.MaxPushPayloadBytes());
   net::NetServer net_server(&shard, nopt);
   Status started = net_server.Start();
   if (!started.ok()) {
