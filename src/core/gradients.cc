@@ -531,19 +531,12 @@ float FusedForward(const PkgmModel& model, const kg::Triple& t,
   return f;
 }
 
-// Backward pass of sign_factor * f(t) into the arena, reusing the forward
-// residuals. Accumulation order matches AccumulateScoreGradients exactly.
-void FusedBackward(const PkgmModel& model, const kg::Triple& t,
-                   float sign_factor, const simd::KernelTable& k,
-                   const float* diff, float* u, HingeWorkspace* ws,
-                   GradArena* grad) {
+// Claims every arena row a side-item's backward touches, in the order the
+// fused path has always claimed them. A claim can grow its slab and move
+// earlier rows of the same slab, so the backward fetches its row pointers
+// only once all of a side-item's rows (or a whole batch's) exist.
+void ClaimRows(const PkgmModel& model, const kg::Triple& t, GradArena* grad) {
   const uint32_t d = model.dim();
-  const float* h = model.entity(t.head);
-  const float* r = model.relation(t.relation);
-  const float* tl = model.entity(t.tail);
-
-  // Claim every row first: a claim can grow its slab and move earlier rows
-  // of the same slab, so pointers are fetched only once all rows exist.
   grad->Entity(t.head, d);
   grad->Entity(t.tail, d);
   grad->Relation(t.relation, d);
@@ -551,13 +544,49 @@ void FusedBackward(const PkgmModel& model, const kg::Triple& t,
   if (model.scorer() == TripleScorerKind::kTransH) {
     grad->Hyperplane(t.relation, d);
   }
+}
+
+// The relation module's matrix half of the backward, for `count`
+// side-items sharing relation `rel`: finishes each forward residual in
+// place, u_q = M_r h_q - r -> s'_q = sign(u_q), then accumulates
+// dM_r += signs[q] s'_q h_q^T in q order (rows with s'[i] == 0 skipped)
+// and writes mts_q = M_r^T s'_q. `gm` is rel's claimed transfer row.
+void RelationMatrixBackward(const PkgmModel& model, uint32_t rel,
+                            size_t count, const float* const* heads,
+                            float* const* u, float* const* mts,
+                            const float* signs, const simd::KernelTable& k,
+                            float* gm) {
+  const uint32_t d = model.dim();
+  const float* r = model.relation(rel);
+  for (size_t q = 0; q < count; ++q) {
+    k.sub(d, u[q], r, u[q]);
+    k.sign_of(d, u[q], u[q]);
+  }
+  k.ger_multi(count, d, d, signs, u, heads, gm);
+  k.gemv_t_multi(count, d, d, model.transfer(rel), u, mts);
+}
+
+// The row half of the backward of sign_factor * f(t): the triple module's
+// gradients into the head, tail and relation (and TransH hyperplane) rows,
+// then, with the relation module, dh += sign_factor M_r^T s' and
+// dr -= sign_factor s' from the matrix half's `s2` and `mts`. Accumulation
+// order matches AccumulateScoreGradients exactly. The rows must already be
+// claimed; `scratch` holds d floats.
+void RowBackward(const PkgmModel& model, const kg::Triple& t,
+                 float sign_factor, const simd::KernelTable& k,
+                 const float* diff, const float* s2, const float* mts,
+                 float* scratch, GradArena* grad) {
+  const uint32_t d = model.dim();
+  const float* h = model.entity(t.head);
+  const float* r = model.relation(t.relation);
+  const float* tl = model.entity(t.tail);
   float* gh = grad->Entity(t.head, d);
   float* gt = grad->Entity(t.tail, d);
   float* gr = grad->Relation(t.relation, d);
 
   switch (model.scorer()) {
     case TripleScorerKind::kTransE: {
-      float* s = ws->sgn.data();
+      float* s = scratch;
       k.sign_of(d, diff, s);
       k.axpy(d, sign_factor, s, gh);
       k.axpy(d, sign_factor, s, gr);
@@ -576,15 +605,12 @@ void FusedBackward(const PkgmModel& model, const kg::Triple& t,
       const float wh = k.dot(d, w, h);
       const float wt = k.dot(d, w, tl);
       const float alpha = wh - wt;
-      // `u` still holds the relation-module forward residual for the block
-      // below; mts is free until then, so it hosts the projected
-      // difference vector.
-      float* un = ws->mts.data();
+      // The projected difference, then its sign in place.
+      float* s = scratch;
       for (uint32_t i = 0; i < d; ++i) {
-        un[i] = (h[i] - wh * w[i]) + r[i] - (tl[i] - wt * w[i]);
+        s[i] = (h[i] - wh * w[i]) + r[i] - (tl[i] - wt * w[i]);
       }
-      float* s = ws->sgn.data();
-      k.sign_of(d, un, s);
+      k.sign_of(d, s, s);
       const float ws_dot = k.dot(d, w, s);
       float* gw = grad->Hyperplane(t.relation, d);
       for (uint32_t i = 0; i < d; ++i) {
@@ -620,20 +646,28 @@ void FusedBackward(const PkgmModel& model, const kg::Triple& t,
   }
 
   if (model.use_relation_module()) {
-    const float* m = model.transfer(t.relation);
-    // Finish the residual parked by the forward: u = M_r h - r.
-    k.sub(d, u, r, u);
-    float* s2 = ws->sgn.data();
-    k.sign_of(d, u, s2);
-    float* gm = grad->Transfer(t.relation, d * d);
-    // dM_r += sign_factor * s' h^T (rows with s'[i] == 0 skipped).
-    k.ger(d, d, sign_factor, s2, h, gm);
     // dh += sign_factor * M_r^T s'.
-    k.gemv_t(d, d, m, s2, ws->mts.data());
-    k.axpy(d, sign_factor, ws->mts.data(), gh);
+    k.axpy(d, sign_factor, mts, gh);
     // dr -= sign_factor * s'.
     k.axpy(d, -sign_factor, s2, gr);
   }
+}
+
+// Backward pass of sign_factor * f(t) into the arena, reusing the forward
+// residuals: the matrix half as a group of one, then the row half.
+void FusedBackward(const PkgmModel& model, const kg::Triple& t,
+                   float sign_factor, const simd::KernelTable& k,
+                   const float* diff, float* u, HingeWorkspace* ws,
+                   GradArena* grad) {
+  ClaimRows(model, t, grad);
+  float* mts = ws->mts.data();
+  if (model.use_relation_module()) {
+    const uint32_t d = model.dim();
+    const float* h = model.entity(t.head);
+    RelationMatrixBackward(model, t.relation, 1, &h, &u, &mts, &sign_factor,
+                           k, grad->Transfer(t.relation, d * d));
+  }
+  RowBackward(model, t, sign_factor, k, diff, u, mts, ws->sgn.data(), grad);
 }
 
 }  // namespace
@@ -657,6 +691,103 @@ float FusedHingeGradients(const PkgmModel& model, const kg::Triple& pos,
                   ws->u_neg.data(), ws, grad);
   }
   return hinge;
+}
+
+void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
+                              const NegativeSample* neg, size_t n,
+                              float margin, const simd::KernelTable& k,
+                              BatchHingeWorkspace* ws, GradArena* grad,
+                              float* hinges) {
+  const uint32_t d = model.dim();
+  const size_t items = 2 * n;
+  const auto side = [&](size_t q) -> const kg::Triple& {
+    return q % 2 == 0 ? pos[q / 2] : neg[q / 2].triple;
+  };
+  const auto sign = [](size_t q) { return q % 2 == 0 ? 1.0f : -1.0f; };
+  // resize() keeps capacity, so a steady-state batch allocates nothing.
+  ws->score.resize(items);
+  ws->diff.resize(items * d);
+  ws->u.resize(items * d);
+  ws->mts.resize(items * d);
+  ws->sgn.resize(d);
+  ws->order.resize(items);
+  float* const diff = ws->diff.data();
+  float* const u = ws->u.data();
+  float* const mts = ws->mts.data();
+
+  // 1. Group the side-items by relation: a stable counting sort, so each
+  // group keeps pair order (pos before neg) — the order the per-pair loop
+  // applies its dM_r updates in. group_end[r] ends up one past r's group.
+  std::vector<uint32_t>& group_end = ws->group_end;
+  group_end.assign(model.num_relations(), 0);
+  for (size_t q = 0; q < items; ++q) ++group_end[side(q).relation];
+  uint32_t offset = 0;
+  for (uint32_t& e : group_end) {
+    const uint32_t count = e;
+    e = offset;
+    offset += count;
+  }
+  for (size_t q = 0; q < items; ++q) {
+    ws->order[group_end[side(q).relation]++] = static_cast<uint32_t>(q);
+  }
+
+  // 2. Forward, one relation group after another, so each transfer matrix
+  // is read for all its side-items while it is in cache.
+  for (const uint32_t q : ws->order) {
+    ws->score[q] = FusedForward(model, side(q), k, diff + q * d, u + q * d);
+  }
+
+  // 3. Hinges in pair order.
+  for (size_t i = 0; i < n; ++i) {
+    const float hinge = ws->score[2 * i] + margin - ws->score[2 * i + 1];
+    hinges[i] = hinge <= 0.0f ? 0.0f : hinge;
+  }
+  if (grad == nullptr) return;
+  // A NaN hinge counts as active, as in the per-pair loop.
+  const auto active = [&](size_t q) { return hinges[q / 2] != 0.0f; };
+
+  // 4. Claim rows in pair order: the arena's row order is the per-pair
+  // loop's, and no later lookup can move a row.
+  for (size_t q = 0; q < items; ++q) {
+    if (active(q)) ClaimRows(model, side(q), grad);
+  }
+
+  // 5. The relation module's matrix half, once per relation group over the
+  // group's active side-items, in group (= pair) order.
+  if (model.use_relation_module()) {
+    size_t begin = 0;
+    while (begin < items) {
+      const uint32_t rel = side(ws->order[begin]).relation;
+      const size_t stop = group_end[rel];
+      ws->heads.clear();
+      ws->group_u.clear();
+      ws->group_mts.clear();
+      ws->group_signs.clear();
+      for (size_t j = begin; j < stop; ++j) {
+        const uint32_t q = ws->order[j];
+        if (!active(q)) continue;
+        ws->heads.push_back(model.entity(side(q).head));
+        ws->group_u.push_back(u + q * d);
+        ws->group_mts.push_back(mts + q * d);
+        ws->group_signs.push_back(sign(q));
+      }
+      if (!ws->heads.empty()) {
+        RelationMatrixBackward(model, rel, ws->heads.size(),
+                               ws->heads.data(), ws->group_u.data(),
+                               ws->group_mts.data(), ws->group_signs.data(),
+                               k, grad->Transfer(rel, d * d));
+      }
+      begin = stop;
+    }
+  }
+
+  // 6. Every entity, relation and hyperplane row in pair order: each
+  // row's contributions arrive in the per-pair loop's sequence.
+  for (size_t q = 0; q < items; ++q) {
+    if (!active(q)) continue;
+    RowBackward(model, side(q), sign(q), k, diff + q * d, u + q * d,
+                mts + q * d, ws->sgn.data(), grad);
+  }
 }
 
 }  // namespace pkgm::core

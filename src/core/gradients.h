@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/negative_sampler.h"
 #include "core/pkgm_model.h"
 #include "kg/triple.h"
 #include "tensor/simd/kernel_dispatch.h"
@@ -201,9 +202,9 @@ Status DeserializeGradArena(std::string_view blob, GradArena* arena,
 /// module M_r h), so nothing is recomputed and nothing is allocated.
 struct HingeWorkspace {
   std::vector<float> diff_pos, diff_neg;  // triple-module residuals
-  std::vector<float> u_pos, u_neg;        // relation-module residuals
+  std::vector<float> u_pos, u_neg;        // relation-module residuals → s'
   std::vector<float> sgn;                 // sign-vector scratch
-  std::vector<float> mts;                 // M_r^T s' scratch
+  std::vector<float> mts;                 // M_r^T s'
 
   void EnsureDim(uint32_t d);
 };
@@ -225,10 +226,12 @@ float AccumulateHingeGradients(const PkgmModel& model, const kg::Triple& pos,
 
 /// The hot-path equivalent of AccumulateHingeGradients: one fused
 /// forward+backward over the pair, lowered onto the kernel table `k`
-/// (sign-vector compute, dM_r += s' h^T via ger, dh += M_r^T s' via
-/// gemv_t) and accumulating into the flat arena. The forward residuals are
-/// kept in `ws` and reused by the backward pass, so the transfer-matrix
-/// GEMV runs once per triple instead of twice.
+/// (sign-vector compute, dM_r += s' h^T via ger_multi, dh += M_r^T s' via
+/// gemv_t_multi, each with k = 1) and accumulating into the flat arena.
+/// The forward residuals are kept in `ws` and reused by the backward pass,
+/// so the transfer-matrix GEMV runs once per triple instead of twice. The
+/// trainers use the batch form below; this one serves validation and
+/// single-pair callers.
 ///
 /// When `k` is the process-wide simd::Active() table, the result is
 /// bit-identical to AccumulateHingeGradients: every composition here
@@ -239,6 +242,44 @@ float FusedHingeGradients(const PkgmModel& model, const kg::Triple& pos,
                           const kg::Triple& neg, float margin,
                           const simd::KernelTable& k, HingeWorkspace* ws,
                           GradArena* grad);
+
+/// Reusable per-worker scratch for FusedBatchHingeGradients: a batch's
+/// per-side-item residuals and backward vectors plus its relation grouping.
+/// Grows to the largest batch seen (3 x 2n x d floats; 0.8 MB at d = 64,
+/// n = 512), then allocates nothing.
+struct BatchHingeWorkspace {
+  std::vector<float> score;  // f of each side-item
+  std::vector<float> diff;   // TransE residual h + r - t, d per side-item
+  std::vector<float> u;      // relation-module residual M_r h, then s'
+  std::vector<float> mts;    // M_r^T s'
+  std::vector<float> sgn;    // row-half sign scratch (d)
+  std::vector<uint32_t> order;      // side-items, stably sorted by relation
+  std::vector<uint32_t> group_end;  // counting-sort cursors, per relation
+  // One relation group's kernel operands (its active side-items).
+  std::vector<const float*> heads;
+  std::vector<float*> group_u, group_mts;
+  std::vector<float> group_signs;
+};
+
+/// The batch form of FusedHingeGradients: hinges[i] = the hinge of pair
+/// (pos[i], neg[i].triple) for i in [0, n), with every gradient of the
+/// active pairs accumulated into `grad` (nothing is touched when `grad` is
+/// null). Side-item q is pos[q / 2] for even q and neg[q / 2] for odd q.
+///
+/// The engine groups the 2n side-items by relation (a stable counting
+/// sort) and runs the forward once per group, so a transfer matrix stays
+/// in cache for all its side-items; it computes the hinges and claims
+/// arena rows in pair order; it runs the relation module's matrix half
+/// (s' = sign(M_r h - r), M_r^T s', dM_r += s' h^T) once per group on
+/// `gemv_t_multi`/`ger_multi`; last, it accumulates every entity,
+/// relation and hyperplane row in pair order. The hinges, the arena's row
+/// order and every gradient byte equal n FusedHingeGradients calls in pair
+/// order on the same table `k`.
+void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
+                              const NegativeSample* neg, size_t n,
+                              float margin, const simd::KernelTable& k,
+                              BatchHingeWorkspace* ws, GradArena* grad,
+                              float* hinges);
 
 }  // namespace pkgm::core
 

@@ -1,12 +1,10 @@
 #include "core/sharded_trainer.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 #include "core/gradients.h"
+#include "core/pair_batch.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -24,55 +22,6 @@ NegativeSampler::Options FillNegativeOptions(NegativeSampler::Options neg,
 // Enough row-lock stripes that two workers almost never collide; a power
 // of two, so StripeOf can mask.
 constexpr size_t kNumStripes = 1024;
-
-// One producer-filled unit of work: the positives of one mini-batch plus
-// their pre-drawn negatives. Batches are recycled through a free list, so
-// the vectors keep their capacity across the whole epoch.
-struct PairBatch {
-  size_t index = 0;
-  std::vector<kg::Triple> pos;
-  std::vector<NegativeSample> neg;
-};
-
-// Minimal bounded MPMC queue of recycled batch pointers. Close() wakes all
-// poppers once the producer is done; Pop drains remaining batches first.
-class BatchQueue {
- public:
-  explicit BatchQueue(size_t capacity) : capacity_(capacity) {}
-
-  bool Push(PairBatch* b) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return q_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    q_.push_back(b);
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool Pop(PairBatch** out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    *out = q_.front();
-    q_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable not_empty_, not_full_;
-  std::deque<PairBatch*> q_;
-  const size_t capacity_;
-  bool closed_ = false;
-};
 
 }  // namespace
 
@@ -208,15 +157,17 @@ EpochStats ShardedTrainer::RunEpoch() {
 
   auto worker_fn = [&] {
     GradArena arena;
-    HingeWorkspace ws;
+    BatchHingeWorkspace ws;
+    std::vector<float> hinges;
     PairBatch* pb = nullptr;
     while (work_q.Pop(&pb)) {
+      hinges.resize(pb->pos.size());
+      FusedBatchHingeGradients(*model_, pb->pos.data(), pb->neg.data(),
+                               pb->pos.size(), options_.margin, kernels_,
+                               &ws, &arena, hinges.data());
       double hinge_sum = 0.0;
       uint64_t active = 0;
-      for (size_t i = 0; i < pb->pos.size(); ++i) {
-        const float hinge =
-            FusedHingeGradients(*model_, pb->pos[i], pb->neg[i].triple,
-                                options_.margin, kernels_, &ws, &arena);
+      for (const float hinge : hinges) {
         if (hinge > 0.0f) {
           ++active;
           hinge_sum += hinge;

@@ -65,13 +65,17 @@ EpochStats Trainer::RunEpoch() {
     const size_t batch_end =
         std::min(batch_start + options_.batch_size, triples.size());
     arena_.Clear();
+    const size_t count = batch_end - batch_start;
+    negatives_.resize(count);
+    hinges_.resize(count);
+    sampler_.SampleBatch(triples.data() + batch_start, count, &rng_,
+                         negatives_.data());
+    FusedBatchHingeGradients(*model_, triples.data() + batch_start,
+                             negatives_.data(), count, options_.margin,
+                             kernels_, &batch_workspace_, &arena_,
+                             hinges_.data());
     uint64_t batch_active = 0;
-    for (size_t i = batch_start; i < batch_end; ++i) {
-      const kg::Triple& pos = triples[i];
-      NegativeSample neg = sampler_.Sample(pos, &rng_);
-      float hinge = FusedHingeGradients(*model_, pos, neg.triple,
-                                        options_.margin, kernels_,
-                                        &workspace_, &arena_);
+    for (const float hinge : hinges_) {
       if (hinge > 0.0f) {
         ++batch_active;
         hinge_sum += hinge;

@@ -53,11 +53,12 @@ struct EpochStats {
 /// tables but only touched rows are updated, with bias correction from the
 /// global step count.
 ///
-/// The hot path runs through FusedHingeGradients into a reusable flat
-/// GradArena and applies rows with the dispatched axpy/adam_row kernels —
-/// no per-batch allocation, and for a fixed seed two runs produce
-/// bit-identical embeddings (validation draws from its own RNG stream, so
-/// interleaving EvaluateMeanHinge calls cannot perturb the trajectory).
+/// The hot path draws a batch's negatives, runs FusedBatchHingeGradients
+/// into a reusable flat GradArena and applies rows with the dispatched
+/// axpy/adam_row kernels — no per-batch allocation, and for a fixed seed
+/// two runs produce bit-identical embeddings (validation draws from its
+/// own RNG stream, so interleaving EvaluateMeanHinge calls cannot perturb
+/// the trajectory).
 class Trainer {
  public:
   /// `model` and `store` must outlive the trainer. `store` doubles as the
@@ -94,7 +95,10 @@ class Trainer {
 
   const simd::KernelTable& kernels_;
   GradArena arena_;
-  HingeWorkspace workspace_;
+  HingeWorkspace workspace_;  // EvaluateMeanHinge's per-pair scratch
+  BatchHingeWorkspace batch_workspace_;
+  std::vector<NegativeSample> negatives_;  // the current batch's
+  std::vector<float> hinges_;
 
   // Lazy Adam moment tables (allocated only when optimizer == kAdam).
   Mat m_entities_, v_entities_;

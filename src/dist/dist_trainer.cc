@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <future>
-#include <mutex>
 #include <string_view>
 #include <thread>
 #include <utility>
 
 #include "core/gradients.h"
+#include "core/pair_batch.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -68,53 +67,6 @@ StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
   }
   return reply;
 }
-
-// Same producer/worker plumbing as ShardedTrainer (see sharded_trainer.cc
-// for the rationale); duplicated rather than exported because the types
-// are an implementation detail on both sides.
-struct PairBatch {
-  size_t index = 0;
-  std::vector<kg::Triple> pos;
-  std::vector<core::NegativeSample> neg;
-};
-
-class BatchQueue {
- public:
-  explicit BatchQueue(size_t capacity) : capacity_(capacity) {}
-
-  bool Push(PairBatch* b) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return q_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    q_.push_back(b);
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool Pop(PairBatch** out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    *out = q_.front();
-    q_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable not_empty_, not_full_;
-  std::deque<PairBatch*> q_;
-  const size_t capacity_;
-  bool closed_ = false;
-};
 
 }  // namespace
 
@@ -404,11 +356,11 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
   std::vector<uint64_t> batch_pairs(num_batches, 0);
 
   const size_t pool_size = 2 * static_cast<size_t>(workers);
-  std::vector<std::unique_ptr<PairBatch>> pool;
-  BatchQueue work_q(pool_size), free_q(pool_size);
+  std::vector<std::unique_ptr<core::PairBatch>> pool;
+  core::BatchQueue work_q(pool_size), free_q(pool_size);
   pool.reserve(pool_size);
   for (size_t i = 0; i < pool_size; ++i) {
-    pool.push_back(std::make_unique<PairBatch>());
+    pool.push_back(std::make_unique<core::PairBatch>());
     free_q.Push(pool.back().get());
   }
 
@@ -420,7 +372,7 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
   std::thread producer([&] {
     for (size_t b = 0; b < num_batches; ++b) {
       if (b % procs != proc) continue;
-      PairBatch* pb = nullptr;
+      core::PairBatch* pb = nullptr;
       if (!free_q.Pop(&pb)) return;
       const size_t begin = b * batch_size;
       const size_t end = std::min(n, begin + batch_size);
@@ -437,7 +389,8 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
   std::vector<Status> worker_status(workers, Status::Ok());
   auto worker_fn = [&](uint32_t w) {
     core::GradArena arena;
-    core::HingeWorkspace ws;
+    core::BatchHingeWorkspace ws;
+    std::vector<float> hinges;
     BatchScratch scratch;
     // Reused across batches and shards: CallFrame has sent every byte by
     // the time it returns.
@@ -456,7 +409,7 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
       return net::DecodePushAck(reply.value().payload, &rows_applied);
     };
 
-    const auto run_batch = [&](PairBatch* pb) -> Status {
+    const auto run_batch = [&](core::PairBatch* pb) -> Status {
       // 1. Pull every row this batch will read, fresh from its shard.
       scratch.ent_ids.clear();
       scratch.rel_ids.clear();
@@ -481,13 +434,14 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
       PKGM_RETURN_IF_ERROR(PullBatchRows(&scratch));
 
       // 2. Fused forward/backward on the replica.
+      hinges.resize(pb->pos.size());
+      core::FusedBatchHingeGradients(*replica_, pb->pos.data(),
+                                     pb->neg.data(), pb->pos.size(),
+                                     options_.margin, kernels_, &ws, &arena,
+                                     hinges.data());
       double hinge_sum = 0.0;
       uint64_t active = 0;
-      for (size_t i = 0; i < pb->pos.size(); ++i) {
-        const float hinge =
-            core::FusedHingeGradients(*replica_, pb->pos[i],
-                                      pb->neg[i].triple, options_.margin,
-                                      kernels_, &ws, &arena);
+      for (const float hinge : hinges) {
         if (hinge > 0.0f) {
           ++active;
           hinge_sum += hinge;
@@ -535,7 +489,7 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
       return Status::Ok();
     };
 
-    PairBatch* pb = nullptr;
+    core::PairBatch* pb = nullptr;
     while (work_q.Pop(&pb)) {
       // A failed worker keeps popping and recycling (without processing)
       // so the producer never starves for free batches.

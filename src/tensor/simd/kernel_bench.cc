@@ -75,6 +75,28 @@ std::vector<KernelBenchResult> RunKernelBench(const KernelTable& table,
   run("ger", (2 * fdim * fdim + 2 * fdim) * 4, [&] {
     table.ger(dim, dim, 0.25f, x.data(), y.data(), sq.data());
   });
+  // The relation-grouped backward's shapes: kMulti vectors against one
+  // matrix, about the side-items per relation in a batch of 512 pairs.
+  constexpr size_t kMulti = 8;
+  const double fk = static_cast<double>(kMulti);
+  std::vector<float> vecs(3 * kMulti * dim);
+  for (auto& v : vecs) v = rng.UniformFloat(-1.0f, 1.0f);
+  const float* xs[kMulti];
+  const float* ys[kMulti];
+  float* outs[kMulti];
+  float alphas[kMulti];
+  for (size_t q = 0; q < kMulti; ++q) {
+    xs[q] = vecs.data() + q * dim;
+    ys[q] = vecs.data() + (kMulti + q) * dim;
+    outs[q] = vecs.data() + (2 * kMulti + q) * dim;
+    alphas[q] = q % 2 == 0 ? 0.25f : -0.25f;
+  }
+  run("gemv_t_multi", (fdim * fdim + 2 * fk * fdim) * 4, [&] {
+    table.gemv_t_multi(kMulti, dim, dim, sq.data(), xs, outs);
+  });
+  run("ger_multi", (2 * fdim * fdim + 2 * fk * fdim) * 4, [&] {
+    table.ger_multi(kMulti, dim, dim, alphas, xs, ys, sq.data());
+  });
   std::vector<float> am(dim, 0.0f), av(dim, 0.0f);
   run("adam_row", 5 * fdim * 4, [&] {
     table.adam_row(dim, x.data(), 0.5f, 0.9f, 0.999f, 1e-3f, 1e-8f, z.data(),

@@ -23,6 +23,7 @@ const char* KernelIsaName(KernelIsa isa);
 /// exactly as one `l1_distance` call on that row, and `gemv_raw` computes
 /// row i exactly as one `dot` call — so batched and per-candidate scoring
 /// of the same data agree bit-for-bit and ranking ties break identically.
+/// Likewise each `_multi` entry equals the same sequence of single calls.
 /// Across tables only approximate agreement holds (vector reductions
 /// reassociate the sum; axpy may fuse the multiply-add).
 struct KernelTable {
@@ -61,6 +62,16 @@ struct KernelTable {
   /// x[i] == 0 are skipped — the sign-sparse dM_r += s' h^T update.
   void (*ger)(size_t m, size_t n, float alpha, const float* x, const float* y,
               float* a);
+  /// ys[q] = A^T xs[q] for q in [0, k): k vectors against one matrix (the
+  /// relation-grouped backward's M_r^T s' for the side-items of one
+  /// relation). Within a table, equals k gemv_t calls in q order.
+  void (*gemv_t_multi)(size_t k, size_t m, size_t n, const float* a,
+                       const float* const* xs, float* const* ys);
+  /// A += alphas[q] xs[q] ys[q]^T for q = 0..k-1 in order (rows with
+  /// xs[q][i] == 0 skipped). Within a table, equals k ger calls in q order,
+  /// so every element of A sees its updates in the same sequence.
+  void (*ger_multi)(size_t k, size_t m, size_t n, const float* alphas,
+                    const float* const* xs, const float* const* ys, float* a);
   /// Fused sparse-Adam row update. For each i, with g_i = g[i] * gscale:
   ///   m[i] = beta1 * m[i] + (1 - beta1) * g_i
   ///   v[i] = beta2 * v[i] + (1 - beta2) * g_i * g_i   (left-associated)

@@ -18,6 +18,7 @@
 #include <cstddef>
 
 #include "tensor/simd/kernel_dispatch.h"
+#include "tensor/simd/multi_loop.h"
 
 namespace pkgm::simd {
 namespace internal {
@@ -326,8 +327,9 @@ extern const KernelTable kAvx2Table = {
     Avx2Hadamard,     Avx2L1Norm,        Avx2SquaredL2Norm,
     Avx2SignOf,       Avx2L1Distance,    Avx2L1DistanceBatch,
     Avx2GemvRaw,      Avx2Residual,      Avx2GemvT,
-    Avx2Ger,          Avx2AdamRow,       Avx2GemmBias,
-    Avx2Softmax,
+    Avx2Ger,          GemvTMultiLoop<Avx2GemvT>,
+    GerMultiLoop<Avx2Ger>,               Avx2AdamRow,
+    Avx2GemmBias,     Avx2Softmax,
 };
 
 }  // namespace internal

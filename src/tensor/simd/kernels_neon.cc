@@ -14,6 +14,7 @@
 #include <cstddef>
 
 #include "tensor/simd/kernel_dispatch.h"
+#include "tensor/simd/multi_loop.h"
 
 namespace pkgm::simd {
 namespace internal {
@@ -282,8 +283,9 @@ extern const KernelTable kNeonTable = {
     NeonHadamard,     NeonL1Norm,        NeonSquaredL2Norm,
     NeonSignOf,       NeonL1Distance,    NeonL1DistanceBatch,
     NeonGemvRaw,      NeonResidual,      NeonGemvT,
-    NeonGer,          NeonAdamRow,       NeonGemmBias,
-    NeonSoftmax,
+    NeonGer,          GemvTMultiLoop<NeonGemvT>,
+    GerMultiLoop<NeonGer>,               NeonAdamRow,
+    NeonGemmBias,     NeonSoftmax,
 };
 
 }  // namespace internal

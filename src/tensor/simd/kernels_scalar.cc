@@ -7,6 +7,7 @@
 #include <cstddef>
 
 #include "tensor/simd/kernel_dispatch.h"
+#include "tensor/simd/multi_loop.h"
 
 namespace pkgm::simd {
 namespace {
@@ -136,8 +137,9 @@ const KernelTable& ScalarKernels() {
       ScalarHadamard,     ScalarL1Norm,        ScalarSquaredL2Norm,
       ScalarSignOf,       ScalarL1Distance,    ScalarL1DistanceBatch,
       ScalarGemvRaw,      ScalarResidual,      ScalarGemvT,
-      ScalarGer,          ScalarAdamRow,       ScalarGemmBias,
-      ScalarSoftmax,
+      ScalarGer,          internal::GemvTMultiLoop<ScalarGemvT>,
+      internal::GerMultiLoop<ScalarGer>,       ScalarAdamRow,
+      ScalarGemmBias,     ScalarSoftmax,
   };
   return table;
 }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -408,6 +410,151 @@ TEST(GradientsTest, FusedPathMatchesReferenceBitForBit) {
   check_slab(arena.entities(), ref.entities(), "entities");
   check_slab(arena.relations(), ref.relations(), "relations");
   check_slab(arena.transfers(), ref.transfers(), "transfers");
+}
+
+// Every usable kernel table: the batch engine and the per-pair loop must
+// agree on each of them, not only on the process-wide one.
+std::vector<const simd::KernelTable*> UsableKernelTables() {
+  std::vector<const simd::KernelTable*> tables;
+  for (simd::KernelIsa isa :
+       {simd::KernelIsa::kScalar, simd::KernelIsa::kAvx2,
+        simd::KernelIsa::kAvx512, simd::KernelIsa::kNeon}) {
+    if (const simd::KernelTable* t = simd::KernelsForIsa(isa)) {
+      tables.push_back(t);
+    }
+  }
+  return tables;
+}
+
+// Slab-for-slab equality: the same ids in the same first-touch order, and
+// the same bytes in every row.
+void ExpectSameArena(const GradArena& got, const GradArena& want) {
+  const GradSlab* got_slabs[] = {&got.entities(), &got.relations(),
+                                 &got.transfers(), &got.hyperplanes()};
+  const GradSlab* want_slabs[] = {&want.entities(), &want.relations(),
+                                  &want.transfers(), &want.hyperplanes()};
+  for (int t = 0; t < 4; ++t) {
+    SCOPED_TRACE("slab " + std::to_string(t));
+    const GradSlab& g = *got_slabs[t];
+    const GradSlab& w = *want_slabs[t];
+    ASSERT_EQ(g.size(), w.size());
+    for (size_t i = 0; i < g.size(); ++i) {
+      ASSERT_EQ(g.id_at(i), w.id_at(i)) << "row " << i;
+      ASSERT_EQ(g.row_size(), w.row_size());
+      ASSERT_EQ(0, std::memcmp(g.row_at(i), w.row_at(i),
+                               g.row_size() * sizeof(float)))
+          << "row " << i << " id " << g.id_at(i);
+    }
+  }
+}
+
+TEST(GradientsTest, FusedBatchMatchesPerPairBitForBit) {
+  // The relation-grouped batch engine reorders the forward and the
+  // transfer-matrix backward by relation, but must reproduce the per-pair
+  // loop exactly: the hinges, every slab's row order and every gradient
+  // byte (DESIGN.md §12).
+  constexpr uint32_t kEntities = 40;
+  constexpr uint32_t kRelations = 6;
+  kg::TripleStore store;
+  Rng kg_rng(31);
+  while (store.size() < 150) {
+    store.Add(static_cast<kg::EntityId>(kg_rng.Uniform(kEntities)),
+              static_cast<kg::RelationId>(kg_rng.Uniform(kRelations)),
+              static_cast<kg::EntityId>(kg_rng.Uniform(kEntities)));
+  }
+  NegativeSampler::Options nopt;
+  nopt.num_entities = kEntities;
+  nopt.num_relations = kRelations;
+  // Relation corruption puts a pair's two sides in different groups.
+  nopt.relation_corruption_prob = 0.5;
+  const NegativeSampler sampler(nopt, &store);
+
+  // Batch 0: sampled negatives. Batch 1: self-loops (head == tail), sides
+  // sharing entities, a repeated pair and a negative that only swaps
+  // head and tail.
+  std::vector<std::vector<kg::Triple>> positives(2);
+  std::vector<std::vector<NegativeSample>> negatives(2);
+  positives[0].assign(store.triples().begin(), store.triples().begin() + 64);
+  negatives[0].resize(positives[0].size());
+  Rng neg_rng(37);
+  sampler.SampleBatch(positives[0].data(), positives[0].size(), &neg_rng,
+                      negatives[0].data());
+  const auto add_pair = [&](kg::Triple pos, kg::Triple neg) {
+    positives[1].push_back(pos);
+    negatives[1].push_back({neg, CorruptionSlot::kTail});
+  };
+  add_pair({3, 1, 3}, {3, 1, 7});
+  add_pair({7, 1, 3}, {3, 1, 7});
+  add_pair({3, 2, 7}, {3, 1, 3});
+  add_pair({3, 1, 3}, {3, 1, 7});
+  add_pair({5, 0, 5}, {5, 4, 5});
+  add_pair({7, 2, 5}, {7, 1, 5});
+
+  for (TripleScorerKind scorer :
+       {TripleScorerKind::kTransE, TripleScorerKind::kDistMult,
+        TripleScorerKind::kComplEx, TripleScorerKind::kTransH}) {
+    for (bool rel_module : {true, false}) {
+      for (uint32_t dim : {16u, 30u, 64u}) {
+        PkgmModelOptions mopt =
+            SmallModel(kEntities, kRelations, dim, rel_module);
+        mopt.scorer = scorer;
+        const PkgmModel model(mopt);
+        for (size_t b = 0; b < positives.size(); ++b) {
+          const std::vector<kg::Triple>& pos = positives[b];
+          const std::vector<NegativeSample>& neg = negatives[b];
+          const size_t n = pos.size();
+          // Margins making every pair active, about half of them, none.
+          std::vector<float> gaps;
+          for (size_t i = 0; i < n; ++i) {
+            gaps.push_back(model.Score(neg[i].triple) - model.Score(pos[i]));
+          }
+          std::sort(gaps.begin(), gaps.end());
+          for (float margin : {1e4f, gaps[n / 2], -1e4f}) {
+            for (const simd::KernelTable* k : UsableKernelTables()) {
+              SCOPED_TRACE(::testing::Message()
+                           << "scorer " << static_cast<int>(scorer)
+                           << " rel_module " << rel_module << " dim " << dim
+                           << " batch " << b << " margin " << margin
+                           << " isa " << simd::KernelIsaName(k->isa));
+              GradArena want;
+              HingeWorkspace ws;
+              std::vector<float> want_hinges(n);
+              size_t active = 0;
+              for (size_t i = 0; i < n; ++i) {
+                want_hinges[i] = FusedHingeGradients(
+                    model, pos[i], neg[i].triple, margin, *k, &ws, &want);
+                if (want_hinges[i] > 0.0f) ++active;
+              }
+              if (margin == 1e4f) ASSERT_EQ(active, n);
+              if (margin == -1e4f) ASSERT_EQ(active, 0u);
+              if (margin == gaps[n / 2]) {
+                ASSERT_GT(active, 0u);
+                ASSERT_LT(active, n);
+              }
+
+              GradArena got;
+              BatchHingeWorkspace bws;
+              std::vector<float> hinges(n, -1.0f);
+              FusedBatchHingeGradients(model, pos.data(), neg.data(), n,
+                                       margin, *k, &bws, &got,
+                                       hinges.data());
+              ASSERT_EQ(0, std::memcmp(hinges.data(), want_hinges.data(),
+                                       n * sizeof(float)));
+              ExpectSameArena(got, want);
+
+              // Without an arena: the same hinges, nothing accumulated.
+              std::vector<float> bare(n, -1.0f);
+              FusedBatchHingeGradients(model, pos.data(), neg.data(), n,
+                                       margin, *k, &bws, nullptr,
+                                       bare.data());
+              ASSERT_EQ(0, std::memcmp(bare.data(), want_hinges.data(),
+                                       n * sizeof(float)));
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GradientsTest, GradSlabSurvivesClearAndRehash) {

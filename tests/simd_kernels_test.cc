@@ -14,7 +14,9 @@
 //    any bracketing of an n-term fp32 sum, tight enough to catch a wrong
 //    element or a dropped tail.
 //  * Within one table, l1_distance_batch row i and gemv_raw row i must be
-//    bit-identical to the single-row call (ranking-tie contract).
+//    bit-identical to the single-row call (ranking-tie contract), and the
+//    training kernels must equal their single-row compositions — checked
+//    again at the shapes the AVX-512 table register-blocks.
 
 #include <gtest/gtest.h>
 
@@ -262,6 +264,147 @@ TEST(SimdTrainingKernelsTest, GerMatchesPerRowAxpyExactly) {
           << "n=" << n;
       EXPECT_EQ(0, std::memcmp(got.data() + n, a0.ptr + n, n * sizeof(float)))
           << "skipped row was modified, n=" << n;
+    }
+  }
+}
+
+// The register-blocked shapes: 16-row gemv_raw blocks, 16-column chunks
+// in 64-column panels, and a remainder on either side of each.
+constexpr size_t kBlockedRows[] = {1, 15, 16, 17, 64, 65};
+constexpr size_t kBlockedCols[] = {1, 15, 16, 17, 63, 64, 65, 128};
+
+std::vector<const KernelTable*> AllUsableTables() {
+  std::vector<const KernelTable*> tables = AvailableVectorTables();
+  tables.push_back(&ScalarKernels());
+  return tables;
+}
+
+// Bytes of `got` and `want` agree (so -0.0f and +0.0f differ).
+bool SameBits(const std::vector<float>& got, const std::vector<float>& want) {
+  return got.size() == want.size() &&
+         std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0;
+}
+
+TEST(SimdBlockedKernelsTest, GemvRawRowsMatchDotAtBlockedShapes) {
+  for (const KernelTable* table : AllUsableTables()) {
+    SCOPED_TRACE(std::string("isa=") + KernelIsaName(table->isa));
+    for (size_t m : kBlockedRows) {
+      for (size_t n : kBlockedCols) {
+        Misaligned a(m * n, 1, 3 * m + n), x(n, 3, 5 * m + n);
+        std::vector<float> y(m);
+        table->gemv_raw(m, n, a.ptr, x.ptr, y.data());
+        for (size_t i = 0; i < m; ++i) {
+          const float single = table->dot(n, a.ptr + i * n, x.ptr);
+          ASSERT_EQ(0, std::memcmp(&y[i], &single, sizeof(float)))
+              << "m=" << m << " n=" << n << " row=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBlockedKernelsTest, GemvTMatchesZeroThenAxpyAtBlockedShapes) {
+  for (const KernelTable* table : AllUsableTables()) {
+    SCOPED_TRACE(std::string("isa=") + KernelIsaName(table->isa));
+    for (size_t m : kBlockedRows) {
+      for (size_t n : kBlockedCols) {
+        Misaligned a(m * n, 1, 7 * m + n), x(m, 2, 11 * m + n);
+        x.ptr[0] = 0.0f;
+        x.ptr[m / 2] = -0.0f;
+        std::vector<float> got(n), want(n, 0.0f);
+        table->gemv_t(m, n, a.ptr, x.ptr, got.data());
+        for (size_t i = 0; i < m; ++i) {
+          table->axpy(n, x.ptr[i], a.ptr + i * n, want.data());
+        }
+        ASSERT_TRUE(SameBits(got, want)) << "m=" << m << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdBlockedKernelsTest, GerMatchesPerRowAxpyAtBlockedShapes) {
+  for (const KernelTable* table : AllUsableTables()) {
+    SCOPED_TRACE(std::string("isa=") + KernelIsaName(table->isa));
+    for (size_t m : kBlockedRows) {
+      for (size_t n : kBlockedCols) {
+        Misaligned a0(m * n, 3, 13 * m + n), x(m, 1, 17 * m + n),
+            y(n, 2, 19 * m + n);
+        x.ptr[m - 1] = 0.0f;
+        x.ptr[m / 2] = -0.0f;
+        // -0.0f entries in skipped rows: an update by a zero coefficient
+        // would turn them into +0.0f.
+        a0.ptr[(m - 1) * n] = -0.0f;
+        a0.ptr[(m / 2) * n] = -0.0f;
+        // A zero alpha still updates the rows with x[i] != 0.
+        for (float alpha : {0.75f, 0.0f, -0.0f}) {
+          std::vector<float> got(a0.ptr, a0.ptr + m * n), want(got);
+          table->ger(m, n, alpha, x.ptr, y.ptr, got.data());
+          for (size_t i = 0; i < m; ++i) {
+            if (x.ptr[i] == 0.0f) continue;
+            table->axpy(n, alpha * x.ptr[i], y.ptr, want.data() + i * n);
+          }
+          ASSERT_TRUE(SameBits(got, want))
+              << "m=" << m << " n=" << n << " alpha=" << alpha;
+          ASSERT_EQ(0, std::memcmp(got.data() + (m - 1) * n,
+                                   a0.ptr + (m - 1) * n, n * sizeof(float)))
+              << "skipped row was modified, m=" << m << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBlockedKernelsTest, MultiEntriesMatchSingleCallSequences) {
+  // Within a table, gemv_t_multi and ger_multi must equal k single calls
+  // in order — the relation-grouped backward is bit-identical to the
+  // per-pair one only if they do. Zero and -0.0f coefficients (skipped
+  // ger rows, and alphas that multiply to a signed zero) are included.
+  for (const KernelTable* table : AllUsableTables()) {
+    SCOPED_TRACE(std::string("isa=") + KernelIsaName(table->isa));
+    // k = 15 runs the AVX-512 table's blocks of 8, 4, 2 and 1 vectors.
+    for (size_t k : {1, 2, 3, 5, 8, 15}) {
+      for (size_t m : kBlockedRows) {
+        for (size_t n : kBlockedCols) {
+          SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                       " n=" + std::to_string(n));
+          Misaligned a0(m * n, 1, 23 * m + n + k);
+          a0.ptr[m * n - 1] = -0.0f;
+          std::vector<Misaligned> xs, ys;
+          std::vector<const float*> xp, yp;
+          xs.reserve(k);
+          ys.reserve(k);
+          // alphas[1] and alphas[2] are +0 and -0; every xs[q] has a zero.
+          std::vector<float> alphas = {0.5f, 0.0f, -0.0f, -1.25f};
+          alphas.resize(k, 0.75f);
+          for (size_t q = 0; q < k; ++q) {
+            xs.emplace_back(m, q % 4, 29 * m + n + q);
+            ys.emplace_back(n, (q + 1) % 4, 31 * m + n + q);
+            xs.back().ptr[q % m] = q % 2 == 0 ? 0.0f : -0.0f;
+            // A -0.0f in that row reveals an update that was not skipped.
+            a0.ptr[(q % m) * n + q % n] = -0.0f;
+            xp.push_back(xs.back().ptr);
+            yp.push_back(ys.back().ptr);
+          }
+
+          std::vector<std::vector<float>> got(k, std::vector<float>(n)),
+              want(k, std::vector<float>(n));
+          std::vector<float*> outs;
+          for (auto& g : got) outs.push_back(g.data());
+          table->gemv_t_multi(k, m, n, a0.ptr, xp.data(), outs.data());
+          for (size_t q = 0; q < k; ++q) {
+            table->gemv_t(m, n, a0.ptr, xp[q], want[q].data());
+            ASSERT_TRUE(SameBits(got[q], want[q])) << "gemv_t_multi q=" << q;
+          }
+
+          std::vector<float> a_got(a0.ptr, a0.ptr + m * n), a_want(a_got);
+          table->ger_multi(k, m, n, alphas.data(), xp.data(), yp.data(),
+                           a_got.data());
+          for (size_t q = 0; q < k; ++q) {
+            table->ger(m, n, alphas[q], xp[q], yp[q], a_want.data());
+          }
+          ASSERT_TRUE(SameBits(a_got, a_want)) << "ger_multi";
+        }
+      }
     }
   }
 }
