@@ -237,11 +237,68 @@ void GradSlab::Clear() {
   ids_.clear();
 }
 
+void RebuildTransferRow(const simd::KernelTable& k, uint32_t dim,
+                        size_t count, const float* signs,
+                        const float* const* s2, const float* const* heads,
+                        float* out) {
+  std::memset(out, 0, static_cast<size_t>(dim) * dim * sizeof(float));
+  k.ger_multi(count, dim, dim, signs, s2, heads, out);
+}
+
+void TransferFactors::AddGroup(uint32_t rel, uint32_t dim, size_t count,
+                               const float* signs, const float* const* s2,
+                               const float* const* heads,
+                               const simd::KernelTable& k) {
+  if (relations_.empty()) {
+    dim_ = dim;
+    kernels_ = &k;
+  }
+  PKGM_CHECK_EQ(dim_, dim);
+  PKGM_CHECK(kernels_ == &k);
+  const size_t first = signs_.size();
+  relations_.push_back(rel);
+  ends_.push_back(static_cast<uint32_t>(first + count));
+  signs_.insert(signs_.end(), signs, signs + count);
+  // values_ only grows (Clear keeps it), so a steady-state batch neither
+  // allocates nor zero-fills it.
+  const size_t needed = (first + count) * 2 * static_cast<size_t>(dim);
+  if (values_.size() < needed) {
+    values_.resize(std::max(needed, values_.size() * 2));
+  }
+  for (size_t q = 0; q < count; ++q) {
+    float* item = values_.data() + (first + q) * 2 * static_cast<size_t>(dim);
+    std::memcpy(item, s2[q], dim * sizeof(float));
+    std::memcpy(item + dim, heads[q], dim * sizeof(float));
+  }
+}
+
+const float* TransferFactors::Rebuild(size_t g,
+                                      TransferRebuildScratch* scratch) const {
+  scratch->s2.clear();
+  scratch->heads.clear();
+  for (size_t q = begin(g); q < end(g); ++q) {
+    scratch->s2.push_back(s2(q));
+    scratch->heads.push_back(head(q));
+  }
+  scratch->row.resize(static_cast<size_t>(dim_) * dim_);
+  RebuildTransferRow(*kernels_, dim_, end(g) - begin(g),
+                     signs_.data() + begin(g), scratch->s2.data(),
+                     scratch->heads.data(), scratch->row.data());
+  return scratch->row.data();
+}
+
+void TransferFactors::Clear() {
+  relations_.clear();
+  ends_.clear();
+  signs_.clear();
+}
+
 void GradArena::Clear() {
   entities_.Clear();
   relations_.Clear();
   transfers_.Clear();
   hyperplanes_.Clear();
+  transfer_factors_.Clear();
 }
 
 // --------------------------------------------- GradArena serialization --
@@ -288,6 +345,25 @@ uint32_t BlobLoadU32(const char* p) {
          (static_cast<uint32_t>(b[3]) << 24);
 }
 
+// Whether f32 fields at `p` can be read in place: on a little-endian host
+// at a 4-byte aligned address. The received bytes then are the floats; they
+// were written by read()/memcpy, never through another type, as with the
+// mmap'd stores' float views. Every blob field is 4 bytes wide, so all the
+// rows (and h vectors) of one section share the answer.
+bool BlobInPlace(const char* p) {
+  return kBlobHostLittleEndian &&
+         reinterpret_cast<uintptr_t>(p) % alignof(float) == 0;
+}
+
+// Copies the `n` f32 fields at `p` into `out` and returns it.
+const float* CopyF32Run(const char* p, size_t n, float* out) {
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t bits = BlobLoadU32(p + 4 * j);
+    std::memcpy(&out[j], &bits, sizeof(float));
+  }
+  return out;
+}
+
 // Rows written for `slab` under the id % num_shards == shard filter
 // (num_shards == 1 keeps every row).
 uint32_t SlabRowCount(const GradSlab& slab, uint32_t shard,
@@ -300,21 +376,76 @@ uint32_t SlabRowCount(const GradSlab& slab, uint32_t shard,
   return count;
 }
 
-void SerializeSlab(const GradSlab& slab, uint32_t count, uint32_t shard,
-                   uint32_t num_shards, std::string* out) {
-  const uint32_t n = slab.row_size();
-  BlobPutU32(count == 0 ? 0 : n, out);
-  BlobPutU32(count, out);
+void SerializeSlabRows(const GradSlab& slab, uint32_t shard,
+                       uint32_t num_shards, std::string* out) {
   for (size_t i = 0; i < slab.size(); ++i) {
     const uint32_t id = slab.id_at(i);
     if (num_shards > 1 && id % num_shards != shard) continue;
     BlobPutU32(id, out);
-    BlobPutF32Run(slab.row_at(i), n, out);
+    BlobPutF32Run(slab.row_at(i), slab.row_size(), out);
   }
 }
 
 constexpr size_t kBlobHeaderBytes = 8;
-constexpr size_t kSlabHeaderBytes = 8;
+constexpr size_t kSlabHeaderBytes = 8;  // also the factor section header
+constexpr size_t kGroupHeaderBytes = 8;
+constexpr uint32_t kCodesPerWord = 16;  // 2-bit s' codes per u32
+constexpr uint32_t kSignPlusOneBits = 0x3f800000u;
+constexpr uint32_t kSignMinusOneBits = 0xbf800000u;
+
+uint32_t CodeWords(uint32_t dim) {
+  return (dim + kCodesPerWord - 1) / kCodesPerWord;
+}
+
+// Bytes of one factor item: the sign, the s' code words and h.
+uint64_t FactorItemBytes(uint32_t dim) {
+  return 4 + 4 * static_cast<uint64_t>(CodeWords(dim)) +
+         4 * static_cast<uint64_t>(dim);
+}
+
+void SerializeFactorItem(float sign, const float* s2, const float* h,
+                         uint32_t dim, std::string* out) {
+  BlobPutF32Run(&sign, 1, out);
+  for (uint32_t w = 0; w < CodeWords(dim); ++w) {
+    uint32_t word = 0;
+    const uint32_t stop = std::min(dim, (w + 1) * kCodesPerWord);
+    for (uint32_t i = w * kCodesPerWord; i < stop; ++i) {
+      const uint32_t code = s2[i] > 0.0f ? 1u : (s2[i] < 0.0f ? 2u : 0u);
+      word |= code << (2 * (i % kCodesPerWord));
+    }
+    BlobPutU32(word, out);
+  }
+  BlobPutF32Run(h, dim, out);
+}
+
+// Why the encoded factor item at `p` is refused, or nullptr: the sign must
+// be exactly ±1.0f, and no s' code may be 3 or sit past coordinate dim.
+const char* FactorItemDefect(const char* p, uint32_t dim) {
+  const uint32_t sign = BlobLoadU32(p);
+  if (sign != kSignPlusOneBits && sign != kSignMinusOneBits) {
+    return "factor sign is not +1 or -1";
+  }
+  for (uint32_t w = 0; w < CodeWords(dim); ++w) {
+    const uint32_t word = BlobLoadU32(p + 4 + 4 * w);
+    if ((word & (word >> 1) & 0x55555555u) != 0) return "s' code 3";
+    const uint32_t used = std::min(dim - w * kCodesPerWord, kCodesPerWord);
+    if (used < kCodesPerWord && (word >> (2 * used)) != 0) {
+      return "non-zero s' padding bits";
+    }
+  }
+  return nullptr;
+}
+
+void DecodeSignCodes(const char* p, uint32_t dim, float* out) {
+  static constexpr float kValue[4] = {0.0f, 1.0f, -1.0f, 0.0f};
+  for (uint32_t w = 0; w < CodeWords(dim); ++w) {
+    uint32_t word = BlobLoadU32(p + 4 * w);
+    const uint32_t stop = std::min(dim, (w + 1) * kCodesPerWord);
+    for (uint32_t i = w * kCodesPerWord; i < stop; ++i, word >>= 2) {
+      out[i] = kValue[word & 3];
+    }
+  }
+}
 
 Status BlobCorruption(const char* what) {
   return Status::Corruption(std::string("GradArena blob: ") + what);
@@ -329,7 +460,18 @@ size_t GradArenaBlobBytes(const uint32_t counts[4],
     const size_t entry_bytes = 4 + 4 * static_cast<size_t>(row_sizes[t]);
     bytes += kSlabHeaderBytes + counts[t] * entry_bytes;
   }
-  return bytes;
+  return bytes + kSlabHeaderBytes;  // the empty factor section
+}
+
+size_t FactorGroupBlobBytes(uint32_t dim, size_t count) {
+  return kGroupHeaderBytes + count * FactorItemBytes(dim);
+}
+
+size_t TransferFactorCrossover(uint32_t dim) {
+  // The largest count with FactorGroupBlobBytes(dim, count) < dense.
+  const uint64_t dense = 4 + 4 * static_cast<uint64_t>(dim) * dim;
+  const uint64_t least = kGroupHeaderBytes + 1;
+  return dense < least ? 0 : (dense - least) / FactorItemBytes(dim);
 }
 
 size_t SerializeGradArena(const GradArena& arena, std::string* out) {
@@ -342,26 +484,77 @@ size_t SerializeGradArena(const GradArena& arena, uint32_t shard,
   PKGM_CHECK_LT(shard, num_shards);
   const GradSlab* slabs[4] = {&arena.entities(), &arena.relations(),
                               &arena.transfers(), &arena.hyperplanes()};
+  const TransferFactors& tf = arena.transfer_factors();
+  const uint32_t d = tf.dim();
+  const size_t crossover = tf.empty() ? 0 : TransferFactorCrossover(d);
+  const auto owned = [&](uint32_t id) {
+    return num_shards <= 1 || id % num_shards == shard;
+  };
+  const auto as_factors = [&](size_t g) {
+    return tf.end(g) - tf.begin(g) <= crossover;
+  };
+
   uint32_t counts[4], row_sizes[4];
-  size_t rows = 0;
   for (int t = 0; t < 4; ++t) {
     counts[t] = SlabRowCount(*slabs[t], shard, num_shards);
-    row_sizes[t] = slabs[t]->row_size();
-    rows += counts[t];
+    row_sizes[t] = counts[t] == 0 ? 0 : slabs[t]->row_size();
   }
-  out->reserve(out->size() + GradArenaBlobBytes(counts, row_sizes));
+  // The smaller form of each owned group: a dense row joins the transfer
+  // slab, factors go to the factor section.
+  uint32_t dense_groups = 0, factor_groups = 0;
+  size_t factor_bytes = 0;
+  for (size_t g = 0; g < tf.num_groups(); ++g) {
+    if (!owned(tf.relation(g))) continue;
+    if (as_factors(g)) {
+      ++factor_groups;
+      factor_bytes += FactorGroupBlobBytes(d, tf.end(g) - tf.begin(g));
+    } else {
+      ++dense_groups;
+    }
+  }
+  if (dense_groups > 0) {
+    if (counts[2] > 0) {
+      PKGM_CHECK_EQ(row_sizes[2], d * d);
+    }
+    row_sizes[2] = d * d;
+    counts[2] += dense_groups;
+  }
+  out->reserve(out->size() + GradArenaBlobBytes(counts, row_sizes) +
+               factor_bytes);
   BlobPutU32(kGradArenaBlobMagic, out);
   out->push_back(static_cast<char>(kGradArenaBlobVersion));
-  out->push_back(static_cast<char>(4));  // num_slabs
+  out->push_back(static_cast<char>(5));  // num_sections
   BlobPutU16(0, out);                    // reserved
+  size_t rows = factor_groups;
   for (int t = 0; t < 4; ++t) {
-    SerializeSlab(*slabs[t], counts[t], shard, num_shards, out);
+    BlobPutU32(row_sizes[t], out);
+    BlobPutU32(counts[t], out);
+    SerializeSlabRows(*slabs[t], shard, num_shards, out);
+    rows += counts[t];
+    if (t != 2 || dense_groups == 0) continue;
+    TransferRebuildScratch scratch;
+    for (size_t g = 0; g < tf.num_groups(); ++g) {
+      if (!owned(tf.relation(g)) || as_factors(g)) continue;
+      BlobPutU32(tf.relation(g), out);
+      BlobPutF32Run(tf.Rebuild(g, &scratch), d * d, out);
+    }
+  }
+  BlobPutU32(factor_groups == 0 ? 0 : d, out);
+  BlobPutU32(factor_groups, out);
+  for (size_t g = 0; g < tf.num_groups(); ++g) {
+    if (!owned(tf.relation(g)) || !as_factors(g)) continue;
+    BlobPutU32(tf.relation(g), out);
+    BlobPutU32(static_cast<uint32_t>(tf.end(g) - tf.begin(g)), out);
+    for (size_t q = tf.begin(g); q < tf.end(g); ++q) {
+      SerializeFactorItem(tf.sign(q), tf.s2(q), tf.head(q), d, out);
+    }
   }
   return rows;
 }
 
 Status VisitGradArenaBlob(std::string_view blob,
-                          const GradBlobRowVisitor& visit) {
+                          const GradBlobRowVisitor& visit_row,
+                          const GradBlobGroupVisitor& visit_group) {
   if (blob.size() < kBlobHeaderBytes) {
     return BlobCorruption("truncated header");
   }
@@ -370,13 +563,14 @@ Status VisitGradArenaBlob(std::string_view blob,
   if (static_cast<uint8_t>(p[4]) != kGradArenaBlobVersion) {
     return BlobCorruption("unsupported version");
   }
-  if (static_cast<uint8_t>(p[5]) != 4) {
-    return BlobCorruption("unexpected slab count");
+  if (static_cast<uint8_t>(p[5]) != 5) {
+    return BlobCorruption("unexpected section count");
   }
   if (p[6] != 0 || p[7] != 0) return BlobCorruption("non-zero reserved bits");
 
-  // Structure first: every slab header and byte budget, then trailing
-  // bytes, so no row is visited in a blob that will be refused.
+  // Structure first: every slab header and byte budget, then every factor
+  // group and item, then trailing bytes, so nothing is visited in a blob
+  // that will be refused.
   struct SlabSpan {
     uint32_t row_size;
     uint32_t count;
@@ -402,34 +596,96 @@ Status VisitGradArenaBlob(std::string_view blob,
     }
     pos += static_cast<size_t>(entry_bytes * slab.count);
   }
+  if (blob.size() - pos < kSlabHeaderBytes) {
+    return BlobCorruption("truncated factor section header");
+  }
+  const uint32_t dim = BlobLoadU32(p + pos);
+  const uint32_t num_groups = BlobLoadU32(p + pos + 4);
+  pos += kSlabHeaderBytes;
+  const size_t groups_offset = pos;
+  if (num_groups > 0) {
+    if (dim == 0) return BlobCorruption("zero factor dim");
+    // A group rebuilds into a dim^2-float row, whose size is a u32.
+    if (dim > 0xffffu) return BlobCorruption("factor dim too large");
+  }
+  const uint64_t item_bytes = FactorItemBytes(dim);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    if (blob.size() - pos < kGroupHeaderBytes) {
+      return BlobCorruption("truncated factor group header");
+    }
+    const uint32_t count = BlobLoadU32(p + pos + 4);
+    pos += kGroupHeaderBytes;
+    if (count == 0) return BlobCorruption("empty factor group");
+    if (item_bytes > (blob.size() - pos) / count) {
+      return BlobCorruption("factor count exceeds byte budget");
+    }
+    for (uint32_t q = 0; q < count; ++q, pos += item_bytes) {
+      if (const char* defect = FactorItemDefect(p + pos, dim)) {
+        return BlobCorruption(defect);
+      }
+    }
+  }
   if (pos != blob.size()) return BlobCorruption("trailing bytes");
 
   std::vector<float> copy;
   for (uint32_t t = 0; t < 4; ++t) {
     const SlabSpan& slab = slabs[t];
     const size_t entry_bytes = 4 + 4 * static_cast<size_t>(slab.row_size);
+    const bool in_place = BlobInPlace(p + slab.offset);
+    if (!in_place && slab.count > 0) copy.resize(slab.row_size);
     for (uint32_t i = 0; i < slab.count; ++i) {
       const char* entry = p + slab.offset + i * entry_bytes;
-      const char* values = entry + 4;
-      const float* row;
-      if (kBlobHostLittleEndian &&
-          reinterpret_cast<uintptr_t>(values) % alignof(float) == 0) {
-        // The received bytes are the row: no copy. The bytes were written
-        // by read()/memcpy, never through another type, as with the mmap'd
-        // stores' float views.
-        row = reinterpret_cast<const float*>(values);
-      } else {
-        copy.resize(slab.row_size);
-        for (uint32_t j = 0; j < slab.row_size; ++j) {
-          const uint32_t bits = BlobLoadU32(values + 4 * j);
-          std::memcpy(&copy[j], &bits, sizeof(float));
-        }
-        row = copy.data();
-      }
-      PKGM_RETURN_IF_ERROR(visit(t, BlobLoadU32(entry), row, slab.row_size));
+      const float* row =
+          in_place ? reinterpret_cast<const float*>(entry + 4)
+                   : CopyF32Run(entry + 4, slab.row_size, copy.data());
+      PKGM_RETURN_IF_ERROR(
+          visit_row(t, BlobLoadU32(entry), row, slab.row_size));
     }
   }
+  pos = groups_offset;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    BlobFactorGroup group;
+    group.relation = BlobLoadU32(p + pos);
+    group.dim = dim;
+    group.count = BlobLoadU32(p + pos + 4);
+    group.items = p + pos + kGroupHeaderBytes;
+    pos += kGroupHeaderBytes + static_cast<size_t>(item_bytes * group.count);
+    PKGM_RETURN_IF_ERROR(visit_group(group));
+  }
   return Status::Ok();
+}
+
+const float* RebuildTransferRow(const BlobFactorGroup& group,
+                                const simd::KernelTable& k,
+                                TransferRebuildScratch* scratch) {
+  const size_t d = group.dim;
+  const size_t count = group.count;
+  const size_t item_bytes = static_cast<size_t>(FactorItemBytes(group.dim));
+  const size_t h_offset = 4 + 4 * static_cast<size_t>(CodeWords(group.dim));
+  // values holds every item's decoded s', then, when h cannot be read in
+  // place, every item's copied-out h.
+  const bool in_place = BlobInPlace(group.items);
+  scratch->signs.resize(count);
+  scratch->values.resize((in_place ? 1 : 2) * count * d);
+  scratch->s2.resize(count);
+  scratch->heads.resize(count);
+  for (size_t q = 0; q < count; ++q) {
+    const char* item = group.items + q * item_bytes;
+    const uint32_t sign_bits = BlobLoadU32(item);
+    std::memcpy(&scratch->signs[q], &sign_bits, sizeof(float));
+    float* s2 = scratch->values.data() + q * d;
+    DecodeSignCodes(item + 4, group.dim, s2);
+    scratch->s2[q] = s2;
+    const char* h = item + h_offset;
+    scratch->heads[q] =
+        in_place ? reinterpret_cast<const float*>(h)
+                 : CopyF32Run(h, d, scratch->values.data() + (count + q) * d);
+  }
+  scratch->row.resize(d * d);
+  RebuildTransferRow(k, group.dim, count, scratch->signs.data(),
+                     scratch->s2.data(), scratch->heads.data(),
+                     scratch->row.data());
+  return scratch->row.data();
 }
 
 Status DeserializeGradArena(std::string_view blob, GradArena* arena,
@@ -437,24 +693,30 @@ Status DeserializeGradArena(std::string_view blob, GradArena* arena,
   GradSlab* slabs[4] = {&arena->entities(), &arena->relations(),
                         &arena->transfers(), &arena->hyperplanes()};
   uint64_t applied = 0;
+  const auto accumulate = [&](uint32_t t, uint32_t id, const float* row,
+                              uint32_t row_size) -> Status {
+    GradSlab* slab = slabs[t];
+    if (!slab->empty() && slab->row_size() != row_size) {
+      return BlobCorruption("row size disagrees with target arena");
+    }
+    const size_t before = slab->size();
+    float* dst = slab->Row(id, row_size);
+    if (slab->size() > before) {
+      // Fresh row: copy, so the round trip is bit-exact (+= into the
+      // zero-initialized row would flush -0.0f payloads to +0.0f).
+      std::memcpy(dst, row, row_size * sizeof(float));
+    } else {
+      for (uint32_t j = 0; j < row_size; ++j) dst[j] += row[j];
+    }
+    ++applied;
+    return Status::Ok();
+  };
+  TransferRebuildScratch scratch;
   PKGM_RETURN_IF_ERROR(VisitGradArenaBlob(
-      blob, [&](uint32_t t, uint32_t id, const float* row,
-                uint32_t row_size) -> Status {
-        GradSlab* slab = slabs[t];
-        if (!slab->empty() && slab->row_size() != row_size) {
-          return BlobCorruption("row size disagrees with target arena");
-        }
-        const size_t before = slab->size();
-        float* dst = slab->Row(id, row_size);
-        if (slab->size() > before) {
-          // Fresh row: copy, so the round trip is bit-exact (+= into the
-          // zero-initialized row would flush -0.0f payloads to +0.0f).
-          std::memcpy(dst, row, row_size * sizeof(float));
-        } else {
-          for (uint32_t j = 0; j < row_size; ++j) dst[j] += row[j];
-        }
-        ++applied;
-        return Status::Ok();
+      blob, accumulate, [&](const BlobFactorGroup& group) -> Status {
+        return accumulate(2, group.relation,
+                          RebuildTransferRow(group, simd::Active(), &scratch),
+                          group.dim * group.dim);
       }));
   if (rows_applied != nullptr) *rows_applied = applied;
   return Status::Ok();
@@ -532,15 +794,20 @@ float FusedForward(const PkgmModel& model, const kg::Triple& t,
 }
 
 // Claims every arena row a side-item's backward touches, in the order the
-// fused path has always claimed them. A claim can grow its slab and move
-// earlier rows of the same slab, so the backward fetches its row pointers
-// only once all of a side-item's rows (or a whole batch's) exist.
-void ClaimRows(const PkgmModel& model, const kg::Triple& t, GradArena* grad) {
+// fused path has always claimed them; the dense transfer row only when
+// `dense_transfer` (the batch engine records factors instead). A claim can
+// grow its slab and move earlier rows of the same slab, so the backward
+// fetches its row pointers only once all of a side-item's rows (or a whole
+// batch's) exist.
+void ClaimRows(const PkgmModel& model, const kg::Triple& t,
+               bool dense_transfer, GradArena* grad) {
   const uint32_t d = model.dim();
   grad->Entity(t.head, d);
   grad->Entity(t.tail, d);
   grad->Relation(t.relation, d);
-  if (model.use_relation_module()) grad->Transfer(t.relation, d * d);
+  if (dense_transfer && model.use_relation_module()) {
+    grad->Transfer(t.relation, d * d);
+  }
   if (model.scorer() == TripleScorerKind::kTransH) {
     grad->Hyperplane(t.relation, d);
   }
@@ -548,9 +815,10 @@ void ClaimRows(const PkgmModel& model, const kg::Triple& t, GradArena* grad) {
 
 // The relation module's matrix half of the backward, for `count`
 // side-items sharing relation `rel`: finishes each forward residual in
-// place, u_q = M_r h_q - r -> s'_q = sign(u_q), then accumulates
-// dM_r += signs[q] s'_q h_q^T in q order (rows with s'[i] == 0 skipped)
-// and writes mts_q = M_r^T s'_q. `gm` is rel's claimed transfer row.
+// place, u_q = M_r h_q - r -> s'_q = sign(u_q), and writes
+// mts_q = M_r^T s'_q. When `gm` (rel's claimed transfer row) is non-null
+// it also accumulates dM_r += signs[q] s'_q h_q^T in q order (rows with
+// s'[i] == 0 skipped): the one ger_multi call RebuildTransferRow repeats.
 void RelationMatrixBackward(const PkgmModel& model, uint32_t rel,
                             size_t count, const float* const* heads,
                             float* const* u, float* const* mts,
@@ -562,7 +830,7 @@ void RelationMatrixBackward(const PkgmModel& model, uint32_t rel,
     k.sub(d, u[q], r, u[q]);
     k.sign_of(d, u[q], u[q]);
   }
-  k.ger_multi(count, d, d, signs, u, heads, gm);
+  if (gm != nullptr) k.ger_multi(count, d, d, signs, u, heads, gm);
   k.gemv_t_multi(count, d, d, model.transfer(rel), u, mts);
 }
 
@@ -659,7 +927,7 @@ void FusedBackward(const PkgmModel& model, const kg::Triple& t,
                    float sign_factor, const simd::KernelTable& k,
                    const float* diff, float* u, HingeWorkspace* ws,
                    GradArena* grad) {
-  ClaimRows(model, t, grad);
+  ClaimRows(model, t, /*dense_transfer=*/true, grad);
   float* mts = ws->mts.data();
   if (model.use_relation_module()) {
     const uint32_t d = model.dim();
@@ -749,12 +1017,15 @@ void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
   // 4. Claim rows in pair order: the arena's row order is the per-pair
   // loop's, and no later lookup can move a row.
   for (size_t q = 0; q < items; ++q) {
-    if (active(q)) ClaimRows(model, side(q), grad);
+    if (active(q)) ClaimRows(model, side(q), /*dense_transfer=*/false, grad);
   }
 
   // 5. The relation module's matrix half, once per relation group over the
-  // group's active side-items, in group (= pair) order.
+  // group's active side-items, in group (= pair) order; dM_r is recorded
+  // as the group's factors (sign, s', h).
   if (model.use_relation_module()) {
+    TransferFactors& factors = grad->transfer_factors();
+    PKGM_CHECK(factors.empty());  // one group per relation
     size_t begin = 0;
     while (begin < items) {
       const uint32_t rel = side(ws->order[begin]).relation;
@@ -775,7 +1046,9 @@ void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
         RelationMatrixBackward(model, rel, ws->heads.size(),
                                ws->heads.data(), ws->group_u.data(),
                                ws->group_mts.data(), ws->group_signs.data(),
-                               k, grad->Transfer(rel, d * d));
+                               k, /*gm=*/nullptr);
+        factors.AddGroup(rel, d, ws->heads.size(), ws->group_signs.data(),
+                         ws->group_u.data(), ws->heads.data(), k);
       }
       begin = stop;
     }

@@ -61,8 +61,8 @@ void ShardedTrainer::LockStripe(Stripe& s) {
   }
 }
 
-void ShardedTrainer::ApplyWorkerGradients(const GradArena& grad,
-                                          float scale) {
+void ShardedTrainer::ApplyWorkerGradients(const GradArena& grad, float scale,
+                                          TransferRebuildScratch* scratch) {
   const float lr = options_.learning_rate * scale;
 
   // Publish each touched row under its stripe lock. Reads during gradient
@@ -90,11 +90,17 @@ void ShardedTrainer::ApplyWorkerGradients(const GradArena& grad,
              [&](uint32_t id, const float* g, uint32_t n) {
                kernels_.axpy(n, -lr, g, model_->relation(id));
              });
-  if (model_->use_relation_module()) {
-    apply_slab(grad.transfers(), 2,
-               [&](uint32_t id, const float* g, uint32_t n) {
-                 kernels_.axpy(n, -lr, g, model_->transfer(id));
-               });
+  // A transfer gradient is rebuilt from its factors outside the lock; only
+  // the axpy runs under it.
+  const TransferFactors& factors = grad.transfer_factors();
+  const uint32_t dd = factors.dim() * factors.dim();
+  for (size_t g = 0; g < factors.num_groups(); ++g) {
+    const uint32_t id = factors.relation(g);
+    const float* row = factors.Rebuild(g, scratch);
+    Stripe& stripe = stripes_[StripeOf(2, id)];
+    LockStripe(stripe);
+    kernels_.axpy(dd, -lr, row, model_->transfer(id));
+    stripe.locked.store(false, std::memory_order_release);
   }
   apply_slab(grad.hyperplanes(), 3,
              [&](uint32_t id, const float* g, uint32_t n) {
@@ -158,6 +164,7 @@ EpochStats ShardedTrainer::RunEpoch() {
   auto worker_fn = [&] {
     GradArena arena;
     BatchHingeWorkspace ws;
+    TransferRebuildScratch rebuild_scratch;
     std::vector<float> hinges;
     PairBatch* pb = nullptr;
     while (work_q.Pop(&pb)) {
@@ -174,8 +181,8 @@ EpochStats ShardedTrainer::RunEpoch() {
         }
       }
       if (!arena.empty()) {
-        ApplyWorkerGradients(arena,
-                             1.0f / static_cast<float>(pb->pos.size()));
+        ApplyWorkerGradients(arena, 1.0f / static_cast<float>(pb->pos.size()),
+                             &rebuild_scratch);
         arena.Clear();
       }
       batch_hinge[pb->index] = hinge_sum;

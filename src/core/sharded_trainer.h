@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/gradients.h"
 #include "core/negative_sampler.h"
 #include "core/pkgm_model.h"
 #include "core/trainer.h"
@@ -26,7 +27,9 @@ namespace pkgm::core {
 ///   * Workers pop batches, accumulate gradients in a private flat
 ///     GradArena via the fused SIMD hinge kernels, and publish each row to
 ///     the shared model under a striped spinlock (cache-line-sized stripes
-///     hashed by table + row id) — no per-batch shard-mutex convoy.
+///     hashed by table + row id) — no per-batch shard-mutex convoy. A
+///     transfer gradient is rebuilt from its factors before its lock is
+///     taken.
 ///     Parameter reads stay unlocked, so workers see slightly stale values:
 ///     the asynchronous PS training regime.
 ///   * Per-batch hinge/active counts land in slots indexed by batch id and
@@ -65,7 +68,8 @@ class ShardedTrainer {
 
   size_t StripeOf(uint32_t table_tag, uint32_t row) const;
   void LockStripe(Stripe& s);
-  void ApplyWorkerGradients(const GradArena& grad, float scale);
+  void ApplyWorkerGradients(const GradArena& grad, float scale,
+                            TransferRebuildScratch* scratch);
 
   PkgmModel* model_;
   const kg::TripleSource* store_;

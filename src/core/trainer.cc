@@ -138,19 +138,20 @@ void Trainer::ApplyGradients(const GradArena& grad, float scale) {
   }
   const float sgd_alpha = -options_.learning_rate * scale;
 
+  const auto apply_row = [&](uint32_t id, const float* g, uint32_t n,
+                             Mat* table, Mat* m, Mat* v) {
+    float* row = table->Row(id);
+    if (adam) {
+      kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row, m->Row(id),
+                        v->Row(id));
+    } else {
+      kernels_.axpy(n, sgd_alpha, g, row);
+    }
+  };
   const auto apply_slab = [&](const GradSlab& slab, Mat* table, Mat* m,
                               Mat* v) {
-    const uint32_t n = slab.row_size();
     for (size_t i = 0; i < slab.size(); ++i) {
-      const uint32_t id = slab.id_at(i);
-      const float* g = slab.row_at(i);
-      float* row = table->Row(id);
-      if (adam) {
-        kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row, m->Row(id),
-                          v->Row(id));
-      } else {
-        kernels_.axpy(n, sgd_alpha, g, row);
-      }
+      apply_row(slab.id_at(i), slab.row_at(i), slab.row_size(), table, m, v);
     }
   };
 
@@ -158,9 +159,13 @@ void Trainer::ApplyGradients(const GradArena& grad, float scale) {
              &v_entities_);
   apply_slab(grad.relations(), &model_->relation_table(), &m_relations_,
              &v_relations_);
-  if (model_->use_relation_module()) {
-    apply_slab(grad.transfers(), &model_->transfer_table(), &m_transfers_,
-               &v_transfers_);
+  // Each transfer gradient is rebuilt from its factors into one scratch
+  // row, then applied like a dense row.
+  const TransferFactors& factors = grad.transfer_factors();
+  for (size_t g = 0; g < factors.num_groups(); ++g) {
+    apply_row(factors.relation(g), factors.Rebuild(g, &rebuild_scratch_),
+              factors.dim() * factors.dim(), &model_->transfer_table(),
+              &m_transfers_, &v_transfers_);
   }
   const GradSlab& gw = grad.hyperplanes();
   if (!gw.empty()) {

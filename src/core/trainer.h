@@ -54,7 +54,8 @@ struct EpochStats {
 /// global step count.
 ///
 /// The hot path draws a batch's negatives, runs FusedBatchHingeGradients
-/// into a reusable flat GradArena and applies rows with the dispatched
+/// into a reusable flat GradArena, rebuilds each transfer gradient from its
+/// factors into one scratch row and applies rows with the dispatched
 /// axpy/adam_row kernels — no per-batch allocation, and for a fixed seed
 /// two runs produce bit-identical embeddings (validation draws from its
 /// own RNG stream, so interleaving EvaluateMeanHinge calls cannot perturb
@@ -97,6 +98,7 @@ class Trainer {
   GradArena arena_;
   HingeWorkspace workspace_;  // EvaluateMeanHinge's per-pair scratch
   BatchHingeWorkspace batch_workspace_;
+  TransferRebuildScratch rebuild_scratch_;
   std::vector<NegativeSample> negatives_;  // the current batch's
   std::vector<float> hinges_;
 

@@ -448,7 +448,8 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
         }
       }
 
-      // 3. Push the arena shard-sliced, bounded acks outstanding.
+      // 3. Push the arena shard-sliced, bounded acks outstanding. Transfer
+      // gradients travel as factors (or as a dense row, when smaller).
       if (!arena.empty()) {
         const float scale = 1.0f / static_cast<float>(pb->pos.size());
         for (size_t s = 0; s < num_shards; ++s) {
@@ -476,9 +477,10 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
             }
           }
         }
+        // A factor group counts as the one transfer row it updates.
         rows_pushed_.fetch_add(arena.entities().size() +
                                arena.relations().size() +
-                               arena.transfers().size() +
+                               arena.transfer_factors().num_groups() +
                                arena.hyperplanes().size());
         arena.Clear();
       }

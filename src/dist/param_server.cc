@@ -62,6 +62,17 @@ size_t ParamServer::MaxPushPayloadBytes() const {
          core::GradArenaBlobBytes(counts, row_sizes);
 }
 
+std::pair<const float*, const float*> ParamServer::AdamMoments(
+    ParamTable table, uint32_t id) const {
+  if (options_.optimizer != core::OptimizerKind::kAdam) return {};
+  const Mat* m[4] = {&m_entities_, &m_relations_, &m_transfers_,
+                     &m_hyperplanes_};
+  const Mat* v[4] = {&v_entities_, &v_relations_, &v_transfers_,
+                     &v_hyperplanes_};
+  const size_t t = static_cast<size_t>(table);
+  return {m[t]->Row(id), v[t]->Row(id)};
+}
+
 net::ShardInfo ParamServer::Info() const {
   net::ShardInfo info;
   info.shard_index = options_.shard_index;
@@ -188,36 +199,42 @@ std::string ParamServer::HandlePush(const Frame& frame) {
   std::lock_guard<std::mutex> lock(apply_mu_);
   // Pass 1 checks the whole blob before the model is touched, so a bad
   // push is all-or-nothing. A repeated id is refused: pass 2 applies rows
-  // one by one, so it could not merge them.
+  // one by one, so it could not merge them. A factor group is checked as
+  // the transfer row it rebuilds into, so a relation sent both dense and
+  // as factors is a repeat too.
   if (++push_serial_ == 0) {
     for (std::vector<uint32_t>& seen : seen_) {
       std::fill(seen.begin(), seen.end(), 0);
     }
     push_serial_ = 1;
   }
+  const auto check_row = [&](uint32_t slab, uint32_t id, const float*,
+                             uint32_t row_size) -> Status {
+    // Blob slabs are in ParamTable order.
+    const ParamTable table = static_cast<ParamTable>(slab);
+    const char* what = nullptr;
+    if (RowSizeOf(table) == 0) {
+      what = "table not present";
+    } else if (row_size != RowSizeOf(table)) {
+      what = "row size mismatch";
+    } else if (id >= NumKeysOf(table) || !OwnsKey(id)) {
+      what = "row not owned by shard";
+    } else if (uint32_t& seen = seen_[slab][id / options_.num_shards];
+               seen == push_serial_) {
+      what = "duplicate row id";
+    } else {
+      seen = push_serial_;
+      return Status::Ok();
+    }
+    return Status::InvalidArgument(
+        StrFormat("push to table %u refused: %s (row %u)",
+                  static_cast<unsigned>(slab), what,
+                  static_cast<unsigned>(id)));
+  };
   st = core::VisitGradArenaBlob(
-      blob, [&](uint32_t slab, uint32_t id, const float*,
-                uint32_t row_size) -> Status {
-        // Blob slabs are in ParamTable order.
-        const ParamTable table = static_cast<ParamTable>(slab);
-        const char* what = nullptr;
-        if (RowSizeOf(table) == 0) {
-          what = "table not present";
-        } else if (row_size != RowSizeOf(table)) {
-          what = "row size mismatch";
-        } else if (id >= NumKeysOf(table) || !OwnsKey(id)) {
-          what = "row not owned by shard";
-        } else if (uint32_t& seen = seen_[slab][id / options_.num_shards];
-                   seen == push_serial_) {
-          what = "duplicate row id";
-        } else {
-          seen = push_serial_;
-          return Status::Ok();
-        }
-        return Status::InvalidArgument(
-            StrFormat("push to table %u refused: %s (row %u)",
-                      static_cast<unsigned>(slab), what,
-                      static_cast<unsigned>(id)));
+      blob, check_row, [&](const core::BlobFactorGroup& group) {
+        return check_row(static_cast<uint32_t>(ParamTable::kTransfer),
+                         group.relation, nullptr, group.dim * group.dim);
       });
   if (!st.ok()) return Reject(frame, st.message());
 
@@ -239,9 +256,10 @@ std::string ParamServer::HandlePush(const Frame& frame) {
   }
   const float sgd_alpha = -options_.learning_rate * scale;
 
-  // Pass 2 applies each row straight from the received bytes. Ids are
-  // distinct within a table, so renormalizing a row right after its update
-  // equals renormalizing after the whole table's.
+  // Pass 2 applies each row straight from the received bytes, and each
+  // factor group from its h vectors in those bytes, rebuilt into one
+  // scratch row. Ids are distinct within a table, so renormalizing a row
+  // right after its update equals renormalizing after the whole table's.
   struct TableState {
     Mat* table;
     Mat* m;
@@ -253,26 +271,32 @@ std::string ParamServer::HandlePush(const Frame& frame) {
       {&model_.transfer_table(), &m_transfers_, &v_transfers_},
       {&model_.hyperplane_table(), &m_hyperplanes_, &v_hyperplanes_}};
   uint64_t rows = 0;
+  const auto apply_row = [&](uint32_t slab, uint32_t id, const float* g,
+                             uint32_t n) -> Status {
+    const TableState& ts = tables[slab];
+    float* row = ts.table->Row(id);
+    if (adam) {
+      kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row, ts.m->Row(id),
+                        ts.v->Row(id));
+    } else {
+      kernels_.axpy(n, sgd_alpha, g, row);
+    }
+    const ParamTable table = static_cast<ParamTable>(slab);
+    if (table == ParamTable::kEntity && options_.normalize_entities) {
+      model_.NormalizeEntity(id);
+    } else if (table == ParamTable::kHyperplane) {
+      model_.NormalizeHyperplane(id);
+    }
+    ++rows;
+    return Status::Ok();
+  };
   // Cannot fail: pass 1 accepted this blob.
   (void)core::VisitGradArenaBlob(
-      blob, [&](uint32_t slab, uint32_t id, const float* g,
-                uint32_t n) -> Status {
-        const TableState& ts = tables[slab];
-        float* row = ts.table->Row(id);
-        if (adam) {
-          kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row,
-                            ts.m->Row(id), ts.v->Row(id));
-        } else {
-          kernels_.axpy(n, sgd_alpha, g, row);
-        }
-        const ParamTable table = static_cast<ParamTable>(slab);
-        if (table == ParamTable::kEntity && options_.normalize_entities) {
-          model_.NormalizeEntity(id);
-        } else if (table == ParamTable::kHyperplane) {
-          model_.NormalizeHyperplane(id);
-        }
-        ++rows;
-        return Status::Ok();
+      blob, apply_row, [&](const core::BlobFactorGroup& group) {
+        return apply_row(
+            static_cast<uint32_t>(ParamTable::kTransfer), group.relation,
+            core::RebuildTransferRow(group, kernels_, &rebuild_scratch_),
+            group.dim * group.dim);
       });
 
   ++pushes_;

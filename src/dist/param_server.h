@@ -57,8 +57,10 @@ struct ParamServerOptions {
 ///   * kPushGrads applies under one apply mutex, so updates from
 ///     concurrent workers serialize per shard and the optimizer state
 ///     (Adam moments, step count) stays consistent. A push is checked
-///     whole first (all-or-nothing; a repeated row id is refused), then
-///     applied row by row straight from the received frame bytes.
+///     whole first (all-or-nothing; a repeated row id is refused, and a
+///     transfer-matrix factor group counts as its relation's transfer
+///     row), then applied row by row straight from the received frame
+///     bytes, each factor group rebuilt into one scratch row first.
 ///   * kBarrier replies are parked until every expected worker arrives at
 ///     the same epoch. Parked responds count as outstanding frames in the
 ///     NetServer, so AbortBarriers() must run before NetServer::Stop().
@@ -92,9 +94,16 @@ class ParamServer : public net::FrameHandler {
   /// Pushes applied (= the Adam bias-correction step count).
   uint64_t step() const { return step_.load(); }
 
+  /// Adam's first and second moment rows for row `id` of `table`, or
+  /// nullptrs under SGD. Read them only while no push is being applied.
+  std::pair<const float*, const float*> AdamMoments(net::ParamTable table,
+                                                    uint32_t id) const;
+
   /// Bytes of the largest valid kPushGrads payload under this shard's model
   /// shape: one row per owned key of every present table (a push repeating
-  /// an id is refused). The NetServer in front of the shard must accept
+  /// an id is refused) and the factor section's header. A worker writes a
+  /// factor group only while it is smaller than the dense row, so factors
+  /// never push past this. The NetServer in front of the shard must accept
   /// frames at least this large.
   size_t MaxPushPayloadBytes() const;
 
@@ -130,6 +139,8 @@ class ParamServer : public net::FrameHandler {
   /// already present in the push being checked.
   std::vector<uint32_t> seen_[4];
   uint32_t push_serial_ = 0;
+  /// The one row factor groups are rebuilt into.
+  core::TransferRebuildScratch rebuild_scratch_;
   Mat m_entities_, v_entities_;
   Mat m_relations_, v_relations_;
   Mat m_transfers_, v_transfers_;

@@ -74,8 +74,10 @@ enum class FrameType : uint8_t {
   kPullRows = 8,
   /// Param server → worker: the requested rows (ids echoed back).
   kRows = 9,
-  /// Worker → param server: a serialized GradArena of touched-row gradient
-  /// deltas for rows this shard owns, plus the batch scale factor.
+  /// Worker → param server: a serialized GradArena (blob v2) of touched-row
+  /// gradient deltas for rows this shard owns, transfer-matrix gradients as
+  /// sufficient factors or dense rows, whichever is smaller, plus the batch
+  /// scale factor.
   kPushGrads = 10,
   /// Param server → worker: push applied. Workers bound the number of
   /// unacknowledged pushes per shard (the staleness bound).
@@ -405,8 +407,10 @@ Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out);
 constexpr size_t kPushGradsPrefixBytes = 8;
 
 /// kPushGrads payload: f32 scale, u32 epoch, then a serialized GradArena
-/// blob (see core::SerializeGradArena) to the payload end. The blob keeps
-/// its own corruption-rejecting header; this codec treats it as bytes.
+/// blob (see core::SerializeGradArena: four dense slabs and a section of
+/// transfer-matrix factor groups) to the payload end. The blob keeps its
+/// own versioned, corruption-rejecting header; this codec treats it as
+/// bytes.
 std::string EncodePushGrads(uint64_t correlation_id, float scale,
                             uint32_t epoch, std::string_view arena_blob);
 /// In-place kPushGrads: appends the header and the scale/epoch prefix to

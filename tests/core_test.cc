@@ -426,14 +426,18 @@ std::vector<const simd::KernelTable*> UsableKernelTables() {
   return tables;
 }
 
-// Slab-for-slab equality: the same ids in the same first-touch order, and
-// the same bytes in every row.
-void ExpectSameArena(const GradArena& got, const GradArena& want) {
+// The batch engine's arena `got` against the per-pair loop's `want`. The
+// entity, relation and hyperplane slabs are equal slab for slab: the same
+// ids in the same first-touch order, and the same bytes in every row. The
+// engine claims no dense transfer row; its factor groups cover exactly the
+// ids of want's transfer slab, and each group, rebuilt on the table it was
+// recorded with, equals want's dense dM_r row byte for byte.
+void ExpectBatchMatchesPerPair(const GradArena& got, const GradArena& want) {
   const GradSlab* got_slabs[] = {&got.entities(), &got.relations(),
-                                 &got.transfers(), &got.hyperplanes()};
+                                 &got.hyperplanes()};
   const GradSlab* want_slabs[] = {&want.entities(), &want.relations(),
-                                  &want.transfers(), &want.hyperplanes()};
-  for (int t = 0; t < 4; ++t) {
+                                  &want.hyperplanes()};
+  for (int t = 0; t < 3; ++t) {
     SCOPED_TRACE("slab " + std::to_string(t));
     const GradSlab& g = *got_slabs[t];
     const GradSlab& w = *want_slabs[t];
@@ -446,13 +450,71 @@ void ExpectSameArena(const GradArena& got, const GradArena& want) {
           << "row " << i << " id " << g.id_at(i);
     }
   }
+
+  ASSERT_TRUE(got.transfers().empty());
+  const TransferFactors& factors = got.transfer_factors();
+  const GradSlab& dense = want.transfers();
+  std::vector<uint32_t> group_ids, dense_ids;
+  for (size_t g = 0; g < factors.num_groups(); ++g) {
+    group_ids.push_back(factors.relation(g));
+  }
+  for (size_t i = 0; i < dense.size(); ++i) dense_ids.push_back(dense.id_at(i));
+  std::sort(group_ids.begin(), group_ids.end());
+  std::sort(dense_ids.begin(), dense_ids.end());
+  ASSERT_EQ(group_ids, dense_ids);
+  TransferRebuildScratch scratch;
+  for (size_t g = 0; g < factors.num_groups(); ++g) {
+    const uint32_t rel = factors.relation(g);
+    size_t i = 0;
+    while (dense.id_at(i) != rel) ++i;
+    ASSERT_EQ(factors.dim() * factors.dim(), dense.row_size());
+    ASSERT_EQ(0, std::memcmp(factors.Rebuild(g, &scratch), dense.row_at(i),
+                             dense.row_size() * sizeof(float)))
+        << "transfer row of relation " << rel;
+  }
+}
+
+// The transfer gradients of a serialized batch-engine arena recorded on `k`:
+// each dense row, and each factor group rebuilt on `k`, equals the per-pair
+// loop's dense row in `want`, and together they cover want's ids once.
+void ExpectBlobTransfersMatch(const std::string& blob,
+                              const simd::KernelTable& k,
+                              const GradSlab& want) {
+  std::vector<uint32_t> seen;
+  const auto check = [&](uint32_t id, const float* row) {
+    size_t i = 0;
+    while (i < want.size() && want.id_at(i) != id) ++i;
+    EXPECT_LT(i, want.size()) << "relation " << id;
+    if (i < want.size()) {
+      EXPECT_EQ(0, std::memcmp(row, want.row_at(i),
+                               want.row_size() * sizeof(float)))
+          << "relation " << id;
+    }
+    seen.push_back(id);
+  };
+  TransferRebuildScratch scratch;
+  ASSERT_TRUE(VisitGradArenaBlob(
+                  blob,
+                  [&](uint32_t slab, uint32_t id, const float* row,
+                      uint32_t) {
+                    if (slab == 2) check(id, row);
+                    return Status::Ok();
+                  },
+                  [&](const BlobFactorGroup& group) {
+                    check(group.relation,
+                          RebuildTransferRow(group, k, &scratch));
+                    return Status::Ok();
+                  })
+                  .ok());
+  EXPECT_EQ(seen.size(), want.size());
 }
 
 TEST(GradientsTest, FusedBatchMatchesPerPairBitForBit) {
   // The relation-grouped batch engine reorders the forward and the
   // transfer-matrix backward by relation, but must reproduce the per-pair
-  // loop exactly: the hinges, every slab's row order and every gradient
-  // byte (DESIGN.md §12).
+  // loop exactly: the hinges, every dense slab's row order and every
+  // gradient byte, with each transfer gradient rebuilt from its factors
+  // (DESIGN.md §12). d = 30 leaves a partial s' code word.
   constexpr uint32_t kEntities = 40;
   constexpr uint32_t kRelations = 6;
   kg::TripleStore store;
@@ -540,7 +602,11 @@ TEST(GradientsTest, FusedBatchMatchesPerPairBitForBit) {
                                        hinges.data());
               ASSERT_EQ(0, std::memcmp(hinges.data(), want_hinges.data(),
                                        n * sizeof(float)));
-              ExpectSameArena(got, want);
+              ExpectBatchMatchesPerPair(got, want);
+              // Through the blob codec as well, factors or dense rows.
+              std::string blob;
+              SerializeGradArena(got, &blob);
+              ExpectBlobTransfersMatch(blob, *k, want.transfers());
 
               // Without an arena: the same hinges, nothing accumulated.
               std::vector<float> bare(n, -1.0f);
@@ -1159,6 +1225,203 @@ TEST(GradArenaBlobTest, CorruptionRejected) {
     g.Entity(1, dim + 1)[0] = 1.0f;  // pre-existing rows at a wider dim
     EXPECT_FALSE(DeserializeGradArena(blob, &g).ok());
   }
+}
+
+// An arena holding one transfer factor group per entry of `counts`
+// (relation r gets counts[r] items; 0 = no group) with signs alternating
+// +1/-1, s' mixing +1, -1 and 0, and h mixing signs and a -0.0f, recorded
+// for table `k`.
+GradArena FactorArena(uint32_t dim, const std::vector<size_t>& counts,
+                      const simd::KernelTable& k) {
+  GradArena arena;
+  for (uint32_t rel = 0; rel < counts.size(); ++rel) {
+    const size_t n = counts[rel];
+    if (n == 0) continue;
+    std::vector<float> signs(n), s2(n * dim), h(n * dim);
+    std::vector<const float*> s2_ptrs(n), h_ptrs(n);
+    for (size_t q = 0; q < n; ++q) {
+      signs[q] = q % 2 == 0 ? 1.0f : -1.0f;
+      for (uint32_t i = 0; i < dim; ++i) {
+        s2[q * dim + i] = static_cast<float>((i + q + rel) % 3) - 1.0f;
+        h[q * dim + i] = 0.125f * static_cast<float>(i) -
+                         0.5f * static_cast<float>(q) + static_cast<float>(rel);
+      }
+      h[q * dim] = -0.0f;
+      s2_ptrs[q] = s2.data() + q * dim;
+      h_ptrs[q] = h.data() + q * dim;
+    }
+    arena.transfer_factors().AddGroup(rel, dim, n, signs.data(),
+                                      s2_ptrs.data(), h_ptrs.data(), k);
+  }
+  return arena;
+}
+
+// Checks that `decoded` holds, as dense transfer rows, exactly the rebuilt
+// rows of the groups of `arena` that belong to `shard` of `num_shards`.
+void ExpectRebuiltTransfers(const GradArena& arena, const GradArena& decoded,
+                            uint32_t shard, uint32_t num_shards) {
+  const TransferFactors& factors = arena.transfer_factors();
+  TransferRebuildScratch scratch;
+  size_t want_rows = 0;
+  for (size_t g = 0; g < factors.num_groups(); ++g) {
+    const uint32_t rel = factors.relation(g);
+    if (rel % num_shards != shard) continue;
+    ++want_rows;
+    const GradSlab& got = decoded.transfers();
+    size_t i = 0;
+    while (i < got.size() && got.id_at(i) != rel) ++i;
+    ASSERT_LT(i, got.size()) << "relation " << rel;
+    ASSERT_EQ(got.row_size(), factors.dim() * factors.dim());
+    EXPECT_EQ(0, std::memcmp(got.row_at(i), factors.Rebuild(g, &scratch),
+                             got.row_size() * sizeof(float)))
+        << "relation " << rel;
+  }
+  EXPECT_EQ(decoded.transfers().size(), want_rows);
+}
+
+TEST(GradArenaBlobTest, FactorGroupsTakeTheSmallerForm) {
+  EXPECT_EQ(TransferFactorCrossover(64), 59u);
+  const simd::KernelTable& k = simd::Active();
+  for (uint32_t dim : {16u, 30u, 64u}) {
+    SCOPED_TRACE(dim);
+    const size_t c = TransferFactorCrossover(dim);
+    const size_t dense_entry = 4 + 4 * static_cast<size_t>(dim) * dim;
+    ASSERT_GT(c, 1u);
+    EXPECT_LT(FactorGroupBlobBytes(dim, c), dense_entry);
+    EXPECT_GE(FactorGroupBlobBytes(dim, c + 1), dense_entry);
+
+    // Relations 0..4: one item below the crossover, at it, one above, none,
+    // and far above.
+    const GradArena arena = FactorArena(dim, {c - 1, c, c + 1, 0, 3 * c}, k);
+    std::string blob;
+    EXPECT_EQ(SerializeGradArena(arena, &blob), 4u);
+    std::vector<uint32_t> factor_ids, dense_ids;
+    ASSERT_TRUE(VisitGradArenaBlob(
+                    blob,
+                    [&](uint32_t slab, uint32_t id, const float*, uint32_t) {
+                      EXPECT_EQ(slab, 2u);
+                      dense_ids.push_back(id);
+                      return Status::Ok();
+                    },
+                    [&](const BlobFactorGroup& group) {
+                      EXPECT_EQ(group.dim, dim);
+                      factor_ids.push_back(group.relation);
+                      return Status::Ok();
+                    })
+                    .ok());
+    EXPECT_EQ(factor_ids, (std::vector<uint32_t>{0, 1}));
+    EXPECT_EQ(dense_ids, (std::vector<uint32_t>{2, 4}));
+    const uint32_t counts[4] = {0, 0, 2, 0};
+    const uint32_t row_sizes[4] = {0, 0, dim * dim, 0};
+    EXPECT_EQ(blob.size(), GradArenaBlobBytes(counts, row_sizes) +
+                               FactorGroupBlobBytes(dim, c - 1) +
+                               FactorGroupBlobBytes(dim, c));
+
+    // Serialize → deserialize, whole and shard-filtered, reproduces every
+    // rebuilt row bit for bit, whichever form it travelled in.
+    GradArena whole;
+    uint64_t applied = 0;
+    ASSERT_TRUE(DeserializeGradArena(blob, &whole, &applied).ok());
+    EXPECT_EQ(applied, 4u);
+    ExpectRebuiltTransfers(arena, whole, 0, 1);
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      std::string slice_blob;
+      // Relations 0, 2 and 4 are shard 0's, relation 1 is shard 1's.
+      EXPECT_EQ(SerializeGradArena(arena, shard, 2, &slice_blob),
+                shard == 0 ? 3u : 1u);
+      GradArena slice;
+      ASSERT_TRUE(DeserializeGradArena(slice_blob, &slice).ok());
+      ExpectRebuiltTransfers(arena, slice, shard, 2);
+    }
+  }
+}
+
+TEST(GradArenaBlobTest, FactorsNeverOutgrowTheDenseBound) {
+  // Every table full and every relation's group past the crossover: the
+  // blob is exactly the all-dense bound that ParamServer::
+  // MaxPushPayloadBytes() is built from. At the crossover it is smaller.
+  const uint32_t dim = 16;
+  const uint32_t entities = 12, relations = 5;
+  const size_t c = TransferFactorCrossover(dim);
+  const uint32_t counts[4] = {entities, relations, relations, relations};
+  const uint32_t row_sizes[4] = {dim, dim, dim * dim, dim};
+  for (const size_t items : {c + 1, c}) {
+    GradArena arena =
+        FactorArena(dim, std::vector<size_t>(relations, items),
+                    simd::Active());
+    for (uint32_t e = 0; e < entities; ++e) arena.Entity(e, dim)[0] = 1.0f;
+    for (uint32_t r = 0; r < relations; ++r) {
+      arena.Relation(r, dim)[1] = 2.0f;
+      arena.Hyperplane(r, dim)[2] = 3.0f;
+    }
+    std::string blob;
+    EXPECT_EQ(SerializeGradArena(arena, &blob), entities + 3u * relations);
+    if (items > c) {
+      EXPECT_EQ(blob.size(), GradArenaBlobBytes(counts, row_sizes));
+    } else {
+      EXPECT_LT(blob.size(), GradArenaBlobBytes(counts, row_sizes));
+    }
+  }
+}
+
+TEST(GradArenaBlobTest, FactorSectionCorruptionRejected) {
+  // dim 8, one group of two items, no dense row: the factor section header
+  // sits at 40 (dim, num_groups), the group header at 48 (relation, count)
+  // and item 0 at 56 (sign, one s' code word at 60, h at 64).
+  const uint32_t dim = 8;
+  const GradArena arena = FactorArena(dim, {0, 2}, simd::Active());
+  std::string blob;
+  ASSERT_EQ(SerializeGradArena(arena, &blob), 1u);
+  ASSERT_EQ(blob.size(), 48 + FactorGroupBlobBytes(dim, 2));
+  uint32_t word;
+  std::memcpy(&word, &blob[60], 4);
+
+  GradArena sink;
+  ASSERT_TRUE(DeserializeGradArena(blob, &sink).ok());
+  const auto with_u32 = [&](size_t at, uint32_t v) {
+    std::string bad = blob;
+    std::memcpy(&bad[at], &v, 4);
+    return bad;
+  };
+  const auto with_f32 = [&](size_t at, float v) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, 4);
+    return with_u32(at, bits);
+  };
+  const std::pair<const char*, std::string> cases[] = {
+      {"sign 0.5", with_f32(56, 0.5f)},
+      {"sign -0", with_f32(56, -0.0f)},
+      {"sign +2", with_f32(56, 2.0f)},
+      {"code 3", with_u32(60, word | 3u)},
+      {"padding bits", with_u32(60, word | (1u << 16))},
+      {"empty group", with_u32(52, 0)},
+      {"count past the bytes", with_u32(52, 0x7fffffffu)},
+      {"zero dim", with_u32(40, 0)},
+      {"dim too large", with_u32(40, 0x10000u)},
+      {"group count past the bytes", with_u32(44, 2)},
+  };
+  for (const auto& [what, bad] : cases) {
+    SCOPED_TRACE(what);
+    size_t visited = 0;
+    EXPECT_FALSE(VisitGradArenaBlob(
+                     bad,
+                     [&](uint32_t, uint32_t, const float*, uint32_t) {
+                       ++visited;
+                       return Status::Ok();
+                     },
+                     [&](const BlobFactorGroup&) {
+                       ++visited;
+                       return Status::Ok();
+                     })
+                     .ok());
+    EXPECT_EQ(visited, 0u);
+    GradArena g;
+    EXPECT_FALSE(DeserializeGradArena(bad, &g).ok());
+  }
+  // A factor group whose rebuilt row disagrees with the target slab.
+  GradArena wider;
+  wider.Transfer(1, (dim + 1) * (dim + 1))[0] = 1.0f;
+  EXPECT_FALSE(DeserializeGradArena(blob, &wider).ok());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -377,10 +378,13 @@ TEST(ParamServerTest, PushRepeatingARowIdRefusedWhole) {
   const uint32_t three = 3;
   std::memcpy(&repeated[12], &three, sizeof(three));
   // The blob itself is well formed; refusing it is the shard's decision.
-  ASSERT_TRUE(core::VisitGradArenaBlob(repeated, [](uint32_t, uint32_t,
-                                                    const float*, uint32_t) {
-                return Status::Ok();
-              }).ok());
+  ASSERT_TRUE(core::VisitGradArenaBlob(
+                  repeated,
+                  [](uint32_t, uint32_t, const float*, uint32_t) {
+                    return Status::Ok();
+                  },
+                  [](const core::BlobFactorGroup&) { return Status::Ok(); })
+                  .ok());
 
   auto client = MustConnect(cluster.ports[0]);
   uint64_t cid = client->NextCorrelationId();
@@ -804,7 +808,8 @@ std::vector<size_t> RowsFields(const std::vector<RowsSection>& sections) {
   return fields;
 }
 
-/// Offsets of the slab row sizes and counts of a GradArena blob.
+/// Offsets of the slab row sizes and counts of a GradArena blob, and of
+/// its factor section's dim, group count and per-group item counts.
 std::vector<size_t> BlobFields(const std::string& blob) {
   std::vector<size_t> fields;
   size_t pos = 8;
@@ -816,10 +821,43 @@ std::vector<size_t> BlobFields(const std::string& blob) {
     fields.push_back(pos + 4);
     pos += 8 + static_cast<size_t>(count) * (4 + 4 * row_size);
   }
+  uint32_t dim, groups;
+  std::memcpy(&dim, &blob[pos], 4);
+  std::memcpy(&groups, &blob[pos + 4], 4);
+  fields.push_back(pos);
+  fields.push_back(pos + 4);
+  pos += 8;
+  for (uint32_t g = 0; g < groups; ++g) {
+    uint32_t count;
+    std::memcpy(&count, &blob[pos + 4], 4);
+    fields.push_back(pos + 4);
+    pos += 8 + static_cast<size_t>(count) * (4 + 4 * ((dim + 15) / 16) + 4 * dim);
+  }
   return fields;
 }
 
-/// Shard 0's slice of a gradient touching every table, as a blob.
+/// Records relation `rel`'s transfer gradient in `arena` as a factor group
+/// of `count` items (signs alternating, s' mixing +1, -1 and 0).
+void AddFactorGroup(core::GradArena* arena, uint32_t rel, uint32_t dim,
+                    size_t count) {
+  std::vector<float> signs(count), s2(count * dim), h(count * dim);
+  std::vector<const float*> s2_ptrs(count), h_ptrs(count);
+  for (size_t q = 0; q < count; ++q) {
+    signs[q] = q % 2 == 0 ? 1.0f : -1.0f;
+    for (uint32_t i = 0; i < dim; ++i) {
+      s2[q * dim + i] = static_cast<float>((i + q) % 3) - 1.0f;
+      h[q * dim + i] = 0.5f * static_cast<float>(i) - static_cast<float>(q);
+    }
+    s2_ptrs[q] = s2.data() + q * dim;
+    h_ptrs[q] = h.data() + q * dim;
+  }
+  arena->transfer_factors().AddGroup(rel, dim, count, signs.data(),
+                                     s2_ptrs.data(), h_ptrs.data(),
+                                     simd::Active());
+}
+
+/// Shard 0's slice of a gradient touching every table, as a blob: relation
+/// 0's transfer gradient as a dense row, relation 2's as factors.
 std::string FuzzBlob(uint32_t dim) {
   core::GradArena arena;
   for (uint32_t e : {0u, 2u, 4u, 3u}) {
@@ -827,9 +865,11 @@ std::string FuzzBlob(uint32_t dim) {
   }
   for (uint32_t r : {0u, 2u, 1u}) {
     arena.Relation(r, dim)[r % dim] = -0.0f;
-    arena.Transfer(r, dim * dim)[r] = 1.5f;
     arena.Hyperplane(r, dim)[0] = 2.0f;
   }
+  for (uint32_t r : {0u, 1u}) arena.Transfer(r, dim * dim)[r] = 1.5f;
+  AddFactorGroup(&arena, 2, dim, 2);
+  AddFactorGroup(&arena, 3, dim, 1);
   std::string blob;
   core::SerializeGradArena(arena, 0, 2, &blob);
   return blob;
@@ -841,10 +881,20 @@ struct RefRow {
   std::vector<float> values;
 };
 
+struct RefGroup {
+  uint32_t relation = 0;
+  uint32_t dim = 0;
+  std::vector<float> signs;
+  std::vector<float> s2;     // count x dim, decoded
+  std::vector<float> heads;  // count x dim
+};
+
 /// Reference walk of the blob layout documented in core/gradients.h,
 /// written independently of VisitGradArenaBlob (little-endian hosts).
-bool RefParseBlob(std::string_view b, std::vector<RefRow>* rows) {
+bool RefParseBlob(std::string_view b, std::vector<RefRow>* rows,
+                  std::vector<RefGroup>* groups) {
   rows->clear();
+  groups->clear();
   size_t pos = 0;
   auto u32 = [&](uint32_t* v) {
     if (b.size() - pos < 4) return false;
@@ -852,10 +902,18 @@ bool RefParseBlob(std::string_view b, std::vector<RefRow>* rows) {
     pos += 4;
     return true;
   };
+  auto f32s = [&](uint32_t n, std::vector<float>* out) {
+    if ((b.size() - pos) / 4 < n) return false;
+    const size_t at = out->size();
+    out->resize(at + n);
+    std::memcpy(out->data() + at, b.data() + pos, 4 * static_cast<size_t>(n));
+    pos += 4 * static_cast<size_t>(n);
+    return true;
+  };
   uint32_t magic, version_word;
   if (!u32(&magic) || magic != core::kGradArenaBlobMagic) return false;
   if (!u32(&version_word)) return false;
-  if (version_word != (core::kGradArenaBlobVersion | (4u << 8))) return false;
+  if (version_word != (core::kGradArenaBlobVersion | (5u << 8))) return false;
   for (uint32_t slab = 0; slab < 4; ++slab) {
     uint32_t row_size, count;
     if (!u32(&row_size) || !u32(&count)) return false;
@@ -863,22 +921,64 @@ bool RefParseBlob(std::string_view b, std::vector<RefRow>* rows) {
     for (uint32_t i = 0; i < count; ++i) {
       RefRow row;
       row.slab = slab;
-      if (!u32(&row.id) || (b.size() - pos) / 4 < row_size) return false;
-      row.values.resize(row_size);
-      std::memcpy(row.values.data(), b.data() + pos, 4 * row_size);
-      pos += 4 * static_cast<size_t>(row_size);
+      if (!u32(&row.id) || !f32s(row_size, &row.values)) return false;
       rows->push_back(std::move(row));
     }
+  }
+  uint32_t dim, num_groups;
+  if (!u32(&dim) || !u32(&num_groups)) return false;
+  if (num_groups > 0 && (dim == 0 || dim > 65535)) return false;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    RefGroup group;
+    group.dim = dim;
+    uint32_t count;
+    if (!u32(&group.relation) || !u32(&count) || count == 0) return false;
+    for (uint32_t q = 0; q < count; ++q) {
+      uint32_t sign;
+      if (!u32(&sign) || (sign != 0x3f800000u && sign != 0xbf800000u)) {
+        return false;
+      }
+      group.signs.push_back(sign == 0x3f800000u ? 1.0f : -1.0f);
+      for (uint32_t i = 0; i < dim; i += 16) {
+        uint32_t word;
+        if (!u32(&word)) return false;
+        for (uint32_t j = 0; j < 16; ++j) {
+          const uint32_t code = (word >> (2 * j)) & 3;
+          if (code == 3 || (i + j >= dim && code != 0)) return false;
+          if (i + j < dim) {
+            group.s2.push_back(code == 1 ? 1.0f : code == 2 ? -1.0f : 0.0f);
+          }
+        }
+      }
+      if (!f32s(dim, &group.heads)) return false;
+    }
+    groups->push_back(std::move(group));
   }
   return pos == b.size();
 }
 
+/// A reference group's dense dM_r, rebuilt on `k` under the contract.
+std::vector<float> RefRebuild(const RefGroup& g, const simd::KernelTable& k) {
+  std::vector<const float*> s2, heads;
+  for (size_t q = 0; q < g.signs.size(); ++q) {
+    s2.push_back(g.s2.data() + q * g.dim);
+    heads.push_back(g.heads.data() + q * g.dim);
+  }
+  std::vector<float> row(static_cast<size_t>(g.dim) * g.dim);
+  core::RebuildTransferRow(k, g.dim, g.signs.size(), g.signs.data(),
+                           s2.data(), heads.data(), row.data());
+  return row;
+}
+
 /// What shard 0 of FuzzShardOptions() must apply: a well-formed blob after
 /// the scale/epoch prefix, every row of its table's size, owned, in range,
-/// and no id twice within a table.
+/// no id twice within a table, and every factor group at the model's dim
+/// for an owned relation that has no other transfer row or group.
 bool PushShouldApply(std::string_view payload, const core::PkgmModel& m,
-                     std::vector<RefRow>* rows) {
-  if (payload.size() < 8 || !RefParseBlob(payload.substr(8), rows)) {
+                     std::vector<RefRow>* rows,
+                     std::vector<RefGroup>* groups) {
+  if (payload.size() < 8 ||
+      !RefParseBlob(payload.substr(8), rows, groups)) {
     return false;
   }
   const uint32_t d = m.dim();
@@ -890,6 +990,12 @@ bool PushShouldApply(std::string_view payload, const core::PkgmModel& m,
     if (row.values.size() != row_sizes[row.slab] ||
         row.id >= keys[row.slab] || row.id % 2 != 0 ||
         !seen.insert({row.slab, row.id}).second) {
+      return false;
+    }
+  }
+  for (const RefGroup& g : *groups) {
+    if (g.dim != d || g.relation >= m.num_relations() ||
+        g.relation % 2 != 0 || !seen.insert({2, g.relation}).second) {
       return false;
     }
   }
@@ -1045,9 +1151,12 @@ TEST(MutationTest, GradArenaBlobVisitor) {
   const std::string blob = FuzzBlob(8);
   const std::string other = FuzzBlob(4);
   const std::vector<size_t> fields = BlobFields(blob);
+  const simd::KernelTable& k = simd::ScalarKernels();
 
   Rng rng(20213);
   std::vector<RefRow> want;
+  std::vector<RefGroup> want_groups;
+  core::TransferRebuildScratch scratch;
   for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
     SCOPED_TRACE(iter);
     const std::string input =
@@ -1058,19 +1167,33 @@ TEST(MutationTest, GradArenaBlobVisitor) {
         rng.Uniform(2) == 0 ? std::string_view(input)
                             : std::string_view(shifted).substr(1);
     std::vector<RefRow> got;
+    // Each visited group as (relation, its dM_r rebuilt from the blob
+    // bytes, through the copy-out path when the view is misaligned).
+    std::vector<RefRow> got_groups;
     const Status st = core::VisitGradArenaBlob(
-        view, [&](uint32_t slab, uint32_t id, const float* row,
-                  uint32_t row_size) {
+        view,
+        [&](uint32_t slab, uint32_t id, const float* row,
+            uint32_t row_size) {
           got.push_back({slab, id, std::vector<float>(row, row + row_size)});
           return Status::Ok();
+        },
+        [&](const core::BlobFactorGroup& group) {
+          const float* row = core::RebuildTransferRow(group, k, &scratch);
+          got_groups.push_back(
+              {2, group.relation,
+               std::vector<float>(row, row + group.dim * group.dim)});
+          return Status::Ok();
         });
-    const bool ref_ok = RefParseBlob(input, &want);
+    const bool ref_ok = RefParseBlob(input, &want, &want_groups);
     ASSERT_EQ(st.ok(), ref_ok) << st.ToString();
     if (input == blob) {
       ASSERT_TRUE(st.ok());
+      ASSERT_EQ(want_groups.size(), 1u);
     }
     if (!st.ok()) {
-      EXPECT_TRUE(got.empty());  // structure is checked before any row
+      // Structure is checked before any row or group.
+      EXPECT_TRUE(got.empty());
+      EXPECT_TRUE(got_groups.empty());
       continue;
     }
     ASSERT_EQ(got.size(), want.size());
@@ -1079,6 +1202,15 @@ TEST(MutationTest, GradArenaBlobVisitor) {
       EXPECT_EQ(got[i].id, want[i].id);
       EXPECT_EQ(std::memcmp(got[i].values.data(), want[i].values.data(),
                             4 * want[i].values.size()),
+                0);
+    }
+    ASSERT_EQ(got_groups.size(), want_groups.size());
+    for (size_t g = 0; g < got_groups.size(); ++g) {
+      EXPECT_EQ(got_groups[g].id, want_groups[g].relation);
+      const std::vector<float> ref = RefRebuild(want_groups[g], k);
+      ASSERT_EQ(got_groups[g].values.size(), ref.size());
+      EXPECT_EQ(std::memcmp(got_groups[g].values.data(), ref.data(),
+                            4 * ref.size()),
                 0);
     }
   }
@@ -1118,8 +1250,10 @@ TEST(MutationTest, LiveShardHandleFrame) {
     bool should_serve = false;
     std::vector<PullSection> want_pull;
     std::vector<RefRow> want_push;
+    std::vector<RefGroup> want_groups;
     if (push) {
-      should_serve = PushShouldApply(request.payload, model, &want_push);
+      should_serve =
+          PushShouldApply(request.payload, model, &want_push, &want_groups);
     } else if (net::DecodePullRows(request.payload, &want_pull).ok()) {
       should_serve = true;
       for (const PullSection& s : want_pull) {
@@ -1147,7 +1281,8 @@ TEST(MutationTest, LiveShardHandleFrame) {
       ASSERT_EQ(reply.type, FrameType::kPushAck);
       uint32_t rows = 0;
       ASSERT_TRUE(net::DecodePushAck(reply.payload, &rows).ok());
-      EXPECT_EQ(rows, want_push.size());
+      // A factor group counts as the one transfer row it updates.
+      EXPECT_EQ(rows, want_push.size() + want_groups.size());
       ++applied;
       continue;
     }
@@ -1176,6 +1311,192 @@ TEST(MutationTest, LiveShardHandleFrame) {
     }
   }
   EXPECT_EQ(shard.step(), applied);
+}
+
+// ---------------------------------------------------------------------------
+// Transfer-matrix gradients pushed as factor groups (blob v2)
+// ---------------------------------------------------------------------------
+
+/// One request of `type` handled by `shard` directly, decoded.
+Frame HandleOne(ParamServer* shard, FrameType type, std::string payload) {
+  Frame request;
+  request.type = type;
+  request.correlation_id = 7;
+  request.payload = std::move(payload);
+  std::string reply_bytes;
+  EXPECT_TRUE(shard->HandleFrame(
+      request, [&](std::string bytes) { reply_bytes = std::move(bytes); }));
+  return DecodeOneFrame(reply_bytes);
+}
+
+std::string PushPayload(const core::GradArena& arena, uint32_t shard,
+                        uint32_t num_shards) {
+  std::string blob;
+  core::SerializeGradArena(arena, shard, num_shards, &blob);
+  return Payload(net::EncodePushGrads(1, 0.5f, 0, blob));
+}
+
+TEST(ParamServerTest, FactorPushesRefusedWhole) {
+  ParamServer shard(FuzzShardOptions());  // shard 0 of 2: even keys
+  const uint32_t dim = shard.model().dim();
+  const std::string before = ModelBytes(shard.model());
+
+  core::GradArena good;
+  good.Entity(2, dim)[0] = 1.0f;
+  AddFactorGroup(&good, 2, dim, 2);
+  const std::string payload = PushPayload(good, 0, 1);
+  // The factor group closes the payload: its header, then item 0's sign,
+  // its one s' code word (dim 8) and h.
+  const size_t group = payload.size() - core::FactorGroupBlobBytes(dim, 2);
+  const size_t sign_at = group + 8, word_at = group + 12;
+  const auto with_u32 = [&](size_t at, uint32_t v) {
+    std::string bad = payload;
+    std::memcpy(&bad[at], &v, 4);
+    return bad;
+  };
+  uint32_t word, half_bits;
+  std::memcpy(&word, &payload[word_at], 4);
+  const float half = 0.5f;
+  std::memcpy(&half_bits, &half, 4);
+
+  const auto arena_payload = [&](auto&& fill) {
+    core::GradArena arena;
+    arena.Entity(2, dim)[0] = 1.0f;
+    fill(&arena);
+    return PushPayload(arena, 0, 1);
+  };
+  const std::pair<const char*, std::string> cases[] = {
+      {"s' code 3", with_u32(word_at, word | 3u)},
+      {"padding bits", with_u32(word_at, word | (1u << (2 * dim)))},
+      {"sign 0.5", with_u32(sign_at, half_bits)},
+      {"wrong dim", arena_payload([&](core::GradArena* a) {
+         AddFactorGroup(a, 2, dim / 2, 2);
+       })},
+      {"relation of another shard", arena_payload([&](core::GradArena* a) {
+         AddFactorGroup(a, 1, dim, 2);
+       })},
+      {"relation out of range", arena_payload([&](core::GradArena* a) {
+         AddFactorGroup(a, 2 * shard.model().num_relations(), dim, 2);
+       })},
+      {"dense and factors", arena_payload([&](core::GradArena* a) {
+         a->Transfer(2, dim * dim)[0] = 1.0f;
+         AddFactorGroup(a, 2, dim, 2);
+       })},
+  };
+  for (const auto& [what, bad] : cases) {
+    SCOPED_TRACE(what);
+    const Frame reply = HandleOne(&shard, FrameType::kPushGrads, bad);
+    ASSERT_EQ(reply.type, FrameType::kError);
+    net::WireCode code;
+    std::string message;
+    ASSERT_TRUE(net::DecodeError(reply.payload, &code, &message).ok());
+    EXPECT_EQ(code, net::WireCode::kInvalidItem) << message;
+    EXPECT_TRUE(ModelBytes(shard.model()) == before) << message;
+    EXPECT_EQ(shard.step(), 0u);
+  }
+
+  // Without the relation module there is no transfer table to update.
+  ParamServerOptions flat = FuzzShardOptions();
+  flat.model.use_relation_module = false;
+  ParamServer flat_shard(flat);
+  EXPECT_EQ(HandleOne(&flat_shard, FrameType::kPushGrads, payload).type,
+            FrameType::kError);
+  EXPECT_EQ(flat_shard.step(), 0u);
+
+  // The unmodified push applies: the entity row and the group's row.
+  const Frame reply = HandleOne(&shard, FrameType::kPushGrads, payload);
+  ASSERT_EQ(reply.type, FrameType::kPushAck);
+  uint32_t rows = 0;
+  ASSERT_TRUE(net::DecodePushAck(reply.payload, &rows).ok());
+  EXPECT_EQ(rows, 2u);
+  EXPECT_EQ(shard.step(), 1u);
+}
+
+TEST(ParamServerTest, FactorPushAppliesLikeItsRebuiltDenseRow) {
+  for (const core::OptimizerKind optimizer :
+       {core::OptimizerKind::kSgd, core::OptimizerKind::kAdam}) {
+    SCOPED_TRACE(optimizer == core::OptimizerKind::kAdam ? "adam" : "sgd");
+    ParamServerOptions opt = FuzzShardOptions();
+    opt.optimizer = optimizer;
+    ParamServer factor_shard(opt), dense_shard(opt);
+    const uint32_t dim = factor_shard.model().dim();
+    const uint32_t dd = dim * dim;
+
+    core::GradArena factors, dense;
+    AddFactorGroup(&factors, 2, dim, 3);
+    factors.Entity(4, dim)[1] = 0.75f;
+    dense.Entity(4, dim)[1] = 0.75f;
+    core::TransferRebuildScratch scratch;
+    std::memcpy(dense.Transfer(2, dd),
+                factors.transfer_factors().Rebuild(0, &scratch),
+                dd * sizeof(float));
+    const std::string factor_payload = PushPayload(factors, 0, 2);
+    const std::string dense_payload = PushPayload(dense, 0, 2);
+    EXPECT_LT(factor_payload.size(), dense_payload.size());
+
+    const std::string initial = ModelBytes(factor_shard.model());
+    for (int push = 0; push < 2; ++push) {
+      for (auto [shard, payload] :
+           {std::pair{&factor_shard, &factor_payload},
+            std::pair{&dense_shard, &dense_payload}}) {
+        const Frame reply = HandleOne(shard, FrameType::kPushGrads, *payload);
+        ASSERT_EQ(reply.type, FrameType::kPushAck);
+        uint32_t rows = 0;
+        ASSERT_TRUE(net::DecodePushAck(reply.payload, &rows).ok());
+        EXPECT_EQ(rows, 2u);
+      }
+      EXPECT_TRUE(ModelBytes(factor_shard.model()) ==
+                  ModelBytes(dense_shard.model()));
+      for (const auto& [table, id, n] :
+           {std::tuple{ParamTable::kTransfer, 2u, dd},
+            std::tuple{ParamTable::kEntity, 4u, dim}}) {
+        const auto [fm, fv] = factor_shard.AdamMoments(table, id);
+        const auto [dm, dv] = dense_shard.AdamMoments(table, id);
+        if (optimizer == core::OptimizerKind::kSgd) {
+          EXPECT_EQ(fm, nullptr);
+          continue;
+        }
+        ASSERT_NE(fm, nullptr);
+        EXPECT_EQ(std::memcmp(fm, dm, n * sizeof(float)), 0);
+        EXPECT_EQ(std::memcmp(fv, dv, n * sizeof(float)), 0);
+      }
+    }
+    EXPECT_FALSE(ModelBytes(factor_shard.model()) == initial);
+  }
+}
+
+TEST(ParamServerTest, CrossoverPushFitsMaxPushPayload) {
+  // Every table full, every owned relation's group one item past the
+  // crossover (dense) or at it (factors): the push stays within the frame
+  // cap the shard's NetServer is sized by, and is applied whole.
+  ParamServerOptions opt = FuzzShardOptions();
+  opt.model.dim = 16;
+  ParamServer shard(opt);
+  const core::PkgmModel& m = shard.model();
+  const size_t c = core::TransferFactorCrossover(m.dim());
+  for (const size_t items : {c + 1, c}) {
+    SCOPED_TRACE(items);
+    core::GradArena arena;
+    for (uint32_t e = 0; e < m.num_entities(); ++e) {
+      arena.Entity(e, m.dim())[0] = 0.01f;
+    }
+    for (uint32_t r = 0; r < m.num_relations(); ++r) {
+      arena.Relation(r, m.dim())[1] = 0.01f;
+      arena.Hyperplane(r, m.dim())[2] = 0.01f;
+      AddFactorGroup(&arena, r, m.dim(), items);
+    }
+    const std::string payload = PushPayload(arena, 0, 2);
+    if (items > c) {
+      EXPECT_EQ(payload.size(), shard.MaxPushPayloadBytes());
+    } else {
+      EXPECT_LT(payload.size(), shard.MaxPushPayloadBytes());
+    }
+    const Frame reply = HandleOne(&shard, FrameType::kPushGrads, payload);
+    ASSERT_EQ(reply.type, FrameType::kPushAck);
+    uint32_t rows = 0;
+    ASSERT_TRUE(net::DecodePushAck(reply.payload, &rows).ok());
+    EXPECT_EQ(rows, m.num_entities() / 2 + 3 * m.num_relations() / 2);
+  }
 }
 
 }  // namespace
