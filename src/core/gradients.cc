@@ -357,6 +357,10 @@ bool BlobInPlace(const char* p) {
 
 // Copies the `n` f32 fields at `p` into `out` and returns it.
 const float* CopyF32Run(const char* p, size_t n, float* out) {
+  if (kBlobHostLittleEndian) {
+    std::memcpy(out, p, n * sizeof(float));
+    return out;
+  }
   for (size_t j = 0; j < n; ++j) {
     const uint32_t bits = BlobLoadU32(p + 4 * j);
     std::memcpy(&out[j], &bits, sizeof(float));
@@ -432,6 +436,22 @@ const char* FactorItemDefect(const char* p, uint32_t dim) {
     if (used < kCodesPerWord && (word >> (2 * used)) != 0) {
       return "non-zero s' padding bits";
     }
+  }
+  return nullptr;
+}
+
+// Why the `count` factor items at `p`, with `bytes_left` bytes from `p` to
+// the end of the input, are refused, or nullptr. The count is checked
+// against the bytes left before any item is read.
+const char* FactorItemsDefect(const char* p, size_t bytes_left, uint32_t dim,
+                              uint32_t count) {
+  if (count == 0) return "empty factor group";
+  const uint64_t item_bytes = FactorItemBytes(dim);
+  if (item_bytes > bytes_left / count) {
+    return "factor count exceeds byte budget";
+  }
+  for (uint32_t q = 0; q < count; ++q, p += item_bytes) {
+    if (const char* defect = FactorItemDefect(p, dim)) return defect;
   }
   return nullptr;
 }
@@ -615,15 +635,11 @@ Status VisitGradArenaBlob(std::string_view blob,
     }
     const uint32_t count = BlobLoadU32(p + pos + 4);
     pos += kGroupHeaderBytes;
-    if (count == 0) return BlobCorruption("empty factor group");
-    if (item_bytes > (blob.size() - pos) / count) {
-      return BlobCorruption("factor count exceeds byte budget");
+    if (const char* defect =
+            FactorItemsDefect(p + pos, blob.size() - pos, dim, count)) {
+      return BlobCorruption(defect);
     }
-    for (uint32_t q = 0; q < count; ++q, pos += item_bytes) {
-      if (const char* defect = FactorItemDefect(p + pos, dim)) {
-        return BlobCorruption(defect);
-      }
-    }
+    pos += static_cast<size_t>(item_bytes * count);
   }
   if (pos != blob.size()) return BlobCorruption("trailing bytes");
 
@@ -686,6 +702,55 @@ const float* RebuildTransferRow(const BlobFactorGroup& group,
                      scratch->s2.data(), scratch->heads.data(),
                      scratch->row.data());
   return scratch->row.data();
+}
+
+void ApplyTransferGroup(const BlobFactorGroup& group, float alpha,
+                        const simd::KernelTable& k,
+                        TransferRebuildScratch* scratch, float* row) {
+  k.axpy(static_cast<size_t>(group.dim) * group.dim, alpha,
+         RebuildTransferRow(group, k, scratch), row);
+}
+
+void AppendTransferLogRecord(float alpha, const BlobFactorGroup& group,
+                             std::string* out) {
+  BlobPutF32Run(&alpha, 1, out);
+  BlobPutU32(group.count, out);
+  out->append(group.items,
+              FactorGroupBlobBytes(group.dim, group.count) - kGroupHeaderBytes);
+}
+
+size_t TransferLogRecordBytes(const char* record, uint32_t dim) {
+  return FactorGroupBlobBytes(dim, BlobLoadU32(record + 4));
+}
+
+Status VisitTransferLog(std::string_view log, uint32_t relation, uint32_t dim,
+                        const TransferLogVisitor& visit) {
+  PKGM_CHECK(dim > 0 && dim <= 0xffffu);
+  const char* p = log.data();
+  for (size_t pos = 0; pos < log.size();) {
+    if (log.size() - pos < kGroupHeaderBytes) {
+      return Status::Corruption("transfer log: truncated record header");
+    }
+    const uint32_t count = BlobLoadU32(p + pos + 4);
+    pos += kGroupHeaderBytes;
+    if (const char* defect =
+            FactorItemsDefect(p + pos, log.size() - pos, dim, count)) {
+      return Status::Corruption(std::string("transfer log: ") + defect);
+    }
+    pos += static_cast<size_t>(FactorItemBytes(dim) * count);
+  }
+  for (size_t pos = 0; pos < log.size();) {
+    float alpha;
+    CopyF32Run(p + pos, 1, &alpha);
+    BlobFactorGroup group;
+    group.relation = relation;
+    group.dim = dim;
+    group.count = BlobLoadU32(p + pos + 4);
+    group.items = p + pos + kGroupHeaderBytes;
+    pos += FactorGroupBlobBytes(dim, group.count);
+    PKGM_RETURN_IF_ERROR(visit(alpha, group));
+  }
+  return Status::Ok();
 }
 
 Status DeserializeGradArena(std::string_view blob, GradArena* arena,

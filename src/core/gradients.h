@@ -299,6 +299,44 @@ const float* RebuildTransferRow(const BlobFactorGroup& group,
                                 const simd::KernelTable& k,
                                 TransferRebuildScratch* scratch);
 
+/// The SGD step on one transfer row: row += alpha * dM_r, with dM_r the
+/// group rebuilt on `k` (the rebuild contract), then one k.axpy. A
+/// parameter server applies pushed factor groups with it and a worker
+/// replays the server's log records with it, so on the same table the two
+/// rows stay byte-identical.
+void ApplyTransferGroup(const BlobFactorGroup& group, float alpha,
+                        const simd::KernelTable& k,
+                        TransferRebuildScratch* scratch, float* row);
+
+// ------------------------------------------ transfer-row update logs --
+//
+// A parameter server keeps each transfer row's recent SGD updates as log
+// records, and a kRows reply carries a run of them. A record is one applied
+// factor group: f32 alpha (the step's -lr * scale), u32 count (>= 1), then
+// the group's `count` factor items exactly as in a blob. A record is as
+// long as FactorGroupBlobBytes(dim, count).
+
+/// Appends the record of `group` applied with `alpha` to `out`.
+void AppendTransferLogRecord(float alpha, const BlobFactorGroup& group,
+                             std::string* out);
+
+/// Bytes of the record starting at `record` (a record this process wrote).
+size_t TransferLogRecordBytes(const char* record, uint32_t dim);
+
+/// Called for each record of a log, in order; `group.relation` is the
+/// relation VisitTransferLog was given. A non-OK return stops the visit.
+using TransferLogVisitor =
+    std::function<Status(float alpha, const BlobFactorGroup& group)>;
+
+/// The log parser. Checks the whole run of records at `dim` (1 to 65535)
+/// first, with the blob parser's item checks: a truncated record header, a
+/// count of 0 or one exceeding the bytes left (checked before any item is
+/// read), a sign other than ±1.0f, an s' code of 3 or non-zero padding bits
+/// each return a Corruption status without visiting anything. Then visits
+/// every record.
+Status VisitTransferLog(std::string_view log, uint32_t relation, uint32_t dim,
+                        const TransferLogVisitor& visit);
+
 /// The GradArena blob parser. Checks the whole blob first — bad
 /// magic/version, non-zero reserved bits, a zero row size or dim, a dim
 /// whose square overflows u32, a count that exceeds the bytes left (before

@@ -71,14 +71,16 @@ StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
 }  // namespace
 
 /// Per-worker reusable scratch: the touched-id sets of the current batch
-/// and their per-shard split, plus the in-flight pull futures. Everything
-/// keeps its capacity across batches.
+/// and their per-shard split, plus the in-flight pulls. Everything keeps
+/// its capacity across batches.
 struct DistTrainer::BatchScratch {
   std::vector<uint32_t> ent_ids, rel_ids;              // sorted unique
   std::vector<std::vector<uint32_t>> shard_ents;       // per shard
   std::vector<std::vector<uint32_t>> shard_rels;
+  std::vector<std::vector<net::PullSection>> requests;  // per shard
+  std::vector<size_t> pull_shards;  // the shard of each pull future
   std::vector<std::future<StatusOr<net::Frame>>> pull_futures;
-  std::vector<net::RowsView> views;
+  Replica::Scratch apply;
 };
 
 DistTrainer::DistTrainer(const kg::TripleSource* store,
@@ -172,58 +174,26 @@ Status DistTrainer::Connect() {
   mopt.seed = info_.model_seed;
   // Same options + same seed as every shard: the replica starts
   // bit-identical, so rows never pulled (because never touched) are still
-  // exactly the shards' values.
-  replica_ = std::make_unique<core::PkgmModel>(mopt);
+  // exactly the shards' values, and every transfer row is at version 0 on
+  // both sides.
+  replica_ = std::make_unique<Replica>(mopt);
   sampler_ = std::make_unique<core::NegativeSampler>(
-      FillNegativeOptions(options_.negative, *replica_), store_);
+      FillNegativeOptions(options_.negative, replica_->model()), store_);
+  // Transfer rows are pulled versioned from an SGD shard whose kernel table
+  // this host can run, so its log records replay exactly; otherwise dense.
+  replay_kernels_.assign(num_shards, nullptr);
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (info_.use_relation_module &&
+        infos[s].optimizer == static_cast<uint8_t>(core::OptimizerKind::kSgd)) {
+      replay_kernels_[s] = simd::KernelsForIsa(
+          static_cast<simd::KernelIsa>(infos[s].kernel_isa));
+    }
+  }
   return Status::Ok();
 }
 
-Status DistTrainer::ApplyRows(std::string_view payload,
-                              std::vector<net::RowsView>* views) {
-  PKGM_RETURN_IF_ERROR(net::DecodeRowsView(payload, views));
-  const uint32_t dim = replica_->dim();
-  for (const net::RowsView& sec : *views) {
-    uint32_t want_row = dim;
-    if (sec.table == net::ParamTable::kTransfer) {
-      want_row = replica_->use_relation_module() ? dim * dim : 0;
-    } else if (sec.table == net::ParamTable::kHyperplane) {
-      want_row =
-          replica_->scorer() == core::TripleScorerKind::kTransH ? dim : 0;
-    }
-    if (want_row == 0 || sec.row_size != want_row) {
-      return Status::IoError("pulled row size disagrees with the replica");
-    }
-    const uint32_t num_keys = sec.table == net::ParamTable::kEntity
-                                  ? replica_->num_entities()
-                                  : replica_->num_relations();
-    for (uint32_t i = 0; i < sec.count; ++i) {
-      const uint32_t id = sec.id(i);
-      if (id >= num_keys) {
-        return Status::IoError("pulled row id out of the replica's range");
-      }
-      float* dst = nullptr;
-      switch (sec.table) {
-        case net::ParamTable::kEntity:
-          dst = replica_->entity(id);
-          break;
-        case net::ParamTable::kRelation:
-          dst = replica_->relation(id);
-          break;
-        case net::ParamTable::kTransfer:
-          dst = replica_->transfer(id);
-          break;
-        case net::ParamTable::kHyperplane:
-          dst = replica_->hyperplane(id);
-          break;
-      }
-      // Concurrent workers may refresh the same row; both write current
-      // shard values, so the race is benign (hogwild regime).
-      sec.CopyRow(i, dst);
-    }
-    rows_pulled_.fetch_add(sec.count);
-  }
-  return Status::Ok();
+core::PkgmModel* DistTrainer::replica() {
+  return replica_ == nullptr ? nullptr : &replica_->model();
 }
 
 Status DistTrainer::PullBatchRows(BatchScratch* sc) {
@@ -240,13 +210,14 @@ Status DistTrainer::PullBatchRows(BatchScratch* sc) {
 }
 
 Status DistTrainer::PullShardRows(BatchScratch* sc) {
+  const core::PkgmModel& model = replica_->model();
   const size_t num_shards = clients_.size();
-  const bool transfers = replica_->use_relation_module();
-  const bool hyperplanes =
-      replica_->scorer() == core::TripleScorerKind::kTransH;
+  const bool transfers = model.use_relation_module();
+  const bool hyperplanes = model.scorer() == core::TripleScorerKind::kTransH;
   // kRows bytes per pulled id: the id plus its row, and for a relation id
-  // its transfer and hyperplane rows too.
-  const size_t dim = replica_->dim();
+  // its transfer and hyperplane rows too. A versioned transfer answer is
+  // budgeted at its dense size, so frames split whatever the logs hold.
+  const size_t dim = model.dim();
   const size_t ent_bytes = 4 + 4 * dim;
   const size_t rel_bytes = (4 + 4 * dim) + (transfers ? 4 + 4 * dim * dim : 0) +
                            (hyperplanes ? 4 + 4 * dim : 0);
@@ -255,11 +226,13 @@ Status DistTrainer::PullShardRows(BatchScratch* sc) {
   const size_t budget =
       net::kDefaultMaxFrameBytes - 4 - 4 * net::kRowsSectionHeaderBytes;
 
+  sc->requests.resize(num_shards);
   std::vector<size_t> next_ent(num_shards, 0), next_rel(num_shards, 0);
   for (bool more = true; more;) {
     // One frame per shard in flight at a time, so a shard never queues
     // more than one reply per worker.
     more = false;
+    sc->pull_shards.clear();
     sc->pull_futures.clear();
     for (size_t s = 0; s < num_shards; ++s) {
       const std::vector<uint32_t>& ents = sc->shard_ents[s];
@@ -267,14 +240,18 @@ Status DistTrainer::PullShardRows(BatchScratch* sc) {
       size_t& e = next_ent[s];
       size_t& r = next_rel[s];
       if (e == ents.size() && r == rels.size()) continue;
+      const bool versioned = replay_kernels_[s] != nullptr;
+      const size_t shard_rel_bytes =
+          rel_bytes + (versioned ? net::kAnswerHeaderBytes : 0);
       const size_t ne = std::min(ents.size() - e, budget / ent_bytes);
-      const size_t nr =
-          std::min(rels.size() - r, (budget - ne * ent_bytes) / rel_bytes);
+      const size_t nr = std::min(rels.size() - r,
+                                 (budget - ne * ent_bytes) / shard_rel_bytes);
       if (ne == 0 && nr == 0) {
         return Status::InvalidArgument(
             "one pulled row exceeds the frame size cap");
       }
-      std::vector<net::PullSection> sections;
+      std::vector<net::PullSection>& sections = sc->requests[s];
+      sections.clear();
       if (ne > 0) {
         sections.push_back({net::ParamTable::kEntity,
                             {ents.begin() + e, ents.begin() + e + ne}});
@@ -283,7 +260,15 @@ Status DistTrainer::PullShardRows(BatchScratch* sc) {
         const std::vector<uint32_t> ids(rels.begin() + r,
                                         rels.begin() + r + nr);
         sections.push_back({net::ParamTable::kRelation, ids});
-        if (transfers) sections.push_back({net::ParamTable::kTransfer, ids});
+        if (transfers) {
+          net::PullSection sec{net::ParamTable::kTransfer, ids};
+          if (versioned) {
+            for (uint32_t id : ids) {
+              sec.versions.push_back(replica_->transfer_version(id));
+            }
+          }
+          sections.push_back(std::move(sec));
+        }
         if (hyperplanes) {
           sections.push_back({net::ParamTable::kHyperplane, ids});
         }
@@ -292,15 +277,21 @@ Status DistTrainer::PullShardRows(BatchScratch* sc) {
       r += nr;
       more = more || e < ents.size() || r < rels.size();
       const uint64_t cid = clients_[s]->NextCorrelationId();
+      sc->pull_shards.push_back(s);
       sc->pull_futures.push_back(
           clients_[s]->CallFrame(cid, net::EncodePullRows(cid, sections)));
       ++pulls_;
     }
-    for (auto& fut : sc->pull_futures) {
-      StatusOr<net::Frame> reply =
-          AwaitType(fut, net::FrameType::kRows, options_.io_timeout_ms);
+    for (size_t f = 0; f < sc->pull_futures.size(); ++f) {
+      const size_t s = sc->pull_shards[f];
+      StatusOr<net::Frame> reply = AwaitType(
+          sc->pull_futures[f], net::FrameType::kRows, options_.io_timeout_ms);
       if (!reply.ok()) return reply.status();
-      PKGM_RETURN_IF_ERROR(ApplyRows(reply.value().payload, &sc->views));
+      uint64_t rows = 0;
+      PKGM_RETURN_IF_ERROR(replica_->Apply(reply.value().payload,
+                                           sc->requests[s], replay_kernels_[s],
+                                           &sc->apply, &rows));
+      rows_pulled_.fetch_add(rows);
     }
   }
   return Status::Ok();
@@ -435,7 +426,7 @@ StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
 
       // 2. Fused forward/backward on the replica.
       hinges.resize(pb->pos.size());
-      core::FusedBatchHingeGradients(*replica_, pb->pos.data(),
+      core::FusedBatchHingeGradients(replica_->model(), pb->pos.data(),
                                      pb->neg.data(), pb->pos.size(),
                                      options_.margin, kernels_, &ws, &arena,
                                      hinges.data());
@@ -566,11 +557,13 @@ Status DistTrainer::PullFullModel() {
   sc.shard_ents.resize(num_shards);
   sc.shard_rels.resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    for (uint32_t e = static_cast<uint32_t>(s); e < replica_->num_entities();
+    for (uint32_t e = static_cast<uint32_t>(s);
+         e < replica_->model().num_entities();
          e += static_cast<uint32_t>(num_shards)) {
       sc.shard_ents[s].push_back(e);
     }
-    for (uint32_t r = static_cast<uint32_t>(s); r < replica_->num_relations();
+    for (uint32_t r = static_cast<uint32_t>(s);
+         r < replica_->model().num_relations();
          r += static_cast<uint32_t>(num_shards)) {
       sc.shard_rels[s].push_back(r);
     }
@@ -587,7 +580,7 @@ double DistTrainer::EvaluateMeanHinge() {
   double sum = 0.0;
   for (const kg::Triple& pos : triples) {
     core::NegativeSample neg = sampler_->Sample(pos, &eval_rng_);
-    sum += core::FusedHingeGradients(*replica_, pos, neg.triple,
+    sum += core::FusedHingeGradients(replica_->model(), pos, neg.triple,
                                      options_.margin, kernels_, &ws,
                                      nullptr);
   }

@@ -11,6 +11,7 @@
 #include "core/negative_sampler.h"
 #include "core/pkgm_model.h"
 #include "core/trainer.h"
+#include "dist/replica.h"
 #include "kg/triple_source.h"
 #include "net/net_client.h"
 #include "net/wire.h"
@@ -96,7 +97,7 @@ class DistTrainer {
   double EvaluateMeanHinge();
 
   /// Valid after Connect().
-  core::PkgmModel* replica() { return replica_.get(); }
+  core::PkgmModel* replica();
   const net::ShardInfo& shard_info() const { return info_; }
   uint32_t num_shards() const {
     return static_cast<uint32_t>(options_.shard_endpoints.size());
@@ -116,12 +117,9 @@ class DistTrainer {
   Status PullBatchRows(BatchScratch* scratch);
   /// Pulls `shard_ents[s]` / `shard_rels[s]` from every shard s into the
   /// replica, in as many kRows frames per shard as the client's frame cap
-  /// requires.
+  /// requires. Transfer rows are pulled versioned from the shards in
+  /// replay_kernels_.
   Status PullShardRows(BatchScratch* scratch);
-  /// Copies every row of one kRows payload into the replica, straight from
-  /// the payload bytes (`views` is reused scratch).
-  Status ApplyRows(std::string_view payload,
-                   std::vector<net::RowsView>* views);
   /// Sends the epoch barrier to every shard and waits for the releases.
   Status EpochBarrier(uint32_t epoch);
 
@@ -134,7 +132,10 @@ class DistTrainer {
 
   std::vector<std::unique_ptr<net::NetClient>> clients_;  // one per shard
   net::ShardInfo info_;
-  std::unique_ptr<core::PkgmModel> replica_;
+  std::unique_ptr<Replica> replica_;
+  /// Per shard: the shard's kernel table, when its transfer rows are pulled
+  /// versioned and their log records replayed on it; else nullptr.
+  std::vector<const simd::KernelTable*> replay_kernels_;
   std::unique_ptr<core::NegativeSampler> sampler_;
 
   std::atomic<uint64_t> pulls_{0};

@@ -42,6 +42,9 @@ ParamServer::ParamServer(const ParamServerOptions& options)
     // Owned key k lands at k / num_shards.
     seen_[t].assign(NumKeysOf(table) / options_.num_shards + 1, 0);
   }
+  if (model_.use_relation_module()) {
+    transfer_logs_.resize(model_.num_relations() / options_.num_shards + 1);
+  }
 }
 
 size_t ParamServer::MaxPushPayloadBytes() const {
@@ -85,6 +88,7 @@ net::ShardInfo ParamServer::Info() const {
   info.optimizer = static_cast<uint8_t>(options_.optimizer);
   info.learning_rate = options_.learning_rate;
   info.model_seed = options_.model.seed;
+  info.kernel_isa = static_cast<uint8_t>(kernels_.isa);
   return info;
 }
 
@@ -153,7 +157,7 @@ std::string ParamServer::HandlePull(const Frame& frame) {
 
   // Validate every section before gathering a row.
   std::vector<uint32_t> row_sizes(sections.size());
-  uint64_t rows = 0;
+  uint64_t rows = 0, id_only_transfers = 0;
   for (size_t s = 0; s < sections.size(); ++s) {
     const net::PullSection& sec = sections[s];
     row_sizes[s] = RowSizeOf(sec.table);
@@ -175,18 +179,80 @@ std::string ParamServer::HandlePull(const Frame& frame) {
       }
     }
     rows += sec.ids.size();
+    if (sec.table == ParamTable::kTransfer && sec.versions.empty()) {
+      id_only_transfers += sec.ids.size();
+    }
   }
   // Unlocked reads, gathered straight into the reply frame: a concurrent
   // push may be rewriting a row, so a worker can observe a torn / slightly
   // stale value — the same benign race the in-process hogwild trainer runs
-  // under.
+  // under. A versioned answer is read under the apply mutex instead, so its
+  // version and its log tail or row belong together.
   std::string reply;
   net::AppendRowsFrame(
       frame.correlation_id, sections, row_sizes,
       [this](ParamTable table, uint32_t id) { return RowPtr(table, id); },
+      [this](ParamTable, uint32_t id, uint64_t version, std::string* out) {
+        std::lock_guard<std::mutex> lock(apply_mu_);
+        AppendTransferAnswer(id, version, out);
+      },
       &reply);
   rows_pulled_.fetch_add(rows);
+  transfer_rows_dense_.fetch_add(id_only_transfers);
   return reply;
+}
+
+void ParamServer::AppendTransferAnswer(uint32_t relation, uint64_t version,
+                                       std::string* out) {
+  const TransferLog& log = LogOf(relation);
+  const uint32_t dim = model_.dim();
+  // The log holds versions (log.version - log.records, log.version]; Adam
+  // updates are never logged, and a version from the future is not ours.
+  if (options_.optimizer != core::OptimizerKind::kAdam &&
+      version <= log.version && log.version - version <= log.records) {
+    size_t at = log.head;
+    for (uint64_t v = log.version - log.records; v < version; ++v) {
+      at += core::TransferLogRecordBytes(log.bytes.data() + at, dim);
+    }
+    const std::string_view tail(log.bytes.data() + at, log.bytes.size() - at);
+    net::AppendLogAnswer(log.version, tail, out);
+    transfer_rows_from_log_.fetch_add(1);
+    transfer_log_bytes_.fetch_add(tail.size());
+    return;
+  }
+  net::AppendDenseAnswer(log.version, model_.transfer(relation), dim * dim,
+                         out);
+  transfer_rows_dense_.fetch_add(1);
+}
+
+void ParamServer::LogTransferUpdate(uint32_t relation, float alpha,
+                                    const core::BlobFactorGroup* group) {
+  TransferLog& log = LogOf(relation);
+  ++log.version;
+  const uint32_t dim = model_.dim();
+  // A log never holds more bytes than the dense row, so no log answer is
+  // longer than the dense one.
+  const size_t bound = 4 * static_cast<size_t>(dim) * dim;
+  const size_t record =
+      group == nullptr ? 0 : core::FactorGroupBlobBytes(dim, group->count);
+  if (group == nullptr || record > bound) {
+    log.bytes.clear();
+    log.head = 0;
+    log.records = 0;
+    return;
+  }
+  while (log.bytes.size() - log.head + record > bound) {
+    log.head += core::TransferLogRecordBytes(log.bytes.data() + log.head, dim);
+    --log.records;
+  }
+  // Dropped records are reclaimed only once the buffer would pass twice the
+  // bound, so each logged byte is moved at most once on average.
+  if (log.bytes.size() + record > 2 * bound) {
+    log.bytes.erase(0, log.head);
+    log.head = 0;
+  }
+  core::AppendTransferLogRecord(alpha, *group, &log.bytes);
+  ++log.records;
 }
 
 std::string ParamServer::HandlePush(const Frame& frame) {
@@ -286,17 +352,28 @@ std::string ParamServer::HandlePush(const Frame& frame) {
       model_.NormalizeEntity(id);
     } else if (table == ParamTable::kHyperplane) {
       model_.NormalizeHyperplane(id);
+    } else if (table == ParamTable::kTransfer) {
+      LogTransferUpdate(id, 0.0f, nullptr);
     }
     ++rows;
     return Status::Ok();
   };
-  // Cannot fail: pass 1 accepted this blob.
+  // Cannot fail: pass 1 accepted this blob. Under SGD a factor group is
+  // applied and logged as received, so a worker can replay it exactly.
   (void)core::VisitGradArenaBlob(
       blob, apply_row, [&](const core::BlobFactorGroup& group) {
-        return apply_row(
-            static_cast<uint32_t>(ParamTable::kTransfer), group.relation,
-            core::RebuildTransferRow(group, kernels_, &rebuild_scratch_),
-            group.dim * group.dim);
+        if (adam) {
+          return apply_row(
+              static_cast<uint32_t>(ParamTable::kTransfer), group.relation,
+              core::RebuildTransferRow(group, kernels_, &rebuild_scratch_),
+              group.dim * group.dim);
+        }
+        core::ApplyTransferGroup(group, sgd_alpha, kernels_,
+                                 &rebuild_scratch_,
+                                 model_.transfer(group.relation));
+        LogTransferUpdate(group.relation, sgd_alpha, &group);
+        ++rows;
+        return Status::Ok();
       });
 
   ++pushes_;
@@ -370,7 +447,9 @@ std::string ParamServer::StatsJson() {
       "{\"shard\": %u, \"num_shards\": %u, \"optimizer\": \"%s\", "
       "\"pulls\": %llu, \"rows_pulled\": %llu, \"pushes\": %llu, "
       "\"rows_applied\": %llu, \"rejects\": %llu, "
-      "\"barriers_released\": %llu, \"step\": %llu}",
+      "\"barriers_released\": %llu, \"step\": %llu, "
+      "\"transfer_rows_from_log\": %llu, \"transfer_rows_dense\": %llu, "
+      "\"transfer_log_bytes\": %llu}",
       static_cast<unsigned>(options_.shard_index),
       static_cast<unsigned>(options_.num_shards),
       options_.optimizer == core::OptimizerKind::kAdam ? "adam" : "sgd",
@@ -380,7 +459,10 @@ std::string ParamServer::StatsJson() {
       static_cast<unsigned long long>(rows_applied_.load()),
       static_cast<unsigned long long>(rejects_.load()),
       static_cast<unsigned long long>(barriers_released_.load()),
-      static_cast<unsigned long long>(step_.load()));
+      static_cast<unsigned long long>(step_.load()),
+      static_cast<unsigned long long>(transfer_rows_from_log_.load()),
+      static_cast<unsigned long long>(transfer_rows_dense_.load()),
+      static_cast<unsigned long long>(transfer_log_bytes_.load()));
 }
 
 }  // namespace pkgm::dist

@@ -50,10 +50,23 @@ struct ParamServerOptions {
 /// k % num_shards == s. Pulls and pushes addressing unowned or
 /// out-of-range rows are refused with kInvalidItem.
 ///
+/// Versioned transfer rows: the shard counts the updates it applies to
+/// each owned transfer matrix M_r (its version; 0 is the seeded init) and,
+/// under SGD, keeps the most recent ones as log records
+/// (core::AppendTransferLogRecord: the step's alpha and the pushed factor
+/// items as received), at most the dense row's 4 d^2 bytes per relation. A
+/// dense transfer update empties the log; Adam shards keep none. A
+/// versioned kPullRows section names the version each worker holds; the
+/// shard answers with the log records after it while the log still holds
+/// all of them, otherwise with the dense row and its version.
+///
 /// Concurrency model (the wire-level hogwild regime):
-///   * kPullRows reads rows without locking — concurrent pushes make
-///     pulled rows slightly stale, exactly like the in-process
-///     ShardedTrainer's unlocked parameter reads.
+///   * kPullRows reads entity, relation and hyperplane rows and id-only
+///     transfer rows without locking — concurrent pushes make pulled rows
+///     slightly stale, exactly like the in-process ShardedTrainer's
+///     unlocked parameter reads. A versioned answer reads the version and
+///     the log tail or row together under the apply mutex, so the two
+///     always match.
 ///   * kPushGrads applies under one apply mutex, so updates from
 ///     concurrent workers serialize per shard and the optimizer state
 ///     (Adam moments, step count) stays consistent. A push is checked
@@ -87,12 +100,17 @@ class ParamServer : public net::FrameHandler {
   net::ShardInfo Info() const;
 
   const core::PkgmModel& model() const { return model_; }
-  core::PkgmModel* mutable_model() { return &model_; }
   uint32_t shard_index() const { return options_.shard_index; }
   uint32_t num_shards() const { return options_.num_shards; }
 
   /// Pushes applied (= the Adam bias-correction step count).
   uint64_t step() const { return step_.load(); }
+
+  /// Updates applied to owned transfer row `relation` so far (models with
+  /// the relation module). Read it only while no push is being applied.
+  uint64_t transfer_version(uint32_t relation) const {
+    return transfer_logs_[relation / options_.num_shards].version;
+  }
 
   /// Adam's first and second moment rows for row `id` of `table`, or
   /// nullptrs under SGD. Read them only while no push is being applied.
@@ -119,6 +137,28 @@ class ParamServer : public net::FrameHandler {
   uint32_t NumKeysOf(net::ParamTable table) const;
   const float* RowPtr(net::ParamTable table, uint32_t id) const;
 
+  /// One owned transfer row's version and, under SGD, its update log: the
+  /// records of versions (version - records, version], oldest first, in
+  /// bytes[head, end).
+  struct TransferLog {
+    uint64_t version = 0;
+    std::string bytes;
+    size_t head = 0;
+    uint64_t records = 0;
+  };
+  TransferLog& LogOf(uint32_t relation) {
+    return transfer_logs_[relation / options_.num_shards];
+  }
+  /// Counts one update of `relation`'s transfer row: a factor group applied
+  /// with `alpha` is logged (oldest records dropped to keep the bound), any
+  /// other update empties the log. Under apply_mu_.
+  void LogTransferUpdate(uint32_t relation, float alpha,
+                         const core::BlobFactorGroup* group);
+  /// Writes the answer to a versioned pull of `relation` from `version`.
+  /// Under apply_mu_.
+  void AppendTransferAnswer(uint32_t relation, uint64_t version,
+                            std::string* out);
+
   /// Each returns the fully encoded response frame (kRows / kPushAck /
   /// kError) for the request.
   std::string HandlePull(const net::Frame& frame);
@@ -141,6 +181,8 @@ class ParamServer : public net::FrameHandler {
   uint32_t push_serial_ = 0;
   /// The one row factor groups are rebuilt into.
   core::TransferRebuildScratch rebuild_scratch_;
+  /// Per owned relation (at relation / num_shards), under apply_mu_.
+  std::vector<TransferLog> transfer_logs_;
   Mat m_entities_, v_entities_;
   Mat m_relations_, v_relations_;
   Mat m_transfers_, v_transfers_;
@@ -159,6 +201,11 @@ class ParamServer : public net::FrameHandler {
   std::atomic<uint64_t> rows_pulled_{0};
   std::atomic<uint64_t> pushes_{0};
   std::atomic<uint64_t> rows_applied_{0};
+  /// Transfer rows pulled as log records or dense (id-only sections
+  /// included), and the log record bytes sent.
+  std::atomic<uint64_t> transfer_rows_from_log_{0};
+  std::atomic<uint64_t> transfer_rows_dense_{0};
+  std::atomic<uint64_t> transfer_log_bytes_{0};
   std::atomic<uint64_t> rejects_{0};
   std::atomic<uint64_t> barriers_released_{0};
 };

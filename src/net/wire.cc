@@ -392,20 +392,7 @@ std::string EncodeGetVectors(
     PutU8(static_cast<uint8_t>(request.mode), &payload);
     PutU8(static_cast<uint8_t>(request.form), &payload);
     PutU16(request.tenant, &payload);
-    uint32_t deadline_micros = 0;
-    if (request.deadline != serve::ServeClock::time_point::max()) {
-      const auto remaining = std::chrono::duration_cast<std::chrono::microseconds>(
-          request.deadline - now);
-      // Clamp into [1, u32max]: 0 is the "no deadline" sentinel, so an
-      // already-expired deadline must stay distinguishable from none.
-      if (remaining.count() <= 0) {
-        deadline_micros = 1;
-      } else {
-        deadline_micros = static_cast<uint32_t>(std::min<int64_t>(
-            remaining.count(), std::numeric_limits<uint32_t>::max()));
-      }
-    }
-    PutU32(deadline_micros, &payload);
+    PutU32(RelativeDeadlineMicros(request.deadline, now), &payload);
   }
   std::string frame;
   AppendFrame(FrameType::kGetVectors, correlation_id, payload, &frame);
@@ -735,18 +722,43 @@ std::string EncodePullRows(uint64_t correlation_id,
                            const std::vector<PullSection>& sections) {
   std::string payload;
   size_t bytes = 4;
-  for (const PullSection& s : sections) bytes += 5 + 4 * s.ids.size();
+  for (const PullSection& s : sections) {
+    bytes += 5 + 4 * s.ids.size() + 8 * s.versions.size();
+  }
   payload.reserve(bytes);
   PutU32(static_cast<uint32_t>(sections.size()), &payload);
   for (const PullSection& s : sections) {
-    PutU8(static_cast<uint8_t>(s.table), &payload);
+    PutU8(static_cast<uint8_t>(s.table) |
+              (s.versions.empty() ? 0 : kVersionedSection),
+          &payload);
     PutU32(static_cast<uint32_t>(s.ids.size()), &payload);
     PutU32Run(s.ids.data(), s.ids.size(), &payload);
+    for (uint64_t v : s.versions) PutU64(v, &payload);
   }
   std::string frame;
   AppendFrame(FrameType::kPullRows, correlation_id, payload, &frame);
   return frame;
 }
+
+namespace {
+
+// Splits a kPullRows / kRows table byte into the table and the versioned
+// flag; only a transfer section may be versioned.
+Status ParseTableByte(uint8_t byte, ParamTable* table, bool* versioned) {
+  const uint8_t t = byte & ~kVersionedSection;
+  *versioned = (byte & kVersionedSection) != 0;
+  if (t > kMaxParamTable) {
+    return Status::Corruption(StrFormat("invalid param table %u", byte));
+  }
+  *table = static_cast<ParamTable>(t);
+  if (*versioned && *table != ParamTable::kTransfer) {
+    return Status::Corruption(
+        StrFormat("table %u cannot be versioned", static_cast<unsigned>(t)));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status DecodePullRows(std::string_view payload,
                       std::vector<PullSection>* out) {
@@ -767,19 +779,24 @@ Status DecodePullRows(std::string_view payload,
     if (!cursor.ReadU8(&table) || !cursor.ReadU32(&count)) {
       return Truncated("kPullRows");
     }
-    if (table > kMaxParamTable) {
-      return Status::Corruption(StrFormat("invalid param table %u", table));
-    }
-    if (static_cast<uint64_t>(count) * 4 > cursor.remaining()) {
+    PullSection section;
+    bool versioned = false;
+    PKGM_RETURN_IF_ERROR(ParseTableByte(table, &section.table, &versioned));
+    const uint64_t id_bytes = versioned ? 12 : 4;
+    if (static_cast<uint64_t>(count) * id_bytes > cursor.remaining()) {
       return Status::Corruption(
           StrFormat("kPullRows section declares %u ids with %zu bytes left",
                     count, cursor.remaining()));
     }
-    PullSection section;
-    section.table = static_cast<ParamTable>(table);
     section.ids.resize(count);
     if (!cursor.ReadU32Run(section.ids.data(), count)) {
       return Truncated("kPullRows");
+    }
+    if (versioned) {
+      section.versions.resize(count);
+      for (uint64_t& v : section.versions) {
+        if (!cursor.ReadU64(&v)) return Truncated("kPullRows");
+      }
     }
     out->push_back(std::move(section));
   }
@@ -791,9 +808,10 @@ Status DecodePullRows(std::string_view payload,
 
 namespace {
 
-void PutRowsSectionHeader(ParamTable table, uint32_t row_size, size_t count,
-                          std::string* out) {
-  PutU8(static_cast<uint8_t>(table), out);
+void PutRowsSectionHeader(ParamTable table, bool versioned, uint32_t row_size,
+                          size_t count, std::string* out) {
+  PutU8(static_cast<uint8_t>(table) | (versioned ? kVersionedSection : 0),
+        out);
   PutU32(row_size, out);
   PutU32(static_cast<uint32_t>(count), out);
 }
@@ -804,28 +822,49 @@ std::string EncodeRows(uint64_t correlation_id,
                        const std::vector<RowsSection>& sections) {
   size_t bytes = kFrameHeaderBytes + 4;
   for (const RowsSection& s : sections) {
-    bytes += kRowsSectionHeaderBytes + 4 * s.ids.size() + 4 * s.values.size();
+    bytes += kRowsSectionHeaderBytes + 4 * s.ids.size() + 4 * s.values.size() +
+             s.answers.size();
   }
   std::string frame;
   frame.reserve(bytes);
   const size_t start = BeginFrame(FrameType::kRows, correlation_id, &frame);
   PutU32(static_cast<uint32_t>(sections.size()), &frame);
   for (const RowsSection& s : sections) {
-    PutRowsSectionHeader(s.table, s.row_size, s.ids.size(), &frame);
+    PutRowsSectionHeader(s.table, s.versioned, s.row_size, s.ids.size(),
+                         &frame);
     PutU32Run(s.ids.data(), s.ids.size(), &frame);
     PutF32Run(s.values.data(), s.values.size(), &frame);
+    frame.append(s.answers);
   }
   FinishFrame(start, &frame);
   return frame;
 }
 
+void AppendDenseAnswer(uint64_t version, const float* row, uint32_t row_size,
+                       std::string* out) {
+  PutU64(version, out);
+  PutU32(kDenseAnswer, out);
+  PutF32Run(row, row_size, out);
+}
+
+void AppendLogAnswer(uint64_t version, std::string_view records,
+                     std::string* out) {
+  PutU64(version, out);
+  PutU32(static_cast<uint32_t>(records.size()), out);
+  out->append(records);
+}
+
 void AppendRowsFrame(uint64_t correlation_id,
                      const std::vector<PullSection>& sections,
                      const std::vector<uint32_t>& row_sizes,
-                     const RowSource& row, std::string* out) {
+                     const RowSource& row, const AnswerSource& answer,
+                     std::string* out) {
   size_t bytes = kFrameHeaderBytes + 4;
   for (size_t s = 0; s < sections.size(); ++s) {
-    const size_t entry_bytes = 4 + 4 * static_cast<size_t>(row_sizes[s]);
+    // A versioned answer is at most its header and the dense row.
+    const size_t entry_bytes =
+        4 + 4 * static_cast<size_t>(row_sizes[s]) +
+        (sections[s].versions.empty() ? 0 : kAnswerHeaderBytes);
     bytes += kRowsSectionHeaderBytes + sections[s].ids.size() * entry_bytes;
   }
   out->reserve(out->size() + bytes);
@@ -833,10 +872,16 @@ void AppendRowsFrame(uint64_t correlation_id,
   PutU32(static_cast<uint32_t>(sections.size()), out);
   for (size_t s = 0; s < sections.size(); ++s) {
     const PullSection& sec = sections[s];
-    PutRowsSectionHeader(sec.table, row_sizes[s], sec.ids.size(), out);
+    const bool versioned = !sec.versions.empty();
+    PutRowsSectionHeader(sec.table, versioned, row_sizes[s], sec.ids.size(),
+                         out);
     PutU32Run(sec.ids.data(), sec.ids.size(), out);
-    for (uint32_t id : sec.ids) {
-      PutF32Run(row(sec.table, id), row_sizes[s], out);
+    for (size_t i = 0; i < sec.ids.size(); ++i) {
+      if (versioned) {
+        answer(sec.table, sec.ids[i], sec.versions[i], out);
+      } else {
+        PutF32Run(row(sec.table, sec.ids[i]), row_sizes[s], out);
+      }
     }
   }
   FinishFrame(start, out);
@@ -846,6 +891,25 @@ uint32_t RowsView::id(size_t i) const { return LoadU32(ids + 4 * i); }
 
 void RowsView::CopyRow(size_t i, float* dst) const {
   LoadF32Run(values + 4 * i * row_size, row_size, dst);
+}
+
+const char* RowsView::ReadAnswer(const char* p, RowAnswer* out) const {
+  out->version = static_cast<uint64_t>(LoadU32(p)) |
+                 (static_cast<uint64_t>(LoadU32(p + 4)) << 32);
+  const uint32_t log_bytes = LoadU32(p + 8);
+  p += kAnswerHeaderBytes;
+  if (log_bytes == kDenseAnswer) {
+    out->row = p;
+    out->log = {};
+    return p + 4 * static_cast<size_t>(row_size);
+  }
+  out->row = nullptr;
+  out->log = std::string_view(p, log_bytes);
+  return p + log_bytes;
+}
+
+void RowsView::CopyAnswerRow(const RowAnswer& answer, float* dst) const {
+  LoadF32Run(answer.row, row_size, dst);
 }
 
 Status DecodeRowsView(std::string_view payload, std::vector<RowsView>* out) {
@@ -867,21 +931,43 @@ Status DecodeRowsView(std::string_view payload, std::vector<RowsView>* out) {
         !cursor.ReadU32(&view.count)) {
       return Truncated("kRows");
     }
-    if (table > kMaxParamTable) {
-      return Status::Corruption(StrFormat("invalid param table %u", table));
-    }
-    // Entry cost: 4-byte id + row_size floats. Dividing (rather than
-    // multiplying count * entry) keeps the guard overflow-proof.
-    const uint64_t entry_bytes = 4 + static_cast<uint64_t>(view.row_size) * 4;
+    PKGM_RETURN_IF_ERROR(ParseTableByte(table, &view.table, &view.versioned));
+    // Entry cost: 4-byte id + row_size floats, or for a versioned answer
+    // at least its header. Dividing (rather than multiplying count * entry)
+    // keeps the guard overflow-proof.
+    const uint64_t row_bytes = static_cast<uint64_t>(view.row_size) * 4;
+    const uint64_t entry_bytes = 4 + (view.versioned ? kAnswerHeaderBytes
+                                                     : row_bytes);
     if (view.count > 0 && entry_bytes > cursor.remaining() / view.count) {
       return Status::Corruption(StrFormat(
           "kRows section declares %u rows of %u floats with %zu bytes left",
           view.count, view.row_size, cursor.remaining()));
     }
-    view.table = static_cast<ParamTable>(table);
     view.ids = cursor.Take(4 * static_cast<size_t>(view.count));
-    view.values =
-        cursor.Take(4 * static_cast<size_t>(view.count) * view.row_size);
+    if (!view.versioned) {
+      view.values = cursor.Take(static_cast<size_t>(view.count * row_bytes));
+      out->push_back(view);
+      continue;
+    }
+    const size_t answers_start = payload.size() - cursor.remaining();
+    for (uint32_t i = 0; i < view.count; ++i) {
+      uint64_t version;
+      uint32_t log_bytes;
+      if (!cursor.ReadU64(&version) || !cursor.ReadU32(&log_bytes)) {
+        return Truncated("kRows");
+      }
+      const uint64_t body = log_bytes == kDenseAnswer ? row_bytes : log_bytes;
+      if (body > row_bytes) {
+        return Status::Corruption(StrFormat(
+            "kRows log answer of %u bytes outgrows its %u-float row",
+            log_bytes, view.row_size));
+      }
+      if (cursor.Take(static_cast<size_t>(body)) == nullptr) {
+        return Truncated("kRows");
+      }
+    }
+    view.answers = payload.data() + answers_start;
+    view.answer_bytes = payload.size() - cursor.remaining() - answers_start;
     out->push_back(view);
   }
   if (!cursor.done()) {
@@ -899,10 +985,15 @@ Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out) {
     RowsSection section;
     section.table = view.table;
     section.row_size = view.row_size;
+    section.versioned = view.versioned;
     section.ids.resize(view.count);
-    section.values.resize(static_cast<size_t>(view.count) * view.row_size);
     LoadU32Run(view.ids, view.count, section.ids.data());
-    LoadF32Run(view.values, section.values.size(), section.values.data());
+    if (view.versioned) {
+      section.answers.assign(view.answers, view.answer_bytes);
+    } else {
+      section.values.resize(static_cast<size_t>(view.count) * view.row_size);
+      LoadF32Run(view.values, section.values.size(), section.values.data());
+    }
     out->push_back(std::move(section));
   }
   return Status::Ok();
@@ -965,7 +1056,7 @@ std::string EncodeShardInfoReply(uint64_t correlation_id,
   PutU8(info.scorer, &payload);
   PutU8(info.use_relation_module ? 1 : 0, &payload);
   PutU8(info.optimizer, &payload);
-  PutU8(0, &payload);  // reserved
+  PutU8(info.kernel_isa, &payload);
   PutF32(info.learning_rate, &payload);
   PutU64(info.model_seed, &payload);
   std::string frame;
@@ -975,12 +1066,12 @@ std::string EncodeShardInfoReply(uint64_t correlation_id,
 
 Status DecodeShardInfoReply(std::string_view payload, ShardInfo* out) {
   Cursor cursor(payload);
-  uint8_t relation_module, reserved;
+  uint8_t relation_module;
   if (!cursor.ReadU32(&out->shard_index) || !cursor.ReadU32(&out->num_shards) ||
       !cursor.ReadU32(&out->num_entities) ||
       !cursor.ReadU32(&out->num_relations) || !cursor.ReadU32(&out->dim) ||
       !cursor.ReadU8(&out->scorer) || !cursor.ReadU8(&relation_module) ||
-      !cursor.ReadU8(&out->optimizer) || !cursor.ReadU8(&reserved) ||
+      !cursor.ReadU8(&out->optimizer) || !cursor.ReadU8(&out->kernel_isa) ||
       !cursor.ReadF32(&out->learning_rate) ||
       !cursor.ReadU64(&out->model_seed)) {
     return Truncated("kShardInfoReply");
@@ -988,9 +1079,6 @@ Status DecodeShardInfoReply(std::string_view payload, ShardInfo* out) {
   if (relation_module > 1) {
     return Status::Corruption(
         StrFormat("invalid relation-module flag %u", relation_module));
-  }
-  if (reserved != 0) {
-    return Status::Corruption("non-zero reserved kShardInfoReply field");
   }
   if (out->num_shards == 0 || out->shard_index >= out->num_shards) {
     return Status::Corruption(StrFormat("invalid shard index %u of %u",

@@ -15,7 +15,7 @@
 
 namespace pkgm::net {
 
-/// PKGM wire protocol v2 — the versioned binary framing the network serving
+/// PKGM wire protocol v4 — the versioned binary framing the network serving
 /// and distributed-training subsystems speak. Every frame is a fixed
 /// 24-byte little-endian header followed by `payload_len` payload bytes:
 ///
@@ -37,11 +37,12 @@ namespace pkgm::net {
 /// compatibility).
 constexpr uint32_t kWireMagic = 0x4d474b50;
 /// v2 added the parameter-server frames (kPullRows .. kBarrierReply); v3
-/// added the downstream-inference frames (kRecommend .. kAlignReply). Both
-/// ends of a deployment ship from one tree, so the decoder requires an
-/// exact version match; a v1/v2 peer is cut off at the header — an old
-/// peer can never misparse an inference frame as something it knows.
-constexpr uint8_t kWireVersion = 3;
+/// added the downstream-inference frames (kRecommend .. kAlignReply); v4
+/// added versioned transfer sections to kPullRows / kRows and the shard's
+/// kernel ISA to kShardInfoReply. Both ends of a deployment ship from one
+/// tree, so the decoder requires an exact version match; an older peer is
+/// cut off at the header — it can never misparse a frame it does not know.
+constexpr uint8_t kWireVersion = 4;
 constexpr size_t kFrameHeaderBytes = 24;
 /// Default cap on payload_len; NetServer/NetClient make it configurable.
 constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
@@ -70,9 +71,12 @@ enum class FrameType : uint8_t {
   // --- v2: distributed parameter-server training (src/dist/) ---
 
   /// Worker → param server: fetch embedding rows by id, grouped into
-  /// per-table sections.
+  /// per-table sections; a transfer section may name the version of each
+  /// row the worker holds.
   kPullRows = 8,
-  /// Param server → worker: the requested rows (ids echoed back).
+  /// Param server → worker: the requested rows (ids echoed back); for a
+  /// versioned section, each row's logged updates since the named version
+  /// or, when the log no longer covers it, the row and its version.
   kRows = 9,
   /// Worker → param server: a serialized GradArena (blob v2) of touched-row
   /// gradient deltas for rows this shard owns, transfer-matrix gradients as
@@ -325,15 +329,22 @@ constexpr uint8_t kMaxParamTable = 3;
 struct PullSection {
   ParamTable table = ParamTable::kEntity;
   std::vector<uint32_t> ids;
+  /// Empty for an id-only section, answered with the rows. Otherwise the
+  /// section is versioned (transfer rows only): versions[i] is the version
+  /// of row ids[i] the puller holds, and the answer brings it up to date.
+  std::vector<uint64_t> versions = {};
 };
 
 /// One per-table group of rows in a kRows response; `values` holds
-/// ids.size() rows of `row_size` floats, in id order.
+/// ids.size() rows of `row_size` floats, in id order. A versioned section
+/// keeps its answers as their wire bytes in `answers` instead.
 struct RowsSection {
   ParamTable table = ParamTable::kEntity;
   uint32_t row_size = 0;
   std::vector<uint32_t> ids;
   std::vector<float> values;
+  bool versioned = false;
+  std::string answers = {};
 };
 
 /// Shard/model configuration announced by a parameter server, so workers
@@ -350,10 +361,17 @@ struct ShardInfo {
   uint8_t optimizer = 0;           ///< core::OptimizerKind byte
   float learning_rate = 0.0f;
   uint64_t model_seed = 0;
+  /// simd::KernelIsa byte of the shard's kernel table: the table a worker
+  /// replays the shard's transfer-row log records on.
+  uint8_t kernel_isa = 0;
 };
 
-/// kPullRows payload: u32 num_sections, then per section {u8 table,
-/// u32 count, count * u32 id}.
+/// Table-byte flag of a versioned section in kPullRows and kRows.
+constexpr uint8_t kVersionedSection = 0x80;
+
+/// kPullRows payload: u32 num_sections, then per section {u8 table
+/// (| kVersionedSection), u32 count, count * u32 id, and for a versioned
+/// section count * u64 version}. Only transfer sections may be versioned.
 std::string EncodePullRows(uint64_t correlation_id,
                            const std::vector<PullSection>& sections);
 Status DecodePullRows(std::string_view payload,
@@ -361,10 +379,25 @@ Status DecodePullRows(std::string_view payload,
 
 /// Bytes of a kRows section header: u8 table, u32 row_size, u32 count.
 constexpr size_t kRowsSectionHeaderBytes = 9;
+/// Bytes ahead of each answer of a versioned kRows section: u64 version,
+/// u32 log_bytes.
+constexpr size_t kAnswerHeaderBytes = 12;
+/// The log_bytes of an answer that carries the dense row.
+constexpr uint32_t kDenseAnswer = 0xffffffffu;
 
-/// kRows payload: u32 num_sections, then per section {u8 table,
-/// u32 row_size, u32 count, count * u32 id, count * row_size * f32}.
-/// Ids and values travel as two contiguous runs so both sides memcpy.
+/// kRows payload: u32 num_sections, then per section {u8 table
+/// (| kVersionedSection when the request's section was versioned),
+/// u32 row_size, u32 count, count * u32 id, then the answers}. An id-only
+/// section answers with count * row_size * f32: the rows, in id order. A
+/// versioned section answers each id in turn with {u64 version,
+/// u32 log_bytes} followed by
+///   * for log_bytes == kDenseAnswer, the row's row_size * f32 at `version`;
+///   * otherwise log_bytes (at most 4 * row_size) bytes of transfer log
+///     records (core::VisitTransferLog), one per version from the requested
+///     version + 1 to `version`, which replayed in order bring the row from
+///     the requested version to `version`.
+/// So an answer is never longer than the dense one. Ids and values travel
+/// as contiguous runs so both sides memcpy.
 std::string EncodeRows(uint64_t correlation_id,
                        const std::vector<RowsSection>& sections);
 
@@ -372,33 +405,68 @@ std::string EncodeRows(uint64_t correlation_id,
 /// frame is written.
 using RowSource = std::function<const float*(ParamTable table, uint32_t id)>;
 
+/// Writes the answer to versioned row `id` of `table`, whose puller holds
+/// `version`, to `out` with AppendDenseAnswer or AppendLogAnswer.
+using AnswerSource = std::function<void(ParamTable table, uint32_t id,
+                                        uint64_t version, std::string* out)>;
+
+/// Appends a versioned answer carrying `row` (row_size floats) at `version`.
+void AppendDenseAnswer(uint64_t version, const float* row, uint32_t row_size,
+                       std::string* out);
+/// Appends a versioned answer carrying the log `records` up to `version`.
+void AppendLogAnswer(uint64_t version, std::string_view records,
+                     std::string* out);
+
 /// Appends the kRows frame answering `sections` to `out`, reserved to its
-/// exact size, with every row gathered from `row` straight into the frame.
+/// largest size, with every row of an id-only section gathered from `row`
+/// straight into the frame and every versioned answer written by `answer`.
 /// `row_sizes[s]` is the row length of section s.
 void AppendRowsFrame(uint64_t correlation_id,
                      const std::vector<PullSection>& sections,
                      const std::vector<uint32_t>& row_sizes,
-                     const RowSource& row, std::string* out);
+                     const RowSource& row, const AnswerSource& answer,
+                     std::string* out);
+
+/// One answer of a versioned kRows section, as a view into the payload.
+struct RowAnswer {
+  uint64_t version = 0;
+  /// A dense answer's row_size little-endian f32 values, else nullptr.
+  const char* row = nullptr;
+  /// A log answer's records (empty for a dense answer or an up-to-date row).
+  std::string_view log;
+};
 
 /// One kRows section as a view into the payload it was decoded from, which
-/// must outlive it: `ids` holds `count` little-endian u32 ids and `values`
-/// the `count * row_size` little-endian f32 row values, in id order.
+/// must outlive it: `ids` holds `count` little-endian u32 ids; an id-only
+/// section's `values` holds the `count * row_size` little-endian f32 row
+/// values in id order, and a versioned section's `answers` its
+/// `answer_bytes` bytes of answers.
 struct RowsView {
   ParamTable table = ParamTable::kEntity;
+  bool versioned = false;
   uint32_t row_size = 0;
   uint32_t count = 0;
   const char* ids = nullptr;
   const char* values = nullptr;
+  const char* answers = nullptr;
+  size_t answer_bytes = 0;
 
   uint32_t id(size_t i) const;
   /// Copies row i's `row_size` floats to `dst`.
   void CopyRow(size_t i, float* dst) const;
+  /// Reads the answer at `p` (answers, then each return value in turn) and
+  /// returns the position of the next one.
+  const char* ReadAnswer(const char* p, RowAnswer* out) const;
+  /// Copies a dense answer's `row_size` floats to `dst`.
+  void CopyAnswerRow(const RowAnswer& answer, float* dst) const;
 };
 
 /// The kRows parser: validates the payload (section count and each
 /// section's row budget checked against the bytes present before any
-/// allocation, trailing bytes rejected) and returns its sections as views,
-/// copying no row.
+/// allocation; a versioned section only for the transfer table, each answer
+/// whole and its log no longer than the dense row; trailing bytes
+/// rejected) and returns its sections as views, copying no row. Log records
+/// are left to core::VisitTransferLog.
 Status DecodeRowsView(std::string_view payload, std::vector<RowsView>* out);
 /// DecodeRowsView, with every section copied out.
 Status DecodeRows(std::string_view payload, std::vector<RowsSection>* out);
@@ -425,10 +493,10 @@ Status DecodePushGrads(std::string_view payload, float* scale,
 std::string EncodePushAck(uint64_t correlation_id, uint32_t rows_applied);
 Status DecodePushAck(std::string_view payload, uint32_t* rows_applied);
 
-/// kShardInfoReply payload: the ShardInfo fields in declaration order
-/// (u32 x5, u8 scorer, u8 relation_module, u8 optimizer, u8 reserved,
-/// f32 lr, u64 seed). kShardInfo itself is an empty-payload probe
-/// (EncodeControl).
+/// kShardInfoReply payload: u32 x5 (shard_index, num_shards, num_entities,
+/// num_relations, dim), u8 scorer, u8 relation_module, u8 optimizer,
+/// u8 kernel_isa, f32 lr, u64 seed. kShardInfo itself is an empty-payload
+/// probe (EncodeControl).
 std::string EncodeShardInfoReply(uint64_t correlation_id,
                                  const ShardInfo& info);
 Status DecodeShardInfoReply(std::string_view payload, ShardInfo* out);

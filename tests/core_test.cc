@@ -1424,5 +1424,130 @@ TEST(GradArenaBlobTest, FactorSectionCorruptionRejected) {
   EXPECT_FALSE(DeserializeGradArena(blob, &wider).ok());
 }
 
+// ---------------------------------------------------------------------------
+// Transfer-row update logs
+// ---------------------------------------------------------------------------
+
+// Each group of `arena`'s blob, copied out with its items (the blob's
+// bytes must outlive the visit, so groups are kept as the blob plus
+// offsets).
+std::vector<BlobFactorGroup> BlobGroups(const std::string& blob) {
+  std::vector<BlobFactorGroup> groups;
+  EXPECT_TRUE(VisitGradArenaBlob(
+                  blob,
+                  [](uint32_t, uint32_t, const float*, uint32_t) {
+                    return Status::Ok();
+                  },
+                  [&](const BlobFactorGroup& group) {
+                    groups.push_back(group);
+                    return Status::Ok();
+                  })
+                  .ok());
+  return groups;
+}
+
+TEST(TransferLogTest, RecordsCarryAlphaAndItemsAndReplayLikeTheShard) {
+  const simd::KernelTable& k = simd::Active();
+  for (uint32_t dim : {8u, 20u, 64u}) {
+    SCOPED_TRACE(dim);
+    const GradArena arena = FactorArena(dim, {3, 1}, k);
+    std::string blob;
+    ASSERT_EQ(SerializeGradArena(arena, &blob), 2u);
+    const std::vector<BlobFactorGroup> groups = BlobGroups(blob);
+    ASSERT_EQ(groups.size(), 2u);
+    const float alphas[2] = {-0.05f, 0.25f};
+    std::string log;
+    for (size_t g = 0; g < 2; ++g) {
+      const size_t before = log.size();
+      AppendTransferLogRecord(alphas[g], groups[g], &log);
+      EXPECT_EQ(log.size() - before,
+                FactorGroupBlobBytes(dim, groups[g].count));
+      EXPECT_EQ(TransferLogRecordBytes(log.data() + before, dim),
+                log.size() - before);
+    }
+
+    // Replaying the log on a row equals the shard's rebuild + axpy of each
+    // pushed group, byte for byte, and leaves the relation id as given.
+    const size_t n = static_cast<size_t>(dim) * dim;
+    std::vector<float> want(n), got(n);
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = got[i] = 0.01f * static_cast<float>(i % 17) - 0.05f;
+    }
+    TransferRebuildScratch scratch;
+    for (size_t g = 0; g < 2; ++g) {
+      k.axpy(n, alphas[g], RebuildTransferRow(groups[g], k, &scratch),
+             want.data());
+    }
+    size_t visited = 0;
+    ASSERT_TRUE(VisitTransferLog(log, 7, dim,
+                                 [&](float alpha, const BlobFactorGroup& g) {
+                                   EXPECT_EQ(alpha, alphas[visited]);
+                                   EXPECT_EQ(g.relation, 7u);
+                                   EXPECT_EQ(g.count, groups[visited].count);
+                                   ApplyTransferGroup(g, alpha, k, &scratch,
+                                                      got.data());
+                                   ++visited;
+                                   return Status::Ok();
+                                 })
+                    .ok());
+    EXPECT_EQ(visited, 2u);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
+    // The empty log is a valid log of no records.
+    EXPECT_TRUE(VisitTransferLog("", 7, dim,
+                                 [&](float, const BlobFactorGroup&) {
+                                   ADD_FAILURE() << "visited an empty log";
+                                   return Status::Ok();
+                                 })
+                    .ok());
+  }
+}
+
+TEST(TransferLogTest, CorruptionRejectedBeforeAnyVisit) {
+  // dim 20: two s' code words per item, the second using 4 of its 16
+  // codes. Record 0 (2 items) sits at 0 (alpha, count at 4, item 0 at 8:
+  // sign, code words at 12 and 16, h at 20), record 1 (1 item) follows.
+  const uint32_t dim = 20;
+  const GradArena arena = FactorArena(dim, {2, 1}, simd::Active());
+  std::string blob;
+  ASSERT_EQ(SerializeGradArena(arena, &blob), 2u);
+  const std::vector<BlobFactorGroup> groups = BlobGroups(blob);
+  std::string log;
+  AppendTransferLogRecord(-1.0f, groups[0], &log);
+  AppendTransferLogRecord(-2.0f, groups[1], &log);
+  const size_t record1 = FactorGroupBlobBytes(dim, 2);
+  uint32_t word0, word1;
+  std::memcpy(&word0, &log[12], 4);
+  std::memcpy(&word1, &log[16], 4);
+  const auto with_u32 = [&](size_t at, uint32_t v) {
+    std::string bad = log;
+    std::memcpy(&bad[at], &v, 4);
+    return bad;
+  };
+  const std::pair<const char*, std::string> cases[] = {
+      {"sign 0.5", with_u32(8, 0x3f000000u)},
+      {"sign -0", with_u32(8, 0x80000000u)},
+      {"code 3", with_u32(12, word0 | (3u << 6))},
+      {"padding bits", with_u32(16, word1 | (1u << 8))},
+      {"empty record", with_u32(record1 + 4, 0)},
+      {"count past the bytes", with_u32(4, 4)},
+      {"huge count", with_u32(4, 0xffffffffu)},
+      {"truncated header", log.substr(0, record1 + 5)},
+      {"truncated item", log.substr(0, log.size() - 1)},
+      {"trailing byte", log + std::string(1, '\0')},
+  };
+  for (const auto& [what, bad] : cases) {
+    SCOPED_TRACE(what);
+    size_t visited = 0;
+    const Status st =
+        VisitTransferLog(bad, 0, dim, [&](float, const BlobFactorGroup&) {
+          ++visited;
+          return Status::Ok();
+        });
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_EQ(visited, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace pkgm::core

@@ -12,7 +12,9 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -26,6 +28,7 @@
 #include "core/trainer.h"
 #include "dist/dist_trainer.h"
 #include "dist/param_server.h"
+#include "dist/replica.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_store.h"
 #include "net/net_client.h"
@@ -576,10 +579,12 @@ TEST(DistTrainerTest, OneWorkerSyncPushBitExactVsShardedTrainer) {
 
 TEST(DistTrainerTest, FramesOverFourMiBBitExactAtDim64) {
   // d = 64 makes each transfer row 16 KiB. With 300 relations drawn
-  // uniformly, one 512-triple batch touches nearly all of them, so its
-  // kRows reply and its push both exceed the 4 MiB default frame cap: the
-  // pull is split across frames, the push needs the shard's raised cap,
-  // and every one of these frames takes the large-payload receive path.
+  // uniformly, one 512-triple batch touches nearly all of them, so the
+  // worker budgets its pull, every transfer row at its dense size, past
+  // the 4 MiB default frame cap: the pull is split across frames. The
+  // shard's largest valid push, one dense row per owned key, passes the
+  // default cap too, so the shard runs with its frame cap raised to
+  // MaxPushPayloadBytes().
   core::PkgmModelOptions mo;
   mo.num_entities = 600;
   mo.num_relations = 300;
@@ -763,6 +768,34 @@ std::string Mutate(const std::string& in, const std::string& other,
   return out;
 }
 
+/// Bounds-checked little-endian reader for the reference parsers.
+struct RefReader {
+  std::string_view b;
+  size_t pos = 0;
+
+  bool U32(uint32_t* v) {
+    if (b.size() - pos < 4) return false;
+    std::memcpy(v, b.data() + pos, 4);
+    pos += 4;
+    return true;
+  }
+  bool U64(uint64_t* v) {
+    if (b.size() - pos < 8) return false;
+    std::memcpy(v, b.data() + pos, 8);
+    pos += 8;
+    return true;
+  }
+  bool F32s(uint64_t n, std::vector<float>* out) {
+    if ((b.size() - pos) / 4 < n) return false;
+    if (n == 0) return true;
+    const size_t at = out->size();
+    out->resize(at + n);
+    std::memcpy(out->data() + at, b.data() + pos, 4 * static_cast<size_t>(n));
+    pos += 4 * static_cast<size_t>(n);
+    return true;
+  }
+};
+
 /// A 2-shard TransH model with the relation module, so all four tables
 /// exist; the fuzzed shard is shard 0 (even keys).
 ParamServerOptions FuzzShardOptions() {
@@ -775,35 +808,71 @@ ParamServerOptions FuzzShardOptions() {
   return opt;
 }
 
-std::vector<PullSection> FuzzPullSections() {
+/// A pull of shard 0's rows of every table, its transfer rows versioned
+/// at `v0` and `v2`.
+std::vector<PullSection> FuzzPullSections(uint64_t v0 = 0, uint64_t v2 = 0) {
   std::vector<PullSection> sections(4);
   sections[0] = {ParamTable::kEntity, {0, 2, 28}};
   sections[1] = {ParamTable::kRelation, {0, 2}};
-  sections[2] = {ParamTable::kTransfer, {2}};
+  sections[2] = {ParamTable::kTransfer, {0, 2}, {v0, v2}};
   sections[3] = {ParamTable::kHyperplane, {0}};
   return sections;
 }
 
-/// Offsets of the num_sections and per-section id counts of a kPullRows
-/// payload.
+/// Offsets of the num_sections, per-section id counts and versions (low
+/// words) of a kPullRows payload.
 std::vector<size_t> PullFields(const std::vector<PullSection>& sections) {
   std::vector<size_t> fields = {0};
   size_t pos = 4;
   for (const PullSection& s : sections) {
     fields.push_back(pos + 1);
     pos += 5 + 4 * s.ids.size();
+    for (size_t i = 0; i < s.versions.size(); ++i, pos += 8) {
+      fields.push_back(pos);
+    }
   }
   return fields;
 }
 
-/// Offsets of the num_sections, row sizes and counts of a kRows payload.
-std::vector<size_t> RowsFields(const std::vector<RowsSection>& sections) {
+/// Offsets of the num_sections, row sizes and counts of a valid kRows
+/// payload, and of each versioned answer's version (low word), log_bytes
+/// and log record counts.
+std::vector<size_t> RowsFields(std::string_view payload) {
   std::vector<size_t> fields = {0};
-  size_t pos = 4;
-  for (const RowsSection& s : sections) {
-    fields.push_back(pos + 1);
-    fields.push_back(pos + 5);
-    pos += 9 + 4 * s.ids.size() + 4 * s.values.size();
+  RefReader r{payload};
+  uint32_t num_sections = 0;
+  EXPECT_TRUE(r.U32(&num_sections));
+  for (uint32_t s = 0; s < num_sections; ++s) {
+    const bool versioned = (static_cast<uint8_t>(payload[r.pos]) & 0x80) != 0;
+    fields.push_back(r.pos + 1);
+    fields.push_back(r.pos + 5);
+    r.pos += 1;
+    uint32_t row_size = 0, count = 0;
+    EXPECT_TRUE(r.U32(&row_size) && r.U32(&count));
+    r.pos += 4 * static_cast<size_t>(count);
+    if (!versioned) {
+      r.pos += 4 * static_cast<size_t>(count) * row_size;
+      continue;
+    }
+    const uint32_t dim =
+        static_cast<uint32_t>(std::lround(std::sqrt(row_size)));
+    for (uint32_t i = 0; i < count; ++i) {
+      fields.push_back(r.pos);
+      fields.push_back(r.pos + 8);
+      uint64_t version = 0;
+      uint32_t log_bytes = 0;
+      EXPECT_TRUE(r.U64(&version) && r.U32(&log_bytes));
+      if (log_bytes == net::kDenseAnswer) {
+        r.pos += 4 * static_cast<size_t>(row_size);
+        continue;
+      }
+      for (const size_t end = r.pos + log_bytes; r.pos < end;) {
+        fields.push_back(r.pos + 4);
+        uint32_t items;
+        std::memcpy(&items, payload.data() + r.pos + 4, 4);
+        r.pos += core::FactorGroupBlobBytes(dim, items);
+      }
+    }
   }
   return fields;
 }
@@ -875,6 +944,32 @@ std::string FuzzBlob(uint32_t dim) {
   return blob;
 }
 
+/// A transfer log at `dim`: one record per entry of `counts` (that many
+/// items), with alphas -0.1, -0.2, ...
+std::string FuzzLog(uint32_t dim, const std::vector<size_t>& counts) {
+  core::GradArena arena;
+  for (uint32_t r = 0; r < counts.size(); ++r) {
+    AddFactorGroup(&arena, r, dim, counts[r]);
+  }
+  std::string blob;
+  core::SerializeGradArena(arena, &blob);
+  std::string log;
+  float alpha = 0.0f;
+  EXPECT_TRUE(core::VisitGradArenaBlob(
+                  blob,
+                  [](uint32_t, uint32_t, const float*, uint32_t) {
+                    ADD_FAILURE() << "a log group went dense";
+                    return Status::Ok();
+                  },
+                  [&](const core::BlobFactorGroup& group) {
+                    alpha -= 0.1f;
+                    core::AppendTransferLogRecord(alpha, group, &log);
+                    return Status::Ok();
+                  })
+                  .ok());
+  return log;
+}
+
 struct RefRow {
   uint32_t slab = 0;
   uint32_t id = 0;
@@ -889,72 +984,152 @@ struct RefGroup {
   std::vector<float> heads;  // count x dim
 };
 
+/// One factor item of the blob layout (also a log record's), appended to
+/// `group`.
+bool RefParseItem(RefReader* r, uint32_t dim, RefGroup* group) {
+  uint32_t sign;
+  if (!r->U32(&sign) || (sign != 0x3f800000u && sign != 0xbf800000u)) {
+    return false;
+  }
+  group->signs.push_back(sign == 0x3f800000u ? 1.0f : -1.0f);
+  for (uint32_t i = 0; i < dim; i += 16) {
+    uint32_t word;
+    if (!r->U32(&word)) return false;
+    for (uint32_t j = 0; j < 16; ++j) {
+      const uint32_t code = (word >> (2 * j)) & 3;
+      if (code == 3 || (i + j >= dim && code != 0)) return false;
+      if (i + j < dim) {
+        group->s2.push_back(code == 1 ? 1.0f : code == 2 ? -1.0f : 0.0f);
+      }
+    }
+  }
+  return r->F32s(dim, &group->heads);
+}
+
 /// Reference walk of the blob layout documented in core/gradients.h,
 /// written independently of VisitGradArenaBlob (little-endian hosts).
 bool RefParseBlob(std::string_view b, std::vector<RefRow>* rows,
                   std::vector<RefGroup>* groups) {
   rows->clear();
   groups->clear();
-  size_t pos = 0;
-  auto u32 = [&](uint32_t* v) {
-    if (b.size() - pos < 4) return false;
-    std::memcpy(v, b.data() + pos, 4);
-    pos += 4;
-    return true;
-  };
-  auto f32s = [&](uint32_t n, std::vector<float>* out) {
-    if ((b.size() - pos) / 4 < n) return false;
-    const size_t at = out->size();
-    out->resize(at + n);
-    std::memcpy(out->data() + at, b.data() + pos, 4 * static_cast<size_t>(n));
-    pos += 4 * static_cast<size_t>(n);
-    return true;
-  };
+  RefReader r{b};
   uint32_t magic, version_word;
-  if (!u32(&magic) || magic != core::kGradArenaBlobMagic) return false;
-  if (!u32(&version_word)) return false;
+  if (!r.U32(&magic) || magic != core::kGradArenaBlobMagic) return false;
+  if (!r.U32(&version_word)) return false;
   if (version_word != (core::kGradArenaBlobVersion | (5u << 8))) return false;
   for (uint32_t slab = 0; slab < 4; ++slab) {
     uint32_t row_size, count;
-    if (!u32(&row_size) || !u32(&count)) return false;
+    if (!r.U32(&row_size) || !r.U32(&count)) return false;
     if (count > 0 && row_size == 0) return false;
     for (uint32_t i = 0; i < count; ++i) {
       RefRow row;
       row.slab = slab;
-      if (!u32(&row.id) || !f32s(row_size, &row.values)) return false;
+      if (!r.U32(&row.id) || !r.F32s(row_size, &row.values)) return false;
       rows->push_back(std::move(row));
     }
   }
   uint32_t dim, num_groups;
-  if (!u32(&dim) || !u32(&num_groups)) return false;
+  if (!r.U32(&dim) || !r.U32(&num_groups)) return false;
   if (num_groups > 0 && (dim == 0 || dim > 65535)) return false;
   for (uint32_t g = 0; g < num_groups; ++g) {
     RefGroup group;
     group.dim = dim;
     uint32_t count;
-    if (!u32(&group.relation) || !u32(&count) || count == 0) return false;
+    if (!r.U32(&group.relation) || !r.U32(&count) || count == 0) return false;
     for (uint32_t q = 0; q < count; ++q) {
-      uint32_t sign;
-      if (!u32(&sign) || (sign != 0x3f800000u && sign != 0xbf800000u)) {
-        return false;
-      }
-      group.signs.push_back(sign == 0x3f800000u ? 1.0f : -1.0f);
-      for (uint32_t i = 0; i < dim; i += 16) {
-        uint32_t word;
-        if (!u32(&word)) return false;
-        for (uint32_t j = 0; j < 16; ++j) {
-          const uint32_t code = (word >> (2 * j)) & 3;
-          if (code == 3 || (i + j >= dim && code != 0)) return false;
-          if (i + j < dim) {
-            group.s2.push_back(code == 1 ? 1.0f : code == 2 ? -1.0f : 0.0f);
-          }
-        }
-      }
-      if (!f32s(dim, &group.heads)) return false;
+      if (!RefParseItem(&r, dim, &group)) return false;
     }
     groups->push_back(std::move(group));
   }
-  return pos == b.size();
+  return r.pos == b.size();
+}
+
+/// One answer of a versioned kRows section, parsed: the dense row, or the
+/// log records (each a factor group and its alpha).
+struct RefAnswer {
+  uint64_t version = 0;
+  bool dense = false;
+  std::vector<float> row;
+  std::vector<float> alphas;
+  std::vector<RefGroup> records;
+};
+
+struct RefRowsSection {
+  ParamTable table = ParamTable::kEntity;
+  bool versioned = false;
+  uint32_t row_size = 0;
+  std::vector<uint32_t> ids;
+  std::vector<float> values;
+  std::vector<RefAnswer> answers;
+};
+
+/// Reference walk of the kRows layout documented in net/wire.h, log records
+/// included (parsed at `dim`, as a worker with that model dim would),
+/// written independently of DecodeRowsView and VisitTransferLog.
+bool RefParseRows(std::string_view b, uint32_t dim,
+                  std::vector<RefRowsSection>* out) {
+  out->clear();
+  RefReader r{b};
+  uint32_t num_sections;
+  if (!r.U32(&num_sections)) return false;
+  for (uint32_t s = 0; s < num_sections; ++s) {
+    RefRowsSection sec;
+    if (r.pos == b.size()) return false;
+    const uint8_t table = static_cast<uint8_t>(b[r.pos++]);
+    sec.versioned = (table & 0x80) != 0;
+    if ((table & 0x7f) > 3) return false;
+    sec.table = static_cast<ParamTable>(table & 0x7f);
+    if (sec.versioned && sec.table != ParamTable::kTransfer) return false;
+    uint32_t count;
+    if (!r.U32(&sec.row_size) || !r.U32(&count)) return false;
+    for (uint32_t i = 0; i < count; ++i) {
+      uint32_t id;
+      if (!r.U32(&id)) return false;
+      sec.ids.push_back(id);
+    }
+    if (!sec.versioned) {
+      if (!r.F32s(static_cast<uint64_t>(count) * sec.row_size, &sec.values)) {
+        return false;
+      }
+      out->push_back(std::move(sec));
+      continue;
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      RefAnswer a;
+      uint32_t log_bytes;
+      if (!r.U64(&a.version) || !r.U32(&log_bytes)) return false;
+      if (log_bytes == 0xffffffffu) {
+        a.dense = true;
+        if (!r.F32s(sec.row_size, &a.row)) return false;
+      } else {
+        if (log_bytes > 4 * static_cast<uint64_t>(sec.row_size) ||
+            b.size() - r.pos < log_bytes) {
+          return false;
+        }
+        const size_t end = r.pos + log_bytes;
+        RefReader log{b.substr(0, end), r.pos};
+        while (log.pos < end) {
+          uint32_t alpha_bits, items;
+          RefGroup group;
+          group.dim = dim;
+          if (!log.U32(&alpha_bits) || !log.U32(&items) || items == 0) {
+            return false;
+          }
+          for (uint32_t q = 0; q < items; ++q) {
+            if (!RefParseItem(&log, dim, &group)) return false;
+          }
+          float alpha;
+          std::memcpy(&alpha, &alpha_bits, 4);
+          a.alphas.push_back(alpha);
+          a.records.push_back(std::move(group));
+        }
+        r.pos = end;
+      }
+      sec.answers.push_back(std::move(a));
+    }
+    out->push_back(std::move(sec));
+  }
+  return r.pos == b.size();
 }
 
 /// A reference group's dense dM_r, rebuilt on `k` under the contract.
@@ -1117,13 +1292,22 @@ TEST(MutationTest, FrameDecoderOverRandomChunkings) {
 }
 
 TEST(MutationTest, RowsViewDecoder) {
-  std::vector<RowsSection> sections(3);
+  std::vector<RowsSection> sections(4);
   sections[0] = {ParamTable::kEntity, 8, {0, 2}, std::vector<float>(16, 1.0f)};
   sections[1] = {ParamTable::kTransfer, 64, {4}, std::vector<float>(64, -2.0f)};
   sections[2] = {ParamTable::kHyperplane, 8, {}, {}};
+  // Versioned answers: a dense row, a log of two records, an up-to-date row.
+  sections[3].table = ParamTable::kTransfer;
+  sections[3].row_size = 64;
+  sections[3].ids = {0, 2, 6};
+  sections[3].versioned = true;
+  const std::vector<float> dense(64, 0.5f);
+  net::AppendDenseAnswer(4, dense.data(), 64, &sections[3].answers);
+  net::AppendLogAnswer(6, FuzzLog(8, {2, 1}), &sections[3].answers);
+  net::AppendLogAnswer(3, "", &sections[3].answers);
   const std::string payload = Payload(net::EncodeRows(1, sections));
   const std::string other = Payload(net::EncodePullRows(1, FuzzPullSections()));
-  const std::vector<size_t> fields = RowsFields(sections);
+  const std::vector<size_t> fields = RowsFields(payload);
 
   Rng rng(20212);
   std::vector<net::RowsView> views;
@@ -1216,23 +1400,167 @@ TEST(MutationTest, GradArenaBlobVisitor) {
   }
 }
 
+/// The row of `table` at `id` in `m`.
+float* RowOf(core::PkgmModel* m, ParamTable table, uint32_t id) {
+  switch (table) {
+    case ParamTable::kEntity:
+      return m->entity(id);
+    case ParamTable::kRelation:
+      return m->relation(id);
+    case ParamTable::kTransfer:
+      return m->transfer(id);
+    case ParamTable::kHyperplane:
+      return m->hyperplane(id);
+  }
+  return nullptr;
+}
+
+/// What a fresh replica of `opt` applying `payload` (the answer to
+/// `request`, log records replayed on `k`) must hold, from the reference
+/// parser; false when the reply must be refused whole.
+bool ReplicaShouldApply(std::string_view payload,
+                        const std::vector<PullSection>& request,
+                        const simd::KernelTable& k, core::PkgmModel* want) {
+  const uint32_t d = want->dim();
+  std::vector<RefRowsSection> ref;
+  if (!RefParseRows(payload, d, &ref) || ref.size() != request.size()) {
+    return false;
+  }
+  for (size_t s = 0; s < ref.size(); ++s) {
+    const RefRowsSection& sec = ref[s];
+    const PullSection& asked = request[s];
+    if (sec.table != asked.table || sec.ids != asked.ids ||
+        sec.versioned == asked.versions.empty() ||
+        sec.row_size != (sec.table == ParamTable::kTransfer ? d * d : d)) {
+      return false;
+    }
+    for (size_t i = 0; i < sec.answers.size(); ++i) {
+      const RefAnswer& a = sec.answers[i];
+      if (!a.dense && (a.version < asked.versions[i] ||
+                       a.version - asked.versions[i] != a.records.size())) {
+        return false;
+      }
+    }
+  }
+  for (size_t s = 0; s < ref.size(); ++s) {
+    const RefRowsSection& sec = ref[s];
+    for (size_t i = 0; i < sec.ids.size(); ++i) {
+      float* row = RowOf(want, sec.table, sec.ids[i]);
+      if (!sec.versioned) {
+        std::memcpy(row, sec.values.data() + i * sec.row_size,
+                    4 * static_cast<size_t>(sec.row_size));
+        continue;
+      }
+      // A fresh replica holds version 0 of every row.
+      const RefAnswer& a = sec.answers[i];
+      if (a.version == 0) continue;
+      if (a.dense) {
+        std::memcpy(row, a.row.data(), 4 * static_cast<size_t>(sec.row_size));
+        continue;
+      }
+      for (size_t r = 0; r < a.records.size(); ++r) {
+        const std::vector<float> dm = RefRebuild(a.records[r], k);
+        k.axpy(dm.size(), a.alphas[r], dm.data(), row);
+      }
+    }
+  }
+  return true;
+}
+
+TEST(MutationTest, ReplicaApplyPath) {
+  const ParamServerOptions opt = FuzzShardOptions();
+  const uint32_t d = opt.model.dim;
+  const std::vector<PullSection> request = FuzzPullSections();
+  // Every table's rows; relation 0's transfer row as a log of versions 1
+  // and 2, relation 2's as its dense row at version 3.
+  std::vector<RowsSection> reply(4);
+  for (size_t s = 0; s < 4; ++s) {
+    reply[s].table = request[s].table;
+    reply[s].ids = request[s].ids;
+    reply[s].row_size = reply[s].table == ParamTable::kTransfer ? d * d : d;
+  }
+  for (size_t s : {0, 1, 3}) {
+    for (size_t i = 0; i < reply[s].ids.size() * d; ++i) {
+      reply[s].values.push_back(0.5f * static_cast<float>(i) - 3.0f);
+    }
+  }
+  reply[2].versioned = true;
+  net::AppendLogAnswer(2, FuzzLog(d, {2, 1}), &reply[2].answers);
+  const std::vector<float> dense(d * d, -1.25f);
+  net::AppendDenseAnswer(3, dense.data(), d * d, &reply[2].answers);
+  const std::string payload = Payload(net::EncodeRows(1, reply));
+  const std::string other = Payload(net::EncodePullRows(1, request));
+  const std::vector<size_t> fields = RowsFields(payload);
+  const simd::KernelTable& k = simd::ScalarKernels();
+  const std::string init = ModelBytes(core::PkgmModel(opt.model));
+
+  Rng rng(20215);
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    const std::string input =
+        iter == 0 ? payload : Mutate(payload, other, fields, &rng);
+    Replica replica(opt.model);
+    Replica::Scratch scratch;
+    uint64_t rows = 0;
+    const Status st = replica.Apply(input, request, &k, &scratch, &rows);
+    core::PkgmModel want(opt.model);
+    const bool ok = ReplicaShouldApply(input, request, k, &want);
+    ASSERT_EQ(st.ok(), ok) << st.ToString();
+    if (input == payload) {
+      ASSERT_TRUE(ok);
+      EXPECT_EQ(replica.transfer_version(0), 2u);
+      EXPECT_EQ(replica.transfer_version(2), 3u);
+    }
+    // Refused means untouched; accepted means exactly the reference.
+    EXPECT_TRUE(ModelBytes(replica.model()) == (ok ? ModelBytes(want) : init));
+    if (ok) {
+      EXPECT_EQ(rows, 8u);
+    }
+  }
+}
+
 TEST(MutationTest, LiveShardHandleFrame) {
   ParamServer shard(FuzzShardOptions());
   const core::PkgmModel& model = shard.model();
-  const std::vector<PullSection> pulls = FuzzPullSections();
-  const std::string pull_payload = Payload(net::EncodePullRows(1, pulls));
-  const std::string blob = FuzzBlob(model.dim());
+  const uint32_t d = model.dim();
+  const std::string pull_payload =
+      Payload(net::EncodePullRows(1, FuzzPullSections()));
+  const std::string blob = FuzzBlob(d);
   const std::string push_payload =
       Payload(net::EncodePushGrads(1, 0.5f, 0, blob));
   std::vector<size_t> push_fields = {0, 4};
   for (size_t f : BlobFields(blob)) push_fields.push_back(8 + f);
+  // Every version each owned transfer row has passed through (a push moves
+  // a row by at most one version), so a log answer can be replayed from
+  // the version it names.
+  std::map<std::pair<uint32_t, uint64_t>, std::vector<float>> history;
+  const auto record_history = [&] {
+    for (uint32_t r : {0u, 2u}) {
+      history.emplace(std::make_pair(r, shard.transfer_version(r)),
+                      std::vector<float>(model.transfer(r),
+                                         model.transfer(r) + d * d));
+    }
+  };
+  record_history();
+  const simd::KernelTable& k = *simd::KernelsForIsa(
+      static_cast<simd::KernelIsa>(shard.Info().kernel_isa));
 
   Rng rng(20214);
   uint64_t applied = 0;
   for (int iter = 0; iter <= 2 * kMutationsPerInput; ++iter) {
     SCOPED_TRACE(iter);
     const bool push = iter % 2 == 1;
-    const std::string& valid = push ? push_payload : pull_payload;
+    // Pulls name recent versions, so both log and dense answers come back:
+    // relation 2's log holds its last two factor pushes, relation 0 is
+    // pushed dense.
+    const auto recent = [&](uint32_t r) {
+      const uint64_t v = shard.transfer_version(r);
+      return v - rng.Uniform(std::min<uint64_t>(v, 3) + 1);
+    };
+    const std::vector<PullSection> pulls =
+        FuzzPullSections(recent(0), recent(2));
+    const std::string valid =
+        push ? push_payload : Payload(net::EncodePullRows(1, pulls));
     Frame request;
     request.type = push ? FrameType::kPushGrads : FrameType::kPullRows;
     request.correlation_id = static_cast<uint64_t>(iter);
@@ -1284,18 +1612,42 @@ TEST(MutationTest, LiveShardHandleFrame) {
       // A factor group counts as the one transfer row it updates.
       EXPECT_EQ(rows, want_push.size() + want_groups.size());
       ++applied;
+      record_history();
       continue;
     }
-    // A served pull returns the model's rows, section for section.
+    // A served pull returns the model's rows, section for section; a
+    // versioned answer carries the row's version and either the row or
+    // the records that replay the named version into it.
     ASSERT_EQ(reply.type, FrameType::kRows);
     EXPECT_TRUE(ModelBytes(model) == before);
     std::vector<RowsSection> got;
     ASSERT_TRUE(net::DecodeRows(reply.payload, &got).ok());
+    std::vector<RefRowsSection> ref;
+    ASSERT_TRUE(RefParseRows(reply.payload, d, &ref));
     ASSERT_EQ(got.size(), want_pull.size());
     for (size_t s = 0; s < got.size(); ++s) {
       ASSERT_EQ(got[s].table, want_pull[s].table);
       ASSERT_EQ(got[s].ids, want_pull[s].ids);
-      for (size_t i = 0; i < got[s].ids.size(); ++i) {
+      ASSERT_EQ(got[s].versioned, !want_pull[s].versions.empty());
+      for (size_t i = 0; got[s].versioned && i < got[s].ids.size(); ++i) {
+        const uint32_t id = got[s].ids[i];
+        const RefAnswer& a = ref[s].answers[i];
+        EXPECT_EQ(a.version, shard.transfer_version(id));
+        std::vector<float> row = a.row;
+        if (!a.dense) {
+          const uint64_t from = want_pull[s].versions[i];
+          ASSERT_EQ(a.version - from, a.records.size());
+          row = history.at({id, from});
+          for (size_t r = 0; r < a.records.size(); ++r) {
+            const std::vector<float> dm = RefRebuild(a.records[r], k);
+            k.axpy(dm.size(), a.alphas[r], dm.data(), row.data());
+          }
+        }
+        ASSERT_EQ(row.size(), static_cast<size_t>(d) * d);
+        EXPECT_EQ(std::memcmp(row.data(), model.transfer(id), 4 * row.size()),
+                  0);
+      }
+      for (size_t i = 0; !got[s].versioned && i < got[s].ids.size(); ++i) {
         const uint32_t id = got[s].ids[i];
         const float* row = got[s].table == ParamTable::kEntity
                                ? model.entity(id)
@@ -1496,6 +1848,357 @@ TEST(ParamServerTest, CrossoverPushFitsMaxPushPayload) {
     uint32_t rows = 0;
     ASSERT_TRUE(net::DecodePushAck(reply.payload, &rows).ok());
     EXPECT_EQ(rows, m.num_entities() / 2 + 3 * m.num_relations() / 2);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Versioned transfer-row pulls: shard logs and worker replay
+// ---------------------------------------------------------------------------
+
+/// The unsigned value of `key` in a flat StatsJson object (0 if absent).
+uint64_t StatOf(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+}
+
+/// A push to `shard` of relation `rel`'s transfer gradient as one factor
+/// group of `items` items.
+void PushFactors(ParamServer* shard, uint32_t rel, size_t items) {
+  core::GradArena arena;
+  AddFactorGroup(&arena, rel, shard->model().dim(), items);
+  const Frame reply =
+      HandleOne(shard, FrameType::kPushGrads,
+                PushPayload(arena, shard->shard_index(), shard->num_shards()));
+  EXPECT_EQ(reply.type, FrameType::kPushAck);
+}
+
+TEST(VersionedPullTest, TwoWorkersTwoShardsReplicaByteEqualsShards) {
+  core::PkgmModelOptions mo;
+  mo.num_entities = 160;
+  mo.num_relations = 12;
+  mo.dim = 16;
+  mo.seed = 41;
+  kg::TripleStore store;
+  Rng rng(8);
+  while (store.size() < 800) {
+    store.Add(static_cast<uint32_t>(rng.Uniform(mo.num_entities)),
+              static_cast<uint32_t>(rng.Uniform(mo.num_relations)),
+              static_cast<uint32_t>(rng.Uniform(mo.num_entities)));
+  }
+  ParamServerOptions base;
+  base.model = mo;
+  base.optimizer = core::OptimizerKind::kSgd;
+  base.learning_rate = 0.05f;
+  Cluster cluster;
+  cluster.Start(2, base);
+  DistTrainerOptions dopt;
+  dopt.shard_endpoints = cluster.endpoints;
+  dopt.num_workers = 2;
+  dopt.batch_size = 32;
+  dopt.learning_rate = 0.05f;
+  dopt.seed = 6;  // default staleness bound: pushes pipelined
+  DistTrainer trainer(&store, dopt);
+  ASSERT_TRUE(trainer.Connect().ok());
+  ASSERT_TRUE(trainer.Train(3).ok());
+  ASSERT_TRUE(trainer.PullFullModel().ok());
+
+  const core::PkgmModel& replica = *trainer.replica();
+  const size_t dd = static_cast<size_t>(mo.dim) * mo.dim;
+  uint64_t from_log = 0;
+  for (const auto& shard : cluster.shards) {
+    from_log += StatOf(shard->StatsJson(), "transfer_rows_from_log");
+    EXPECT_EQ(StatOf(shard->StatsJson(), "rejects"), 0u);
+  }
+  EXPECT_GT(from_log, 0u);
+  for (uint32_t r = 0; r < mo.num_relations; ++r) {
+    const core::PkgmModel& shard = cluster.shards[r % 2]->model();
+    EXPECT_EQ(std::memcmp(replica.transfer(r), shard.transfer(r), 4 * dd), 0)
+        << "transfer " << r;
+    EXPECT_EQ(std::memcmp(replica.relation(r), shard.relation(r),
+                          4 * static_cast<size_t>(mo.dim)),
+              0)
+        << "relation " << r;
+  }
+}
+
+TEST(VersionedPullTest, LogBoundAndDenseUpdatesFallBackToTheRow) {
+  // d = 8: a one-item record is 48 bytes and a log holds at most the
+  // dense row's 256, so five records.
+  ParamServerOptions opt;
+  opt.model = TestModelOptions();
+  opt.optimizer = core::OptimizerKind::kSgd;
+  opt.learning_rate = 0.1f;
+  ParamServer shard(opt);
+  const uint32_t d = shard.model().dim();
+  ASSERT_EQ(core::FactorGroupBlobBytes(d, 1), 48u);
+  const simd::KernelTable* k = simd::KernelsForIsa(
+      static_cast<simd::KernelIsa>(shard.Info().kernel_isa));
+  ASSERT_NE(k, nullptr);
+  Replica replica(opt.model);
+  Replica::Scratch scratch;
+  // Pulls relation 0 versioned into the replica; whether the answer was
+  // dense, or nullopt on failure.
+  const auto pull = [&]() -> std::optional<bool> {
+    std::vector<PullSection> req(1);
+    req[0] = {ParamTable::kTransfer, {0}, {replica.transfer_version(0)}};
+    const Frame reply = HandleOne(&shard, FrameType::kPullRows,
+                                  Payload(net::EncodePullRows(1, req)));
+    std::vector<net::RowsView> views;
+    if (reply.type != FrameType::kRows ||
+        !net::DecodeRowsView(reply.payload, &views).ok()) {
+      return std::nullopt;
+    }
+    net::RowAnswer answer;
+    views[0].ReadAnswer(views[0].answers, &answer);
+    uint64_t rows = 0;
+    if (!replica.Apply(reply.payload, req, k, &scratch, &rows).ok()) {
+      return std::nullopt;
+    }
+    return answer.row != nullptr;
+  };
+  const auto byte_equal = [&] {
+    return std::memcmp(replica.model().transfer(0), shard.model().transfer(0),
+                       4 * static_cast<size_t>(d) * d) == 0;
+  };
+
+  EXPECT_EQ(pull(), false);  // version 0 on both sides: an empty log
+  for (int i = 0; i < 5; ++i) PushFactors(&shard, 0, 1);
+  EXPECT_EQ(pull(), false);  // five records fit
+  EXPECT_TRUE(byte_equal());
+  EXPECT_EQ(replica.transfer_version(0), 5u);
+
+  for (int i = 0; i < 6; ++i) PushFactors(&shard, 0, 1);
+  EXPECT_EQ(pull(), true);  // the log kept versions 7..11; version 5 fell out
+  EXPECT_TRUE(byte_equal());
+  EXPECT_EQ(replica.transfer_version(0), 11u);
+
+  for (int i = 0; i < 2; ++i) PushFactors(&shard, 0, 2);
+  EXPECT_EQ(pull(), false);
+  EXPECT_TRUE(byte_equal());
+  EXPECT_EQ(replica.transfer_version(0), 13u);
+
+  // A dense transfer update empties the log.
+  core::GradArena arena;
+  arena.Transfer(0, d * d)[3] = 1.5f;
+  ASSERT_EQ(HandleOne(&shard, FrameType::kPushGrads, PushPayload(arena, 0, 1))
+                .type,
+            FrameType::kPushAck);
+  EXPECT_EQ(pull(), true);
+  EXPECT_TRUE(byte_equal());
+  PushFactors(&shard, 0, 3);
+  EXPECT_EQ(pull(), false);
+  EXPECT_TRUE(byte_equal());
+  EXPECT_EQ(replica.transfer_version(0), 15u);
+  EXPECT_EQ(shard.transfer_version(0), 15u);
+}
+
+TEST(VersionedPullTest, OlderDenseAnswerLeavesTheRowUntouched) {
+  const core::PkgmModelOptions mo = TestModelOptions();
+  const uint32_t dd = mo.dim * mo.dim;
+  Replica replica(mo);
+  Replica::Scratch scratch;
+  // Applies a dense answer for relation 1 at `version`, every float
+  // `fill`, to a pull that named `asked`.
+  const auto apply = [&](uint64_t asked, uint64_t version, float fill) {
+    RowsSection sec;
+    sec.table = ParamTable::kTransfer;
+    sec.row_size = dd;
+    sec.ids = {1};
+    sec.versioned = true;
+    const std::vector<float> row(dd, fill);
+    net::AppendDenseAnswer(version, row.data(), dd, &sec.answers);
+    std::vector<PullSection> req(1);
+    req[0] = {ParamTable::kTransfer, {1}, {asked}};
+    uint64_t rows = 0;
+    ASSERT_TRUE(replica
+                    .Apply(Payload(net::EncodeRows(1, {sec})), req,
+                           &simd::ScalarKernels(), &scratch, &rows)
+                    .ok());
+    EXPECT_EQ(rows, 1u);
+  };
+  const auto row_is = [&](float fill) {
+    const float* row = replica.model().transfer(1);
+    return std::all_of(row, row + dd, [&](float v) { return v == fill; });
+  };
+  apply(0, 5, 1.0f);
+  EXPECT_TRUE(row_is(1.0f));
+  EXPECT_EQ(replica.transfer_version(1), 5u);
+  // A slower pull, sent before the replica reached version 5, answered at
+  // version 3: dropped. So is a second answer at the same version.
+  apply(0, 3, 2.0f);
+  apply(5, 5, 3.0f);
+  EXPECT_TRUE(row_is(1.0f));
+  EXPECT_EQ(replica.transfer_version(1), 5u);
+  apply(5, 6, 4.0f);
+  EXPECT_TRUE(row_is(4.0f));
+  EXPECT_EQ(replica.transfer_version(1), 6u);
+}
+
+TEST(VersionedPullTest, OverlappingLogAnswersReplayEachRecordOnce) {
+  // Two workers pulled relation 1 from version 0; one answer brought
+  // records 1-2, the other, later, records 1-3. Applied in either order,
+  // the row takes each record once.
+  const core::PkgmModelOptions mo = TestModelOptions();
+  const std::string records = FuzzLog(mo.dim, {1, 2, 1});
+  const size_t two = core::FactorGroupBlobBytes(mo.dim, 1) +
+                     core::FactorGroupBlobBytes(mo.dim, 2);
+  const auto payload = [&](uint64_t version, std::string_view log) {
+    RowsSection sec;
+    sec.table = ParamTable::kTransfer;
+    sec.row_size = mo.dim * mo.dim;
+    sec.ids = {1};
+    sec.versioned = true;
+    net::AppendLogAnswer(version, log, &sec.answers);
+    return Payload(net::EncodeRows(1, {sec}));
+  };
+  std::vector<PullSection> req(1);
+  req[0] = {ParamTable::kTransfer, {1}, {0}};
+  const simd::KernelTable& k = simd::ScalarKernels();
+  Replica::Scratch scratch;
+  uint64_t rows = 0;
+  Replica once(mo);
+  ASSERT_TRUE(once.Apply(payload(3, records), req, &k, &scratch, &rows).ok());
+  for (const bool short_first : {true, false}) {
+    SCOPED_TRACE(short_first);
+    Replica replica(mo);
+    const std::string short_log = payload(2, records.substr(0, two));
+    const std::string long_log = payload(3, records);
+    for (const std::string* p : short_first
+                                    ? std::vector{&short_log, &long_log}
+                                    : std::vector{&long_log, &short_log}) {
+      ASSERT_TRUE(replica.Apply(*p, req, &k, &scratch, &rows).ok());
+    }
+    EXPECT_EQ(replica.transfer_version(1), 3u);
+    EXPECT_EQ(std::memcmp(replica.model().transfer(1), once.model().transfer(1),
+                          4 * static_cast<size_t>(mo.dim) * mo.dim),
+              0);
+  }
+}
+
+/// Forwards every frame to a shard, but announces `isa` as the shard's
+/// kernel ISA and counts the transfer sections of the pulls it sees.
+class IsaOverride : public net::FrameHandler {
+ public:
+  IsaOverride(ParamServer* shard, uint8_t isa) : shard_(shard), isa_(isa) {}
+
+  bool HandleFrame(const Frame& frame, Respond respond) override {
+    if (frame.type == FrameType::kShardInfo) {
+      net::ShardInfo info = shard_->Info();
+      info.kernel_isa = isa_;
+      respond(net::EncodeShardInfoReply(frame.correlation_id, info));
+      return true;
+    }
+    std::vector<PullSection> sections;
+    if (frame.type == FrameType::kPullRows &&
+        net::DecodePullRows(frame.payload, &sections).ok()) {
+      for (const PullSection& s : sections) {
+        if (s.table != ParamTable::kTransfer) continue;
+        ++(s.versions.empty() ? id_only : versioned);
+      }
+    }
+    return shard_->HandleFrame(frame, std::move(respond));
+  }
+  std::string StatsJson() override { return shard_->StatsJson(); }
+
+  std::atomic<int> id_only{0};
+  std::atomic<int> versioned{0};
+
+ private:
+  ParamServer* shard_;
+  const uint8_t isa_;
+};
+
+TEST(VersionedPullTest, UnloadableShardIsaGetsIdOnlyTransferSections) {
+  // NEON on x86 (AVX-512 or AVX2 on ARM); 0xff names no ISA at all.
+  uint8_t isa = 0xff;
+  for (simd::KernelIsa candidate :
+       {simd::KernelIsa::kNeon, simd::KernelIsa::kAvx512,
+        simd::KernelIsa::kAvx2}) {
+    if (simd::KernelsForIsa(candidate) == nullptr) {
+      isa = static_cast<uint8_t>(candidate);
+      break;
+    }
+  }
+  ParamServerOptions opt;
+  opt.model = TestModelOptions();
+  opt.optimizer = core::OptimizerKind::kSgd;
+  opt.learning_rate = 0.05f;
+  ParamServer shard(opt);
+  IsaOverride handler(&shard, isa);
+  net::NetServerOptions nopt;
+  nopt.bind_address = "127.0.0.1";
+  net::NetServer server(&handler, nopt);
+  ASSERT_TRUE(server.Start().ok());
+
+  const kg::TripleStore store = ChainKg();
+  DistTrainerOptions dopt;
+  dopt.shard_endpoints = {StrFormat("127.0.0.1:%u", server.port())};
+  dopt.num_workers = 1;
+  dopt.batch_size = 4;
+  dopt.learning_rate = 0.05f;
+  dopt.max_inflight_pushes = 0;
+  DistTrainer trainer(&store, dopt);
+  ASSERT_TRUE(trainer.Connect().ok());
+  ASSERT_TRUE(trainer.Train(2).ok());
+  ASSERT_TRUE(trainer.PullFullModel().ok());
+  EXPECT_GT(handler.id_only.load(), 0);
+  EXPECT_EQ(handler.versioned.load(), 0);
+  EXPECT_EQ(StatOf(shard.StatsJson(), "transfer_rows_from_log"), 0u);
+  // Dense pulls keep the replica exact too.
+  for (uint32_t r = 0; r < opt.model.num_relations; ++r) {
+    EXPECT_EQ(std::memcmp(trainer.replica()->transfer(r),
+                          shard.model().transfer(r),
+                          4 * static_cast<size_t>(opt.model.dim) *
+                              opt.model.dim),
+              0)
+        << "transfer " << r;
+  }
+  shard.AbortBarriers();
+  server.Stop();
+}
+
+TEST(ParamServerTest, StatsJsonCountsTransferAnswers) {
+  ParamServerOptions opt;
+  opt.model = TestModelOptions();
+  opt.optimizer = core::OptimizerKind::kSgd;
+  opt.learning_rate = 0.1f;
+  for (const auto optimizer :
+       {core::OptimizerKind::kSgd, core::OptimizerKind::kAdam}) {
+    SCOPED_TRACE(optimizer == core::OptimizerKind::kSgd ? "sgd" : "adam");
+    opt.optimizer = optimizer;
+    ParamServer shard(opt);
+    const auto pull = [&](std::vector<uint64_t> versions) {
+      std::vector<PullSection> req(1);
+      req[0].table = ParamTable::kTransfer;
+      req[0].ids = {0, 1, 2};
+      req[0].versions = std::move(versions);
+      EXPECT_EQ(HandleOne(&shard, FrameType::kPullRows,
+                          Payload(net::EncodePullRows(1, req)))
+                    .type,
+                FrameType::kRows);
+    };
+    pull({0, 0, 0});  // three up-to-date rows
+    pull({});         // three id-only rows
+    PushFactors(&shard, 1, 1);
+    pull({0, 0, 7});  // one record for relation 1; version 7 is not yet
+    const std::string json = shard.StatsJson();
+    if (optimizer == core::OptimizerKind::kSgd) {
+      EXPECT_EQ(StatOf(json, "transfer_rows_from_log"), 5u);
+      EXPECT_EQ(StatOf(json, "transfer_rows_dense"), 4u);
+      EXPECT_EQ(StatOf(json, "transfer_log_bytes"),
+                core::FactorGroupBlobBytes(opt.model.dim, 1));
+    } else {
+      // Adam shards keep no log and answer every versioned row dense.
+      EXPECT_EQ(StatOf(json, "transfer_rows_from_log"), 0u);
+      EXPECT_EQ(StatOf(json, "transfer_rows_dense"), 9u);
+      EXPECT_EQ(StatOf(json, "transfer_log_bytes"), 0u);
+    }
+    EXPECT_EQ(StatOf(json, "pulls"), 3u);
+    EXPECT_EQ(StatOf(json, "rows_pulled"), 9u);
+    EXPECT_EQ(StatOf(json, "pushes"), 1u);
   }
 }
 

@@ -499,6 +499,118 @@ TEST(DistWireTest, RowsRoundTrip) {
   EXPECT_FALSE(DecodeRows(hostile, &decoded).ok());
 }
 
+TEST(DistWireTest, VersionedPullRowsRoundTrip) {
+  std::vector<PullSection> sections(2);
+  sections[0].table = ParamTable::kEntity;
+  sections[0].ids = {4, 2};
+  sections[1].table = ParamTable::kTransfer;
+  sections[1].ids = {6, 0, 8};
+  sections[1].versions = {0, 3, 0x123456789abcull};
+  const Frame frame = MustDecode(EncodePullRows(5, sections));
+  std::vector<PullSection> decoded;
+  ASSERT_TRUE(DecodePullRows(frame.payload, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_TRUE(decoded[0].versions.empty());
+  EXPECT_EQ(decoded[1].table, ParamTable::kTransfer);
+  EXPECT_EQ(decoded[1].ids, sections[1].ids);
+  EXPECT_EQ(decoded[1].versions, sections[1].versions);
+
+  const std::string payload(frame.payload);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(DecodePullRows(payload.substr(0, len), &decoded).ok());
+  }
+  // Payload: u32 sections | section 0: u8 table, u32 count, 2 ids (13 B) |
+  // section 1: u8 table, u32 count, ... Only a transfer section may carry
+  // versions.
+  std::string entity_versioned = payload;
+  entity_versioned[4] = static_cast<char>(kVersionedSection);
+  EXPECT_FALSE(DecodePullRows(entity_versioned, &decoded).ok());
+  // A versioned count is checked against 12 bytes per id up front.
+  std::string hostile = payload;
+  const uint32_t count = 4;  // 4 ids + versions need 48 bytes; 36 are left
+  std::memcpy(&hostile[4 + 13 + 1], &count, 4);
+  EXPECT_FALSE(DecodePullRows(hostile, &decoded).ok());
+}
+
+TEST(DistWireTest, VersionedRowsRoundTrip) {
+  const std::vector<float> row = {1.0f, -0.0f, 2.5f, 4.0f};
+  const std::string records = "\x01\x02\x03\x04\x05\x06\x07\x08";
+  RowsSection sec;
+  sec.table = ParamTable::kTransfer;
+  sec.row_size = 4;
+  sec.ids = {2, 4, 6};
+  sec.versioned = true;
+  AppendDenseAnswer(9, row.data(), sec.row_size, &sec.answers);
+  AppendLogAnswer(0x100000003ull, records, &sec.answers);
+  AppendLogAnswer(7, "", &sec.answers);  // an up-to-date row
+  RowsSection plain;
+  plain.table = ParamTable::kRelation;
+  plain.row_size = 2;
+  plain.ids = {1};
+  plain.values = {3.0f, -3.0f};
+  const Frame frame = MustDecode(EncodeRows(3, {plain, sec}));
+
+  std::vector<RowsView> views;
+  ASSERT_TRUE(DecodeRowsView(frame.payload, &views).ok());
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_FALSE(views[0].versioned);
+  const RowsView& v = views[1];
+  ASSERT_TRUE(v.versioned);
+  EXPECT_EQ(v.table, ParamTable::kTransfer);
+  EXPECT_EQ(v.count, 3u);
+  EXPECT_EQ(v.id(2), 6u);
+  RowAnswer a;
+  const char* p = v.ReadAnswer(v.answers, &a);
+  EXPECT_EQ(a.version, 9u);
+  ASSERT_NE(a.row, nullptr);
+  std::vector<float> got(4);
+  v.CopyAnswerRow(a, got.data());
+  EXPECT_EQ(std::memcmp(got.data(), row.data(), 16), 0);
+  p = v.ReadAnswer(p, &a);
+  EXPECT_EQ(a.version, 0x100000003ull);
+  EXPECT_EQ(a.row, nullptr);
+  EXPECT_EQ(a.log, records);
+  p = v.ReadAnswer(p, &a);
+  EXPECT_EQ(a.version, 7u);
+  EXPECT_TRUE(a.log.empty());
+  EXPECT_EQ(p, v.answers + v.answer_bytes);
+
+  std::vector<RowsSection> decoded;
+  ASSERT_TRUE(DecodeRows(frame.payload, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_TRUE(decoded[1].versioned);
+  EXPECT_EQ(decoded[1].answers, sec.answers);
+  EXPECT_EQ(MustDecode(EncodeRows(3, decoded)).payload, frame.payload);
+
+  const std::string payload(frame.payload);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(DecodeRows(payload.substr(0, len), &decoded).ok());
+  }
+  // Section 1 starts after u32 sections and section 0 (9 + 4 + 8 bytes);
+  // its answers after its header and 3 ids.
+  const size_t sec1 = 4 + 21;
+  std::string relation_versioned = payload;
+  relation_versioned[4] =
+      static_cast<char>(static_cast<uint8_t>(ParamTable::kRelation) |
+                        kVersionedSection);
+  EXPECT_FALSE(DecodeRows(relation_versioned, &decoded).ok());
+  // A log may be as long as the dense row, not longer.
+  for (const size_t log_bytes : {16, 17}) {
+    RowsSection one = sec;
+    one.ids = {2};
+    one.answers.clear();
+    AppendLogAnswer(1, std::string(log_bytes, 'x'), &one.answers);
+    EXPECT_EQ(DecodeRows(MustDecode(EncodeRows(3, {one})).payload, &decoded)
+                  .ok(),
+              log_bytes == 16);
+  }
+  // A versioned count is checked against 16 bytes per id up front.
+  std::string hostile = payload;
+  const uint32_t count = 0x10000000u;
+  std::memcpy(&hostile[sec1 + 5], &count, 4);
+  EXPECT_FALSE(DecodeRows(hostile, &decoded).ok());
+}
+
 TEST(DistWireTest, PushGradsRoundTrip) {
   const std::string blob = "not-a-real-arena-but-opaque-bytes";
   const std::string bytes = EncodePushGrads(13, 0.125f, 4, blob);
@@ -552,6 +664,7 @@ TEST(DistWireTest, ShardInfoReplyRoundTrip) {
   info.optimizer = 1;
   info.learning_rate = 1e-4f;
   info.model_seed = 0xdeadbeefcafef00dULL;
+  info.kernel_isa = 3;
   const std::string bytes = EncodeShardInfoReply(5, info);
   const Frame frame = MustDecode(bytes);
   EXPECT_EQ(frame.type, FrameType::kShardInfoReply);
@@ -568,6 +681,7 @@ TEST(DistWireTest, ShardInfoReplyRoundTrip) {
   EXPECT_EQ(decoded.optimizer, info.optimizer);
   EXPECT_EQ(decoded.learning_rate, info.learning_rate);
   EXPECT_EQ(decoded.model_seed, info.model_seed);
+  EXPECT_EQ(decoded.kernel_isa, info.kernel_isa);
 
   const std::string payload(frame.payload);
   for (size_t len = 0; len < payload.size(); ++len) {

@@ -5,15 +5,20 @@
 # distributed final eval hinge must land within a few percent of the
 # single-process number — and (b) protocol cleanliness from the daemons'
 # JSON stats (no rejects, no protocol errors, every epoch barrier
-# released).
+# released, transfer rows answered from the shards' update logs).
 #
-#   dist_smoke.sh <pkgm_psd> <pkgm_tool> <workdir> [epochs]
+#   dist_smoke.sh <pkgm_psd> <pkgm_tool> <workdir> [epochs] [shard_kernel]
+#
+# shard_kernel, a PKGM_KERNEL value such as "scalar", runs only the shard
+# daemons on that kernel table. The workers keep their own and replay each
+# shard's transfer-row log records on the table that shard announces.
 set -u
 
 PSD="$1"
 TOOL="$2"
 WORKDIR="$3"
 EPOCHS="${4:-3}"
+SHARD_KERNEL="${5:-${PKGM_KERNEL:-}}"
 
 DIM=16
 LR=0.05
@@ -42,6 +47,7 @@ fi
 # Two shard daemons on ephemeral loopback ports.
 PIDS=""
 for S in 0 1; do
+  PKGM_KERNEL="$SHARD_KERNEL" \
   "$PSD" --shard "$S" --num-shards 2 --entities "$ENTITIES" \
          --relations "$RELATIONS" --dim "$DIM" --model-seed "$SEED" \
          --optimizer sgd --lr "$LR" --port-file "shard_$S.port" \
@@ -110,6 +116,7 @@ for path in sys.argv[5:7]:
     assert shard["net"]["protocol_errors"] == 0, f"{path}: {shard['net']}"
     assert shard["barriers_released"] == epochs, f"{path}: {shard}"
     assert shard["pushes"] > 0 and shard["pulls"] > 0, f"{path}: {shard}"
+    assert shard["transfer_rows_from_log"] > 0, f"{path}: {shard}"
 
 print(f"dist smoke OK: base_hinge={base} dist_hinge={dist} gap={gap:.5f}")
 EOF
