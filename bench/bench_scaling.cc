@@ -6,7 +6,6 @@
 
 #include "bench/bench_common.h"
 #include "core/pkgm_model.h"
-#include "core/sharded_trainer.h"
 #include "core/trainer.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -53,10 +52,12 @@ void Run() {
     TablePrinter t({"workers", "triples/s", "final mean hinge"});
     for (uint32_t workers : {1u, 2u, 4u, 8u}) {
       core::PkgmModel model(ModelOptionsFor(pkg, opt.dim));
-      core::ShardedTrainerOptions sharded;
-      sharded.num_workers = workers;
-      sharded.learning_rate = 0.05f;
-      core::ShardedTrainer trainer(&model, &pkg.observed, sharded);
+      core::TrainerOptions topt;
+      topt.num_workers = workers;
+      topt.learning_rate = 0.05f;
+      topt.optimizer = core::OptimizerKind::kSgd;
+      topt.seed = 17;
+      core::Trainer trainer(&model, &pkg.observed, topt);
       core::EpochStats s = trainer.Train(epochs);
       t.AddRow({StrFormat("%u", workers),
                 WithThousandsSeparators(

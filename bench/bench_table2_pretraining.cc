@@ -7,9 +7,9 @@
 // `--json <path>` writes a machine-readable throughput report (same artifact
 // convention as bench_ops): the seed-era baseline — map-of-vectors SparseGrad
 // plus reference gradients on scalar kernels, measured in a child process
-// pinned with PKGM_KERNEL=scalar — against the fused single-threaded Trainer
-// and the pipelined ShardedTrainer at 8 workers, all at d=64 on the same
-// synthetic PKG with the same SGD hyper-parameters.
+// pinned with PKGM_KERNEL=scalar — against the Trainer at 1 worker and at
+// 8 pipelined hogwild workers, all at d=64 on the same synthetic PKG with
+// the same SGD hyper-parameters.
 //
 // `--distributed [N]` adds the true parameter-server path: N in-process
 // ParamServer shards behind epoll NetServers on loopback, driven by a
@@ -33,7 +33,6 @@
 #include "bench/bench_common.h"
 #include "core/gradients.h"
 #include "core/pkgm_model.h"
-#include "core/sharded_trainer.h"
 #include "core/trainer.h"
 #include "dist/dist_trainer.h"
 #include "dist/param_server.h"
@@ -119,12 +118,13 @@ void Run() {
   // --- parameter-server simulation ---------------------------------------
   {
     core::PkgmModel model(model_opt);
-    core::ShardedTrainerOptions sharded;
+    core::TrainerOptions sharded;
     sharded.num_workers = 4;   // paper: 200 workers
     sharded.batch_size = 512;
     sharded.learning_rate = 0.05f;
+    sharded.optimizer = core::OptimizerKind::kSgd;
     sharded.seed = opt.seed;
-    core::ShardedTrainer trainer(&model, &pkg.observed, sharded);
+    core::Trainer trainer(&model, &pkg.observed, sharded);
     TablePrinter t({"epoch", "mean hinge", "active pairs", "triples/s"});
     Stopwatch sw;
     for (uint32_t e = 1; e <= opt.pretrain_epochs; ++e) {
@@ -287,39 +287,19 @@ struct TrainResult {
   std::vector<double> hinge;  // mean hinge per epoch
 };
 
-TrainResult RunFusedSingle(const kg::SyntheticPkg& pkg,
-                           const PretrainConfig& c) {
+// One Trainer at `workers` threads: the fused single-threaded row at 1,
+// the pipelined sharded row at c.workers.
+TrainResult RunTrainer(const kg::SyntheticPkg& pkg, const PretrainConfig& c,
+                       uint32_t workers) {
   core::PkgmModel model(ModelOptionsFor(pkg, c));
   core::TrainerOptions topt;
+  topt.num_workers = workers;
   topt.batch_size = c.batch;
   topt.learning_rate = c.lr;
   topt.margin = c.margin;
   topt.optimizer = core::OptimizerKind::kSgd;
   topt.seed = c.seed;
   core::Trainer trainer(&model, &pkg.observed, topt);
-
-  TrainResult r;
-  double secs = 0.0;
-  uint64_t total = 0;
-  for (uint32_t e = 0; e < c.epochs; ++e) {
-    core::EpochStats s = trainer.RunEpoch();
-    r.hinge.push_back(s.mean_hinge);
-    secs += s.seconds;
-    total += s.total_pairs;
-  }
-  r.tps = secs > 0 ? static_cast<double>(total) / secs : 0.0;
-  return r;
-}
-
-TrainResult RunSharded(const kg::SyntheticPkg& pkg, const PretrainConfig& c) {
-  core::PkgmModel model(ModelOptionsFor(pkg, c));
-  core::ShardedTrainerOptions sopt;
-  sopt.num_workers = c.workers;
-  sopt.batch_size = c.batch;
-  sopt.learning_rate = c.lr;
-  sopt.margin = c.margin;
-  sopt.seed = c.seed;
-  core::ShardedTrainer trainer(&model, &pkg.observed, sopt);
 
   TrainResult r;
   double secs = 0.0;
@@ -344,8 +324,8 @@ struct DistResult {
 // The true distributed path, run in-process for the bench: each shard is a
 // ParamServer behind its own epoll NetServer on an ephemeral loopback port,
 // and the DistTrainer drives them over real TCP — full wire encode / CRC /
-// decode cost on every pull and push, unlike the in-memory ShardedTrainer
-// it is compared against.
+// decode cost on every pull and push, unlike the in-memory multi-worker
+// Trainer it is compared against.
 DistResult RunDistributed(const kg::SyntheticPkg& pkg,
                           const PretrainConfig& c, uint32_t num_shards) {
   DistResult r;
@@ -438,8 +418,8 @@ int RunJson(const char* argv0, const char* path, bool smoke,
 
   const std::string tmp_base = path != nullptr ? path : "bench_pretraining";
   const double seed_tps = SeedBaselineTps(argv0, tmp_base, smoke);
-  const TrainResult single = RunFusedSingle(pkg, c);
-  const TrainResult sharded = RunSharded(pkg, c);
+  const TrainResult single = RunTrainer(pkg, c, 1);
+  const TrainResult sharded = RunTrainer(pkg, c, c.workers);
   DistResult dist;
   if (dist_shards > 0) dist = RunDistributed(pkg, c, dist_shards);
 
@@ -551,7 +531,7 @@ int RunJson(const char* argv0, const char* path, bool smoke,
         expect(dist.train.hinge.back() < dist.train.hinge.front(),
                "distributed mean hinge decreases over training");
         // Acceptance bound: the distributed trajectory lands within 2% of
-        // the in-process ShardedTrainer at the same seed budget.
+        // the in-process multi-worker Trainer at the same seed budget.
         expect(dist_hinge_ratio > 0.98 && dist_hinge_ratio < 1.02,
                "distributed final hinge within 2% of sharded");
         expect(dist.pulls > 0 && dist.pushes > 0,

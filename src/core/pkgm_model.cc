@@ -62,6 +62,11 @@ PkgmModel::PkgmModel(const PkgmModelOptions& options)
   }
 }
 
+uint32_t PkgmModel::row_size(ParamTable t) const {
+  const Mat& rows = table(t);
+  return rows.rows() > 0 ? static_cast<uint32_t>(rows.cols()) : 0;
+}
+
 float PkgmModel::TripleScore(const kg::Triple& t) const {
   const uint32_t d = options_.dim;
   const float* h = entity(t.head);

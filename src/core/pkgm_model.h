@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "core/embedding_source.h"
 #include "kg/triple.h"
@@ -27,6 +28,16 @@ struct PkgmModelOptions {
   /// ablation bench to isolate the relation query module's contribution).
   bool use_relation_module = true;
   uint64_t seed = 7;
+};
+
+/// The model's four parameter tables. Values are the parameter-server
+/// frames' table bytes (net::ParamTable) and the GradArena blob's slab
+/// order; keep them dense and stable.
+enum class ParamTable : uint8_t {
+  kEntity = 0,
+  kRelation = 1,
+  kTransfer = 2,
+  kHyperplane = 3,
 };
 
 /// The Pre-trained Knowledge Graph Model (paper §II).
@@ -113,6 +124,27 @@ class PkgmModel : public EmbeddingSource {
   const Mat& entity_table() const { return entities_; }
   const Mat& relation_table() const { return relations_; }
   const Mat& transfer_table() const { return transfers_; }
+  /// The table `t` names: rows keyed by entity id (kEntity) or relation id.
+  /// Inline: the trainers look a table up for every applied row.
+  const Mat& table(ParamTable t) const {
+    switch (t) {
+      case ParamTable::kEntity:
+        return entities_;
+      case ParamTable::kRelation:
+        return relations_;
+      case ParamTable::kTransfer:
+        return transfers_;
+      case ParamTable::kHyperplane:
+        break;
+    }
+    return hyperplanes_;
+  }
+  Mat& table(ParamTable t) {
+    return const_cast<Mat&>(std::as_const(*this).table(t));
+  }
+  /// Row length of table `t`, or 0 when these options have no such table
+  /// (transfer without the relation module, hyperplane without TransH).
+  uint32_t row_size(ParamTable t) const;
 
   /// Triple-module score, smaller = more plausible. TransE: Eq. 1; see
   /// TripleScorerKind for the other families.

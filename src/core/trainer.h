@@ -2,64 +2,48 @@
 #define PKGM_CORE_TRAINER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/epoch_engine.h"
 #include "core/gradients.h"
 #include "core/negative_sampler.h"
+#include "core/optimizer.h"
 #include "core/pkgm_model.h"
 #include "kg/triple_source.h"
-#include "tensor/simd/kernel_dispatch.h"
-#include "tensor/vec.h"
 #include "util/rng.h"
 
 namespace pkgm::core {
 
-/// Which optimizer the trainer applies to the sparse gradients.
-enum class OptimizerKind { kSgd, kAdam };
-
 /// Training hyper-parameters (paper §III-A2: Adam, lr 1e-4, batch 1000,
 /// d=64, 1 negative per edge, 2 epochs; defaults here are tuned for
 /// laptop-scale graphs where more aggressive rates converge in seconds).
-struct TrainerOptions {
+struct TrainerOptions : OptimizerOptions {
+  /// Hogwild worker threads sharing the model.
+  uint32_t num_workers = 1;
   uint32_t batch_size = 512;
-  float learning_rate = 0.02f;
   /// Margin gamma in the ranking loss (Eq. 4).
   float margin = 2.0f;
-  OptimizerKind optimizer = OptimizerKind::kAdam;
-  float adam_beta1 = 0.9f;
-  float adam_beta2 = 0.999f;
-  float adam_epsilon = 1e-8f;
-  /// Project entity embeddings back onto the unit L2 ball after each batch
-  /// (TransE's norm constraint).
-  bool normalize_entities = true;
   /// Negative sampling configuration; num_entities/num_relations are filled
   /// from the model if left 0.
   NegativeSampler::Options negative;
   uint64_t seed = 13;
 };
 
-/// Per-epoch training telemetry.
-struct EpochStats {
-  double mean_hinge = 0.0;       ///< mean hinge over all pairs (0 = satisfied)
-  uint64_t active_pairs = 0;     ///< pairs with a positive hinge
-  uint64_t total_pairs = 0;
-  double seconds = 0.0;
-  double triples_per_second = 0.0;
-};
-
-/// Mini-batch trainer for PkgmModel on a fixed triple set. Single-threaded
-/// reference implementation; see ShardedTrainer for the parameter-server
-/// simulation. Adam state is kept lazily ("sparse Adam"): moments are dense
-/// tables but only touched rows are updated, with bias correction from the
-/// global step count.
+/// Mini-batch trainer for PkgmModel on a fixed triple set, in process: the
+/// paper's parameter-server training (§III-A2: 50 parameter servers + 200
+/// workers) with the model as the one server and num_workers hogwild
+/// threads, at any worker count with SGD or Adam.
 ///
-/// The hot path draws a batch's negatives, runs FusedBatchHingeGradients
-/// into a reusable flat GradArena, rebuilds each transfer gradient from its
-/// factors into one scratch row and applies rows with the dispatched
-/// axpy/adam_row kernels — no per-batch allocation, and for a fixed seed
-/// two runs produce bit-identical embeddings (validation draws from its
-/// own RNG stream, so interleaving EvaluateMeanHinge calls cannot perturb
-/// the trajectory).
+/// Each epoch runs RunPipelinedEpoch over the model. Workers read
+/// parameters unlocked, so they see slightly stale values (the
+/// asynchronous PS regime), and publish each row through the RowOptimizer
+/// under a striped spinlock (cache-line-sized stripes hashed by table and
+/// row id), the row's Adam moments under the same stripe. A transfer
+/// gradient is rebuilt from its factors before its lock is taken. With one
+/// worker the locks are uncontended, and for a fixed seed two runs produce
+/// bit-identical embeddings; validation draws from its own RNG stream, so
+/// interleaving EvaluateMeanHinge calls cannot perturb the trajectory.
 class Trainer {
  public:
   /// `model` and `store` must outlive the trainer. `store` doubles as the
@@ -69,8 +53,11 @@ class Trainer {
   /// bit-identical trajectories for a fixed seed.
   Trainer(PkgmModel* model, const kg::TripleSource* store,
           const TrainerOptions& options);
+  ~Trainer();
 
-  /// Runs one epoch (one shuffled pass over the training triples).
+  /// Runs one epoch (one shuffled pass over the training triples). The
+  /// first call allocates Adam's moments, so a trainer used only for
+  /// EvaluateMeanHinge holds no optimizer state.
   EpochStats RunEpoch();
 
   /// Runs `n` epochs, returning stats of the last.
@@ -81,10 +68,12 @@ class Trainer {
   /// this mid-training leaves the training trajectory untouched.
   double EvaluateMeanHinge(const std::vector<kg::Triple>& triples);
 
-  uint64_t global_step() const { return step_; }
+  /// Batches applied so far.
+  uint64_t global_step() const { return optimizer_.step(); }
 
  private:
-  void ApplyGradients(const GradArena& grad, float scale);
+  class LocalWorker;
+  struct Stripe;
 
   PkgmModel* model_;
   const kg::TripleSource* store_;
@@ -92,21 +81,8 @@ class Trainer {
   NegativeSampler sampler_;
   Rng rng_;
   Rng eval_rng_;
-  uint64_t step_ = 0;  // batches applied, drives Adam bias correction
-
-  const simd::KernelTable& kernels_;
-  GradArena arena_;
-  HingeWorkspace workspace_;  // EvaluateMeanHinge's per-pair scratch
-  BatchHingeWorkspace batch_workspace_;
-  TransferRebuildScratch rebuild_scratch_;
-  std::vector<NegativeSample> negatives_;  // the current batch's
-  std::vector<float> hinges_;
-
-  // Lazy Adam moment tables (allocated only when optimizer == kAdam).
-  Mat m_entities_, v_entities_;
-  Mat m_relations_, v_relations_;
-  Mat m_transfers_, v_transfers_;
-  Mat m_hyperplanes_, v_hyperplanes_;
+  RowOptimizer optimizer_;
+  std::unique_ptr<Stripe[]> stripes_;
 };
 
 }  // namespace pkgm::core

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <future>
-#include <string_view>
-#include <thread>
 #include <utility>
 
 #include "core/gradients.h"
-#include "core/pair_batch.h"
+#include "core/optimizer.h"
+#include "net/socket_util.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -18,29 +16,6 @@
 namespace pkgm::dist {
 
 namespace {
-
-core::NegativeSampler::Options FillNegativeOptions(
-    core::NegativeSampler::Options neg, const core::PkgmModel& model) {
-  if (neg.num_entities == 0) neg.num_entities = model.num_entities();
-  if (neg.num_relations == 0) neg.num_relations = model.num_relations();
-  return neg;
-}
-
-Status ParseEndpoint(const std::string& endpoint, std::string* host,
-                     uint16_t* port) {
-  const size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    return Status::InvalidArgument("bad shard endpoint: " + endpoint);
-  }
-  *host = endpoint.substr(0, colon);
-  const long p = std::strtol(endpoint.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 65535) {
-    return Status::InvalidArgument("bad shard port in: " + endpoint);
-  }
-  *port = static_cast<uint16_t>(p);
-  return Status::Ok();
-}
 
 /// Resolves one CallFrame future within the deadline; a pending future
 /// past the deadline is abandoned (the promise side is still owned by the
@@ -70,12 +45,11 @@ StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
 
 }  // namespace
 
-/// Per-worker reusable scratch: the touched-id sets of the current batch
-/// and their per-shard split, plus the in-flight pulls. Everything keeps
+/// Per-worker reusable scratch: the touched ids of the current batch split
+/// per shard (sorted unique), plus the in-flight pulls. Everything keeps
 /// its capacity across batches.
 struct DistTrainer::BatchScratch {
-  std::vector<uint32_t> ent_ids, rel_ids;              // sorted unique
-  std::vector<std::vector<uint32_t>> shard_ents;       // per shard
+  std::vector<std::vector<uint32_t>> shard_ents;  // per shard
   std::vector<std::vector<uint32_t>> shard_rels;
   std::vector<std::vector<net::PullSection>> requests;  // per shard
   std::vector<size_t> pull_shards;  // the shard of each pull future
@@ -87,11 +61,8 @@ DistTrainer::DistTrainer(const kg::TripleSource* store,
                          DistTrainerOptions options)
     : store_(store),
       options_(std::move(options)),
-      kernels_(simd::Active()),
       epoch_rng_(options_.seed),
-      // Same derivation as Trainer's validation stream, so an identical
-      // replica evaluates to the identical number.
-      eval_rng_(options_.seed ^ UINT64_C(0xBADD1CE5FEEDFACE)) {
+      eval_rng_(core::EvalRng(options_.seed)) {
   PKGM_CHECK(store != nullptr);
   PKGM_CHECK_GT(options_.num_workers, 0u);
   PKGM_CHECK_GT(options_.batch_size, 0u);
@@ -113,7 +84,7 @@ Status DistTrainer::Connect() {
     std::string host;
     uint16_t port = 0;
     PKGM_RETURN_IF_ERROR(
-        ParseEndpoint(options_.shard_endpoints[s], &host, &port));
+        net::ParseHostPort(options_.shard_endpoints[s], &host, &port));
     net::NetClientOptions copt;
     // One pipelined connection per local worker, so workers do not
     // head-of-line block each other's pulls.
@@ -178,7 +149,7 @@ Status DistTrainer::Connect() {
   // both sides.
   replica_ = std::make_unique<Replica>(mopt);
   sampler_ = std::make_unique<core::NegativeSampler>(
-      FillNegativeOptions(options_.negative, replica_->model()), store_);
+      core::FillNegativeOptions(options_.negative, replica_->model()), store_);
   // Transfer rows are pulled versioned from an SGD shard whose kernel table
   // this host can run, so its log records replay exactly; otherwise dense.
   replay_kernels_.assign(num_shards, nullptr);
@@ -194,19 +165,6 @@ Status DistTrainer::Connect() {
 
 core::PkgmModel* DistTrainer::replica() {
   return replica_ == nullptr ? nullptr : &replica_->model();
-}
-
-Status DistTrainer::PullBatchRows(BatchScratch* sc) {
-  const size_t num_shards = clients_.size();
-  sc->shard_ents.resize(num_shards);
-  sc->shard_rels.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    sc->shard_ents[s].clear();
-    sc->shard_rels[s].clear();
-  }
-  for (uint32_t e : sc->ent_ids) sc->shard_ents[e % num_shards].push_back(e);
-  for (uint32_t r : sc->rel_ids) sc->shard_rels[r % num_shards].push_back(r);
-  return PullShardRows(sc);
 }
 
 Status DistTrainer::PullShardRows(BatchScratch* sc) {
@@ -320,216 +278,135 @@ Status DistTrainer::EpochBarrier(uint32_t epoch) {
   return Status::Ok();
 }
 
+/// One engine worker thread of a DistTrainer epoch: pulls each batch's
+/// rows before its forward/backward and pushes its gradients after it.
+class DistTrainer::RemoteWorker : public core::EpochWorker {
+ public:
+  RemoteWorker(DistTrainer* trainer, uint32_t epoch)
+      : t_(trainer), epoch_(epoch), inflight_(trainer->clients_.size()) {}
+
+  /// Pulls every row the batch will read, fresh from its shard.
+  Status Prepare(const core::PairBatch& batch) override {
+    const size_t num_shards = t_->clients_.size();
+    std::vector<std::vector<uint32_t>>& ents = scratch_.shard_ents;
+    std::vector<std::vector<uint32_t>>& rels = scratch_.shard_rels;
+    ents.resize(num_shards);
+    rels.resize(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      ents[s].clear();
+      rels[s].clear();
+    }
+    for (size_t i = 0; i < batch.pos.size(); ++i) {
+      for (const kg::Triple& t : {batch.pos[i], batch.neg[i].triple}) {
+        ents[t.head % num_shards].push_back(t.head);
+        ents[t.tail % num_shards].push_back(t.tail);
+        rels[t.relation % num_shards].push_back(t.relation);
+      }
+    }
+    for (auto* lists : {&ents, &rels}) {
+      for (std::vector<uint32_t>& ids : *lists) {
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      }
+    }
+    return t_->PullShardRows(&scratch_);
+  }
+
+  /// Pushes the arena shard-sliced, with at most max_inflight_pushes acks
+  /// outstanding per shard. Transfer gradients travel as factors (or as a
+  /// dense row, when smaller).
+  Status Apply(const core::GradArena& grad, float scale) override {
+    const size_t num_shards = t_->clients_.size();
+    for (size_t s = 0; s < num_shards; ++s) {
+      // The shard's slice is serialized straight into the frame, which is
+      // reused: CallFrame has sent every byte by the time it returns.
+      push_frame_.clear();
+      net::NetClient& client = *t_->clients_[s];
+      const uint64_t cid = client.NextCorrelationId();
+      const size_t start =
+          net::BeginPushGrads(cid, scale, epoch_, &push_frame_);
+      if (core::SerializeGradArena(grad, static_cast<uint32_t>(s),
+                                   static_cast<uint32_t>(num_shards),
+                                   &push_frame_) == 0) {
+        continue;
+      }
+      net::FinishFrame(start, &push_frame_);
+      auto fut = client.CallFrame(cid, push_frame_);
+      ++t_->pushes_;
+      if (t_->options_.max_inflight_pushes == 0) {
+        PKGM_RETURN_IF_ERROR(WaitAck(fut));
+        continue;
+      }
+      inflight_[s].push_back(std::move(fut));
+      if (inflight_[s].size() > t_->options_.max_inflight_pushes) {
+        Status st = WaitAck(inflight_[s].front());
+        inflight_[s].pop_front();
+        PKGM_RETURN_IF_ERROR(st);
+      }
+    }
+    // A factor group counts as the one transfer row it updates.
+    t_->rows_pushed_.fetch_add(grad.entities().size() +
+                               grad.relations().size() +
+                               grad.transfer_factors().num_groups() +
+                               grad.hyperplanes().size());
+    return Status::Ok();
+  }
+
+  /// Every push must be acknowledged before the epoch barrier (an ack
+  /// means the shard applied it).
+  Status Finish() override {
+    Status first = Status::Ok();
+    for (auto& q : inflight_) {
+      while (!q.empty()) {
+        Status st = WaitAck(q.front());
+        q.pop_front();
+        if (first.ok()) first = st;
+      }
+    }
+    return first;
+  }
+
+ private:
+  Status WaitAck(std::future<StatusOr<net::Frame>>& fut) {
+    StatusOr<net::Frame> reply =
+        AwaitType(fut, net::FrameType::kPushAck, t_->options_.io_timeout_ms);
+    if (!reply.ok()) return reply.status();
+    uint32_t rows_applied = 0;
+    return net::DecodePushAck(reply.value().payload, &rows_applied);
+  }
+
+  DistTrainer* t_;
+  const uint32_t epoch_;
+  BatchScratch scratch_;
+  std::string push_frame_;
+  // Per shard: the unacknowledged pushes, oldest first.
+  std::vector<std::deque<std::future<StatusOr<net::Frame>>>> inflight_;
+};
+
 StatusOr<core::EpochStats> DistTrainer::RunEpoch() {
   if (replica_ == nullptr) {
     return Status::FailedPrecondition("Connect() has not succeeded");
   }
   Stopwatch sw;
   const uint32_t epoch = epoch_index_++;
-
-  std::vector<kg::Triple> triples;
-  store_->AppendTriples(&triples);
-  epoch_rng_.Shuffle(&triples);
-
+  core::EpochPlan plan;
+  plan.model = &replica_->model();
+  plan.store = store_;
+  plan.sampler = sampler_.get();
+  plan.batch_size = options_.batch_size;
+  plan.margin = options_.margin;
+  plan.num_workers = options_.num_workers;
+  plan.proc = options_.worker_process_index;
+  plan.num_procs = options_.num_worker_processes;
   core::EpochStats stats;
-  if (triples.empty()) return stats;
-
-  const size_t n = triples.size();
-  const size_t batch_size = options_.batch_size;
-  const size_t num_batches = (n + batch_size - 1) / batch_size;
-  const uint32_t workers = options_.num_workers;
-  const uint32_t procs = options_.num_worker_processes;
-  const uint32_t proc = options_.worker_process_index;
-  const size_t num_shards = clients_.size();
-
-  std::vector<double> batch_hinge(num_batches, 0.0);
-  std::vector<uint64_t> batch_active(num_batches, 0);
-  std::vector<uint64_t> batch_pairs(num_batches, 0);
-
-  const size_t pool_size = 2 * static_cast<size_t>(workers);
-  std::vector<std::unique_ptr<core::PairBatch>> pool;
-  core::BatchQueue work_q(pool_size), free_q(pool_size);
-  pool.reserve(pool_size);
-  for (size_t i = 0; i < pool_size; ++i) {
-    pool.push_back(std::make_unique<core::PairBatch>());
-    free_q.Push(pool.back().get());
-  }
-
-  // The producer mirrors ShardedTrainer: one forked RNG drawing negatives
-  // in batch order. Other processes' batches are skipped without drawing,
-  // so each process's pair stream is deterministic on its own; with one
-  // process the stream is identical to the in-process trainer's.
-  Rng producer_rng = epoch_rng_.Fork();
-  std::thread producer([&] {
-    for (size_t b = 0; b < num_batches; ++b) {
-      if (b % procs != proc) continue;
-      core::PairBatch* pb = nullptr;
-      if (!free_q.Pop(&pb)) return;
-      const size_t begin = b * batch_size;
-      const size_t end = std::min(n, begin + batch_size);
-      pb->index = b;
-      pb->pos.assign(triples.begin() + begin, triples.begin() + end);
-      pb->neg.resize(pb->pos.size());
-      sampler_->SampleBatch(pb->pos.data(), pb->pos.size(), &producer_rng,
-                            pb->neg.data());
-      if (!work_q.Push(pb)) return;
-    }
-    work_q.Close();
-  });
-
-  std::vector<Status> worker_status(workers, Status::Ok());
-  auto worker_fn = [&](uint32_t w) {
-    core::GradArena arena;
-    core::BatchHingeWorkspace ws;
-    std::vector<float> hinges;
-    BatchScratch scratch;
-    // Reused across batches and shards: CallFrame has sent every byte by
-    // the time it returns.
-    std::string push_frame;
-    // Per-shard ack queue: the staleness bound. An entry is an
-    // unacknowledged push; front() is always the oldest.
-    std::vector<std::deque<std::future<StatusOr<net::Frame>>>> inflight(
-        num_shards);
-
-    const auto wait_ack =
-        [&](std::future<StatusOr<net::Frame>>& fut) -> Status {
-      StatusOr<net::Frame> reply =
-          AwaitType(fut, net::FrameType::kPushAck, options_.io_timeout_ms);
-      if (!reply.ok()) return reply.status();
-      uint32_t rows_applied = 0;
-      return net::DecodePushAck(reply.value().payload, &rows_applied);
-    };
-
-    const auto run_batch = [&](core::PairBatch* pb) -> Status {
-      // 1. Pull every row this batch will read, fresh from its shard.
-      scratch.ent_ids.clear();
-      scratch.rel_ids.clear();
-      for (size_t i = 0; i < pb->pos.size(); ++i) {
-        const kg::Triple& p = pb->pos[i];
-        const kg::Triple& g = pb->neg[i].triple;
-        scratch.ent_ids.push_back(p.head);
-        scratch.ent_ids.push_back(p.tail);
-        scratch.ent_ids.push_back(g.head);
-        scratch.ent_ids.push_back(g.tail);
-        scratch.rel_ids.push_back(p.relation);
-        scratch.rel_ids.push_back(g.relation);
-      }
-      std::sort(scratch.ent_ids.begin(), scratch.ent_ids.end());
-      scratch.ent_ids.erase(
-          std::unique(scratch.ent_ids.begin(), scratch.ent_ids.end()),
-          scratch.ent_ids.end());
-      std::sort(scratch.rel_ids.begin(), scratch.rel_ids.end());
-      scratch.rel_ids.erase(
-          std::unique(scratch.rel_ids.begin(), scratch.rel_ids.end()),
-          scratch.rel_ids.end());
-      PKGM_RETURN_IF_ERROR(PullBatchRows(&scratch));
-
-      // 2. Fused forward/backward on the replica.
-      hinges.resize(pb->pos.size());
-      core::FusedBatchHingeGradients(replica_->model(), pb->pos.data(),
-                                     pb->neg.data(), pb->pos.size(),
-                                     options_.margin, kernels_, &ws, &arena,
-                                     hinges.data());
-      double hinge_sum = 0.0;
-      uint64_t active = 0;
-      for (const float hinge : hinges) {
-        if (hinge > 0.0f) {
-          ++active;
-          hinge_sum += hinge;
-        }
-      }
-
-      // 3. Push the arena shard-sliced, bounded acks outstanding. Transfer
-      // gradients travel as factors (or as a dense row, when smaller).
-      if (!arena.empty()) {
-        const float scale = 1.0f / static_cast<float>(pb->pos.size());
-        for (size_t s = 0; s < num_shards; ++s) {
-          // The shard's slice is serialized straight into the frame.
-          push_frame.clear();
-          const uint64_t cid = clients_[s]->NextCorrelationId();
-          const size_t start =
-              net::BeginPushGrads(cid, scale, epoch, &push_frame);
-          if (core::SerializeGradArena(
-                  arena, static_cast<uint32_t>(s),
-                  static_cast<uint32_t>(num_shards), &push_frame) == 0) {
-            continue;
-          }
-          net::FinishFrame(start, &push_frame);
-          auto fut = clients_[s]->CallFrame(cid, push_frame);
-          ++pushes_;
-          if (options_.max_inflight_pushes == 0) {
-            PKGM_RETURN_IF_ERROR(wait_ack(fut));
-          } else {
-            inflight[s].push_back(std::move(fut));
-            if (inflight[s].size() > options_.max_inflight_pushes) {
-              Status st = wait_ack(inflight[s].front());
-              inflight[s].pop_front();
-              PKGM_RETURN_IF_ERROR(st);
-            }
-          }
-        }
-        // A factor group counts as the one transfer row it updates.
-        rows_pushed_.fetch_add(arena.entities().size() +
-                               arena.relations().size() +
-                               arena.transfer_factors().num_groups() +
-                               arena.hyperplanes().size());
-        arena.Clear();
-      }
-
-      batch_hinge[pb->index] = hinge_sum;
-      batch_active[pb->index] = active;
-      batch_pairs[pb->index] = pb->pos.size();
-      return Status::Ok();
-    };
-
-    core::PairBatch* pb = nullptr;
-    while (work_q.Pop(&pb)) {
-      // A failed worker keeps popping and recycling (without processing)
-      // so the producer never starves for free batches.
-      if (worker_status[w].ok()) {
-        Status st = run_batch(pb);
-        if (!st.ok()) worker_status[w] = st;
-      }
-      free_q.Push(pb);
-    }
-    // Drain: every push must be acknowledged before the epoch barrier
-    // (an ack means the shard applied it).
-    for (auto& q : inflight) {
-      while (!q.empty()) {
-        Status st = wait_ack(q.front());
-        q.pop_front();
-        if (!st.ok() && worker_status[w].ok()) worker_status[w] = st;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) threads.emplace_back(worker_fn, w);
-  for (auto& t : threads) t.join();
-  free_q.Close();
-  work_q.Close();
-  producer.join();
-
-  for (const Status& st : worker_status) {
-    if (!st.ok()) return st;
-  }
+  PKGM_RETURN_IF_ERROR(core::RunPipelinedEpoch(
+      plan, &epoch_rng_,
+      [&] { return std::make_unique<RemoteWorker>(this, epoch); }, &stats));
 
   // All of this process's pushes are acked; the barrier holds until every
   // other process's are too, so the next epoch (and any post-epoch pull)
   // reads a fully merged model.
   PKGM_RETURN_IF_ERROR(EpochBarrier(epoch));
-
-  double hinge_sum = 0.0;
-  for (size_t b = 0; b < num_batches; ++b) {
-    hinge_sum += batch_hinge[b];
-    stats.active_pairs += batch_active[b];
-    stats.total_pairs += batch_pairs[b];
-  }
-  stats.mean_hinge =
-      stats.total_pairs > 0
-          ? hinge_sum / static_cast<double>(stats.total_pairs)
-          : 0.0;
   stats.seconds = sw.ElapsedSeconds();
   stats.triples_per_second =
       stats.seconds > 0
@@ -575,16 +452,8 @@ double DistTrainer::EvaluateMeanHinge() {
   PKGM_CHECK(replica_ != nullptr);
   std::vector<kg::Triple> triples;
   store_->AppendTriples(&triples);
-  if (triples.empty()) return 0.0;
-  core::HingeWorkspace ws;
-  double sum = 0.0;
-  for (const kg::Triple& pos : triples) {
-    core::NegativeSample neg = sampler_->Sample(pos, &eval_rng_);
-    sum += core::FusedHingeGradients(replica_->model(), pos, neg.triple,
-                                     options_.margin, kernels_, &ws,
-                                     nullptr);
-  }
-  return sum / static_cast<double>(triples.size());
+  return core::MeanHinge(replica_->model(), *sampler_, triples,
+                         options_.margin, &eval_rng_);
 }
 
 }  // namespace pkgm::dist

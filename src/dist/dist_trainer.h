@@ -8,9 +8,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/epoch_engine.h"
 #include "core/negative_sampler.h"
 #include "core/pkgm_model.h"
-#include "core/trainer.h"
 #include "dist/replica.h"
 #include "kg/triple_source.h"
 #include "net/net_client.h"
@@ -54,18 +54,19 @@ struct DistTrainerOptions {
 
 /// The worker half of distributed parameter-server training: connects to
 /// the shard daemons, keeps a full local replica (bit-identical init by
-/// shared seed, refreshed row-by-row through pulls), and runs the same
-/// pipelined hogwild epoch as the in-process ShardedTrainer — producer
-/// thread drawing negatives in batch order, workers computing fused SIMD
-/// hinge gradients — except that each batch's touched rows are pulled from
-/// their shards first, and the batch's GradArena is pushed back shard-
-/// sliced with a bounded number of acks outstanding (the staleness bound).
+/// shared seed, refreshed row-by-row through pulls), and runs the
+/// in-process Trainer's epoch engine (core::RunPipelinedEpoch) with remote
+/// workers: each batch's touched rows are pulled from their shards first,
+/// and the batch's GradArena is pushed back shard-sliced with a bounded
+/// number of acks outstanding (the staleness bound). The shards apply the
+/// pushes with the Trainer's own optimizer (core::RowOptimizer).
 ///
-/// Determinism: the shuffle / negative stream mirrors ShardedTrainer for a
-/// fixed seed, and per-batch stats land in batch-indexed slots merged in
-/// batch order, so epoch telemetry is reproducible regardless of worker
+/// Determinism: the shuffle / negative stream is the Trainer's for a fixed
+/// seed, and per-batch stats land in batch-indexed slots merged in batch
+/// order, so epoch telemetry is reproducible regardless of worker
 /// scheduling. With one worker and max_inflight_pushes == 0 the whole
-/// trajectory is bit-exact vs the in-process trainer (see dist_test.cc).
+/// trajectory is bit-exact vs the in-process Trainer, SGD over any number
+/// of shards and Adam over one (see dist_test.cc).
 class DistTrainer {
  public:
   /// `store` must outlive the trainer.
@@ -92,7 +93,7 @@ class DistTrainer {
   Status PullFullModel();
 
   /// Mean hinge over the store's triples on the current replica, drawing
-  /// negatives from the same dedicated validation stream as
+  /// negatives from the same validation stream as
   /// Trainer::EvaluateMeanHinge (identical replica => identical number).
   double EvaluateMeanHinge();
 
@@ -111,10 +112,8 @@ class DistTrainer {
 
  private:
   struct BatchScratch;
+  class RemoteWorker;
 
-  /// Pulls the rows named by `ent_ids` / `rel_ids` (sorted unique, split
-  /// per shard inside) into the replica.
-  Status PullBatchRows(BatchScratch* scratch);
   /// Pulls `shard_ents[s]` / `shard_rels[s]` from every shard s into the
   /// replica, in as many kRows frames per shard as the client's frame cap
   /// requires. Transfer rows are pulled versioned from the shards in
@@ -125,7 +124,6 @@ class DistTrainer {
 
   const kg::TripleSource* store_;
   const DistTrainerOptions options_;
-  const simd::KernelTable& kernels_;
   Rng epoch_rng_;
   Rng eval_rng_;
   uint32_t epoch_index_ = 0;

@@ -1,7 +1,6 @@
 #include "dist/param_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "util/logging.h"
@@ -15,30 +14,19 @@ using net::ParamTable;
 using net::WireCode;
 
 ParamServer::ParamServer(const ParamServerOptions& options)
-    : options_(options), model_(options.model), kernels_(simd::Active()) {
+    : options_(options),
+      model_(options.model),
+      kernels_(simd::Active()),
+      optimizer_(&model_, options) {
   PKGM_CHECK_GT(options_.num_shards, 0u);
   PKGM_CHECK_LT(options_.shard_index, options_.num_shards);
-  if (options_.optimizer == core::OptimizerKind::kAdam) {
-    // Dense moment tables for the whole shape, like the in-process
-    // Trainer: only owned rows are ever touched, so the unowned half is
-    // wasted-but-simple (sparse moment storage is a scale follow-up).
-    m_entities_ = Mat(model_.num_entities(), model_.dim());
-    v_entities_ = Mat(model_.num_entities(), model_.dim());
-    m_relations_ = Mat(model_.num_relations(), model_.dim());
-    v_relations_ = Mat(model_.num_relations(), model_.dim());
-    if (model_.use_relation_module()) {
-      const size_t dd = static_cast<size_t>(model_.dim()) * model_.dim();
-      m_transfers_ = Mat(model_.num_relations(), dd);
-      v_transfers_ = Mat(model_.num_relations(), dd);
-    }
-    if (model_.scorer() == core::TripleScorerKind::kTransH) {
-      m_hyperplanes_ = Mat(model_.num_relations(), model_.dim());
-      v_hyperplanes_ = Mat(model_.num_relations(), model_.dim());
-    }
-  }
+  // Dense moment tables for the whole shape: only owned rows are ever
+  // touched, so the unowned part is wasted-but-simple (sparse moment
+  // storage is a scale follow-up).
+  optimizer_.AllocateMoments();
   for (uint8_t t = 0; t <= net::kMaxParamTable; ++t) {
     const ParamTable table = static_cast<ParamTable>(t);
-    if (RowSizeOf(table) == 0) continue;
+    if (model_.row_size(table) == 0) continue;
     // Owned key k lands at k / num_shards.
     seen_[t].assign(NumKeysOf(table) / options_.num_shards + 1, 0);
   }
@@ -52,7 +40,7 @@ size_t ParamServer::MaxPushPayloadBytes() const {
   uint32_t row_sizes[4] = {0, 0, 0, 0};
   for (uint8_t t = 0; t <= net::kMaxParamTable; ++t) {
     const ParamTable table = static_cast<ParamTable>(t);
-    row_sizes[t] = RowSizeOf(table);
+    row_sizes[t] = model_.row_size(table);
     if (row_sizes[t] == 0) continue;
     // Keys k < NumKeysOf(table) with k % num_shards == shard_index.
     const uint32_t keys = NumKeysOf(table);
@@ -67,13 +55,7 @@ size_t ParamServer::MaxPushPayloadBytes() const {
 
 std::pair<const float*, const float*> ParamServer::AdamMoments(
     ParamTable table, uint32_t id) const {
-  if (options_.optimizer != core::OptimizerKind::kAdam) return {};
-  const Mat* m[4] = {&m_entities_, &m_relations_, &m_transfers_,
-                     &m_hyperplanes_};
-  const Mat* v[4] = {&v_entities_, &v_relations_, &v_transfers_,
-                     &v_hyperplanes_};
-  const size_t t = static_cast<size_t>(table);
-  return {m[t]->Row(id), v[t]->Row(id)};
+  return optimizer_.Moments(table, id);
 }
 
 net::ShardInfo ParamServer::Info() const {
@@ -92,37 +74,9 @@ net::ShardInfo ParamServer::Info() const {
   return info;
 }
 
-uint32_t ParamServer::RowSizeOf(ParamTable table) const {
-  switch (table) {
-    case ParamTable::kEntity:
-    case ParamTable::kRelation:
-      return model_.dim();
-    case ParamTable::kTransfer:
-      return model_.use_relation_module() ? model_.dim() * model_.dim() : 0;
-    case ParamTable::kHyperplane:
-      return model_.scorer() == core::TripleScorerKind::kTransH ? model_.dim()
-                                                                : 0;
-  }
-  return 0;
-}
-
 uint32_t ParamServer::NumKeysOf(ParamTable table) const {
   return table == ParamTable::kEntity ? model_.num_entities()
                                       : model_.num_relations();
-}
-
-const float* ParamServer::RowPtr(ParamTable table, uint32_t id) const {
-  switch (table) {
-    case ParamTable::kEntity:
-      return model_.entity(id);
-    case ParamTable::kRelation:
-      return model_.relation(id);
-    case ParamTable::kTransfer:
-      return model_.transfer(id);
-    case ParamTable::kHyperplane:
-      return model_.hyperplane(id);
-  }
-  return nullptr;
 }
 
 bool ParamServer::HandleFrame(const Frame& frame, Respond respond) {
@@ -160,7 +114,7 @@ std::string ParamServer::HandlePull(const Frame& frame) {
   uint64_t rows = 0, id_only_transfers = 0;
   for (size_t s = 0; s < sections.size(); ++s) {
     const net::PullSection& sec = sections[s];
-    row_sizes[s] = RowSizeOf(sec.table);
+    row_sizes[s] = model_.row_size(sec.table);
     if (row_sizes[s] == 0) {
       return Reject(frame,
                     StrFormat("table %u not present under this model "
@@ -191,7 +145,9 @@ std::string ParamServer::HandlePull(const Frame& frame) {
   std::string reply;
   net::AppendRowsFrame(
       frame.correlation_id, sections, row_sizes,
-      [this](ParamTable table, uint32_t id) { return RowPtr(table, id); },
+      [this](ParamTable table, uint32_t id) -> const float* {
+        return model_.table(table).Row(id);
+      },
       [this](ParamTable, uint32_t id, uint64_t version, std::string* out) {
         std::lock_guard<std::mutex> lock(apply_mu_);
         AppendTransferAnswer(id, version, out);
@@ -279,9 +235,9 @@ std::string ParamServer::HandlePush(const Frame& frame) {
     // Blob slabs are in ParamTable order.
     const ParamTable table = static_cast<ParamTable>(slab);
     const char* what = nullptr;
-    if (RowSizeOf(table) == 0) {
+    if (model_.row_size(table) == 0) {
       what = "table not present";
-    } else if (row_size != RowSizeOf(table)) {
+    } else if (row_size != model_.row_size(table)) {
       what = "row size mismatch";
     } else if (id >= NumKeysOf(table) || !OwnsKey(id)) {
       what = "row not owned by shard";
@@ -304,57 +260,19 @@ std::string ParamServer::HandlePush(const Frame& frame) {
       });
   if (!st.ok()) return Reject(frame, st.message());
 
-  // Apply with the same arithmetic as the in-process trainers: Adam
-  // mirrors Trainer::ApplyGradients (step incremented first, so t starts
-  // at 1), SGD mirrors ShardedTrainer::ApplyWorkerGradients.
+  // Pass 2 applies each row straight from the received bytes through the
+  // in-process Trainer's optimizer, and each factor group from its h
+  // vectors in those bytes, rebuilt into one scratch row. Ids are distinct
+  // within a table, so renormalizing a row right after its update equals
+  // renormalizing after the whole table's.
   const bool adam = options_.optimizer == core::OptimizerKind::kAdam;
-  const float b1 = options_.adam_beta1;
-  const float b2 = options_.adam_beta2;
-  const float eps = options_.adam_epsilon;
-  float alpha = 0.0f;
-  if (adam) {
-    const double t = static_cast<double>(step_.fetch_add(1) + 1);
-    const float corr1 = 1.0f - static_cast<float>(std::pow(b1, t));
-    const float corr2 = 1.0f - static_cast<float>(std::pow(b2, t));
-    alpha = options_.learning_rate * std::sqrt(corr2) / corr1;
-  } else {
-    step_.fetch_add(1);
-  }
-  const float sgd_alpha = -options_.learning_rate * scale;
-
-  // Pass 2 applies each row straight from the received bytes, and each
-  // factor group from its h vectors in those bytes, rebuilt into one
-  // scratch row. Ids are distinct within a table, so renormalizing a row
-  // right after its update equals renormalizing after the whole table's.
-  struct TableState {
-    Mat* table;
-    Mat* m;
-    Mat* v;
-  };
-  const TableState tables[4] = {
-      {&model_.entity_table(), &m_entities_, &v_entities_},
-      {&model_.relation_table(), &m_relations_, &v_relations_},
-      {&model_.transfer_table(), &m_transfers_, &v_transfers_},
-      {&model_.hyperplane_table(), &m_hyperplanes_, &v_hyperplanes_}};
+  const core::OptimizerStep step = optimizer_.BeginStep(scale);
   uint64_t rows = 0;
   const auto apply_row = [&](uint32_t slab, uint32_t id, const float* g,
-                             uint32_t n) -> Status {
-    const TableState& ts = tables[slab];
-    float* row = ts.table->Row(id);
-    if (adam) {
-      kernels_.adam_row(n, g, scale, b1, b2, alpha, eps, row, ts.m->Row(id),
-                        ts.v->Row(id));
-    } else {
-      kernels_.axpy(n, sgd_alpha, g, row);
-    }
+                             uint32_t) -> Status {
     const ParamTable table = static_cast<ParamTable>(slab);
-    if (table == ParamTable::kEntity && options_.normalize_entities) {
-      model_.NormalizeEntity(id);
-    } else if (table == ParamTable::kHyperplane) {
-      model_.NormalizeHyperplane(id);
-    } else if (table == ParamTable::kTransfer) {
-      LogTransferUpdate(id, 0.0f, nullptr);
-    }
+    optimizer_.ApplyRow(step, table, id, g);
+    if (table == ParamTable::kTransfer) LogTransferUpdate(id, 0.0f, nullptr);
     ++rows;
     return Status::Ok();
   };
@@ -368,10 +286,10 @@ std::string ParamServer::HandlePush(const Frame& frame) {
               core::RebuildTransferRow(group, kernels_, &rebuild_scratch_),
               group.dim * group.dim);
         }
-        core::ApplyTransferGroup(group, sgd_alpha, kernels_,
+        core::ApplyTransferGroup(group, step.sgd_alpha, kernels_,
                                  &rebuild_scratch_,
                                  model_.transfer(group.relation));
-        LogTransferUpdate(group.relation, sgd_alpha, &group);
+        LogTransferUpdate(group.relation, step.sgd_alpha, &group);
         ++rows;
         return Status::Ok();
       });
@@ -459,7 +377,7 @@ std::string ParamServer::StatsJson() {
       static_cast<unsigned long long>(rows_applied_.load()),
       static_cast<unsigned long long>(rejects_.load()),
       static_cast<unsigned long long>(barriers_released_.load()),
-      static_cast<unsigned long long>(step_.load()),
+      static_cast<unsigned long long>(optimizer_.step()),
       static_cast<unsigned long long>(transfer_rows_from_log_.load()),
       static_cast<unsigned long long>(transfer_rows_dense_.load()),
       static_cast<unsigned long long>(transfer_log_bytes_.load()));

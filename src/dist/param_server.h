@@ -11,34 +11,27 @@
 #include <vector>
 
 #include "core/gradients.h"
+#include "core/optimizer.h"
 #include "core/pkgm_model.h"
-#include "core/trainer.h"
 #include "net/net_server.h"
 #include "net/wire.h"
 #include "tensor/simd/kernel_dispatch.h"
-#include "tensor/vec.h"
 
 namespace pkgm::dist {
 
 /// Configuration of one parameter-server shard. Every shard of a
 /// deployment must be constructed with the same `model` options (same
 /// seed, so initialization is bit-identical everywhere) and the same
-/// optimizer settings; workers cross-check via kShardInfo before training.
-struct ParamServerOptions {
+/// optimizer settings (SGD by default); workers cross-check via kShardInfo
+/// before training.
+struct ParamServerOptions : core::OptimizerOptions {
+  ParamServerOptions() { optimizer = core::OptimizerKind::kSgd; }
   uint32_t shard_index = 0;
   uint32_t num_shards = 1;
   /// Full model shape. The shard allocates the whole table (simple, and
   /// the replica-everywhere init is what makes pull-before-first-touch
   /// unnecessary) but serves and updates only the rows it owns.
   core::PkgmModelOptions model;
-  core::OptimizerKind optimizer = core::OptimizerKind::kSgd;
-  float learning_rate = 0.02f;
-  float adam_beta1 = 0.9f;
-  float adam_beta2 = 0.999f;
-  float adam_epsilon = 1e-8f;
-  /// Project entity embeddings back onto the unit L2 ball after each
-  /// applied push (mirrors the in-process trainers' constraint).
-  bool normalize_entities = true;
 };
 
 /// One embedding shard behind the wire protocol — the server half of the
@@ -63,8 +56,8 @@ struct ParamServerOptions {
 /// Concurrency model (the wire-level hogwild regime):
 ///   * kPullRows reads entity, relation and hyperplane rows and id-only
 ///     transfer rows without locking — concurrent pushes make pulled rows
-///     slightly stale, exactly like the in-process ShardedTrainer's
-///     unlocked parameter reads. A versioned answer reads the version and
+///     slightly stale, exactly like the in-process Trainer's unlocked
+///     parameter reads. A versioned answer reads the version and
 ///     the log tail or row together under the apply mutex, so the two
 ///     always match.
 ///   * kPushGrads applies under one apply mutex, so updates from
@@ -78,11 +71,11 @@ struct ParamServerOptions {
 ///     the same epoch. Parked responds count as outstanding frames in the
 ///     NetServer, so AbortBarriers() must run before NetServer::Stop().
 ///
-/// The update arithmetic mirrors the in-process trainers exactly: SGD is
-/// axpy(-lr * scale) per row (+ renormalization), Adam is the fused
-/// adam_row kernel with bias correction from this shard's push count — so
-/// one worker pushing synchronously reproduces the single-process
-/// trajectory bit-for-bit (see dist_test.cc).
+/// Pushed rows are applied through the in-process Trainer's optimizer
+/// (core::RowOptimizer: SGD axpy or the fused adam_row kernel, then the
+/// renormalization), one step per push, so Adam's bias correction follows
+/// this shard's push count and one worker pushing synchronously reproduces
+/// the in-process trajectory bit-for-bit (see dist_test.cc).
 class ParamServer : public net::FrameHandler {
  public:
   explicit ParamServer(const ParamServerOptions& options);
@@ -104,7 +97,7 @@ class ParamServer : public net::FrameHandler {
   uint32_t num_shards() const { return options_.num_shards; }
 
   /// Pushes applied (= the Adam bias-correction step count).
-  uint64_t step() const { return step_.load(); }
+  uint64_t step() const { return optimizer_.step(); }
 
   /// Updates applied to owned transfer row `relation` so far (models with
   /// the relation module). Read it only while no push is being applied.
@@ -129,13 +122,8 @@ class ParamServer : public net::FrameHandler {
   bool OwnsKey(uint32_t key) const {
     return key % options_.num_shards == options_.shard_index;
   }
-  /// Row length of `table`, or 0 when the table does not exist under the
-  /// current model options (transfer without the relation module,
-  /// hyperplane without TransH).
-  uint32_t RowSizeOf(net::ParamTable table) const;
   /// Table row count keyed by the table's id space (entities or relations).
   uint32_t NumKeysOf(net::ParamTable table) const;
-  const float* RowPtr(net::ParamTable table, uint32_t id) const;
 
   /// One owned transfer row's version and, under SGD, its update log: the
   /// records of versions (version - records, version], oldest first, in
@@ -183,11 +171,8 @@ class ParamServer : public net::FrameHandler {
   core::TransferRebuildScratch rebuild_scratch_;
   /// Per owned relation (at relation / num_shards), under apply_mu_.
   std::vector<TransferLog> transfer_logs_;
-  Mat m_entities_, v_entities_;
-  Mat m_relations_, v_relations_;
-  Mat m_transfers_, v_transfers_;
-  Mat m_hyperplanes_, v_hyperplanes_;
-  std::atomic<uint64_t> step_{0};
+  /// Applies pushed rows (and holds the Adam moments), under apply_mu_.
+  core::RowOptimizer optimizer_;
 
   struct BarrierState {
     uint32_t expected = 0;

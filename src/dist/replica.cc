@@ -11,34 +11,6 @@ Replica::Replica(const core::PkgmModelOptions& options)
       transfer_slots_(
           std::make_unique<TransferSlot[]>(options.num_relations)) {}
 
-uint32_t Replica::RowSizeOf(ParamTable table) const {
-  const uint32_t dim = model_.dim();
-  switch (table) {
-    case ParamTable::kEntity:
-    case ParamTable::kRelation:
-      return dim;
-    case ParamTable::kTransfer:
-      return model_.use_relation_module() ? dim * dim : 0;
-    case ParamTable::kHyperplane:
-      return model_.scorer() == core::TripleScorerKind::kTransH ? dim : 0;
-  }
-  return 0;
-}
-
-float* Replica::RowOf(ParamTable table, uint32_t id) {
-  switch (table) {
-    case ParamTable::kEntity:
-      return model_.entity(id);
-    case ParamTable::kRelation:
-      return model_.relation(id);
-    case ParamTable::kTransfer:
-      return model_.transfer(id);
-    case ParamTable::kHyperplane:
-      return model_.hyperplane(id);
-  }
-  return nullptr;
-}
-
 Status Replica::Apply(std::string_view payload,
                       const std::vector<net::PullSection>& request,
                       const simd::KernelTable* replay, Scratch* scratch,
@@ -59,7 +31,7 @@ Status Replica::Apply(std::string_view payload,
         sec.versioned == asked.versions.empty()) {
       return Status::IoError("kRows sections do not echo the pull");
     }
-    const uint32_t want_row = RowSizeOf(sec.table);
+    const uint32_t want_row = model_.row_size(sec.table);
     if (want_row == 0 || sec.row_size != want_row) {
       return Status::IoError("pulled row size disagrees with the replica");
     }
@@ -97,7 +69,7 @@ Status Replica::Apply(std::string_view payload,
     answered += sec.count;
     if (!sec.versioned) {
       for (uint32_t i = 0; i < sec.count; ++i) {
-        sec.CopyRow(i, RowOf(sec.table, sec.id(i)));
+        sec.CopyRow(i, model_.table(sec.table).Row(sec.id(i)));
       }
       continue;
     }

@@ -67,10 +67,6 @@ class Replica {
     std::atomic<uint64_t> version{0};
   };
 
-  /// Row length of `table` in this model, or 0 when it has no such table.
-  uint32_t RowSizeOf(net::ParamTable table) const;
-  float* RowOf(net::ParamTable table, uint32_t id);
-
   core::PkgmModel model_;
   std::unique_ptr<TransferSlot[]> transfer_slots_;
 };

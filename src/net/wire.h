@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/pkgm_model.h"
 #include "serve/request.h"
 #include "util/status.h"
 
@@ -315,14 +316,9 @@ Status DecodeError(std::string_view payload, WireCode* code,
 
 // ------------------------------------- distributed-training frames (v2) --
 
-/// Which parameter table a pull/push section addresses. Values are wire
-/// bytes; keep them dense and stable.
-enum class ParamTable : uint8_t {
-  kEntity = 0,
-  kRelation = 1,
-  kTransfer = 2,
-  kHyperplane = 3,
-};
+/// Which parameter table a pull/push section addresses; its values are
+/// the wire bytes.
+using ParamTable = core::ParamTable;
 constexpr uint8_t kMaxParamTable = 3;
 
 /// One per-table group of row ids in a kPullRows request.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/ops.h"
+
 namespace pkgm::nn {
 
 SgdOptimizer::SgdOptimizer(std::vector<Parameter*> params, float lr,
@@ -35,11 +37,7 @@ void AdamOptimizer::Step() {
   ++t_;
   const float b1 = options_.beta1;
   const float b2 = options_.beta2;
-  const float corr1 =
-      1.0f - static_cast<float>(std::pow(b1, static_cast<double>(t_)));
-  const float corr2 =
-      1.0f - static_cast<float>(std::pow(b2, static_cast<double>(t_)));
-  const float alpha = options_.lr * std::sqrt(corr2) / corr1;
+  const float alpha = AdamStepSize(options_.lr, b1, b2, t_);
 
   for (size_t k = 0; k < params_.size(); ++k) {
     Parameter* p = params_[k];

@@ -23,14 +23,8 @@ PretrainedPkgm BuildAndPretrain(const PipelineOptions& options) {
   model_opt.seed = options.seed;
   out.model = std::make_unique<core::PkgmModel>(model_opt);
 
-  if (options.use_sharded_trainer) {
-    core::ShardedTrainer trainer(out.model.get(), &out.pkg.observed,
-                                 options.sharded);
-    out.last_epoch = trainer.Train(options.pretrain_epochs);
-  } else {
-    core::Trainer trainer(out.model.get(), &out.pkg.observed, options.trainer);
-    out.last_epoch = trainer.Train(options.pretrain_epochs);
-  }
+  core::Trainer trainer(out.model.get(), &out.pkg.observed, options.trainer);
+  out.last_epoch = trainer.Train(options.pretrain_epochs);
 
   // 3. Key relations: top-k most frequent properties per category
   // (§III-A1), restricted to attribute relations.

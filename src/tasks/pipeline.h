@@ -5,7 +5,6 @@
 
 #include "core/pkgm_model.h"
 #include "core/service.h"
-#include "core/sharded_trainer.h"
 #include "core/trainer.h"
 #include "kg/synthetic_pkg.h"
 
@@ -27,10 +26,6 @@ struct PipelineOptions {
   uint32_t pretrain_epochs = 8;
   /// Key relations per category (paper: 10).
   uint32_t service_k = 10;
-  /// Train with the parameter-server simulation instead of the
-  /// single-threaded trainer.
-  bool use_sharded_trainer = false;
-  core::ShardedTrainerOptions sharded;
   uint64_t seed = 53;
 };
 

@@ -144,6 +144,14 @@ void GemmBiasRaw(size_t m, size_t k, size_t n, const float* a, const float* b,
 
 void SoftmaxInplace(size_t n, float* x) { simd::Active().softmax(n, x); }
 
+float AdamStepSize(float lr, float beta1, float beta2, uint64_t t) {
+  const float corr1 =
+      1.0f - static_cast<float>(std::pow(beta1, static_cast<double>(t)));
+  const float corr2 =
+      1.0f - static_cast<float>(std::pow(beta2, static_cast<double>(t)));
+  return lr * std::sqrt(corr2) / corr1;
+}
+
 float LogSumExp(size_t n, const float* x) {
   PKGM_CHECK_GT(n, 0u);
   float mx = x[0];

@@ -2,6 +2,7 @@
 #define PKGM_TENSOR_OPS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/vec.h"
 
@@ -108,6 +109,10 @@ void SoftmaxInplace(size_t n, float* x);
 
 /// log(sum exp(x_i)), stable.
 float LogSumExp(size_t n, const float* x);
+
+/// Adam's bias-corrected step size at step t (1 for the first):
+/// lr * sqrt(1 - beta2^t) / (1 - beta1^t).
+float AdamStepSize(float lr, float beta1, float beta2, uint64_t t);
 
 }  // namespace pkgm
 

@@ -5,10 +5,15 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/epoch_engine.h"
 #include "core/gradients.h"
 #include "core/link_prediction.h"
 #include "core/negative_sampler.h"
@@ -689,8 +694,11 @@ TEST(TrainerTest, EvaluateMeanHingeDoesNotPerturbTraining) {
 
 TEST(ShardedTrainerTest, FinalHingeTracksSingleThreaded) {
   // Loss-parity acceptance: asynchronous striped-hogwild training must
-  // converge to (approximately) the same loss as the single-threaded SGD
-  // trainer on the same KG with the same hyper-parameters.
+  // converge to (approximately) the same loss as one worker on the same KG
+  // with the same hyper-parameters, under SGD and under Adam. Adam steps
+  // about lr per coordinate whatever the gradient's scale, so at SGD's
+  // lr 0.05 stale reads overshoot on this 7-batch epoch (up to 20% off
+  // under CPU contention); it runs at TrainerOptions' default lr instead.
   kg::TripleStore store;
   Rng rng(77);
   for (int i = 0; i < 400; ++i) {
@@ -700,27 +708,106 @@ TEST(ShardedTrainerTest, FinalHingeTracksSingleThreaded) {
   }
   const uint32_t epochs = 12;
 
-  PkgmModel single_model(SmallModel(100, 6, 16));
-  TrainerOptions topt;
-  topt.optimizer = OptimizerKind::kSgd;
-  topt.batch_size = 64;
-  topt.learning_rate = 0.05f;
-  topt.seed = 29;
-  Trainer single(&single_model, &store, topt);
-  const EpochStats single_last = single.Train(epochs);
+  const std::pair<OptimizerKind, float> cases[] = {
+      {OptimizerKind::kSgd, 0.05f}, {OptimizerKind::kAdam, 0.02f}};
+  for (const auto& [optimizer, learning_rate] : cases) {
+    SCOPED_TRACE(optimizer == OptimizerKind::kSgd ? "sgd" : "adam");
+    PkgmModel single_model(SmallModel(100, 6, 16));
+    TrainerOptions topt;
+    topt.optimizer = optimizer;
+    topt.batch_size = 64;
+    topt.learning_rate = learning_rate;
+    topt.seed = 29;
+    Trainer single(&single_model, &store, topt);
+    const EpochStats single_last = single.Train(epochs);
 
-  PkgmModel sharded_model(SmallModel(100, 6, 16));
-  ShardedTrainerOptions sopt;
-  sopt.num_workers = 4;
-  sopt.batch_size = 64;
-  sopt.learning_rate = 0.05f;
-  sopt.seed = 29;
-  ShardedTrainer sharded(&sharded_model, &store, sopt);
-  const EpochStats sharded_last = sharded.Train(epochs);
+    PkgmModel sharded_model(SmallModel(100, 6, 16));
+    ShardedTrainerOptions sopt;
+    sopt.optimizer = optimizer;
+    sopt.num_workers = 4;
+    sopt.batch_size = 64;
+    sopt.learning_rate = learning_rate;
+    sopt.seed = 29;
+    ShardedTrainer sharded(&sharded_model, &store, sopt);
+    const EpochStats sharded_last = sharded.Train(epochs);
 
-  EXPECT_GT(single_last.mean_hinge, 0.0);
-  EXPECT_NEAR(sharded_last.mean_hinge, single_last.mean_hinge,
-              0.15 * single_last.mean_hinge);
+    EXPECT_GT(single_last.mean_hinge, 0.0);
+    EXPECT_NEAR(sharded_last.mean_hinge, single_last.mean_hinge,
+                0.15 * single_last.mean_hinge);
+  }
+}
+
+// ------------------------------------------------------------ EpochEngine --
+
+// Records the positives of every batch it is handed; applies nothing.
+class RecordingWorker : public EpochWorker {
+ public:
+  using Batches = std::map<size_t, std::vector<kg::Triple>>;
+  RecordingWorker(Batches* seen, std::mutex* mu) : seen_(seen), mu_(mu) {}
+
+  Status Prepare(const PairBatch& batch) override {
+    std::lock_guard<std::mutex> lock(*mu_);
+    EXPECT_TRUE(seen_->emplace(batch.index, batch.pos).second)
+        << "batch " << batch.index << " handed out twice";
+    return Status::Ok();
+  }
+  Status Apply(const GradArena&, float) override { return Status::Ok(); }
+
+ private:
+  Batches* seen_;
+  std::mutex* mu_;
+};
+
+TEST(EpochEngineTest, ProcessSlicesPartitionEveryEpoch) {
+  // Two worker processes train the batches b % 2 == 0 and b % 2 == 1 of
+  // their own, identically seeded, shuffles. Each epoch the slices must be
+  // disjoint, cover every batch, and hold the batches one process would
+  // train: a process drawing negatives only for its own batches must not
+  // move the epoch stream its next shuffle comes from.
+  kg::TripleStore store = SmallKg();  // 25 triples: 7 batches of 4
+  PkgmModel model(SmallModel(20, 4, 8));
+  const NegativeSampler sampler(FillNegativeOptions({}, model), &store);
+  const uint32_t epochs = 3;
+  const auto run = [&](uint32_t proc, uint32_t num_procs) {
+    std::vector<RecordingWorker::Batches> seen(epochs);
+    std::mutex mu;
+    EpochPlan plan;
+    plan.model = &model;
+    plan.store = &store;
+    plan.sampler = &sampler;
+    plan.batch_size = 4;
+    plan.num_workers = 2;
+    plan.proc = proc;
+    plan.num_procs = num_procs;
+    Rng epoch_rng(31);
+    for (uint32_t e = 0; e < epochs; ++e) {
+      EpochStats stats;
+      EXPECT_TRUE(RunPipelinedEpoch(
+                      plan, &epoch_rng,
+                      [&] {
+                        return std::make_unique<RecordingWorker>(&seen[e],
+                                                                 &mu);
+                      },
+                      &stats)
+                      .ok());
+    }
+    return seen;
+  };
+  const std::vector<RecordingWorker::Batches> whole = run(0, 1);
+  const std::vector<RecordingWorker::Batches> slices[2] = {run(0, 2),
+                                                           run(1, 2)};
+  const size_t num_batches = (store.size() + 3) / 4;
+  for (uint32_t e = 0; e < epochs; ++e) {
+    SCOPED_TRACE(e);
+    ASSERT_EQ(whole[e].size(), num_batches);
+    EXPECT_EQ(slices[0][e].size() + slices[1][e].size(), num_batches);
+    for (const auto& [b, pos] : whole[e]) {
+      const RecordingWorker::Batches& mine = slices[b % 2][e];
+      EXPECT_EQ(slices[1 - b % 2][e].count(b), 0u) << "batch " << b;
+      ASSERT_EQ(mine.count(b), 1u) << "batch " << b;
+      EXPECT_EQ(mine.at(b), pos) << "batch " << b;
+    }
+  }
 }
 
 // ---------------------------------------------------------- LinkPrediction --

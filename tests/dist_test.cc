@@ -3,8 +3,9 @@
 // driven over TCP by raw CallFrame probes and by the DistTrainer. The core
 // acceptance property mirrors the serving tests' parity bar: with one
 // worker and synchronous pushes the distributed trajectory is BIT-EXACT vs
-// the in-process ShardedTrainer, and with hogwild workers and pipelined
-// pushes the final mean hinge lands within 2% of it.
+// the in-process Trainer (SGD over two shards, Adam over one), and with
+// hogwild workers and pipelined pushes the final mean hinge lands within 2%
+// of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -720,6 +721,81 @@ TEST(DistTrainerTest, TwoWorkersTwoShardsHingeParity) {
   ASSERT_GT(ref_hinge, 0.0);
   EXPECT_NEAR(dist_hinge / ref_hinge, 1.0, 0.02)
       << "dist " << dist_hinge << " vs ref " << ref_hinge;
+}
+
+TEST(DistTrainerTest, AdamOverOneShardEqualsInProcessAdam) {
+  // The shard applies pushes through the in-process Trainer's optimizer.
+  // One shard sees every batch's push, so its Adam step count is the
+  // Trainer's batch count, and one synchronous worker draws the Trainer's
+  // stream: epoch stats and every table must agree to the last bit.
+  kg::SyntheticPkgOptions pkg_opt;
+  pkg_opt.num_categories = 3;
+  pkg_opt.items_per_category = 30;
+  pkg_opt.properties_per_category = 5;
+  pkg_opt.shared_property_pool = 6;
+  pkg_opt.values_per_property = 8;
+  pkg_opt.products_per_category = 6;
+  pkg_opt.noise_properties = 2;
+  kg::SyntheticPkg pkg = kg::SyntheticPkgGenerator(pkg_opt).Generate();
+  const uint32_t epochs = 3;
+  const auto same = [](const Mat& a, const Mat& b) {
+    return a.size() == b.size() &&
+           (a.size() == 0 ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+  };
+
+  for (const core::TripleScorerKind scorer :
+       {core::TripleScorerKind::kTransE, core::TripleScorerKind::kTransH}) {
+    SCOPED_TRACE(static_cast<int>(scorer));
+    core::PkgmModelOptions mopt;
+    mopt.num_entities = pkg.entities.size();
+    mopt.num_relations = pkg.relations.size();
+    mopt.dim = 16;
+    mopt.scorer = scorer;
+    mopt.seed = 404;
+
+    core::PkgmModel ref(mopt);
+    core::TrainerOptions topt;
+    topt.optimizer = core::OptimizerKind::kAdam;
+    topt.batch_size = 64;
+    topt.learning_rate = 0.01f;
+    topt.seed = 505;
+    core::Trainer reference(&ref, &pkg.observed, topt);
+    std::vector<core::EpochStats> ref_stats;
+    for (uint32_t e = 0; e < epochs; ++e) {
+      ref_stats.push_back(reference.RunEpoch());
+    }
+
+    ParamServerOptions base;
+    base.model = mopt;
+    base.optimizer = core::OptimizerKind::kAdam;
+    base.learning_rate = 0.01f;
+    Cluster cluster;
+    cluster.Start(1, base);
+    DistTrainerOptions dopt;
+    dopt.shard_endpoints = cluster.endpoints;
+    dopt.num_workers = 1;
+    dopt.batch_size = 64;
+    dopt.learning_rate = 0.01f;
+    dopt.seed = 505;
+    dopt.max_inflight_pushes = 0;
+    DistTrainer trainer(&pkg.observed, dopt);
+    ASSERT_TRUE(trainer.Connect().ok());
+    for (uint32_t e = 0; e < epochs; ++e) {
+      StatusOr<core::EpochStats> stats = trainer.RunEpoch();
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats->mean_hinge, ref_stats[e].mean_hinge) << "epoch " << e;
+      EXPECT_EQ(stats->active_pairs, ref_stats[e].active_pairs);
+    }
+    EXPECT_EQ(cluster.shards[0]->step(), reference.global_step());
+    ASSERT_TRUE(trainer.PullFullModel().ok());
+
+    core::PkgmModel* replica = trainer.replica();
+    EXPECT_TRUE(same(replica->entity_table(), ref.entity_table()));
+    EXPECT_TRUE(same(replica->relation_table(), ref.relation_table()));
+    EXPECT_TRUE(same(replica->transfer_table(), ref.transfer_table()));
+    EXPECT_TRUE(same(replica->hyperplane_table(), ref.hyperplane_table()));
+  }
 }
 
 // ---------------------------------------------------------------------------

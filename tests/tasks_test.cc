@@ -257,9 +257,10 @@ TEST(ShardedPipelineTest, ShardedTrainingProducesUsableServices) {
   opt.pkg.products_per_category = 8;
   opt.pkg.etl_min_occurrence = 3;
   opt.dim = 12;
-  opt.use_sharded_trainer = true;
-  opt.sharded.num_workers = 3;
-  opt.sharded.learning_rate = 0.1f;
+  opt.trainer.num_workers = 3;
+  opt.trainer.optimizer = core::OptimizerKind::kSgd;
+  opt.trainer.learning_rate = 0.1f;
+  opt.trainer.seed = 17;
   // The pipelined trainer draws negatives from a producer-owned stream, so
   // the trajectory differs from the seed implementation; a few extra epochs
   // keep the same convergence bar on this tiny KG.

@@ -10,8 +10,9 @@
 //                       [--worker-index I --worker-procs P] [--inflight N]
 //                       [--psd-binary PATH] [--eval-hinge]
 //                                               flag-driven training front
-//                                               end; --workers > 1 runs the
-//                                               pipelined sharded trainer;
+//                                               end; --workers N trains with
+//                                               N hogwild threads (Adam or
+//                                               SGD at any count);
 //                                               --distributed N spawns N
 //                                               pkgm_psd shard daemons and
 //                                               trains through the wire
@@ -67,7 +68,6 @@
 
 #include "core/link_prediction.h"
 #include "core/pkgm_model.h"
-#include "core/sharded_trainer.h"
 #include "core/trainer.h"
 #include "dist/dist_trainer.h"
 #include "dist/local_cluster.h"
@@ -224,11 +224,10 @@ std::vector<std::string> SplitCommaList(const char* s) {
 }
 
 // Flag-driven training front end. Unlike the positional `pretrain` command
-// it exposes the full hyper-parameter surface and, with --workers > 1,
-// runs the pipelined hogwild ShardedTrainer (SGD only — asynchronous row
-// publication has no per-row Adam state). --distributed / --connect-shards
-// switch to parameter-server training over the wire protocol: the shard
-// daemons apply the updates, so Adam is available at any worker count.
+// it exposes the full hyper-parameter surface, including the Trainer's
+// hogwild worker count. --distributed / --connect-shards switch to
+// parameter-server training over the wire protocol: the shard daemons
+// apply the updates with the same optimizer.
 int CmdTrain(int argc, char** argv) {
   if (argc < 2) return Usage();
   uint32_t epochs = 10, dim = 32, workers = 1, batch = 512;
@@ -312,14 +311,6 @@ int CmdTrain(int argc, char** argv) {
     std::fprintf(stderr,
                  "--worker-procs needs --distributed or --connect-shards\n");
     return 2;
-  }
-  if (workers > 1 && adam && !dist_mode) {
-    std::printf("note: --workers %u forces --optimizer sgd (the sharded "
-                "trainer publishes rows asynchronously; the parameter "
-                "servers of --distributed apply updates centrally, so Adam "
-                "stays available there)\n",
-                workers);
-    adam = false;
   }
 
   // Triples come from a TSV (dictionary-encoded at load) or, with a .pkgt
@@ -464,40 +455,25 @@ int CmdTrain(int argc, char** argv) {
   }
 
   core::PkgmModel model(mopt);
-  if (workers > 1) {
-    core::ShardedTrainerOptions sopt;
-    sopt.num_workers = workers;
-    sopt.batch_size = batch;
-    sopt.learning_rate = lr;
-    sopt.margin = margin;
-    sopt.seed = seed;
-    core::ShardedTrainer trainer(&model, source, sopt);
-    for (uint32_t e = 1; e <= epochs; ++e) report(e, trainer.RunEpoch());
-  } else {
-    core::TrainerOptions topt;
-    topt.batch_size = batch;
-    topt.learning_rate = lr;
-    topt.margin = margin;
-    topt.seed = seed;
-    topt.optimizer =
-        adam ? core::OptimizerKind::kAdam : core::OptimizerKind::kSgd;
-    core::Trainer trainer(&model, source, topt);
-    for (uint32_t e = 1; e <= epochs; ++e) report(e, trainer.RunEpoch());
-  }
+  core::TrainerOptions topt;
+  topt.num_workers = workers;
+  topt.batch_size = batch;
+  topt.learning_rate = lr;
+  topt.margin = margin;
+  topt.seed = seed;
+  topt.optimizer =
+      adam ? core::OptimizerKind::kAdam : core::OptimizerKind::kSgd;
+  core::Trainer trainer(&model, source, topt);
+  for (uint32_t e = 1; e <= epochs; ++e) report(e, trainer.RunEpoch());
   std::printf("trained in %.1fs\n", sw.ElapsedSeconds());
   if (eval_hinge) {
-    // The same derived validation stream DistTrainer::EvaluateMeanHinge
-    // uses, so single-process and distributed runs print comparable
-    // numbers for the same seed.
-    core::TrainerOptions eopt;
-    eopt.margin = margin;
-    eopt.seed = seed;
-    eopt.optimizer = core::OptimizerKind::kSgd;  // eval touches no state
-    core::Trainer evaluator(&model, source, eopt);
+    // Training leaves the validation stream untouched, so this draws what
+    // DistTrainer::EvaluateMeanHinge draws: single-process and distributed
+    // runs print comparable numbers for the same seed.
     std::vector<kg::Triple> triples;
     source->AppendTriples(&triples);
     std::printf("final eval hinge %.6f\n",
-                evaluator.EvaluateMeanHinge(triples));
+                trainer.EvaluateMeanHinge(triples));
   }
   return save_and_export(model);
 }
