@@ -314,30 +314,6 @@ constexpr bool kBlobHostLittleEndian = true;
 constexpr bool kBlobHostLittleEndian = false;
 #endif
 
-void BlobPutU16(uint16_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void BlobPutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void BlobPutF32Run(const float* v, size_t n, std::string* out) {
-  if (n == 0) return;
-  if (kBlobHostLittleEndian) {
-    out->append(reinterpret_cast<const char*>(v), n * sizeof(float));
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t bits;
-      std::memcpy(&bits, &v[i], sizeof(bits));
-      BlobPutU32(bits, out);
-    }
-  }
-}
-
 uint32_t BlobLoadU32(const char* p) {
   const auto* b = reinterpret_cast<const unsigned char*>(p);
   return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
@@ -380,16 +356,6 @@ uint32_t SlabRowCount(const GradSlab& slab, uint32_t shard,
   return count;
 }
 
-void SerializeSlabRows(const GradSlab& slab, uint32_t shard,
-                       uint32_t num_shards, std::string* out) {
-  for (size_t i = 0; i < slab.size(); ++i) {
-    const uint32_t id = slab.id_at(i);
-    if (num_shards > 1 && id % num_shards != shard) continue;
-    BlobPutU32(id, out);
-    BlobPutF32Run(slab.row_at(i), slab.row_size(), out);
-  }
-}
-
 constexpr size_t kBlobHeaderBytes = 8;
 constexpr size_t kSlabHeaderBytes = 8;  // also the factor section header
 constexpr size_t kGroupHeaderBytes = 8;
@@ -407,20 +373,58 @@ uint64_t FactorItemBytes(uint32_t dim) {
          4 * static_cast<uint64_t>(dim);
 }
 
-void SerializeFactorItem(float sign, const float* s2, const float* h,
-                         uint32_t dim, std::string* out) {
-  BlobPutF32Run(&sign, 1, out);
-  for (uint32_t w = 0; w < CodeWords(dim); ++w) {
-    uint32_t word = 0;
-    const uint32_t stop = std::min(dim, (w + 1) * kCodesPerWord);
-    for (uint32_t i = w * kCodesPerWord; i < stop; ++i) {
-      const uint32_t code = s2[i] > 0.0f ? 1u : (s2[i] < 0.0f ? 2u : 0u);
-      word |= code << (2 * (i % kCodesPerWord));
+// Writes blob fields through a cursor into storage already sized to hold
+// them, as little-endian words on any host.
+class BlobWriter {
+ public:
+  explicit BlobWriter(char* p) : p_(p) {}
+
+  char* pos() const { return p_; }
+
+  void U32(uint32_t v) {
+    if (kBlobHostLittleEndian) {
+      std::memcpy(p_, &v, sizeof(v));
+    } else {
+      for (int i = 0; i < 4; ++i) p_[i] = static_cast<char>(v >> (8 * i));
     }
-    BlobPutU32(word, out);
+    p_ += 4;
   }
-  BlobPutF32Run(h, dim, out);
-}
+
+  void F32Run(const float* v, size_t n) {
+    if (n == 0) return;
+    if (kBlobHostLittleEndian) {
+      std::memcpy(p_, v, n * sizeof(float));
+      p_ += n * sizeof(float);
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t bits;
+      std::memcpy(&bits, &v[i], sizeof(bits));
+      U32(bits);
+    }
+  }
+
+  // One factor item: the sign, the s' code words and h. A code is
+  // (x > 0) | (x < 0) << 1, so +-0 and NaN encode as 0.
+  void FactorItem(float sign, const float* s2, const float* h, uint32_t dim) {
+    F32Run(&sign, 1);
+    for (uint32_t base = 0; base < dim; base += kCodesPerWord) {
+      const uint32_t n = std::min(dim - base, kCodesPerWord);
+      uint32_t word = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        const float x = s2[base + i];
+        word |= (static_cast<uint32_t>(x > 0.0f) |
+                 static_cast<uint32_t>(x < 0.0f) << 1)
+                << (2 * i);
+      }
+      U32(word);
+    }
+    F32Run(h, dim);
+  }
+
+ private:
+  char* p_;
+};
 
 // Why the encoded factor item at `p` is refused, or nullptr: the sign must
 // be exactly ±1.0f, and no s' code may be 3 or sit past coordinate dim.
@@ -539,36 +543,43 @@ size_t SerializeGradArena(const GradArena& arena, uint32_t shard,
     row_sizes[2] = d * d;
     counts[2] += dense_groups;
   }
-  out->reserve(out->size() + GradArenaBlobBytes(counts, row_sizes) +
-               factor_bytes);
-  BlobPutU32(kGradArenaBlobMagic, out);
-  out->push_back(static_cast<char>(kGradArenaBlobVersion));
-  out->push_back(static_cast<char>(5));  // num_sections
-  BlobPutU16(0, out);                    // reserved
+  // Grow `out` once to the blob's exact size and write it in place.
+  const size_t start = out->size();
+  out->resize(start + GradArenaBlobBytes(counts, row_sizes) + factor_bytes);
+  BlobWriter w(out->data() + start);
+  // u8 version, u8 num_sections (5), u16 reserved (0) as one word.
+  w.U32(kGradArenaBlobMagic);
+  w.U32(kGradArenaBlobVersion | 5u << 8);
   size_t rows = factor_groups;
   for (int t = 0; t < 4; ++t) {
-    BlobPutU32(row_sizes[t], out);
-    BlobPutU32(counts[t], out);
-    SerializeSlabRows(*slabs[t], shard, num_shards, out);
+    const GradSlab& slab = *slabs[t];
+    w.U32(row_sizes[t]);
+    w.U32(counts[t]);
+    for (size_t i = 0; i < slab.size(); ++i) {
+      if (!owned(slab.id_at(i))) continue;
+      w.U32(slab.id_at(i));
+      w.F32Run(slab.row_at(i), slab.row_size());
+    }
     rows += counts[t];
     if (t != 2 || dense_groups == 0) continue;
     TransferRebuildScratch scratch;
     for (size_t g = 0; g < tf.num_groups(); ++g) {
       if (!owned(tf.relation(g)) || as_factors(g)) continue;
-      BlobPutU32(tf.relation(g), out);
-      BlobPutF32Run(tf.Rebuild(g, &scratch), d * d, out);
+      w.U32(tf.relation(g));
+      w.F32Run(tf.Rebuild(g, &scratch), d * d);
     }
   }
-  BlobPutU32(factor_groups == 0 ? 0 : d, out);
-  BlobPutU32(factor_groups, out);
+  w.U32(factor_groups == 0 ? 0 : d);
+  w.U32(factor_groups);
   for (size_t g = 0; g < tf.num_groups(); ++g) {
     if (!owned(tf.relation(g)) || !as_factors(g)) continue;
-    BlobPutU32(tf.relation(g), out);
-    BlobPutU32(static_cast<uint32_t>(tf.end(g) - tf.begin(g)), out);
+    w.U32(tf.relation(g));
+    w.U32(static_cast<uint32_t>(tf.end(g) - tf.begin(g)));
     for (size_t q = tf.begin(g); q < tf.end(g); ++q) {
-      SerializeFactorItem(tf.sign(q), tf.s2(q), tf.head(q), d, out);
+      w.FactorItem(tf.sign(q), tf.s2(q), tf.head(q), d);
     }
   }
+  PKGM_CHECK(w.pos() == out->data() + out->size());
   return rows;
 }
 
@@ -713,8 +724,11 @@ void ApplyTransferGroup(const BlobFactorGroup& group, float alpha,
 
 void AppendTransferLogRecord(float alpha, const BlobFactorGroup& group,
                              std::string* out) {
-  BlobPutF32Run(&alpha, 1, out);
-  BlobPutU32(group.count, out);
+  char header[kGroupHeaderBytes];
+  BlobWriter w(header);
+  w.F32Run(&alpha, 1);
+  w.U32(group.count);
+  out->append(header, sizeof(header));
   out->append(group.items,
               FactorGroupBlobBytes(group.dim, group.count) - kGroupHeaderBytes);
 }

@@ -86,8 +86,9 @@ Status DistTrainer::Connect() {
     PKGM_RETURN_IF_ERROR(
         net::ParseHostPort(options_.shard_endpoints[s], &host, &port));
     net::NetClientOptions copt;
-    // One pipelined connection per local worker, so workers do not
-    // head-of-line block each other's pulls.
+    // As many pipelined connections as local workers. CallFrame picks one
+    // round-robin per frame, so every worker's frames share every
+    // connection; no connection belongs to one worker.
     copt.num_connections = options_.num_workers;
     auto client = net::NetClient::Connect(host, port, copt);
     if (!client.ok()) return client.status();

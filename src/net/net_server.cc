@@ -137,6 +137,14 @@ struct NetServer::HandlerRespondState {
   size_t thread_index;
   uint64_t conn_id;
   std::atomic<bool> responded{false};
+  /// Loop thread only: false once a respond sent in place closed the
+  /// connection.
+  bool conn_alive = true;
+
+  /// The frame whose FrameHandler::HandleFrame this thread is running, if
+  /// any. Only the loop thread that routes a frame sets it, so a respond
+  /// that finds its own state here runs on that loop, inside that call.
+  static thread_local HandlerRespondState* routing;
 
   // A respond dropped without ever being invoked still completes its
   // frame: the peer simply gets no reply (it sees the close or times
@@ -148,6 +156,9 @@ struct NetServer::HandlerRespondState {
     }
   }
 };
+
+thread_local NetServer::HandlerRespondState*
+    NetServer::HandlerRespondState::routing = nullptr;
 
 NetServer::NetServer(serve::KnowledgeServer* server, NetServerOptions options)
     : server_(server), handler_(nullptr), options_(std::move(options)) {
@@ -505,12 +516,26 @@ bool NetServer::RouteToHandler(IoThread& io, Connection& conn, Frame frame) {
     bool expected = false;
     if (!state->responded.compare_exchange_strong(expected, true)) return;
     NetServer* server = state->server;
+    if (HandlerRespondState::routing == state.get()) {
+      // Answered inside its own HandleFrame: this is the connection's loop
+      // thread, so send now instead of taking the mailbox round trip.
+      IoThread& loop = *server->io_threads_[state->thread_index];
+      Connection& owner = *loop.conns.at(state->conn_id);
+      --owner.in_flight_frames;
+      --server->outstanding_frames_;
+      state->conn_alive = server->SendOnLoop(loop, owner, std::move(bytes));
+      return;
+    }
     server->PostCompletion(state->thread_index, state->conn_id,
                            std::move(bytes));
     // Last touch of the NetServer (see the kGetVectors completion).
     --server->outstanding_frames_;
   };
-  if (handler_->HandleFrame(frame, std::move(respond))) return true;
+  HandlerRespondState::routing = state.get();
+  const bool accepted = handler_->HandleFrame(frame, std::move(respond));
+  HandlerRespondState::routing = nullptr;
+  // An in-place send may have closed the connection: `conn` is then gone.
+  if (accepted) return state->conn_alive;
   // Refused: the handler did not take the respond obligation.
   --conn.in_flight_frames;
   --outstanding_frames_;

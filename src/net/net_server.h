@@ -52,9 +52,10 @@ class FrameHandler {
  public:
   /// Completes one frame with a fully encoded response frame. May be
   /// invoked synchronously from HandleFrame or later from any thread, at
-  /// most once; extra invocations are ignored. The response is posted to
-  /// the connection's I/O thread (the connection may have died — the
-  /// response is then dropped).
+  /// most once; extra invocations are ignored. Invoked inside the
+  /// HandleFrame call that received it, the response is sent right there
+  /// on the connection's I/O thread; otherwise it is posted to that thread
+  /// (the connection may have died — the response is then dropped).
   using Respond = std::function<void(std::string)>;
 
   virtual ~FrameHandler() = default;

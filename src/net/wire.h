@@ -140,10 +140,13 @@ serve::ResponseCode ResponseCodeFromWire(WireCode code);
 /// (pass 0 to start). Dispatches once per process to the hardware CRC32C
 /// instructions where available (SSE4.2 on x86-64, the ARMv8 CRC
 /// extension) and to the table-driven software implementation otherwise;
-/// setting PKGM_CRC32C=sw in the environment pins the software path. Both
-/// paths produce identical values — the checksum is on the per-batch
-/// gradient push path, and the software implementation is kept as the
-/// parity oracle the hardware path is tested against.
+/// setting PKGM_CRC32C=sw in the environment pins the software path. The
+/// SSE4.2 path runs three interleaved crc32 streams over 3 x 8 KiB, then
+/// 3 x 256 B blocks, joined by table-driven shifts, and one stream over
+/// the rest. All paths produce identical values — the checksum runs at
+/// both ends of every frame, parameter-server pulls and pushes included,
+/// and the software implementation is kept as the parity oracle the
+/// hardware paths are tested against.
 uint32_t Crc32c(const void* data, size_t len, uint32_t crc = 0);
 
 /// The table-driven reference implementation (always available).

@@ -1511,6 +1511,161 @@ TEST(GradArenaBlobTest, FactorSectionCorruptionRejected) {
   EXPECT_FALSE(DeserializeGradArena(blob, &wider).ok());
 }
 
+// A little-endian byte string appended one field at a time.
+struct LittleEndianBytes {
+  std::string bytes;
+  void U8(uint8_t v) { bytes.push_back(static_cast<char>(v)); }
+  void U32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void F32(float v) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U32(bits);
+  }
+};
+
+TEST(GradArenaBlobTest, BytesMatchTheLayoutFieldByField) {
+  // dim 20: each item's second s' code word holds 4 codes and 24 padding
+  // bits. Relation 2's group is one item past the crossover and goes dense.
+  const uint32_t dim = 20;
+  const size_t crossover = TransferFactorCrossover(dim);
+  ASSERT_EQ(crossover, 17u);
+  const simd::KernelTable& k = simd::Active();
+  GradArena arena;
+  for (uint32_t id : {5u, 2u, 8u}) {
+    float* row = arena.Entity(id, dim);
+    for (uint32_t i = 0; i < dim; ++i) {
+      row[i] = 0.25f * static_cast<float>(i) - static_cast<float>(id);
+    }
+  }
+  arena.Entity(2, dim)[3] = -0.0f;
+  arena.Relation(1, dim)[0] = 1.5f;
+  arena.Relation(4, dim)[dim - 1] = -2.5f;
+  arena.Transfer(6, dim * dim)[7] = 3.0f;
+  arena.Hyperplane(3, dim)[1] = -0.0f;
+  arena.Hyperplane(3, dim)[2] = 0.75f;
+  // Groups: relation 0 (2 items), 2 (dense) and 3 (1 item).
+  const uint32_t group_rels[3] = {0, 2, 3};
+  const size_t group_counts[3] = {2, crossover + 1, 1};
+  for (int g = 0; g < 3; ++g) {
+    const size_t n = group_counts[g];
+    std::vector<float> signs(n), s2(n * dim), h(n * dim);
+    std::vector<const float*> s2_ptrs(n), h_ptrs(n);
+    for (size_t q = 0; q < n; ++q) {
+      signs[q] = q % 3 == 1 ? -1.0f : 1.0f;
+      for (uint32_t i = 0; i < dim; ++i) {
+        s2[q * dim + i] = static_cast<float>((i * 7 + q + g) % 3) - 1.0f;
+        h[q * dim + i] = 0.5f * static_cast<float>(i) - static_cast<float>(q);
+      }
+      s2[q * dim + 17] = 0.0f;   // a zero code in the partial word
+      s2[q * dim + 18] = -0.0f;  // -0 codes as 0 too
+      h[q * dim + 16] = -0.0f;
+      s2_ptrs[q] = s2.data() + q * dim;
+      h_ptrs[q] = h.data() + q * dim;
+    }
+    arena.transfer_factors().AddGroup(group_rels[g], dim, n, signs.data(),
+                                      s2_ptrs.data(), h_ptrs.data(), k);
+  }
+  const TransferFactors& tf = arena.transfer_factors();
+
+  // The v2 layout of gradients.h, written out for shard `shard` of
+  // `num_shards`.
+  const auto expected = [&](uint32_t shard, uint32_t num_shards) {
+    const auto owned = [&](uint32_t id) { return id % num_shards == shard; };
+    LittleEndianBytes b;
+    b.U32(0x44524750);  // "PGRD"
+    b.U8(2);            // version
+    b.U8(5);            // sections
+    b.U8(0);
+    b.U8(0);
+    const GradSlab* slabs[4] = {&arena.entities(), &arena.relations(),
+                                &arena.transfers(), &arena.hyperplanes()};
+    for (int t = 0; t < 4; ++t) {
+      std::vector<size_t> rows;
+      for (size_t i = 0; i < slabs[t]->size(); ++i) {
+        if (owned(slabs[t]->id_at(i))) rows.push_back(i);
+      }
+      std::vector<size_t> dense;
+      if (t == 2) {
+        for (size_t g = 0; g < tf.num_groups(); ++g) {
+          if (owned(tf.relation(g)) &&
+              tf.end(g) - tf.begin(g) > crossover) {
+            dense.push_back(g);
+          }
+        }
+      }
+      const size_t count = rows.size() + dense.size();
+      const uint32_t row_size = t == 2 ? dim * dim : dim;
+      b.U32(count == 0 ? 0 : row_size);
+      b.U32(static_cast<uint32_t>(count));
+      for (size_t i : rows) {
+        b.U32(slabs[t]->id_at(i));
+        for (uint32_t j = 0; j < row_size; ++j) b.F32(slabs[t]->row_at(i)[j]);
+      }
+      TransferRebuildScratch scratch;
+      for (size_t g : dense) {
+        b.U32(tf.relation(g));
+        const float* row = tf.Rebuild(g, &scratch);
+        for (uint32_t j = 0; j < dim * dim; ++j) b.F32(row[j]);
+      }
+    }
+    std::vector<size_t> factor_groups;
+    for (size_t g = 0; g < tf.num_groups(); ++g) {
+      if (owned(tf.relation(g)) && tf.end(g) - tf.begin(g) <= crossover) {
+        factor_groups.push_back(g);
+      }
+    }
+    b.U32(factor_groups.empty() ? 0 : dim);
+    b.U32(static_cast<uint32_t>(factor_groups.size()));
+    for (size_t g : factor_groups) {
+      b.U32(tf.relation(g));
+      b.U32(static_cast<uint32_t>(tf.end(g) - tf.begin(g)));
+      for (size_t q = tf.begin(g); q < tf.end(g); ++q) {
+        b.F32(tf.sign(q));
+        uint32_t words[2] = {0, 0};
+        for (uint32_t i = 0; i < dim; ++i) {
+          const float x = tf.s2(q)[i];
+          const uint32_t code = x == 1.0f ? 1 : (x == -1.0f ? 2 : 0);
+          words[i / 16] |= code << (2 * (i % 16));
+        }
+        b.U32(words[0]);
+        b.U32(words[1]);
+        for (uint32_t i = 0; i < dim; ++i) b.F32(tf.head(q)[i]);
+      }
+    }
+    return b.bytes;
+  };
+
+  // Whole, then each slice of two and of three shards, each appended after
+  // bytes already in `out` (as a push frame's header is).
+  const std::pair<uint32_t, uint32_t> cuts[] = {{0, 1}, {0, 2}, {1, 2},
+                                                {0, 3}, {1, 3}, {2, 3}};
+  for (const auto& [shard, num_shards] : cuts) {
+    SCOPED_TRACE(testing::Message() << shard << "/" << num_shards);
+    std::string blob = "head";
+    const size_t rows = SerializeGradArena(arena, shard, num_shards, &blob);
+    const std::string want = "head" + expected(shard, num_shards);
+    ASSERT_EQ(blob.size(), want.size());
+    EXPECT_TRUE(blob == want)
+        << "first differing byte at "
+        << std::mismatch(want.begin(), want.end(), blob.begin()).first -
+               want.begin();
+    size_t want_rows = 0;
+    for (const GradSlab* slab : {&arena.entities(), &arena.relations(),
+                                 &arena.transfers(), &arena.hyperplanes()}) {
+      for (size_t i = 0; i < slab->size(); ++i) {
+        want_rows += slab->id_at(i) % num_shards == shard;
+      }
+    }
+    for (uint32_t rel : group_rels) want_rows += rel % num_shards == shard;
+    EXPECT_EQ(rows, want_rows);
+  }
+  std::string whole;
+  SerializeGradArena(arena, &whole);
+  EXPECT_TRUE(whole == expected(0, 1));
+}
+
 // ---------------------------------------------------------------------------
 // Transfer-row update logs
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -770,6 +771,112 @@ TEST(NetServerTest, StatsJsonNetKeysMatchAcrossServerKinds) {
   handler_net.Stop();
   knowledge_net.Stop();
   server.Stop();
+}
+
+// Answers every routed frame inside HandleFrame, as pkgm_psd's pulls and
+// pushes are answered, with a kRows frame of `reply_bytes` opaque payload.
+class SyncReplyHandler : public FrameHandler {
+ public:
+  explicit SyncReplyHandler(size_t reply_bytes) : reply_(reply_bytes, 'r') {}
+
+  bool HandleFrame(const Frame& frame, Respond respond) override {
+    ++handled_;
+    std::string reply;
+    AppendFrame(FrameType::kRows, frame.correlation_id, reply_, &reply);
+    respond(std::move(reply));
+    return true;
+  }
+
+  uint64_t handled() const { return handled_.load(); }
+
+ private:
+  const std::string reply_;
+  std::atomic<uint64_t> handled_{0};
+};
+
+TEST(NetServerTest, SynchronousRespondIsSentWithoutAWakeup) {
+  // A respond made inside HandleFrame is written by the loop thread right
+  // away: one epoll_wait per round trip, not a second one for a mailbox
+  // wakeup.
+  SyncReplyHandler handler(16);
+  NetServerOptions nopt;
+  nopt.num_io_threads = 1;
+  NetServer server(&handler, nopt);
+  ASSERT_TRUE(server.Start().ok());
+  NetClientOptions copt;
+  copt.num_connections = 1;
+  auto client = NetClient::Connect("127.0.0.1", server.port(), copt);
+  ASSERT_TRUE(client.ok());
+  const auto round_trip = [&] {
+    const uint64_t cid = client.value()->NextCorrelationId();
+    StatusOr<Frame> reply =
+        client.value()
+            ->CallFrame(cid, EncodeControl(FrameType::kShardInfo, cid))
+            .get();
+    return reply.ok() && reply->type == FrameType::kRows &&
+           reply->correlation_id == cid;
+  };
+  ASSERT_TRUE(round_trip());
+
+  constexpr uint64_t kRoundTrips = 200;
+  const uint64_t before = server.net_counters().io_wait_calls;
+  for (uint64_t i = 0; i < kRoundTrips; ++i) ASSERT_TRUE(round_trip());
+  const serve::NetCounters after = server.net_counters();
+  EXPECT_LT(after.io_wait_calls - before, kRoundTrips * 3 / 2);
+  EXPECT_EQ(handler.handled(), kRoundTrips + 1);
+  EXPECT_EQ(after.frames_out, kRoundTrips + 1);
+
+  client.value().reset();
+  server.Stop();
+}
+
+TEST(NetServerTest, SlowReaderOfSynchronousRepliesIsDisconnected) {
+  // The fat replies are sent in place inside HandleFrame, so it is that
+  // send which trips the outbox bound and closes the connection; the loop
+  // must then leave the dead connection alone and keep serving the others.
+  SyncReplyHandler handler(64 * 1024);
+  NetServerOptions nopt;
+  nopt.num_io_threads = 1;  // the slow reader and the next client share it
+  nopt.max_outbox_bytes = 16 * 1024;
+  nopt.so_sndbuf_bytes = 4 * 1024;
+  NetServer net(&handler, nopt);
+  ASSERT_TRUE(net.Start().ok());
+
+  auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
+  ASSERT_TRUE(raw.ok());
+  const int fd = raw.value().get();
+  bool disconnected = false;
+  for (uint64_t correlation = 1; correlation <= 4096; ++correlation) {
+    if (!RawSend(fd, EncodeControl(FrameType::kShardInfo, correlation))) {
+      disconnected = true;
+      break;
+    }
+  }
+  if (!disconnected) {
+    char buf[64];
+    disconnected = WaitFor([&] {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+      return n == 0 || (n < 0 && errno == ECONNRESET);
+    });
+  }
+  EXPECT_TRUE(disconnected);
+  EXPECT_TRUE(
+      WaitFor([&] { return net.net_counters().backpressure_disconnects >= 1; }));
+  EXPECT_GE(handler.handled(), 1u);
+
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok());
+  const uint64_t cid = client.value()->NextCorrelationId();
+  StatusOr<Frame> reply =
+      client.value()
+          ->CallFrame(cid, EncodeControl(FrameType::kShardInfo, cid))
+          .get();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, FrameType::kRows);
+  EXPECT_EQ(reply->payload.size(), 64u * 1024);
+
+  client.value().reset();
+  net.Stop();
 }
 
 }  // namespace

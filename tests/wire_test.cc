@@ -381,25 +381,34 @@ TEST(Crc32cTest, HardwareMatchesSoftware) {
   // alignment — the checksum guards the per-batch gradient push path.
   EXPECT_EQ(Crc32cSoftware("123456789", 9), 0xe3069283u);
 
-  std::string buf(1027, '\0');
+  // The x86 path runs three streams over 3 x 8192- and 3 x 256-byte
+  // blocks, so the lengths straddle both block sizes and a mix of them.
+  constexpr size_t kLong = 3 * 8192, kShort = 3 * 256;
+  const size_t lengths[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255,
+                            1024, 1027, kShort - 1, kShort, kShort + 1,
+                            kLong - 1, kLong, kLong + 1, kLong + kShort + 7,
+                            (1u << 20) + 13};
+  std::string buf((1u << 20) + 16, '\0');
   uint32_t state = 0x12345678u;
   for (size_t i = 0; i < buf.size(); ++i) {
     state = state * 1664525u + 1013904223u;  // LCG; any byte soup works
     buf[i] = static_cast<char>(state >> 24);
   }
-  const size_t lengths[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17,
-                            63, 64, 65, 255, 1024, 1027};
   for (size_t len : lengths) {
     for (size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
-      if (offset + len > buf.size()) continue;
+      ASSERT_LE(offset + len, buf.size());
       EXPECT_EQ(Crc32c(buf.data() + offset, len),
                 Crc32cSoftware(buf.data() + offset, len))
           << "len=" << len << " offset=" << offset;
     }
   }
-  // Chained hardware == one-shot software across an arbitrary split.
+  // Chained hardware == one-shot software across an arbitrary split, and
+  // across one that lands inside a long block.
   EXPECT_EQ(Crc32c(buf.data() + 100, 900, Crc32c(buf.data(), 100)),
             Crc32cSoftware(buf.data(), 1000));
+  EXPECT_EQ(Crc32c(buf.data() + 5000, 3 * kLong,
+                   Crc32c(buf.data(), 5000, 0xdeadbeefu)),
+            Crc32cSoftware(buf.data(), 5000 + 3 * kLong, 0xdeadbeefu));
   // The dispatcher reports a real implementation name.
   EXPECT_NE(Crc32cImplName(), nullptr);
 }
