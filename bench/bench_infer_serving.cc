@@ -29,6 +29,7 @@
 #include "infer/registry.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
+#include "net/serving_handler.h"
 #include "serve/knowledge_server.h"
 #include "serve/load_gen.h"
 #include "util/histogram.h"
@@ -226,7 +227,8 @@ void Run(uint64_t requests, double rate, const std::string& json_path) {
   // hot swap per task mid-run (reloading identical weights is enough: the
   // drill is the pointer swap under live inference traffic).
   {
-    net::NetServer net(&server);
+    net::ServingHandler serving(&server);
+    net::NetServer net(&serving);
     Status started = net.Start();
     PKGM_CHECK(started.ok());
     net::NetClientOptions copt;

@@ -19,6 +19,7 @@
 #include "bench/bench_common.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
+#include "net/serving_handler.h"
 #include "serve/knowledge_server.h"
 #include "util/histogram.h"
 #include "util/logging.h"
@@ -166,7 +167,8 @@ void Run(uint32_t requests, const std::string& json_path) {
     sopt.enable_cache = true;
     serve::KnowledgeServer server(p.services.get(), sopt);
     server.Start();
-    net::NetServer net(&server);
+    net::ServingHandler serving(&server);
+    net::NetServer net(&serving);
     Status started = net.Start();
     PKGM_CHECK(started.ok());
     net::NetClientOptions copt;

@@ -43,6 +43,7 @@
 #include "core/service.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
+#include "net/serving_handler.h"
 #include "serve/knowledge_server.h"
 #include "serve/load_gen.h"
 #include "tasks/pipeline.h"
@@ -296,7 +297,8 @@ NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
   // one core under fan-in, so concentrate the fan-in instead of diluting
   // events across loops that then mostly sleep.
   nopt.num_io_threads = 1;
-  net::NetServer net_server(&server, nopt);
+  net::ServingHandler serving(&server);
+  net::NetServer net_server(&serving, nopt);
   PKGM_CHECK_OK(net_server.Start());
 
   net::NetClientOptions copt;

@@ -79,22 +79,23 @@ uint32_t ParamServer::NumKeysOf(ParamTable table) const {
                                       : model_.num_relations();
 }
 
-bool ParamServer::HandleFrame(const Frame& frame, Respond respond) {
+net::FrameHandler::Result ParamServer::HandleFrame(const Frame& frame,
+                                                  Respond respond) {
   switch (frame.type) {
     case FrameType::kShardInfo:
       respond(net::EncodeShardInfoReply(frame.correlation_id, Info()));
-      return true;
+      return Result::kTaken;
     case FrameType::kPullRows:
       respond(HandlePull(frame));
-      return true;
+      return Result::kTaken;
     case FrameType::kPushGrads:
       respond(HandlePush(frame));
-      return true;
+      return Result::kTaken;
     case FrameType::kBarrier:
       HandleBarrier(frame, std::move(respond));
-      return true;
+      return Result::kTaken;
     default:
-      return false;  // transport answers kError/kUnsupported
+      return Result::kRefused;  // transport answers kError/kUnsupported
   }
 }
 
@@ -360,14 +361,20 @@ void ParamServer::AbortBarriers() {
   }
 }
 
-std::string ParamServer::StatsJson() {
+std::string ParamServer::StatsJson(const serve::NetCounters& net) const {
+  return "{\"net\":" + net.ToJson() + ", " + StatsFields() + "}";
+}
+
+std::string ParamServer::StatsJson() const { return "{" + StatsFields() + "}"; }
+
+std::string ParamServer::StatsFields() const {
   return StrFormat(
-      "{\"shard\": %u, \"num_shards\": %u, \"optimizer\": \"%s\", "
+      "\"shard\": %u, \"num_shards\": %u, \"optimizer\": \"%s\", "
       "\"pulls\": %llu, \"rows_pulled\": %llu, \"pushes\": %llu, "
       "\"rows_applied\": %llu, \"rejects\": %llu, "
       "\"barriers_released\": %llu, \"step\": %llu, "
       "\"transfer_rows_from_log\": %llu, \"transfer_rows_dense\": %llu, "
-      "\"transfer_log_bytes\": %llu}",
+      "\"transfer_log_bytes\": %llu",
       static_cast<unsigned>(options_.shard_index),
       static_cast<unsigned>(options_.num_shards),
       options_.optimizer == core::OptimizerKind::kAdam ? "adam" : "sgd",

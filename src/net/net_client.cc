@@ -12,6 +12,7 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "net/client_io.h"
 #include "net/socket_util.h"
@@ -27,6 +28,94 @@ serve::ServiceResponse NetworkErrorResponse() {
   serve::ServiceResponse response;
   response.code = serve::ResponseCode::kNetworkError;
   return response;
+}
+
+/// A SubmitBatch frame's per-request promises, in the frame's order.
+using BatchPromises = std::vector<std::promise<serve::ServiceResponse>>;
+
+/// One CallFrame's promise (Ping and ServerStatsJson ride on it).
+struct FrameCall {
+  std::promise<StatusOr<Frame>> promise;
+  /// Ping/ServerStatsJson: not counted in network_errors() when lost.
+  bool probe = false;
+};
+
+/// The reply owed to one request frame in flight.
+using PendingReply = std::variant<BatchPromises, FrameCall>;
+
+/// Server-to-client frame types; any other type from a server is a
+/// protocol violation.
+bool IsReplyType(FrameType type) {
+  switch (type) {
+    case FrameType::kVectors:
+    case FrameType::kRecommendReply:
+    case FrameType::kClassifyReply:
+    case FrameType::kAlignReply:
+    case FrameType::kStatsJson:
+    case FrameType::kPong:
+    case FrameType::kRows:
+    case FrameType::kPushAck:
+    case FrameType::kShardInfoReply:
+    case FrameType::kBarrierReply:
+    case FrameType::kError:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Resolves `entry` with its reply `frame`, adding the requests a garbled
+/// reply fails to `*network_errors`. Returns false on a protocol violation.
+bool Resolve(PendingReply entry, Frame frame,
+             std::atomic<uint64_t>* network_errors) {
+  if (frame.type == FrameType::kError) {
+    WireCode code;
+    std::string message;
+    if (!DecodeError(frame.payload, &code, &message).ok()) return false;
+    if (auto* call = std::get_if<FrameCall>(&entry)) {
+      call->promise.set_value(
+          Status::IoError(StrFormat("server error: %s", message.c_str())));
+      return true;
+    }
+    for (auto& promise : std::get<BatchPromises>(entry)) {
+      serve::ServiceResponse response;
+      response.code = ResponseCodeFromWire(code);
+      promise.set_value(std::move(response));
+    }
+    return true;
+  }
+  if (auto* call = std::get_if<FrameCall>(&entry)) {
+    call->promise.set_value(std::move(frame));
+    return true;
+  }
+  auto& batch = std::get<BatchPromises>(entry);
+  std::vector<serve::ServiceResponse> responses;
+  Status decoded = Status::InvalidArgument("not a serving reply");
+  switch (frame.type) {
+    case FrameType::kVectors:
+      decoded = DecodeVectors(frame.payload, &responses);
+      break;
+    case FrameType::kRecommendReply:
+    case FrameType::kAlignReply:
+      decoded = DecodeScoreReply(frame.payload, &responses);
+      break;
+    case FrameType::kClassifyReply:
+      decoded = DecodeClassifyReply(frame.payload, &responses);
+      break;
+    default:
+      break;
+  }
+  if (!decoded.ok() || responses.size() != batch.size()) {
+    // A garbled reply or a count mismatch is a protocol violation; fail
+    // this batch and give up on the stream.
+    *network_errors += batch.size();
+    for (auto& promise : batch) promise.set_value(NetworkErrorResponse());
+    return false;
+  }
+  for (size_t i = 0; i < responses.size(); ++i) {
+    batch[i].set_value(std::move(responses[i]));
+  }
+  return true;
 }
 
 }  // namespace
@@ -45,14 +134,8 @@ struct NetClient::Conn {
   ClientConnIo io;
   std::thread reader;
 
-  struct PendingBatch {
-    std::vector<std::promise<serve::ServiceResponse>> promises;
-  };
-  std::unordered_map<uint64_t, PendingBatch> pending;
-  std::unordered_map<uint64_t, std::promise<StatusOr<std::string>>>
-      pending_stats;
-  std::unordered_map<uint64_t, std::promise<Status>> pending_pings;
-  std::unordered_map<uint64_t, std::promise<StatusOr<Frame>>> pending_frames;
+  /// The reply owed to each request frame in flight, by correlation id.
+  std::unordered_map<uint64_t, PendingReply> pending;
 
   /// Reconnect backoff: doubled on every failed connect attempt, reset on
   /// success and on a clean teardown of a previously working connection.
@@ -202,9 +285,9 @@ std::vector<std::future<serve::ServiceResponse>> NetClient::SubmitBatch(
         break;
     }
 
-    Conn::PendingBatch batch;
-    batch.promises.reserve(indices.size());
-    for (size_t i : indices) batch.promises.push_back(std::move(promises[i]));
+    BatchPromises batch;
+    batch.reserve(indices.size());
+    for (size_t i : indices) batch.push_back(std::move(promises[i]));
     conn.pending.emplace(correlation_id, std::move(batch));
     frames.push_back(std::move(frame));
     correlation_ids.push_back(correlation_id);
@@ -224,10 +307,9 @@ std::vector<std::future<serve::ServiceResponse>> NetClient::SubmitBatch(
       for (uint64_t correlation_id : correlation_ids) {
         auto it = conn.pending.find(correlation_id);
         if (it == conn.pending.end()) continue;
-        network_errors_ += it->second.promises.size();
-        for (auto& promise : it->second.promises) {
-          promise.set_value(NetworkErrorResponse());
-        }
+        auto& batch = std::get<BatchPromises>(it->second);
+        network_errors_ += batch.size();
+        for (auto& promise : batch) promise.set_value(NetworkErrorResponse());
         conn.pending.erase(it);
       }
     }
@@ -235,64 +317,18 @@ std::vector<std::future<serve::ServiceResponse>> NetClient::SubmitBatch(
   return futures;
 }
 
-StatusOr<std::string> NetClient::ServerStatsJson(int timeout_ms) {
-  const uint64_t correlation_id = next_correlation_.fetch_add(1);
-  Conn& conn = PickConn();
-  std::future<StatusOr<std::string>> future;
-  {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    auto [it, inserted] = conn.pending_stats.emplace(
-        correlation_id, std::promise<StatusOr<std::string>>());
-    future = it->second.get_future();
-    const Status status =
-        SendFrame(conn, EncodeControl(FrameType::kStats, correlation_id));
-    if (!status.ok() && !conn.fd.valid()) {
-      conn.pending_stats.erase(correlation_id);
-      return status;
-    }
-  }
-  if (future.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-      std::future_status::ready) {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    if (conn.pending_stats.erase(correlation_id) > 0) {
-      return Status::IoError("stats request timed out");
-    }
-  }
-  return future.get();
-}
-
-Status NetClient::Ping(int timeout_ms) {
-  const uint64_t correlation_id = next_correlation_.fetch_add(1);
-  Conn& conn = PickConn();
-  std::future<Status> future;
-  {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    auto [it, inserted] =
-        conn.pending_pings.emplace(correlation_id, std::promise<Status>());
-    future = it->second.get_future();
-    const Status status =
-        SendFrame(conn, EncodeControl(FrameType::kPing, correlation_id));
-    if (!status.ok() && !conn.fd.valid()) {
-      conn.pending_pings.erase(correlation_id);
-      return status;
-    }
-  }
-  if (future.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-      std::future_status::ready) {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    if (conn.pending_pings.erase(correlation_id) > 0) {
-      return Status::IoError("ping timed out");
-    }
-  }
-  return future.get();
-}
-
 std::future<StatusOr<Frame>> NetClient::CallFrame(
     uint64_t correlation_id, const std::string& frame_bytes) {
-  Conn& conn = PickConn();
+  return Call(PickConn(), correlation_id, frame_bytes, /*probe=*/false);
+}
+
+std::future<StatusOr<Frame>> NetClient::Call(Conn& conn,
+                                             uint64_t correlation_id,
+                                             const std::string& frame_bytes,
+                                             bool probe) {
   std::lock_guard<std::mutex> lock(conn.mu);
-  auto [it, inserted] = conn.pending_frames.emplace(
-      correlation_id, std::promise<StatusOr<Frame>>());
+  auto [it, inserted] =
+      conn.pending.try_emplace(correlation_id, FrameCall{{}, probe});
   if (!inserted) {
     // Correlation id already in flight on this connection (wraparound hit
     // an unanswered id): refuse rather than corrupt the matching.
@@ -302,42 +338,67 @@ std::future<StatusOr<Frame>> NetClient::CallFrame(
                   static_cast<unsigned long long>(correlation_id))));
     return failed.get_future();
   }
-  std::future<StatusOr<Frame>> future = it->second.get_future();
+  std::future<StatusOr<Frame>> future =
+      std::get<FrameCall>(it->second).promise.get_future();
   const Status status = SendFrame(conn, frame_bytes);
   if (!status.ok()) {
     // Same split as SubmitBatch: once bytes may have hit the socket, the
     // reader owns failing the entry; a never-connected socket fails here.
-    auto found = conn.pending_frames.find(correlation_id);
-    if (found != conn.pending_frames.end() && !conn.fd.valid()) {
-      found->second.set_value(status);
-      conn.pending_frames.erase(found);
+    auto found = conn.pending.find(correlation_id);
+    if (found != conn.pending.end() && !conn.fd.valid()) {
+      std::get<FrameCall>(found->second).promise.set_value(status);
+      conn.pending.erase(found);
     }
   }
   return future;
 }
 
+StatusOr<Frame> NetClient::Probe(FrameType request, FrameType reply_type,
+                                 int timeout_ms, const char* what) {
+  const uint64_t correlation_id = NextCorrelationId();
+  Conn& conn = PickConn();
+  std::future<StatusOr<Frame>> future =
+      Call(conn, correlation_id, EncodeControl(request, correlation_id),
+           /*probe=*/true);
+  if (future.wait_for(std::chrono::milliseconds(timeout_ms)) !=
+      std::future_status::ready) {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    if (conn.pending.erase(correlation_id) > 0) {
+      return Status::IoError(StrFormat("%s timed out", what));
+    }
+  }
+  StatusOr<Frame> reply = future.get();
+  if (reply.ok() && reply->type != reply_type) {
+    return Status::IoError(StrFormat("unexpected reply to %s", what));
+  }
+  return reply;
+}
+
+StatusOr<std::string> NetClient::ServerStatsJson(int timeout_ms) {
+  StatusOr<Frame> reply = Probe(FrameType::kStats, FrameType::kStatsJson,
+                                timeout_ms, "stats request");
+  if (!reply.ok()) return reply.status();
+  return std::move(reply->payload);
+}
+
+Status NetClient::Ping(int timeout_ms) {
+  return Probe(FrameType::kPing, FrameType::kPong, timeout_ms, "ping")
+      .status();
+}
+
 void NetClient::FailPending(Conn& conn) {
   // Caller holds conn.mu.
-  for (auto& [correlation_id, batch] : conn.pending) {
-    network_errors_ += batch.promises.size();
-    for (auto& promise : batch.promises) {
-      promise.set_value(NetworkErrorResponse());
+  for (auto& [correlation_id, entry] : conn.pending) {
+    if (auto* batch = std::get_if<BatchPromises>(&entry)) {
+      network_errors_ += batch->size();
+      for (auto& promise : *batch) promise.set_value(NetworkErrorResponse());
+    } else {
+      auto& call = std::get<FrameCall>(entry);
+      if (!call.probe) ++network_errors_;
+      call.promise.set_value(Status::IoError("connection lost"));
     }
   }
   conn.pending.clear();
-  for (auto& [correlation_id, promise] : conn.pending_stats) {
-    promise.set_value(Status::IoError("connection lost"));
-  }
-  conn.pending_stats.clear();
-  for (auto& [correlation_id, promise] : conn.pending_pings) {
-    promise.set_value(Status::IoError("connection lost"));
-  }
-  conn.pending_pings.clear();
-  for (auto& [correlation_id, promise] : conn.pending_frames) {
-    ++network_errors_;
-    promise.set_value(Status::IoError("connection lost"));
-  }
-  conn.pending_frames.clear();
 }
 
 void NetClient::ReaderLoop(Conn& conn) {
@@ -356,152 +417,23 @@ void NetClient::ReaderLoop(Conn& conn) {
     while (healthy) {
       const FrameDecoder::Result result = decoder.Next(&frame, &error);
       if (result == FrameDecoder::Result::kNeedMore) break;
-      if (result == FrameDecoder::Result::kError) {
-        healthy = false;  // server sent garbage; the stream is gone
+      if (result == FrameDecoder::Result::kError || !IsReplyType(frame.type)) {
+        // Garbage, or a request-direction frame from a server: the stream
+        // is gone.
+        healthy = false;
         break;
       }
-      switch (frame.type) {
-        case FrameType::kVectors:
-        case FrameType::kRecommendReply:
-        case FrameType::kClassifyReply:
-        case FrameType::kAlignReply: {
-          std::vector<serve::ServiceResponse> responses;
-          Status decode_status;
-          switch (frame.type) {
-            case FrameType::kClassifyReply:
-              decode_status = DecodeClassifyReply(frame.payload, &responses);
-              break;
-            case FrameType::kRecommendReply:
-            case FrameType::kAlignReply:
-              decode_status = DecodeScoreReply(frame.payload, &responses);
-              break;
-            default:
-              decode_status = DecodeVectors(frame.payload, &responses);
-              break;
-          }
-          if (!decode_status.ok()) {
-            healthy = false;
-            break;
-          }
-          Conn::PendingBatch batch;
-          {
-            std::lock_guard<std::mutex> lock(conn.mu);
-            auto it = conn.pending.find(frame.correlation_id);
-            if (it == conn.pending.end()) break;  // late/unknown: drop
-            batch = std::move(it->second);
-            conn.pending.erase(it);
-          }
-          if (responses.size() != batch.promises.size()) {
-            // Count mismatch is a protocol violation; fail this batch and
-            // give up on the stream.
-            network_errors_ += batch.promises.size();
-            for (auto& promise : batch.promises) {
-              promise.set_value(NetworkErrorResponse());
-            }
-            healthy = false;
-            break;
-          }
-          for (size_t i = 0; i < responses.size(); ++i) {
-            batch.promises[i].set_value(std::move(responses[i]));
-          }
-          break;
-        }
-        case FrameType::kStatsJson: {
-          std::promise<StatusOr<std::string>> promise;
-          bool found = false;
-          {
-            std::lock_guard<std::mutex> lock(conn.mu);
-            auto it = conn.pending_stats.find(frame.correlation_id);
-            if (it != conn.pending_stats.end()) {
-              promise = std::move(it->second);
-              conn.pending_stats.erase(it);
-              found = true;
-            }
-          }
-          if (found) promise.set_value(std::move(frame.payload));
-          break;
-        }
-        case FrameType::kPong: {
-          std::promise<Status> promise;
-          bool found = false;
-          {
-            std::lock_guard<std::mutex> lock(conn.mu);
-            auto it = conn.pending_pings.find(frame.correlation_id);
-            if (it != conn.pending_pings.end()) {
-              promise = std::move(it->second);
-              conn.pending_pings.erase(it);
-              found = true;
-            }
-          }
-          if (found) promise.set_value(Status::Ok());
-          break;
-        }
-        case FrameType::kRows:
-        case FrameType::kPushAck:
-        case FrameType::kShardInfoReply:
-        case FrameType::kBarrierReply: {
-          std::promise<StatusOr<Frame>> promise;
-          bool found = false;
-          {
-            std::lock_guard<std::mutex> lock(conn.mu);
-            auto it = conn.pending_frames.find(frame.correlation_id);
-            if (it != conn.pending_frames.end()) {
-              promise = std::move(it->second);
-              conn.pending_frames.erase(it);
-              found = true;
-            }
-          }
-          if (found) promise.set_value(std::move(frame));
-          break;
-        }
-        case FrameType::kError: {
-          WireCode code;
-          std::string message;
-          if (!DecodeError(frame.payload, &code, &message).ok()) {
-            healthy = false;
-            break;
-          }
-          std::lock_guard<std::mutex> lock(conn.mu);
-          auto it = conn.pending.find(frame.correlation_id);
-          if (it != conn.pending.end()) {
-            for (auto& promise : it->second.promises) {
-              serve::ServiceResponse response;
-              response.code = ResponseCodeFromWire(code);
-              promise.set_value(std::move(response));
-            }
-            conn.pending.erase(it);
-            break;
-          }
-          auto stats_it = conn.pending_stats.find(frame.correlation_id);
-          if (stats_it != conn.pending_stats.end()) {
-            stats_it->second.set_value(
-                Status::IoError(StrFormat("server error: %s",
-                                          message.c_str())));
-            conn.pending_stats.erase(stats_it);
-            break;
-          }
-          auto ping_it = conn.pending_pings.find(frame.correlation_id);
-          if (ping_it != conn.pending_pings.end()) {
-            ping_it->second.set_value(
-                Status::IoError(StrFormat("server error: %s",
-                                          message.c_str())));
-            conn.pending_pings.erase(ping_it);
-            break;
-          }
-          auto frame_it = conn.pending_frames.find(frame.correlation_id);
-          if (frame_it != conn.pending_frames.end()) {
-            frame_it->second.set_value(
-                Status::IoError(StrFormat("server error: %s",
-                                          message.c_str())));
-            conn.pending_frames.erase(frame_it);
-          }
-          break;
-        }
-        default:
-          // Request-direction frames from a server: protocol violation.
-          healthy = false;
-          break;
+      // Every reply resolves the entry holding its correlation id; a late
+      // or unknown id is dropped.
+      PendingReply entry;
+      {
+        std::lock_guard<std::mutex> lock(conn.mu);
+        auto it = conn.pending.find(frame.correlation_id);
+        if (it == conn.pending.end()) continue;
+        entry = std::move(it->second);
+        conn.pending.erase(it);
       }
+      healthy = Resolve(std::move(entry), std::move(frame), &network_errors_);
     }
   }
 

@@ -90,6 +90,16 @@ class NetClient {
   explicit NetClient(NetClientOptions options);
 
   Conn& PickConn();
+  /// Registers a pending frame entry for `correlation_id` on `conn` and
+  /// sends `frame_bytes`. A `probe` (Ping, ServerStatsJson) lost with its
+  /// connection is not counted in network_errors().
+  std::future<StatusOr<Frame>> Call(Conn& conn, uint64_t correlation_id,
+                                    const std::string& frame_bytes,
+                                    bool probe);
+  /// Round-trips a `request` control frame within `timeout_ms` and expects
+  /// a `reply_type` frame back; `what` names it in errors.
+  StatusOr<Frame> Probe(FrameType request, FrameType reply_type,
+                        int timeout_ms, const char* what);
   /// Sends an encoded frame on `conn`, reconnecting first if it is dead.
   /// Registration of the pending entry must happen before calling.
   Status SendFrame(Conn& conn, const std::string& frame);
@@ -97,7 +107,8 @@ class NetClient {
   /// multi-kind batch costs one syscall instead of one per typed frame.
   Status SendFrames(Conn& conn, const iovec* iov, int iovcnt);
   void ReaderLoop(Conn& conn);
-  /// Fails every pending entry on `conn` with kNetworkError.
+  /// Fails every pending entry on `conn`: kNetworkError per request, a
+  /// "connection lost" status per frame call.
   void FailPending(Conn& conn);
 
   const NetClientOptions options_;

@@ -43,22 +43,6 @@ Status EpollCtl(int epoll_fd, int op, int fd, uint32_t events, uint64_t tag) {
   return Status::Ok();
 }
 
-/// Encodes the response frame matching a request frame's reply type. The
-/// lookup path answers kVectors; the inference kinds answer their typed
-/// replies (score entries for recommend/align, top-k lists for classify).
-std::string EncodeReplyFrame(FrameType reply_type, uint64_t correlation_id,
-                             const std::vector<serve::ServiceResponse>& slots) {
-  switch (reply_type) {
-    case FrameType::kRecommendReply:
-    case FrameType::kAlignReply:
-      return EncodeScoreReply(reply_type, correlation_id, slots);
-    case FrameType::kClassifyReply:
-      return EncodeClassifyReply(correlation_id, slots);
-    default:
-      return EncodeVectors(correlation_id, slots);
-  }
-}
-
 }  // namespace
 
 /// One TCP connection, owned exclusively by its I/O thread.
@@ -71,8 +55,7 @@ struct NetServer::Connection {
   std::deque<std::string> outbox;
   size_t outbox_offset = 0;
   size_t outbox_bytes = 0;
-  /// Request frames submitted to the knowledge server whose response has
-  /// not yet been appended to the outbox.
+  /// Routed frames whose response has not yet been appended to the outbox.
   uint64_t in_flight_frames = 0;
   Clock::time_point last_activity;
   /// EPOLLIN is armed; cleared for good when the drain starts.
@@ -116,20 +99,6 @@ struct NetServer::IoThread {
   std::thread thread;
 };
 
-/// Completion state shared by the per-request callbacks of one request
-/// frame: the worker finishing the frame's last request encodes the
-/// response and posts it to the connection's I/O thread.
-struct NetServer::FrameState {
-  NetServer* server;
-  size_t thread_index;
-  uint64_t conn_id;
-  uint64_t correlation_id;
-  /// Which response frame type answers this request frame.
-  FrameType reply_type;
-  std::vector<serve::ServiceResponse> slots;
-  std::atomic<size_t> remaining;
-};
-
 /// One routed frame's completion token: enforces respond-at-most-once and
 /// carries the addressing a worker thread needs to post the response back.
 struct NetServer::HandlerRespondState {
@@ -160,14 +129,8 @@ struct NetServer::HandlerRespondState {
 thread_local NetServer::HandlerRespondState*
     NetServer::HandlerRespondState::routing = nullptr;
 
-NetServer::NetServer(serve::KnowledgeServer* server, NetServerOptions options)
-    : server_(server), handler_(nullptr), options_(std::move(options)) {
-  PKGM_CHECK(server != nullptr);
-  PKGM_CHECK(options_.num_io_threads >= 1);
-}
-
 NetServer::NetServer(FrameHandler* handler, NetServerOptions options)
-    : server_(nullptr), handler_(handler), options_(std::move(options)) {
+    : handler_(handler), options_(std::move(options)) {
   PKGM_CHECK(handler != nullptr);
   PKGM_CHECK(options_.num_io_threads >= 1);
 }
@@ -219,9 +182,9 @@ void NetServer::Stop() {
   for (auto& io : io_threads_) {
     if (io->thread.joinable()) io->thread.join();
   }
-  // No worker callback may outlive the server object: wait for every
-  // submitted frame's completion to be posted (the knowledge server keeps
-  // draining; its Stop() is the caller's, ordered after this).
+  // No respond may outlive the server object: wait for every routed
+  // frame's respond to be invoked or dropped (whatever completes them keeps
+  // running; stopping it is the caller's, ordered after this).
   while (outstanding_frames_.load(std::memory_order_acquire) != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -394,118 +357,21 @@ bool NetServer::HandleFrame(IoThread& io, Connection& conn, Frame frame) {
     case FrameType::kStats:
       return SendOnLoop(io, conn,
                         EncodeStatsJson(frame.correlation_id, StatsJson()));
-    case FrameType::kGetVectors:
-    case FrameType::kRecommend:
-    case FrameType::kClassify:
-    case FrameType::kAlign: {
-      if (server_ == nullptr) {
-        return SendOnLoop(io, conn,
-                          EncodeError(frame.correlation_id,
-                                      WireCode::kUnsupported,
-                                      "no knowledge server attached"));
-      }
-      // All four request kinds share one lifecycle: decode, submit the
-      // batch to the knowledge server, encode the matching typed reply
-      // when the last request of the frame completes.
-      std::vector<serve::ServiceRequest> requests;
-      const auto now = serve::ServeClock::now();
-      Status status;
-      FrameType reply_type;
-      switch (frame.type) {
-        case FrameType::kRecommend:
-          status = DecodeRecommend(frame.payload, now, &requests);
-          reply_type = FrameType::kRecommendReply;
-          break;
-        case FrameType::kClassify:
-          status = DecodeClassify(frame.payload, now, &requests);
-          reply_type = FrameType::kClassifyReply;
-          break;
-        case FrameType::kAlign:
-          status = DecodeAlign(frame.payload, now, &requests);
-          reply_type = FrameType::kAlignReply;
-          break;
-        default:
-          status = DecodeGetVectors(frame.payload, now, &requests);
-          reply_type = FrameType::kVectors;
-          break;
-      }
-      if (!status.ok()) {
-        ++protocol_errors_;
-        CloseConnection(io, conn.id);
-        return false;
-      }
-      requests_in_ += requests.size();
-      if (requests.empty()) {
-        return SendOnLoop(
-            io, conn, EncodeReplyFrame(reply_type, frame.correlation_id, {}));
-      }
-      auto state = std::make_shared<FrameState>();
-      state->server = this;
-      state->thread_index = io.index;
-      state->conn_id = conn.id;
-      state->correlation_id = frame.correlation_id;
-      state->reply_type = reply_type;
-      state->slots.resize(requests.size());
-      state->remaining.store(requests.size(), std::memory_order_relaxed);
-      ++conn.in_flight_frames;
-      ++outstanding_frames_;
-      server_->SubmitBatchAsync(
-          std::move(requests),
-          [state](size_t index, serve::ServiceResponse response) {
-            state->slots[index] = std::move(response);
-            if (state->remaining.fetch_sub(1) == 1) {
-              NetServer* server = state->server;
-              std::string encoded = EncodeReplyFrame(
-                  state->reply_type, state->correlation_id, state->slots);
-              server->PostCompletion(state->thread_index, state->conn_id,
-                                     std::move(encoded));
-              // Last touch of the NetServer: once this hits zero, Stop()
-              // may return and the object may die.
-              --server->outstanding_frames_;
-            }
-          });
-      return true;
-    }
-    case FrameType::kPullRows:
-    case FrameType::kPushGrads:
-    case FrameType::kShardInfo:
-    case FrameType::kBarrier:
-      return RouteToHandler(io, conn, std::move(frame));
-    case FrameType::kVectors:
-    case FrameType::kStatsJson:
-    case FrameType::kPong:
-    case FrameType::kRows:
-    case FrameType::kPushAck:
-    case FrameType::kShardInfoReply:
-    case FrameType::kBarrierReply:
-    case FrameType::kRecommendReply:
-    case FrameType::kClassifyReply:
-    case FrameType::kAlignReply:
-      // Response frames arriving at the server: confused peer, but the
-      // stream is intact — answer with an error and keep the connection.
-      return SendOnLoop(io, conn,
-                        EncodeError(frame.correlation_id,
-                                    WireCode::kUnsupported,
-                                    "response frame sent to server"));
     case FrameType::kError:
       return true;  // ignore
+    default:
+      // Every other type, known or unknown, is the handler's to take or
+      // refuse: a response frame arriving at the server (confused peer) or
+      // an unknown type byte (valid header + CRC, so the stream is in
+      // sync) is refused, answered with kError, and the connection lives.
+      return RouteToHandler(io, conn, std::move(frame));
   }
-  // Unknown type byte: header + CRC were valid, so the stream is in sync;
-  // reply kError for forward compatibility and keep the connection.
-  return SendOnLoop(io, conn,
-                    EncodeError(frame.correlation_id, WireCode::kUnsupported,
-                                "unknown frame type"));
 }
 
 bool NetServer::RouteToHandler(IoThread& io, Connection& conn, Frame frame) {
-  if (handler_ == nullptr) {
-    return SendOnLoop(io, conn,
-                      EncodeError(frame.correlation_id, WireCode::kUnsupported,
-                                  "no frame handler attached"));
-  }
-  // Same accounting as kGetVectors: the frame is outstanding until its
-  // response is posted, and Stop() waits for zero — which is exactly the
-  // drain guarantee a pushed gradient batch needs.
+  // The frame is outstanding until its response is posted, and Stop()
+  // waits for zero — which is exactly the drain guarantee an accepted
+  // request (or a pushed gradient batch) needs.
   ++conn.in_flight_frames;
   ++outstanding_frames_;
   auto state = std::make_shared<HandlerRespondState>();
@@ -528,17 +394,26 @@ bool NetServer::RouteToHandler(IoThread& io, Connection& conn, Frame frame) {
     }
     server->PostCompletion(state->thread_index, state->conn_id,
                            std::move(bytes));
-    // Last touch of the NetServer (see the kGetVectors completion).
+    // Last touch of the NetServer: once this hits zero, Stop() may return
+    // and the object may die.
     --server->outstanding_frames_;
   };
   HandlerRespondState::routing = state.get();
-  const bool accepted = handler_->HandleFrame(frame, std::move(respond));
+  const FrameHandler::Result result =
+      handler_->HandleFrame(frame, std::move(respond));
   HandlerRespondState::routing = nullptr;
   // An in-place send may have closed the connection: `conn` is then gone.
-  if (accepted) return state->conn_alive;
-  // Refused: the handler did not take the respond obligation.
+  if (result == FrameHandler::Result::kTaken) return state->conn_alive;
+  // The handler did not take the respond obligation. Claiming it here
+  // keeps the state's destructor from completing the frame a second time.
+  state->responded.store(true, std::memory_order_release);
   --conn.in_flight_frames;
   --outstanding_frames_;
+  if (result == FrameHandler::Result::kMalformed) {
+    ++protocol_errors_;
+    CloseConnection(io, conn.id);
+    return false;
+  }
   return SendOnLoop(io, conn,
                     EncodeError(frame.correlation_id, WireCode::kUnsupported,
                                 "frame refused by handler"));
@@ -715,7 +590,6 @@ serve::NetCounters NetServer::net_counters() const {
   net.frames_out = frames_out_.load();
   net.bytes_in = bytes_in_.load();
   net.bytes_out = bytes_out_.load();
-  net.requests_in = requests_in_.load();
   net.protocol_errors = protocol_errors_.load();
   net.backpressure_disconnects = backpressure_disconnects_.load();
   net.idle_disconnects = idle_disconnects_.load();
@@ -728,47 +602,8 @@ serve::NetCounters NetServer::net_counters() const {
   return net;
 }
 
-std::string NetServer::StatsReport() const {
-  if (server_ == nullptr) return StatsJson();
-  serve::CacheStats cache_stats;
-  const serve::CacheStats* cache_ptr = nullptr;
-  if (server_->cache() != nullptr) {
-    cache_stats = server_->cache()->Stats();
-    cache_ptr = &cache_stats;
-  }
-  const serve::NetCounters net = net_counters();
-  return server_->stats().ToTable(server_->queue_depth(), cache_ptr, &net);
-}
-
 std::string NetServer::StatsJson() const {
-  if (server_ == nullptr) {
-    // Transport-only server: splice the net counters into the handler's
-    // own JSON object so one snapshot carries both.
-    std::string inner = handler_->StatsJson();
-    // Strip the handler object's braces; tolerate an empty "{}" snapshot.
-    std::string fields;
-    const size_t open = inner.find('{');
-    const size_t close = inner.rfind('}');
-    if (open != std::string::npos && close != std::string::npos &&
-        close > open + 1) {
-      fields = inner.substr(open + 1, close - open - 1);
-    }
-    std::string json = "{\"net\":" + net_counters().ToJson();
-    if (!fields.empty()) {
-      json += ", ";
-      json += fields;
-    }
-    json += "}";
-    return json;
-  }
-  serve::CacheStats cache_stats;
-  const serve::CacheStats* cache_ptr = nullptr;
-  if (server_->cache() != nullptr) {
-    cache_stats = server_->cache()->Stats();
-    cache_ptr = &cache_stats;
-  }
-  const serve::NetCounters net = net_counters();
-  return server_->stats().StatsJson(server_->queue_depth(), cache_ptr, &net);
+  return handler_->StatsJson(net_counters());
 }
 
 }  // namespace pkgm::net

@@ -10,7 +10,6 @@
 
 #include "net/socket_util.h"
 #include "net/wire.h"
-#include "serve/knowledge_server.h"
 #include "serve/server_stats.h"
 #include "util/status.h"
 
@@ -44,10 +43,10 @@ struct NetServerOptions {
   int so_sndbuf_bytes = 0;
 };
 
-/// Server-side extension seam: application logic for frame types the
-/// serving switch does not own (the v2 parameter-server frames). A
-/// NetServer built over a FrameHandler keeps all of the transport — epoll
-/// loops, framing, backpressure, drain — and routes request frames here.
+/// The application behind a NetServer: every request frame the transport
+/// does not answer itself (kPing, kStats) is routed here. pkgm_netd's
+/// ServingHandler fronts a knowledge server; pkgm_psd's ParamServer owns a
+/// parameter shard.
 class FrameHandler {
  public:
   /// Completes one frame with a fully encoded response frame. May be
@@ -58,58 +57,63 @@ class FrameHandler {
   /// (the connection may have died — the response is then dropped).
   using Respond = std::function<void(std::string)>;
 
+  /// What became of a routed frame.
+  enum class Result {
+    /// Accepted: a response via `respond` is owed. A held respond counts
+    /// as an outstanding frame, and NetServer::Stop() waits for it, so any
+    /// response a handler parks long-term (e.g. a barrier) must be
+    /// completed or abandoned by the handler before Stop().
+    kTaken,
+    /// Not a frame this handler serves: the transport answers
+    /// kError/kUnsupported and keeps the connection.
+    kRefused,
+    /// A payload the handler cannot decode: the transport counts a
+    /// protocol error and closes the connection.
+    kMalformed,
+  };
+
   virtual ~FrameHandler() = default;
 
-  /// Called on the connection's I/O thread for every routable request
-  /// frame. Return true if the frame was accepted (a response via
-  /// `respond` is then owed — a held respond counts as an outstanding
-  /// frame, and NetServer::Stop() waits for it, so any response a handler
-  /// parks long-term (e.g. a barrier) must be completed or abandoned by
-  /// the handler before Stop()); return false to have the server answer
-  /// kError/kUnsupported without calling respond. Destroying every copy
-  /// of a respond without invoking it also completes the frame (the peer
-  /// gets no reply and sees the eventual close); invoking or dropping a
-  /// respond after the NetServer is destroyed is undefined.
-  virtual bool HandleFrame(const Frame& frame, Respond respond) = 0;
+  /// Called on the connection's I/O thread for every routed frame. Only a
+  /// kTaken frame may invoke `respond`. Destroying every copy of a respond
+  /// without invoking it also completes the frame (the peer gets no reply
+  /// and sees the eventual close); invoking or dropping a respond after
+  /// the NetServer is destroyed is undefined.
+  virtual Result HandleFrame(const Frame& frame, Respond respond) = 0;
 
-  /// JSON stats snapshot served for kStats frames when no KnowledgeServer
-  /// is attached.
-  virtual std::string StatsJson() { return "{}"; }
+  /// The daemon's whole kStats snapshot around the transport's counters,
+  /// whose "net" object NetCounters::ToJson writes.
+  virtual std::string StatsJson(const serve::NetCounters& net) const {
+    return "{\"net\":" + net.ToJson() + "}";
+  }
 };
 
-/// The TCP front end of the serving subsystem: a non-blocking event loop
-/// that decodes wire-protocol frames into ServiceRequest batches, submits
-/// them to a KnowledgeServer — whose admission control, deadlines, cache
-/// and registry hot swap are untouched — and completes responses
-/// asynchronously.
+/// The TCP transport of both daemons: a non-blocking event loop that
+/// frames the byte streams, answers kPing/kStats itself and routes every
+/// other request frame to one FrameHandler, whose responds it sends back.
 ///
 /// Threading model: N I/O threads each run one level-triggered epoll loop
 /// over their own set of non-blocking connections (read() straight into
 /// the connection's FrameDecoder, one gathered sendmsg() per flush);
-/// thread 0 additionally owns the listener. A request frame is decoded on
-/// its connection's I/O thread and submitted via SubmitBatchAsync; the
-/// knowledge-server worker that finishes the last request of the frame
-/// encodes the response and posts it back to the owning I/O thread
+/// thread 0 additionally owns the listener. A frame is decoded and routed
+/// on its connection's I/O thread; a respond made later or on another
+/// thread posts the encoded response back to the owning I/O thread
 /// (eventfd wakeup), which writes it out. An I/O thread therefore never
-/// blocks on compute, and a socket is only ever touched by its owning
-/// thread.
+/// blocks on the handler's work, and a socket is only ever touched by its
+/// owning thread.
 ///
-/// Failure containment: a malformed frame (bad magic/version/CRC/oversize
-/// or garbled payload) closes exactly the offending connection; an unknown
-/// frame type gets a kError response and the connection survives.
+/// Failure containment: a malformed frame (bad magic/version/CRC/oversize,
+/// or a payload the handler reports malformed) closes exactly the
+/// offending connection; a frame the handler refuses, including an unknown
+/// type, gets a kError response and the connection survives.
 ///
 /// Stop() drains gracefully: the listener closes, reading stops, every
-/// request already accepted completes and its response is flushed, then
-/// connections close. Stop() does not stop the KnowledgeServer (the caller
-/// owns that ordering; the knowledge server must keep running until
-/// Stop() returns so in-flight requests can complete).
+/// frame already routed completes and its response is flushed, then
+/// connections close. Whatever the handler completes frames with (e.g. a
+/// knowledge server's workers) must keep running until Stop() returns.
 class NetServer {
  public:
-  explicit NetServer(serve::KnowledgeServer* server,
-                     NetServerOptions options = {});
-  /// Transport-only server: frames are routed to `handler` instead of a
-  /// KnowledgeServer (kPing/kStats still answered by the transport;
-  /// kGetVectors is refused with kError). `handler` must outlive Stop().
+  /// `handler` must outlive Stop().
   explicit NetServer(FrameHandler* handler, NetServerOptions options = {});
   ~NetServer();
 
@@ -128,14 +132,12 @@ class NetServer {
   /// Snapshot of the connection/frame/backpressure counters.
   serve::NetCounters net_counters() const;
 
-  /// Combined knowledge-server + network counters, ASCII / JSON.
-  std::string StatsReport() const;
+  /// The kStats snapshot: the handler's StatsJson over net_counters().
   std::string StatsJson() const;
 
  private:
   struct Connection;
   struct IoThread;
-  struct FrameState;
   struct HandlerRespondState;
 
   void IoLoop(size_t thread_index);
@@ -155,8 +157,8 @@ class NetServer {
   bool OnConnData(IoThread& io, Connection& conn, size_t len);
   /// Returns false when the frame killed the connection.
   bool HandleFrame(IoThread& io, Connection& conn, Frame frame);
-  /// Routes one request frame to handler_ (kError/kUnsupported when absent
-  /// or refused). Returns false when the frame killed the connection.
+  /// Routes one request frame to handler_ (kError/kUnsupported when
+  /// refused). Returns false when the frame killed the connection.
   bool RouteToHandler(IoThread& io, Connection& conn, Frame frame);
   /// Appends bytes to the outbox, flushes opportunistically and applies
   /// the backpressure bound. Returns false when the connection was closed.
@@ -172,8 +174,6 @@ class NetServer {
                       std::string bytes);
   void SignalThread(IoThread& io);
 
-  /// Exactly one of server_/handler_ is non-null, per constructor.
-  serve::KnowledgeServer* const server_;
   FrameHandler* const handler_;
   const NetServerOptions options_;
 
@@ -185,9 +185,8 @@ class NetServer {
   std::atomic<bool> draining_{false};
   bool started_ = false;
   bool stopped_ = false;
-  /// Request frames submitted to the knowledge server whose completion has
-  /// not yet been posted back; Stop() waits for zero so no worker callback
-  /// can touch a dead NetServer.
+  /// Routed frames whose respond has not yet been invoked or dropped;
+  /// Stop() waits for zero so no late respond can touch a dead NetServer.
   std::atomic<uint64_t> outstanding_frames_{0};
 
   std::atomic<uint64_t> connections_accepted_{0};
@@ -196,7 +195,6 @@ class NetServer {
   std::atomic<uint64_t> frames_out_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> requests_in_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> backpressure_disconnects_{0};
   std::atomic<uint64_t> idle_disconnects_{0};

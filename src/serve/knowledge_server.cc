@@ -354,23 +354,16 @@ void KnowledgeServer::InvalidateCache() {
   if (cache_ != nullptr) cache_->Invalidate();
 }
 
-std::string KnowledgeServer::StatsReport() const {
-  CacheStats cache_stats;
-  const CacheStats* cache_ptr = nullptr;
-  if (cache_ != nullptr) {
-    cache_stats = cache_->Stats();
-    cache_ptr = &cache_stats;
-  }
-  CoalescerStats co_stats;
-  const CoalescerStats* co_ptr = nullptr;
-  if (coalescer_ != nullptr) {
-    co_stats = coalescer_->stats();
-    co_ptr = &co_stats;
-  }
-  return stats_.ToTable(queue_depth(), cache_ptr, nullptr, co_ptr);
+std::string KnowledgeServer::StatsReport(const NetCounters* net) const {
+  return RenderStats(&ServerStats::ToTable, net);
 }
 
-std::string KnowledgeServer::StatsJson() const {
+std::string KnowledgeServer::StatsJson(const NetCounters* net) const {
+  return RenderStats(&ServerStats::StatsJson, net);
+}
+
+std::string KnowledgeServer::RenderStats(StatsRenderer render,
+                                         const NetCounters* net) const {
   CacheStats cache_stats;
   const CacheStats* cache_ptr = nullptr;
   if (cache_ != nullptr) {
@@ -383,7 +376,7 @@ std::string KnowledgeServer::StatsJson() const {
     co_stats = coalescer_->stats();
     co_ptr = &co_stats;
   }
-  return stats_.StatsJson(queue_depth(), cache_ptr, nullptr, co_ptr);
+  return (stats_.*render)(queue_depth(), cache_ptr, net, co_ptr);
 }
 
 }  // namespace pkgm::serve

@@ -147,12 +147,14 @@ class KnowledgeServer {
   /// Drops all cached vectors (call after swapping in a new model).
   void InvalidateCache();
 
-  /// Counters + queue gauge + cache + latency percentiles as ASCII tables.
-  std::string StatsReport() const;
+  /// Counters + queue gauge + cache + coalescer + latency percentiles as
+  /// ASCII tables, plus the network front end's counters when `net` is
+  /// given (pkgm_netd's final table).
+  std::string StatsReport(const NetCounters* net = nullptr) const;
 
-  /// Machine-readable counterpart to StatsReport() (no net section; the
-  /// NetServer wrapping this server emits the combined blob).
-  std::string StatsJson() const;
+  /// Machine-readable counterpart to StatsReport(); with `net` it is the
+  /// kStats snapshot of pkgm_netd.
+  std::string StatsJson(const NetCounters* net = nullptr) const;
 
   /// The fixed provider; null in registry mode (use registry()->Current()).
   const core::ServiceVectorProvider* provider() const { return provider_; }
@@ -172,6 +174,14 @@ class KnowledgeServer {
   /// Shared ctor tail: builds the cache, coalescer and tenant quotas from
   /// options_.
   void InitAdmissionAndCache();
+
+  /// ServerStats::ToTable or ServerStats::StatsJson.
+  using StatsRenderer = std::string (ServerStats::*)(
+      uint64_t, const CacheStats*, const NetCounters*,
+      const CoalescerStats*) const;
+  /// Snapshots the cache and coalescer counters and renders them with the
+  /// server's own through `render`.
+  std::string RenderStats(StatsRenderer render, const NetCounters* net) const;
 
   /// Shared admission + enqueue path behind SubmitBatch/SubmitBatchAsync.
   void Enqueue(Batch batch);

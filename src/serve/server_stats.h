@@ -54,9 +54,9 @@ struct NetCounters {
            static_cast<double>(syscalls > 0 ? syscalls : 1);
   }
 
-  /// The "net" object of every StatsJson snapshot — a KnowledgeServer
-  /// front end's (ServerStats::StatsJson) and a transport-only daemon's
-  /// (NetServer::StatsJson) — so both report one key set.
+  /// The "net" object of every daemon's kStats snapshot — pkgm_netd's
+  /// (ServerStats::StatsJson) and pkgm_psd's (ParamServer::StatsJson) — so
+  /// both report one key set.
   std::string ToJson() const;
 };
 

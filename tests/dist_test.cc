@@ -32,6 +32,7 @@
 #include "dist/replica.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_store.h"
+#include "mutation.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "net/wire.h"
@@ -806,43 +807,6 @@ TEST(DistTrainerTest, AdamOverOneShardEqualsInProcessAdam) {
 // what an independent reference accepts, and a refused push must leave the
 // shard's model bytes untouched. The sanitizer CI job runs this too.
 // ---------------------------------------------------------------------------
-
-constexpr int kMutationsPerInput = 2000;
-
-/// One random mutation of `in`: bit flips, a truncation, a splice of a
-/// prefix of `in` onto a suffix of `other`, or an inflated u32 at one of
-/// `fields` (the offsets of counts, row sizes and lengths).
-std::string Mutate(const std::string& in, const std::string& other,
-                   const std::vector<size_t>& fields, Rng* rng) {
-  std::string out = in;
-  switch (rng->Uniform(4)) {
-    case 0:
-      for (uint64_t f = rng->Uniform(3); f < 3 && !out.empty(); ++f) {
-        out[rng->Uniform(out.size())] ^=
-            static_cast<char>(1u << rng->Uniform(8));
-      }
-      break;
-    case 1:
-      out.resize(rng->Uniform(out.size() + 1));
-      break;
-    case 2:
-      out = in.substr(0, rng->Uniform(in.size() + 1)) +
-            other.substr(rng->Uniform(other.size() + 1));
-      break;
-    default: {
-      const size_t at = fields[rng->Uniform(fields.size())];
-      if (at + 4 > out.size()) break;
-      uint32_t v;
-      std::memcpy(&v, &out[at], sizeof(v));
-      const uint32_t inflated[] = {v + 1,        2 * v + 1,   v + 0x10000u,
-                                   0x40000000u, 0x7fffffffu, 0xffffffffu};
-      v = inflated[rng->Uniform(6)];
-      std::memcpy(&out[at], &v, sizeof(v));
-      break;
-    }
-  }
-  return out;
-}
 
 /// Bounds-checked little-endian reader for the reference parsers.
 struct RefReader {
@@ -1646,8 +1610,11 @@ TEST(MutationTest, LiveShardHandleFrame) {
                           push ? push_fields : PullFields(pulls), &rng);
     const std::string before = ModelBytes(model);
     std::string reply_bytes;
-    ASSERT_TRUE(shard.HandleFrame(
-        request, [&](std::string bytes) { reply_bytes = std::move(bytes); }));
+    ASSERT_EQ(shard.HandleFrame(request,
+                                [&](std::string bytes) {
+                                  reply_bytes = std::move(bytes);
+                                }),
+              net::FrameHandler::Result::kTaken);
     const Frame reply = DecodeOneFrame(reply_bytes);
     EXPECT_EQ(reply.correlation_id, request.correlation_id);
 
@@ -1752,8 +1719,11 @@ Frame HandleOne(ParamServer* shard, FrameType type, std::string payload) {
   request.correlation_id = 7;
   request.payload = std::move(payload);
   std::string reply_bytes;
-  EXPECT_TRUE(shard->HandleFrame(
-      request, [&](std::string bytes) { reply_bytes = std::move(bytes); }));
+  EXPECT_EQ(shard->HandleFrame(request,
+                               [&](std::string bytes) {
+                                 reply_bytes = std::move(bytes);
+                               }),
+            net::FrameHandler::Result::kTaken);
   return DecodeOneFrame(reply_bytes);
 }
 
@@ -2160,12 +2130,12 @@ class IsaOverride : public net::FrameHandler {
  public:
   IsaOverride(ParamServer* shard, uint8_t isa) : shard_(shard), isa_(isa) {}
 
-  bool HandleFrame(const Frame& frame, Respond respond) override {
+  Result HandleFrame(const Frame& frame, Respond respond) override {
     if (frame.type == FrameType::kShardInfo) {
       net::ShardInfo info = shard_->Info();
       info.kernel_isa = isa_;
       respond(net::EncodeShardInfoReply(frame.correlation_id, info));
-      return true;
+      return Result::kTaken;
     }
     std::vector<PullSection> sections;
     if (frame.type == FrameType::kPullRows &&
@@ -2177,7 +2147,9 @@ class IsaOverride : public net::FrameHandler {
     }
     return shard_->HandleFrame(frame, std::move(respond));
   }
-  std::string StatsJson() override { return shard_->StatsJson(); }
+  std::string StatsJson(const serve::NetCounters& net) const override {
+    return shard_->StatsJson(net);
+  }
 
   std::atomic<int> id_only{0};
   std::atomic<int> versioned{0};

@@ -23,6 +23,7 @@
 #include "infer/registry.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
+#include "net/serving_handler.h"
 #include "nn/activations.h"
 #include "serve/knowledge_server.h"
 #include "serve/request.h"
@@ -410,7 +411,8 @@ TEST(InferServingTest, WireParityWithOfflineForwardsFp32) {
   serve::KnowledgeServer server(fx.pkgm.services.get());
   server.AttachInferExecutor(&engine);
   server.Start();
-  net::NetServer net(&server);
+  net::ServingHandler serving(&server);
+  net::NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   auto client = net::NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -541,7 +543,8 @@ TEST(InferServingTest, ParityAcrossWeightHotSwapUnderLoad) {
   serve::KnowledgeServer server(fx.pkgm.services.get());
   server.AttachInferExecutor(&engine);
   server.Start();
-  net::NetServer net(&server);
+  net::ServingHandler serving(&server);
+  net::NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   net::NetClientOptions copt;
   copt.num_connections = 2;

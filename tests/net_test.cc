@@ -21,8 +21,11 @@
 
 #include "core/pkgm_model.h"
 #include "core/service.h"
+#include "dist/param_server.h"
+#include "mutation.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
+#include "net/serving_handler.h"
 #include "net/socket_util.h"
 #include "net/wire.h"
 #include "serve/knowledge_server.h"
@@ -39,6 +42,7 @@ using serve::ServeClock;
 using serve::ServiceForm;
 using serve::ServiceRequest;
 using serve::ServiceResponse;
+using serve::TaskKind;
 
 // Same deterministic provider shape as serve_test: items 0..9 over a
 // 20-entity model; item 7 has no key relations.
@@ -140,6 +144,35 @@ std::vector<std::string> NetKeys(const std::string& json) {
   return keys;
 }
 
+/// Keys of a StatsJson snapshot's top-level object, in order.
+std::vector<std::string> TopLevelKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (size_t i = 0; i < json.size(); ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}') --depth;
+    if (json[i] != '"') continue;
+    // No key or string value in these snapshots holds a quote.
+    const size_t end = json.find('"', i + 1);
+    const size_t next = json.find_first_not_of(' ', end + 1);
+    if (depth == 1 && next != std::string::npos && json[next] == ':') {
+      keys.push_back(json.substr(i + 1, end - i - 1));
+    }
+    i = end;
+  }
+  return keys;
+}
+
+/// A request of `task` kind about `item`, with every operand set.
+ServiceRequest MakeTask(TaskKind task, uint32_t item) {
+  ServiceRequest request = MakeRequest(item, ServiceForm::kCondensed);
+  request.task = task;
+  request.user = item % 3;
+  request.item_b = (item + 1) % 10;
+  request.top_k = 2;
+  return request;
+}
+
 /// Waits until `condition` holds, polling; false on timeout.
 template <typename F>
 bool WaitFor(F condition, int timeout_ms = 5000) {
@@ -156,7 +189,8 @@ TEST(NetServerTest, EndToEndParityWithDirectSubmit) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
 
   NetClientOptions copt;
@@ -203,7 +237,8 @@ TEST(NetServerTest, ParityAcrossRegistryHotSwapMidStream) {
 
   KnowledgeServer server(&registry);
   server.Start();
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
@@ -250,7 +285,8 @@ TEST(NetServerTest, DeadlineExpiresAcrossTheWire) {
   // Workers not started yet: accepted requests sit queued until Start(),
   // so a short relative deadline deterministically expires in the queue.
   KnowledgeServer server(fx.provider.get());
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
@@ -272,7 +308,8 @@ TEST(NetServerTest, AdmissionRejectionPropagatesOverWire) {
   KnowledgeServerOptions sopt;
   sopt.queue_capacity = 1;  // one batch fits, the second is rejected
   KnowledgeServer server(fx.provider.get(), sopt);
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
@@ -304,7 +341,8 @@ TEST(NetServerTest, MalformedFrameClosesOnlyTheOffendingConnection) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
 
   auto client = NetClient::Connect("127.0.0.1", net.port());
@@ -330,11 +368,64 @@ TEST(NetServerTest, MalformedFrameClosesOnlyTheOffendingConnection) {
   server.Stop();
 }
 
+TEST(NetServerTest, UndecodableServingPayloadClosesOnlyItsConnection) {
+  Fixture fx;
+  KnowledgeServer server(fx.provider.get());
+  server.Start();
+  ServingHandler serving(&server);
+  NetServer net(&serving);
+  ASSERT_TRUE(net.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok());
+
+  // Validly framed (magic/CRC ok), but the payloads do not decode: a
+  // kGetVectors count that disagrees with the payload size, and a
+  // kRecommend entry whose reserved byte (offset 9 of the first 16-byte
+  // entry, after the u32 count) is set.
+  const auto now = ServeClock::now();
+  std::string bad_count =
+      EncodeGetVectors(1, {MakeRequest(1, ServiceForm::kCondensed),
+                           MakeRequest(2, ServiceForm::kCondensed)},
+                       now)
+          .substr(kFrameHeaderBytes);
+  bad_count[0] = 3;
+  std::string bad_reserved =
+      EncodeRecommend(2, {MakeTask(TaskKind::kRecommend, 2)}, now)
+          .substr(kFrameHeaderBytes);
+  bad_reserved[4 + 9] = 1;
+  const std::pair<FrameType, std::string> frames[] = {
+      {FrameType::kGetVectors, bad_count},
+      {FrameType::kRecommend, bad_reserved}};
+
+  uint64_t errors = 0;
+  for (const auto& [type, payload] : frames) {
+    auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
+    ASSERT_TRUE(raw.ok());
+    std::string frame;
+    AppendFrame(type, /*correlation_id=*/9, payload, &frame);
+    ASSERT_TRUE(RawSend(raw.value().get(), frame));
+    char buf[64];
+    ASSERT_TRUE(WaitFor([&] {
+      return ::recv(raw.value().get(), buf, sizeof(buf), MSG_DONTWAIT) == 0;
+    }));
+    EXPECT_EQ(net.net_counters().protocol_errors, ++errors);
+    // The other client's connection keeps being served.
+    auto served =
+        client.value()->Submit(MakeRequest(3, ServiceForm::kCondensed));
+    EXPECT_EQ(served.get().code, ResponseCode::kOk);
+  }
+
+  client.value().reset();
+  net.Stop();
+  server.Stop();
+}
+
 TEST(NetServerTest, UnknownFrameTypeAnsweredWithErrorConnectionSurvives) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
 
   auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
@@ -375,7 +466,8 @@ TEST(NetServerTest, SlowReaderIsDisconnectedByBackpressure) {
   NetServerOptions nopt;
   nopt.max_outbox_bytes = 16 * 1024;  // tight bound
   nopt.so_sndbuf_bytes = 4 * 1024;    // tiny kernel buffer → outbox fills
-  NetServer net(&server, nopt);
+  ServingHandler serving(&server);
+  NetServer net(&serving, nopt);
   ASSERT_TRUE(net.Start().ok());
 
   auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
@@ -415,7 +507,8 @@ TEST(NetServerTest, GracefulDrainCompletesAcceptedRequests) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
@@ -432,7 +525,7 @@ TEST(NetServerTest, GracefulDrainCompletesAcceptedRequests) {
   // Wait until the server has decoded every request, then drain while the
   // responses are (possibly) still in flight: all of them must arrive.
   ASSERT_TRUE(WaitFor(
-      [&] { return net.net_counters().requests_in >= futures.size(); }));
+      [&] { return serving.requests_in() >= futures.size(); }));
   net.Stop();
   for (auto& future : futures) {
     EXPECT_EQ(future.get().code, ResponseCode::kOk);
@@ -449,7 +542,8 @@ TEST(NetServerTest, IdleConnectionsAreReaped) {
   server.Start();
   NetServerOptions nopt;
   nopt.idle_timeout_ms = 100;
-  NetServer net(&server, nopt);
+  ServingHandler serving(&server);
+  NetServer net(&serving, nopt);
   ASSERT_TRUE(net.Start().ok());
 
   auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
@@ -469,7 +563,8 @@ TEST(NetServerTest, PingAndStatsProbes) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer net(&server);
+  ServingHandler serving(&server);
+  NetServer net(&serving);
   ASSERT_TRUE(net.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", net.port());
   ASSERT_TRUE(client.ok());
@@ -497,12 +592,38 @@ TEST(NetServerTest, PingAndStatsProbes) {
   server.Stop();
 }
 
+TEST(NetServerTest, StatsSnapshotOfCoalescingServerCarriesCoalescer) {
+  Fixture fx;
+  KnowledgeServerOptions sopt;
+  sopt.enable_coalescing = true;
+  KnowledgeServer server(fx.provider.get(), sopt);
+  server.Start();
+  ServingHandler serving(&server);
+  NetServer net(&serving);
+  ASSERT_TRUE(net.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", net.port());
+  ASSERT_TRUE(client.ok());
+
+  auto stats = client.value()->ServerStatsJson();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::vector<std::string> keys = TopLevelKeys(stats.value());
+  for (const char* key : {"cache", "coalescer", "net"}) {
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+        << key << " in " << stats.value();
+  }
+
+  client.value().reset();
+  net.Stop();
+  server.Stop();
+}
+
 TEST(NetClientTest, ReconnectsAfterServerRestart) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
 
-  auto first = std::make_unique<NetServer>(&server);
+  ServingHandler serving(&server);
+  auto first = std::make_unique<NetServer>(&serving);
   ASSERT_TRUE(first->Start().ok());
   const uint16_t port = first->port();
 
@@ -530,7 +651,7 @@ TEST(NetClientTest, ReconnectsAfterServerRestart) {
   // Restart on the same port; the client must recover via reconnect.
   NetServerOptions nopt;
   nopt.port = port;
-  NetServer second(&server, nopt);
+  NetServer second(&serving, nopt);
   ASSERT_TRUE(second.Start().ok());
   ASSERT_TRUE(WaitFor([&] {
     return client.value()
@@ -553,17 +674,17 @@ TEST(NetClientTest, ReconnectsAfterServerRestart) {
 // by correlation id, not by ordering.
 class ReversingPushHandler : public FrameHandler {
  public:
-  bool HandleFrame(const Frame& frame, Respond respond) override {
+  Result HandleFrame(const Frame& frame, Respond respond) override {
     if (frame.type == FrameType::kPushGrads) {
       float scale = 0.0f;
       uint32_t epoch = 0;
       std::string_view blob;
       if (!DecodePushGrads(frame.payload, &scale, &epoch, &blob).ok()) {
-        return false;
+        return Result::kRefused;
       }
       std::lock_guard<std::mutex> lock(mu_);
       parked_.push_back({frame.correlation_id, epoch, std::move(respond)});
-      return true;
+      return Result::kTaken;
     }
     if (frame.type == FrameType::kBarrier) {
       std::vector<Parked> parked;
@@ -577,11 +698,13 @@ class ReversingPushHandler : public FrameHandler {
         it->respond(EncodePushAck(it->correlation_id, it->epoch));
       }
       uint32_t epoch = 0, workers = 0;
-      if (!DecodeBarrier(frame.payload, &epoch, &workers).ok()) return false;
+      if (!DecodeBarrier(frame.payload, &epoch, &workers).ok()) {
+        return Result::kRefused;
+      }
       respond(EncodeBarrierReply(frame.correlation_id, epoch, workers));
-      return true;
+      return Result::kTaken;
     }
-    return false;
+    return Result::kRefused;
   }
 
   /// Drops parked responds without invoking them (the connections are
@@ -687,6 +810,58 @@ TEST(NetClientTest, CorrelationIdWraparound) {
   server.Stop();
 }
 
+TEST(NetClientTest, EveryReplyKindRoutesOverOneConnection) {
+  ReversingPushHandler handler;
+  NetServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+  NetClientOptions copt;
+  copt.num_connections = 1;
+  auto client = NetClient::Connect("127.0.0.1", server.port(), copt);
+  ASSERT_TRUE(client.ok());
+
+  // A push the handler parks until the barrier below releases it.
+  const uint64_t push_cid = client.value()->NextCorrelationId();
+  auto push = client.value()->CallFrame(
+      push_cid, EncodePushGrads(push_cid, 1.0f, /*epoch=*/5, "parked"));
+  ASSERT_TRUE(WaitFor([&] { return handler.parked() == 1u; }));
+
+  // Serving frames reach a server without a knowledge service: each typed
+  // frame is answered kError/kUnsupported, read as kNetworkError.
+  std::vector<ServiceRequest> batch;
+  for (TaskKind task : {TaskKind::kLookup, TaskKind::kRecommend,
+                        TaskKind::kClassify, TaskKind::kAlign,
+                        TaskKind::kLookup}) {
+    batch.push_back(MakeTask(task, 4));
+  }
+  auto futures = client.value()->SubmitBatch(batch);
+  EXPECT_TRUE(client.value()->Ping().ok());
+  auto stats = client.value()->ServerStatsJson();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(TopLevelKeys(stats.value()), std::vector<std::string>{"net"});
+  for (auto& future : futures) {
+    EXPECT_EQ(future.get().code, ResponseCode::kNetworkError);
+  }
+
+  const uint64_t barrier_cid = client.value()->NextCorrelationId();
+  StatusOr<Frame> barrier =
+      client.value()
+          ->CallFrame(barrier_cid, EncodeBarrier(barrier_cid, 1, 1))
+          .get();
+  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  EXPECT_EQ(barrier->type, FrameType::kBarrierReply);
+  StatusOr<Frame> pushed = push.get();
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  EXPECT_EQ(pushed->type, FrameType::kPushAck);
+  uint32_t rows = 0;
+  ASSERT_TRUE(DecodePushAck(pushed->payload, &rows).ok());
+  EXPECT_EQ(rows, 5u);
+  // Error answers are replies, not lost connections.
+  EXPECT_EQ(client.value()->network_errors(), 0u);
+
+  client.value().reset();
+  server.Stop();
+}
+
 TEST(NetClientTest, ReconnectDuringPendingPush) {
   ReversingPushHandler handler;
   NetServerOptions nopt;
@@ -744,22 +919,44 @@ TEST(NetClientTest, ReconnectDuringPendingPush) {
   second.Stop();
 }
 
-// A transport-only server (pkgm_psd's shape) and a KnowledgeServer front
-// end (pkgm_netd's) report one "net" schema, which the smokes, pkgm_serve
-// and the benchmark read by key.
+// pkgm_netd's snapshot (a ServingHandler over a KnowledgeServer) and
+// pkgm_psd's (a ParamServer) report one "net" schema and a fixed set of
+// top-level keys, which the smokes, pkgm_serve and the benchmark read by
+// key.
 TEST(NetServerTest, StatsJsonNetKeysMatchAcrossServerKinds) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
-  NetServer knowledge_net(&server);
+  ServingHandler serving(&server);
+  NetServer knowledge_net(&serving);
   ASSERT_TRUE(knowledge_net.Start().ok());
-  ReversingPushHandler handler;
-  NetServer handler_net(&handler);
-  ASSERT_TRUE(handler_net.Start().ok());
+  dist::ParamServerOptions popt;
+  popt.model.num_entities = 8;
+  popt.model.num_relations = 2;
+  popt.model.dim = 4;
+  dist::ParamServer shard(popt);
+  NetServer shard_net(&shard);
+  ASSERT_TRUE(shard_net.Start().ok());
 
-  const std::vector<std::string> keys = NetKeys(knowledge_net.StatsJson());
-  EXPECT_EQ(NetKeys(handler_net.StatsJson()), keys)
-      << handler_net.StatsJson();
+  const std::string netd = knowledge_net.StatsJson();
+  const std::string psd = shard_net.StatsJson();
+  EXPECT_EQ(TopLevelKeys(netd),
+            (std::vector<std::string>{
+                "backend", "accepted", "rejected", "quota_rejected", "ok",
+                "deadline_exceeded", "invalid_item", "exec_rejected",
+                "backend_fetches", "coalesced", "queue_depth", "tasks",
+                "cache", "net", "latency"}))
+      << netd;
+  EXPECT_EQ(TopLevelKeys(psd),
+            (std::vector<std::string>{
+                "net", "shard", "num_shards", "optimizer", "pulls",
+                "rows_pulled", "pushes", "rows_applied", "rejects",
+                "barriers_released", "step", "transfer_rows_from_log",
+                "transfer_rows_dense", "transfer_log_bytes"}))
+      << psd;
+
+  const std::vector<std::string> keys = NetKeys(netd);
+  EXPECT_EQ(NetKeys(psd), keys) << psd;
   for (const char* key :
        {"io_backend", "frames_in", "frames_out", "bytes_in", "bytes_out",
         "io_wait_calls", "io_recv_syscalls", "io_send_syscalls",
@@ -768,7 +965,7 @@ TEST(NetServerTest, StatsJsonNetKeysMatchAcrossServerKinds) {
     EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
   }
 
-  handler_net.Stop();
+  shard_net.Stop();
   knowledge_net.Stop();
   server.Stop();
 }
@@ -779,12 +976,12 @@ class SyncReplyHandler : public FrameHandler {
  public:
   explicit SyncReplyHandler(size_t reply_bytes) : reply_(reply_bytes, 'r') {}
 
-  bool HandleFrame(const Frame& frame, Respond respond) override {
+  Result HandleFrame(const Frame& frame, Respond respond) override {
     ++handled_;
     std::string reply;
     AppendFrame(FrameType::kRows, frame.correlation_id, reply_, &reply);
     respond(std::move(reply));
-    return true;
+    return Result::kTaken;
   }
 
   uint64_t handled() const { return handled_.load(); }
@@ -877,6 +1074,110 @@ TEST(NetServerTest, SlowReaderOfSynchronousRepliesIsDisconnected) {
 
   client.value().reset();
   net.Stop();
+}
+
+// Seeded mutation of the four serving request kinds, driven straight into
+// the serving handler over a running KnowledgeServer: a payload is
+// malformed exactly when its kind's decoder rejects it, and a taken
+// frame's reply decodes with its typed reply decoder, one entry per
+// decoded request. The sanitizer CI jobs run this too.
+TEST(MutationTest, ServingRequestFramesThroughTheHandler) {
+  Fixture fx;
+  KnowledgeServer server(fx.provider.get());
+  server.Start();
+  ServingHandler serving(&server);
+
+  using Decode = Status (*)(std::string_view, ServeClock::time_point,
+                            std::vector<ServiceRequest>*);
+  struct Kind {
+    FrameType type;
+    FrameType reply_type;
+    Decode decode;
+    std::string payload;  // valid
+  };
+  std::vector<ServiceRequest> by_task[4];
+  for (uint32_t item = 0; item < 4; ++item) {
+    for (uint8_t t = 0; t < 4; ++t) {
+      by_task[t].push_back(MakeTask(static_cast<TaskKind>(t), item * 3));
+    }
+  }
+  const auto now = ServeClock::now();
+  const auto payload = [](const std::string& frame) {
+    return frame.substr(kFrameHeaderBytes);
+  };
+  const Kind kinds[] = {
+      {FrameType::kGetVectors, FrameType::kVectors, DecodeGetVectors,
+       payload(EncodeGetVectors(1, by_task[0], now))},
+      {FrameType::kRecommend, FrameType::kRecommendReply, DecodeRecommend,
+       payload(EncodeRecommend(1, by_task[1], now))},
+      {FrameType::kClassify, FrameType::kClassifyReply, DecodeClassify,
+       payload(EncodeClassify(1, by_task[2], now))},
+      {FrameType::kAlign, FrameType::kAlignReply, DecodeAlign,
+       payload(EncodeAlign(1, by_task[3], now))},
+  };
+  // The count, then each 16-byte entry's two u32 operands and its deadline.
+  std::vector<size_t> fields = {0};
+  for (size_t entry = 0; entry < 4; ++entry) {
+    for (size_t at : {0, 4, 12}) fields.push_back(4 + 16 * entry + at);
+  }
+
+  Rng rng(20215);
+  for (size_t k = 0; k < 4; ++k) {
+    const Kind& kind = kinds[k];
+    int malformed = 0;
+    for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+      SCOPED_TRACE(testing::Message() << "kind " << k << " iter " << iter);
+      Frame request;
+      request.type = kind.type;
+      request.correlation_id = static_cast<uint64_t>(iter);
+      request.payload =
+          iter == 0 ? kind.payload
+                    : Mutate(kind.payload, kinds[(k + 1) % 4].payload, fields,
+                             &rng);
+      std::vector<ServiceRequest> decoded;
+      const bool decodes =
+          kind.decode(request.payload, ServeClock::now(), &decoded).ok();
+      auto reply = std::make_shared<std::promise<std::string>>();
+      std::future<std::string> reply_bytes = reply->get_future();
+      const FrameHandler::Result result = serving.HandleFrame(
+          request,
+          [reply](std::string bytes) { reply->set_value(std::move(bytes)); });
+      if (!decodes) {
+        EXPECT_EQ(result, FrameHandler::Result::kMalformed);
+        ++malformed;
+        continue;
+      }
+      ASSERT_EQ(result, FrameHandler::Result::kTaken);
+      const std::string bytes = reply_bytes.get();
+      FrameDecoder decoder;
+      decoder.Feed(bytes.data(), bytes.size());
+      Frame frame;
+      std::string error;
+      ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kFrame)
+          << error;
+      EXPECT_EQ(frame.type, kind.reply_type);
+      EXPECT_EQ(frame.correlation_id, request.correlation_id);
+      std::vector<ServiceResponse> responses;
+      Status replied;
+      switch (kind.reply_type) {
+        case FrameType::kVectors:
+          replied = DecodeVectors(frame.payload, &responses);
+          break;
+        case FrameType::kClassifyReply:
+          replied = DecodeClassifyReply(frame.payload, &responses);
+          break;
+        default:
+          replied = DecodeScoreReply(frame.payload, &responses);
+          break;
+      }
+      ASSERT_TRUE(replied.ok()) << replied.ToString();
+      EXPECT_EQ(responses.size(), decoded.size());
+    }
+    // The mutations reach both outcomes.
+    EXPECT_GT(malformed, kMutationsPerInput / 10) << "kind " << k;
+    EXPECT_LT(malformed, kMutationsPerInput) << "kind " << k;
+  }
+  server.Stop();
 }
 
 }  // namespace

@@ -17,33 +17,26 @@
 //   listener closes, accepted requests complete and flush, then the final
 //   StatsReport prints (and --stats-json writes the JSON snapshot).
 
-#include <signal.h>
-
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "infer/engine.h"
 #include "infer/pipeline.h"
 #include "infer/registry.h"
 #include "net/net_server.h"
+#include "net/serving_handler.h"
 #include "serve/knowledge_server.h"
 #include "store/model_registry.h"
+#include "daemon_common.h"
 #include "serve_common.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace pkgm {
 namespace {
-
-std::atomic<int> g_signal{0};
-
-void HandleSignal(int signum) { g_signal.store(signum); }
 
 struct NetdFlags {
   uint16_t port = 0;  // ephemeral by default
@@ -205,7 +198,8 @@ int Run(const NetdFlags& flags) {
   nopt.idle_timeout_ms = flags.idle_timeout_ms;
   nopt.max_outbox_bytes = static_cast<size_t>(flags.max_outbox_mb) << 20;
   nopt.reuseport = flags.reuseport;
-  net::NetServer net_server(server.get(), nopt);
+  net::ServingHandler serving(server.get());
+  net::NetServer net_server(&serving, nopt);
   Status started = net_server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "pkgm_netd: %s\n", started.ToString().c_str());
@@ -217,56 +211,27 @@ int Run(const NetdFlags& flags) {
               flags.workers, net_server.net_counters().io_backend.c_str());
   std::fflush(stdout);
 
-  if (!flags.port_file.empty()) {
-    // Write-then-rename so a polling client never reads a partial file.
-    const std::string tmp = flags.port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "pkgm_netd: cannot write %s\n",
-                   flags.port_file.c_str());
-      net_server.Stop();
-      server->Stop();
-      return 1;
-    }
-    std::fprintf(f, "%u\n", net_server.port());
-    std::fclose(f);
-    std::rename(tmp.c_str(), flags.port_file.c_str());
+  tool::InstallShutdownHandlers();
+  if (!flags.port_file.empty() &&
+      !tool::WritePortFile(flags.port_file, net_server.port(), "pkgm_netd")) {
+    net_server.Stop();
+    server->Stop();
+    return 1;
   }
-
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = HandleSignal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  const auto start = std::chrono::steady_clock::now();
-  while (g_signal.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (flags.run_seconds > 0 &&
-        std::chrono::steady_clock::now() - start >=
-            std::chrono::seconds(flags.run_seconds)) {
-      break;
-    }
-  }
-  const int signum = g_signal.load();
-  std::printf("\npkgm_netd: %s — draining ...\n",
-              signum != 0 ? ::strsignal(signum) : "run time elapsed");
+  tool::WaitForShutdown(flags.run_seconds, "pkgm_netd");
 
   net_server.Stop();  // graceful: in-flight requests complete and flush
   const std::string stats_json = net_server.StatsJson();
-  const std::string stats_report = net_server.StatsReport();
+  const std::string stats_report =
+      serving.StatsReport(net_server.net_counters());
   server->Stop();
 
   std::printf("final stats:\n%s\n", stats_report.c_str());
   if (!flags.stats_json_path.empty()) {
-    std::FILE* f = std::fopen(flags.stats_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "pkgm_netd: cannot write %s\n",
-                   flags.stats_json_path.c_str());
+    if (!tool::WriteStatsJson(flags.stats_json_path, stats_json,
+                              "pkgm_netd")) {
       return 1;
     }
-    std::fprintf(f, "%s\n", stats_json.c_str());
-    std::fclose(f);
     std::printf("stats json written to %s\n", flags.stats_json_path.c_str());
   }
   return 0;

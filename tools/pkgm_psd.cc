@@ -17,27 +17,19 @@
 //   dist_smoke.sh). Shutdown on SIGINT/SIGTERM (or --run-seconds) aborts
 //   parked barriers first, then drains the NetServer gracefully.
 
-#include <signal.h>
-
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
+#include "daemon_common.h"
 #include "dist/param_server.h"
 #include "net/net_server.h"
 #include "util/string_util.h"
 
 namespace pkgm {
 namespace {
-
-std::atomic<int> g_signal{0};
-
-void HandleSignal(int signum) { g_signal.store(signum); }
 
 struct PsdFlags {
   dist::ParamServerOptions ps;
@@ -173,40 +165,14 @@ int Run(const PsdFlags& flags) {
               net_server.port(), flags.io_threads);
   std::fflush(stdout);
 
-  if (!flags.port_file.empty()) {
-    // Write-then-rename so a polling client never reads a partial file.
-    const std::string tmp = flags.port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "pkgm_psd: cannot write %s\n",
-                   flags.port_file.c_str());
-      shard.AbortBarriers();
-      net_server.Stop();
-      return 1;
-    }
-    std::fprintf(f, "%u\n", net_server.port());
-    std::fclose(f);
-    std::rename(tmp.c_str(), flags.port_file.c_str());
+  tool::InstallShutdownHandlers();
+  if (!flags.port_file.empty() &&
+      !tool::WritePortFile(flags.port_file, net_server.port(), "pkgm_psd")) {
+    shard.AbortBarriers();
+    net_server.Stop();
+    return 1;
   }
-
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = HandleSignal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  const auto start = std::chrono::steady_clock::now();
-  while (g_signal.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (flags.run_seconds > 0 &&
-        std::chrono::steady_clock::now() - start >=
-            std::chrono::seconds(flags.run_seconds)) {
-      break;
-    }
-  }
-  const int signum = g_signal.load();
-  std::printf("\npkgm_psd: %s — draining ...\n",
-              signum != 0 ? ::strsignal(signum) : "run time elapsed");
+  tool::WaitForShutdown(flags.run_seconds, "pkgm_psd");
 
   // Order matters: parked barrier responds count as outstanding frames,
   // so they must be aborted before the drain waits on them.
@@ -215,15 +181,9 @@ int Run(const PsdFlags& flags) {
   const std::string stats_json = net_server.StatsJson();
 
   std::printf("final stats: %s\n", stats_json.c_str());
-  if (!flags.stats_json_path.empty()) {
-    std::FILE* f = std::fopen(flags.stats_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "pkgm_psd: cannot write %s\n",
-                   flags.stats_json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", stats_json.c_str());
-    std::fclose(f);
+  if (!flags.stats_json_path.empty() &&
+      !tool::WriteStatsJson(flags.stats_json_path, stats_json, "pkgm_psd")) {
+    return 1;
   }
   return 0;
 }
