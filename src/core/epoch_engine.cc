@@ -70,7 +70,9 @@ Status RunPipelinedEpoch(
   std::vector<uint64_t> batch_active(num_batches, 0);
   std::vector<uint64_t> batch_pairs(num_batches, 0);
 
-  const size_t pool_size = 2 * static_cast<size_t>(plan.num_workers);
+  // A worker holds its batch and the next one; the third per worker lets
+  // the producer stay ahead of both.
+  const size_t pool_size = 3 * static_cast<size_t>(plan.num_workers);
   std::vector<PairBatch> pool(pool_size);
   BatchQueue work_q, free_q;
   for (PairBatch& batch : pool) free_q.Push(&batch);
@@ -104,7 +106,6 @@ Status RunPipelinedEpoch(
     BatchHingeWorkspace ws;
     std::vector<float> hinges;
     const auto run_batch = [&](const PairBatch& pb) -> Status {
-      PKGM_RETURN_IF_ERROR(worker.Prepare(pb));
       const size_t count = pb.pos.size();
       hinges.resize(count);
       FusedBatchHingeGradients(*plan.model, pb.pos.data(), pb.neg.data(),
@@ -126,10 +127,18 @@ Status RunPipelinedEpoch(
       arena.Clear();
       return st;
     };
+    // One batch ahead: the next batch is taken and prefetched after the
+    // current one's Prepare, before its forward/backward.
     PairBatch* pb = nullptr;
-    while (work_q.Pop(&pb)) {
+    for (bool have = work_q.Pop(&pb); have;) {
+      if (status[w].ok()) status[w] = worker.Prepare(*pb);
+      PairBatch* next = nullptr;
+      const bool have_next = work_q.Pop(&next);
+      if (status[w].ok() && have_next) status[w] = worker.Prefetch(*next);
       if (status[w].ok()) status[w] = run_batch(*pb);
       free_q.Push(pb);
+      pb = next;
+      have = have_next;
     }
     Status st = worker.Finish();
     if (status[w].ok()) status[w] = st;

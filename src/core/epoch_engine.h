@@ -42,6 +42,11 @@ class EpochWorker {
   virtual ~EpochWorker() = default;
   /// Before the batch's forward/backward.
   virtual Status Prepare(const PairBatch&) { return Status::Ok(); }
+  /// Names the batch this worker runs next, after Prepare of the current
+  /// one and before its forward/backward: the distributed worker starts
+  /// that batch's pull here, so the round trip overlaps the current batch.
+  /// The next Prepare is for `next`.
+  virtual Status Prefetch(const PairBatch& /*next*/) { return Status::Ok(); }
   /// Applies the batch's gradients, each row multiplied by `scale`
   /// (1 / batch size). Called only when `grad` is not empty.
   virtual Status Apply(const GradArena& grad, float scale) = 0;
@@ -68,16 +73,19 @@ struct EpochPlan {
 ///   * the store's triples are shuffled with `epoch_rng`, which is then
 ///     forked once for the producer thread. The producer draws the
 ///     negatives of this process's batches in batch order into recycled
-///     batches (two per worker), so the (pos, neg) stream is fixed by the
+///     batches (three per worker), so the (pos, neg) stream is fixed by the
 ///     seed whatever the scheduling. Other processes' batches are skipped
 ///     without drawing: every process's `epoch_rng` advances alike, so
 ///     their next shuffles agree and the slices keep covering each triple
 ///     exactly once per epoch.
 ///   * plan.num_workers threads, each with a worker from `make_worker`, its
-///     own GradArena and BatchHingeWorkspace, take batches: Prepare, one
-///     FusedBatchHingeGradients on plan.model, then Apply when any pair was
-///     active. A worker whose hook fails keeps recycling batches without
-///     running them, so the producer never starves.
+///     own GradArena and BatchHingeWorkspace, take batches one ahead:
+///     Prepare(b), take the next batch and Prefetch it, one
+///     FusedBatchHingeGradients of b on plan.model, Apply when any pair was
+///     active, then the same for the next batch. A worker holds at most two
+///     batches, so the third keeps the producer ahead. A worker whose hook
+///     fails keeps recycling batches without running them, so the producer
+///     never starves.
 ///   * per-batch hinge sums and counts land in batch-indexed slots, merged
 ///     in batch order, so the stats do not depend on scheduling.
 ///

@@ -45,12 +45,15 @@ StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
 
 }  // namespace
 
-/// Per-worker reusable scratch: the touched ids of the current batch split
-/// per shard (sorted unique), plus the in-flight pulls. Everything keeps
-/// its capacity across batches.
+/// Per-worker reusable scratch: the touched ids of the batch being pulled
+/// split per shard (sorted unique), how far the rounds sent so far reach
+/// into them, and the round in flight. Everything keeps its capacity
+/// across batches.
 struct DistTrainer::BatchScratch {
   std::vector<std::vector<uint32_t>> shard_ents;  // per shard
   std::vector<std::vector<uint32_t>> shard_rels;
+  std::vector<size_t> next_ent, next_rel;  // per shard: ids already sent
+  bool more = false;  // ids are left after the round in flight
   std::vector<std::vector<net::PullSection>> requests;  // per shard
   std::vector<size_t> pull_shards;  // the shard of each pull future
   std::vector<std::future<StatusOr<net::Frame>>> pull_futures;
@@ -168,7 +171,13 @@ core::PkgmModel* DistTrainer::replica() {
   return replica_ == nullptr ? nullptr : &replica_->model();
 }
 
-Status DistTrainer::PullShardRows(BatchScratch* sc) {
+Status DistTrainer::StartPull(BatchScratch* sc) {
+  sc->next_ent.assign(clients_.size(), 0);
+  sc->next_rel.assign(clients_.size(), 0);
+  return SendPullRound(sc);
+}
+
+Status DistTrainer::SendPullRound(BatchScratch* sc) {
   const core::PkgmModel& model = replica_->model();
   const size_t num_shards = clients_.size();
   const bool transfers = model.use_relation_module();
@@ -185,66 +194,72 @@ Status DistTrainer::PullShardRows(BatchScratch* sc) {
   const size_t budget =
       net::kDefaultMaxFrameBytes - 4 - 4 * net::kRowsSectionHeaderBytes;
 
+  // One frame per shard in flight at a time, so a shard never queues more
+  // than one reply per worker.
   sc->requests.resize(num_shards);
-  std::vector<size_t> next_ent(num_shards, 0), next_rel(num_shards, 0);
-  for (bool more = true; more;) {
-    // One frame per shard in flight at a time, so a shard never queues
-    // more than one reply per worker.
-    more = false;
-    sc->pull_shards.clear();
-    sc->pull_futures.clear();
-    for (size_t s = 0; s < num_shards; ++s) {
-      const std::vector<uint32_t>& ents = sc->shard_ents[s];
-      const std::vector<uint32_t>& rels = sc->shard_rels[s];
-      size_t& e = next_ent[s];
-      size_t& r = next_rel[s];
-      if (e == ents.size() && r == rels.size()) continue;
-      const bool versioned = replay_kernels_[s] != nullptr;
-      const size_t shard_rel_bytes =
-          rel_bytes + (versioned ? net::kAnswerHeaderBytes : 0);
-      const size_t ne = std::min(ents.size() - e, budget / ent_bytes);
-      const size_t nr = std::min(rels.size() - r,
-                                 (budget - ne * ent_bytes) / shard_rel_bytes);
-      if (ne == 0 && nr == 0) {
-        return Status::InvalidArgument(
-            "one pulled row exceeds the frame size cap");
-      }
-      std::vector<net::PullSection>& sections = sc->requests[s];
-      sections.clear();
-      if (ne > 0) {
-        sections.push_back({net::ParamTable::kEntity,
-                            {ents.begin() + e, ents.begin() + e + ne}});
-      }
-      if (nr > 0) {
-        const std::vector<uint32_t> ids(rels.begin() + r,
-                                        rels.begin() + r + nr);
-        sections.push_back({net::ParamTable::kRelation, ids});
-        if (transfers) {
-          net::PullSection sec{net::ParamTable::kTransfer, ids};
-          if (versioned) {
-            for (uint32_t id : ids) {
-              sec.versions.push_back(replica_->transfer_version(id));
-            }
-          }
-          sections.push_back(std::move(sec));
-        }
-        if (hyperplanes) {
-          sections.push_back({net::ParamTable::kHyperplane, ids});
-        }
-      }
-      e += ne;
-      r += nr;
-      more = more || e < ents.size() || r < rels.size();
-      const uint64_t cid = clients_[s]->NextCorrelationId();
-      sc->pull_shards.push_back(s);
-      sc->pull_futures.push_back(
-          clients_[s]->CallFrame(cid, net::EncodePullRows(cid, sections)));
-      ++pulls_;
+  sc->more = false;
+  sc->pull_shards.clear();
+  sc->pull_futures.clear();
+  for (size_t s = 0; s < num_shards; ++s) {
+    const std::vector<uint32_t>& ents = sc->shard_ents[s];
+    const std::vector<uint32_t>& rels = sc->shard_rels[s];
+    size_t& e = sc->next_ent[s];
+    size_t& r = sc->next_rel[s];
+    if (e == ents.size() && r == rels.size()) continue;
+    const bool versioned = replay_kernels_[s] != nullptr;
+    const size_t shard_rel_bytes =
+        rel_bytes + (versioned ? net::kAnswerHeaderBytes : 0);
+    const size_t ne = std::min(ents.size() - e, budget / ent_bytes);
+    const size_t nr = std::min(rels.size() - r,
+                               (budget - ne * ent_bytes) / shard_rel_bytes);
+    if (ne == 0 && nr == 0) {
+      return Status::InvalidArgument(
+          "one pulled row exceeds the frame size cap");
     }
+    std::vector<net::PullSection>& sections = sc->requests[s];
+    sections.clear();
+    if (ne > 0) {
+      sections.push_back({net::ParamTable::kEntity,
+                          {ents.begin() + e, ents.begin() + e + ne}});
+    }
+    if (nr > 0) {
+      const std::vector<uint32_t> ids(rels.begin() + r,
+                                      rels.begin() + r + nr);
+      sections.push_back({net::ParamTable::kRelation, ids});
+      if (transfers) {
+        net::PullSection sec{net::ParamTable::kTransfer, ids};
+        if (versioned) {
+          for (uint32_t id : ids) {
+            sec.versions.push_back(replica_->transfer_version(id));
+          }
+        }
+        sections.push_back(std::move(sec));
+      }
+      if (hyperplanes) {
+        sections.push_back({net::ParamTable::kHyperplane, ids});
+      }
+    }
+    e += ne;
+    r += nr;
+    sc->more = sc->more || e < ents.size() || r < rels.size();
+    const uint64_t cid = clients_[s]->NextCorrelationId();
+    sc->pull_shards.push_back(s);
+    sc->pull_futures.push_back(
+        clients_[s]->CallFrame(cid, net::EncodePullRows(cid, sections)));
+    ++pulls_;
+  }
+  return Status::Ok();
+}
+
+Status DistTrainer::FinishPull(BatchScratch* sc) {
+  while (true) {
     for (size_t f = 0; f < sc->pull_futures.size(); ++f) {
       const size_t s = sc->pull_shards[f];
+      const Stopwatch wait;
       StatusOr<net::Frame> reply = AwaitType(
           sc->pull_futures[f], net::FrameType::kRows, options_.io_timeout_ms);
+      pull_wait_ns_.fetch_add(
+          static_cast<uint64_t>(wait.ElapsedSeconds() * 1e9));
       if (!reply.ok()) return reply.status();
       uint64_t rows = 0;
       PKGM_RETURN_IF_ERROR(replica_->Apply(reply.value().payload,
@@ -252,8 +267,9 @@ Status DistTrainer::PullShardRows(BatchScratch* sc) {
                                            &sc->apply, &rows));
       rows_pulled_.fetch_add(rows);
     }
+    if (!sc->more) return Status::Ok();
+    PKGM_RETURN_IF_ERROR(SendPullRound(sc));
   }
-  return Status::Ok();
 }
 
 Status DistTrainer::EpochBarrier(uint32_t epoch) {
@@ -281,36 +297,32 @@ Status DistTrainer::EpochBarrier(uint32_t epoch) {
 
 /// One engine worker thread of a DistTrainer epoch: pulls each batch's
 /// rows before its forward/backward and pushes its gradients after it.
+/// Under a staleness bound the next batch's first pull round is sent
+/// before the current batch's forward, so its round trip overlaps compute.
 class DistTrainer::RemoteWorker : public core::EpochWorker {
  public:
   RemoteWorker(DistTrainer* trainer, uint32_t epoch)
       : t_(trainer), epoch_(epoch), inflight_(trainer->clients_.size()) {}
 
-  /// Pulls every row the batch will read, fresh from its shard.
+  /// Pulls every row the batch will read from its shard, finishing the
+  /// pull Prefetch started when there was one.
   Status Prepare(const core::PairBatch& batch) override {
-    const size_t num_shards = t_->clients_.size();
-    std::vector<std::vector<uint32_t>>& ents = scratch_.shard_ents;
-    std::vector<std::vector<uint32_t>>& rels = scratch_.shard_rels;
-    ents.resize(num_shards);
-    rels.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      ents[s].clear();
-      rels[s].clear();
+    if (!prefetched_) {
+      CollectIds(batch);
+      PKGM_RETURN_IF_ERROR(t_->StartPull(&scratch_));
     }
-    for (size_t i = 0; i < batch.pos.size(); ++i) {
-      for (const kg::Triple& t : {batch.pos[i], batch.neg[i].triple}) {
-        ents[t.head % num_shards].push_back(t.head);
-        ents[t.tail % num_shards].push_back(t.tail);
-        rels[t.relation % num_shards].push_back(t.relation);
-      }
-    }
-    for (auto* lists : {&ents, &rels}) {
-      for (std::vector<uint32_t>& ids : *lists) {
-        std::sort(ids.begin(), ids.end());
-        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      }
-    }
-    return t_->PullShardRows(&scratch_);
+    prefetched_ = false;
+    return t_->FinishPull(&scratch_);
+  }
+
+  /// Sends the first round of `next`'s pull. Its rows are read before this
+  /// batch's push, one batch older than a pull at Prepare would read them,
+  /// so only a worker already running under a staleness bound prefetches.
+  Status Prefetch(const core::PairBatch& next) override {
+    if (t_->options_.max_inflight_pushes == 0) return Status::Ok();
+    CollectIds(next);
+    prefetched_ = true;
+    return t_->StartPull(&scratch_);
   }
 
   /// Pushes the arena shard-sliced, with at most max_inflight_pushes acks
@@ -368,6 +380,32 @@ class DistTrainer::RemoteWorker : public core::EpochWorker {
   }
 
  private:
+  /// Fills the scratch's per-shard id lists with the rows `batch` reads.
+  void CollectIds(const core::PairBatch& batch) {
+    const size_t num_shards = t_->clients_.size();
+    std::vector<std::vector<uint32_t>>& ents = scratch_.shard_ents;
+    std::vector<std::vector<uint32_t>>& rels = scratch_.shard_rels;
+    ents.resize(num_shards);
+    rels.resize(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      ents[s].clear();
+      rels[s].clear();
+    }
+    for (size_t i = 0; i < batch.pos.size(); ++i) {
+      for (const kg::Triple& t : {batch.pos[i], batch.neg[i].triple}) {
+        ents[t.head % num_shards].push_back(t.head);
+        ents[t.tail % num_shards].push_back(t.tail);
+        rels[t.relation % num_shards].push_back(t.relation);
+      }
+    }
+    for (auto* lists : {&ents, &rels}) {
+      for (std::vector<uint32_t>& ids : *lists) {
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      }
+    }
+  }
+
   Status WaitAck(std::future<StatusOr<net::Frame>>& fut) {
     StatusOr<net::Frame> reply =
         AwaitType(fut, net::FrameType::kPushAck, t_->options_.io_timeout_ms);
@@ -379,6 +417,7 @@ class DistTrainer::RemoteWorker : public core::EpochWorker {
   DistTrainer* t_;
   const uint32_t epoch_;
   BatchScratch scratch_;
+  bool prefetched_ = false;  // scratch_ holds the next batch's started pull
   std::string push_frame_;
   // Per shard: the unacknowledged pushes, oldest first.
   std::vector<std::deque<std::future<StatusOr<net::Frame>>>> inflight_;
@@ -446,7 +485,8 @@ Status DistTrainer::PullFullModel() {
       sc.shard_rels[s].push_back(r);
     }
   }
-  return PullShardRows(&sc);
+  PKGM_RETURN_IF_ERROR(StartPull(&sc));
+  return FinishPull(&sc);
 }
 
 double DistTrainer::EvaluateMeanHinge() {

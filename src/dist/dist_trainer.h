@@ -41,10 +41,11 @@ struct DistTrainerOptions {
   core::NegativeSampler::Options negative;
   uint64_t seed = 17;
   /// Staleness bound: at most this many unacknowledged pushes per shard
-  /// per worker before the worker blocks on the oldest ack. 0 = fully
-  /// synchronous (each push waits for its ack before the next pull), the
-  /// mode whose 1-worker trajectory is bit-identical to the in-process
-  /// trainer.
+  /// per worker before the worker blocks on the oldest ack. Above 0 a
+  /// worker also sends its next batch's pull before the current batch's
+  /// forward. 0 = fully synchronous (each push waits for its ack before the
+  /// next pull), the mode whose 1-worker trajectory is bit-identical to the
+  /// in-process trainer.
   uint32_t max_inflight_pushes = 4;
   /// Per remote call (pull / ack / info); barriers wait forever is wrong,
   /// so they use this bound too — size it to cover the slowest peer's
@@ -58,8 +59,11 @@ struct DistTrainerOptions {
 /// in-process Trainer's epoch engine (core::RunPipelinedEpoch) with remote
 /// workers: each batch's touched rows are pulled from their shards first,
 /// and the batch's GradArena is pushed back shard-sliced with a bounded
-/// number of acks outstanding (the staleness bound). The shards apply the
-/// pushes with the Trainer's own optimizer (core::RowOptimizer).
+/// number of acks outstanding (the staleness bound). Under that bound the
+/// pull of a worker's next batch is sent before the current batch's
+/// forward (EpochWorker::Prefetch) and applied before the next batch's.
+/// The shards apply the pushes with the Trainer's own optimizer
+/// (core::RowOptimizer).
 ///
 /// Determinism: the shuffle / negative stream is the Trainer's for a fixed
 /// seed, and per-batch stats land in batch-indexed slots merged in batch
@@ -109,16 +113,24 @@ class DistTrainer {
   uint64_t rows_pulled() const { return rows_pulled_.load(); }
   uint64_t pushes() const { return pushes_.load(); }
   uint64_t rows_pushed() const { return rows_pushed_.load(); }
+  /// Time workers spent blocked on kRows replies, summed over workers; the
+  /// replica apply of the replies is not counted.
+  double pull_wait_seconds() const { return pull_wait_ns_.load() * 1e-9; }
 
  private:
   struct BatchScratch;
   class RemoteWorker;
 
-  /// Pulls `shard_ents[s]` / `shard_rels[s]` from every shard s into the
-  /// replica, in as many kRows frames per shard as the client's frame cap
-  /// requires. Transfer rows are pulled versioned from the shards in
-  /// replay_kernels_.
-  Status PullShardRows(BatchScratch* scratch);
+  /// Starts pulling `shard_ents[s]` / `shard_rels[s]` from every shard s
+  /// into the replica: sends the first round, one kRows frame per shard.
+  /// Transfer rows are pulled versioned from the shards in replay_kernels_.
+  Status StartPull(BatchScratch* scratch);
+  /// Sends the next round: per shard with ids left, one frame of as many of
+  /// them as the client's frame cap allows.
+  Status SendPullRound(BatchScratch* scratch);
+  /// Awaits the round in flight and applies its replies, then pulls the
+  /// remaining rounds the same way.
+  Status FinishPull(BatchScratch* scratch);
   /// Sends the epoch barrier to every shard and waits for the releases.
   Status EpochBarrier(uint32_t epoch);
 
@@ -140,6 +152,7 @@ class DistTrainer {
   std::atomic<uint64_t> rows_pulled_{0};
   std::atomic<uint64_t> pushes_{0};
   std::atomic<uint64_t> rows_pushed_{0};
+  std::atomic<uint64_t> pull_wait_ns_{0};
 };
 
 }  // namespace pkgm::dist

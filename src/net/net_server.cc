@@ -118,9 +118,13 @@ struct NetServer::HandlerRespondState {
   // A respond dropped without ever being invoked still completes its
   // frame: the peer simply gets no reply (it sees the close or times
   // out). Without this, a handler that abandons a parked respond would
-  // wedge Stop()'s outstanding-frame wait forever.
+  // wedge Stop()'s outstanding-frame wait forever. The destructor may run
+  // on any thread, so the connection's count goes to its loop as a
+  // completion with no bytes; then an idle connection can be reaped and
+  // a draining one closed.
   ~HandlerRespondState() {
     if (!responded.load(std::memory_order_acquire)) {
+      server->PostCompletion(thread_index, conn_id, std::string());
       --server->outstanding_frames_;
     }
   }
@@ -472,7 +476,10 @@ void NetServer::DrainMailboxes(IoThread& io) {
     Connection& conn = *it->second;
     PKGM_CHECK(conn.in_flight_frames > 0);
     --conn.in_flight_frames;
-    SendOnLoop(io, conn, std::move(completion.bytes));
+    // No bytes: the respond was dropped, and there is nothing to send.
+    if (!completion.bytes.empty()) {
+      SendOnLoop(io, conn, std::move(completion.bytes));
+    }
   }
 }
 

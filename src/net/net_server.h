@@ -169,7 +169,8 @@ class NetServer {
   /// offset) and bumps the byte counters.
   void RetireOutboxBytes(Connection& conn, size_t n);
   void CloseConnection(IoThread& io, uint64_t conn_id);
-  /// Worker-side: hand an encoded response frame to the owning I/O thread.
+  /// Worker-side: hand an encoded response frame to the owning I/O thread;
+  /// empty `bytes` only count a dropped respond's frame down.
   void PostCompletion(size_t thread_index, uint64_t conn_id,
                       std::string bytes);
   void SignalThread(IoThread& io);

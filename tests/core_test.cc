@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -806,6 +808,148 @@ TEST(EpochEngineTest, ProcessSlicesPartitionEveryEpoch) {
       EXPECT_EQ(slices[1 - b % 2][e].count(b), 0u) << "batch " << b;
       ASSERT_EQ(mine.count(b), 1u) << "batch " << b;
       EXPECT_EQ(mine.at(b), pos) << "batch " << b;
+    }
+  }
+}
+
+// Records its own worker's Prepare, Prefetch and Finish calls in order;
+// applies nothing. Only its worker thread touches `events`, which the test
+// reads after the epoch. The first Prepare waits at `start` until every
+// worker holds a batch, so each worker takes part.
+class LookaheadWorker : public EpochWorker {
+ public:
+  enum class Hook { kPrepare, kPrefetch, kFinish };
+  struct Event {
+    Hook hook;
+    size_t index;  // the batch; 0 for kFinish
+  };
+  LookaheadWorker(std::vector<Event>* events, bool fail_prefetch,
+                  std::barrier<>* start)
+      : events_(events), fail_prefetch_(fail_prefetch), start_(start) {}
+
+  Status Prepare(const PairBatch& batch) override {
+    if (events_->empty()) start_->arrive_and_wait();
+    events_->push_back({Hook::kPrepare, batch.index});
+    return Status::Ok();
+  }
+  Status Prefetch(const PairBatch& next) override {
+    events_->push_back({Hook::kPrefetch, next.index});
+    return fail_prefetch_ ? Status::Internal("prefetch failed") : Status::Ok();
+  }
+  Status Apply(const GradArena&, float) override { return Status::Ok(); }
+  Status Finish() override {
+    events_->push_back({Hook::kFinish, 0});
+    return Status::Ok();
+  }
+
+ private:
+  std::vector<Event>* events_;
+  const bool fail_prefetch_;
+  std::barrier<>* start_;
+};
+
+using Hook = LookaheadWorker::Hook;
+
+// One epoch of SmallKg (25 triples) at `batch_size`, one worker per entry
+// of `fail`, built in order; worker w's Prefetch fails when fail[w]. Fills
+// each worker's hook calls into (*events)[w].
+Status RunLookaheadEpoch(uint32_t batch_size, const std::vector<bool>& fail,
+                         Rng* rng,
+                         std::vector<std::vector<LookaheadWorker::Event>>*
+                             events) {
+  const kg::TripleStore store = SmallKg();
+  const PkgmModel model(SmallModel(20, 4, 8));
+  const NegativeSampler sampler(FillNegativeOptions({}, model), &store);
+  EpochPlan plan;
+  plan.model = &model;
+  plan.store = &store;
+  plan.sampler = &sampler;
+  plan.batch_size = batch_size;
+  plan.num_workers = static_cast<uint32_t>(fail.size());
+  events->assign(fail.size(), {});
+  std::barrier<> start(static_cast<std::ptrdiff_t>(fail.size()));
+  size_t made = 0;
+  EpochStats stats;
+  return RunPipelinedEpoch(
+      plan, rng,
+      [&] {
+        const size_t w = made++;
+        return std::make_unique<LookaheadWorker>(&(*events)[w], fail[w],
+                                                 &start);
+      },
+      &stats);
+}
+
+TEST(EpochEngineTest, EachWorkerPreparesTheBatchItPrefetched) {
+  Rng rng(47);
+  for (uint32_t epoch = 0; epoch < 3; ++epoch) {
+    SCOPED_TRACE(epoch);
+    std::vector<std::vector<LookaheadWorker::Event>> events;
+    const Status st = RunLookaheadEpoch(2, {false, false, false}, &rng,
+                                        &events);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    std::map<size_t, int> prepared;
+    size_t prefetches = 0;
+    for (size_t w = 0; w < events.size(); ++w) {
+      SCOPED_TRACE(w);
+      const std::vector<LookaheadWorker::Event>& ev = events[w];
+      ASSERT_GE(ev.size(), 2u);
+      EXPECT_EQ(ev.back().hook, Hook::kFinish);
+      for (size_t i = 0; i + 1 < ev.size(); ++i) {
+        EXPECT_NE(ev[i].hook, Hook::kFinish);
+        if (ev[i].hook == Hook::kPrepare) {
+          ++prepared[ev[i].index];
+          continue;
+        }
+        ++prefetches;
+        // A prefetch follows the current batch's Prepare, and the worker's
+        // next call prepares exactly the prefetched batch.
+        ASSERT_GT(i, 0u);
+        EXPECT_EQ(ev[i - 1].hook, Hook::kPrepare);
+        EXPECT_EQ(ev[i + 1].hook, Hook::kPrepare);
+        EXPECT_EQ(ev[i + 1].index, ev[i].index);
+      }
+    }
+    // 25 triples in batches of 2: each of the 13 is prepared exactly once,
+    // and every batch but each worker's first was prefetched.
+    ASSERT_EQ(prepared.size(), 13u);
+    for (const auto& [b, count] : prepared) {
+      EXPECT_LT(b, 13u);
+      EXPECT_EQ(count, 1) << "batch " << b;
+    }
+    EXPECT_EQ(prefetches, 13u - events.size());
+  }
+}
+
+TEST(EpochEngineTest, FailedPrefetchReturnsItsErrorAndRecyclesBatches) {
+  Rng rng(53);
+  std::vector<std::vector<LookaheadWorker::Event>> events;
+  // One worker, 25 one-triple batches through a pool of three. A failed
+  // worker that kept taking batches without handing them back would drain
+  // the pool and stall the producer, so the epoch returning shows each
+  // batch it took was recycled. It calls no hook but Finish after the
+  // failure.
+  Status st = RunLookaheadEpoch(1, {true}, &rng, &events);
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(st.message(), "prefetch failed");
+  ASSERT_EQ(events[0].size(), 3u);
+  EXPECT_EQ(events[0][0].hook, Hook::kPrepare);
+  EXPECT_EQ(events[0][1].hook, Hook::kPrefetch);
+  EXPECT_EQ(events[0][2].hook, Hook::kFinish);
+
+  // Beside a healthy worker the failed one's error is still the epoch's,
+  // the healthy one still finishes, and no batch is prepared twice.
+  st = RunLookaheadEpoch(1, {false, true}, &rng, &events);
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  ASSERT_EQ(events[1].size(), 3u);
+  EXPECT_EQ(events[1][1].hook, Hook::kPrefetch);
+  EXPECT_EQ(events[0].back().hook, Hook::kFinish);
+  std::set<size_t> prepared;
+  for (const auto& ev : events) {
+    for (const LookaheadWorker::Event& e : ev) {
+      if (e.hook == Hook::kPrepare) {
+        EXPECT_TRUE(prepared.insert(e.index).second) << "batch " << e.index;
+      }
     }
   }
 }

@@ -661,6 +661,70 @@ TEST(DistTrainerTest, FramesOverFourMiBBitExactAtDim64) {
   }
 }
 
+TEST(DistTrainerTest, PrefetchedPullsSplitPastFourMiB) {
+  // FramesOverFourMiBBitExactAtDim64's shape under the default staleness
+  // bound: each worker sends its next batch's first pull round before the
+  // current batch's forward, and the rest of a split pull follows at
+  // Prepare. The replica must still converge on the shard's bytes.
+  core::PkgmModelOptions mo;
+  mo.num_entities = 600;
+  mo.num_relations = 300;
+  mo.dim = 64;
+  mo.seed = 91;
+  kg::TripleStore store;
+  Rng rng(5);
+  while (store.size() < 1024) {
+    store.Add(static_cast<uint32_t>(rng.Uniform(mo.num_entities)),
+              static_cast<uint32_t>(rng.Uniform(mo.num_relations)),
+              static_cast<uint32_t>(rng.Uniform(mo.num_entities)));
+  }
+  const uint32_t epochs = 4;
+  const uint32_t batch = 512;
+
+  ParamServerOptions base;
+  base.model = mo;
+  base.optimizer = core::OptimizerKind::kSgd;
+  base.learning_rate = 0.05f;
+  Cluster cluster;
+  cluster.Start(1, base);
+  DistTrainerOptions dopt;
+  dopt.shard_endpoints = cluster.endpoints;
+  dopt.num_workers = 1;
+  dopt.batch_size = batch;
+  dopt.learning_rate = 0.05f;
+  dopt.seed = 321;
+  dopt.max_inflight_pushes = 4;
+  DistTrainer trainer(&store, dopt);
+  ASSERT_TRUE(trainer.Connect().ok());
+  std::vector<double> hinges;
+  for (uint32_t e = 0; e < epochs; ++e) {
+    StatusOr<core::EpochStats> stats = trainer.RunEpoch();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    hinges.push_back(stats->mean_hinge);
+  }
+  EXPECT_LT(hinges.back(), hinges.front());
+  const uint64_t batches = epochs * ((store.size() + batch - 1) / batch);
+  EXPECT_GT(trainer.pulls(), batches);
+  EXPECT_GT(trainer.pull_wait_seconds(), 0.0);
+  ASSERT_TRUE(trainer.PullFullModel().ok());
+
+  const core::PkgmModel& replica = *trainer.replica();
+  const core::PkgmModel& shard = cluster.shards[0]->model();
+  const size_t row = mo.dim * sizeof(float);
+  for (uint32_t e = 0; e < mo.num_entities; ++e) {
+    ASSERT_EQ(std::memcmp(replica.entity(e), shard.entity(e), row), 0)
+        << "entity " << e;
+  }
+  for (uint32_t r = 0; r < mo.num_relations; ++r) {
+    ASSERT_EQ(std::memcmp(replica.relation(r), shard.relation(r), row), 0)
+        << "relation " << r;
+    ASSERT_EQ(std::memcmp(replica.transfer(r), shard.transfer(r),
+                          mo.dim * row),
+              0)
+        << "transfer " << r;
+  }
+}
+
 TEST(DistTrainerTest, TwoWorkersTwoShardsHingeParity) {
   // A real (if small) synthetic PKG so hogwild noise averages out enough
   // for the 2% acceptance bound to be a meaningful assertion.

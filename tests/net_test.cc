@@ -864,9 +864,7 @@ TEST(NetClientTest, EveryReplyKindRoutesOverOneConnection) {
 
 TEST(NetClientTest, ReconnectDuringPendingPush) {
   ReversingPushHandler handler;
-  NetServerOptions nopt;
-  nopt.drain_timeout_ms = 50;  // force-close the parked push quickly
-  auto first = std::make_unique<NetServer>(&handler, nopt);
+  auto first = std::make_unique<NetServer>(&handler);
   ASSERT_TRUE(first->Start().ok());
   const uint16_t port = first->port();
 
@@ -883,7 +881,8 @@ TEST(NetClientTest, ReconnectDuringPendingPush) {
 
   // Abandon drops the parked respond without invoking it: the frame
   // completes with no reply, so Stop()'s outstanding-frame wait must not
-  // wedge, and the drain force-closes the connection at the deadline.
+  // wedge, and the drain closes the connection without waiting out its
+  // timeout.
   handler.Abandon();
   first->Stop();
   first.reset();
@@ -917,6 +916,41 @@ TEST(NetClientTest, ReconnectDuringPendingPush) {
 
   client.value().reset();
   second.Stop();
+}
+
+TEST(NetServerTest, DroppedRespondLetsItsConnectionIdleAndDrain) {
+  // A respond the handler drops completes its frame with no reply, and its
+  // connection's count of routed frames falls too: the idle reaper closes
+  // the connection, and Stop() at the default 5,000 ms drain does not wait
+  // out the timeout for it.
+  ReversingPushHandler handler;
+  NetServerOptions nopt;
+  nopt.idle_timeout_ms = 100;
+  ASSERT_EQ(nopt.drain_timeout_ms, 5000);
+  NetServer server(&handler, nopt);
+  ASSERT_TRUE(server.Start().ok());
+  const auto park_and_drop = [&](int fd, uint64_t cid) {
+    ASSERT_TRUE(RawSend(fd, EncodePushGrads(cid, 1.0f, 7, "dropped")));
+    ASSERT_TRUE(WaitFor([&] { return handler.parked() == 1u; }));
+    handler.Abandon();
+  };
+
+  auto idle = ConnectTcp("127.0.0.1", server.port(), 5000);
+  ASSERT_TRUE(idle.ok());
+  park_and_drop(idle.value().get(), 1);
+  char buf[16];
+  EXPECT_TRUE(WaitFor([&] {
+    return ::recv(idle.value().get(), buf, sizeof(buf), MSG_DONTWAIT) == 0;
+  }));
+  EXPECT_EQ(server.net_counters().idle_disconnects, 1u);
+
+  auto draining = ConnectTcp("127.0.0.1", server.port(), 5000);
+  ASSERT_TRUE(draining.ok());
+  park_and_drop(draining.value().get(), 2);
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
 }
 
 // pkgm_netd's snapshot (a ServingHandler over a KnowledgeServer) and

@@ -438,9 +438,11 @@ int CmdTrain(int argc, char** argv) {
       }
       report(e, stats.value());
     }
-    std::printf("trained in %.1fs (%llu pulls, %llu pushes)\n",
+    std::printf("trained in %.1fs (%llu pulls, %.2fs pull wait, "
+                "%llu pushes)\n",
                 sw.ElapsedSeconds(),
                 static_cast<unsigned long long>(trainer.pulls()),
+                trainer.pull_wait_seconds(),
                 static_cast<unsigned long long>(trainer.pushes()));
     // Refresh the replica so the checkpoint is the shards' merged state.
     st = trainer.PullFullModel();
