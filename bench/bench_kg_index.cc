@@ -169,7 +169,9 @@ int Run(bool smoke, const std::string& json_path) {
   // the checksum pass at open already faults every page of the mapping in.
   ::malloc_trim(0);
   const uint64_t idx_rss0 = ResidentBytes();
+  Stopwatch open_sw;
   auto opened = kg::MmapTripleIndex::Open(index_path);
+  const double open_ms = open_sw.ElapsedMillis();
   PKGM_CHECK(opened.ok()) << opened.status().message();
   const kg::MmapTripleIndex& index = opened.value();
   idx.rss_delta = ResidentBytes() - idx_rss0;
@@ -219,6 +221,7 @@ int Run(bool smoke, const std::string& json_path) {
               build.seconds,
               static_cast<double>(build.num_triples) / build.seconds,
               WithThousandsSeparators(build.file_bytes).c_str());
+  std::printf("verified open: %.3f ms\n", open_ms);
   std::printf("joins: %u conjunctive queries, p50 %.1f us, p95 %.1f us, "
               "%s result rows\n",
               c.join_queries, join_us.Percentile(0.5),
@@ -278,6 +281,7 @@ int Run(bool smoke, const std::string& json_path) {
                  c.join_queries, join_us.Percentile(0.5),
                  join_us.Percentile(0.95),
                  static_cast<unsigned long long>(join_results));
+    std::fprintf(f, "  \"open_ms\": %.3f,\n", open_ms);
     std::fprintf(f, "  \"rss_ratio\": %.4f,\n", rss_ratio);
     std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
     std::fclose(f);

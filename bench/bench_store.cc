@@ -201,7 +201,9 @@ int Run(bool smoke, const std::string& json_path) {
   // Phase 2: fp32 mmap. The rss baseline is read before Open() because the
   // checksum pass at open already faults every page of the mapping in.
   const uint64_t fp32_rss0 = ResidentBytes();
+  Stopwatch open_sw;
   auto fp32_store = store::MmapEmbeddingStore::Open(fp32_path);
+  const double fp32_open_ms = open_sw.ElapsedMillis();
   PKGM_CHECK(fp32_store.ok()) << fp32_store.status().message();
   {
     SweepStore(*fp32_store);
@@ -213,7 +215,9 @@ int Run(bool smoke, const std::string& json_path) {
 
   // Phase 3: int8 mmap.
   const uint64_t int8_rss0 = ResidentBytes();
+  open_sw.Reset();
   auto int8_store = store::MmapEmbeddingStore::Open(int8_path);
+  const double int8_open_ms = open_sw.ElapsedMillis();
   PKGM_CHECK(int8_store.ok()) << int8_store.status().message();
   {
     SweepStore(*int8_store);
@@ -246,6 +250,8 @@ int Run(bool smoke, const std::string& json_path) {
   std::printf("int8-mmap store is %.1f%% of the fp32-heap tables "
               "(target <= ~30%%)\n",
               100.0 * size_ratio);
+  std::printf("verified open: fp32 %.3f ms, int8 %.3f ms\n", fp32_open_ms,
+              int8_open_ms);
   std::printf("int8 mean condensed cosine vs fp32: %.5f over %u items "
               "(target >= 0.99)\n",
               cosine, cosine_items);
@@ -278,6 +284,8 @@ int Run(bool smoke, const std::string& json_path) {
                    i + 1 < 3 ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"open_ms\": {\"fp32\": %.3f, \"int8\": %.3f},\n",
+                 fp32_open_ms, int8_open_ms);
     std::fprintf(f, "  \"int8_size_ratio\": %.4f,\n", size_ratio);
     std::fprintf(f, "  \"int8_mean_cosine\": %.6f,\n", cosine);
     std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");

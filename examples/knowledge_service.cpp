@@ -20,6 +20,7 @@
 
 #include "core/link_prediction.h"
 #include "kg/query_engine.h"
+#include "store/embedding_store_writer.h"
 #include "tasks/pipeline.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
@@ -129,7 +130,9 @@ int main(int argc, char** argv) {
     } else if (cmd == "save") {
       std::string path;
       iss >> path;
-      Status s = p.model->SaveToFile(path);
+      // A checkpoint is an fp32 .pkgs store: servable and reloadable
+      // (store::LoadModel) as written.
+      Status s = store::EmbeddingStoreWriter().Write(*p.model, path);
       std::printf("%s\n", s.ToString().c_str());
     } else if (!cmd.empty()) {
       std::printf("commands: item <index> | save <path> | quit\n");

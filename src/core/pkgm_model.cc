@@ -1,22 +1,14 @@
 #include "core/pkgm_model.h"
 
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "core/service_math.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace pkgm::core {
-
-namespace {
-// Checkpoint magic/version for corruption detection.
-constexpr uint32_t kMagic = 0x504b474du;  // "PKGM"
-constexpr uint32_t kVersion = 2;
-}  // namespace
 
 PkgmModel::PkgmModel(const PkgmModelOptions& options)
     : options_(options),
@@ -174,133 +166,6 @@ void PkgmModel::NormalizeHyperplane(uint32_t r) {
   float* w = hyperplane(r);
   const float norm = L2Norm(options_.dim, w);
   if (norm > 0.0f) Scale(options_.dim, 1.0f / norm, w);
-}
-
-namespace {
-
-Status WriteBlock(std::FILE* f, const void* data, size_t bytes) {
-  if (std::fwrite(data, 1, bytes, f) != bytes) {
-    return Status::IoError("short write");
-  }
-  return Status::Ok();
-}
-
-Status ReadBlock(std::FILE* f, void* data, size_t bytes) {
-  if (std::fread(data, 1, bytes, f) != bytes) {
-    return Status::IoError("short read");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status PkgmModel::SaveToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  uint32_t header[7] = {kMagic,
-                        kVersion,
-                        options_.num_entities,
-                        options_.num_relations,
-                        options_.dim,
-                        options_.use_relation_module ? 1u : 0u,
-                        static_cast<uint32_t>(options_.scorer)};
-  Status s = WriteBlock(f, header, sizeof(header));
-  if (s.ok()) s = WriteBlock(f, entities_.data(), entities_.size() * sizeof(float));
-  if (s.ok()) s = WriteBlock(f, relations_.data(), relations_.size() * sizeof(float));
-  if (s.ok() && options_.use_relation_module) {
-    s = WriteBlock(f, transfers_.data(), transfers_.size() * sizeof(float));
-  }
-  if (s.ok() && options_.scorer == TripleScorerKind::kTransH) {
-    s = WriteBlock(f, hyperplanes_.data(),
-                   hyperplanes_.size() * sizeof(float));
-  }
-  std::fclose(f);
-  return s;
-}
-
-StatusOr<PkgmModel> PkgmModel::LoadFromFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("cannot open %s for reading", path.c_str()));
-  }
-  uint32_t header[7];
-  Status s = ReadBlock(f, header, sizeof(header));
-  if (!s.ok()) {
-    std::fclose(f);
-    return Status::Corruption(
-        StrFormat("%s: too short to hold a checkpoint header", path.c_str()));
-  }
-  if (header[0] != kMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in checkpoint");
-  }
-  if (header[1] != kVersion) {
-    std::fclose(f);
-    return Status::Corruption(StrFormat("unsupported checkpoint version %u", header[1]));
-  }
-  PkgmModelOptions opt;
-  opt.num_entities = header[2];
-  opt.num_relations = header[3];
-  opt.dim = header[4];
-  opt.use_relation_module = header[5] != 0;
-  if (header[6] > static_cast<uint32_t>(TripleScorerKind::kTransH)) {
-    std::fclose(f);
-    return Status::Corruption("unknown scorer kind in checkpoint");
-  }
-  opt.scorer = static_cast<TripleScorerKind>(header[6]);
-  // Validate the header against the actual file size *before* allocating
-  // tables from its counts: a flipped header byte must yield a clean
-  // Status, not a multi-gigabyte allocation or a model built from
-  // uninitialized bytes after a short read.
-  if (opt.num_entities == 0 || opt.num_relations == 0 || opt.dim == 0) {
-    std::fclose(f);
-    return Status::Corruption("checkpoint header has zero-sized tables");
-  }
-  if (opt.scorer == TripleScorerKind::kComplEx && opt.dim % 2 != 0) {
-    std::fclose(f);
-    return Status::Corruption("ComplEx checkpoint with odd dimension");
-  }
-  uint64_t expected = sizeof(header);
-  const uint64_t d = opt.dim;
-  expected += static_cast<uint64_t>(opt.num_entities) * d * sizeof(float);
-  expected += static_cast<uint64_t>(opt.num_relations) * d * sizeof(float);
-  if (opt.use_relation_module) {
-    expected += static_cast<uint64_t>(opt.num_relations) * d * d * sizeof(float);
-  }
-  if (opt.scorer == TripleScorerKind::kTransH) {
-    expected += static_cast<uint64_t>(opt.num_relations) * d * sizeof(float);
-  }
-  if (fseeko(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IoError(StrFormat("cannot stat %s", path.c_str()));
-  }
-  const uint64_t actual = static_cast<uint64_t>(ftello(f));
-  if (actual != expected) {
-    std::fclose(f);
-    return Status::Corruption(StrFormat(
-        "checkpoint %s is truncated or corrupt: header implies %llu bytes, "
-        "file has %llu",
-        path.c_str(), static_cast<unsigned long long>(expected),
-        static_cast<unsigned long long>(actual)));
-  }
-  fseeko(f, sizeof(header), SEEK_SET);
-  PkgmModel model(opt);
-  s = ReadBlock(f, model.entities_.data(), model.entities_.size() * sizeof(float));
-  if (s.ok()) {
-    s = ReadBlock(f, model.relations_.data(), model.relations_.size() * sizeof(float));
-  }
-  if (s.ok() && opt.use_relation_module) {
-    s = ReadBlock(f, model.transfers_.data(), model.transfers_.size() * sizeof(float));
-  }
-  if (s.ok() && opt.scorer == TripleScorerKind::kTransH) {
-    s = ReadBlock(f, model.hyperplanes_.data(),
-                  model.hyperplanes_.size() * sizeof(float));
-  }
-  std::fclose(f);
-  if (!s.ok()) return s;
-  return model;
 }
 
 }  // namespace pkgm::core

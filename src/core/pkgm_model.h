@@ -2,14 +2,12 @@
 #define PKGM_CORE_PKGM_MODEL_H_
 
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "core/embedding_source.h"
 #include "kg/triple.h"
 #include "tensor/vec.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace pkgm::core {
 
@@ -185,11 +183,6 @@ class PkgmModel : public EmbeddingSource {
   /// Renormalizes a TransH hyperplane normal to exactly unit length (the
   /// hard ||w_r|| = 1 constraint of TransH). No-op for other scorers.
   void NormalizeHyperplane(uint32_t r);
-
-  /// Binary checkpoint of all parameters + options.
-  Status SaveToFile(const std::string& path) const;
-  /// Loads a checkpoint produced by SaveToFile.
-  static StatusOr<PkgmModel> LoadFromFile(const std::string& path);
 
  private:
   PkgmModelOptions options_;

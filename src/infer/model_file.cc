@@ -1,12 +1,10 @@
 #include "infer/model_file.h"
 
-#include <cstdio>
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "store/store_format.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -15,84 +13,74 @@ namespace {
 
 // ------------------------------------------------------------- writing --
 
-void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out->append(b, 8);
-}
-
-void PutF32(std::string* out, float v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out->append(b, 4);
+/// Appends `v`'s little-endian bytes.
+template <typename T>
+void Put(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
+  Put(out, static_cast<uint32_t>(s.size()));
   out->append(s.data(), s.size());
 }
 
-void PutMatRecord(std::string* out, std::string_view name, const Mat& m) {
-  PutString(out, name);
-  PutU32(out, static_cast<uint32_t>(m.rows()));
-  PutU32(out, static_cast<uint32_t>(m.cols()));
-  out->append(reinterpret_cast<const char*>(m.data()),
-              m.size() * sizeof(float));
-}
-
-void PutParams(std::string* out, const std::vector<nn::Parameter*>& params) {
-  PutU32(out, static_cast<uint32_t>(params.size()));
-  for (const nn::Parameter* p : params) {
-    PutMatRecord(out, p->name, p->value);
-  }
-}
-
 void PutVocab(std::string* out, const text::Tokenizer& tok) {
-  PutU32(out, tok.vocab_size());
+  Put(out, tok.vocab_size());
   for (const std::string& name : tok.names()) PutString(out, name);
 }
 
 void PutBertConfig(std::string* out, const text::TinyBertConfig& cfg) {
-  PutU32(out, cfg.vocab_size);
-  PutU32(out, cfg.dim);
-  PutU32(out, cfg.layers);
-  PutU32(out, cfg.heads);
-  PutU32(out, cfg.ff_dim);
-  PutU32(out, cfg.max_len);
-  PutU32(out, cfg.num_segments);
-  PutU64(out, cfg.seed);
+  Put(out, cfg.vocab_size);
+  Put(out, cfg.dim);
+  Put(out, cfg.layers);
+  Put(out, cfg.heads);
+  Put(out, cfg.ff_dim);
+  Put(out, cfg.max_len);
+  Put(out, cfg.num_segments);
+  Put(out, cfg.seed);
 }
 
-Status WriteFile(InferTask task, tasks::PkgmVariant variant,
-                 uint64_t generation, const std::string& payload,
-                 const std::string& path) {
-  InferModelHeader header;
-  header.task = static_cast<uint32_t>(task);
-  header.variant = static_cast<uint32_t>(variant);
-  header.generation = generation;
-  header.payload_bytes = payload.size();
-  header.payload_checksum = store::Fnv1a64(payload.data(), payload.size());
+/// Streams one {name, rows, cols, f32 data} record into the open section.
+void WriteMatRecord(SectionWriter* out, std::string_view name, const Mat& m) {
+  std::string head;
+  PutString(&head, name);
+  Put(&head, static_cast<uint32_t>(m.rows()));
+  Put(&head, static_cast<uint32_t>(m.cols()));
+  out->Write(head.data(), head.size());
+  out->Write(m.data(), m.size() * sizeof(float));
+}
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(StrFormat("open %s for writing failed",
-                                     path.c_str()));
+/// Writes a whole .pkgi: META, CONF, VOCB (when `tok` is set) and the
+/// PARM records of `params` plus `item_features` (when set), the weights
+/// streamed straight from the model.
+Status WriteFile(InferTask task, tasks::PkgmVariant variant,
+                 uint64_t generation, const std::string& config,
+                 const text::Tokenizer* tok,
+                 const std::vector<nn::Parameter*>& params,
+                 const Mat* item_features, const std::string& path) {
+  InferModelMeta meta;
+  meta.task = static_cast<uint32_t>(task);
+  meta.variant = static_cast<uint32_t>(variant);
+  meta.generation = generation;
+  SectionWriter file(path, kInferModelMagic, kInferModelVersion);
+  file.Add(kMetaSection, &meta, sizeof(meta));
+  file.Add(kConfigSection, config.data(), config.size());
+  if (tok != nullptr) {
+    std::string vocab;
+    PutVocab(&vocab, *tok);
+    file.Add(kVocabSection, vocab.data(), vocab.size());
   }
-  Status status = Status::Ok();
-  if (std::fwrite(&header, 1, sizeof(header), f) != sizeof(header) ||
-      std::fwrite(payload.data(), 1, payload.size(), f) != payload.size()) {
-    status = Status::IoError(StrFormat("short write to %s", path.c_str()));
+  file.Begin(kParamsSection);
+  const uint32_t count =
+      static_cast<uint32_t>(params.size() + (item_features != nullptr));
+  file.Write(&count, sizeof(count));
+  for (const nn::Parameter* p : params) {
+    WriteMatRecord(&file, p->name, p->value);
   }
-  if (std::fclose(f) != 0 && status.ok()) {
-    status = Status::IoError(StrFormat("close %s failed", path.c_str()));
+  if (item_features != nullptr) {
+    WriteMatRecord(&file, "item_features", *item_features);
   }
-  return status;
+  return file.Finish();
 }
 
 // ------------------------------------------------------------- reading --
@@ -107,35 +95,21 @@ class PayloadReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
 
-  bool ReadU32(uint32_t* v) {
-    if (remaining() < 4) return false;
-    std::memcpy(v, data_.data() + pos_, 4);
-    pos_ += 4;
+  bool ReadBytes(void* out, size_t n) {
+    if (remaining() < n) return false;
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
     return true;
   }
-  bool ReadU64(uint64_t* v) {
-    if (remaining() < 8) return false;
-    std::memcpy(v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool ReadF32(float* v) {
-    if (remaining() < 4) return false;
-    std::memcpy(v, data_.data() + pos_, 4);
-    pos_ += 4;
-    return true;
+  template <typename T>
+  bool Read(T* v) {
+    return ReadBytes(v, sizeof(T));
   }
   bool ReadString(std::string* out) {
     uint32_t len = 0;
-    if (!ReadU32(&len) || remaining() < len) return false;
+    if (!Read(&len) || remaining() < len) return false;
     out->assign(data_.data() + pos_, len);
     pos_ += len;
-    return true;
-  }
-  bool ReadFloats(size_t n, float* out) {
-    if (remaining() < n * sizeof(float)) return false;
-    std::memcpy(out, data_.data() + pos_, n * sizeof(float));
-    pos_ += n * sizeof(float);
     return true;
   }
 
@@ -150,10 +124,10 @@ Status Corrupt(const char* what) {
 }
 
 Status ReadBertConfig(PayloadReader* r, text::TinyBertConfig* cfg) {
-  if (!r->ReadU32(&cfg->vocab_size) || !r->ReadU32(&cfg->dim) ||
-      !r->ReadU32(&cfg->layers) || !r->ReadU32(&cfg->heads) ||
-      !r->ReadU32(&cfg->ff_dim) || !r->ReadU32(&cfg->max_len) ||
-      !r->ReadU32(&cfg->num_segments) || !r->ReadU64(&cfg->seed)) {
+  if (!r->Read(&cfg->vocab_size) || !r->Read(&cfg->dim) ||
+      !r->Read(&cfg->layers) || !r->Read(&cfg->heads) ||
+      !r->Read(&cfg->ff_dim) || !r->Read(&cfg->max_len) ||
+      !r->Read(&cfg->num_segments) || !r->Read(&cfg->seed)) {
     return Corrupt("encoder config");
   }
   if (cfg->dim == 0 || cfg->heads == 0 || cfg->dim % cfg->heads != 0 ||
@@ -166,7 +140,7 @@ Status ReadBertConfig(PayloadReader* r, text::TinyBertConfig* cfg) {
 Status ReadVocab(PayloadReader* r, uint32_t expected_size,
                  std::vector<std::string>* names) {
   uint32_t count = 0;
-  if (!r->ReadU32(&count)) return Corrupt("vocab count");
+  if (!r->Read(&count)) return Corrupt("vocab count");
   // Each entry is at least its 4-byte length prefix.
   if (static_cast<uint64_t>(count) * 4 > r->remaining() ||
       count != expected_size || count < text::kNumSpecialTokens) {
@@ -189,11 +163,11 @@ struct MatRecord {
 Status ReadMatRecord(PayloadReader* r, MatRecord* record) {
   if (!r->ReadString(&record->name)) return Corrupt("param name");
   uint32_t rows = 0, cols = 0;
-  if (!r->ReadU32(&rows) || !r->ReadU32(&cols)) return Corrupt("param shape");
+  if (!r->Read(&rows) || !r->Read(&cols)) return Corrupt("param shape");
   const uint64_t n = static_cast<uint64_t>(rows) * cols;
   if (n * sizeof(float) > r->remaining()) return Corrupt("param data");
   record->value = Mat(rows, cols);
-  if (n > 0 && !r->ReadFloats(static_cast<size_t>(n), record->value.data())) {
+  if (n > 0 && !r->ReadBytes(record->value.data(), n * sizeof(float))) {
     return Corrupt("param data");
   }
   return Status::Ok();
@@ -201,7 +175,7 @@ Status ReadMatRecord(PayloadReader* r, MatRecord* record) {
 
 Status ReadParams(PayloadReader* r, std::vector<MatRecord>* records) {
   uint32_t count = 0;
-  if (!r->ReadU32(&count)) return Corrupt("param count");
+  if (!r->Read(&count)) return Corrupt("param count");
   // Minimum record: empty name + shape = 12 bytes.
   if (static_cast<uint64_t>(count) * 12 > r->remaining()) {
     return Corrupt("param count");
@@ -245,58 +219,6 @@ Status ApplyParams(const std::vector<nn::Parameter*>& params,
   return Status::Ok();
 }
 
-Status ReadWholeFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound(StrFormat("cannot open %s", path.c_str()));
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::IoError(StrFormat("cannot stat %s", path.c_str()));
-  }
-  out->resize(static_cast<size_t>(size));
-  const size_t read = out->empty()
-                          ? 0
-                          : std::fread(out->data(), 1, out->size(), f);
-  std::fclose(f);
-  if (read != out->size()) {
-    return Status::IoError(StrFormat("short read from %s", path.c_str()));
-  }
-  return Status::Ok();
-}
-
-/// Parses and validates the header, returning the checksummed payload view.
-Status ParseHeader(const std::string& file, InferModelHeader* header,
-                   std::string_view* payload) {
-  if (file.size() < sizeof(InferModelHeader)) {
-    return Status::Corruption(".pkgi file shorter than its header");
-  }
-  std::memcpy(header, file.data(), sizeof(InferModelHeader));
-  if (header->magic != kInferModelMagic) {
-    return Status::Corruption("bad .pkgi magic");
-  }
-  if (header->version != kInferModelVersion) {
-    return Status::Corruption(StrFormat("unsupported .pkgi version %u",
-                                        header->version));
-  }
-  if (header->task < 1 || header->task > 3 || header->variant > 3 ||
-      header->reserved != 0) {
-    return Status::Corruption("invalid .pkgi header fields");
-  }
-  if (header->payload_bytes != file.size() - sizeof(InferModelHeader)) {
-    return Status::Corruption(".pkgi payload size mismatch");
-  }
-  *payload = std::string_view(file).substr(sizeof(InferModelHeader));
-  if (store::Fnv1a64(payload->data(), payload->size()) !=
-      header->payload_checksum) {
-    return Status::Corruption(".pkgi payload checksum mismatch");
-  }
-  return Status::Ok();
-}
-
 const char* VariantShortName(tasks::PkgmVariant v) {
   switch (v) {
     case tasks::PkgmVariant::kBase: return "base";
@@ -316,25 +238,21 @@ Status SaveRecommenderModel(const tasks::TrainedRecommender& model,
     return Status::InvalidArgument("recommender bundle holds no model");
   }
   const rec::NcfConfig& cfg = model.config;
-  std::string payload;
-  PutU32(&payload, cfg.num_users);
-  PutU32(&payload, cfg.num_items);
-  PutU32(&payload, cfg.gmf_dim);
-  PutU32(&payload, cfg.mlp_dim);
-  PutU32(&payload, static_cast<uint32_t>(cfg.mlp_hidden.size()));
-  for (uint32_t h : cfg.mlp_hidden) PutU32(&payload, h);
-  PutU32(&payload, cfg.pkgm_dim);
-  PutF32(&payload, cfg.embedding_l2);
-  PutU64(&payload, cfg.seed);
-
+  std::string config;
+  Put(&config, cfg.num_users);
+  Put(&config, cfg.num_items);
+  Put(&config, cfg.gmf_dim);
+  Put(&config, cfg.mlp_dim);
+  Put(&config, static_cast<uint32_t>(cfg.mlp_hidden.size()));
+  for (uint32_t h : cfg.mlp_hidden) Put(&config, h);
+  Put(&config, cfg.pkgm_dim);
+  Put(&config, cfg.embedding_l2);
+  Put(&config, cfg.seed);
   // Params() only registers pointers; serialization does not mutate.
-  std::vector<nn::Parameter*> params =
+  const std::vector<nn::Parameter*> params =
       const_cast<rec::NcfModel*>(model.model.get())->Params();
-  PutU32(&payload, static_cast<uint32_t>(params.size() + 1));
-  for (const nn::Parameter* p : params) PutMatRecord(&payload, p->name,
-                                                     p->value);
-  PutMatRecord(&payload, "item_features", model.item_features);
-  return WriteFile(InferTask::kRecommend, variant, generation, payload, path);
+  return WriteFile(InferTask::kRecommend, variant, generation, config,
+                   /*tok=*/nullptr, params, &model.item_features, path);
 }
 
 Status SaveClassifierModel(const tasks::TrainedClassifier& model,
@@ -343,15 +261,14 @@ Status SaveClassifierModel(const tasks::TrainedClassifier& model,
   if (model.bert == nullptr || model.head == nullptr) {
     return Status::InvalidArgument("classifier bundle holds no model");
   }
-  std::string payload;
-  PutBertConfig(&payload, model.config);
-  PutU32(&payload, model.num_classes);
-  PutVocab(&payload, model.tokenizer);
+  std::string config;
+  PutBertConfig(&config, model.config);
+  Put(&config, model.num_classes);
   std::vector<nn::Parameter*> params =
       const_cast<text::TinyBert*>(model.bert.get())->Params();
   const_cast<nn::Linear*>(model.head.get())->Params(&params);
-  PutParams(&payload, params);
-  return WriteFile(InferTask::kClassify, variant, generation, payload, path);
+  return WriteFile(InferTask::kClassify, variant, generation, config,
+                   &model.tokenizer, params, /*item_features=*/nullptr, path);
 }
 
 Status SaveAlignerModel(const tasks::TrainedAligner& model,
@@ -360,210 +277,178 @@ Status SaveAlignerModel(const tasks::TrainedAligner& model,
   if (model.bert == nullptr || model.head == nullptr) {
     return Status::InvalidArgument("aligner bundle holds no model");
   }
-  std::string payload;
-  PutBertConfig(&payload, model.config);
-  PutVocab(&payload, model.tokenizer);
+  std::string config;
+  PutBertConfig(&config, model.config);
   std::vector<nn::Parameter*> params =
       const_cast<text::TinyBert*>(model.bert.get())->Params();
   const_cast<nn::Linear*>(model.head.get())->Params(&params);
-  PutParams(&payload, params);
-  return WriteFile(InferTask::kAlign, variant, generation, payload, path);
+  return WriteFile(InferTask::kAlign, variant, generation, config,
+                   &model.tokenizer, params, /*item_features=*/nullptr, path);
 }
 
 StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
-  std::string file;
-  PKGM_RETURN_IF_ERROR(ReadWholeFile(path, &file));
-  InferModelHeader header;
-  std::string_view payload;
-  PKGM_RETURN_IF_ERROR(ParseHeader(file, &header, &payload));
-
-  LoadedInferModel loaded;
-  loaded.task = static_cast<InferTask>(header.task);
-  loaded.variant = static_cast<tasks::PkgmVariant>(header.variant);
-  loaded.generation = header.generation;
-  loaded.file_bytes = file.size();
-
-  PayloadReader reader(payload);
-  switch (loaded.task) {
-    case InferTask::kRecommend: {
-      rec::NcfConfig cfg;
-      uint32_t num_hidden = 0;
-      if (!reader.ReadU32(&cfg.num_users) || !reader.ReadU32(&cfg.num_items) ||
-          !reader.ReadU32(&cfg.gmf_dim) || !reader.ReadU32(&cfg.mlp_dim) ||
-          !reader.ReadU32(&num_hidden)) {
-        return Corrupt("recommender config");
-      }
-      if (num_hidden > 64 || cfg.gmf_dim == 0 || cfg.mlp_dim == 0 ||
-          cfg.num_users == 0 || cfg.num_items == 0) {
-        return Corrupt("recommender config");
-      }
-      cfg.mlp_hidden.resize(num_hidden);
-      for (uint32_t i = 0; i < num_hidden; ++i) {
-        if (!reader.ReadU32(&cfg.mlp_hidden[i])) {
-          return Corrupt("recommender config");
-        }
-      }
-      if (!reader.ReadU32(&cfg.pkgm_dim) ||
-          !reader.ReadF32(&cfg.embedding_l2) || !reader.ReadU64(&cfg.seed)) {
-        return Corrupt("recommender config");
-      }
-      std::vector<MatRecord> records;
-      PKGM_RETURN_IF_ERROR(ReadParams(&reader, &records));
-      if (!reader.done()) return Corrupt("trailing bytes");
-
-      loaded.recommender.config = cfg;
-      loaded.recommender.pkgm_dim = cfg.pkgm_dim;
-      loaded.recommender.model = std::make_unique<rec::NcfModel>(cfg);
-      PKGM_RETURN_IF_ERROR(ApplyParams(loaded.recommender.model->Params(),
-                                       records, /*extra_allowed=*/1));
-      MatRecord* features = nullptr;
-      for (MatRecord& record : records) {
-        if (record.name == "item_features") features = &record;
-      }
-      if (features == nullptr) return Corrupt("item_features record");
-      if (cfg.pkgm_dim > 0 &&
-          (features->value.rows() != cfg.num_items ||
-           features->value.cols() != cfg.pkgm_dim)) {
-        return Corrupt("item_features shape");
-      }
-      loaded.recommender.item_features = std::move(features->value);
-      return loaded;
-    }
-    case InferTask::kClassify: {
-      text::TinyBertConfig cfg;
-      PKGM_RETURN_IF_ERROR(ReadBertConfig(&reader, &cfg));
-      uint32_t num_classes = 0;
-      if (!reader.ReadU32(&num_classes) || num_classes == 0) {
-        return Corrupt("num_classes");
-      }
-      std::vector<std::string> names;
-      PKGM_RETURN_IF_ERROR(ReadVocab(&reader, cfg.vocab_size, &names));
-      std::vector<MatRecord> records;
-      PKGM_RETURN_IF_ERROR(ReadParams(&reader, &records));
-      if (!reader.done()) return Corrupt("trailing bytes");
-
-      loaded.classifier.config = cfg;
-      loaded.classifier.num_classes = num_classes;
-      loaded.classifier.tokenizer.LoadVocab(std::move(names));
-      loaded.classifier.bert = std::make_unique<text::TinyBert>(cfg);
-      Rng head_rng(0);  // weights are overwritten below
-      loaded.classifier.head = std::make_unique<nn::Linear>(
-          cfg.dim, num_classes, &head_rng, "cls.head");
-      std::vector<nn::Parameter*> params = loaded.classifier.bert->Params();
-      loaded.classifier.head->Params(&params);
-      PKGM_RETURN_IF_ERROR(ApplyParams(params, records, /*extra_allowed=*/0));
-      return loaded;
-    }
-    case InferTask::kAlign: {
-      text::TinyBertConfig cfg;
-      PKGM_RETURN_IF_ERROR(ReadBertConfig(&reader, &cfg));
-      std::vector<std::string> names;
-      PKGM_RETURN_IF_ERROR(ReadVocab(&reader, cfg.vocab_size, &names));
-      std::vector<MatRecord> records;
-      PKGM_RETURN_IF_ERROR(ReadParams(&reader, &records));
-      if (!reader.done()) return Corrupt("trailing bytes");
-
-      loaded.aligner.config = cfg;
-      loaded.aligner.tokenizer.LoadVocab(std::move(names));
-      loaded.aligner.bert = std::make_unique<text::TinyBert>(cfg);
-      Rng head_rng(0);
-      loaded.aligner.head =
-          std::make_unique<nn::Linear>(cfg.dim, 1, &head_rng, "align.head");
-      std::vector<nn::Parameter*> params = loaded.aligner.bert->Params();
-      loaded.aligner.head->Params(&params);
-      PKGM_RETURN_IF_ERROR(ApplyParams(params, records, /*extra_allowed=*/0));
-      return loaded;
-    }
+  auto opened = SectionFile::Open(path, kInferModelMagic, kInferModelVersion);
+  if (!opened.ok()) return opened.status();
+  const SectionFile& file = opened.value();
+  InferModelMeta meta;
+  PKGM_RETURN_IF_ERROR(ReadMetaSection(file, &meta));
+  if (meta.task < 1 || meta.task > 3 || meta.variant > 3) {
+    return Status::Corruption("invalid .pkgi META fields");
   }
-  return Status::Corruption("unknown .pkgi task");
+  LoadedInferModel loaded;
+  loaded.task = static_cast<InferTask>(meta.task);
+  loaded.variant = static_cast<tasks::PkgmVariant>(meta.variant);
+  loaded.generation = meta.generation;
+  loaded.file_bytes = file.file_size();
+  const bool has_vocab = loaded.task != InferTask::kRecommend;
+  std::vector<uint32_t> tags = {kMetaSection, kConfigSection};
+  if (has_vocab) tags.push_back(kVocabSection);
+  tags.push_back(kParamsSection);
+  PKGM_RETURN_IF_ERROR(file.ExpectSections(tags));
+
+  std::vector<MatRecord> records;
+  PayloadReader params(file.bytes(*file.Find(kParamsSection)));
+  PKGM_RETURN_IF_ERROR(ReadParams(&params, &records));
+  if (!params.done()) return Corrupt("trailing param bytes");
+  PayloadReader config(file.bytes(*file.Find(kConfigSection)));
+
+  if (loaded.task == InferTask::kRecommend) {
+    rec::NcfConfig cfg;
+    uint32_t num_hidden = 0;
+    if (!config.Read(&cfg.num_users) || !config.Read(&cfg.num_items) ||
+        !config.Read(&cfg.gmf_dim) || !config.Read(&cfg.mlp_dim) ||
+        !config.Read(&num_hidden)) {
+      return Corrupt("recommender config");
+    }
+    if (num_hidden > 64 || cfg.gmf_dim == 0 || cfg.mlp_dim == 0 ||
+        cfg.num_users == 0 || cfg.num_items == 0) {
+      return Corrupt("recommender config");
+    }
+    cfg.mlp_hidden.resize(num_hidden);
+    for (uint32_t i = 0; i < num_hidden; ++i) {
+      if (!config.Read(&cfg.mlp_hidden[i])) {
+        return Corrupt("recommender config");
+      }
+    }
+    if (!config.Read(&cfg.pkgm_dim) ||
+        !config.Read(&cfg.embedding_l2) || !config.Read(&cfg.seed) ||
+        !config.done()) {
+      return Corrupt("recommender config");
+    }
+    loaded.recommender.config = cfg;
+    loaded.recommender.pkgm_dim = cfg.pkgm_dim;
+    loaded.recommender.model = std::make_unique<rec::NcfModel>(cfg);
+    PKGM_RETURN_IF_ERROR(ApplyParams(loaded.recommender.model->Params(),
+                                     records, /*extra_allowed=*/1));
+    MatRecord* features = nullptr;
+    for (MatRecord& record : records) {
+      if (record.name == "item_features") features = &record;
+    }
+    if (features == nullptr) return Corrupt("item_features record");
+    if (cfg.pkgm_dim > 0 &&
+        (features->value.rows() != cfg.num_items ||
+         features->value.cols() != cfg.pkgm_dim)) {
+      return Corrupt("item_features shape");
+    }
+    loaded.recommender.item_features = std::move(features->value);
+    return loaded;
+  }
+
+  // Classify and align: a TinyBERT encoder plus a linear head.
+  text::TinyBertConfig cfg;
+  PKGM_RETURN_IF_ERROR(ReadBertConfig(&config, &cfg));
+  uint32_t num_classes = 1;
+  if (loaded.task == InferTask::kClassify &&
+      (!config.Read(&num_classes) || num_classes == 0)) {
+    return Corrupt("num_classes");
+  }
+  if (!config.done()) return Corrupt("trailing config bytes");
+  std::vector<std::string> names;
+  PayloadReader vocab(file.bytes(*file.Find(kVocabSection)));
+  PKGM_RETURN_IF_ERROR(ReadVocab(&vocab, cfg.vocab_size, &names));
+  if (!vocab.done()) return Corrupt("trailing vocab bytes");
+
+  const bool classify = loaded.task == InferTask::kClassify;
+  text::Tokenizer& tokenizer =
+      classify ? loaded.classifier.tokenizer : loaded.aligner.tokenizer;
+  std::unique_ptr<text::TinyBert>& bert =
+      classify ? loaded.classifier.bert : loaded.aligner.bert;
+  std::unique_ptr<nn::Linear>& head =
+      classify ? loaded.classifier.head : loaded.aligner.head;
+  if (classify) {
+    loaded.classifier.config = cfg;
+    loaded.classifier.num_classes = num_classes;
+  } else {
+    loaded.aligner.config = cfg;
+  }
+  tokenizer.LoadVocab(std::move(names));
+  bert = std::make_unique<text::TinyBert>(cfg);
+  Rng head_rng(0);  // weights are overwritten below
+  head = std::make_unique<nn::Linear>(cfg.dim, num_classes, &head_rng,
+                                      classify ? "cls.head" : "align.head");
+  std::vector<nn::Parameter*> model_params = bert->Params();
+  head->Params(&model_params);
+  PKGM_RETURN_IF_ERROR(
+      ApplyParams(model_params, records, /*extra_allowed=*/0));
+  return loaded;
 }
 
 StatusOr<std::string> InspectInferModel(const std::string& path) {
-  std::string file;
-  PKGM_RETURN_IF_ERROR(ReadWholeFile(path, &file));
-  InferModelHeader header;
-  std::string_view payload;
-  PKGM_RETURN_IF_ERROR(ParseHeader(file, &header, &payload));
-
-  const auto task = static_cast<InferTask>(header.task);
-  const auto variant = static_cast<tasks::PkgmVariant>(header.variant);
-  PayloadReader reader(payload);
+  auto loaded = LoadInferModel(path);
+  if (!loaded.ok()) return loaded.status();
+  const LoadedInferModel& m = loaded.value();
 
   std::string config_json;
   uint32_t vocab_size = 0;
-  switch (task) {
-    case InferTask::kRecommend: {
-      uint32_t num_users = 0, num_items = 0, gmf = 0, mlp = 0, nh = 0;
-      uint32_t pkgm_dim = 0;
-      float l2 = 0.0f;
-      uint64_t seed = 0;
-      if (!reader.ReadU32(&num_users) || !reader.ReadU32(&num_items) ||
-          !reader.ReadU32(&gmf) || !reader.ReadU32(&mlp) ||
-          !reader.ReadU32(&nh) || nh > 64) {
-        return Corrupt("recommender config");
-      }
-      std::string hidden = "[";
-      for (uint32_t i = 0; i < nh; ++i) {
-        uint32_t h = 0;
-        if (!reader.ReadU32(&h)) return Corrupt("recommender config");
-        hidden += StrFormat(i + 1 < nh ? "%u, " : "%u", h);
-      }
-      hidden += "]";
-      if (!reader.ReadU32(&pkgm_dim) || !reader.ReadF32(&l2) ||
-          !reader.ReadU64(&seed)) {
-        return Corrupt("recommender config");
-      }
-      config_json = StrFormat(
-          "{\"num_users\": %u, \"num_items\": %u, \"gmf_dim\": %u, "
-          "\"mlp_dim\": %u, \"mlp_hidden\": %s, \"pkgm_dim\": %u, "
-          "\"seed\": %llu}",
-          num_users, num_items, gmf, mlp, hidden.c_str(), pkgm_dim,
-          static_cast<unsigned long long>(seed));
-      break;
-    }
-    case InferTask::kClassify:
-    case InferTask::kAlign: {
-      text::TinyBertConfig cfg;
-      PKGM_RETURN_IF_ERROR(ReadBertConfig(&reader, &cfg));
-      uint32_t num_classes = 0;
-      if (task == InferTask::kClassify &&
-          (!reader.ReadU32(&num_classes) || num_classes == 0)) {
-        return Corrupt("num_classes");
-      }
-      std::vector<std::string> names;
-      PKGM_RETURN_IF_ERROR(ReadVocab(&reader, cfg.vocab_size, &names));
-      vocab_size = static_cast<uint32_t>(names.size());
-      config_json = StrFormat(
-          "{\"vocab_size\": %u, \"dim\": %u, \"layers\": %u, \"heads\": %u, "
-          "\"ff_dim\": %u, \"max_len\": %u, \"seed\": %llu",
-          cfg.vocab_size, cfg.dim, cfg.layers, cfg.heads, cfg.ff_dim,
-          cfg.max_len, static_cast<unsigned long long>(cfg.seed));
-      if (task == InferTask::kClassify) {
-        config_json += StrFormat(", \"num_classes\": %u", num_classes);
-      }
-      config_json += "}";
-      break;
-    }
-  }
-
-  std::vector<MatRecord> records;
-  PKGM_RETURN_IF_ERROR(ReadParams(&reader, &records));
-  if (!reader.done()) return Corrupt("trailing bytes");
+  std::vector<nn::Parameter*> params;
   uint64_t total_weights = 0;
-  for (const MatRecord& record : records) total_weights += record.value.size();
+  size_t num_records = 0;
+  if (m.task == InferTask::kRecommend) {
+    const rec::NcfConfig& cfg = m.recommender.config;
+    std::string hidden = "[";
+    for (size_t i = 0; i < cfg.mlp_hidden.size(); ++i) {
+      hidden += StrFormat(i + 1 < cfg.mlp_hidden.size() ? "%u, " : "%u",
+                          cfg.mlp_hidden[i]);
+    }
+    hidden += "]";
+    config_json = StrFormat(
+        "{\"num_users\": %u, \"num_items\": %u, \"gmf_dim\": %u, "
+        "\"mlp_dim\": %u, \"mlp_hidden\": %s, \"pkgm_dim\": %u, "
+        "\"seed\": %llu}",
+        cfg.num_users, cfg.num_items, cfg.gmf_dim, cfg.mlp_dim,
+        hidden.c_str(), cfg.pkgm_dim, static_cast<unsigned long long>(cfg.seed));
+    params = m.recommender.model->Params();
+    total_weights = m.recommender.item_features.size();
+    num_records = 1;
+  } else {
+    const bool classify = m.task == InferTask::kClassify;
+    const text::TinyBertConfig& cfg =
+        classify ? m.classifier.config : m.aligner.config;
+    config_json = StrFormat(
+        "{\"vocab_size\": %u, \"dim\": %u, \"layers\": %u, \"heads\": %u, "
+        "\"ff_dim\": %u, \"max_len\": %u, \"seed\": %llu",
+        cfg.vocab_size, cfg.dim, cfg.layers, cfg.heads, cfg.ff_dim,
+        cfg.max_len, static_cast<unsigned long long>(cfg.seed));
+    if (classify) {
+      config_json +=
+          StrFormat(", \"num_classes\": %u", m.classifier.num_classes);
+    }
+    config_json += "}";
+    vocab_size = cfg.vocab_size;
+    params = (classify ? m.classifier.bert : m.aligner.bert)->Params();
+    (classify ? m.classifier.head : m.aligner.head)->Params(&params);
+  }
+  num_records += params.size();
+  for (const nn::Parameter* p : params) total_weights += p->value.size();
 
   return StrFormat(
       "{\"path\": \"%s\", \"task\": \"%s\", \"variant\": \"%s\", "
-      "\"generation\": %llu, \"file_bytes\": %llu, \"payload_bytes\": %llu, "
-      "\"checksum\": \"0x%016llx\", \"vocab_size\": %u, \"num_params\": %zu, "
-      "\"total_weights\": %llu, \"config\": %s}",
-      path.c_str(), InferTaskName(task), VariantShortName(variant),
-      static_cast<unsigned long long>(header.generation),
-      static_cast<unsigned long long>(file.size()),
-      static_cast<unsigned long long>(header.payload_bytes),
-      static_cast<unsigned long long>(header.payload_checksum), vocab_size,
-      records.size(), static_cast<unsigned long long>(total_weights),
-      config_json.c_str());
+      "\"generation\": %llu, \"file_bytes\": %llu, \"vocab_size\": %u, "
+      "\"num_params\": %zu, \"total_weights\": %llu, \"config\": %s}",
+      path.c_str(), InferTaskName(m.task), VariantShortName(m.variant),
+      static_cast<unsigned long long>(m.generation),
+      static_cast<unsigned long long>(m.file_bytes), vocab_size, num_records,
+      static_cast<unsigned long long>(total_weights), config_json.c_str());
 }
 
 }  // namespace pkgm::infer

@@ -8,6 +8,7 @@
 #include "tasks/item_classification.h"
 #include "tasks/recommendation.h"
 #include "tasks/variant.h"
+#include "util/section_file.h"
 #include "util/status.h"
 
 namespace pkgm::infer {
@@ -24,50 +25,42 @@ inline const char* InferTaskName(InferTask task) {
   return "unknown";
 }
 
-// "PKGI" — distinct from the embedding-store magic "PKGS" and the model
-// checkpoint magic "PKGM", so the three on-disk formats can never be
-// confused for one another.
+// "PKGI" — distinct from the embedding-store magic "PKGS" and the triple
+// index magic "PKGT", so the on-disk formats can never be confused for one
+// another.
 constexpr uint32_t kInferModelMagic = 0x49474b50u;
-constexpr uint32_t kInferModelVersion = 1;
+constexpr uint32_t kInferModelVersion = 2;
 
-/// Fixed little-endian header at offset 0 of a .pkgi downstream-model file.
-///
-/// Byte layout:
-///   [ 0,  4) magic "PKGI"            [ 4,  8) format version
-///   [ 8, 12) task (InferTask)        [12, 16) variant (tasks::PkgmVariant)
-///   [16, 24) model generation        [24, 32) payload bytes
-///   [32, 40) FNV-1a64 payload checksum
-///   [40, 48) reserved (must be 0)
-///
-/// The payload is a sequential run of three sections (no alignment):
-///   config   task-specific hyper-parameters including every training seed,
-///            so the loader can reconstruct the exact model shapes by
-///            invoking the normal constructors;
-///   vocab    (classify/align only) u32 count then count length-prefixed
-///            token names — the tokenizer's full id-ordered list including
-///            the 5 special tokens;
-///   params   u32 count then count records of
-///            {u32 name_len, name, u32 rows, u32 cols, rows*cols f32},
-///            one per trainable parameter, plus (recommend only) the fixed
-///            per-item condensed feature matrix as record "item_features".
-///
-/// The checksum covers every payload byte, so any bit flip in the weights
-/// is detected at load time.
-struct InferModelHeader {
-  uint32_t magic = kInferModelMagic;
-  uint32_t version = kInferModelVersion;
-  uint32_t task = 0;
-  uint32_t variant = 0;
+/// A .pkgi downstream-model file is a util/section_file.h container with
+/// these sections, in order (DESIGN.md §16):
+///   META  InferModelMeta
+///   CONF  task-specific hyper-parameters including every training seed,
+///         so the loader can reconstruct the exact model shapes by
+///         invoking the normal constructors;
+///   VOCB  (classify/align only) u32 count then count length-prefixed
+///         token names — the tokenizer's full id-ordered list including
+///         the 5 special tokens;
+///   PARM  u32 count then count records of
+///         {u32 name_len, name, u32 rows, u32 cols, rows*cols f32},
+///         one per trainable parameter, plus (recommend only) the fixed
+///         per-item condensed feature matrix as record "item_features".
+/// Every section carries its CRC32C, so any bit flip in the weights is
+/// detected at load time.
+constexpr uint32_t kConfigSection = SectionTag("CONF");
+constexpr uint32_t kVocabSection = SectionTag("VOCB");
+constexpr uint32_t kParamsSection = SectionTag("PARM");
+
+/// The META section of a .pkgi file (little-endian, 16 bytes).
+struct InferModelMeta {
+  uint32_t task = 0;     // InferTask
+  uint32_t variant = 0;  // tasks::PkgmVariant
   uint64_t generation = 0;
-  uint64_t payload_bytes = 0;
-  uint64_t payload_checksum = 0;
-  uint64_t reserved = 0;
 };
-static_assert(sizeof(InferModelHeader) == 48,
-              "InferModelHeader must be packed to 48B");
+static_assert(sizeof(InferModelMeta) == 16,
+              "InferModelMeta must be packed to 16B");
 
 /// Serializers for the three trained bundles. `generation` is recorded in
-/// the header (and reported by inspect) so a refresher pipeline can tag
+/// META (and reported by inspect) so a refresher pipeline can tag
 /// exports monotonically.
 Status SaveRecommenderModel(const tasks::TrainedRecommender& model,
                             tasks::PkgmVariant variant, uint64_t generation,
@@ -91,14 +84,14 @@ struct LoadedInferModel {
   tasks::TrainedAligner aligner;
 };
 
-/// Reads, checksums and reconstructs a .pkgi model: the config section
+/// Maps, checksums and reconstructs a .pkgi model: the config section
 /// rebuilds the model through its normal constructor (seeds reproduce the
 /// shapes), then every parameter is overwritten by name with shape checks.
 /// Loaded weights are bit-identical to the saved ones.
 StatusOr<LoadedInferModel> LoadInferModel(const std::string& path);
 
-/// One-line-per-field JSON summary of a .pkgi file (header, config, param
-/// count/bytes) without reconstructing the model. Verifies the checksum.
+/// One-line JSON summary of a .pkgi file (META, config, param count and
+/// weights), rendered from LoadInferModel's result.
 StatusOr<std::string> InspectInferModel(const std::string& path);
 
 }  // namespace pkgm::infer

@@ -1,37 +1,11 @@
 #include "kg/mmap_triple_index.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
-#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace pkgm::kg {
-namespace {
-
-/// Section bounds check: the whole [offset, offset + bytes) range must sit
-/// inside the payload region of the mapped file, 64-byte aligned.
-Status CheckSection(const char* name, uint64_t offset, uint64_t bytes,
-                    uint64_t file_size) {
-  if (offset < sizeof(PkgtHeader) ||
-      offset % store::kStoreSectionAlignment != 0 || offset > file_size ||
-      bytes > file_size - offset) {
-    return Status::Corruption(
-        StrFormat("%s section [%llu, +%llu) escapes the %llu-byte index",
-                  name, static_cast<unsigned long long>(offset),
-                  static_cast<unsigned long long>(bytes),
-                  static_cast<unsigned long long>(file_size)));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 uint64_t MmapTripleIndex::Permutation::FindRun(uint64_t key) const {
   const uint64_t* end = keys + num_runs;
@@ -50,30 +24,28 @@ void MmapTripleIndex::Permutation::FirstRange(uint32_t first, uint64_t* begin,
   *end = static_cast<uint64_t>(hi - keys);
 }
 
-Status MmapTripleIndex::MapPermutation(const PkgtPermutation& section,
+Status MmapTripleIndex::MapPermutation(const PkgtPermutationTags& tags,
                                        const char* name,
                                        Permutation* out) const {
-  const uint64_t n = header_.num_triples;
-  if (section.num_runs == 0 || section.num_runs > n) {
-    return Status::Corruption(
-        StrFormat("%s permutation has %llu runs for %llu triples", name,
-                  static_cast<unsigned long long>(section.num_runs),
-                  static_cast<unsigned long long>(n)));
+  const uint64_t n = meta_.num_triples;
+  const SectionEntry& keys = *file_.Find(tags.keys);
+  const SectionEntry& offsets = *file_.Find(tags.offsets);
+  const SectionEntry& values = *file_.Find(tags.values);
+  const uint64_t num_runs = keys.bytes / sizeof(uint64_t);
+  if (keys.bytes % sizeof(uint64_t) != 0 || num_runs == 0 || num_runs > n ||
+      offsets.bytes % sizeof(uint64_t) != 0 ||
+      offsets.bytes / sizeof(uint64_t) != num_runs + 1 ||
+      values.bytes % sizeof(uint32_t) != 0 ||
+      values.bytes / sizeof(uint32_t) != n) {
+    return Status::Corruption(StrFormat(
+        "%s permutation sections do not fit %llu runs over %llu triples", name,
+        static_cast<unsigned long long>(num_runs),
+        static_cast<unsigned long long>(n)));
   }
-  PKGM_RETURN_IF_ERROR(CheckSection(name, section.keys_offset,
-                                    section.num_runs * sizeof(uint64_t),
-                                    header_.file_size));
-  PKGM_RETURN_IF_ERROR(CheckSection(name, section.offsets_offset,
-                                    (section.num_runs + 1) * sizeof(uint64_t),
-                                    header_.file_size));
-  PKGM_RETURN_IF_ERROR(CheckSection(name, section.values_offset,
-                                    n * sizeof(uint32_t), header_.file_size));
-  out->keys = reinterpret_cast<const uint64_t*>(base_ + section.keys_offset);
-  out->offsets =
-      reinterpret_cast<const uint64_t*>(base_ + section.offsets_offset);
-  out->values =
-      reinterpret_cast<const uint32_t*>(base_ + section.values_offset);
-  out->num_runs = section.num_runs;
+  out->keys = reinterpret_cast<const uint64_t*>(file_.data(keys));
+  out->offsets = reinterpret_cast<const uint64_t*>(file_.data(offsets));
+  out->values = reinterpret_cast<const uint32_t*>(file_.data(values));
+  out->num_runs = num_runs;
 
   // Structural invariants binary search relies on: strictly increasing run
   // keys, and a monotone offset table that starts at 0, ends at the triple
@@ -99,99 +71,57 @@ Status MmapTripleIndex::MapPermutation(const PkgtPermutation& section,
 
 StatusOr<MmapTripleIndex> MmapTripleIndex::Open(
     const std::string& path, MmapTripleIndexOptions options) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError(StrFormat("cannot open %s", path.c_str()));
+  auto file = SectionFile::Open(path, kPkgtMagic, kPkgtFormatVersion,
+                                options.verify_checksum);
+  if (!file.ok()) return file.status();
+  MmapTripleIndex index(std::move(file.value()));
+  const SectionFile& f = index.file_;
+  const PkgtMeta& m = index.meta_;
+  PKGM_RETURN_IF_ERROR(ReadMetaSection(f, &index.meta_));
+  if (m.num_triples == 0 || m.num_entities == 0 || m.num_relations == 0) {
+    return Status::Corruption("triple index META has empty tables");
   }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("cannot stat %s", path.c_str()));
-  }
-  const uint64_t actual_size = static_cast<uint64_t>(st.st_size);
-  if (actual_size < sizeof(PkgtHeader)) {
-    ::close(fd);
-    return Status::Corruption(
-        StrFormat("%s: %llu bytes is too short for a triple index header",
-                  path.c_str(), static_cast<unsigned long long>(actual_size)));
+  PKGM_RETURN_IF_ERROR(f.ExpectSections(
+      {kMetaSection, kSpoSections.keys, kSpoSections.offsets,
+       kSpoSections.values, kPosSections.keys, kPosSections.offsets,
+       kPosSections.values, kOspSections.keys, kOspSections.offsets,
+       kOspSections.values, kSpoRunRelationsSection, kPredRunsSection}));
+
+  PKGM_RETURN_IF_ERROR(index.MapPermutation(kSpoSections, "SPO", &index.spo_));
+  PKGM_RETURN_IF_ERROR(index.MapPermutation(kPosSections, "POS", &index.pos_));
+  PKGM_RETURN_IF_ERROR(index.MapPermutation(kOspSections, "OSP", &index.osp_));
+  // The largest ids lead the last SPO (head), OSP (tail) and POS
+  // (relation) keys; META's counts must be exactly one past them, so a
+  // consumer sizing tables from MaxEntityId() allocates what the data needs.
+  const auto last_first = [](const Permutation& p) -> uint64_t {
+    return PkgtKeyFirst(p.keys[p.num_runs - 1]);
+  };
+  if (m.num_entities !=
+          std::max(last_first(index.spo_), last_first(index.osp_)) + 1 ||
+      m.num_relations != last_first(index.pos_) + 1) {
+    return Status::Corruption("triple index META counts disagree with its ids");
   }
 
-  void* mapping = ::mmap(nullptr, actual_size, PROT_READ, MAP_SHARED, fd, 0);
-  // The mapping pins the file contents; the descriptor is no longer needed.
-  ::close(fd);
-  if (mapping == MAP_FAILED) {
-    return Status::IoError(StrFormat("mmap failed for %s", path.c_str()));
+  const SectionEntry& run_relations = *f.Find(kSpoRunRelationsSection);
+  if (run_relations.bytes != index.spo_.num_runs * sizeof(uint32_t)) {
+    return Status::Corruption("SPO run relations do not match the SPO runs");
   }
-
-  MmapTripleIndex index;
-  index.base_ = static_cast<const unsigned char*>(mapping);
-  index.mapped_bytes_ = actual_size;
-  index.path_ = path;
-  std::memcpy(&index.header_, index.base_, sizeof(PkgtHeader));
-  const PkgtHeader& h = index.header_;
-
-  if (h.magic != kPkgtMagic) {
-    return Status::Corruption(
-        StrFormat("%s is not a triple index (bad magic)", path.c_str()));
+  index.spo_run_relations_ =
+      reinterpret_cast<const uint32_t*>(f.data(run_relations));
+  const SectionEntry& pred_runs = *f.Find(kPredRunsSection);
+  if (pred_runs.bytes !=
+      (static_cast<uint64_t>(m.num_relations) + 1) * sizeof(uint64_t)) {
+    return Status::Corruption("predicate run table does not match META");
   }
-  if (h.version != kPkgtFormatVersion) {
-    return Status::Corruption(
-        StrFormat("unsupported triple index format version %u", h.version));
-  }
-  if (h.flags != 0) {
-    return Status::Corruption(
-        StrFormat("unknown triple index flags %#x", h.flags));
-  }
-  if (h.num_triples == 0 || h.num_entities == 0 || h.num_relations == 0) {
-    return Status::Corruption("triple index header has empty tables");
-  }
-  if (h.file_size != actual_size) {
-    return Status::Corruption(StrFormat(
-        "index %s is truncated: header says %llu bytes, file has %llu",
-        path.c_str(), static_cast<unsigned long long>(h.file_size),
-        static_cast<unsigned long long>(actual_size)));
-  }
-
-  PKGM_RETURN_IF_ERROR(index.MapPermutation(h.spo, "SPO", &index.spo_));
-  PKGM_RETURN_IF_ERROR(index.MapPermutation(h.pos, "POS", &index.pos_));
-  PKGM_RETURN_IF_ERROR(index.MapPermutation(h.osp, "OSP", &index.osp_));
-
-  PKGM_RETURN_IF_ERROR(CheckSection("SPO run relations",
-                                    h.spo_run_relations_offset,
-                                    h.spo.num_runs * sizeof(uint32_t),
-                                    actual_size));
-  index.spo_run_relations_ = reinterpret_cast<const uint32_t*>(
-      index.base_ + h.spo_run_relations_offset);
-  PKGM_RETURN_IF_ERROR(
-      CheckSection("predicate runs", h.pred_runs_offset,
-                   (h.num_relations + 1) * sizeof(uint64_t), actual_size));
-  index.pred_runs_ =
-      reinterpret_cast<const uint64_t*>(index.base_ + h.pred_runs_offset);
-  for (uint32_t r = 0; r < h.num_relations; ++r) {
+  index.pred_runs_ = reinterpret_cast<const uint64_t*>(f.data(pred_runs));
+  for (uint32_t r = 0; r < m.num_relations; ++r) {
     if (index.pred_runs_[r] > index.pred_runs_[r + 1] ||
-        index.pred_runs_[r + 1] > h.pos.num_runs) {
+        index.pred_runs_[r + 1] > index.pos_.num_runs) {
       return Status::Corruption(
           StrFormat("predicate run table out of order at relation %u", r));
     }
   }
-
-  if (options.verify_checksum) {
-    PKGM_RETURN_IF_ERROR(index.VerifyChecksum());
-  }
   return index;
-}
-
-Status MmapTripleIndex::VerifyChecksum() const {
-  const uint64_t computed = store::Fnv1a64(base_ + sizeof(PkgtHeader),
-                                           mapped_bytes_ - sizeof(PkgtHeader));
-  if (computed != header_.payload_checksum) {
-    return Status::Corruption(StrFormat(
-        "index %s payload checksum mismatch: header %016llx, computed %016llx",
-        path_.c_str(),
-        static_cast<unsigned long long>(header_.payload_checksum),
-        static_cast<unsigned long long>(computed)));
-  }
-  return Status::Ok();
 }
 
 Status MmapTripleIndex::Validate() const {
@@ -221,7 +151,7 @@ Status MmapTripleIndex::Validate() const {
   }
   for (uint64_t i = 0; i < pos_.num_runs; ++i) {
     const uint32_t r = PkgtKeyFirst(pos_.keys[i]);
-    if (r >= header_.num_relations || i < pred_runs_[r] ||
+    if (r >= meta_.num_relations || i < pred_runs_[r] ||
         i >= pred_runs_[r + 1]) {
       return Status::Corruption(StrFormat(
           "predicate run table misplaces POS run %llu",
@@ -257,16 +187,16 @@ IdSpan MmapTripleIndex::RelationsOf(EntityId h) const {
 }
 
 uint64_t MmapTripleIndex::RelationCount(RelationId r) const {
-  if (r >= header_.num_relations) return 0;
+  if (r >= meta_.num_relations) return 0;
   return pos_.offsets[pred_runs_[r + 1]] - pos_.offsets[pred_runs_[r]];
 }
 
 uint64_t MmapTripleIndex::PredRunBegin(RelationId r) const {
-  return r >= header_.num_relations ? pos_.num_runs : pred_runs_[r];
+  return r >= meta_.num_relations ? pos_.num_runs : pred_runs_[r];
 }
 
 uint64_t MmapTripleIndex::PredRunEnd(RelationId r) const {
-  return r >= header_.num_relations ? pos_.num_runs : pred_runs_[r + 1];
+  return r >= meta_.num_relations ? pos_.num_runs : pred_runs_[r + 1];
 }
 
 uint64_t MmapTripleIndex::SpoRunLowerBound(EntityId h) const {
@@ -287,54 +217,12 @@ uint32_t MmapTripleIndex::PosRunTail(uint64_t run) const {
 }
 
 void MmapTripleIndex::AppendTriples(std::vector<Triple>* out) const {
-  out->reserve(out->size() + header_.num_triples);
+  out->reserve(out->size() + meta_.num_triples);
   for (uint64_t i = 0; i < spo_.num_runs; ++i) {
     const EntityId h = PkgtKeyFirst(spo_.keys[i]);
     const RelationId r = PkgtKeySecond(spo_.keys[i]);
     for (uint32_t t : spo_.Run(i)) out->push_back(Triple{h, r, t});
   }
-}
-
-void MmapTripleIndex::Release() noexcept {
-  if (base_ != nullptr) {
-    ::munmap(const_cast<unsigned char*>(base_), mapped_bytes_);
-    base_ = nullptr;
-    mapped_bytes_ = 0;
-  }
-}
-
-MmapTripleIndex::~MmapTripleIndex() { Release(); }
-
-MmapTripleIndex::MmapTripleIndex(MmapTripleIndex&& other) noexcept
-    : header_(other.header_),
-      path_(std::move(other.path_)),
-      base_(other.base_),
-      mapped_bytes_(other.mapped_bytes_),
-      spo_(other.spo_),
-      pos_(other.pos_),
-      osp_(other.osp_),
-      spo_run_relations_(other.spo_run_relations_),
-      pred_runs_(other.pred_runs_) {
-  other.base_ = nullptr;
-  other.mapped_bytes_ = 0;
-}
-
-MmapTripleIndex& MmapTripleIndex::operator=(MmapTripleIndex&& other) noexcept {
-  if (this != &other) {
-    Release();
-    header_ = other.header_;
-    path_ = std::move(other.path_);
-    base_ = other.base_;
-    mapped_bytes_ = other.mapped_bytes_;
-    spo_ = other.spo_;
-    pos_ = other.pos_;
-    osp_ = other.osp_;
-    spo_run_relations_ = other.spo_run_relations_;
-    pred_runs_ = other.pred_runs_;
-    other.base_ = nullptr;
-    other.mapped_bytes_ = 0;
-  }
-  return *this;
 }
 
 }  // namespace pkgm::kg

@@ -3,15 +3,17 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "kg/pkgt_format.h"
 #include "kg/triple_source.h"
+#include "util/section_file.h"
 #include "util/status.h"
 
 namespace pkgm::kg {
 
 struct MmapTripleIndexOptions {
-  /// Verify the FNV-1a payload checksum at open. Touches every page once
+  /// Verify every section's CRC32C at open. Touches every page once
   /// (streaming read) — the safe default; disable for very large indexes
   /// where lazily faulting pages in is the point.
   bool verify_checksum = true;
@@ -25,10 +27,10 @@ struct MmapTripleIndexOptions {
 /// materialized in RAM beyond the page cache, so the index serves graphs
 /// far larger than memory.
 ///
-/// Opening validates the header (magic, version, section bounds against
-/// the real file size) and the structural invariants binary search relies
+/// Opening validates the container (util/section_file.h), META against
+/// the section sizes, and the structural invariants binary search relies
 /// on (strictly increasing run keys, monotone offset tables) before any
-/// query runs, plus optionally the payload checksum; a truncated,
+/// query runs, plus optionally the section checksums; a truncated,
 /// bit-flipped, or out-of-order index fails with a clear Status instead of
 /// answering queries wrong. The mapping is immutable and safe for any
 /// number of concurrent reader threads.
@@ -37,16 +39,10 @@ class MmapTripleIndex : public TripleSource {
   static StatusOr<MmapTripleIndex> Open(const std::string& path,
                                         MmapTripleIndexOptions options = {});
 
-  ~MmapTripleIndex() override;
-  MmapTripleIndex(MmapTripleIndex&& other) noexcept;
-  MmapTripleIndex& operator=(MmapTripleIndex&& other) noexcept;
-  MmapTripleIndex(const MmapTripleIndex&) = delete;
-  MmapTripleIndex& operator=(const MmapTripleIndex&) = delete;
-
   // TripleSource.
-  uint64_t NumTriples() const override { return header_.num_triples; }
-  EntityId MaxEntityId() const override { return header_.num_entities; }
-  RelationId MaxRelationId() const override { return header_.num_relations; }
+  uint64_t NumTriples() const override { return meta_.num_triples; }
+  EntityId MaxEntityId() const override { return meta_.num_entities; }
+  RelationId MaxRelationId() const override { return meta_.num_relations; }
   bool Contains(EntityId h, RelationId r, EntityId t) const override;
   using TripleSource::Contains;
   bool HasRelation(EntityId h, RelationId r) const override;
@@ -57,9 +53,9 @@ class MmapTripleIndex : public TripleSource {
   void AppendTriples(std::vector<Triple>* out) const override;
 
   // Index metadata.
-  const PkgtHeader& header() const { return header_; }
-  uint64_t file_size() const { return header_.file_size; }
-  const std::string& path() const { return path_; }
+  const SectionFile& file() const { return file_; }
+  uint64_t file_size() const { return file_.file_size(); }
+  const std::string& path() const { return file_.path(); }
 
   /// Per-predicate range of POS runs [first, last): each run is one
   /// distinct (r, tail) pair whose values are the sorted head entities.
@@ -80,9 +76,9 @@ class MmapTripleIndex : public TripleSource {
   /// First SPO run whose head is >= h (num_runs if none).
   uint64_t SpoRunLowerBound(EntityId h) const;
 
-  /// Recomputes the payload checksum against the header (reads the whole
-  /// mapping). Used by `pkgm_tool inspect-kg-index`.
-  Status VerifyChecksum() const;
+  /// Re-reads every section against its CRC32C. Used by `pkgm_tool
+  /// inspect-kg-index` and after a lazy open.
+  Status VerifyChecksum() const { return file_.VerifyChecksum(); }
 
   /// Deep structural validation beyond what Open checks: every value run
   /// sorted ascending, per-predicate table consistent with the POS keys.
@@ -108,16 +104,13 @@ class MmapTripleIndex : public TripleSource {
     void FirstRange(uint32_t first, uint64_t* begin, uint64_t* end) const;
   };
 
-  MmapTripleIndex() = default;
+  explicit MmapTripleIndex(SectionFile file) : file_(std::move(file)) {}
 
-  void Release() noexcept;
-  Status MapPermutation(const PkgtPermutation& section, const char* name,
+  Status MapPermutation(const PkgtPermutationTags& tags, const char* name,
                         Permutation* out) const;
 
-  PkgtHeader header_;
-  std::string path_;
-  const unsigned char* base_ = nullptr;  // whole-file mapping
-  uint64_t mapped_bytes_ = 0;
+  SectionFile file_;
+  PkgtMeta meta_;
 
   Permutation spo_, pos_, osp_;
   const uint32_t* spo_run_relations_ = nullptr;

@@ -3,16 +3,20 @@
 
 #include <cstdint>
 
-#include "store/store_format.h"  // AlignUpToSection / Fnv1a64 / alignment
+#include "util/section_file.h"
 
 namespace pkgm::kg {
 
 // "PKGT" — distinct from the .pkgs embedding-store magic "PKGS" and the
-// PkgmModel checkpoint magic "PKGM", so the three on-disk formats can never
-// be confused for one another.
+// .pkgi magic "PKGI", so the on-disk formats can never be confused for one
+// another.
 constexpr uint32_t kPkgtMagic = 0x504b4754u;
-constexpr uint32_t kPkgtFormatVersion = 1;
+constexpr uint32_t kPkgtFormatVersion = 2;
 
+/// A .pkgt triple index is a util/section_file.h container holding, in
+/// order (DESIGN.md §13): META (PkgtMeta), the SPO, POS and OSP
+/// permutations' keys/offsets/values sections, SPRR and PRED.
+///
 /// One sorted permutation sub-index of the triple set. Triples are
 /// dictionary-encoded (dense uint32 ids) and grouped into *runs*: all
 /// triples sharing the permutation's leading pair collapse to one run.
@@ -22,56 +26,37 @@ constexpr uint32_t kPkgtFormatVersion = 1;
 ///                                 offsets[i+1]); offsets[num_runs] = N
 ///   values  uint32[N]             the third component, ascending per run
 ///
+/// The run count is the keys section's size over 8.
+///
 /// SPO: key (head, relation)   -> tail values   (triple queries, Contains)
 /// POS: key (relation, tail)   -> head values   (inverse lookups, joins)
 /// OSP: key (tail, head)       -> relation vals (entity-pair probes)
-struct PkgtPermutation {
-  uint64_t num_runs = 0;
-  uint64_t keys_offset = 0;
-  uint64_t offsets_offset = 0;
-  uint64_t values_offset = 0;
+struct PkgtPermutationTags {
+  uint32_t keys;
+  uint32_t offsets;
+  uint32_t values;
 };
+constexpr PkgtPermutationTags kSpoSections = {
+    SectionTag("SPOK"), SectionTag("SPOO"), SectionTag("SPOV")};
+constexpr PkgtPermutationTags kPosSections = {
+    SectionTag("POSK"), SectionTag("POSO"), SectionTag("POSV")};
+constexpr PkgtPermutationTags kOspSections = {
+    SectionTag("OSPK"), SectionTag("OSPO"), SectionTag("OSPV")};
+/// uint32[SPO runs]: the relation half of each SPO run key, so
+/// RelationsOf(h) is one zero-copy slice of this array.
+constexpr uint32_t kSpoRunRelationsSection = SectionTag("SPRR");
+/// uint64[num_relations + 1]: the per-predicate range of POS run indices
+/// (POS keys lead with the relation, so each predicate's runs are
+/// contiguous).
+constexpr uint32_t kPredRunsSection = SectionTag("PRED");
 
-/// Fixed little-endian header at offset 0 of a .pkgt triple index.
-///
-/// Byte layout (also documented in DESIGN.md §13):
-///   [  0,  4) magic "PKGT"        [  4,  8) format version
-///   [  8, 12) flags (reserved)    [ 12, 16) num_entities
-///   [ 16, 20) num_relations       [ 20, 24) padding (zero)
-///   [ 24, 32) num_triples
-///   [ 32, 64) SPO permutation     [ 64, 96) POS permutation
-///   [ 96,128) OSP permutation
-///   [128,136) spo_run_relations section offset — uint32[spo.num_runs],
-///             the relation half of each SPO run key, so RelationsOf(h) is
-///             one zero-copy slice of this array
-///   [136,144) pred_runs section offset — uint64[num_relations + 1], the
-///             per-predicate range of POS run indices (POS keys lead with
-///             the relation, so each predicate's runs are contiguous)
-///   [144,152) total file size     [152,160) FNV-1a64 payload checksum
-///
-/// Every section offset is a multiple of kStoreSectionAlignment (64), and
-/// the checksum covers every byte after the header, mirroring the `.pkgs`
-/// embedding-store discipline so any truncation or bit flip is detected at
-/// open.
-struct PkgtHeader {
-  uint32_t magic = kPkgtMagic;
-  uint32_t version = kPkgtFormatVersion;
-  uint32_t flags = 0;
+/// The META section of a .pkgt index (little-endian, 16 bytes).
+struct PkgtMeta {
   uint32_t num_entities = 0;   // max entity id + 1
   uint32_t num_relations = 0;  // max relation id + 1
-  uint32_t pad = 0;
   uint64_t num_triples = 0;
-  PkgtPermutation spo;
-  PkgtPermutation pos;
-  PkgtPermutation osp;
-  uint64_t spo_run_relations_offset = 0;
-  uint64_t pred_runs_offset = 0;
-  uint64_t file_size = 0;
-  uint64_t payload_checksum = 0;
 };
-static_assert(sizeof(PkgtPermutation) == 32,
-              "PkgtPermutation must be packed to 32B");
-static_assert(sizeof(PkgtHeader) == 160, "PkgtHeader must be packed to 160B");
+static_assert(sizeof(PkgtMeta) == 16, "PkgtMeta must be packed to 16B");
 
 /// Composes/decomposes the uint64 run key of a permutation.
 inline uint64_t PkgtRunKey(uint32_t first, uint32_t second) {

@@ -1,53 +1,12 @@
 #include "kg/triple_index_writer.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "kg/pkgt_format.h"
 #include "util/stopwatch.h"
-#include "util/string_util.h"
 
 namespace pkgm::kg {
 namespace {
-
-using store::AlignUpToSection;
-using store::Fnv1a64;
-using store::kStoreSectionAlignment;
-
-/// Buffered writer that feeds the payload checksum as bytes stream out —
-/// same discipline as the `.pkgs` embedding-store writer.
-class ChecksummedFile {
- public:
-  explicit ChecksummedFile(std::FILE* f) : f_(f) {}
-
-  Status Write(const void* data, size_t bytes) {
-    if (std::fwrite(data, 1, bytes, f_) != bytes) {
-      return Status::IoError("short write to triple index");
-    }
-    checksum_ = Fnv1a64(data, bytes, checksum_);
-    written_ += bytes;
-    return Status::Ok();
-  }
-
-  /// Zero-pads up to `offset` (absolute file position past the header).
-  Status PadTo(uint64_t offset) {
-    static constexpr char kZeros[kStoreSectionAlignment] = {};
-    while (written_ + sizeof(PkgtHeader) < offset) {
-      const size_t n = static_cast<size_t>(
-          std::min<uint64_t>(sizeof(kZeros),
-                             offset - sizeof(PkgtHeader) - written_));
-      PKGM_RETURN_IF_ERROR(Write(kZeros, n));
-    }
-    return Status::Ok();
-  }
-
-  uint64_t checksum() const { return checksum_; }
-
- private:
-  std::FILE* f_;
-  uint64_t checksum_ = 0xcbf29ce484222325ull;
-  uint64_t written_ = 0;  // payload bytes (header excluded)
-};
 
 /// Component order of one permutation: (first, second) is the run key,
 /// third is the stored value.
@@ -76,34 +35,17 @@ void SortPermutation(const PermSpec& p, std::vector<Triple>* triples) {
             });
 }
 
-uint64_t CountRuns(const PermSpec& p, const std::vector<Triple>& triples) {
-  uint64_t runs = 0;
-  uint64_t prev = 0;
-  bool have_prev = false;
-  for (const Triple& t : triples) {
-    const uint64_t key = PkgtRunKey(p.first(t), p.second(t));
-    if (!have_prev || key != prev) {
-      ++runs;
-      prev = key;
-      have_prev = true;
-    }
-  }
-  return runs;
-}
-
 /// Streams one sorted permutation out as its keys / offsets / values
-/// sections. `triples` must already be in this permutation's order.
-/// `on_run(run_index, key)` fires once per run in order, letting the caller
-/// derive the SPO run-relation array and the POS per-predicate table
-/// without a second scan.
+/// sections and returns its run count. `triples` must already be in this
+/// permutation's order. `on_run(run_index, key)` fires once per run in
+/// order, letting the caller derive the SPO run-relation array and the POS
+/// per-predicate table without a second scan.
 template <typename RunFn>
-Status WritePermutation(ChecksummedFile* out, const PermSpec& p,
-                        const std::vector<Triple>& triples,
-                        const PkgtPermutation& section, RunFn on_run) {
+uint64_t WritePermutation(SectionWriter* out, const PermSpec& p,
+                          const PkgtPermutationTags& tags,
+                          const std::vector<Triple>& triples, RunFn on_run) {
   std::vector<uint64_t> keys;
   std::vector<uint64_t> offsets;
-  keys.reserve(section.num_runs);
-  offsets.reserve(section.num_runs + 1);
   for (size_t i = 0; i < triples.size(); ++i) {
     const uint64_t key = PkgtRunKey(p.first(triples[i]), p.second(triples[i]));
     if (keys.empty() || key != keys.back()) {
@@ -114,44 +56,21 @@ Status WritePermutation(ChecksummedFile* out, const PermSpec& p,
   }
   offsets.push_back(triples.size());
 
-  PKGM_RETURN_IF_ERROR(out->PadTo(section.keys_offset));
-  PKGM_RETURN_IF_ERROR(out->Write(keys.data(), keys.size() * sizeof(uint64_t)));
-  PKGM_RETURN_IF_ERROR(out->PadTo(section.offsets_offset));
-  PKGM_RETURN_IF_ERROR(
-      out->Write(offsets.data(), offsets.size() * sizeof(uint64_t)));
-  PKGM_RETURN_IF_ERROR(out->PadTo(section.values_offset));
+  out->Add(tags.keys, keys.data(), keys.size() * sizeof(uint64_t));
+  out->Add(tags.offsets, offsets.data(), offsets.size() * sizeof(uint64_t));
+  out->Begin(tags.values);
   // Values stream straight out of the sorted triple vector in chunks.
   std::vector<uint32_t> chunk;
   chunk.reserve(4096);
   for (const Triple& t : triples) {
     chunk.push_back(p.third(t));
     if (chunk.size() == chunk.capacity()) {
-      PKGM_RETURN_IF_ERROR(
-          out->Write(chunk.data(), chunk.size() * sizeof(uint32_t)));
+      out->Write(chunk.data(), chunk.size() * sizeof(uint32_t));
       chunk.clear();
     }
   }
-  if (!chunk.empty()) {
-    PKGM_RETURN_IF_ERROR(
-        out->Write(chunk.data(), chunk.size() * sizeof(uint32_t)));
-  }
-  return Status::Ok();
-}
-
-/// Lays one permutation's three sections out at `*offset` (advanced past
-/// them) for `num_runs` runs over `num_triples` values.
-PkgtPermutation LayoutPermutation(uint64_t num_runs, uint64_t num_triples,
-                                  uint64_t* offset) {
-  PkgtPermutation p;
-  p.num_runs = num_runs;
-  p.keys_offset = *offset;
-  *offset = AlignUpToSection(p.keys_offset + num_runs * sizeof(uint64_t));
-  p.offsets_offset = *offset;
-  *offset =
-      AlignUpToSection(p.offsets_offset + (num_runs + 1) * sizeof(uint64_t));
-  p.values_offset = *offset;
-  *offset = AlignUpToSection(p.values_offset + num_triples * sizeof(uint32_t));
-  return p;
+  out->Write(chunk.data(), chunk.size() * sizeof(uint32_t));
+  return keys.size();
 }
 
 }  // namespace
@@ -177,102 +96,45 @@ StatusOr<TripleIndexBuildStats> TripleIndexWriter::WriteTriples(
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
   const uint64_t n = triples.size();
 
-  PkgtHeader header;
-  header.num_triples = n;
+  PkgtMeta meta;
+  meta.num_triples = n;
   for (const Triple& t : triples) {
-    header.num_entities =
-        std::max(header.num_entities, std::max(t.head, t.tail) + 1);
-    header.num_relations = std::max(header.num_relations, t.relation + 1);
+    meta.num_entities =
+        std::max(meta.num_entities, std::max(t.head, t.tail) + 1);
+    meta.num_relations = std::max(meta.num_relations, t.relation + 1);
   }
 
-  // Run counts drive the section layout, so each permutation is sorted
-  // twice: once to count, once (below) to stream its sections out.
-  const uint64_t spo_runs = CountRuns(kSpo, triples);
-  SortPermutation(kPos, &triples);
-  const uint64_t pos_runs = CountRuns(kPos, triples);
-  SortPermutation(kOsp, &triples);
-  const uint64_t osp_runs = CountRuns(kOsp, triples);
-
-  uint64_t offset = AlignUpToSection(sizeof(PkgtHeader));
-  header.spo = LayoutPermutation(spo_runs, n, &offset);
-  header.pos = LayoutPermutation(pos_runs, n, &offset);
-  header.osp = LayoutPermutation(osp_runs, n, &offset);
-  header.spo_run_relations_offset = offset;
-  offset = AlignUpToSection(offset + spo_runs * sizeof(uint32_t));
-  header.pred_runs_offset = offset;
-  offset = AlignUpToSection(offset +
-                            (header.num_relations + 1) * sizeof(uint64_t));
-  header.file_size = offset;
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(
-        StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  // Placeholder header first; rewritten with the final checksum below.
-  Status s = Status::Ok();
-  if (std::fwrite(&header, 1, sizeof(header), f) != sizeof(header)) {
-    s = Status::IoError("short write to triple index");
-  }
-
-  ChecksummedFile out(f);
+  SectionWriter file(path, kPkgtMagic, kPkgtFormatVersion);
+  file.Add(kMetaSection, &meta, sizeof(meta));
   std::vector<uint32_t> spo_run_relations;
-  spo_run_relations.reserve(spo_runs);
-  std::vector<uint64_t> pred_runs(header.num_relations + 1, pos_runs);
-
-  if (s.ok()) {
-    SortPermutation(kSpo, &triples);
-    s = WritePermutation(&out, kSpo, triples, header.spo,
-                         [&](size_t, uint64_t key) {
-                           spo_run_relations.push_back(PkgtKeySecond(key));
-                         });
-  }
-  if (s.ok()) {
-    SortPermutation(kPos, &triples);
-    uint32_t next_rel = 0;
-    s = WritePermutation(&out, kPos, triples, header.pos,
-                         [&](size_t run, uint64_t key) {
-                           // First run of each predicate closes every
-                           // predicate before it (empty ones included).
-                           while (next_rel <= PkgtKeyFirst(key)) {
-                             pred_runs[next_rel++] = run;
-                           }
-                         });
-  }
-  if (s.ok()) {
-    SortPermutation(kOsp, &triples);
-    s = WritePermutation(&out, kOsp, triples, header.osp,
-                         [](size_t, uint64_t) {});
-  }
-  if (s.ok()) s = out.PadTo(header.spo_run_relations_offset);
-  if (s.ok()) {
-    s = out.Write(spo_run_relations.data(),
-                  spo_run_relations.size() * sizeof(uint32_t));
-  }
-  if (s.ok()) s = out.PadTo(header.pred_runs_offset);
-  if (s.ok()) {
-    s = out.Write(pred_runs.data(), pred_runs.size() * sizeof(uint64_t));
-  }
-  if (s.ok()) s = out.PadTo(header.file_size);
-
-  if (s.ok()) {
-    header.payload_checksum = out.checksum();
-    if (std::fseek(f, 0, SEEK_SET) != 0 ||
-        std::fwrite(&header, 1, sizeof(header), f) != sizeof(header)) {
-      s = Status::IoError("cannot finalize triple index header");
-    }
-  }
-  if (std::fclose(f) != 0 && s.ok()) {
-    s = Status::IoError(StrFormat("close failed for %s", path.c_str()));
-  }
-  if (!s.ok()) return s;
+  const uint64_t spo_runs = WritePermutation(
+      &file, kSpo, kSpoSections, triples, [&](size_t, uint64_t key) {
+        spo_run_relations.push_back(PkgtKeySecond(key));
+      });
+  SortPermutation(kPos, &triples);
+  std::vector<uint64_t> pred_runs;
+  const uint64_t pos_runs = WritePermutation(
+      &file, kPos, kPosSections, triples, [&](size_t run, uint64_t key) {
+        // First run of each predicate closes every predicate before it
+        // (empty ones included).
+        while (pred_runs.size() <= PkgtKeyFirst(key)) pred_runs.push_back(run);
+      });
+  pred_runs.resize(static_cast<size_t>(meta.num_relations) + 1, pos_runs);
+  SortPermutation(kOsp, &triples);
+  const uint64_t osp_runs = WritePermutation(&file, kOsp, kOspSections,
+                                             triples, [](size_t, uint64_t) {});
+  file.Add(kSpoRunRelationsSection, spo_run_relations.data(),
+           spo_run_relations.size() * sizeof(uint32_t));
+  file.Add(kPredRunsSection, pred_runs.data(),
+           pred_runs.size() * sizeof(uint64_t));
+  PKGM_RETURN_IF_ERROR(file.Finish());
 
   TripleIndexBuildStats stats;
   stats.num_triples = n;
   stats.spo_runs = spo_runs;
   stats.pos_runs = pos_runs;
   stats.osp_runs = osp_runs;
-  stats.file_bytes = header.file_size;
+  stats.file_bytes = file.bytes_written();
   stats.seconds = sw.ElapsedSeconds();
   return stats;
 }

@@ -12,6 +12,7 @@
 
 #include "core/pkgm_model.h"
 #include "serve/request.h"
+#include "util/crc32c.h"
 #include "util/status.h"
 
 namespace pkgm::net {
@@ -136,25 +137,11 @@ inline constexpr uint8_t kMaxWireCode =
 WireCode WireCodeFromResponse(serve::ResponseCode code);
 serve::ResponseCode ResponseCodeFromWire(WireCode code);
 
-/// CRC32C (Castagnoli) over `len` bytes; `crc` seeds chained computation
-/// (pass 0 to start). Dispatches once per process to the hardware CRC32C
-/// instructions where available (SSE4.2 on x86-64, the ARMv8 CRC
-/// extension) and to the table-driven software implementation otherwise;
-/// setting PKGM_CRC32C=sw in the environment pins the software path. The
-/// SSE4.2 path runs three interleaved crc32 streams over 3 x 8 KiB, then
-/// 3 x 256 B blocks, joined by table-driven shifts, and one stream over
-/// the rest. All paths produce identical values — the checksum runs at
-/// both ends of every frame, parameter-server pulls and pushes included,
-/// and the software implementation is kept as the parity oracle the
-/// hardware paths are tested against.
-uint32_t Crc32c(const void* data, size_t len, uint32_t crc = 0);
-
-/// The table-driven reference implementation (always available).
-uint32_t Crc32cSoftware(const void* data, size_t len, uint32_t crc = 0);
-
-/// Name of the CRC32C implementation Crc32c() dispatches to: "sse4.2",
-/// "armv8-crc" or "software".
-const char* Crc32cImplName();
+/// CRC32C (util/crc32c.h) checksums the payload at both ends of every
+/// frame, parameter-server pulls and pushes included.
+using ::pkgm::Crc32c;
+using ::pkgm::Crc32cImplName;
+using ::pkgm::Crc32cSoftware;
 
 /// A decoded frame: type + correlation id + raw payload bytes. Payload
 /// interpretation is per-type via the Decode* functions below.

@@ -2,49 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
-#include "util/string_util.h"
-
 namespace pkgm::store {
-namespace {
-
-/// Buffered writer that feeds the payload checksum as bytes stream out.
-class ChecksummedFile {
- public:
-  explicit ChecksummedFile(std::FILE* f) : f_(f) {}
-
-  Status Write(const void* data, size_t bytes) {
-    if (std::fwrite(data, 1, bytes, f_) != bytes) {
-      return Status::IoError("short write to embedding store");
-    }
-    checksum_ = Fnv1a64(data, bytes, checksum_);
-    written_ += bytes;
-    return Status::Ok();
-  }
-
-  /// Zero-pads up to `offset` (absolute payload position past the header).
-  Status PadTo(uint64_t offset) {
-    static constexpr char kZeros[kStoreSectionAlignment] = {};
-    while (written_ + sizeof(StoreHeader) < offset) {
-      const size_t n = static_cast<size_t>(
-          std::min<uint64_t>(sizeof(kZeros),
-                             offset - sizeof(StoreHeader) - written_));
-      PKGM_RETURN_IF_ERROR(Write(kZeros, n));
-    }
-    return Status::Ok();
-  }
-
-  uint64_t checksum() const { return checksum_; }
-
- private:
-  std::FILE* f_;
-  uint64_t checksum_ = 0xcbf29ce484222325ull;
-  uint64_t written_ = 0;  // payload bytes (header excluded)
-};
-
-}  // namespace
 
 float QuantizeRowInt8(const float* row, uint32_t n, int8_t* out) {
   float maxabs = 0.0f;
@@ -67,21 +27,18 @@ float QuantizeRowInt8(const float* row, uint32_t n, int8_t* out) {
 
 namespace {
 
-/// Streams one table (rows x cols) through `file` starting at the section
-/// offset recorded in the header. Row accessor signature matches the
-/// EmbeddingSource row methods.
+/// Streams one table (rows x cols) into a new section of `file`. Row
+/// accessor signature matches the EmbeddingSource row methods.
 template <typename RowFn>
-Status WriteSection(ChecksummedFile* file, StoreDtype dtype, uint64_t offset,
-                    uint32_t rows, uint32_t cols, RowFn row_fn) {
-  if (rows == 0) return Status::Ok();
-  PKGM_RETURN_IF_ERROR(file->PadTo(offset));
+void WriteSection(SectionWriter* file, uint32_t tag, StoreDtype dtype,
+                  uint32_t rows, uint32_t cols, RowFn row_fn) {
+  file->Begin(tag);
   std::vector<float> scratch(cols);
   if (dtype == StoreDtype::kFloat32) {
     for (uint32_t r = 0; r < rows; ++r) {
-      const float* row = row_fn(r, scratch.data());
-      PKGM_RETURN_IF_ERROR(file->Write(row, cols * sizeof(float)));
+      file->Write(row_fn(r, scratch.data()), cols * sizeof(float));
     }
-    return Status::Ok();
+    return;
   }
   // int8: the per-row scale array precedes the quantized rows, so both are
   // computed in a first pass over the rows... but a two-pass layout would
@@ -94,8 +51,8 @@ Status WriteSection(ChecksummedFile* file, StoreDtype dtype, uint64_t offset,
     scales[r] = QuantizeRowInt8(row, cols, quantized.data() +
                                                static_cast<size_t>(r) * cols);
   }
-  PKGM_RETURN_IF_ERROR(file->Write(scales.data(), scales.size() * sizeof(float)));
-  return file->Write(quantized.data(), quantized.size());
+  file->Write(scales.data(), scales.size() * sizeof(float));
+  file->Write(quantized.data(), quantized.size());
 }
 
 }  // namespace
@@ -109,87 +66,38 @@ Status EmbeddingStoreWriter::Write(const core::EmbeddingSource& source,
     return Status::InvalidArgument("refusing to export an empty model");
   }
 
-  StoreHeader header;
-  header.dtype = static_cast<uint32_t>(options_.dtype);
-  header.dim = d;
-  header.num_entities = num_entities;
-  header.num_relations = num_relations;
-  header.scorer = static_cast<uint32_t>(source.scorer());
-  header.generation = options_.generation;
-  if (source.has_relation_module()) header.flags |= kStoreFlagHasRelationModule;
-  if (source.has_hyperplanes()) header.flags |= kStoreFlagHasHyperplanes;
+  StoreMeta meta;
+  meta.dtype = static_cast<uint32_t>(options_.dtype);
+  meta.dim = d;
+  meta.num_entities = num_entities;
+  meta.num_relations = num_relations;
+  meta.scorer = static_cast<uint32_t>(source.scorer());
+  meta.generation = options_.generation;
 
-  // Lay the sections out back to back, 64-byte aligned.
-  uint64_t offset = AlignUpToSection(sizeof(StoreHeader));
-  header.entity_offset = offset;
-  offset = AlignUpToSection(
-      offset + SectionBytes(options_.dtype, num_entities, d));
-  header.relation_offset = offset;
-  offset = AlignUpToSection(
-      offset + SectionBytes(options_.dtype, num_relations, d));
+  SectionWriter file(path, kStoreMagic, kStoreFormatVersion);
+  file.Add(kMetaSection, &meta, sizeof(meta));
+  const StoreDtype dtype = options_.dtype;
+  WriteSection(&file, kEntitySection, dtype, num_entities, d,
+               [&](uint32_t r, float* scratch) {
+                 return source.EntityRow(r, scratch);
+               });
+  WriteSection(&file, kRelationSection, dtype, num_relations, d,
+               [&](uint32_t r, float* scratch) {
+                 return source.RelationRow(r, scratch);
+               });
   if (source.has_relation_module()) {
-    header.transfer_offset = offset;
-    offset = AlignUpToSection(
-        offset + SectionBytes(options_.dtype, num_relations,
-                              static_cast<uint64_t>(d) * d));
+    WriteSection(&file, kTransferSection, dtype, num_relations, d * d,
+                 [&](uint32_t r, float* scratch) {
+                   return source.TransferRow(r, scratch);
+                 });
   }
   if (source.has_hyperplanes()) {
-    header.hyperplane_offset = offset;
-    offset = AlignUpToSection(
-        offset + SectionBytes(options_.dtype, num_relations, d));
+    WriteSection(&file, kHyperplaneSection, dtype, num_relations, d,
+                 [&](uint32_t r, float* scratch) {
+                   return source.HyperplaneRow(r, scratch);
+                 });
   }
-  header.file_size = offset;
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError(
-        StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  // Placeholder header first; rewritten with the final checksum below.
-  Status s = Status::Ok();
-  if (std::fwrite(&header, 1, sizeof(header), f) != sizeof(header)) {
-    s = Status::IoError("short write to embedding store");
-  }
-
-  ChecksummedFile out(f);
-  const StoreDtype dtype = options_.dtype;
-  if (s.ok()) {
-    s = WriteSection(&out, dtype, header.entity_offset, num_entities, d,
-                     [&](uint32_t r, float* scratch) {
-                       return source.EntityRow(r, scratch);
-                     });
-  }
-  if (s.ok()) {
-    s = WriteSection(&out, dtype, header.relation_offset, num_relations, d,
-                     [&](uint32_t r, float* scratch) {
-                       return source.RelationRow(r, scratch);
-                     });
-  }
-  if (s.ok() && source.has_relation_module()) {
-    s = WriteSection(&out, dtype, header.transfer_offset, num_relations, d * d,
-                     [&](uint32_t r, float* scratch) {
-                       return source.TransferRow(r, scratch);
-                     });
-  }
-  if (s.ok() && source.has_hyperplanes()) {
-    s = WriteSection(&out, dtype, header.hyperplane_offset, num_relations, d,
-                     [&](uint32_t r, float* scratch) {
-                       return source.HyperplaneRow(r, scratch);
-                     });
-  }
-  if (s.ok()) s = out.PadTo(header.file_size);
-
-  if (s.ok()) {
-    header.payload_checksum = out.checksum();
-    if (std::fseek(f, 0, SEEK_SET) != 0 ||
-        std::fwrite(&header, 1, sizeof(header), f) != sizeof(header)) {
-      s = Status::IoError("cannot finalize embedding store header");
-    }
-  }
-  if (std::fclose(f) != 0 && s.ok()) {
-    s = Status::IoError(StrFormat("close failed for %s", path.c_str()));
-  }
-  return s;
+  return file.Finish();
 }
 
 }  // namespace pkgm::store

@@ -14,19 +14,19 @@ struct StoreWriterOptions {
   /// On-disk element type. kInt8 applies symmetric per-row quantization to
   /// every table (entities, relations, transfers, hyperplanes).
   StoreDtype dtype = StoreDtype::kFloat32;
-  /// Model generation stamped into the header; ModelRegistry publishes
+  /// Model generation stamped into META; ModelRegistry publishes
   /// monotonically increasing generations to swap stores under traffic.
   uint64_t generation = 1;
 };
 
 /// Exports any EmbeddingSource — a freshly trained PkgmModel or an already
 /// open MmapEmbeddingStore (which is how `pkgm_tool quantize-store`
-/// re-encodes fp32 -> int8) — into the versioned .pkgs store format.
+/// re-encodes fp32 -> int8) — into the versioned .pkgs store format. An
+/// fp32 export is also the training checkpoint (store::LoadModel).
 ///
-/// The file is written section-streaming (one row materialized at a time),
-/// so exporting never needs a second copy of the tables in memory; the
-/// payload checksum is accumulated along the way and patched into the
-/// header at the end.
+/// The tables stream out section by section (one row materialized at a
+/// time) through util's SectionWriter, so exporting never needs a second
+/// copy of the tables in memory.
 class EmbeddingStoreWriter {
  public:
   explicit EmbeddingStoreWriter(StoreWriterOptions options = {})

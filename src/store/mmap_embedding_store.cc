@@ -1,12 +1,7 @@
 #include "store/mmap_embedding_store.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstring>
-#include <utility>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -14,17 +9,20 @@
 namespace pkgm::store {
 namespace {
 
-/// Section bounds check: the whole [offset, offset + bytes) range must sit
-/// inside the payload region of the mapped file.
-Status CheckSection(const char* name, uint64_t offset, uint64_t bytes,
-                    uint64_t file_size) {
-  if (offset < sizeof(StoreHeader) || offset % kStoreSectionAlignment != 0 ||
-      offset > file_size || bytes > file_size - offset) {
-    return Status::Corruption(
-        StrFormat("%s section [%llu, +%llu) escapes the %llu-byte store",
-                  name, static_cast<unsigned long long>(offset),
-                  static_cast<unsigned long long>(bytes),
-                  static_cast<unsigned long long>(file_size)));
+/// The table in `section` (nullptr when absent) must hold exactly rows x
+/// cols elements of `dtype`. The element count is bounded by the section
+/// size before it is scaled, so no product can overflow.
+Status CheckTable(const SectionFile& file, uint32_t tag, StoreDtype dtype,
+                  uint64_t rows, uint64_t cols) {
+  const SectionEntry* section = file.Find(tag);
+  uint64_t cells = 0;
+  if (section == nullptr || __builtin_mul_overflow(rows, cols, &cells) ||
+      cells > section->bytes ||
+      section->bytes != SectionBytes(dtype, rows, cols)) {
+    return Status::Corruption(StrFormat(
+        "%s: section %s does not hold a %llu x %llu %s table", file.path().c_str(),
+        SectionTagName(tag).c_str(), static_cast<unsigned long long>(rows),
+        static_cast<unsigned long long>(cols), StoreDtypeName(dtype)));
   }
   return Status::Ok();
 }
@@ -33,116 +31,72 @@ Status CheckSection(const char* name, uint64_t offset, uint64_t bytes,
 
 StatusOr<MmapEmbeddingStore> MmapEmbeddingStore::Open(
     const std::string& path, MmapStoreOptions options) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError(StrFormat("cannot open %s", path.c_str()));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("cannot stat %s", path.c_str()));
-  }
-  const uint64_t actual_size = static_cast<uint64_t>(st.st_size);
-  if (actual_size < sizeof(StoreHeader)) {
-    ::close(fd);
-    return Status::Corruption(
-        StrFormat("%s: %llu bytes is too short for a store header",
-                  path.c_str(), static_cast<unsigned long long>(actual_size)));
-  }
+  auto file = SectionFile::Open(path, kStoreMagic, kStoreFormatVersion,
+                                options.verify_checksum);
+  if (!file.ok()) return file.status();
+  MmapEmbeddingStore store(std::move(file.value()));
+  const SectionFile& f = store.file_;
+  StoreMeta& m = store.meta_;
+  PKGM_RETURN_IF_ERROR(ReadMetaSection(f, &m));
 
-  void* mapping = ::mmap(nullptr, actual_size, PROT_READ, MAP_SHARED, fd, 0);
-  // The mapping pins the file contents; the descriptor is no longer needed.
-  ::close(fd);
-  if (mapping == MAP_FAILED) {
-    return Status::IoError(StrFormat("mmap failed for %s", path.c_str()));
+  if (m.dtype > static_cast<uint32_t>(StoreDtype::kInt8)) {
+    return Status::Corruption(StrFormat("unknown store dtype %u", m.dtype));
   }
-
-  MmapEmbeddingStore store;
-  store.base_ = static_cast<const unsigned char*>(mapping);
-  store.mapped_bytes_ = actual_size;
-  store.path_ = path;
-  std::memcpy(&store.header_, store.base_, sizeof(StoreHeader));
-  const StoreHeader& h = store.header_;
-
-  if (h.magic != kStoreMagic) {
-    return Status::Corruption(
-        StrFormat("%s is not an embedding store (bad magic)", path.c_str()));
+  if (m.scorer > static_cast<uint32_t>(core::TripleScorerKind::kTransH)) {
+    return Status::Corruption(StrFormat("unknown scorer kind %u", m.scorer));
   }
-  if (h.version != kStoreFormatVersion) {
-    return Status::Corruption(
-        StrFormat("unsupported store format version %u", h.version));
+  if (m.dim == 0 || m.num_entities == 0 || m.num_relations == 0) {
+    return Status::Corruption("store META has zero-sized tables");
   }
-  if (h.dtype > static_cast<uint32_t>(StoreDtype::kInt8)) {
-    return Status::Corruption(StrFormat("unknown store dtype %u", h.dtype));
-  }
-  if (h.scorer > static_cast<uint32_t>(core::TripleScorerKind::kTransH)) {
-    return Status::Corruption(StrFormat("unknown scorer kind %u", h.scorer));
-  }
-  if (h.dim == 0 || h.num_entities == 0 || h.num_relations == 0) {
-    return Status::Corruption("store header has zero-sized tables");
-  }
-  if (static_cast<core::TripleScorerKind>(h.scorer) ==
-          core::TripleScorerKind::kComplEx &&
-      h.dim % 2 != 0) {
+  if (store.scorer() == core::TripleScorerKind::kComplEx && m.dim % 2 != 0) {
     return Status::Corruption("ComplEx store with odd dimension");
   }
-  if (h.file_size != actual_size) {
-    return Status::Corruption(StrFormat(
-        "store %s is truncated: header says %llu bytes, file has %llu",
-        path.c_str(), static_cast<unsigned long long>(h.file_size),
-        static_cast<unsigned long long>(actual_size)));
+  if (m.reserved != 0) {
+    return Status::Corruption("store META reserved field is not zero");
   }
 
+  // Presence: the transfer section is the relation-module flag; TransH
+  // (and only TransH) carries hyperplanes.
+  std::vector<uint32_t> tags = {kMetaSection, kEntitySection,
+                                kRelationSection};
+  if (f.Find(kTransferSection) != nullptr) tags.push_back(kTransferSection);
+  if (store.has_hyperplanes()) tags.push_back(kHyperplaneSection);
+  PKGM_RETURN_IF_ERROR(f.ExpectSections(tags));
+
   const StoreDtype dtype = store.dtype();
-  const uint64_t d = h.dim;
-  PKGM_RETURN_IF_ERROR(CheckSection("entity", h.entity_offset,
-                                    SectionBytes(dtype, h.num_entities, d),
-                                    actual_size));
-  PKGM_RETURN_IF_ERROR(CheckSection("relation", h.relation_offset,
-                                    SectionBytes(dtype, h.num_relations, d),
-                                    actual_size));
-  if (h.has_relation_module()) {
+  const uint64_t d = m.dim;
+  const auto table = [&](uint32_t tag, uint64_t rows, uint64_t cols,
+                         const unsigned char** out) -> Status {
+    PKGM_RETURN_IF_ERROR(CheckTable(f, tag, dtype, rows, cols));
+    *out = f.data(*f.Find(tag));
+    return Status::Ok();
+  };
+  PKGM_RETURN_IF_ERROR(
+      table(kEntitySection, m.num_entities, d, &store.entities_));
+  PKGM_RETURN_IF_ERROR(
+      table(kRelationSection, m.num_relations, d, &store.relations_));
+  if (f.Find(kTransferSection) != nullptr) {
     PKGM_RETURN_IF_ERROR(
-        CheckSection("transfer", h.transfer_offset,
-                     SectionBytes(dtype, h.num_relations, d * d), actual_size));
+        table(kTransferSection, m.num_relations, d * d, &store.transfers_));
   }
-  if (h.has_hyperplanes()) {
-    PKGM_RETURN_IF_ERROR(CheckSection("hyperplane", h.hyperplane_offset,
-                                      SectionBytes(dtype, h.num_relations, d),
-                                      actual_size));
-  }
-  if (options.verify_checksum) {
-    PKGM_RETURN_IF_ERROR(store.VerifyChecksum());
+  if (store.has_hyperplanes()) {
+    PKGM_RETURN_IF_ERROR(
+        table(kHyperplaneSection, m.num_relations, d, &store.hyperplanes_));
   }
   return store;
 }
 
-Status MmapEmbeddingStore::VerifyChecksum() const {
-  const uint64_t computed = Fnv1a64(base_ + sizeof(StoreHeader),
-                                    mapped_bytes_ - sizeof(StoreHeader));
-  if (computed != header_.payload_checksum) {
-    return Status::Corruption(StrFormat(
-        "store %s payload checksum mismatch: header %016llx, computed %016llx",
-        path_.c_str(),
-        static_cast<unsigned long long>(header_.payload_checksum),
-        static_cast<unsigned long long>(computed)));
-  }
-  return Status::Ok();
-}
-
-const float* MmapEmbeddingStore::Row(uint64_t offset, uint32_t rows,
-                                     uint32_t row, uint64_t cols,
-                                     float* scratch) const {
+const float* MmapEmbeddingStore::Row(const unsigned char* table,
+                                     uint32_t rows, uint32_t row,
+                                     uint64_t cols, float* scratch) const {
   PKGM_CHECK_LT(row, rows);
   if (dtype() == StoreDtype::kFloat32) {
-    return reinterpret_cast<const float*>(base_ + offset) + row * cols;
+    return reinterpret_cast<const float*>(table) + row * cols;
   }
   // int8: [rows x fp32 scale][rows x cols x int8].
-  const float scale =
-      reinterpret_cast<const float*>(base_ + offset)[row];
+  const float scale = reinterpret_cast<const float*>(table)[row];
   const auto* q = reinterpret_cast<const int8_t*>(
-      base_ + offset + static_cast<uint64_t>(rows) * sizeof(float) +
-      row * cols);
+      table + static_cast<uint64_t>(rows) * sizeof(float) + row * cols);
   for (uint64_t i = 0; i < cols; ++i) {
     scratch[i] = scale * static_cast<float>(q[i]);
   }
@@ -150,19 +104,18 @@ const float* MmapEmbeddingStore::Row(uint64_t offset, uint32_t rows,
 }
 
 const float* MmapEmbeddingStore::EntityRow(uint32_t e, float* scratch) const {
-  return Row(header_.entity_offset, header_.num_entities, e, header_.dim,
-             scratch);
+  return Row(entities_, meta_.num_entities, e, meta_.dim, scratch);
 }
 
 const float* MmapEmbeddingStore::EntityRowsBlock(uint32_t first,
                                                  uint32_t count,
                                                  float* scratch) const {
-  PKGM_CHECK_LE(static_cast<uint64_t>(first) + count, header_.num_entities);
+  PKGM_CHECK_LE(static_cast<uint64_t>(first) + count, meta_.num_entities);
   if (dtype() == StoreDtype::kFloat32) {
     // The fp32 entity section is row-major in the mapping: hand the block
     // back zero-copy, same as the single-row accessor.
-    return reinterpret_cast<const float*>(base_ + header_.entity_offset) +
-           static_cast<uint64_t>(first) * header_.dim;
+    return reinterpret_cast<const float*>(entities_) +
+           static_cast<uint64_t>(first) * meta_.dim;
   }
   // int8: dequantize row by row via the base implementation.
   return core::EmbeddingSource::EntityRowsBlock(first, count, scratch);
@@ -170,55 +123,51 @@ const float* MmapEmbeddingStore::EntityRowsBlock(uint32_t first,
 
 const float* MmapEmbeddingStore::RelationRow(uint32_t r,
                                              float* scratch) const {
-  return Row(header_.relation_offset, header_.num_relations, r, header_.dim,
-             scratch);
+  return Row(relations_, meta_.num_relations, r, meta_.dim, scratch);
 }
 
 const float* MmapEmbeddingStore::TransferRow(uint32_t r,
                                              float* scratch) const {
-  PKGM_CHECK(header_.has_relation_module());
-  return Row(header_.transfer_offset, header_.num_relations, r,
-             static_cast<uint64_t>(header_.dim) * header_.dim, scratch);
+  PKGM_CHECK(has_relation_module());
+  return Row(transfers_, meta_.num_relations, r,
+             static_cast<uint64_t>(meta_.dim) * meta_.dim, scratch);
 }
 
 const float* MmapEmbeddingStore::HyperplaneRow(uint32_t r,
                                                float* scratch) const {
-  PKGM_CHECK(header_.has_hyperplanes());
-  return Row(header_.hyperplane_offset, header_.num_relations, r, header_.dim,
-             scratch);
+  PKGM_CHECK(has_hyperplanes());
+  return Row(hyperplanes_, meta_.num_relations, r, meta_.dim, scratch);
 }
 
-void MmapEmbeddingStore::Release() noexcept {
-  if (base_ != nullptr) {
-    ::munmap(const_cast<unsigned char*>(base_), mapped_bytes_);
-    base_ = nullptr;
-    mapped_bytes_ = 0;
+StatusOr<core::PkgmModel> LoadModel(const std::string& path) {
+  auto store = MmapEmbeddingStore::Open(path);
+  if (!store.ok()) return store.status();
+  const MmapEmbeddingStore& s = store.value();
+  if (s.dtype() != StoreDtype::kFloat32) {
+    return Status::InvalidArgument(StrFormat(
+        "%s is an %s store; a checkpoint must be fp32", path.c_str(),
+        StoreDtypeName(s.dtype())));
   }
-}
-
-MmapEmbeddingStore::~MmapEmbeddingStore() { Release(); }
-
-MmapEmbeddingStore::MmapEmbeddingStore(MmapEmbeddingStore&& other) noexcept
-    : header_(other.header_),
-      path_(std::move(other.path_)),
-      base_(other.base_),
-      mapped_bytes_(other.mapped_bytes_) {
-  other.base_ = nullptr;
-  other.mapped_bytes_ = 0;
-}
-
-MmapEmbeddingStore& MmapEmbeddingStore::operator=(
-    MmapEmbeddingStore&& other) noexcept {
-  if (this != &other) {
-    Release();
-    header_ = other.header_;
-    path_ = std::move(other.path_);
-    base_ = other.base_;
-    mapped_bytes_ = other.mapped_bytes_;
-    other.base_ = nullptr;
-    other.mapped_bytes_ = 0;
+  core::PkgmModelOptions opt;
+  opt.num_entities = s.num_entities();
+  opt.num_relations = s.num_relations();
+  opt.dim = s.dim();
+  opt.scorer = s.scorer();
+  opt.use_relation_module = s.has_relation_module();
+  core::PkgmModel model(opt);
+  // fp32 sections hold the heap tables' exact bytes (Open checked sizes).
+  const auto copy = [](const float* rows, Mat* table) {
+    std::memcpy(table->data(), rows, table->size() * sizeof(float));
+  };
+  copy(s.EntityRow(0, nullptr), &model.entity_table());
+  copy(s.RelationRow(0, nullptr), &model.relation_table());
+  if (s.has_relation_module()) {
+    copy(s.TransferRow(0, nullptr), &model.transfer_table());
   }
-  return *this;
+  if (s.has_hyperplanes()) {
+    copy(s.HyperplaneRow(0, nullptr), &model.hyperplane_table());
+  }
+  return model;
 }
 
 }  // namespace pkgm::store

@@ -3,18 +3,21 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "core/embedding_source.h"
+#include "core/pkgm_model.h"
 #include "store/store_format.h"
+#include "util/section_file.h"
 #include "util/status.h"
 
 namespace pkgm::store {
 
 struct MmapStoreOptions {
-  /// Verify the FNV-1a payload checksum at open. This touches every page
-  /// once (streaming read), so it is the safe default for checkpointed
-  /// models; disable for very large stores where lazily faulting pages in
-  /// is the point.
+  /// Verify every section's CRC32C at open. This touches every page once
+  /// (streaming read), so it is the safe default for checkpointed models;
+  /// disable for very large stores where lazily faulting pages in is the
+  /// point, and call VerifyChecksum() later.
   bool verify_checksum = true;
 };
 
@@ -23,10 +26,10 @@ struct MmapStoreOptions {
 /// Implements core::EmbeddingSource: fp32 stores hand out zero-copy row
 /// pointers straight into the mapping; int8 stores dequantize rows into
 /// the caller's scratch (per-row symmetric scales). Opening validates the
-/// header (magic, version, dtype, scorer, section bounds against the real
-/// file size) before any row is touched, and optionally the payload
-/// checksum, so a truncated or bit-flipped store fails with a clear
-/// Status instead of serving garbage.
+/// container (util/section_file.h), then META (dtype, scorer, sizes) and
+/// every table section's size against it, before any row is touched, so a
+/// truncated or bit-flipped store fails with a clear Status instead of
+/// serving garbage.
 ///
 /// The mapping is immutable and safe for any number of concurrent reader
 /// threads; generations are swapped by opening a new store and publishing
@@ -36,22 +39,14 @@ class MmapEmbeddingStore : public core::EmbeddingSource {
   static StatusOr<MmapEmbeddingStore> Open(const std::string& path,
                                            MmapStoreOptions options = {});
 
-  ~MmapEmbeddingStore() override;
-  MmapEmbeddingStore(MmapEmbeddingStore&& other) noexcept;
-  MmapEmbeddingStore& operator=(MmapEmbeddingStore&& other) noexcept;
-  MmapEmbeddingStore(const MmapEmbeddingStore&) = delete;
-  MmapEmbeddingStore& operator=(const MmapEmbeddingStore&) = delete;
-
   // EmbeddingSource.
-  uint32_t num_entities() const override { return header_.num_entities; }
-  uint32_t num_relations() const override { return header_.num_relations; }
-  uint32_t dim() const override { return header_.dim; }
+  uint32_t num_entities() const override { return meta_.num_entities; }
+  uint32_t num_relations() const override { return meta_.num_relations; }
+  uint32_t dim() const override { return meta_.dim; }
   core::TripleScorerKind scorer() const override {
-    return static_cast<core::TripleScorerKind>(header_.scorer);
+    return static_cast<core::TripleScorerKind>(meta_.scorer);
   }
-  bool has_relation_module() const override {
-    return header_.has_relation_module();
-  }
+  bool has_relation_module() const override { return transfers_ != nullptr; }
   const float* EntityRow(uint32_t e, float* scratch) const override;
   const float* EntityRowsBlock(uint32_t first, uint32_t count,
                                float* scratch) const override;
@@ -60,31 +55,37 @@ class MmapEmbeddingStore : public core::EmbeddingSource {
   const float* HyperplaneRow(uint32_t r, float* scratch) const override;
 
   // Store metadata.
-  StoreDtype dtype() const { return static_cast<StoreDtype>(header_.dtype); }
-  uint64_t generation() const { return header_.generation; }
-  uint64_t file_size() const { return header_.file_size; }
-  const std::string& path() const { return path_; }
-  const StoreHeader& header() const { return header_; }
+  StoreDtype dtype() const { return static_cast<StoreDtype>(meta_.dtype); }
+  uint64_t generation() const { return meta_.generation; }
+  uint64_t file_size() const { return file_.file_size(); }
+  const std::string& path() const { return file_.path(); }
+  const SectionFile& file() const { return file_; }
 
-  /// Recomputes the payload checksum against the header (reads the whole
-  /// mapping). Used by `pkgm_tool inspect-store`.
-  Status VerifyChecksum() const;
+  /// Re-reads every section against its CRC32C. Used by `pkgm_tool
+  /// inspect-store` and after a lazy open.
+  Status VerifyChecksum() const { return file_.VerifyChecksum(); }
 
  private:
-  MmapEmbeddingStore() = default;
+  explicit MmapEmbeddingStore(SectionFile file) : file_(std::move(file)) {}
 
-  /// Returns row `row` of the section at `offset` (rows x cols), either
+  /// Returns row `row` of the table at `table` (rows x cols), either
   /// zero-copy (fp32) or dequantized into `scratch` (int8).
-  const float* Row(uint64_t offset, uint32_t rows, uint32_t row, uint64_t cols,
-                   float* scratch) const;
+  const float* Row(const unsigned char* table, uint32_t rows, uint32_t row,
+                   uint64_t cols, float* scratch) const;
 
-  void Release() noexcept;
-
-  StoreHeader header_;
-  std::string path_;
-  const unsigned char* base_ = nullptr;  // whole-file mapping
-  uint64_t mapped_bytes_ = 0;
+  SectionFile file_;
+  StoreMeta meta_;
+  // Table sections inside the mapping; nullptr when absent.
+  const unsigned char* entities_ = nullptr;
+  const unsigned char* relations_ = nullptr;
+  const unsigned char* transfers_ = nullptr;
+  const unsigned char* hyperplanes_ = nullptr;
 };
+
+/// Loads an fp32 .pkgs store into a trainable heap model: the checkpoint
+/// format. Refuses int8 stores (InvalidArgument) and validates META against
+/// every section size before the tables are allocated.
+StatusOr<core::PkgmModel> LoadModel(const std::string& path);
 
 }  // namespace pkgm::store
 

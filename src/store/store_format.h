@@ -1,8 +1,9 @@
 #ifndef PKGM_STORE_STORE_FORMAT_H_
 #define PKGM_STORE_STORE_FORMAT_H_
 
-#include <cstddef>
 #include <cstdint>
+
+#include "util/section_file.h"
 
 namespace pkgm::store {
 
@@ -23,84 +24,43 @@ inline const char* StoreDtypeName(StoreDtype dtype) {
   return "unknown";
 }
 
-// "PKGS" — distinct from the PkgmModel checkpoint magic "PKGM", so the two
-// formats can never be confused for one another.
+/// A .pkgs embedding store is a util/section_file.h container with magic
+/// "PKGS" and these sections, in order (DESIGN.md §9):
+///   META  StoreMeta
+///   ENTS  entity table        num_entities x d
+///   RELS  relation table      num_relations x d
+///   XFER  transfer matrices   num_relations x d*d  (relation module only)
+///   HYPL  hyperplane normals  num_relations x d    (TransH only)
+/// Each table section holds SectionBytes(dtype, rows, cols) bytes. An fp32
+/// store is also the training checkpoint (store::LoadModel).
 constexpr uint32_t kStoreMagic = 0x504b4753u;
-constexpr uint32_t kStoreFormatVersion = 1;
+constexpr uint32_t kStoreFormatVersion = 2;
 
-/// Every section offset is a multiple of this, so fp32 rows read straight
-/// out of the mapping are aligned for vectorized loads.
-constexpr uint64_t kStoreSectionAlignment = 64;
+constexpr uint32_t kEntitySection = SectionTag("ENTS");
+constexpr uint32_t kRelationSection = SectionTag("RELS");
+constexpr uint32_t kTransferSection = SectionTag("XFER");
+constexpr uint32_t kHyperplaneSection = SectionTag("HYPL");
 
-/// StoreHeader.flags bits.
-constexpr uint32_t kStoreFlagHasRelationModule = 1u << 0;
-constexpr uint32_t kStoreFlagHasHyperplanes = 1u << 1;
-
-/// Fixed little-endian header at offset 0 of a .pkgs embedding store.
-///
-/// Byte layout (also documented in DESIGN.md §9):
-///   [ 0,  4) magic "PKGS"            [ 4,  8) format version
-///   [ 8, 12) dtype (StoreDtype)      [12, 16) dim d
-///   [16, 20) num_entities            [20, 24) num_relations
-///   [24, 28) scorer (TripleScorerKind)
-///   [28, 32) flags                   [32, 40) model generation
-///   [40, 48) entity section offset   [48, 56) relation section offset
-///   [56, 64) transfer section offset (0 when absent)
-///   [64, 72) hyperplane section offset (0 when absent)
-///   [72, 80) total file size         [80, 88) FNV-1a64 payload checksum
-///
-/// The checksum covers every byte after the header (sections + alignment
-/// padding), so any bit flip in the parameter data is detected at load.
-struct StoreHeader {
-  uint32_t magic = kStoreMagic;
-  uint32_t version = kStoreFormatVersion;
-  uint32_t dtype = 0;
+/// The META section of a .pkgs store (little-endian, 32 bytes).
+struct StoreMeta {
+  uint32_t dtype = 0;  // StoreDtype
   uint32_t dim = 0;
   uint32_t num_entities = 0;
   uint32_t num_relations = 0;
-  uint32_t scorer = 0;
-  uint32_t flags = 0;
+  uint32_t scorer = 0;  // core::TripleScorerKind
+  uint32_t reserved = 0;
   uint64_t generation = 0;
-  uint64_t entity_offset = 0;
-  uint64_t relation_offset = 0;
-  uint64_t transfer_offset = 0;
-  uint64_t hyperplane_offset = 0;
-  uint64_t file_size = 0;
-  uint64_t payload_checksum = 0;
-
-  bool has_relation_module() const {
-    return (flags & kStoreFlagHasRelationModule) != 0;
-  }
-  bool has_hyperplanes() const {
-    return (flags & kStoreFlagHasHyperplanes) != 0;
-  }
 };
-static_assert(sizeof(StoreHeader) == 88, "StoreHeader must be packed to 88B");
+static_assert(sizeof(StoreMeta) == 32, "StoreMeta must be packed to 32B");
 
-inline uint64_t AlignUpToSection(uint64_t offset) {
-  return (offset + kStoreSectionAlignment - 1) & ~(kStoreSectionAlignment - 1);
-}
-
-/// Bytes one table section occupies (before alignment padding): int8
-/// sections carry a per-row fp32 scale array ahead of the quantized rows.
+/// Bytes one table section occupies: int8 sections carry a per-row fp32
+/// scale array ahead of the quantized rows.
 inline uint64_t SectionBytes(StoreDtype dtype, uint64_t rows, uint64_t cols) {
-  if (rows == 0) return 0;
   switch (dtype) {
     case StoreDtype::kFloat32: return rows * cols * sizeof(float);
     case StoreDtype::kInt8: return rows * sizeof(float) + rows * cols;
   }
   return 0;
-}
-
-/// Incremental FNV-1a 64 over raw bytes (the store's payload checksum).
-inline uint64_t Fnv1a64(const void* data, size_t n,
-                        uint64_t state = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    state ^= p[i];
-    state *= 0x100000001b3ull;
-  }
-  return state;
 }
 
 }  // namespace pkgm::store

@@ -25,6 +25,8 @@
 #include "core/sharded_trainer.h"
 #include "core/trainer.h"
 #include "kg/triple_store.h"
+#include "store/embedding_store_writer.h"
+#include "store/mmap_embedding_store.h"
 #include "tensor/ops.h"
 
 namespace pkgm::core {
@@ -121,9 +123,9 @@ TEST(PkgmModelTest, NormalizeEntityProjectsToUnitBall) {
 
 TEST(PkgmModelTest, CheckpointRoundTrip) {
   PkgmModel model(SmallModel());
-  const std::string path = ::testing::TempDir() + "/pkgm_ckpt.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  auto loaded = PkgmModel::LoadFromFile(path);
+  const std::string path = ::testing::TempDir() + "/pkgm_ckpt.pkgs";
+  ASSERT_TRUE(store::EmbeddingStoreWriter().Write(model, path).ok());
+  auto loaded = store::LoadModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->num_entities(), model.num_entities());
   EXPECT_EQ(loaded->dim(), model.dim());
@@ -133,19 +135,19 @@ TEST(PkgmModelTest, CheckpointRoundTrip) {
 }
 
 TEST(PkgmModelTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/pkgm_garbage.bin";
+  const std::string path = ::testing::TempDir() + "/pkgm_garbage.pkgs";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char junk[] = "this is not a checkpoint at all";
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
-  auto loaded = PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }
 
 TEST(PkgmModelTest, LoadMissingFileIsIoError) {
-  auto loaded = PkgmModel::LoadFromFile("/nonexistent/dir/x.bin");
+  auto loaded = store::LoadModel("/nonexistent/dir/x.pkgs");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -594,8 +596,12 @@ TEST(GradientsTest, FusedBatchMatchesPerPairBitForBit) {
                     model, pos[i], neg[i].triple, margin, *k, &ws, &want);
                 if (want_hinges[i] > 0.0f) ++active;
               }
-              if (margin == 1e4f) ASSERT_EQ(active, n);
-              if (margin == -1e4f) ASSERT_EQ(active, 0u);
+              if (margin == 1e4f) {
+                ASSERT_EQ(active, n);
+              }
+              if (margin == -1e4f) {
+                ASSERT_EQ(active, 0u);
+              }
               if (margin == gaps[n / 2]) {
                 ASSERT_GT(active, 0u);
                 ASSERT_LT(active, n);

@@ -171,7 +171,9 @@ TEST_P(PairInputLengthSweep, AlwaysFitsAndTerminatesWithSep) {
   bool seen_one = false;
   for (size_t i = 0; i < valid; ++i) {
     if (segs[i] == 1) seen_one = true;
-    if (seen_one) EXPECT_EQ(segs[i], 1u);
+    if (seen_one) {
+      EXPECT_EQ(segs[i], 1u);
+    }
   }
 }
 

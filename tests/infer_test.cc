@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,8 +35,10 @@
 #include "tasks/item_classification.h"
 #include "tasks/pipeline.h"
 #include "tasks/variant.h"
+#include "mutation.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
+#include "util/section_file.h"
 
 namespace pkgm::infer {
 namespace {
@@ -380,19 +383,98 @@ TEST(InferModelFileTest, CorruptionIsRejected) {
   ASSERT_TRUE(
       SaveAlignerModel(bundle.aligner, bundle.variant, 1, path).ok());
 
-  // Flip one payload byte: the checksum must catch it.
+  // Flip one weight byte: the checksum must catch it.
+  std::string bytes = ReadFileBytes(path);
   {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, sizeof(InferModelHeader) + 123, SEEK_SET), 0);
-    int c = std::fgetc(f);
-    ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-    std::fputc(c ^ 0x40, f);
-    std::fclose(f);
+    auto file = SectionFile::Open(path, kInferModelMagic, kInferModelVersion,
+                                  /*verify_checksum=*/false);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    const SectionEntry* params = file.value().Find(kParamsSection);
+    ASSERT_NE(params, nullptr);
+    bytes[params->offset + 123] ^= 0x40;
   }
+  ASSERT_TRUE(WriteFileBytes(path, bytes));
   EXPECT_FALSE(LoadInferModel(path).ok());
   EXPECT_FALSE(InspectInferModel(path).ok());
   EXPECT_FALSE(LoadInferModel(path + ".does-not-exist").ok());
+}
+
+TEST(InferModelFileTest, ParentVersionIsRejected) {
+  // The version-1 layout: a 48-byte header (magic, version, ...) and one
+  // sequential payload. Only the version refuses it.
+  std::string parent(4096, '\0');
+  const uint32_t magic = kInferModelMagic, version = 1;
+  std::memcpy(&parent[0], &magic, sizeof(magic));
+  std::memcpy(&parent[4], &version, sizeof(version));
+  const std::string path = ::testing::TempDir() + "/v1.align.pkgi";
+  ASSERT_TRUE(WriteFileBytes(path, parent));
+  auto loaded = LoadInferModel(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("format version 1; this build "
+                                           "reads version 2"),
+            std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
+// Writes a loaded model back out through the saver of its task.
+Status SaveLoaded(const LoadedInferModel& m, const std::string& path) {
+  switch (m.task) {
+    case InferTask::kRecommend:
+      return SaveRecommenderModel(m.recommender, m.variant, m.generation,
+                                  path);
+    case InferTask::kClassify:
+      return SaveClassifierModel(m.classifier, m.variant, m.generation, path);
+    case InferTask::kAlign:
+      break;
+  }
+  return SaveAlignerModel(m.aligner, m.variant, m.generation, path);
+}
+
+// Every mutant of a .pkgi loads or returns Corruption, never a crash or a
+// sanitizer report. Half the mutants get their CRCs re-sealed so the
+// mutation reaches the container's entry checks and the config, vocab and
+// parameter-record parsers behind them; an accepted mutant must re-write
+// to exactly its own bytes.
+TEST(MutationTest, InferModelFilesLoadOrFailCleanly) {
+  InferFixture& fx = Fixture();
+  InferPipelineOptions iopt;
+  iopt.seed = 97;
+  InferBundle bundle = TrainInferModels(fx.pkgm, iopt);
+  const std::string tag = std::to_string(::getpid());
+  const std::string path = ::testing::TempDir() + "/mutant." + tag + ".pkgi";
+  const std::string rewrite_path =
+      ::testing::TempDir() + "/rewrite." + tag + ".pkgi";
+  ASSERT_TRUE(SaveClassifierModel(bundle.classifier, bundle.variant, 1, path)
+                  .ok());
+  const std::string other = ReadFileBytes(path);
+  ASSERT_TRUE(SaveAlignerModel(bundle.aligner, bundle.variant, 1, path).ok());
+  const std::string input = ReadFileBytes(path);
+  const std::vector<size_t> fields = SectionTableFields(input);
+
+  Rng rng(20242);
+  size_t accepted = 0;
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    std::string mutant = iter == 0 ? input : Mutate(input, other, fields, &rng);
+    if (iter % 2 == 1) ResealSections(&mutant);
+    ASSERT_TRUE(WriteFileBytes(path, mutant));
+    auto loaded = LoadInferModel(path);
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << loaded.status().ToString();
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(InspectInferModel(path).ok());
+    ASSERT_TRUE(SaveLoaded(loaded.value(), rewrite_path).ok());
+    EXPECT_TRUE(ReadFileBytes(rewrite_path) == mutant)
+        << "accepted mutant does not re-encode";
+  }
+  EXPECT_GT(accepted, 2u);
+  std::remove(path.c_str());
+  std::remove(rewrite_path.c_str());
 }
 
 // ---- End-to-end parity over the wire (fp32, bit-identical) ----

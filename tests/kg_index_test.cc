@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,9 @@
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_index_writer.h"
 #include "kg/triple_store.h"
+#include "mutation.h"
+#include "util/rng.h"
+#include "util/section_file.h"
 #include "util/status.h"
 
 namespace pkgm {
@@ -55,6 +59,19 @@ std::vector<uint32_t> Sorted(kg::IdSpan span) {
   std::vector<uint32_t> v(span.begin(), span.end());
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Offset of section `tag` in the index at `path` (opened without the
+/// checksum pass).
+uint64_t SectionOffset(const std::string& path, uint32_t tag) {
+  kg::MmapTripleIndexOptions lazy;
+  lazy.verify_checksum = false;
+  auto opened = kg::MmapTripleIndex::Open(path, lazy);
+  EXPECT_TRUE(opened.ok()) << opened.status().message();
+  if (!opened.ok()) return 0;
+  const SectionEntry* section = opened.value().file().Find(tag);
+  EXPECT_NE(section, nullptr);
+  return section == nullptr ? 0 : section->offset;
 }
 
 void FlipByteAt(const std::string& path, long offset) {
@@ -192,15 +209,9 @@ TEST(KgIndexCorruption, PayloadBitFlipFailsChecksum) {
   kg::SyntheticPkg pkg = SmallPkg();
   const std::string path = TempIndexPath("flip.pkgt");
   ASSERT_TRUE(kg::TripleIndexWriter().Write(pkg.observed, path).ok());
-  kg::PkgtHeader header;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fread(&header, sizeof(header), 1, f), 1u);
-    std::fclose(f);
-  }
-  // Flip a value byte in the middle of the SPO values section.
-  FlipByteAt(path, static_cast<long>(header.spo.values_offset) + 1);
+  // Flip a value byte near the start of the SPO values section.
+  FlipByteAt(path, static_cast<long>(
+                       SectionOffset(path, kg::kSpoSections.values) + 1));
 
   auto strict = kg::MmapTripleIndex::Open(path);
   ASSERT_FALSE(strict.ok());
@@ -222,28 +233,106 @@ TEST(KgIndexCorruption, OutOfOrderRunKeysAreRejected) {
   kg::SyntheticPkg pkg = SmallPkg();
   const std::string path = TempIndexPath("order.pkgt");
   ASSERT_TRUE(kg::TripleIndexWriter().Write(pkg.observed, path).ok());
-  kg::PkgtHeader header;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fread(&header, sizeof(header), 1, f), 1u);
-    std::fclose(f);
-  }
-  // Overwrite the first SPO run key with the maximum key: keys are no
-  // longer strictly increasing, which must fail the structural check at
-  // open even with the checksum pass disabled.
+  // Overwrite the first SPO run key with the maximum key and re-seal the
+  // CRCs: keys are no longer strictly increasing, which must fail the
+  // structural check at open, not the checksum.
   const uint64_t huge = ~UINT64_C(0);
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, static_cast<long>(header.spo.keys_offset), SEEK_SET);
-  std::fwrite(&huge, sizeof(huge), 1, f);
-  std::fclose(f);
+  ASSERT_TRUE(PatchSealed(path, SectionOffset(path, kg::kSpoSections.keys),
+                          &huge, sizeof(huge)));
 
-  kg::MmapTripleIndexOptions lazy;
-  lazy.verify_checksum = false;
-  auto opened = kg::MmapTripleIndex::Open(path, lazy);
+  auto opened = kg::MmapTripleIndex::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().message().find("run keys out of order"),
+            std::string::npos)
+      << opened.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(KgIndexCorruption, InflatedEntityCountIsRejected) {
+  // META claiming a billion entities over a small graph (CRCs re-sealed)
+  // would make a trainer size its tables from it; the count must be one
+  // past the largest id the permutations hold.
+  kg::SyntheticPkg pkg = SmallPkg();
+  const std::string path = TempIndexPath("count.pkgt");
+  ASSERT_TRUE(kg::TripleIndexWriter().Write(pkg.observed, path).ok());
+  const uint32_t billion = 1000000000u;
+  ASSERT_TRUE(PatchSealed(path,
+                          SectionOffset(path, kMetaSection) +
+                              offsetof(kg::PkgtMeta, num_entities),
+                          &billion, sizeof(billion)));
+
+  auto opened = kg::MmapTripleIndex::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(KgIndexCorruption, ParentVersionIsRejected) {
+  // The version-1 layout: a 160-byte header (magic, version, ...) and the
+  // permutation arrays behind it. Only the version refuses it.
+  std::string parent(4096, '\0');
+  const uint32_t magic = kg::kPkgtMagic, version = 1;
+  std::memcpy(&parent[0], &magic, sizeof(magic));
+  std::memcpy(&parent[4], &version, sizeof(version));
+  const std::string path = TempIndexPath("v1.pkgt");
+  ASSERT_TRUE(WriteFileBytes(path, parent));
+
+  auto opened = kg::MmapTripleIndex::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().message().find("format version 1; this build "
+                                           "reads version 2"),
+            std::string::npos)
+      << opened.status().message();
+  std::remove(path.c_str());
+}
+
+// Every mutant of a .pkgt opens or returns Corruption, never a crash or a
+// sanitizer report. Half the mutants get their CRCs re-sealed so the
+// mutation reaches the container's entry checks and the index's META and
+// structure checks; an accepted index answers queries over its mapping.
+TEST(MutationTest, TripleIndexFilesOpenOrFailCleanly) {
+  kg::TripleStore small;
+  small.Add(1, 0, 2);
+  small.Add(1, 0, 3);
+  small.Add(4, 1, 2);
+  small.Add(5, 2, 1);
+  const std::string path =
+      TempIndexPath(("mutant." + std::to_string(::getpid()) + ".pkgt").c_str());
+  ASSERT_TRUE(kg::TripleIndexWriter().Write(small, path).ok());
+  const std::string other = ReadFileBytes(path);
+  ASSERT_TRUE(kg::TripleIndexWriter().Write(SmallPkg().observed, path).ok());
+  const std::string input = ReadFileBytes(path);
+  const std::vector<size_t> fields = SectionTableFields(input);
+
+  Rng rng(20241);
+  size_t accepted = 0;
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(iter);
+    std::string mutant = iter == 0 ? input : Mutate(input, other, fields, &rng);
+    if (iter % 2 == 1) ResealSections(&mutant);
+    ASSERT_TRUE(WriteFileBytes(path, mutant));
+    auto opened = kg::MmapTripleIndex::Open(path);
+    if (!opened.ok()) {
+      EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+          << opened.status().message();
+      continue;
+    }
+    ++accepted;
+    const kg::MmapTripleIndex& index = opened.value();
+    (void)index.Validate();
+    std::vector<kg::Triple> triples;
+    index.AppendTriples(&triples);
+    EXPECT_EQ(triples.size(), index.NumTriples());
+    for (const kg::Triple& t : triples) {
+      EXPECT_FALSE(index.Tails(t.head, t.relation).empty());
+      (void)index.Heads(t.relation, t.tail);
+      (void)index.RelationsOf(t.head);
+      (void)index.RelationCount(t.relation);
+    }
+  }
+  EXPECT_GT(accepted, 2u);
   std::remove(path.c_str());
 }
 

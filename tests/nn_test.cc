@@ -4,7 +4,6 @@
 
 #include "nn/activations.h"
 #include "nn/attention.h"
-#include "nn/dropout.h"
 #include "nn/embedding.h"
 #include "nn/grad_check.h"
 #include "nn/layer_norm.h"
@@ -218,52 +217,6 @@ TEST(LayerNormTest, GradCheck) {
   EXPECT_LT(CheckInputGradient(&x, dx, loss).max_rel_error, kGradTol);
   EXPECT_LT(CheckParameterGradient(&ln.gamma(), loss).max_rel_error, kGradTol);
   EXPECT_LT(CheckParameterGradient(&ln.beta(), loss).max_rel_error, kGradTol);
-}
-
-// ---------------------------------------------------------------- Dropout --
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Dropout drop(0.5f);
-  drop.set_training(false);
-  Rng rng(19);
-  Mat x(2, 3);
-  UniformInit(x.size(), -1, 1, &rng, x.data());
-  Mat y;
-  drop.Forward(x, &y, &rng);
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
-  }
-}
-
-TEST(DropoutTest, TrainingZeroesAndScales) {
-  Dropout drop(0.5f);
-  Rng rng(23);
-  Mat x(1, 1000, 1.0f);
-  Mat y;
-  drop.Forward(x, &y, &rng);
-  int zeros = 0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (y.data()[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y.data()[i], 2.0f);  // 1 / (1-0.5)
-    }
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.06);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Dropout drop(0.3f);
-  Rng rng(29);
-  Mat x(1, 100, 1.0f);
-  Mat y;
-  drop.Forward(x, &y, &rng);
-  Mat dy(1, 100, 1.0f);
-  Mat dx;
-  drop.Backward(dy, &dx);
-  for (size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(dx.data()[i] == 0.0f, y.data()[i] == 0.0f);
-  }
 }
 
 // ----------------------------------------------------------------- Losses --

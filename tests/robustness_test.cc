@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 
@@ -14,11 +15,15 @@
 #include "kg/etl.h"
 #include "kg/split.h"
 #include "kg/synthetic_pkg.h"
+#include "mutation.h"
 #include "nn/grad_check.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
+#include "store/embedding_store_writer.h"
+#include "store/mmap_embedding_store.h"
 #include "tensor/init.h"
 #include "text/title_generator.h"
+#include "util/section_file.h"
 
 namespace pkgm {
 namespace {
@@ -33,10 +38,24 @@ core::PkgmModelOptions TinyModel() {
   return opt;
 }
 
+/// Writes `model` as a checkpoint: an fp32 .pkgs store.
+void SaveCheckpoint(const core::PkgmModel& model, const std::string& path) {
+  ASSERT_TRUE(store::EmbeddingStoreWriter().Write(model, path).ok());
+}
+
+/// File offset of the META field at `field` in the checkpoint at `path`.
+uint64_t MetaFieldOffset(const std::string& path, size_t field) {
+  auto file = SectionFile::Open(path, store::kStoreMagic,
+                                store::kStoreFormatVersion);
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  if (!file.ok()) return 0;
+  return file.value().Find(kMetaSection)->offset + field;
+}
+
 TEST(CheckpointRobustness, TruncatedFileIsCorruption) {
   core::PkgmModel model(TinyModel());
-  const std::string path = ::testing::TempDir() + "/trunc.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
+  const std::string path = ::testing::TempDir() + "/trunc.pkgs";
+  SaveCheckpoint(model, path);
   // Truncate to half.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -45,7 +64,7 @@ TEST(CheckpointRobustness, TruncatedFileIsCorruption) {
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
 
-  auto loaded = core::PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -53,47 +72,49 @@ TEST(CheckpointRobustness, TruncatedFileIsCorruption) {
 
 TEST(CheckpointRobustness, TruncatedMidHeaderIsCorruption) {
   core::PkgmModel model(TinyModel());
-  const std::string path = ::testing::TempDir() + "/trunc_hdr.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
+  const std::string path = ::testing::TempDir() + "/trunc_hdr.pkgs";
+  SaveCheckpoint(model, path);
   ASSERT_EQ(truncate(path.c_str(), 9), 0);  // shorter than the header
 
-  auto loaded = core::PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
 TEST(CheckpointRobustness, GarbageHeaderCountsRejectedWithoutAllocating) {
-  // A header advertising billions of rows must come back as a clean
-  // Corruption status (the size check fires before any table allocation),
-  // not an OOM or a crash.
+  // META advertising billions of rows must come back as a clean Corruption
+  // status (the section-size check fires before any table allocation), not
+  // an OOM or a crash. The patch re-seals the CRCs, so it is the size check
+  // that rejects it, not the checksum.
   core::PkgmModel model(TinyModel());
-  const std::string path = ::testing::TempDir() + "/garbage.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint32_t huge = 0xFFFFFFFEu;
-  std::fseek(f, 2 * 4, SEEK_SET);  // num_entities field
-  std::fwrite(&huge, sizeof(huge), 1, f);
-  std::fclose(f);
+  const std::string path = ::testing::TempDir() + "/garbage.pkgs";
+  SaveCheckpoint(model, path);
+  const uint32_t huge = 0xFFFFFFFEu;
+  ASSERT_TRUE(PatchSealed(
+      path, MetaFieldOffset(path, offsetof(store::StoreMeta, num_entities)),
+      &huge, sizeof(huge)));
 
-  auto loaded = core::PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("does not hold"),
+            std::string::npos)
+      << loaded.status().message();
   std::remove(path.c_str());
 }
 
 TEST(CheckpointRobustness, TrailingGarbageRejected) {
   core::PkgmModel model(TinyModel());
-  const std::string path = ::testing::TempDir() + "/tail.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
+  const std::string path = ::testing::TempDir() + "/tail.pkgs";
+  SaveCheckpoint(model, path);
   std::FILE* f = std::fopen(path.c_str(), "ab");
   ASSERT_NE(f, nullptr);
   const char junk[16] = {0};
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
 
-  auto loaded = core::PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -101,8 +122,8 @@ TEST(CheckpointRobustness, TrailingGarbageRejected) {
 
 TEST(CheckpointRobustness, WrongVersionRejected) {
   core::PkgmModel model(TinyModel());
-  const std::string path = ::testing::TempDir() + "/ver.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
+  const std::string path = ::testing::TempDir() + "/ver.pkgs";
+  SaveCheckpoint(model, path);
   // Patch the version word (offset 4) to 999.
   std::FILE* f = std::fopen(path.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
@@ -111,7 +132,7 @@ TEST(CheckpointRobustness, WrongVersionRejected) {
   std::fwrite(&bogus, sizeof(bogus), 1, f);
   std::fclose(f);
 
-  auto loaded = core::PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -119,24 +140,50 @@ TEST(CheckpointRobustness, WrongVersionRejected) {
 
 TEST(CheckpointRobustness, BogusScorerRejected) {
   core::PkgmModel model(TinyModel());
-  const std::string path = ::testing::TempDir() + "/scorer.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  uint32_t bogus = 42;  // not a TripleScorerKind
-  std::fseek(f, 6 * 4, SEEK_SET);
-  std::fwrite(&bogus, sizeof(bogus), 1, f);
-  std::fclose(f);
+  const std::string path = ::testing::TempDir() + "/scorer.pkgs";
+  SaveCheckpoint(model, path);
+  const uint32_t bogus = 42;  // not a TripleScorerKind
+  ASSERT_TRUE(PatchSealed(
+      path, MetaFieldOffset(path, offsetof(store::StoreMeta, scorer)), &bogus,
+      sizeof(bogus)));
 
-  auto loaded = core::PkgmModel::LoadFromFile(path);
+  auto loaded = store::LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("unknown scorer kind"),
+            std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRobustness, ParentCheckpointFormatIsRefused) {
+  // The retired "PKGM" checkpoint: seven u32 (magic, version 2, entities,
+  // relations, dim, relation module, scorer) and the fp32 tables, with no
+  // checksum. No compatibility reader is kept: its magic is refused.
+  const core::PkgmModelOptions opt = TinyModel();
+  const uint32_t header[7] = {0x504b474du, 2, opt.num_entities,
+                              opt.num_relations, opt.dim, 1, 0};
+  std::string parent(reinterpret_cast<const char*>(header), sizeof(header));
+  parent.resize(parent.size() +
+                    sizeof(float) * opt.dim *
+                        (opt.num_entities + opt.num_relations +
+                         opt.num_relations * opt.dim),
+                '\0');
+  const std::string path = ::testing::TempDir() + "/parent_ckpt.bin";
+  ASSERT_TRUE(WriteFileBytes(path, parent));
+
+  auto loaded = store::LoadModel(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+      << loaded.status().message();
   std::remove(path.c_str());
 }
 
 TEST(CheckpointRobustness, SaveToUnwritablePathFails) {
   core::PkgmModel model(TinyModel());
-  Status s = model.SaveToFile("/nonexistent-dir/x/y.bin");
+  Status s = store::EmbeddingStoreWriter().Write(model,
+                                                 "/nonexistent-dir/x/y.pkgs");
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
 }

@@ -14,6 +14,8 @@
 #include "core/pkgm_model.h"
 #include "core/trainer.h"
 #include "kg/triple_store.h"
+#include "store/embedding_store_writer.h"
+#include "store/mmap_embedding_store.h"
 #include "tensor/ops.h"
 
 namespace pkgm::core {
@@ -180,9 +182,9 @@ TEST_P(ScorerSweep, TrainedModelRanksTrueTailsWell) {
 
 TEST_P(ScorerSweep, CheckpointRoundTripPreservesScorer) {
   PkgmModel model(Options(GetParam(), 8));
-  const std::string path = ::testing::TempDir() + "/scorer_ckpt.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  auto loaded = PkgmModel::LoadFromFile(path);
+  const std::string path = ::testing::TempDir() + "/scorer_ckpt.pkgs";
+  ASSERT_TRUE(store::EmbeddingStoreWriter().Write(model, path).ok());
+  auto loaded = store::LoadModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->scorer(), GetParam());
   kg::Triple t{2, 1, 9};

@@ -20,11 +20,14 @@
 #include "core/pkgm_model.h"
 #include "core/service.h"
 #include "core/service_math.h"
+#include "mutation.h"
 #include "serve/knowledge_server.h"
 #include "store/embedding_store_writer.h"
 #include "store/mmap_embedding_store.h"
 #include "store/model_registry.h"
 #include "store/store_format.h"
+#include "util/rng.h"
+#include "util/section_file.h"
 #include "util/status.h"
 
 namespace pkgm {
@@ -149,7 +152,7 @@ TEST(StoreRoundTrip, TransHStoreCarriesHyperplanes) {
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   const store::MmapEmbeddingStore& s = opened.value();
   EXPECT_EQ(s.scorer(), core::TripleScorerKind::kTransH);
-  EXPECT_TRUE(s.header().has_hyperplanes());
+  EXPECT_TRUE(s.has_hyperplanes());
   std::vector<float> scratch(model.dim());
   for (uint32_t r = 0; r < model.num_relations(); ++r) {
     EXPECT_EQ(std::memcmp(s.HyperplaneRow(r, scratch.data()),
@@ -172,7 +175,7 @@ TEST(StoreRoundTrip, NoRelationModuleStoreZeroFillsRelationServices) {
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   const store::MmapEmbeddingStore& s = opened.value();
   EXPECT_FALSE(s.has_relation_module());
-  EXPECT_EQ(s.header().transfer_offset, 0u);
+  EXPECT_EQ(s.file().Find(store::kTransferSection), nullptr);
 
   core::ServiceVectorProvider provider(&s, {0, 1}, {{0, 1}, {2}});
   const Vec all = provider.Condensed(0, core::ServiceMode::kAll);
@@ -336,14 +339,18 @@ TEST(StoreCorruption, PayloadBitFlipFailsChecksum) {
   const std::string path = TempStorePath("flip.pkgs");
   ASSERT_TRUE(store::EmbeddingStoreWriter().Write(model, path).ok());
   // Flip one byte in the middle of the entity section.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 128, SEEK_SET);
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  std::fseek(f, 128, SEEK_SET);
-  std::fputc(c ^ 0x40, f);
-  std::fclose(f);
+  std::string bytes = ReadFileBytes(path);
+  {
+    store::MmapStoreOptions lazy;
+    lazy.verify_checksum = false;
+    auto clean = store::MmapEmbeddingStore::Open(path, lazy);
+    ASSERT_TRUE(clean.ok()) << clean.status().message();
+    const SectionEntry* entities =
+        clean.value().file().Find(store::kEntitySection);
+    ASSERT_NE(entities, nullptr);
+    bytes[entities->offset + entities->bytes / 2] ^= 0x40;
+  }
+  ASSERT_TRUE(WriteFileBytes(path, bytes));
 
   auto strict = store::MmapEmbeddingStore::Open(path);
   ASSERT_FALSE(strict.ok());
@@ -375,6 +382,113 @@ TEST(StoreCorruption, HeaderSizeMismatchIsRejected) {
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
+}
+
+TEST(StoreCorruption, ParentVersionIsRejected) {
+  // The version-1 layout: an 88-byte header (magic, version, ...) and the
+  // tables behind it. Its magic matches, so only the version refuses it.
+  std::string parent(4096, '\0');
+  const uint32_t magic = store::kStoreMagic, version = 1;
+  std::memcpy(&parent[0], &magic, sizeof(magic));
+  std::memcpy(&parent[4], &version, sizeof(version));
+  const std::string path = TempStorePath("v1.pkgs");
+  ASSERT_TRUE(WriteFileBytes(path, parent));
+
+  auto opened = store::MmapEmbeddingStore::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().message().find("format version 1; this build "
+                                           "reads version 2"),
+            std::string::npos)
+      << opened.status().message();
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- seeded mutation --
+
+// Every mutant of a .pkgs opens or returns Corruption (never a crash or a
+// sanitizer report), through both MmapEmbeddingStore::Open and LoadModel.
+// Half the mutants get their CRCs re-sealed so the mutation reaches the
+// container's entry checks and the store's META checks; an accepted fp32
+// mutant must re-write to exactly its own bytes.
+TEST(MutationTest, StoreFilesOpenOrFailCleanly) {
+  // d = 64 puts more than 64 KiB of transfer matrices behind the small
+  // sections, so an offset or size inflated by 0x10000 lands inside
+  // another section instead of past the end of the file.
+  core::PkgmModelOptions opt = SmallOptions();
+  opt.dim = 64;
+  core::PkgmModel model(opt);
+  core::PkgmModelOptions transh = opt;
+  transh.scorer = core::TripleScorerKind::kTransH;
+  transh.use_relation_module = false;
+  const std::string tag = std::to_string(::getpid());
+  const std::string path = TempStorePath(("mutant." + tag + ".pkgs").c_str());
+  const std::string rewrite_path =
+      TempStorePath(("rewrite." + tag + ".pkgs").c_str());
+  const auto encode = [&](const core::EmbeddingSource& source,
+                          store::StoreDtype dtype) {
+    store::StoreWriterOptions wopt;
+    wopt.dtype = dtype;
+    EXPECT_TRUE(store::EmbeddingStoreWriter(wopt).Write(source, path).ok());
+    return ReadFileBytes(path);
+  };
+  const std::string fp32 = encode(model, store::StoreDtype::kFloat32);
+  const std::string int8 = encode(model, store::StoreDtype::kInt8);
+  const std::string other =
+      encode(core::PkgmModel(transh), store::StoreDtype::kFloat32);
+
+  Rng rng(20240);
+  size_t accepted = 0, rewritten = 0;
+  for (const std::string* input : {&fp32, &int8}) {
+    const std::vector<size_t> fields = SectionTableFields(*input);
+    for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+      SCOPED_TRACE(iter);
+      std::string mutant =
+          iter == 0 ? *input : Mutate(*input, other, fields, &rng);
+      if (iter % 2 == 1) ResealSections(&mutant);
+      ASSERT_TRUE(WriteFileBytes(path, mutant));
+
+      auto opened = store::MmapEmbeddingStore::Open(path);
+      auto loaded = store::LoadModel(path);
+      if (!opened.ok()) {
+        EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+            << opened.status().message();
+        EXPECT_FALSE(loaded.ok());
+        continue;
+      }
+      ++accepted;
+      const store::MmapEmbeddingStore& s = opened.value();
+      // Touch every row: a section the checks let through must hold them.
+      std::vector<float> scratch(static_cast<size_t>(s.dim()) * s.dim());
+      float sum = 0.0f;
+      for (uint32_t e = 0; e < s.num_entities(); ++e) {
+        sum += s.EntityRow(e, scratch.data())[s.dim() - 1];
+      }
+      for (uint32_t r = 0; r < s.num_relations(); ++r) {
+        sum += s.RelationRow(r, scratch.data())[0];
+        if (s.has_relation_module()) sum += s.TransferRow(r, scratch.data())[0];
+        if (s.has_hyperplanes()) sum += s.HyperplaneRow(r, scratch.data())[0];
+      }
+      volatile float sink = sum;
+      (void)sink;
+      if (s.dtype() != store::StoreDtype::kFloat32) {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+      EXPECT_EQ(loaded->num_entities(), s.num_entities());
+      store::StoreWriterOptions wopt;
+      wopt.generation = s.generation();
+      ASSERT_TRUE(store::EmbeddingStoreWriter(wopt).Write(s, rewrite_path).ok());
+      EXPECT_TRUE(ReadFileBytes(rewrite_path) == mutant)
+          << "accepted mutant does not re-encode";
+      ++rewritten;
+    }
+  }
+  EXPECT_GT(accepted, 2u);
+  EXPECT_GT(rewritten, 1u);
+  std::remove(path.c_str());
+  std::remove(rewrite_path.c_str());
 }
 
 // -------------------------------------------------------- model registry --

@@ -505,7 +505,9 @@ TEST(TablePrinterTest, AlignsColumns) {
   auto lines = Split(s, '\n');
   size_t width = lines[0].size();
   for (const auto& line : lines) {
-    if (!line.empty()) EXPECT_EQ(line.size(), width);
+    if (!line.empty()) {
+      EXPECT_EQ(line.size(), width);
+    }
   }
 }
 

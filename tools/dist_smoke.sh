@@ -33,7 +33,7 @@ rm -f shard_*.port shard_*.json worker_*.log base.log kg.tsv
   echo "FAIL: generate" >&2; exit 1; }
 
 # Single-process baseline (2-worker hogwild, same seed budget).
-"$TOOL" train kg.tsv base_model.bin --epochs "$EPOCHS" --dim "$DIM" \
+"$TOOL" train kg.tsv base_model.pkgs --epochs "$EPOCHS" --dim "$DIM" \
         --workers 2 --optimizer sgd --lr "$LR" --seed "$SEED" \
         --eval-hinge > base.log 2>&1 || {
   echo "FAIL: baseline train" >&2; cat base.log >&2; exit 1; }
@@ -70,12 +70,12 @@ EP1="127.0.0.1:$(cat shard_1.port)"
 
 # Two worker processes splitting each epoch's batches, synchronized by the
 # shards' epoch barriers. Worker 0 pulls the merged model and evaluates.
-"$TOOL" train kg.tsv dist_model.bin --epochs "$EPOCHS" --dim "$DIM" \
+"$TOOL" train kg.tsv dist_model.pkgs --epochs "$EPOCHS" --dim "$DIM" \
         --workers 1 --optimizer sgd --lr "$LR" --seed "$SEED" \
         --connect-shards "$EP0,$EP1" --worker-index 0 --worker-procs 2 \
         --eval-hinge > worker_0.log 2>&1 &
 W0=$!
-"$TOOL" train kg.tsv dist_model_w1.bin --epochs "$EPOCHS" --dim "$DIM" \
+"$TOOL" train kg.tsv dist_model_w1.pkgs --epochs "$EPOCHS" --dim "$DIM" \
         --workers 1 --optimizer sgd --lr "$LR" --seed "$SEED" \
         --connect-shards "$EP0,$EP1" --worker-index 1 --worker-procs 2 \
         > worker_1.log 2>&1 &

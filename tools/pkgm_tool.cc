@@ -1,11 +1,11 @@
 // pkgm_tool — command-line driver for the PKGM library.
 //
 //   pkgm_tool generate  <out.tsv>  [seed]        synthesize a product KG
-//   pkgm_tool pretrain  <kg.tsv> <model.bin> [epochs] [dim]
+//   pkgm_tool pretrain  <kg.tsv> <model.pkgs> [epochs] [dim]
 //                                               pre-train PKGM on a TSV KG
-//   pkgm_tool train     <kg.tsv> <model.bin> [--epochs N] [--dim N]
+//   pkgm_tool train     <kg.tsv> <model.pkgs> [--epochs N] [--dim N]
 //                       [--workers N] [--optimizer adam|sgd] [--lr F]
-//                       [--batch N] [--margin F] [--seed N] [--store out.pkgs]
+//                       [--batch N] [--margin F] [--seed N]
 //                       [--distributed N | --connect-shards h:p,h:p,...]
 //                       [--worker-index I --worker-procs P] [--inflight N]
 //                       [--psd-binary PATH] [--eval-hinge]
@@ -20,25 +20,27 @@
 //                                               joins daemons already
 //                                               running, e.g. from another
 //                                               worker process)
-//   pkgm_tool eval      <kg.tsv> <model.bin> [fraction]
+//   pkgm_tool eval      <kg.tsv> <model.pkgs> [fraction]
 //                                               filtered link prediction on a
 //                                               random holdout of the KG
-//   pkgm_tool complete  <kg.tsv> <model.bin> <head> <relation> [topk]
+//   pkgm_tool complete  <kg.tsv> <model.pkgs> <head> <relation> [topk]
 //                                               answer (head, relation, ?)
 //                                               in vector space
-//   pkgm_tool export-store <model.bin> <out.pkgs> [fp32|int8] [generation]
-//                                               export a checkpoint into the
-//                                               mmap-servable .pkgs store
-//   pkgm_tool inspect-store <store.pkgs>        dump header/sections and
-//                                               verify the payload checksum
+//   pkgm_tool export-store <model.pkgs> <out.pkgs> [fp32|int8] [generation]
+//                                               re-export a checkpoint (an
+//                                               fp32 .pkgs store) at another
+//                                               dtype or generation
+//   pkgm_tool inspect-store <store.pkgs>        dump META and the section
+//                                               table, verify every CRC32C
 //   pkgm_tool quantize-store <in.pkgs> <out.pkgs>
 //                                               re-encode an fp32 store int8
 //   pkgm_tool build-kg-index <kg.tsv> <out.pkgt>
 //                                               sort a TSV KG into the
 //                                               mmap-servable .pkgt triple
 //                                               index (SPO/POS/OSP)
-//   pkgm_tool inspect-kg-index <index.pkgt>     dump the index header and
-//                                               verify checksum + structure
+//   pkgm_tool inspect-kg-index <index.pkgt>     dump META and the section
+//                                               table, verify CRC32Cs +
+//                                               structure
 //   pkgm_tool bench-kernels [dim]               detected SIMD ISA + per-op
 //                                               micro-bench vs scalar
 //   pkgm_tool export-infer-model <out_prefix> [--seed N] [--generation N]
@@ -48,9 +50,12 @@
 //                                               <prefix>.{recommend,classify,
 //                                               align}.pkgi (checksummed,
 //                                               self-checked by reload)
-//   pkgm_tool inspect-infer-model <model.pkgi>  print the .pkgi header +
-//                                               config as JSON; verifies
-//                                               the payload checksum
+//   pkgm_tool inspect-infer-model <model.pkgi>  print the section table,
+//                                               then META + config as JSON;
+//                                               verifies every CRC32C
+//
+// A checkpoint is an fp32 .pkgs store (store::LoadModel reads it back), so
+// every trained model is servable as written.
 //
 // The TSV format is "head\trelation\ttail", one triple per line (see
 // kg/io.h); `generate` emits a compatible file so the whole loop runs
@@ -80,11 +85,11 @@
 #include "kg/triple_index_writer.h"
 #include "store/embedding_store_writer.h"
 #include "store/mmap_embedding_store.h"
-#include "store/store_format.h"
 #include "serve_common.h"
 #include "tensor/simd/kernel_bench.h"
 #include "tensor/simd/kernel_dispatch.h"
 #include "util/logging.h"
+#include "util/section_file.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -95,20 +100,19 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  pkgm_tool generate <out.tsv> [seed]\n"
-               "  pkgm_tool pretrain <kg.tsv> <model.bin> [epochs] [dim]\n"
-               "  pkgm_tool train <kg.tsv> <model.bin> [--epochs N] [--dim N]"
+               "  pkgm_tool pretrain <kg.tsv> <model.pkgs> [epochs] [dim]\n"
+               "  pkgm_tool train <kg.tsv> <model.pkgs> [--epochs N] [--dim N]"
                " [--workers N]\n"
                "            [--optimizer adam|sgd] [--lr F] [--batch N]"
                " [--margin F] [--seed N]\n"
-               "            [--store out.pkgs]"
-               " [--distributed N | --connect-shards h:p,...]\n"
+               "            [--distributed N | --connect-shards h:p,...]\n"
                "            [--worker-index I --worker-procs P] [--inflight N]"
                " [--psd-binary PATH]\n"
                "            [--eval-hinge]\n"
-               "  pkgm_tool eval <kg.tsv> <model.bin> [holdout_fraction]\n"
-               "  pkgm_tool complete <kg.tsv> <model.bin> <head> <relation> "
+               "  pkgm_tool eval <kg.tsv> <model.pkgs> [holdout_fraction]\n"
+               "  pkgm_tool complete <kg.tsv> <model.pkgs> <head> <relation> "
                "[topk]\n"
-               "  pkgm_tool export-store <model.bin> <out.pkgs> [fp32|int8] "
+               "  pkgm_tool export-store <model.pkgs> <out.pkgs> [fp32|int8] "
                "[generation]\n"
                "  pkgm_tool inspect-store <store.pkgs>\n"
                "  pkgm_tool quantize-store <in.pkgs> <out.pkgs>\n"
@@ -139,6 +143,44 @@ kg::TripleStore MustLoad(const std::string& path, kg::Vocab* entities,
               store->size(), entities->size(), relations->size(),
               path.c_str());
   return std::move(store.value());
+}
+
+/// Writes `model` as a checkpoint: an fp32 .pkgs store at generation 1.
+int SaveCheckpoint(const core::PkgmModel& model, const char* path) {
+  Status s = store::EmbeddingStoreWriter().Write(model, path);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
+  std::printf("checkpoint written to %s\n", path);
+  return 0;
+}
+
+/// Loads a checkpoint; exits with a message on failure.
+core::PkgmModel MustLoadModel(const char* path) {
+  auto model = store::LoadModel(path);
+  if (!model.ok()) {
+    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(model.value());
+}
+
+/// The section table every inspect-* command prints, then the verdict of
+/// re-reading each section against its CRC32C (returned).
+Status PrintSections(const SectionFile& file) {
+  std::printf("format version   %u\n", file.version());
+  std::printf("file size        %s bytes\n",
+              WithThousandsSeparators(file.file_size()).c_str());
+  std::printf("section  %12s %16s  crc32c\n", "offset", "bytes");
+  for (const SectionEntry& s : file.sections()) {
+    std::printf("  %-6s %12llu %16s  %08x\n", SectionTagName(s.tag).c_str(),
+                static_cast<unsigned long long>(s.offset),
+                WithThousandsSeparators(s.bytes).c_str(), s.crc);
+  }
+  Status s = file.VerifyChecksum();
+  std::printf("checksum         %s\n", s.ok() ? "OK" : s.ToString().c_str());
+  return s;
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -185,14 +227,7 @@ int CmdPretrain(int argc, char** argv) {
     }
   }
   std::printf("trained in %.1fs\n", sw.ElapsedSeconds());
-
-  Status s = model.SaveToFile(argv[1]);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("checkpoint written to %s\n", argv[1]);
-  return 0;
+  return SaveCheckpoint(model, argv[1]);
 }
 
 /// pkgm_psd next to the running pkgm_tool binary (the usual build layout);
@@ -234,7 +269,6 @@ int CmdTrain(int argc, char** argv) {
   float lr = 0.05f, margin = 2.0f;
   uint64_t seed = 17;
   bool adam = true;
-  const char* store_out = nullptr;
   uint32_t distributed = 0;          // > 0: spawn this many shard daemons
   std::vector<std::string> connect_shards;
   uint32_t worker_index = 0, worker_procs = 1;
@@ -265,8 +299,6 @@ int CmdTrain(int argc, char** argv) {
       margin = std::atof(v);
     } else if (const char* v = flag_value("--seed")) {
       seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value("--store")) {
-      store_out = v;
     } else if (const char* v = flag_value("--distributed")) {
       distributed = std::atoi(v);
     } else if (const char* v = flag_value("--connect-shards")) {
@@ -361,25 +393,6 @@ int CmdTrain(int argc, char** argv) {
       std::fflush(stdout);
     }
   };
-  const auto save_and_export = [&](const core::PkgmModel& m) -> int {
-    Status s = m.SaveToFile(argv[1]);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("checkpoint written to %s\n", argv[1]);
-    if (store_out != nullptr) {
-      Status ws = store::EmbeddingStoreWriter(store::StoreWriterOptions{})
-                      .Write(m, store_out);
-      if (!ws.ok()) {
-        std::fprintf(stderr, "%s\n", ws.ToString().c_str());
-        return 1;
-      }
-      std::printf("servable store written to %s\n", store_out);
-    }
-    return 0;
-  };
-
   Stopwatch sw;
   if (dist_mode) {
     // Spawn the shard fleet when asked; otherwise join daemons another
@@ -453,7 +466,7 @@ int CmdTrain(int argc, char** argv) {
     if (eval_hinge) {
       std::printf("final eval hinge %.6f\n", trainer.EvaluateMeanHinge());
     }
-    return save_and_export(*trainer.replica());
+    return SaveCheckpoint(*trainer.replica(), argv[1]);
   }
 
   core::PkgmModel model(mopt);
@@ -477,18 +490,14 @@ int CmdTrain(int argc, char** argv) {
     std::printf("final eval hinge %.6f\n",
                 trainer.EvaluateMeanHinge(triples));
   }
-  return save_and_export(model);
+  return SaveCheckpoint(model, argv[1]);
 }
 
 int CmdEval(int argc, char** argv) {
   if (argc < 2) return Usage();
   kg::Vocab entities, relations;
   kg::TripleStore store = MustLoad(argv[0], &entities, &relations);
-  auto model = core::PkgmModel::LoadFromFile(argv[1]);
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
+  const core::PkgmModel model = MustLoadModel(argv[1]);
   const double fraction = argc >= 3 ? std::atof(argv[2]) : 0.05;
 
   Rng rng(7);
@@ -498,7 +507,7 @@ int CmdEval(int argc, char** argv) {
               split.test.size());
 
   core::LinkPredictionEvaluator::Options eopt;
-  core::LinkPredictionEvaluator eval(&model.value(), &store, eopt);
+  core::LinkPredictionEvaluator eval(&model, &store, eopt);
   auto result = eval.EvaluateTails(split.test);
   std::printf("MRR %.4f | Hits@1 %.4f | Hits@3 %.4f | Hits@10 %.4f | "
               "mean rank %.1f\n",
@@ -511,11 +520,7 @@ int CmdComplete(int argc, char** argv) {
   if (argc < 4) return Usage();
   kg::Vocab entities, relations;
   kg::TripleStore store = MustLoad(argv[0], &entities, &relations);
-  auto model = core::PkgmModel::LoadFromFile(argv[1]);
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
+  const core::PkgmModel model = MustLoadModel(argv[1]);
   const uint32_t head = entities.Find(argv[2]);
   const uint32_t relation = relations.Find(argv[3]);
   if (head == kg::kInvalidId || relation == kg::kInvalidId) {
@@ -524,14 +529,14 @@ int CmdComplete(int argc, char** argv) {
   }
   const size_t topk = argc >= 5 ? std::atoi(argv[4]) : 5;
 
-  std::vector<float> q(model->dim());
-  model->TripleQueryVector(head, relation, q.data());
+  std::vector<float> q(model.dim());
+  model.TripleQueryVector(head, relation, q.data());
   std::vector<std::pair<float, kg::EntityId>> scored;
-  scored.reserve(model->num_entities());
-  for (kg::EntityId e = 0; e < model->num_entities(); ++e) {
+  scored.reserve(model.num_entities());
+  for (kg::EntityId e = 0; e < model.num_entities(); ++e) {
     if (e == head) continue;
-    scored.emplace_back(model->TailDistance(relation, q.data(),
-                                            model->entity(e)),
+    scored.emplace_back(model.TailDistance(relation, q.data(),
+                                            model.entity(e)),
                         e);
   }
   std::partial_sort(scored.begin(),
@@ -549,7 +554,7 @@ int CmdComplete(int argc, char** argv) {
 
 int CmdExportStore(int argc, char** argv) {
   if (argc < 2) return Usage();
-  auto model = core::PkgmModel::LoadFromFile(argv[0]);
+  auto model = store::MmapEmbeddingStore::Open(argv[0]);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
@@ -589,7 +594,7 @@ int CmdExportStore(int argc, char** argv) {
 
 int CmdInspectStore(int argc, char** argv) {
   if (argc < 1) return Usage();
-  // Open without the checksum pass first so the header prints even for a
+  // Open without the checksum pass first so META prints even for a
   // store whose payload is damaged; verify explicitly afterwards.
   store::MmapStoreOptions mopt;
   mopt.verify_checksum = false;
@@ -598,35 +603,18 @@ int CmdInspectStore(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
-  const store::StoreHeader& h = opened->header();
+  const store::MmapEmbeddingStore& st = opened.value();
   std::printf("store            %s\n", argv[0]);
-  std::printf("format version   %u\n", h.version);
-  std::printf("dtype            %s\n", store::StoreDtypeName(opened->dtype()));
-  std::printf("dim              %u\n", h.dim);
-  std::printf("entities         %u\n", h.num_entities);
-  std::printf("relations        %u\n", h.num_relations);
-  std::printf("scorer           %u\n", h.scorer);
-  std::printf("relation module  %s\n", h.has_relation_module() ? "yes" : "no");
-  std::printf("hyperplanes      %s\n", h.has_hyperplanes() ? "yes" : "no");
+  std::printf("dtype            %s\n", store::StoreDtypeName(st.dtype()));
+  std::printf("dim              %u\n", st.dim());
+  std::printf("entities         %u\n", st.num_entities());
+  std::printf("relations        %u\n", st.num_relations());
+  std::printf("scorer           %u\n", static_cast<uint32_t>(st.scorer()));
+  std::printf("relation module  %s\n", st.has_relation_module() ? "yes" : "no");
+  std::printf("hyperplanes      %s\n", st.has_hyperplanes() ? "yes" : "no");
   std::printf("generation       %llu\n",
-              static_cast<unsigned long long>(h.generation));
-  std::printf("file size        %llu bytes\n",
-              static_cast<unsigned long long>(h.file_size));
-  auto section = [](const char* name, uint64_t offset) {
-    if (offset == 0) {
-      std::printf("%-16s -\n", name);
-    } else {
-      std::printf("%-16s offset %llu\n", name,
-                  static_cast<unsigned long long>(offset));
-    }
-  };
-  section("entity section", h.entity_offset);
-  section("relation sect.", h.relation_offset);
-  section("transfer sect.", h.transfer_offset);
-  section("hyperplane sec.", h.hyperplane_offset);
-  Status s = opened->VerifyChecksum();
-  std::printf("checksum         %s\n", s.ok() ? "OK" : s.ToString().c_str());
-  return s.ok() ? 0 : 1;
+              static_cast<unsigned long long>(st.generation()));
+  return PrintSections(st.file()).ok() ? 0 : 1;
 }
 
 int CmdQuantizeStore(int argc, char** argv) {
@@ -697,7 +685,7 @@ int CmdBuildKgIndex(int argc, char** argv) {
 
 int CmdInspectKgIndex(int argc, char** argv) {
   if (argc < 1) return Usage();
-  // Open without the checksum pass first so the header prints even for an
+  // Open without the checksum pass first so META prints even for an
   // index whose payload is damaged; verify explicitly afterwards.
   kg::MmapTripleIndexOptions mopt;
   mopt.verify_checksum = false;
@@ -706,27 +694,14 @@ int CmdInspectKgIndex(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
-  const kg::PkgtHeader& h = opened->header();
+  const kg::MmapTripleIndex& index = opened.value();
   std::printf("index            %s\n", argv[0]);
-  std::printf("format version   %u\n", h.version);
   std::printf("triples          %s\n",
-              WithThousandsSeparators(h.num_triples).c_str());
-  std::printf("entities         %u\n", h.num_entities);
-  std::printf("relations        %u\n", h.num_relations);
-  std::printf("file size        %s bytes\n",
-              WithThousandsSeparators(h.file_size).c_str());
-  const auto perm = [](const char* name, const kg::PkgtPermutation& p) {
-    std::printf("%-16s %llu runs, keys at %llu, values at %llu\n", name,
-                static_cast<unsigned long long>(p.num_runs),
-                static_cast<unsigned long long>(p.keys_offset),
-                static_cast<unsigned long long>(p.values_offset));
-  };
-  perm("SPO", h.spo);
-  perm("POS", h.pos);
-  perm("OSP", h.osp);
-  Status cs = opened->VerifyChecksum();
-  std::printf("checksum         %s\n", cs.ok() ? "OK" : cs.ToString().c_str());
-  Status vs = opened->Validate();
+              WithThousandsSeparators(index.NumTriples()).c_str());
+  std::printf("entities         %u\n", index.MaxEntityId());
+  std::printf("relations        %u\n", index.MaxRelationId());
+  Status cs = PrintSections(index.file());
+  Status vs = index.Validate();
   std::printf("structure        %s\n", vs.ok() ? "OK" : vs.ToString().c_str());
   return cs.ok() && vs.ok() ? 0 : 1;
 }
@@ -814,6 +789,16 @@ int CmdExportInferModel(int argc, char** argv) {
 
 int CmdInspectInferModel(int argc, char** argv) {
   if (argc < 1) return Usage();
+  // Map without the checksum pass first so the section table prints even
+  // for a file whose sections are damaged.
+  auto file = SectionFile::Open(argv[0], infer::kInferModelMagic,
+                                infer::kInferModelVersion,
+                                /*verify_checksum=*/false);
+  if (!file.ok()) {
+    std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
+    return 1;
+  }
+  if (!PrintSections(file.value()).ok()) return 1;
   auto json = infer::InspectInferModel(argv[0]);
   if (!json.ok()) {
     std::fprintf(stderr, "%s\n", json.status().ToString().c_str());
