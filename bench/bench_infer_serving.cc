@@ -7,8 +7,10 @@
 //
 //   bench_infer_serving [--smoke] [--json PATH]
 //
-//   --smoke shrinks the request volume for CI; --json writes the measured
-//   numbers as a machine-readable artifact.
+//   --smoke shrinks the request volume for CI and drives both legs closed
+//   loop (each generator thread waits for its response), so the all-ok and
+//   hot-swap checks hold on any host speed, sanitizer builds included;
+//   --json writes the measured numbers as a machine-readable artifact.
 
 #include <condition_variable>
 #include <cstdio>
@@ -121,10 +123,11 @@ class FutureDrain {
 };
 
 serve::LoadGenOptions MixOptions(uint32_t num_items, uint32_t num_users,
-                                 uint64_t requests, double rate,
+                                 uint64_t requests, double rate, bool open_loop,
                                  uint64_t seed) {
   serve::LoadGenOptions lopt;
   lopt.rate_qps = rate;
+  lopt.open_loop = open_loop;
   lopt.total_requests = requests;
   lopt.threads = 2;
   lopt.num_items = num_items;
@@ -177,7 +180,8 @@ void PrintMixReport(const char* title, const serve::LoadGenReport& report,
   }
 }
 
-void Run(uint64_t requests, double rate, const std::string& json_path) {
+void Run(uint64_t requests, double rate, bool open_loop,
+         const std::string& json_path) {
   bench::PrintHeader("Inference serving: per-task tails at a fixed mix");
 
   std::printf("building pipeline + downstream models ...\n");
@@ -198,10 +202,10 @@ void Run(uint64_t requests, double rate, const std::string& json_path) {
               setup.ElapsedSeconds(), num_items, num_users,
               bundle.num_classes);
   std::printf("mix: lookup %.0f%% / recommend %.0f%% / classify %.0f%% / "
-              "align %.0f%%, %s requests/leg at %.0f qps\n\n",
+              "align %.0f%%, %s requests/leg at %.0f qps, %s loop\n\n",
               100 * kMixLookup, 100 * kMixRecommend, 100 * kMixClassify,
               100 * kMixAlign, WithThousandsSeparators(requests).c_str(),
-              rate);
+              rate, open_loop ? "open" : "closed");
 
   std::vector<JsonRow> json_rows;
 
@@ -219,7 +223,9 @@ void Run(uint64_t requests, double rate, const std::string& json_path) {
           server.SubmitBatchAsync(std::move(batch), std::move(done));
         };
     const serve::LoadGenReport report = serve::RunLoadGen(
-        MixOptions(num_items, num_users, requests, rate, /*seed=*/31), submit);
+        MixOptions(num_items, num_users, requests, rate, open_loop,
+                   /*seed=*/31),
+        submit);
     PrintMixReport("in-process", report, "in_process", &json_rows);
   }
 
@@ -252,7 +258,9 @@ void Run(uint64_t requests, double rate, const std::string& json_path) {
       models.PublishAligner(std::move(fresh.aligner), fresh.variant);
     });
     const serve::LoadGenReport report = serve::RunLoadGen(
-        MixOptions(num_items, num_users, requests, rate, /*seed=*/37), submit);
+        MixOptions(num_items, num_users, requests, rate, open_loop,
+                   /*seed=*/37),
+        submit);
     swapper.join();
     PrintMixReport("loopback socket (+hot swap)", report, "loopback",
                    &json_rows);
@@ -273,9 +281,11 @@ void Run(uint64_t requests, double rate, const std::string& json_path) {
     PKGM_CHECK(f != nullptr);
     std::fprintf(f,
                  "{\"requests_per_leg\":%llu,\"rate_qps\":%.0f,"
+                 "\"open_loop\":%s,"
                  "\"mix\":{\"lookup\":%.2f,\"recommend\":%.2f,"
                  "\"classify\":%.2f,\"align\":%.2f},\"rows\":[",
-                 static_cast<unsigned long long>(requests), rate, kMixLookup,
+                 static_cast<unsigned long long>(requests), rate,
+                 open_loop ? "true" : "false", kMixLookup,
                  kMixRecommend, kMixClassify, kMixAlign);
     for (size_t i = 0; i < json_rows.size(); ++i) {
       const JsonRow& row = json_rows[i];
@@ -298,11 +308,13 @@ void Run(uint64_t requests, double rate, const std::string& json_path) {
 int main(int argc, char** argv) {
   uint64_t requests = 20000;
   double rate = 4000.0;
+  bool open_loop = true;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       requests = 3000;
       rate = 1500.0;
+      open_loop = false;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
@@ -310,6 +322,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  pkgm::Run(requests, rate, json_path);
+  pkgm::Run(requests, rate, open_loop, json_path);
   return 0;
 }

@@ -8,7 +8,6 @@
 
 #include "bench/bench_common.h"
 #include "core/link_prediction.h"
-#include "kg/query_engine.h"
 #include "kg/rule_miner.h"
 #include "tensor/simd/kernel_dispatch.h"
 #include "util/stopwatch.h"
@@ -99,14 +98,12 @@ void Run() {
   auto ablated_result = ablated_eval.EvaluateTails(test, &pkg.property_values);
   const double ablated_seconds = sw.ElapsedSeconds();
 
-  // The symbolic engine answers (h, r, ?t) from stored triples only; every
+  // The symbolic path answers (h, r, ?t) from stored triples only; every
   // held-out triple is unfilled, so its recall is structurally zero — the
   // incompleteness disadvantage PKGM's vector services overcome.
-  kg::QueryEngine symbolic(&pkg.observed);
   uint64_t symbolic_answered = 0;
   for (const kg::Triple& t : test) {
-    const auto& tails = symbolic.TripleQuery(t.head, t.relation);
-    for (kg::EntityId e : tails) {
+    for (kg::EntityId e : pkg.observed.Tails(t.head, t.relation)) {
       if (e == t.tail) {
         ++symbolic_answered;
         break;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "kg/query_engine.h"
 #include "util/histogram.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -41,7 +40,6 @@ void Run() {
   };
 
   // --- symbolic path -------------------------------------------------------
-  kg::QueryEngine engine(&pkg.observed);
   Histogram symbolic_triple_us, symbolic_relation_us;
   {
     Stopwatch sw;
@@ -52,10 +50,10 @@ void Run() {
       const auto& rels = p.services->key_relations(idx);
       kg::RelationId r = rels[rng.Uniform(rels.size())];
       Stopwatch q;
-      sink += engine.TripleQuery(item.entity, r).size();
+      sink += pkg.observed.Tails(item.entity, r).size();
       symbolic_triple_us.Record(q.ElapsedSeconds() * 1e6);
       q.Reset();
-      sink += engine.RelationQuery(item.entity).size();
+      sink += pkg.observed.RelationsOf(item.entity).size();
       symbolic_relation_us.Record(q.ElapsedSeconds() * 1e6);
     }
     std::printf("symbolic: %u triple + %u relation queries in %.2fs (sink %llu)\n",

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "core/link_prediction.h"
-#include "kg/query_engine.h"
 #include "store/embedding_store_writer.h"
 #include "tasks/pipeline.h"
 #include "tensor/ops.h"
@@ -53,8 +52,7 @@ kg::EntityId ResolveTail(const tasks::PretrainedPkgm& p, kg::EntityId h,
   return best;
 }
 
-void ShowItem(const tasks::PretrainedPkgm& p, kg::QueryEngine* engine,
-              uint32_t item_index) {
+void ShowItem(const tasks::PretrainedPkgm& p, uint32_t item_index) {
   const kg::SyntheticPkg& pkg = p.pkg;
   if (item_index >= pkg.items.size()) {
     std::printf("no such item (have %zu)\n", pkg.items.size());
@@ -69,7 +67,7 @@ void ShowItem(const tasks::PretrainedPkgm& p, kg::QueryEngine* engine,
               "symbolic (h r ?t)", "vector S_T nearest", "||S_R||");
   for (kg::RelationId r : p.services->key_relations(item_index)) {
     // Symbolic path: only what the seller filled.
-    const auto& tails = engine->TripleQuery(item.entity, r);
+    const kg::IdSpan tails = pkg.observed.Tails(item.entity, r);
     std::string symbolic =
         tails.empty() ? "(no triple!)" : pkg.entities.Name(tails[0]);
     // Vector path: always answers; completes unfilled slots.
@@ -106,12 +104,11 @@ int main(int argc, char** argv) {
 
   std::printf("pre-training PKGM knowledge service ...\n");
   tasks::PretrainedPkgm p = tasks::BuildAndPretrain(opt);
-  kg::QueryEngine engine(&p.pkg.observed);
   std::printf("ready: %zu items, %zu observed triples (30%% of true facts "
               "unfilled)\n", p.pkg.items.size(), p.pkg.observed.size());
 
   if (!interactive) {
-    for (uint32_t i : {0u, 7u, 42u}) ShowItem(p, &engine, i);
+    for (uint32_t i : {0u, 7u, 42u}) ShowItem(p, i);
     std::printf("\nrun with --interactive to explore further items.\n");
     return 0;
   }
@@ -126,7 +123,7 @@ int main(int argc, char** argv) {
     if (cmd == "item") {
       uint32_t idx = 0;
       iss >> idx;
-      ShowItem(p, &engine, idx);
+      ShowItem(p, idx);
     } else if (cmd == "save") {
       std::string path;
       iss >> path;

@@ -6,7 +6,7 @@ namespace pkgm::infer {
 namespace {
 
 template <typename Generation, typename TrainedModel>
-uint64_t PublishTo(std::atomic<std::shared_ptr<Generation>>* slot,
+uint64_t PublishTo(std::mutex* mu, std::shared_ptr<Generation>* slot,
                    std::atomic<uint64_t>* next, TrainedModel model,
                    tasks::PkgmVariant variant) {
   const uint64_t number = next->fetch_add(1, std::memory_order_relaxed);
@@ -14,7 +14,11 @@ uint64_t PublishTo(std::atomic<std::shared_ptr<Generation>>* slot,
   generation->generation = number;
   generation->variant = variant;
   generation->model = std::move(model);
-  slot->store(std::move(generation), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(*mu);
+    slot->swap(generation);
+  }
+  // `generation` now holds the previous one: released outside the lock.
   return number;
 }
 
@@ -22,18 +26,19 @@ uint64_t PublishTo(std::atomic<std::shared_ptr<Generation>>* slot,
 
 uint64_t InferModelRegistry::PublishRecommender(tasks::TrainedRecommender model,
                                                 tasks::PkgmVariant variant) {
-  return PublishTo(&recommender_, &next_recommender_, std::move(model),
+  return PublishTo(&mu_, &recommender_, &next_recommender_, std::move(model),
                    variant);
 }
 
 uint64_t InferModelRegistry::PublishClassifier(tasks::TrainedClassifier model,
                                                tasks::PkgmVariant variant) {
-  return PublishTo(&classifier_, &next_classifier_, std::move(model), variant);
+  return PublishTo(&mu_, &classifier_, &next_classifier_, std::move(model),
+                   variant);
 }
 
 uint64_t InferModelRegistry::PublishAligner(tasks::TrainedAligner model,
                                             tasks::PkgmVariant variant) {
-  return PublishTo(&aligner_, &next_aligner_, std::move(model), variant);
+  return PublishTo(&mu_, &aligner_, &next_aligner_, std::move(model), variant);
 }
 
 }  // namespace pkgm::infer

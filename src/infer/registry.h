@@ -33,10 +33,10 @@ using RecommenderGeneration = InferGeneration<tasks::TrainedRecommender>;
 using ClassifierGeneration = InferGeneration<tasks::TrainedClassifier>;
 using AlignerGeneration = InferGeneration<tasks::TrainedAligner>;
 
-/// Atomic publication point for the three downstream models, mirroring
-/// store::ModelRegistry: each task slot is an atomic shared_ptr, a publish
-/// is one pointer exchange, and serving batches snapshot the current
-/// generation once — so per-task weight refreshes are zero-downtime and
+/// Publication point for the three downstream models, mirroring
+/// store::ModelRegistry: each task slot is a shared_ptr that a publish
+/// swaps and a serving batch copies once, both under a mutex held for
+/// nothing else — so per-task weight refreshes are zero-downtime and
 /// independent (swapping the classifier never perturbs recommend traffic).
 /// Generation numbers are per-task and monotonically increasing.
 class InferModelRegistry {
@@ -47,13 +47,16 @@ class InferModelRegistry {
 
   /// Latest published generation for the task; null until first publish.
   std::shared_ptr<RecommenderGeneration> recommender() const {
-    return recommender_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return recommender_;
   }
   std::shared_ptr<ClassifierGeneration> classifier() const {
-    return classifier_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return classifier_;
   }
   std::shared_ptr<AlignerGeneration> aligner() const {
-    return aligner_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return aligner_;
   }
 
   /// Publish a trained bundle; returns its generation number.
@@ -65,9 +68,10 @@ class InferModelRegistry {
                           tasks::PkgmVariant variant);
 
  private:
-  std::atomic<std::shared_ptr<RecommenderGeneration>> recommender_;
-  std::atomic<std::shared_ptr<ClassifierGeneration>> classifier_;
-  std::atomic<std::shared_ptr<AlignerGeneration>> aligner_;
+  mutable std::mutex mu_;  // guards the three slots
+  std::shared_ptr<RecommenderGeneration> recommender_;
+  std::shared_ptr<ClassifierGeneration> classifier_;
+  std::shared_ptr<AlignerGeneration> aligner_;
   std::atomic<uint64_t> next_recommender_{1};
   std::atomic<uint64_t> next_classifier_{1};
   std::atomic<uint64_t> next_aligner_{1};

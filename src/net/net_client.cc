@@ -47,10 +47,7 @@ using PendingReply = std::variant<BatchPromises, FrameCall>;
 /// protocol violation.
 bool IsReplyType(FrameType type) {
   switch (type) {
-    case FrameType::kVectors:
-    case FrameType::kRecommendReply:
-    case FrameType::kClassifyReply:
-    case FrameType::kAlignReply:
+    case FrameType::kServiceReplies:
     case FrameType::kStatsJson:
     case FrameType::kPong:
     case FrameType::kRows:
@@ -90,22 +87,9 @@ bool Resolve(PendingReply entry, Frame frame,
   }
   auto& batch = std::get<BatchPromises>(entry);
   std::vector<serve::ServiceResponse> responses;
-  Status decoded = Status::InvalidArgument("not a serving reply");
-  switch (frame.type) {
-    case FrameType::kVectors:
-      decoded = DecodeVectors(frame.payload, &responses);
-      break;
-    case FrameType::kRecommendReply:
-    case FrameType::kAlignReply:
-      decoded = DecodeScoreReply(frame.payload, &responses);
-      break;
-    case FrameType::kClassifyReply:
-      decoded = DecodeClassifyReply(frame.payload, &responses);
-      break;
-    default:
-      break;
-  }
-  if (!decoded.ok() || responses.size() != batch.size()) {
+  if (frame.type != FrameType::kServiceReplies ||
+      !DecodeServiceReplies(frame.payload, &responses).ok() ||
+      responses.size() != batch.size()) {
     // A garbled reply or a count mismatch is a protocol violation; fail
     // this batch and give up on the stream.
     *network_errors += batch.size();
@@ -186,13 +170,6 @@ NetClient::Conn& NetClient::PickConn() {
 }
 
 Status NetClient::SendFrame(Conn& conn, const std::string& frame) {
-  iovec iov;
-  iov.iov_base = const_cast<char*>(frame.data());
-  iov.iov_len = frame.size();
-  return SendFrames(conn, &iov, 1);
-}
-
-Status NetClient::SendFrames(Conn& conn, const iovec* iov, int iovcnt) {
   // Caller holds conn.mu.
   if (closing_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("client is shutting down");
@@ -218,7 +195,10 @@ Status NetClient::SendFrames(Conn& conn, const iovec* iov, int iovcnt) {
     Conn* raw = &conn;
     conn.reader = std::thread([this, raw] { ReaderLoop(*raw); });
   }
-  const Status status = conn.io.SendAll(conn.fd.get(), iov, iovcnt);
+  iovec iov;
+  iov.iov_base = const_cast<char*>(frame.data());
+  iov.iov_len = frame.size();
+  const Status status = conn.io.SendAll(conn.fd.get(), &iov, 1);
   if (!status.ok()) {
     // Wake the reader; it fails the pending entries (including this
     // frame's, which the caller registered before sending) and closes.
@@ -239,79 +219,27 @@ std::vector<std::future<serve::ServiceResponse>> NetClient::SubmitBatch(
     std::vector<serve::ServiceRequest> requests) {
   std::vector<std::future<serve::ServiceResponse>> futures;
   if (requests.empty()) return futures;
+  BatchPromises batch(requests.size());
   futures.reserve(requests.size());
-  // Futures are claimed up front in submission order; moving a promise
-  // into a per-frame pending entry keeps its shared state, so the caller's
-  // future ordering is independent of how the batch splits into frames.
-  std::vector<std::promise<serve::ServiceResponse>> promises(requests.size());
-  for (auto& promise : promises) futures.push_back(promise.get_future());
+  for (auto& promise : batch) futures.push_back(promise.get_future());
 
-  // Each task kind travels in its own typed frame (wire v3) with its own
-  // correlation id; a pure-lookup batch still costs exactly one frame.
-  std::vector<size_t> by_kind[serve::kMaxTaskKind + 1];
-  for (size_t i = 0; i < requests.size(); ++i) {
-    by_kind[static_cast<uint8_t>(requests[i].task)].push_back(i);
-  }
-
-  const auto now = serve::ServeClock::now();
+  // The whole batch, whatever its mix of task kinds, is one frame: one
+  // correlation id, one pending entry, one send.
+  const uint64_t correlation_id = next_correlation_.fetch_add(1);
+  const std::string frame = EncodeServiceRequests(correlation_id, requests,
+                                                  serve::ServeClock::now());
   Conn& conn = PickConn();
   std::lock_guard<std::mutex> lock(conn.mu);
-  // Encode every typed frame and register its pending entry first, then
-  // ship the whole batch in one gathered sendmsg: a mixed-kind batch costs
-  // one send syscall, not one per kind.
-  std::vector<std::string> frames;
-  std::vector<uint64_t> correlation_ids;
-  for (uint8_t kind = 0; kind <= serve::kMaxTaskKind; ++kind) {
-    const std::vector<size_t>& indices = by_kind[kind];
-    if (indices.empty()) continue;
-    std::vector<serve::ServiceRequest> sub;
-    sub.reserve(indices.size());
-    for (size_t i : indices) sub.push_back(requests[i]);
-
-    const uint64_t correlation_id = next_correlation_.fetch_add(1);
-    std::string frame;
-    switch (static_cast<serve::TaskKind>(kind)) {
-      case serve::TaskKind::kLookup:
-        frame = EncodeGetVectors(correlation_id, sub, now);
-        break;
-      case serve::TaskKind::kRecommend:
-        frame = EncodeRecommend(correlation_id, sub, now);
-        break;
-      case serve::TaskKind::kClassify:
-        frame = EncodeClassify(correlation_id, sub, now);
-        break;
-      case serve::TaskKind::kAlign:
-        frame = EncodeAlign(correlation_id, sub, now);
-        break;
-    }
-
-    BatchPromises batch;
-    batch.reserve(indices.size());
-    for (size_t i : indices) batch.push_back(std::move(promises[i]));
-    conn.pending.emplace(correlation_id, std::move(batch));
-    frames.push_back(std::move(frame));
-    correlation_ids.push_back(correlation_id);
-  }
-
-  std::vector<iovec> iov(frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    iov[i].iov_base = const_cast<char*>(frames[i].data());
-    iov[i].iov_len = frames[i].size();
-  }
-  const Status status =
-      SendFrames(conn, iov.data(), static_cast<int>(iov.size()));
-  if (!status.ok()) {
-    // If the write started, the reader owns failing the entries; if we
-    // never had a socket, fail them here.
-    if (!conn.fd.valid()) {
-      for (uint64_t correlation_id : correlation_ids) {
-        auto it = conn.pending.find(correlation_id);
-        if (it == conn.pending.end()) continue;
-        auto& batch = std::get<BatchPromises>(it->second);
-        network_errors_ += batch.size();
-        for (auto& promise : batch) promise.set_value(NetworkErrorResponse());
-        conn.pending.erase(it);
-      }
+  conn.pending.emplace(correlation_id, std::move(batch));
+  if (!SendFrame(conn, frame).ok() && !conn.fd.valid()) {
+    // If the write started, the reader owns failing the entry; if we never
+    // had a socket, fail it here.
+    auto it = conn.pending.find(correlation_id);
+    if (it != conn.pending.end()) {
+      auto& failed = std::get<BatchPromises>(it->second);
+      network_errors_ += failed.size();
+      for (auto& promise : failed) promise.set_value(NetworkErrorResponse());
+      conn.pending.erase(it);
     }
   }
   return futures;

@@ -1,8 +1,6 @@
 #ifndef PKGM_NET_NET_CLIENT_H_
 #define PKGM_NET_NET_CLIENT_H_
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -36,13 +34,11 @@ struct NetClientOptions {
 /// the deployment story: task code links this, not the model.
 ///
 /// Mirrors the KnowledgeServer submit API (futures per request), so the
-/// traffic driver runs the same closed loop against either. A batch is
-/// partitioned by task kind into typed frames — lookups in one
-/// kGetVectors, each inference kind (wire v3) in its own kRecommend /
-/// kClassify / kAlign frame — and the futures resolve, in submission
-/// order, as the matching reply frames arrive. Requests in flight when a
-/// connection dies resolve with kNetworkError (at-most-once; the client
-/// never replays).
+/// traffic driver runs the same closed loop against either. A batch, any
+/// mix of task kinds, travels as one kServiceRequests frame, and its
+/// futures resolve, in submission order, when the kServiceReplies frame
+/// arrives. Requests in flight when a connection dies resolve with
+/// kNetworkError (at-most-once; the client never replays).
 ///
 /// Thread-safe: any number of threads may submit concurrently.
 class NetClient {
@@ -57,8 +53,8 @@ class NetClient {
 
   std::future<serve::ServiceResponse> Submit(serve::ServiceRequest request);
 
-  /// One wire frame; futures resolve in submission order semantics
-  /// identical to KnowledgeServer::SubmitBatch.
+  /// One wire frame; futures resolve with semantics identical to
+  /// KnowledgeServer::SubmitBatch.
   std::vector<std::future<serve::ServiceResponse>> SubmitBatch(
       std::vector<serve::ServiceRequest> requests);
 
@@ -103,9 +99,6 @@ class NetClient {
   /// Sends an encoded frame on `conn`, reconnecting first if it is dead.
   /// Registration of the pending entry must happen before calling.
   Status SendFrame(Conn& conn, const std::string& frame);
-  /// Gathered variant: every frame in `iov` goes out in one sendmsg, so a
-  /// multi-kind batch costs one syscall instead of one per typed frame.
-  Status SendFrames(Conn& conn, const iovec* iov, int iovcnt);
   void ReaderLoop(Conn& conn);
   /// Fails every pending entry on `conn`: kNetworkError per request, a
   /// "connection lost" status per frame call.

@@ -9,31 +9,10 @@
 namespace pkgm::net {
 namespace {
 
-using DecodeRequests = Status (*)(std::string_view,
-                                  serve::ServeClock::time_point,
-                                  std::vector<serve::ServiceRequest>*);
-
-/// Encodes the response frame matching a request frame's reply type. The
-/// lookup path answers kVectors; the inference kinds answer their typed
-/// replies (score entries for recommend/align, top-k lists for classify).
-std::string EncodeReply(FrameType reply_type, uint64_t correlation_id,
-                        const std::vector<serve::ServiceResponse>& slots) {
-  switch (reply_type) {
-    case FrameType::kRecommendReply:
-    case FrameType::kAlignReply:
-      return EncodeScoreReply(reply_type, correlation_id, slots);
-    case FrameType::kClassifyReply:
-      return EncodeClassifyReply(correlation_id, slots);
-    default:
-      return EncodeVectors(correlation_id, slots);
-  }
-}
-
 /// One submitted frame: the per-request callbacks fill `slots`, and the
 /// one finishing the last request encodes the reply and responds.
 struct PendingFrame {
   FrameHandler::Respond respond;
-  FrameType reply_type;
   uint64_t correlation_id;
   std::vector<serve::ServiceResponse> slots;
   std::atomic<size_t> remaining;
@@ -48,42 +27,19 @@ ServingHandler::ServingHandler(serve::KnowledgeServer* server)
 
 FrameHandler::Result ServingHandler::HandleFrame(const Frame& frame,
                                                  Respond respond) {
-  // All four request kinds share one lifecycle: decode, submit the batch,
-  // encode the matching typed reply when its last request completes.
-  DecodeRequests decode = nullptr;
-  FrameType reply_type = FrameType::kError;
-  switch (frame.type) {
-    case FrameType::kGetVectors:
-      decode = DecodeGetVectors;
-      reply_type = FrameType::kVectors;
-      break;
-    case FrameType::kRecommend:
-      decode = DecodeRecommend;
-      reply_type = FrameType::kRecommendReply;
-      break;
-    case FrameType::kClassify:
-      decode = DecodeClassify;
-      reply_type = FrameType::kClassifyReply;
-      break;
-    case FrameType::kAlign:
-      decode = DecodeAlign;
-      reply_type = FrameType::kAlignReply;
-      break;
-    default:
-      return Result::kRefused;
-  }
+  if (frame.type != FrameType::kServiceRequests) return Result::kRefused;
   std::vector<serve::ServiceRequest> requests;
-  if (!decode(frame.payload, serve::ServeClock::now(), &requests).ok()) {
+  if (!DecodeServiceRequests(frame.payload, serve::ServeClock::now(), &requests)
+           .ok()) {
     return Result::kMalformed;
   }
   requests_in_ += requests.size();
   if (requests.empty()) {
-    respond(EncodeReply(reply_type, frame.correlation_id, {}));
+    respond(EncodeServiceReplies(frame.correlation_id, {}));
     return Result::kTaken;
   }
   auto pending = std::make_shared<PendingFrame>();
   pending->respond = std::move(respond);
-  pending->reply_type = reply_type;
   pending->correlation_id = frame.correlation_id;
   pending->slots.resize(requests.size());
   pending->remaining.store(requests.size(), std::memory_order_relaxed);
@@ -92,9 +48,8 @@ FrameHandler::Result ServingHandler::HandleFrame(const Frame& frame,
       [pending](size_t index, serve::ServiceResponse response) {
         pending->slots[index] = std::move(response);
         if (pending->remaining.fetch_sub(1) == 1) {
-          pending->respond(EncodeReply(pending->reply_type,
-                                       pending->correlation_id,
-                                       pending->slots));
+          pending->respond(
+              EncodeServiceReplies(pending->correlation_id, pending->slots));
         }
       });
   return Result::kTaken;

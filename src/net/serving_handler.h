@@ -12,13 +12,13 @@
 namespace pkgm::net {
 
 /// pkgm_netd's FrameHandler: puts a KnowledgeServer behind a NetServer.
-/// Each of the four serving request frames (kGetVectors, kRecommend,
-/// kClassify, kAlign) becomes one SubmitBatchAsync call — the knowledge
-/// server's admission control, deadlines, cache and registry hot swap are
-/// reused untouched — and the worker completing the frame's last request
-/// responds with the matching typed reply. An empty frame, or one whose
-/// every request is shed at admission, is answered in place on the loop.
-/// Any other frame type is refused.
+/// Each kServiceRequests frame, any mix of task kinds, becomes one
+/// SubmitBatchAsync call — the knowledge server's admission control,
+/// deadlines, cache and registry hot swap are reused untouched — and the
+/// worker completing the frame's last request responds with the
+/// kServiceReplies frame. An empty frame, or one whose every request is
+/// shed at admission, is answered in place on the loop. Any other frame
+/// type is refused.
 class ServingHandler : public FrameHandler {
  public:
   /// `server` must outlive the handler and keep running until the
@@ -33,7 +33,7 @@ class ServingHandler : public FrameHandler {
   /// The ASCII counterpart, for pkgm_netd's final table.
   std::string StatsReport(const serve::NetCounters& net) const;
 
-  /// Requests decoded out of served frames (all four kinds).
+  /// Requests decoded out of served frames.
   uint64_t requests_in() const { return requests_in_.load(); }
 
  private:

@@ -171,26 +171,24 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-constexpr size_t kGetVectorsEntryBytes = 12;
 // Stream-buffer sizes for socket reads: connections that only ever carry
 // small frames stay at the minimum; a read that fills the buffer doubles it
 // for the next one, up to the maximum.
 constexpr size_t kMinReadBytes = 4u << 10;
 constexpr size_t kMaxReadBytes = 64u << 10;
-constexpr size_t kVectorsEntryHeaderBytes = 8;
-// The three v3 inference request kinds share one 16-byte entry layout:
-// two u32 task operands, u8 mode, u8 reserved, u16 tenant, u32 deadline.
-constexpr size_t kInferRequestEntryBytes = 16;
-constexpr size_t kScoreReplyEntryBytes = 8;
-constexpr size_t kClassifyReplyEntryHeaderBytes = 4;
+constexpr size_t kRequestEntryBytes = 20;
+// A reply entry without classes or vectors: code, flags, reserved, score,
+// k and num_vectors.
+constexpr size_t kReplyEntryMinBytes = 16;
+constexpr uint8_t kCacheHitFlag = 1;
 
 Status Truncated(const char* what) {
   return Status::Corruption(StrFormat("truncated %s payload", what));
 }
 
-// Relative-deadline wire encoding shared by every request codec: 0 means
-// "no deadline"; an already-expired deadline clamps to 1 so it stays
-// distinguishable from none.
+// Relative-deadline wire encoding: 0 means "no deadline"; an
+// already-expired deadline clamps to 1 so it stays distinguishable from
+// none.
 uint32_t RelativeDeadlineMicros(serve::ServeClock::time_point deadline,
                                 serve::ServeClock::time_point now) {
   if (deadline == serve::ServeClock::time_point::max()) return 0;
@@ -206,6 +204,26 @@ serve::ServeClock::time_point AbsoluteDeadline(
   return deadline_micros == 0
              ? serve::ServeClock::time_point::max()
              : now + std::chrono::microseconds(deadline_micros);
+}
+
+// The request field a task's operand travels in; a lookup has none.
+using OperandField = uint32_t serve::ServiceRequest::*;
+OperandField OperandOf(serve::TaskKind task) {
+  switch (task) {
+    case serve::TaskKind::kLookup: return nullptr;
+    case serve::TaskKind::kRecommend: return &serve::ServiceRequest::user;
+    case serve::TaskKind::kClassify: return &serve::ServiceRequest::top_k;
+    case serve::TaskKind::kAlign: return &serve::ServiceRequest::item_b;
+  }
+  return nullptr;
+}
+
+// Codes a server puts in a reply entry: kNetworkError is the client's own,
+// and kUnsupported only ever answers a whole frame (kError).
+bool IsReplyCode(uint8_t code) {
+  return code <= kMaxWireCode &&
+         code != static_cast<uint8_t>(WireCode::kNetworkError) &&
+         code != static_cast<uint8_t>(WireCode::kUnsupported);
 }
 
 }  // namespace
@@ -266,41 +284,62 @@ void AppendFrame(FrameType type, uint64_t correlation_id,
   FinishFrame(start, out);
 }
 
-std::string EncodeGetVectors(
+std::string EncodeServiceRequests(
     uint64_t correlation_id, const std::vector<serve::ServiceRequest>& requests,
     serve::ServeClock::time_point now) {
-  std::string payload;
-  payload.reserve(4 + requests.size() * kGetVectorsEntryBytes);
-  PutU32(static_cast<uint32_t>(requests.size()), &payload);
-  for (const serve::ServiceRequest& request : requests) {
-    PutU32(request.item, &payload);
-    PutU8(static_cast<uint8_t>(request.mode), &payload);
-    PutU8(static_cast<uint8_t>(request.form), &payload);
-    PutU16(request.tenant, &payload);
-    PutU32(RelativeDeadlineMicros(request.deadline, now), &payload);
-  }
   std::string frame;
-  AppendFrame(FrameType::kGetVectors, correlation_id, payload, &frame);
+  frame.reserve(kFrameHeaderBytes + 4 + requests.size() * kRequestEntryBytes);
+  const size_t start =
+      BeginFrame(FrameType::kServiceRequests, correlation_id, &frame);
+  PutU32(static_cast<uint32_t>(requests.size()), &frame);
+  for (const serve::ServiceRequest& request : requests) {
+    const auto operand = OperandOf(request.task);
+    PutU8(static_cast<uint8_t>(request.task), &frame);
+    PutU8(static_cast<uint8_t>(request.mode), &frame);
+    PutU8(static_cast<uint8_t>(request.form), &frame);
+    PutU8(0, &frame);
+    PutU16(request.tenant, &frame);
+    PutU16(0, &frame);
+    PutU32(request.item, &frame);
+    PutU32(operand == nullptr ? 0 : request.*operand, &frame);
+    PutU32(RelativeDeadlineMicros(request.deadline, now), &frame);
+  }
+  FinishFrame(start, &frame);
   return frame;
 }
 
-std::string EncodeVectors(
+std::string EncodeServiceReplies(
     uint64_t correlation_id,
     const std::vector<serve::ServiceResponse>& responses) {
-  std::string payload;
-  PutU32(static_cast<uint32_t>(responses.size()), &payload);
+  size_t bytes = kFrameHeaderBytes + 4;
   for (const serve::ServiceResponse& response : responses) {
-    PutU8(static_cast<uint8_t>(WireCodeFromResponse(response.code)), &payload);
-    PutU8(response.cache_hit ? 1 : 0, &payload);
-    PutU16(0, &payload);
-    PutU32(static_cast<uint32_t>(response.vectors.size()), &payload);
-    for (const Vec& vec : response.vectors) {
-      PutU32(static_cast<uint32_t>(vec.size()), &payload);
-      for (size_t i = 0; i < vec.size(); ++i) PutF32(vec[i], &payload);
-    }
+    bytes += kReplyEntryMinBytes + 8 * response.class_ids.size();
+    for (const Vec& vec : response.vectors) bytes += 4 + 4 * vec.size();
   }
   std::string frame;
-  AppendFrame(FrameType::kVectors, correlation_id, payload, &frame);
+  frame.reserve(bytes);
+  const size_t start =
+      BeginFrame(FrameType::kServiceReplies, correlation_id, &frame);
+  PutU32(static_cast<uint32_t>(responses.size()), &frame);
+  for (const serve::ServiceResponse& response : responses) {
+    PutU8(static_cast<uint8_t>(WireCodeFromResponse(response.code)), &frame);
+    PutU8(response.cache_hit ? kCacheHitFlag : 0, &frame);
+    PutU16(0, &frame);
+    PutF32(response.score, &frame);
+    const size_t k = response.class_ids.size();
+    PutU32(static_cast<uint32_t>(k), &frame);
+    for (size_t j = 0; j < k; ++j) {
+      PutU32(response.class_ids[j], &frame);
+      PutF32(j < response.class_probs.size() ? response.class_probs[j] : 0.0f,
+             &frame);
+    }
+    PutU32(static_cast<uint32_t>(response.vectors.size()), &frame);
+    for (const Vec& vec : response.vectors) {
+      PutU32(static_cast<uint32_t>(vec.size()), &frame);
+      PutF32Run(vec.data(), vec.size(), &frame);
+    }
+  }
+  FinishFrame(start, &frame);
   return frame;
 }
 
@@ -487,30 +526,36 @@ FrameDecoder::Result FrameDecoder::Next(Frame* frame, std::string* error) {
   return Result::kNeedMore;
 }
 
-Status DecodeGetVectors(std::string_view payload,
-                        serve::ServeClock::time_point now,
-                        std::vector<serve::ServiceRequest>* out) {
+Status DecodeServiceRequests(std::string_view payload,
+                             serve::ServeClock::time_point now,
+                             std::vector<serve::ServiceRequest>* out) {
   Cursor cursor(payload);
   uint32_t count;
-  if (!cursor.ReadU32(&count)) return Truncated("kGetVectors");
-  // Allocation guard: the declared count must fit in the bytes actually
-  // present before any reserve happens.
-  if (static_cast<uint64_t>(count) * kGetVectorsEntryBytes !=
+  if (!cursor.ReadU32(&count)) return Truncated("kServiceRequests");
+  // Allocation guard: entries are fixed-size, so the declared count must
+  // match the bytes actually present exactly, before any reserve happens.
+  // Trailing bytes fail this same check.
+  if (static_cast<uint64_t>(count) * kRequestEntryBytes !=
       cursor.remaining()) {
     return Status::Corruption(
-        StrFormat("kGetVectors count %u disagrees with payload size %zu",
+        StrFormat("kServiceRequests count %u disagrees with payload size %zu",
                   count, payload.size()));
   }
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t item, deadline_micros;
-    uint8_t mode, form;
-    uint16_t tenant;
-    if (!cursor.ReadU32(&item) || !cursor.ReadU8(&mode) ||
-        !cursor.ReadU8(&form) || !cursor.ReadU16(&tenant) ||
+    uint8_t task, mode, form, reserved;
+    uint16_t tenant, reserved16;
+    uint32_t item, operand, deadline_micros;
+    if (!cursor.ReadU8(&task) || !cursor.ReadU8(&mode) ||
+        !cursor.ReadU8(&form) || !cursor.ReadU8(&reserved) ||
+        !cursor.ReadU16(&tenant) || !cursor.ReadU16(&reserved16) ||
+        !cursor.ReadU32(&item) || !cursor.ReadU32(&operand) ||
         !cursor.ReadU32(&deadline_micros)) {
-      return Truncated("kGetVectors");
+      return Truncated("kServiceRequests");
+    }
+    if (task > serve::kMaxTaskKind) {
+      return Status::Corruption(StrFormat("invalid task kind %u", task));
     }
     if (mode > static_cast<uint8_t>(core::ServiceMode::kAll)) {
       return Status::Corruption(StrFormat("invalid service mode %u", mode));
@@ -518,71 +563,104 @@ Status DecodeGetVectors(std::string_view payload,
     if (form > static_cast<uint8_t>(serve::ServiceForm::kCondensed)) {
       return Status::Corruption(StrFormat("invalid service form %u", form));
     }
+    if (reserved != 0 || reserved16 != 0) {
+      return Status::Corruption("kServiceRequests reserved field must be 0");
+    }
     serve::ServiceRequest request;
-    request.item = item;
+    request.task = static_cast<serve::TaskKind>(task);
     request.mode = static_cast<core::ServiceMode>(mode);
     request.form = static_cast<serve::ServiceForm>(form);
     request.tenant = tenant;
-    request.deadline = deadline_micros == 0
-                           ? serve::ServeClock::time_point::max()
-                           : now + std::chrono::microseconds(deadline_micros);
+    request.item = item;
+    request.deadline = AbsoluteDeadline(deadline_micros, now);
+    if (const auto field = OperandOf(request.task)) {
+      request.*field = operand;
+    } else if (operand != 0) {
+      return Status::Corruption(
+          StrFormat("lookup request carries operand %u", operand));
+    }
     out->push_back(request);
   }
   return Status::Ok();
 }
 
-Status DecodeVectors(std::string_view payload,
-                     std::vector<serve::ServiceResponse>* out) {
+Status DecodeServiceReplies(std::string_view payload,
+                            std::vector<serve::ServiceResponse>* out) {
   Cursor cursor(payload);
   uint32_t count;
-  if (!cursor.ReadU32(&count)) return Truncated("kVectors");
-  if (static_cast<uint64_t>(count) * kVectorsEntryHeaderBytes >
+  if (!cursor.ReadU32(&count)) return Truncated("kServiceReplies");
+  // Entries are variable-size; charge each at least its fixed fields
+  // before any reserve happens.
+  if (static_cast<uint64_t>(count) * kReplyEntryMinBytes >
       cursor.remaining()) {
     return Status::Corruption(
-        StrFormat("kVectors count %u exceeds payload size %zu", count,
+        StrFormat("kServiceReplies count %u exceeds payload size %zu", count,
                   payload.size()));
   }
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint8_t code, hit_flags;
+    serve::ServiceResponse response;
+    uint8_t code, flags;
     uint16_t reserved;
+    uint32_t k;
+    if (!cursor.ReadU8(&code) || !cursor.ReadU8(&flags) ||
+        !cursor.ReadU16(&reserved) || !cursor.ReadF32(&response.score) ||
+        !cursor.ReadU32(&k)) {
+      return Truncated("kServiceReplies");
+    }
+    if (!IsReplyCode(code)) {
+      return Status::Corruption(StrFormat("invalid reply code %u", code));
+    }
+    if ((flags & ~kCacheHitFlag) != 0 || reserved != 0) {
+      return Status::Corruption(
+          StrFormat("kServiceReplies reserved bits set (flags 0x%02x, "
+                    "reserved %u)",
+                    flags, reserved));
+    }
+    response.code = ResponseCodeFromWire(static_cast<WireCode>(code));
+    response.cache_hit = flags == kCacheHitFlag;
+    // Each class costs 8 bytes (u32 id + f32 prob).
+    if (static_cast<uint64_t>(k) * 8 > cursor.remaining()) {
+      return Status::Corruption(
+          StrFormat("kServiceReplies entry declares %u classes with %zu "
+                    "bytes left",
+                    k, cursor.remaining()));
+    }
+    response.class_ids.resize(k);
+    response.class_probs.resize(k);
+    for (uint32_t j = 0; j < k; ++j) {
+      cursor.ReadU32(&response.class_ids[j]);
+      cursor.ReadF32(&response.class_probs[j]);
+    }
     uint32_t num_vectors;
-    if (!cursor.ReadU8(&code) || !cursor.ReadU8(&hit_flags) ||
-        !cursor.ReadU16(&reserved) || !cursor.ReadU32(&num_vectors)) {
-      return Truncated("kVectors");
-    }
-    if (code > kMaxWireCode) {
-      return Status::Corruption(StrFormat("invalid wire code %u", code));
-    }
+    if (!cursor.ReadU32(&num_vectors)) return Truncated("kServiceReplies");
     // Each vector costs at least its 4-byte length prefix.
     if (static_cast<uint64_t>(num_vectors) * 4 > cursor.remaining()) {
       return Status::Corruption(
-          StrFormat("kVectors entry declares %u vectors with %zu bytes left",
+          StrFormat("kServiceReplies entry declares %u vectors with %zu "
+                    "bytes left",
                     num_vectors, cursor.remaining()));
     }
-    serve::ServiceResponse response;
-    response.code = ResponseCodeFromWire(static_cast<WireCode>(code));
-    response.cache_hit = (hit_flags & 1) != 0;
     response.vectors.reserve(num_vectors);
     for (uint32_t v = 0; v < num_vectors; ++v) {
       uint32_t len;
-      if (!cursor.ReadU32(&len)) return Truncated("kVectors");
-      if (static_cast<uint64_t>(len) * 4 > cursor.remaining()) {
+      if (!cursor.ReadU32(&len)) return Truncated("kServiceReplies");
+      const char* values = cursor.Take(4 * static_cast<size_t>(len));
+      if (values == nullptr) {
         return Status::Corruption(
-            StrFormat("kVectors vector length %u exceeds %zu bytes left", len,
-                      cursor.remaining()));
+            StrFormat("kServiceReplies vector length %u exceeds %zu bytes "
+                      "left",
+                      len, cursor.remaining()));
       }
-      std::vector<float> values(len);
-      for (uint32_t j = 0; j < len; ++j) {
-        if (!cursor.ReadF32(&values[j])) return Truncated("kVectors");
-      }
-      response.vectors.emplace_back(std::move(values));
+      Vec vec(len);
+      LoadF32Run(values, len, vec.data());
+      response.vectors.push_back(std::move(vec));
     }
     out->push_back(std::move(response));
   }
   if (!cursor.done()) {
-    return Status::Corruption("trailing bytes after kVectors entries");
+    return Status::Corruption("trailing bytes after kServiceReplies entries");
   }
   return Status::Ok();
 }
@@ -1016,274 +1094,6 @@ Status DecodeBarrierReply(std::string_view payload, uint32_t* epoch,
   }
   if (!cursor.done()) {
     return Status::Corruption("trailing bytes after kBarrierReply");
-  }
-  return Status::Ok();
-}
-
-// ------------------------------------------ inference frames (v3) --------
-
-namespace {
-
-// Shared encoder for the three inference request frames, which differ only
-// in the two u32 task operands carried per entry.
-std::string EncodeInferRequests(
-    FrameType type, uint64_t correlation_id,
-    const std::vector<serve::ServiceRequest>& requests,
-    serve::ServeClock::time_point now,
-    uint32_t (*op_a)(const serve::ServiceRequest&),
-    uint32_t (*op_b)(const serve::ServiceRequest&)) {
-  std::string payload;
-  payload.reserve(4 + requests.size() * kInferRequestEntryBytes);
-  PutU32(static_cast<uint32_t>(requests.size()), &payload);
-  for (const serve::ServiceRequest& request : requests) {
-    PutU32(op_a(request), &payload);
-    PutU32(op_b(request), &payload);
-    PutU8(static_cast<uint8_t>(request.mode), &payload);
-    PutU8(0, &payload);  // reserved
-    PutU16(request.tenant, &payload);
-    PutU32(RelativeDeadlineMicros(request.deadline, now), &payload);
-  }
-  std::string frame;
-  AppendFrame(type, correlation_id, payload, &frame);
-  return frame;
-}
-
-// Shared decoder for the fixed-size inference request entries; `fill`
-// stores the two operands into the half-built request.
-Status DecodeInferRequests(
-    std::string_view payload, serve::ServeClock::time_point now,
-    const char* what, serve::TaskKind task,
-    void (*fill)(uint32_t a, uint32_t b, serve::ServiceRequest*),
-    std::vector<serve::ServiceRequest>* out) {
-  Cursor cursor(payload);
-  uint32_t count;
-  if (!cursor.ReadU32(&count)) return Truncated(what);
-  // Allocation guard: entries are fixed-size, so the declared count must
-  // match the bytes actually present exactly, before any reserve happens.
-  // Trailing bytes fail this same check.
-  if (static_cast<uint64_t>(count) * kInferRequestEntryBytes !=
-      cursor.remaining()) {
-    return Status::Corruption(
-        StrFormat("%s count %u disagrees with payload size %zu", what, count,
-                  payload.size()));
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t a, b, deadline_micros;
-    uint8_t mode, reserved;
-    uint16_t tenant;
-    if (!cursor.ReadU32(&a) || !cursor.ReadU32(&b) || !cursor.ReadU8(&mode) ||
-        !cursor.ReadU8(&reserved) || !cursor.ReadU16(&tenant) ||
-        !cursor.ReadU32(&deadline_micros)) {
-      return Truncated(what);
-    }
-    if (mode > static_cast<uint8_t>(core::ServiceMode::kAll)) {
-      return Status::Corruption(StrFormat("invalid service mode %u", mode));
-    }
-    if (reserved != 0) {
-      return Status::Corruption(
-          StrFormat("%s reserved byte %u must be 0", what, reserved));
-    }
-    serve::ServiceRequest request;
-    request.task = task;
-    request.mode = static_cast<core::ServiceMode>(mode);
-    request.form = serve::ServiceForm::kCondensed;
-    request.tenant = tenant;
-    request.deadline = AbsoluteDeadline(deadline_micros, now);
-    fill(a, b, &request);
-    out->push_back(request);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-std::string EncodeRecommend(uint64_t correlation_id,
-                            const std::vector<serve::ServiceRequest>& requests,
-                            serve::ServeClock::time_point now) {
-  return EncodeInferRequests(
-      FrameType::kRecommend, correlation_id, requests, now,
-      [](const serve::ServiceRequest& r) { return r.user; },
-      [](const serve::ServiceRequest& r) { return r.item; });
-}
-
-Status DecodeRecommend(std::string_view payload,
-                       serve::ServeClock::time_point now,
-                       std::vector<serve::ServiceRequest>* out) {
-  return DecodeInferRequests(
-      payload, now, "kRecommend", serve::TaskKind::kRecommend,
-      [](uint32_t a, uint32_t b, serve::ServiceRequest* r) {
-        r->user = a;
-        r->item = b;
-      },
-      out);
-}
-
-std::string EncodeClassify(uint64_t correlation_id,
-                           const std::vector<serve::ServiceRequest>& requests,
-                           serve::ServeClock::time_point now) {
-  return EncodeInferRequests(
-      FrameType::kClassify, correlation_id, requests, now,
-      [](const serve::ServiceRequest& r) { return r.item; },
-      [](const serve::ServiceRequest& r) { return r.top_k; });
-}
-
-Status DecodeClassify(std::string_view payload,
-                      serve::ServeClock::time_point now,
-                      std::vector<serve::ServiceRequest>* out) {
-  return DecodeInferRequests(
-      payload, now, "kClassify", serve::TaskKind::kClassify,
-      [](uint32_t a, uint32_t b, serve::ServiceRequest* r) {
-        r->item = a;
-        r->top_k = b;
-      },
-      out);
-}
-
-std::string EncodeAlign(uint64_t correlation_id,
-                        const std::vector<serve::ServiceRequest>& requests,
-                        serve::ServeClock::time_point now) {
-  return EncodeInferRequests(
-      FrameType::kAlign, correlation_id, requests, now,
-      [](const serve::ServiceRequest& r) { return r.item; },
-      [](const serve::ServiceRequest& r) { return r.item_b; });
-}
-
-Status DecodeAlign(std::string_view payload, serve::ServeClock::time_point now,
-                   std::vector<serve::ServiceRequest>* out) {
-  return DecodeInferRequests(
-      payload, now, "kAlign", serve::TaskKind::kAlign,
-      [](uint32_t a, uint32_t b, serve::ServiceRequest* r) {
-        r->item = a;
-        r->item_b = b;
-      },
-      out);
-}
-
-std::string EncodeScoreReply(
-    FrameType type, uint64_t correlation_id,
-    const std::vector<serve::ServiceResponse>& responses) {
-  std::string payload;
-  payload.reserve(4 + responses.size() * kScoreReplyEntryBytes);
-  PutU32(static_cast<uint32_t>(responses.size()), &payload);
-  for (const serve::ServiceResponse& response : responses) {
-    PutU8(static_cast<uint8_t>(WireCodeFromResponse(response.code)), &payload);
-    PutU8(response.cache_hit ? 1 : 0, &payload);
-    PutU16(0, &payload);
-    PutF32(response.score, &payload);
-  }
-  std::string frame;
-  AppendFrame(type, correlation_id, payload, &frame);
-  return frame;
-}
-
-Status DecodeScoreReply(std::string_view payload,
-                        std::vector<serve::ServiceResponse>* out) {
-  Cursor cursor(payload);
-  uint32_t count;
-  if (!cursor.ReadU32(&count)) return Truncated("score reply");
-  // Fixed-size entries: exact match doubles as the trailing-byte check.
-  if (static_cast<uint64_t>(count) * kScoreReplyEntryBytes !=
-      cursor.remaining()) {
-    return Status::Corruption(
-        StrFormat("score reply count %u disagrees with payload size %zu",
-                  count, payload.size()));
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t code, flags;
-    uint16_t reserved;
-    float score;
-    if (!cursor.ReadU8(&code) || !cursor.ReadU8(&flags) ||
-        !cursor.ReadU16(&reserved) || !cursor.ReadF32(&score)) {
-      return Truncated("score reply");
-    }
-    if (code > kMaxWireCode) {
-      return Status::Corruption(StrFormat("invalid wire code %u", code));
-    }
-    if (reserved != 0) {
-      return Status::Corruption(StrFormat(
-          "score reply reserved field %u must be 0", reserved));
-    }
-    serve::ServiceResponse response;
-    response.code = ResponseCodeFromWire(static_cast<WireCode>(code));
-    response.cache_hit = (flags & 1) != 0;
-    response.score = score;
-    out->push_back(std::move(response));
-  }
-  return Status::Ok();
-}
-
-std::string EncodeClassifyReply(
-    uint64_t correlation_id,
-    const std::vector<serve::ServiceResponse>& responses) {
-  std::string payload;
-  PutU32(static_cast<uint32_t>(responses.size()), &payload);
-  for (const serve::ServiceResponse& response : responses) {
-    PutU8(static_cast<uint8_t>(WireCodeFromResponse(response.code)), &payload);
-    PutU8(response.cache_hit ? 1 : 0, &payload);
-    const uint16_t k = static_cast<uint16_t>(std::min<size_t>(
-        response.class_ids.size(), std::numeric_limits<uint16_t>::max()));
-    PutU16(k, &payload);
-    for (uint16_t j = 0; j < k; ++j) {
-      PutU32(response.class_ids[j], &payload);
-      PutF32(j < response.class_probs.size() ? response.class_probs[j] : 0.0f,
-             &payload);
-    }
-  }
-  std::string frame;
-  AppendFrame(FrameType::kClassifyReply, correlation_id, payload, &frame);
-  return frame;
-}
-
-Status DecodeClassifyReply(std::string_view payload,
-                           std::vector<serve::ServiceResponse>* out) {
-  Cursor cursor(payload);
-  uint32_t count;
-  if (!cursor.ReadU32(&count)) return Truncated("kClassifyReply");
-  // Entries are variable-size; charge each at least its fixed header
-  // before any reserve happens.
-  if (static_cast<uint64_t>(count) * kClassifyReplyEntryHeaderBytes >
-      cursor.remaining()) {
-    return Status::Corruption(
-        StrFormat("kClassifyReply count %u exceeds payload size %zu", count,
-                  payload.size()));
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t code, flags;
-    uint16_t k;
-    if (!cursor.ReadU8(&code) || !cursor.ReadU8(&flags) ||
-        !cursor.ReadU16(&k)) {
-      return Truncated("kClassifyReply");
-    }
-    if (code > kMaxWireCode) {
-      return Status::Corruption(StrFormat("invalid wire code %u", code));
-    }
-    // Each class costs 8 bytes (u32 id + f32 prob).
-    if (static_cast<uint64_t>(k) * 8 > cursor.remaining()) {
-      return Status::Corruption(StrFormat(
-          "kClassifyReply entry declares %u classes with %zu bytes left", k,
-          cursor.remaining()));
-    }
-    serve::ServiceResponse response;
-    response.code = ResponseCodeFromWire(static_cast<WireCode>(code));
-    response.cache_hit = (flags & 1) != 0;
-    response.class_ids.resize(k);
-    response.class_probs.resize(k);
-    for (uint16_t j = 0; j < k; ++j) {
-      if (!cursor.ReadU32(&response.class_ids[j]) ||
-          !cursor.ReadF32(&response.class_probs[j])) {
-        return Truncated("kClassifyReply");
-      }
-    }
-    out->push_back(std::move(response));
-  }
-  if (!cursor.done()) {
-    return Status::Corruption("trailing bytes after kClassifyReply entries");
   }
   return Status::Ok();
 }

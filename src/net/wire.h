@@ -17,7 +17,7 @@
 
 namespace pkgm::net {
 
-/// PKGM wire protocol v4 — the versioned binary framing the network serving
+/// PKGM wire protocol v5 — the versioned binary framing the network serving
 /// and distributed-training subsystems speak. Every frame is a fixed
 /// 24-byte little-endian header followed by `payload_len` payload bytes:
 ///
@@ -39,12 +39,14 @@ namespace pkgm::net {
 /// compatibility).
 constexpr uint32_t kWireMagic = 0x4d474b50;
 /// v2 added the parameter-server frames (kPullRows .. kBarrierReply); v3
-/// added the downstream-inference frames (kRecommend .. kAlignReply); v4
-/// added versioned transfer sections to kPullRows / kRows and the shard's
-/// kernel ISA to kShardInfoReply. Both ends of a deployment ship from one
-/// tree, so the decoder requires an exact version match; an older peer is
-/// cut off at the header — it can never misparse a frame it does not know.
-constexpr uint8_t kWireVersion = 4;
+/// added per-kind downstream-inference frames (types 16-21); v4 added
+/// versioned transfer sections to kPullRows / kRows and the shard's kernel
+/// ISA to kShardInfoReply; v5 carries every serving task in one request
+/// frame and one reply frame and retires types 16-21. Both ends of a
+/// deployment ship from one tree, so the decoder requires an exact version
+/// match; an older peer is cut off at the header — it can never misparse a
+/// frame it does not know.
+constexpr uint8_t kWireVersion = 5;
 constexpr size_t kFrameHeaderBytes = 24;
 /// Default cap on payload_len; NetServer/NetClient make it configurable.
 constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
@@ -54,10 +56,10 @@ constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
 constexpr size_t kLargePayloadBytes = 64u << 10;
 
 enum class FrameType : uint8_t {
-  /// Client → server: batched service-vector request.
-  kGetVectors = 1,
-  /// Server → client: one response entry per request, submission order.
-  kVectors = 2,
+  /// Client → server: a batch of serving requests of any task kinds.
+  kServiceRequests = 1,
+  /// Server → client: one reply entry per request, in submission order.
+  kServiceReplies = 2,
   /// Client → server: stats probe (empty payload).
   kStats = 3,
   /// Server → client: ServerStats::StatsJson() bytes as the payload.
@@ -98,19 +100,10 @@ enum class FrameType : uint8_t {
   /// Param server → worker: barrier released.
   kBarrierReply = 15,
 
-  // --- v3: downstream-task inference (src/infer/) ---
-
-  /// Client → server: batched NCF recommendation scoring (user, item).
-  kRecommend = 16,
-  /// Server → client: one {code, score} entry per request, in order.
+  // Types 16-21 (v3's per-kind inference frames) are retired: a server
+  // answers them kError/kUnsupported like any unknown type. Two names stay
+  // declared for the per-kind aliases at the end of this header.
   kRecommendReply = 17,
-  /// Client → server: batched item classification (item, top_k).
-  kClassify = 18,
-  /// Server → client: one {code, top-k (class, prob) list} per request.
-  kClassifyReply = 19,
-  /// Client → server: batched item alignment (item, item_b).
-  kAlign = 20,
-  /// Server → client: one {code, score} entry per request, in order.
   kAlignReply = 21,
 };
 
@@ -164,24 +157,33 @@ void AppendFrame(FrameType type, uint64_t correlation_id,
 size_t BeginFrame(FrameType type, uint64_t correlation_id, std::string* out);
 void FinishFrame(size_t start, std::string* out);
 
-/// kGetVectors payload: u32 count, then per request
-/// {u32 item, u8 mode, u8 form, u16 tenant, u32 deadline_micros}.
-/// The tenant field (ex-reserved; older clients always sent 0, which is
-/// the default tenant — wire-compatible) feeds per-tenant admission
-/// quotas on the server.
-/// Deadlines travel as *relative* microseconds-from-now (clocks are not
-/// comparable across machines); 0 means no deadline, and an
-/// already-expired absolute deadline is clamped to 1 so expiry survives
-/// the trip.
-std::string EncodeGetVectors(uint64_t correlation_id,
-                             const std::vector<serve::ServiceRequest>& requests,
-                             serve::ServeClock::time_point now);
+/// kServiceRequests payload: u32 count, then one 20-byte entry per request:
+///
+///   {u8 task, u8 mode, u8 form, u8 reserved = 0, u16 tenant,
+///    u16 reserved = 0, u32 item, u32 operand, u32 deadline_micros}
+///
+/// The operand is the task's second argument: `user` for kRecommend,
+/// `top_k` for kClassify, `item_b` for kAlign, and 0 for kLookup. The
+/// tenant feeds per-tenant admission quotas on the server (0 is the default
+/// tenant). Deadlines travel as *relative* microseconds-from-now (clocks
+/// are not comparable across machines); 0 means no deadline, and an
+/// already-expired absolute deadline is clamped to 1 so expiry survives the
+/// trip.
+std::string EncodeServiceRequests(
+    uint64_t correlation_id, const std::vector<serve::ServiceRequest>& requests,
+    serve::ServeClock::time_point now);
 
-/// kVectors payload: u32 count, then per entry {u8 code, u8 flags
-/// (bit0 = cache_hit), u16 reserved, u32 num_vectors, num_vectors *
-/// {u32 len, len * f32}}.
-std::string EncodeVectors(uint64_t correlation_id,
-                          const std::vector<serve::ServiceResponse>& responses);
+/// kServiceReplies payload: u32 count, then one entry per response:
+///
+///   {u8 code, u8 flags (bit 0 = cache_hit), u16 reserved = 0, f32 score,
+///    u32 k, k * {u32 class_id, f32 prob},
+///    u32 num_vectors, num_vectors * {u32 len, len * f32}}
+///
+/// A field the task does not fill travels empty (score 0, k 0, no vectors),
+/// so the encoder needs nothing but the responses.
+std::string EncodeServiceReplies(
+    uint64_t correlation_id,
+    const std::vector<serve::ServiceResponse>& responses);
 
 /// kError payload: u8 code, then the message bytes to the payload end.
 std::string EncodeError(uint64_t correlation_id, WireCode code,
@@ -288,18 +290,23 @@ class FrameDecoder {
   bool poisoned_ = false;
 };
 
-/// Inverse of EncodeGetVectors: reconstructs absolute deadlines against
-/// `now`. Fails on truncated/garbled payloads or out-of-range enum values;
-/// `count` is validated against the payload size before any allocation.
-Status DecodeGetVectors(std::string_view payload,
-                        serve::ServeClock::time_point now,
-                        std::vector<serve::ServiceRequest>* out);
+/// Inverse of EncodeServiceRequests: reconstructs absolute deadlines
+/// against `now`. The count must match the payload size exactly before
+/// anything is allocated; an out-of-range task, mode or form, a non-zero
+/// reserved field or a lookup with a non-zero operand is Corruption.
+Status DecodeServiceRequests(std::string_view payload,
+                             serve::ServeClock::time_point now,
+                             std::vector<serve::ServiceRequest>* out);
 
-/// Inverse of EncodeVectors. Every length is validated against the
-/// remaining payload before allocation, so a hostile frame cannot force an
-/// allocation larger than the frame itself.
-Status DecodeVectors(std::string_view payload,
-                     std::vector<serve::ServiceResponse>* out);
+/// Inverse of EncodeServiceReplies. The count is checked against the
+/// smallest entry, and every k, num_vectors and len against the bytes left,
+/// before anything is allocated, so a hostile frame cannot force an
+/// allocation larger than itself. Trailing bytes, flag bits 1-7, a non-zero
+/// reserved field and the codes a server never puts in an entry
+/// (kNetworkError, kUnsupported) are Corruption, so every accepted payload
+/// re-encodes to its own bytes.
+Status DecodeServiceReplies(std::string_view payload,
+                            std::vector<serve::ServiceResponse>* out);
 
 Status DecodeError(std::string_view payload, WireCode* code,
                    std::string* message);
@@ -500,53 +507,29 @@ std::string EncodeBarrierReply(uint64_t correlation_id, uint32_t epoch,
 Status DecodeBarrierReply(std::string_view payload, uint32_t* epoch,
                           uint32_t* workers_arrived);
 
-// ------------------------------------------ inference frames (v3) --------
+// ---------------------------------------------------- per-kind aliases --
+// The v4 per-kind serving codec names, kept only because the repository
+// benchmark (perfbench/src/layers.cc) still calls them. Delete this block
+// with the change that moves layers.cc onto the two codecs above (ROADMAP
+// item 7, step 3); nothing else may call these names.
 
-/// kRecommend payload: u32 count, then per request {u32 user, u32 item,
-/// u8 mode, u8 reserved (must be 0), u16 tenant, u32 deadline_micros}.
-/// Deadlines use the same relative-microsecond convention as
-/// EncodeGetVectors. Every request's `task` must be TaskKind::kRecommend.
-std::string EncodeRecommend(uint64_t correlation_id,
-                            const std::vector<serve::ServiceRequest>& requests,
-                            serve::ServeClock::time_point now);
-Status DecodeRecommend(std::string_view payload,
-                       serve::ServeClock::time_point now,
-                       std::vector<serve::ServiceRequest>* out);
-
-/// kRecommendReply / kAlignReply payload: u32 count, then per entry
-/// {u8 code, u8 flags (bit0 = cache_hit), u16 reserved (must be 0),
-/// f32 score}. The count is validated against the exact payload size
-/// before any allocation; trailing bytes are rejected.
-std::string EncodeScoreReply(FrameType type, uint64_t correlation_id,
-                             const std::vector<serve::ServiceResponse>& responses);
-Status DecodeScoreReply(std::string_view payload,
-                        std::vector<serve::ServiceResponse>* out);
-
-/// kClassify payload: u32 count, then per request {u32 item, u32 top_k,
-/// u8 mode, u8 reserved (must be 0), u16 tenant, u32 deadline_micros}.
-std::string EncodeClassify(uint64_t correlation_id,
-                           const std::vector<serve::ServiceRequest>& requests,
-                           serve::ServeClock::time_point now);
-Status DecodeClassify(std::string_view payload,
-                      serve::ServeClock::time_point now,
-                      std::vector<serve::ServiceRequest>* out);
-
-/// kClassifyReply payload: u32 count, then per entry {u8 code, u8 flags
-/// (bit0 = cache_hit), u16 k, k * {u32 class_id, f32 prob}}. Variable-size
-/// entries: the count is checked against the minimum entry size before
-/// allocation and every k against the remaining bytes.
-std::string EncodeClassifyReply(uint64_t correlation_id,
-                                const std::vector<serve::ServiceResponse>& responses);
-Status DecodeClassifyReply(std::string_view payload,
-                           std::vector<serve::ServiceResponse>* out);
-
-/// kAlign payload: u32 count, then per request {u32 item, u32 item_b,
-/// u8 mode, u8 reserved (must be 0), u16 tenant, u32 deadline_micros}.
-std::string EncodeAlign(uint64_t correlation_id,
-                        const std::vector<serve::ServiceRequest>& requests,
-                        serve::ServeClock::time_point now);
-Status DecodeAlign(std::string_view payload, serve::ServeClock::time_point now,
-                   std::vector<serve::ServiceRequest>* out);
+inline constexpr auto& EncodeGetVectors = EncodeServiceRequests;
+inline constexpr auto& EncodeRecommend = EncodeServiceRequests;
+inline constexpr auto& EncodeClassify = EncodeServiceRequests;
+inline constexpr auto& EncodeAlign = EncodeServiceRequests;
+inline constexpr auto& DecodeGetVectors = DecodeServiceRequests;
+inline constexpr auto& DecodeRecommend = DecodeServiceRequests;
+inline constexpr auto& DecodeClassify = DecodeServiceRequests;
+inline constexpr auto& DecodeAlign = DecodeServiceRequests;
+inline constexpr auto& EncodeVectors = EncodeServiceReplies;
+inline constexpr auto& EncodeClassifyReply = EncodeServiceReplies;
+inline std::string EncodeScoreReply(
+    FrameType, uint64_t id, const std::vector<serve::ServiceResponse>& r) {
+  return EncodeServiceReplies(id, r);
+}
+inline constexpr auto& DecodeVectors = DecodeServiceReplies;
+inline constexpr auto& DecodeScoreReply = DecodeServiceReplies;
+inline constexpr auto& DecodeClassifyReply = DecodeServiceReplies;
 
 }  // namespace pkgm::net
 

@@ -92,7 +92,7 @@ class KnowledgeServer {
   KnowledgeServer& operator=(const KnowledgeServer&) = delete;
 
   /// Plugs in the model-inference backend serving the kRecommend /
-  /// kClassify / kAlign request kinds (wire v3). Inference requests ride
+  /// kClassify / kAlign request kinds. Inference requests ride
   /// the same admission control, tenant quotas, deadlines and queue as
   /// lookups; a worker groups each dequeued batch by task kind and hands
   /// every inference kind to the executor in one ExecuteBatch call.

@@ -51,7 +51,7 @@ inline const char* ResponseCodeName(ResponseCode code) {
 using ServeClock = std::chrono::steady_clock;
 
 /// What the request asks the server to compute. kLookup is the original
-/// service-vector fetch; the three inference kinds (wire v3) run a full
+/// service-vector fetch; the three inference kinds run a full
 /// downstream-model forward on the server — the paper's serving story.
 enum class TaskKind : uint8_t {
   /// Service vectors for one item (sequence or condensed form).
@@ -94,8 +94,8 @@ struct ServiceRequest {
   /// kClassify: number of top classes wanted (clamped to num_classes;
   /// 0 = 1).
   uint32_t top_k = 1;
-  /// Originating tenant, carried through the wire protocol (the ex-reserved
-  /// u16 in each GetVectors entry) and checked against per-tenant admission
+  /// Originating tenant, carried through the wire protocol (a u16 in each
+  /// kServiceRequests entry) and checked against per-tenant admission
   /// quotas when the server has them configured. 0 = default tenant.
   uint16_t tenant = 0;
   /// Absolute expiry. A worker that dequeues the request after this instant

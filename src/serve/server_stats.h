@@ -25,8 +25,7 @@ struct NetCounters {
   uint64_t frames_out = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
-  /// Wire-level requests decoded out of request frames of all four kinds
-  /// (kGetVectors, kRecommend, kClassify, kAlign).
+  /// Wire-level requests decoded out of kServiceRequests frames.
   uint64_t requests_in = 0;
   /// Malformed frames (bad magic/version/CRC/oversize/garbled payload);
   /// each one closes exactly the offending connection.
@@ -81,7 +80,7 @@ class ServerStats {
   /// One request reached a terminal state on a worker.
   void RecordCompleted(ResponseCode code, double queue_micros,
                        double compute_micros);
-  /// The completed request was of `task` kind (wire v3 mixes lookups with
+  /// The completed request was of `task` kind (traffic mixes lookups with
   /// inference requests; per-task counts make the mix visible in reports).
   void RecordTaskCompleted(TaskKind task) {
     ++task_completed_[static_cast<uint8_t>(task)];

@@ -19,9 +19,14 @@ uint64_t ModelRegistry::Publish(
   generation->provider = std::move(provider);
   generation->info = std::move(info);
   const uint64_t number = generation->generation;
-  // The swap itself: one atomic shared_ptr exchange. Readers holding the
-  // old generation keep it alive until their requests drain.
-  current_.store(std::move(generation), std::memory_order_release);
+  // The swap itself: one pointer exchange. Readers holding the old
+  // generation keep it alive until their requests drain; the registry's
+  // own reference to it is dropped after the lock is released.
+  std::shared_ptr<const ServingGeneration> previous = std::move(generation);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(previous);
+  }
   return number;
 }
 

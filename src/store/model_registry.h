@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/embedding_source.h"
@@ -36,13 +37,14 @@ struct ServingGeneration {
   StoreBackendInfo info;
 };
 
-/// Atomic publication point for model refreshes — the zero-downtime swap
-/// of the deployment story: a refresher process exports a new store file,
-/// opens it, and Publish()es; serving workers snapshot Current() per
-/// request, so the swap is one shared_ptr exchange with no lock held
-/// across any request. In-flight requests finish on the generation they
-/// snapshotted; the KnowledgeServer invalidates its condensed-vector cache
-/// when it first observes a newer generation.
+/// Publication point for model refreshes — the zero-downtime swap of the
+/// deployment story: a refresher process exports a new store file, opens
+/// it, and Publish()es; serving workers snapshot Current() per request, so
+/// the swap is one shared_ptr exchange under a mutex that is held only to
+/// copy or swap the pointer, never across a request. In-flight requests
+/// finish on the generation they snapshotted; the KnowledgeServer
+/// invalidates its condensed-vector cache when it first observes a newer
+/// generation.
 class ModelRegistry {
  public:
   ModelRegistry() = default;
@@ -51,7 +53,8 @@ class ModelRegistry {
 
   /// The latest published generation; null until the first Publish.
   std::shared_ptr<const ServingGeneration> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   /// Publishes a new generation, assigning it the next monotonically
@@ -68,7 +71,8 @@ class ModelRegistry {
   }
 
  private:
-  std::atomic<std::shared_ptr<const ServingGeneration>> current_;
+  mutable std::mutex mu_;  // guards current_
+  std::shared_ptr<const ServingGeneration> current_;
   std::atomic<uint64_t> next_generation_{1};
 };
 

@@ -500,7 +500,7 @@ TEST(InferServingTest, WireParityWithOfflineForwardsFp32) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   std::vector<ServiceRequest> requests = MakeMixedRequests(fx, 90, 5);
-  // A lookup mixed into the same batch must ride its own frame unharmed.
+  // A lookup mixed into the same batch (one frame) must come back unharmed.
   ServiceRequest lookup;
   lookup.item = 3;
   requests.push_back(lookup);

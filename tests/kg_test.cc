@@ -7,7 +7,6 @@
 
 #include "kg/etl.h"
 #include "kg/key_relations.h"
-#include "kg/query_engine.h"
 #include "kg/split.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_store.h"
@@ -335,56 +334,6 @@ TEST(SyntheticPkgTest, ItemItemRelationsPresentWhenEnabled) {
   SyntheticPkg pkg = SyntheticPkgGenerator(opt).Generate();
   EXPECT_EQ(pkg.item_relations.size(), 1u);
   EXPECT_TRUE(pkg.relations.Contains("similarTo"));
-}
-
-// ----------------------------------------------------------- QueryEngine --
-
-TEST(QueryEngineTest, AnswersBothQueryShapes) {
-  TripleStore s;
-  s.Add(1, 0, 5);
-  s.Add(1, 1, 6);
-  QueryEngine engine(&s);
-  EXPECT_EQ(engine.TripleQuery(1, 0).size(), 1u);
-  EXPECT_EQ(engine.TripleQuery(1, 9).size(), 0u);
-  EXPECT_EQ(engine.RelationQuery(1).size(), 2u);
-  EXPECT_EQ(engine.num_triple_queries(), 2u);
-  EXPECT_EQ(engine.num_relation_queries(), 1u);
-  EXPECT_EQ(engine.latency_micros().count(), 3u);
-}
-
-TEST(QueryEngineTest, EmptyResultsAreRecordedAndCounted) {
-  TripleStore s;
-  s.Add(1, 0, 5);
-  QueryEngine engine(&s);
-  engine.TripleQuery(1, 0);   // hit
-  engine.TripleQuery(9, 9);   // miss
-  engine.TripleQuery(1, 3);   // miss
-  engine.RelationQuery(1);    // hit
-  engine.RelationQuery(42);   // miss
-  // Misses land in the same latency histogram as hits...
-  EXPECT_EQ(engine.latency_micros().count(), 5u);
-  // ...and are tallied separately per query shape.
-  EXPECT_EQ(engine.num_empty_triple_results(), 2u);
-  EXPECT_EQ(engine.num_empty_relation_results(), 1u);
-}
-
-TEST(QueryEngineTest, StatsJsonSnapshot) {
-  TripleStore s;
-  s.Add(1, 0, 5);
-  QueryEngine engine(&s);
-  const std::string empty = engine.StatsJson();
-  EXPECT_NE(empty.find("\"triple_queries\":0"), std::string::npos);
-  EXPECT_NE(empty.find("\"latency\":{\"count\":0}"), std::string::npos);
-
-  engine.TripleQuery(1, 0);
-  engine.TripleQuery(2, 2);
-  engine.RelationQuery(7);
-  const std::string json = engine.StatsJson();
-  EXPECT_NE(json.find("\"triple_queries\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"relation_queries\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"empty_triple_results\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"empty_relation_results\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_us\""), std::string::npos);
 }
 
 // ----------------------------------------------------------------- Split --

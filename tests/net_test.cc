@@ -379,30 +379,28 @@ TEST(NetServerTest, UndecodableServingPayloadClosesOnlyItsConnection) {
   ASSERT_TRUE(client.ok());
 
   // Validly framed (magic/CRC ok), but the payloads do not decode: a
-  // kGetVectors count that disagrees with the payload size, and a
-  // kRecommend entry whose reserved byte (offset 9 of the first 16-byte
-  // entry, after the u32 count) is set.
+  // count that disagrees with the payload size, and a recommend entry whose
+  // reserved byte (offset 3 of the first 20-byte entry, after the u32
+  // count) is set.
   const auto now = ServeClock::now();
   std::string bad_count =
-      EncodeGetVectors(1, {MakeRequest(1, ServiceForm::kCondensed),
-                           MakeRequest(2, ServiceForm::kCondensed)},
-                       now)
+      EncodeServiceRequests(1, {MakeRequest(1, ServiceForm::kCondensed),
+                                MakeRequest(2, ServiceForm::kCondensed)},
+                            now)
           .substr(kFrameHeaderBytes);
   bad_count[0] = 3;
   std::string bad_reserved =
-      EncodeRecommend(2, {MakeTask(TaskKind::kRecommend, 2)}, now)
+      EncodeServiceRequests(2, {MakeTask(TaskKind::kRecommend, 2)}, now)
           .substr(kFrameHeaderBytes);
-  bad_reserved[4 + 9] = 1;
-  const std::pair<FrameType, std::string> frames[] = {
-      {FrameType::kGetVectors, bad_count},
-      {FrameType::kRecommend, bad_reserved}};
+  bad_reserved[4 + 3] = 1;
 
   uint64_t errors = 0;
-  for (const auto& [type, payload] : frames) {
+  for (const std::string& payload : {bad_count, bad_reserved}) {
     auto raw = ConnectTcp("127.0.0.1", net.port(), 5000);
     ASSERT_TRUE(raw.ok());
     std::string frame;
-    AppendFrame(type, /*correlation_id=*/9, payload, &frame);
+    AppendFrame(FrameType::kServiceRequests, /*correlation_id=*/9, payload,
+                &frame);
     ASSERT_TRUE(RawSend(raw.value().get(), frame));
     char buf[64];
     ASSERT_TRUE(WaitFor([&] {
@@ -432,22 +430,25 @@ TEST(NetServerTest, UnknownFrameTypeAnsweredWithErrorConnectionSurvives) {
   ASSERT_TRUE(raw.ok());
   const int fd = raw.value().get();
 
-  // A validly framed (magic/CRC ok) frame of an unknown type: forward
-  // compatibility says answer kError and keep the stream.
-  std::string unknown;
-  AppendFrame(static_cast<FrameType>(42), /*correlation_id=*/7, "payload",
-              &unknown);
-  ASSERT_TRUE(RawSend(fd, unknown));
-
+  // Validly framed (magic/CRC ok) frames of an unknown type, or of one of
+  // the retired per-kind serving types 16-21: forward compatibility says
+  // answer kError and keep the stream.
   FrameDecoder decoder;
   Frame frame;
-  ASSERT_TRUE(RawReadFrame(fd, &decoder, &frame));
-  EXPECT_EQ(frame.type, FrameType::kError);
-  EXPECT_EQ(frame.correlation_id, 7u);
-  WireCode code;
-  std::string message;
-  ASSERT_TRUE(DecodeError(frame.payload, &code, &message).ok());
-  EXPECT_EQ(code, WireCode::kUnsupported);
+  for (uint8_t type : {42, 16, 17, 18, 19, 20, 21}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    std::string unknown;
+    AppendFrame(static_cast<FrameType>(type), /*correlation_id=*/type,
+                "payload", &unknown);
+    ASSERT_TRUE(RawSend(fd, unknown));
+    ASSERT_TRUE(RawReadFrame(fd, &decoder, &frame));
+    EXPECT_EQ(frame.type, FrameType::kError);
+    EXPECT_EQ(frame.correlation_id, static_cast<uint64_t>(type));
+    WireCode code;
+    std::string message;
+    ASSERT_TRUE(DecodeError(frame.payload, &code, &message).ok());
+    EXPECT_EQ(code, WireCode::kUnsupported);
+  }
 
   // Still alive: a ping on the same connection answers.
   ASSERT_TRUE(RawSend(fd, EncodeControl(FrameType::kPing, 8)));
@@ -480,8 +481,8 @@ TEST(NetServerTest, SlowReaderIsDisconnectedByBackpressure) {
       32, MakeRequest(6, ServiceForm::kSequence));
   bool disconnected = false;
   for (uint64_t correlation = 1; correlation <= 4096; ++correlation) {
-    if (!RawSend(fd,
-                 EncodeGetVectors(correlation, batch, ServeClock::now()))) {
+    if (!RawSend(fd, EncodeServiceRequests(correlation, batch,
+                                           ServeClock::now()))) {
       disconnected = true;  // EPIPE/ECONNRESET once the server dropped us
       break;
     }
@@ -825,8 +826,8 @@ TEST(NetClientTest, EveryReplyKindRoutesOverOneConnection) {
       push_cid, EncodePushGrads(push_cid, 1.0f, /*epoch=*/5, "parked"));
   ASSERT_TRUE(WaitFor([&] { return handler.parked() == 1u; }));
 
-  // Serving frames reach a server without a knowledge service: each typed
-  // frame is answered kError/kUnsupported, read as kNetworkError.
+  // A mixed-kind batch reaches a server without a knowledge service: its
+  // one frame is answered kError/kUnsupported, read as kNetworkError.
   std::vector<ServiceRequest> batch;
   for (TaskKind task : {TaskKind::kLookup, TaskKind::kRecommend,
                         TaskKind::kClassify, TaskKind::kAlign,
@@ -1110,108 +1111,226 @@ TEST(NetServerTest, SlowReaderOfSynchronousRepliesIsDisconnected) {
   net.Stop();
 }
 
-// Seeded mutation of the four serving request kinds, driven straight into
-// the serving handler over a running KnowledgeServer: a payload is
-// malformed exactly when its kind's decoder rejects it, and a taken
-// frame's reply decodes with its typed reply decoder, one entry per
-// decoded request. The sanitizer CI jobs run this too.
+// Answers every kServiceRequests frame with one kOk entry per request,
+// except the first, which gets `first_reply` (a garbled or short reply
+// frame, built from the frame's correlation id).
+class GarblingServingHandler : public FrameHandler {
+ public:
+  using Garble = std::string (*)(uint64_t correlation_id, size_t requests);
+  explicit GarblingServingHandler(Garble first_reply)
+      : first_reply_(first_reply) {}
+
+  Result HandleFrame(const Frame& frame, Respond respond) override {
+    std::vector<ServiceRequest> requests;
+    if (frame.type != FrameType::kServiceRequests ||
+        !DecodeServiceRequests(frame.payload, ServeClock::now(), &requests)
+             .ok()) {
+      return Result::kRefused;
+    }
+    respond(frames_++ == 0
+                ? first_reply_(frame.correlation_id, requests.size())
+                : EncodeServiceReplies(
+                      frame.correlation_id,
+                      std::vector<ServiceResponse>(requests.size())));
+    return Result::kTaken;
+  }
+
+ private:
+  const Garble first_reply_;
+  std::atomic<int> frames_{0};
+};
+
+TEST(NetClientTest, GarbledServingReplyFailsItsBatchAndReconnects) {
+  // A reply that is validly framed but does not decode, or holds fewer
+  // entries than the batch, fails every request of that batch with
+  // kNetworkError and ends the stream; the next batch is served on a
+  // fresh connection.
+  const GarblingServingHandler::Garble garbles[] = {
+      // Flag bit 1 set in the first entry.
+      [](uint64_t cid, size_t n) {
+        std::string payload =
+            EncodeServiceReplies(cid, std::vector<ServiceResponse>(n))
+                .substr(kFrameHeaderBytes);
+        payload[5] = 2;
+        std::string frame;
+        AppendFrame(FrameType::kServiceReplies, cid, payload, &frame);
+        return frame;
+      },
+      // One entry short.
+      [](uint64_t cid, size_t n) {
+        return EncodeServiceReplies(cid, std::vector<ServiceResponse>(n - 1));
+      },
+      // Not a serving reply at all.
+      [](uint64_t cid, size_t) { return EncodePushAck(cid, 1); },
+  };
+  for (size_t g = 0; g < std::size(garbles); ++g) {
+    SCOPED_TRACE(g);
+    GarblingServingHandler handler(garbles[g]);
+    NetServer net(&handler);
+    ASSERT_TRUE(net.Start().ok());
+    NetClientOptions copt;
+    copt.num_connections = 1;
+    auto client = NetClient::Connect("127.0.0.1", net.port(), copt);
+    ASSERT_TRUE(client.ok());
+
+    std::vector<ServiceRequest> batch;
+    for (TaskKind task : {TaskKind::kLookup, TaskKind::kRecommend,
+                          TaskKind::kClassify, TaskKind::kAlign}) {
+      batch.push_back(MakeTask(task, 4));
+    }
+    for (auto& future : client.value()->SubmitBatch(batch)) {
+      EXPECT_EQ(future.get().code, ResponseCode::kNetworkError);
+    }
+    EXPECT_EQ(client.value()->network_errors(), batch.size());
+    // The client closed the stream; once the server has seen it go, the
+    // next batch reconnects.
+    ASSERT_TRUE(
+        WaitFor([&] { return net.net_counters().connections_closed == 1; }));
+    for (auto& future : client.value()->SubmitBatch(batch)) {
+      EXPECT_EQ(future.get().code, ResponseCode::kOk);
+    }
+    EXPECT_EQ(net.net_counters().connections_accepted, 2u);
+    EXPECT_EQ(client.value()->network_errors(), batch.size());
+
+    client.value().reset();
+    net.Stop();
+  }
+}
+
+// Seeded mutation of a mixed-kind serving request frame, driven straight
+// into the serving handler over a running KnowledgeServer: a payload is
+// malformed exactly when the decoder rejects it, a decoded payload
+// re-encodes to its own bytes, and a taken frame's reply decodes, one entry
+// per decoded request, and re-encodes to its own bytes too. The sanitizer
+// CI jobs run this too.
 TEST(MutationTest, ServingRequestFramesThroughTheHandler) {
   Fixture fx;
   KnowledgeServer server(fx.provider.get());
   server.Start();
   ServingHandler serving(&server);
 
-  using Decode = Status (*)(std::string_view, ServeClock::time_point,
-                            std::vector<ServiceRequest>*);
-  struct Kind {
-    FrameType type;
-    FrameType reply_type;
-    Decode decode;
-    std::string payload;  // valid
-  };
-  std::vector<ServiceRequest> by_task[4];
+  std::vector<ServiceRequest> mixed;
   for (uint32_t item = 0; item < 4; ++item) {
-    for (uint8_t t = 0; t < 4; ++t) {
-      by_task[t].push_back(MakeTask(static_cast<TaskKind>(t), item * 3));
+    for (uint8_t t = 0; t <= serve::kMaxTaskKind; ++t) {
+      mixed.push_back(MakeTask(static_cast<TaskKind>(t), item * 3));
     }
   }
   const auto now = ServeClock::now();
-  const auto payload = [](const std::string& frame) {
-    return frame.substr(kFrameHeaderBytes);
-  };
-  const Kind kinds[] = {
-      {FrameType::kGetVectors, FrameType::kVectors, DecodeGetVectors,
-       payload(EncodeGetVectors(1, by_task[0], now))},
-      {FrameType::kRecommend, FrameType::kRecommendReply, DecodeRecommend,
-       payload(EncodeRecommend(1, by_task[1], now))},
-      {FrameType::kClassify, FrameType::kClassifyReply, DecodeClassify,
-       payload(EncodeClassify(1, by_task[2], now))},
-      {FrameType::kAlign, FrameType::kAlignReply, DecodeAlign,
-       payload(EncodeAlign(1, by_task[3], now))},
-  };
-  // The count, then each 16-byte entry's two u32 operands and its deadline.
+  const std::string payload =
+      EncodeServiceRequests(1, mixed, now).substr(kFrameHeaderBytes);
+  // Splices draw on the same batch in reverse order.
+  const std::string other =
+      EncodeServiceRequests(1, {mixed.rbegin(), mixed.rend()}, now)
+          .substr(kFrameHeaderBytes);
+  // The count, then each 20-byte entry's item, operand and deadline.
   std::vector<size_t> fields = {0};
-  for (size_t entry = 0; entry < 4; ++entry) {
-    for (size_t at : {0, 4, 12}) fields.push_back(4 + 16 * entry + at);
+  for (size_t entry = 0; entry < mixed.size(); ++entry) {
+    for (size_t at : {8, 12, 16}) fields.push_back(4 + 20 * entry + at);
   }
 
   Rng rng(20215);
-  for (size_t k = 0; k < 4; ++k) {
-    const Kind& kind = kinds[k];
-    int malformed = 0;
-    for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
-      SCOPED_TRACE(testing::Message() << "kind " << k << " iter " << iter);
-      Frame request;
-      request.type = kind.type;
-      request.correlation_id = static_cast<uint64_t>(iter);
-      request.payload =
-          iter == 0 ? kind.payload
-                    : Mutate(kind.payload, kinds[(k + 1) % 4].payload, fields,
-                             &rng);
-      std::vector<ServiceRequest> decoded;
-      const bool decodes =
-          kind.decode(request.payload, ServeClock::now(), &decoded).ok();
-      auto reply = std::make_shared<std::promise<std::string>>();
-      std::future<std::string> reply_bytes = reply->get_future();
-      const FrameHandler::Result result = serving.HandleFrame(
-          request,
-          [reply](std::string bytes) { reply->set_value(std::move(bytes)); });
-      if (!decodes) {
-        EXPECT_EQ(result, FrameHandler::Result::kMalformed);
-        ++malformed;
-        continue;
-      }
-      ASSERT_EQ(result, FrameHandler::Result::kTaken);
-      const std::string bytes = reply_bytes.get();
-      FrameDecoder decoder;
-      decoder.Feed(bytes.data(), bytes.size());
-      Frame frame;
-      std::string error;
-      ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kFrame)
-          << error;
-      EXPECT_EQ(frame.type, kind.reply_type);
-      EXPECT_EQ(frame.correlation_id, request.correlation_id);
-      std::vector<ServiceResponse> responses;
-      Status replied;
-      switch (kind.reply_type) {
-        case FrameType::kVectors:
-          replied = DecodeVectors(frame.payload, &responses);
-          break;
-        case FrameType::kClassifyReply:
-          replied = DecodeClassifyReply(frame.payload, &responses);
-          break;
-        default:
-          replied = DecodeScoreReply(frame.payload, &responses);
-          break;
-      }
-      ASSERT_TRUE(replied.ok()) << replied.ToString();
-      EXPECT_EQ(responses.size(), decoded.size());
+  int malformed = 0;
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(testing::Message() << "iter " << iter);
+    Frame request;
+    request.type = FrameType::kServiceRequests;
+    request.correlation_id = static_cast<uint64_t>(iter);
+    request.payload =
+        iter == 0 ? payload : Mutate(payload, other, fields, &rng);
+    std::vector<ServiceRequest> decoded;
+    const bool decodes =
+        DecodeServiceRequests(request.payload, now, &decoded).ok();
+    auto reply = std::make_shared<std::promise<std::string>>();
+    std::future<std::string> reply_bytes = reply->get_future();
+    const FrameHandler::Result result = serving.HandleFrame(
+        request,
+        [reply](std::string bytes) { reply->set_value(std::move(bytes)); });
+    if (!decodes) {
+      EXPECT_EQ(result, FrameHandler::Result::kMalformed);
+      ++malformed;
+      continue;
     }
-    // The mutations reach both outcomes.
-    EXPECT_GT(malformed, kMutationsPerInput / 10) << "kind " << k;
-    EXPECT_LT(malformed, kMutationsPerInput) << "kind " << k;
+    EXPECT_EQ(EncodeServiceRequests(1, decoded, now).substr(kFrameHeaderBytes),
+              request.payload);
+    ASSERT_EQ(result, FrameHandler::Result::kTaken);
+    const std::string bytes = reply_bytes.get();
+    FrameDecoder decoder;
+    decoder.Feed(bytes.data(), bytes.size());
+    Frame frame;
+    std::string error;
+    ASSERT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kFrame)
+        << error;
+    EXPECT_EQ(frame.type, FrameType::kServiceReplies);
+    EXPECT_EQ(frame.correlation_id, request.correlation_id);
+    std::vector<ServiceResponse> responses;
+    const Status replied = DecodeServiceReplies(frame.payload, &responses);
+    ASSERT_TRUE(replied.ok()) << replied.ToString();
+    EXPECT_EQ(responses.size(), decoded.size());
+    EXPECT_EQ(EncodeServiceReplies(frame.correlation_id, responses), bytes);
   }
+  // The mutations reach both outcomes.
+  EXPECT_GT(malformed, kMutationsPerInput / 10);
+  EXPECT_LT(malformed, kMutationsPerInput);
   server.Stop();
+}
+
+/// Offsets of the count and of every entry's k, num_vectors and vector
+/// lengths in the kServiceReplies payload of `responses`.
+std::vector<size_t> ReplyFields(const std::vector<ServiceResponse>& responses) {
+  std::vector<size_t> fields = {0};
+  size_t at = 4;
+  for (const ServiceResponse& response : responses) {
+    at += 8;  // code, flags, reserved, score
+    fields.push_back(at);
+    at += 4 + 8 * response.class_ids.size();
+    fields.push_back(at);
+    at += 4;
+    for (const Vec& vec : response.vectors) {
+      fields.push_back(at);
+      at += 4 + 4 * vec.size();
+    }
+  }
+  return fields;
+}
+
+// Seeded mutation of a kServiceReplies payload holding all four kinds and
+// non-Ok entries: every mutant is refused, or decoded and re-encoded to its
+// own bytes — so no field the decoder lets through is ignored.
+TEST(MutationTest, ServingReplyFrame) {
+  std::vector<ServiceResponse> responses(8);
+  responses[0].cache_hit = true;
+  responses[0].vectors = {{1.5f, -2.25f, 0.0f}, {3.0f}, {}};
+  responses[1].score = 0.875f;
+  responses[2].class_ids = {4, 1, 7};
+  responses[2].class_probs = {0.5f, 0.25f, 0.125f};
+  responses[3].score = -3.5f;
+  responses[4].code = ResponseCode::kRejected;
+  responses[5].code = ResponseCode::kDeadlineExceeded;
+  responses[6].code = ResponseCode::kInvalidItem;
+  responses[7].code = ResponseCode::kQuotaExceeded;
+  const std::string payload =
+      EncodeServiceReplies(1, responses).substr(kFrameHeaderBytes);
+  const std::string other =
+      EncodeServiceReplies(1, {responses.rbegin(), responses.rend()})
+          .substr(kFrameHeaderBytes);
+  const std::vector<size_t> fields = ReplyFields(responses);
+
+  Rng rng(20255);
+  int refused = 0;
+  for (int iter = 0; iter <= kMutationsPerInput; ++iter) {
+    SCOPED_TRACE(testing::Message() << "iter " << iter);
+    const std::string mutant =
+        iter == 0 ? payload : Mutate(payload, other, fields, &rng);
+    std::vector<ServiceResponse> decoded;
+    if (!DecodeServiceReplies(mutant, &decoded).ok()) {
+      ++refused;
+      continue;
+    }
+    EXPECT_EQ(EncodeServiceReplies(1, decoded).substr(kFrameHeaderBytes),
+              mutant);
+  }
+  EXPECT_GT(refused, kMutationsPerInput / 10);
+  EXPECT_LT(refused, kMutationsPerInput);
 }
 
 }  // namespace

@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdio>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "mutation.h"
 #include "util/histogram.h"
 #include "util/rng.h"
+#include "util/section_file.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -517,6 +521,89 @@ TEST(TablePrinterTest, NumericRowFormatting) {
   std::string s = t.ToString();
   EXPECT_NE(s.find("1.23"), std::string::npos);
   EXPECT_NE(s.find("5.00"), std::string::npos);
+}
+
+// ----------------------------------------------------------- SectionFile --
+
+constexpr uint32_t kTestMagic = 0x54534554;  // "TEST"
+constexpr uint32_t kOneSection = SectionTag("ONE_");
+constexpr uint32_t kTwoSection = SectionTag("TWO_");
+
+/// Writes a container of three sections — META (8 bytes), ONE_ (100 bytes,
+/// written in two pieces) and TWO_ (3 bytes) — at 64, 128 and 256, with its
+/// table at 320, and returns its path.
+std::string WriteThreeSections(const char* name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  SectionWriter writer(path, kTestMagic, 1);
+  const uint64_t meta = 42;
+  writer.Add(kMetaSection, &meta, sizeof(meta));
+  const std::string one(100, 'a');
+  writer.Begin(kOneSection);
+  writer.Write(one.data(), 60);
+  writer.Write(one.data() + 60, 40);
+  writer.Add(kTwoSection, "xyz", 3);
+  EXPECT_TRUE(writer.Finish().ok());
+  return path;
+}
+
+/// Moves section `index` of the container at `path` to `offset` and
+/// re-seals the CRCs, so only the placement check can refuse it.
+void MoveSection(const std::string& path, size_t index, uint64_t offset) {
+  const uint64_t table = 320;
+  ASSERT_TRUE(PatchSealed(path,
+                          table + index * sizeof(SectionEntry) +
+                              offsetof(SectionEntry, offset),
+                          &offset, sizeof(offset)));
+}
+
+void ExpectPlacementRefused(const std::string& path) {
+  auto file = SectionFile::Open(path, kTestMagic, 1);
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(file.status().message().find("overlaps or is detached"),
+            std::string::npos)
+      << file.status().message();
+}
+
+TEST(SectionFileTest, ThreeSectionRoundTrip) {
+  const std::string path = WriteThreeSections("three.sec");
+  auto file = SectionFile::Open(path, kTestMagic, 1);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  EXPECT_TRUE(
+      file->ExpectSections({kMetaSection, kOneSection, kTwoSection}).ok());
+  const std::vector<SectionEntry>& sections = file->sections();
+  ASSERT_EQ(sections.size(), 3u);
+  EXPECT_EQ(sections[0].offset, 64u);
+  EXPECT_EQ(sections[1].offset, 128u);
+  EXPECT_EQ(sections[2].offset, 256u);
+  EXPECT_EQ(file->file_size(), 320 + 3 * sizeof(SectionEntry));
+  uint64_t meta = 0;
+  ASSERT_TRUE(ReadMetaSection(*file, &meta).ok());
+  EXPECT_EQ(meta, 42u);
+  EXPECT_EQ(file->bytes(*file->Find(kOneSection)), std::string(100, 'a'));
+  EXPECT_EQ(file->bytes(*file->Find(kTwoSection)), "xyz");
+  EXPECT_TRUE(file->VerifyChecksum().ok());
+  // Another format's magic or version is refused.
+  EXPECT_FALSE(SectionFile::Open(path, kTestMagic + 1, 1).ok());
+  EXPECT_FALSE(SectionFile::Open(path, kTestMagic, 2).ok());
+  std::remove(path.c_str());
+}
+
+TEST(SectionFileTest, OverlappingSectionIsRefused) {
+  // TWO_ moved onto ONE_: aligned and inside the file, but overlapping.
+  const std::string path = WriteThreeSections("overlap.sec");
+  MoveSection(path, 2, 128);
+  ExpectPlacementRefused(path);
+  std::remove(path.c_str());
+}
+
+TEST(SectionFileTest, DetachedSectionIsRefused) {
+  // ONE_ moved one alignment step on: a gap after META, and ONE_ still ends
+  // before the table, so nothing but the placement check notices.
+  const std::string path = WriteThreeSections("gap.sec");
+  MoveSection(path, 1, 192);
+  ExpectPlacementRefused(path);
+  std::remove(path.c_str());
 }
 
 }  // namespace

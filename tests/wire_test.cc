@@ -24,38 +24,56 @@ using serve::ServeClock;
 using serve::ServiceForm;
 using serve::ServiceRequest;
 using serve::ServiceResponse;
+using serve::TaskKind;
 
-std::vector<ServiceRequest> SampleRequests() {
-  std::vector<ServiceRequest> requests;
-  ServiceRequest a;
-  a.item = 7;
-  a.mode = core::ServiceMode::kAll;
-  a.form = ServiceForm::kCondensed;
-  requests.push_back(a);
-  ServiceRequest b;
-  b.item = 0xdeadbeef;
-  b.mode = core::ServiceMode::kRelationOnly;
-  b.form = ServiceForm::kSequence;
-  b.deadline = ServeClock::now() + std::chrono::milliseconds(50);
-  requests.push_back(b);
+/// One request of every task kind with every operand set, across tenants
+/// 0, 7 and 0xffff and no, real and expired deadlines.
+std::vector<ServiceRequest> SampleRequests(ServeClock::time_point now) {
+  std::vector<ServiceRequest> requests(5);
+  requests[0].item = 7;  // a lookup: tenant 0, no deadline
+  requests[1].item = 0xdeadbeef;
+  requests[1].mode = core::ServiceMode::kRelationOnly;
+  requests[1].form = ServiceForm::kSequence;
+  requests[1].tenant = 7;
+  requests[1].deadline = now + std::chrono::milliseconds(50);
+  requests[2].task = TaskKind::kRecommend;
+  requests[2].user = 0xfeedface;
+  requests[2].item = 11;
+  requests[2].tenant = 0xffff;
+  requests[2].deadline = now - std::chrono::seconds(5);
+  requests[3].task = TaskKind::kClassify;
+  requests[3].item = 3;
+  requests[3].top_k = 5;
+  requests[3].mode = core::ServiceMode::kTripleOnly;
+  requests[4].task = TaskKind::kAlign;
+  requests[4].item = 4;
+  requests[4].item_b = 0xcafef00d;
   return requests;
 }
 
+/// Replies of all four kinds plus every non-Ok code a server sends.
 std::vector<ServiceResponse> SampleResponses() {
-  std::vector<ServiceResponse> responses;
-  ServiceResponse ok;
-  ok.code = ResponseCode::kOk;
-  ok.cache_hit = true;
-  ok.vectors = {{1.5f, -2.25f, 0.0f}, {3.0f}};
-  responses.push_back(ok);
-  ServiceResponse rejected;
-  rejected.code = ResponseCode::kRejected;
-  responses.push_back(rejected);
-  ServiceResponse empty_vec;
-  empty_vec.code = ResponseCode::kOk;
-  empty_vec.vectors = {{}};
-  responses.push_back(empty_vec);
+  std::vector<ServiceResponse> responses(9);
+  responses[0].cache_hit = true;
+  responses[0].vectors = {{1.5f, -2.25f, 0.0f}, {3.0f}};
+  responses[1].vectors = {{}};
+  responses[2].score = 0.875f;
+  responses[3].score = -3.5f;  // alignment logits can be negative
+  responses[4].class_ids = {4, 1, 7};
+  responses[4].class_probs = {0.5f, 0.25f, 0.125f};
+  responses[5].code = ResponseCode::kRejected;
+  responses[6].code = ResponseCode::kDeadlineExceeded;
+  responses[7].code = ResponseCode::kInvalidItem;
+  responses[8].code = ResponseCode::kQuotaExceeded;
   return responses;
+}
+
+std::string Payload(const std::string& frame) {
+  return frame.substr(kFrameHeaderBytes);
+}
+
+void PutU32At(std::string* bytes, size_t at, uint32_t v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(v));
 }
 
 /// Decodes exactly one frame from `bytes`, asserting full consumption.
@@ -81,53 +99,65 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Crc32c(digits + 4, 5, Crc32c(digits, 4)), 0xe3069283u);
 }
 
-TEST(WireTest, GetVectorsRoundTrip) {
+TEST(WireTest, ServiceRequestsRoundTripEveryTask) {
   const auto now = ServeClock::now();
-  const std::vector<ServiceRequest> requests = SampleRequests();
-  const std::string bytes = EncodeGetVectors(42, requests, now);
+  const std::vector<ServiceRequest> requests = SampleRequests(now);
+  const std::string bytes = EncodeServiceRequests(42, requests, now);
   const Frame frame = MustDecode(bytes);
-  EXPECT_EQ(frame.type, FrameType::kGetVectors);
+  EXPECT_EQ(frame.type, FrameType::kServiceRequests);
   EXPECT_EQ(frame.correlation_id, 42u);
+  EXPECT_EQ(frame.payload.size(), 4 + 20 * requests.size());
 
   std::vector<ServiceRequest> decoded;
-  ASSERT_TRUE(DecodeGetVectors(frame.payload, now, &decoded).ok());
+  ASSERT_TRUE(DecodeServiceRequests(frame.payload, now, &decoded).ok());
   ASSERT_EQ(decoded.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(decoded[i].task, requests[i].task);
     EXPECT_EQ(decoded[i].item, requests[i].item);
     EXPECT_EQ(decoded[i].mode, requests[i].mode);
     EXPECT_EQ(decoded[i].form, requests[i].form);
+    EXPECT_EQ(decoded[i].tenant, requests[i].tenant);
   }
+  // Each task's operand travels; the others keep their defaults.
+  EXPECT_EQ(decoded[0].user, 0u);
+  EXPECT_EQ(decoded[0].item_b, 0u);
+  EXPECT_EQ(decoded[0].top_k, 1u);
+  EXPECT_EQ(decoded[2].user, 0xfeedfaceu);
+  EXPECT_EQ(decoded[3].top_k, 5u);
+  EXPECT_EQ(decoded[4].item_b, 0xcafef00du);
+  EXPECT_EQ(decoded[4].user, 0u);
   // No deadline stays no deadline; a real deadline survives within the
-  // microsecond quantization of the wire encoding.
+  // microsecond quantization of the wire encoding; an expired one stays
+  // expired.
   EXPECT_EQ(decoded[0].deadline, ServeClock::time_point::max());
   const auto skew = decoded[1].deadline - requests[1].deadline;
   EXPECT_LT(std::chrono::abs(skew), std::chrono::microseconds(2));
+  EXPECT_NE(decoded[2].deadline, ServeClock::time_point::max());
+  EXPECT_LE(decoded[2].deadline, now + std::chrono::microseconds(1));
+  // Decoded against the same clock, the batch re-encodes to its bytes.
+  EXPECT_EQ(EncodeServiceRequests(42, decoded, now), bytes);
 }
 
-TEST(WireTest, ExpiredDeadlineStaysExpired) {
-  std::vector<ServiceRequest> requests(1);
-  requests[0].deadline = ServeClock::now() - std::chrono::seconds(5);
-  const auto now = ServeClock::now();
-  const Frame frame = MustDecode(EncodeGetVectors(1, requests, now));
-  std::vector<ServiceRequest> decoded;
-  ASSERT_TRUE(DecodeGetVectors(frame.payload, now, &decoded).ok());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_NE(decoded[0].deadline, ServeClock::time_point::max());
-  EXPECT_LE(decoded[0].deadline, now + std::chrono::microseconds(1));
-}
-
-TEST(WireTest, VectorsRoundTrip) {
+TEST(WireTest, ServiceRepliesRoundTripEveryKind) {
   const std::vector<ServiceResponse> responses = SampleResponses();
-  const Frame frame = MustDecode(EncodeVectors(99, responses));
-  EXPECT_EQ(frame.type, FrameType::kVectors);
+  const std::string bytes = EncodeServiceReplies(99, responses);
+  const Frame frame = MustDecode(bytes);
+  EXPECT_EQ(frame.type, FrameType::kServiceReplies);
   EXPECT_EQ(frame.correlation_id, 99u);
 
   std::vector<ServiceResponse> decoded;
-  ASSERT_TRUE(DecodeVectors(frame.payload, &decoded).ok());
+  ASSERT_TRUE(DecodeServiceReplies(frame.payload, &decoded).ok());
   ASSERT_EQ(decoded.size(), responses.size());
   for (size_t i = 0; i < responses.size(); ++i) {
+    SCOPED_TRACE(i);
     EXPECT_EQ(decoded[i].code, responses[i].code);
     EXPECT_EQ(decoded[i].cache_hit, responses[i].cache_hit);
+    EXPECT_EQ(std::memcmp(&decoded[i].score, &responses[i].score,
+                          sizeof(float)),
+              0);
+    EXPECT_EQ(decoded[i].class_ids, responses[i].class_ids);
+    EXPECT_EQ(decoded[i].class_probs, responses[i].class_probs);
     ASSERT_EQ(decoded[i].vectors.size(), responses[i].vectors.size());
     for (size_t v = 0; v < responses[i].vectors.size(); ++v) {
       // Bit-identical floats across the wire.
@@ -139,6 +169,7 @@ TEST(WireTest, VectorsRoundTrip) {
                 0);
     }
   }
+  EXPECT_EQ(EncodeServiceReplies(99, decoded), bytes);
 }
 
 TEST(WireTest, ErrorRoundTrip) {
@@ -171,26 +202,6 @@ TEST(WireTest, CodeMappingRoundTrips) {
   }
 }
 
-TEST(WireTest, TenantRoundTrips) {
-  // The tenant id rides in the ex-reserved u16 of each GetVectors entry;
-  // older clients always sent 0, so 0 must decode as the default tenant
-  // and any other value must survive unchanged.
-  const auto now = ServeClock::now();
-  std::vector<ServiceRequest> requests(3);
-  requests[0].item = 1;  // tenant defaults to 0
-  requests[1].item = 2;
-  requests[1].tenant = 7;
-  requests[2].item = 3;
-  requests[2].tenant = 0xffff;
-  const Frame frame = MustDecode(EncodeGetVectors(11, requests, now));
-  std::vector<ServiceRequest> decoded;
-  ASSERT_TRUE(DecodeGetVectors(frame.payload, now, &decoded).ok());
-  ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_EQ(decoded[0].tenant, 0u);
-  EXPECT_EQ(decoded[1].tenant, 7u);
-  EXPECT_EQ(decoded[2].tenant, 0xffffu);
-}
-
 TEST(WireTest, QuotaExceededErrorCodeValidButNothingBeyond) {
   // kQuotaExceeded (6) extended the wire-code range; the decoders must
   // accept it and keep rejecting the first unassigned value.
@@ -208,7 +219,7 @@ TEST(WireTest, QuotaExceededErrorCodeValidButNothingBeyond) {
 }
 
 TEST(FrameDecoderTest, ByteAtATimeFragmentation) {
-  const std::string bytes = EncodeVectors(12, SampleResponses());
+  const std::string bytes = EncodeServiceReplies(12, SampleResponses());
   FrameDecoder decoder;
   Frame frame;
   std::string error;
@@ -296,83 +307,137 @@ TEST(FrameDecoderTest, OversizedFrameRejectedBeforeBuffering) {
   EXPECT_LT(decoder.buffered_bytes(), 1024u);
 }
 
-TEST(WireTest, HostileGetVectorsCountRejected) {
-  // A count field claiming 2^30 entries against a tiny payload must fail
-  // validation without attempting the implied allocation.
-  std::string payload;
-  const uint32_t hostile = 1u << 30;
-  payload.append(reinterpret_cast<const char*>(&hostile), sizeof(hostile));
-  payload.append(12, '\0');  // one entry's worth of bytes
-  std::vector<ServiceRequest> out;
-  EXPECT_FALSE(DecodeGetVectors(payload, ServeClock::now(), &out).ok());
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(WireTest, HostileVectorLengthsRejected) {
-  // Entry declares num_vectors / len values bigger than the payload.
-  for (uint32_t hostile : {1u << 30, 0xffffffffu}) {
-    std::string payload;
-    const uint32_t count = 1;
-    payload.append(reinterpret_cast<const char*>(&count), sizeof(count));
-    payload.push_back(0);  // code
-    payload.push_back(0);  // flags
-    payload.push_back(0);  // reserved
-    payload.push_back(0);
-    payload.append(reinterpret_cast<const char*>(&hostile), sizeof(hostile));
-    std::vector<ServiceResponse> out;
-    EXPECT_FALSE(DecodeVectors(payload, &out).ok());
-  }
-}
-
-TEST(WireTest, TruncatedPayloadsRejected) {
+TEST(WireTest, TruncatedServingPayloadsRejected) {
   const auto now = ServeClock::now();
-  const std::string get = EncodeGetVectors(1, SampleRequests(), now);
-  const std::string_view get_payload =
-      std::string_view(get).substr(kFrameHeaderBytes);
-  const std::string vec = EncodeVectors(1, SampleResponses());
-  const std::string_view vec_payload =
-      std::string_view(vec).substr(kFrameHeaderBytes);
+  const std::string requests =
+      Payload(EncodeServiceRequests(1, SampleRequests(now), now));
+  const std::string replies =
+      Payload(EncodeServiceReplies(1, SampleResponses()));
+  const auto requests_ok = [&](std::string_view p) {
+    std::vector<ServiceRequest> out;
+    return DecodeServiceRequests(p, now, &out).ok();
+  };
+  const auto replies_ok = [](std::string_view p) {
+    std::vector<ServiceResponse> out;
+    return DecodeServiceReplies(p, &out).ok();
+  };
+  ASSERT_TRUE(requests_ok(requests));
+  ASSERT_TRUE(replies_ok(replies));
+  // Every strict prefix must be rejected (never accepted short)...
+  for (size_t len = 0; len < requests.size(); ++len) {
+    EXPECT_FALSE(requests_ok(std::string_view(requests).substr(0, len)))
+        << len;
+  }
+  for (size_t len = 0; len < replies.size(); ++len) {
+    EXPECT_FALSE(replies_ok(std::string_view(replies).substr(0, len))) << len;
+  }
+  // ...and so must one trailing byte.
+  EXPECT_FALSE(requests_ok(requests + '\0'));
+  EXPECT_FALSE(replies_ok(replies + '\0'));
+}
 
-  // Every strict prefix must be rejected (never accepted short).
-  for (size_t len = 0; len < get_payload.size(); ++len) {
-    std::vector<ServiceRequest> out;
-    EXPECT_FALSE(
-        DecodeGetVectors(get_payload.substr(0, len), now, &out).ok());
-  }
-  for (size_t len = 0; len < vec_payload.size(); ++len) {
-    std::vector<ServiceResponse> out;
-    EXPECT_FALSE(DecodeVectors(vec_payload.substr(0, len), &out).ok());
-  }
-  // Trailing garbage is rejected too.
-  {
-    std::vector<ServiceRequest> out;
-    std::string padded(get_payload);
-    padded.push_back('\0');
-    EXPECT_FALSE(DecodeGetVectors(padded, now, &out).ok());
-  }
-  {
-    std::vector<ServiceResponse> out;
-    std::string padded(vec_payload);
-    padded.push_back('\0');
-    EXPECT_FALSE(DecodeVectors(padded, &out).ok());
+TEST(WireTest, HostileServingCountsRejectedBeforeAllocation) {
+  // Counts claiming 2^30 entries against one entry's worth of bytes must
+  // fail validation without attempting the implied allocation.
+  const auto now = ServeClock::now();
+  std::string requests =
+      Payload(EncodeServiceRequests(1, std::vector<ServiceRequest>(1), now));
+  PutU32At(&requests, 0, 1u << 30);
+  std::vector<ServiceRequest> reqs;
+  EXPECT_FALSE(DecodeServiceRequests(requests, now, &reqs).ok());
+  EXPECT_TRUE(reqs.empty());
+
+  // One entry holding one class and one one-float vector: count at 0, k at
+  // 12, num_vectors at 24, the vector's len at 28.
+  std::vector<ServiceResponse> one(1);
+  one[0].class_ids = {2};
+  one[0].class_probs = {1.0f};
+  one[0].vectors = {{0.5f}};
+  const std::string reply = Payload(EncodeServiceReplies(1, one));
+  ASSERT_EQ(reply.size(), 36u);
+  std::vector<ServiceResponse> resps;
+  ASSERT_TRUE(DecodeServiceReplies(reply, &resps).ok());
+  for (size_t at : {0, 12, 24, 28}) {
+    for (uint32_t hostile : {1u << 30, 0x7fffffffu, 0xffffffffu}) {
+      std::string bad = reply;
+      PutU32At(&bad, at, hostile);
+      EXPECT_FALSE(DecodeServiceReplies(bad, &resps).ok())
+          << "field at " << at << " = " << hostile;
+    }
   }
 }
 
-TEST(WireTest, BadEnumValuesRejected) {
+TEST(WireTest, BadServingFieldValuesRejected) {
   const auto now = ServeClock::now();
-  std::vector<ServiceRequest> requests(1);
-  std::string frame = EncodeGetVectors(1, requests, now);
-  std::string payload = frame.substr(kFrameHeaderBytes);
+  std::vector<ServiceRequest> requests(2);
+  requests[1].task = TaskKind::kClassify;
+  requests[1].top_k = 3;
+  const std::string payload =
+      Payload(EncodeServiceRequests(1, requests, now));
   std::vector<ServiceRequest> out;
-  ASSERT_TRUE(DecodeGetVectors(payload, now, &out).ok());
+  ASSERT_TRUE(DecodeServiceRequests(payload, now, &out).ok());
+  // Entry 0 (a lookup) at offset 4: task(1) mode(1) form(1) reserved(1)
+  // tenant(2) reserved(2) item(4) operand(4) deadline(4).
+  const auto rejected = [&](size_t at, uint8_t value) {
+    std::string bad = payload;
+    bad[4 + at] = static_cast<char>(value);
+    return !DecodeServiceRequests(bad, now, &out).ok();
+  };
+  EXPECT_TRUE(rejected(0, serve::kMaxTaskKind + 1));
+  EXPECT_TRUE(rejected(1, 0x7f));  // mode
+  EXPECT_TRUE(rejected(2, 0x7f));  // form
+  EXPECT_TRUE(rejected(3, 1));     // reserved u8
+  EXPECT_TRUE(rejected(6, 1));     // reserved u16
+  EXPECT_TRUE(rejected(7, 0x80));
+  EXPECT_TRUE(rejected(12, 1));    // a lookup carries no operand
+  // The classify entry's operand is its top_k: any value is valid.
+  EXPECT_FALSE(rejected(20 + 12, 0xff));
 
-  std::string bad_mode = payload;
-  bad_mode[4 + 4] = 0x7f;  // mode byte of entry 0
-  EXPECT_FALSE(DecodeGetVectors(bad_mode, now, &out).ok());
+  // Reply entry at offset 4: code(1) flags(1) reserved(2) score(4) ...
+  std::vector<ServiceResponse> resp(1);
+  const std::string reply = Payload(EncodeServiceReplies(1, resp));
+  std::vector<ServiceResponse> rout;
+  ASSERT_TRUE(DecodeServiceReplies(reply, &rout).ok());
+  const auto reply_rejected = [&](size_t at, uint8_t value) {
+    std::string bad = reply;
+    bad[4 + at] = static_cast<char>(value);
+    return !DecodeServiceReplies(bad, &rout).ok();
+  };
+  EXPECT_TRUE(reply_rejected(0, 0x7f));
+  EXPECT_TRUE(reply_rejected(0, kMaxWireCode + 1));
+  // A server never puts kNetworkError or kUnsupported in an entry.
+  EXPECT_TRUE(reply_rejected(0, static_cast<uint8_t>(WireCode::kNetworkError)));
+  EXPECT_TRUE(reply_rejected(0, static_cast<uint8_t>(WireCode::kUnsupported)));
+  EXPECT_FALSE(
+      reply_rejected(0, static_cast<uint8_t>(WireCode::kQuotaExceeded)));
+  EXPECT_FALSE(reply_rejected(1, 1));  // cache_hit
+  for (int bit = 1; bit < 8; ++bit) {
+    EXPECT_TRUE(reply_rejected(1, static_cast<uint8_t>(1u << bit))) << bit;
+  }
+  EXPECT_TRUE(reply_rejected(2, 1));  // reserved u16
+  EXPECT_TRUE(reply_rejected(3, 1));
+}
 
-  std::string bad_form = payload;
-  bad_form[4 + 5] = 0x7f;  // form byte of entry 0
-  EXPECT_FALSE(DecodeGetVectors(bad_form, now, &out).ok());
+TEST(WireTest, V4HeaderCutOffForServingFrames) {
+  // The handshake is exact-match: a serving frame carrying an older version
+  // byte must poison the decoder at the header, so a v4 peer can never
+  // reach the v5 codecs.
+  const auto now = ServeClock::now();
+  for (uint8_t version = 1; version < kWireVersion; ++version) {
+    std::string bytes =
+        EncodeServiceRequests(1, std::vector<ServiceRequest>(1), now);
+    bytes[4] = static_cast<char>(version);
+    FrameDecoder decoder;
+    decoder.Feed(bytes.data(), bytes.size());
+    Frame frame;
+    std::string error;
+    EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kError);
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    // Poisoned: even a valid follow-up frame is refused.
+    const std::string good = EncodeControl(FrameType::kPing, 2);
+    decoder.Feed(good.data(), good.size());
+    EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kError);
+  }
 }
 
 TEST(Crc32cTest, HardwareMatchesSoftware) {
@@ -742,270 +807,6 @@ TEST(DistWireTest, V1HeaderCutOff) {
   std::string error;
   EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kError);
   EXPECT_NE(error.find("version"), std::string::npos) << error;
-}
-
-// ------------------------------------------ inference frames (v3) --------
-
-std::vector<ServiceRequest> SampleInferRequests(serve::TaskKind task) {
-  std::vector<ServiceRequest> requests;
-  ServiceRequest a;
-  a.task = task;
-  a.user = 11;
-  a.item = 7;
-  a.item_b = 3;
-  a.top_k = 5;
-  a.mode = core::ServiceMode::kAll;
-  a.tenant = 2;
-  requests.push_back(a);
-  ServiceRequest b;
-  b.task = task;
-  b.user = 0xfeedface;
-  b.item = 0xdeadbeef;
-  b.item_b = 0xcafef00d;
-  b.top_k = 1;
-  b.mode = core::ServiceMode::kTripleOnly;
-  b.deadline = ServeClock::now() + std::chrono::milliseconds(50);
-  requests.push_back(b);
-  return requests;
-}
-
-TEST(InferWireTest, RecommendRoundTrip) {
-  const auto now = ServeClock::now();
-  const auto requests = SampleInferRequests(serve::TaskKind::kRecommend);
-  const Frame frame = MustDecode(EncodeRecommend(99, requests, now));
-  EXPECT_EQ(frame.type, FrameType::kRecommend);
-  EXPECT_EQ(frame.correlation_id, 99u);
-  std::vector<ServiceRequest> decoded;
-  ASSERT_TRUE(DecodeRecommend(frame.payload, now, &decoded).ok());
-  ASSERT_EQ(decoded.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(decoded[i].task, serve::TaskKind::kRecommend);
-    EXPECT_EQ(decoded[i].user, requests[i].user);
-    EXPECT_EQ(decoded[i].item, requests[i].item);
-    EXPECT_EQ(decoded[i].mode, requests[i].mode);
-    EXPECT_EQ(decoded[i].tenant, requests[i].tenant);
-  }
-  EXPECT_EQ(decoded[0].deadline, ServeClock::time_point::max());
-  const auto skew = decoded[1].deadline - requests[1].deadline;
-  EXPECT_LT(std::chrono::abs(skew), std::chrono::microseconds(2));
-}
-
-TEST(InferWireTest, ClassifyRoundTrip) {
-  const auto now = ServeClock::now();
-  const auto requests = SampleInferRequests(serve::TaskKind::kClassify);
-  const Frame frame = MustDecode(EncodeClassify(5, requests, now));
-  EXPECT_EQ(frame.type, FrameType::kClassify);
-  std::vector<ServiceRequest> decoded;
-  ASSERT_TRUE(DecodeClassify(frame.payload, now, &decoded).ok());
-  ASSERT_EQ(decoded.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(decoded[i].task, serve::TaskKind::kClassify);
-    EXPECT_EQ(decoded[i].item, requests[i].item);
-    EXPECT_EQ(decoded[i].top_k, requests[i].top_k);
-    EXPECT_EQ(decoded[i].mode, requests[i].mode);
-  }
-}
-
-TEST(InferWireTest, AlignRoundTrip) {
-  const auto now = ServeClock::now();
-  const auto requests = SampleInferRequests(serve::TaskKind::kAlign);
-  const Frame frame = MustDecode(EncodeAlign(6, requests, now));
-  EXPECT_EQ(frame.type, FrameType::kAlign);
-  std::vector<ServiceRequest> decoded;
-  ASSERT_TRUE(DecodeAlign(frame.payload, now, &decoded).ok());
-  ASSERT_EQ(decoded.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(decoded[i].task, serve::TaskKind::kAlign);
-    EXPECT_EQ(decoded[i].item, requests[i].item);
-    EXPECT_EQ(decoded[i].item_b, requests[i].item_b);
-  }
-}
-
-TEST(InferWireTest, ScoreReplyRoundTrip) {
-  std::vector<ServiceResponse> responses(3);
-  responses[0].code = ResponseCode::kOk;
-  responses[0].score = 0.875f;
-  responses[0].cache_hit = true;
-  responses[1].code = ResponseCode::kDeadlineExceeded;
-  responses[2].code = ResponseCode::kOk;
-  responses[2].score = -3.5f;  // alignment logits can be negative
-  for (FrameType type :
-       {FrameType::kRecommendReply, FrameType::kAlignReply}) {
-    const Frame frame = MustDecode(EncodeScoreReply(type, 8, responses));
-    EXPECT_EQ(frame.type, type);
-    std::vector<ServiceResponse> decoded;
-    ASSERT_TRUE(DecodeScoreReply(frame.payload, &decoded).ok());
-    ASSERT_EQ(decoded.size(), responses.size());
-    for (size_t i = 0; i < responses.size(); ++i) {
-      EXPECT_EQ(decoded[i].code, responses[i].code);
-      EXPECT_EQ(decoded[i].score, responses[i].score);
-      EXPECT_EQ(decoded[i].cache_hit, responses[i].cache_hit);
-    }
-  }
-}
-
-TEST(InferWireTest, ClassifyReplyRoundTrip) {
-  std::vector<ServiceResponse> responses(3);
-  responses[0].code = ResponseCode::kOk;
-  responses[0].class_ids = {4, 1, 7};
-  responses[0].class_probs = {0.5f, 0.25f, 0.125f};
-  responses[1].code = ResponseCode::kInvalidItem;  // no classes
-  responses[2].code = ResponseCode::kOk;
-  responses[2].class_ids = {0};
-  responses[2].class_probs = {1.0f};
-  const Frame frame = MustDecode(EncodeClassifyReply(9, responses));
-  EXPECT_EQ(frame.type, FrameType::kClassifyReply);
-  std::vector<ServiceResponse> decoded;
-  ASSERT_TRUE(DecodeClassifyReply(frame.payload, &decoded).ok());
-  ASSERT_EQ(decoded.size(), responses.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(decoded[i].code, responses[i].code);
-    EXPECT_EQ(decoded[i].class_ids, responses[i].class_ids);
-    EXPECT_EQ(decoded[i].class_probs, responses[i].class_probs);
-  }
-}
-
-TEST(InferWireTest, TruncatedPayloadsRejected) {
-  // Every strict prefix of every v3 payload must be rejected, and a single
-  // trailing byte must be rejected too.
-  const auto now = ServeClock::now();
-  std::vector<ServiceResponse> scores(2);
-  scores[0].score = 1.0f;
-  std::vector<ServiceResponse> classes(1);
-  classes[0].class_ids = {3, 1};
-  classes[0].class_probs = {0.75f, 0.25f};
-  struct Case {
-    std::string frame;
-    std::function<bool(std::string_view)> decode_ok;
-  };
-  const std::vector<Case> cases = {
-      {EncodeRecommend(1, SampleInferRequests(serve::TaskKind::kRecommend),
-                       now),
-       [&](std::string_view p) {
-         std::vector<ServiceRequest> out;
-         return DecodeRecommend(p, now, &out).ok();
-       }},
-      {EncodeClassify(1, SampleInferRequests(serve::TaskKind::kClassify), now),
-       [&](std::string_view p) {
-         std::vector<ServiceRequest> out;
-         return DecodeClassify(p, now, &out).ok();
-       }},
-      {EncodeAlign(1, SampleInferRequests(serve::TaskKind::kAlign), now),
-       [&](std::string_view p) {
-         std::vector<ServiceRequest> out;
-         return DecodeAlign(p, now, &out).ok();
-       }},
-      {EncodeScoreReply(FrameType::kRecommendReply, 1, scores),
-       [](std::string_view p) {
-         std::vector<ServiceResponse> out;
-         return DecodeScoreReply(p, &out).ok();
-       }},
-      {EncodeClassifyReply(1, classes),
-       [](std::string_view p) {
-         std::vector<ServiceResponse> out;
-         return DecodeClassifyReply(p, &out).ok();
-       }},
-  };
-  for (size_t c = 0; c < cases.size(); ++c) {
-    SCOPED_TRACE(c);
-    const std::string_view payload =
-        std::string_view(cases[c].frame).substr(kFrameHeaderBytes);
-    ASSERT_TRUE(cases[c].decode_ok(payload));
-    for (size_t len = 0; len < payload.size(); ++len) {
-      EXPECT_FALSE(cases[c].decode_ok(payload.substr(0, len))) << len;
-    }
-    std::string padded(payload);
-    padded.push_back('\0');
-    EXPECT_FALSE(cases[c].decode_ok(padded));
-  }
-}
-
-TEST(InferWireTest, HostileCountRejectedBeforeAllocation) {
-  // A count field claiming 2^30 entries against a one-entry payload must
-  // fail validation without attempting the implied allocation.
-  const uint32_t hostile = 1u << 30;
-  std::string payload;
-  payload.append(reinterpret_cast<const char*>(&hostile), sizeof(hostile));
-  payload.append(16, '\0');  // one request entry's worth of bytes
-  const auto now = ServeClock::now();
-  std::vector<ServiceRequest> reqs;
-  EXPECT_FALSE(DecodeRecommend(payload, now, &reqs).ok());
-  EXPECT_FALSE(DecodeClassify(payload, now, &reqs).ok());
-  EXPECT_FALSE(DecodeAlign(payload, now, &reqs).ok());
-  EXPECT_TRUE(reqs.empty());
-  std::vector<ServiceResponse> resps;
-  EXPECT_FALSE(DecodeScoreReply(payload, &resps).ok());
-  EXPECT_FALSE(DecodeClassifyReply(payload, &resps).ok());
-  // A classify-reply entry declaring more classes than the payload holds
-  // is rejected at the entry, not trusted.
-  std::string entry;
-  const uint32_t one = 1;
-  entry.append(reinterpret_cast<const char*>(&one), sizeof(one));
-  entry.push_back(0);                  // code
-  entry.push_back(0);                  // flags
-  entry.push_back(static_cast<char>(0xff));  // k = 0xffff
-  entry.push_back(static_cast<char>(0xff));
-  entry.append(8, '\0');               // bytes for only one class
-  EXPECT_FALSE(DecodeClassifyReply(entry, &resps).ok());
-}
-
-TEST(InferWireTest, BadFieldValuesRejected) {
-  const auto now = ServeClock::now();
-  std::vector<ServiceRequest> requests(1);
-  requests[0].task = serve::TaskKind::kRecommend;
-  const std::string frame = EncodeRecommend(1, requests, now);
-  const std::string payload = frame.substr(kFrameHeaderBytes);
-  std::vector<ServiceRequest> out;
-  ASSERT_TRUE(DecodeRecommend(payload, now, &out).ok());
-
-  // Entry layout: count(4) | a(4) b(4) mode(1) reserved(1) tenant(2)
-  // deadline(4).
-  std::string bad_mode = payload;
-  bad_mode[4 + 8] = 0x7f;
-  EXPECT_FALSE(DecodeRecommend(bad_mode, now, &out).ok());
-
-  std::string bad_reserved = payload;
-  bad_reserved[4 + 9] = 0x01;
-  EXPECT_FALSE(DecodeRecommend(bad_reserved, now, &out).ok());
-
-  // Score reply: count(4) | code(1) flags(1) reserved(2) score(4).
-  std::vector<ServiceResponse> resp(1);
-  const std::string reply =
-      EncodeScoreReply(FrameType::kAlignReply, 1, resp)
-          .substr(kFrameHeaderBytes);
-  std::vector<ServiceResponse> rout;
-  ASSERT_TRUE(DecodeScoreReply(reply, &rout).ok());
-  std::string bad_code = reply;
-  bad_code[4] = 0x7f;
-  EXPECT_FALSE(DecodeScoreReply(bad_code, &rout).ok());
-  std::string bad_rsv = reply;
-  bad_rsv[4 + 2] = 0x01;
-  EXPECT_FALSE(DecodeScoreReply(bad_rsv, &rout).ok());
-  std::string bad_cls = reply;  // ClassifyReply shares the code check
-  EXPECT_FALSE(DecodeClassifyReply(bad_code, &rout).ok());
-}
-
-TEST(InferWireTest, OldPeerVersionCutOffForInferFrames) {
-  // The v3 handshake is exact-match: a frame carrying an inference type but
-  // an older version byte must poison the decoder at the header, so v1/v2
-  // peers can never reach the new codecs.
-  const auto now = ServeClock::now();
-  std::vector<ServiceRequest> requests(1);
-  requests[0].task = serve::TaskKind::kRecommend;
-  for (uint8_t version : {1, 2}) {
-    std::string bytes = EncodeRecommend(1, requests, now);
-    bytes[4] = static_cast<char>(version);
-    FrameDecoder decoder;
-    decoder.Feed(bytes.data(), bytes.size());
-    Frame frame;
-    std::string error;
-    EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kError);
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
-    // Poisoned: even a valid follow-up frame is refused.
-    const std::string good = EncodeControl(FrameType::kPing, 2);
-    decoder.Feed(good.data(), good.size());
-    EXPECT_EQ(decoder.Next(&frame, &error), FrameDecoder::Result::kError);
-  }
 }
 
 TEST(FrameDecoderTest, BufferCompaction) {

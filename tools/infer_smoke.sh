@@ -3,7 +3,9 @@
 # with --infer 1 on an ephemeral port, drive it with pkgm_serve --connect
 # --workload mixed (recommend/classify/align interleaved with lookups),
 # then assert from the server's JSON stats that every task kind was served
-# and the run was protocol- and shed-clean.
+# and the run was protocol- and shed-clean. The drive is closed loop (each
+# client thread waits for its response), so no request is shed on a slow
+# host or under a sanitizer.
 #
 #   infer_smoke.sh <pkgm_netd> <pkgm_serve> <workdir> [requests]
 set -u
@@ -41,8 +43,8 @@ fi
 PORT=$(cat "$PORT_FILE")
 
 "$SERVE" --connect "127.0.0.1:$PORT" --connections 2 --threads 2 \
-         --workload mixed --rate 1500 --duration-requests "$REQUESTS" \
-         --stats-json "$CLIENT_STATS"
+         --workload mixed --rate 1500 --closed-loop \
+         --duration-requests "$REQUESTS" --stats-json "$CLIENT_STATS"
 SERVE_RC=$?
 if [ "$SERVE_RC" -ne 0 ]; then
   echo "FAIL: pkgm_serve --connect --workload mixed exited with $SERVE_RC" >&2

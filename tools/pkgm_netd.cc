@@ -54,7 +54,7 @@ struct NetdFlags {
   std::string port_file;
   int run_seconds = 0;  // 0 = until signal
   std::string stats_json_path;
-  /// Train + serve the three downstream-inference tasks (wire v3 frames).
+  /// Train + serve the three downstream-inference tasks.
   bool infer = false;
 };
 
@@ -159,7 +159,7 @@ int Run(const NetdFlags& flags) {
     server = std::make_unique<serve::KnowledgeServer>(p.services.get(), sopt);
   }
 
-  // The inference backend (wire v3 Recommend/Classify/Align). Must outlive
+  // The inference backend (recommend / classify / align). Must outlive
   // the KnowledgeServer's workers; server->Stop() below joins them before
   // these locals die.
   infer::InferModelRegistry infer_models;
