@@ -1,6 +1,6 @@
 // Storage study for the on-disk triple index (src/kg/*.pkgt*): build
-// throughput, point-lookup and conjunctive-join latency, and resident
-// memory for the two TripleSource backends —
+// throughput, point-lookup latency, and resident memory for the two
+// TripleSource backends —
 //
 //   mem-store   the in-memory TripleStore (hash maps; the pre-index
 //               baseline every consumer used before)
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "kg/indexed_query_engine.h"
 #include "kg/mmap_triple_index.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_index_writer.h"
@@ -41,7 +40,6 @@ struct BenchConfig {
   uint32_t num_categories = 40;
   uint32_t items_per_category = 2000;
   uint32_t point_lookups = 200000;
-  uint32_t join_queries = 400;
 };
 
 BenchConfig SmokeConfig() {
@@ -49,7 +47,6 @@ BenchConfig SmokeConfig() {
   c.num_categories = 8;
   c.items_per_category = 150;
   c.point_lookups = 20000;
-  c.join_queries = 60;
   return c;
 }
 
@@ -122,7 +119,7 @@ std::vector<kg::Triple> MakeProbes(const std::vector<kg::Triple>& triples,
 
 int Run(bool smoke, const std::string& json_path) {
   const BenchConfig c = smoke ? SmokeConfig() : BenchConfig{};
-  std::printf("\n==== KG triple index: build / lookup / join / memory ====\n\n");
+  std::printf("\n==== KG triple index: build / lookup / memory ====\n\n");
 
   // The synthetic product KG. Only the flat triple list is kept; the
   // backends under test are built from it inside measured scopes.
@@ -178,32 +175,6 @@ int Run(bool smoke, const std::string& json_path) {
   idx_sink = DrivePointLookups(index, probes, &idx);
   PKGM_CHECK_EQ(mem_sink, idx_sink);  // identical answers along the way
 
-  // Phase 3: conjunctive joins through the IndexedQueryEngine — the
-  // canonical audit "items with (r1, t) missing r2" plus a two-positive
-  // intersection, anchored on sampled stored triples.
-  kg::IndexedQueryEngine engine(&index);
-  Histogram join_us;
-  uint64_t join_results = 0;
-  {
-    Rng rng(4242);
-    using Atom = kg::IndexedQueryEngine::Atom;
-    for (uint32_t i = 0; i < c.join_queries; ++i) {
-      const kg::Triple& a =
-          triples[rng.Uniform(static_cast<uint32_t>(triples.size()))];
-      const kg::Triple& b =
-          triples[rng.Uniform(static_cast<uint32_t>(triples.size()))];
-      std::vector<Atom> atoms = {Atom::HasTail(a.relation, a.tail)};
-      if (i % 2 == 0) {
-        atoms.push_back(Atom::MissingRelation(b.relation));
-      } else {
-        atoms.push_back(Atom::HasRelation(b.relation));
-      }
-      Stopwatch sw;
-      join_results += engine.ConjunctiveQuery(atoms).size();
-      join_us.Record(sw.ElapsedSeconds() * 1e6);
-    }
-  }
-
   TablePrinter t({"backend", "rss delta", "contains p50", "tails p50",
                   "heads p50", "relationsof p50"});
   for (const BackendResult* r : {&mem, &idx}) {
@@ -222,11 +193,6 @@ int Run(bool smoke, const std::string& json_path) {
               static_cast<double>(build.num_triples) / build.seconds,
               WithThousandsSeparators(build.file_bytes).c_str());
   std::printf("verified open: %.3f ms\n", open_ms);
-  std::printf("joins: %u conjunctive queries, p50 %.1f us, p95 %.1f us, "
-              "%s result rows\n",
-              c.join_queries, join_us.Percentile(0.5),
-              join_us.Percentile(0.95),
-              WithThousandsSeparators(join_results).c_str());
 
   const double rss_ratio = mem.rss_delta == 0
                                ? 0.0
@@ -247,11 +213,9 @@ int Run(bool smoke, const std::string& json_path) {
     std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f,
                  "  \"config\": {\"triples\": %llu, \"categories\": %u, "
-                 "\"items_per_category\": %u, \"point_lookups\": %u, "
-                 "\"join_queries\": %u},\n",
+                 "\"items_per_category\": %u, \"point_lookups\": %u},\n",
                  static_cast<unsigned long long>(triples.size()),
-                 c.num_categories, c.items_per_category, c.point_lookups,
-                 c.join_queries);
+                 c.num_categories, c.items_per_category, c.point_lookups);
     std::fprintf(f,
                  "  \"build\": {\"triples_per_second\": %.0f, "
                  "\"file_bytes\": %llu, \"spo_runs\": %llu, "
@@ -275,12 +239,6 @@ int Run(bool smoke, const std::string& json_path) {
                    i + 1 < 2 ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"join\": {\"queries\": %u, \"p50_us\": %.3f, "
-                 "\"p95_us\": %.3f, \"result_rows\": %llu},\n",
-                 c.join_queries, join_us.Percentile(0.5),
-                 join_us.Percentile(0.95),
-                 static_cast<unsigned long long>(join_results));
     std::fprintf(f, "  \"open_ms\": %.3f,\n", open_ms);
     std::fprintf(f, "  \"rss_ratio\": %.4f,\n", rss_ratio);
     std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");

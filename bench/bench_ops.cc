@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot paths: PKGM scoring and
-// service functions, negative sampling, gradient accumulation, the tensor
-// kernels behind them, tokenization, and attention forward.
+// service functions, negative sampling, the tensor kernels behind them,
+// tokenization, and attention forward.
 //
 // `bench_ops --json <path>` skips the google-benchmark suite and instead
 // writes a machine-readable report comparing the scalar kernel table with
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/gradients.h"
 #include "core/link_prediction.h"
 #include "core/negative_sampler.h"
 #include "core/pkgm_model.h"
@@ -145,24 +144,6 @@ void BM_RelationService(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RelationService)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_HingeGradients(benchmark::State& state) {
-  core::PkgmModel& model = BenchModel(64);
-  Rng rng(13);
-  core::SparseGrad grad;
-  for (auto _ : state) {
-    kg::Triple pos{static_cast<kg::EntityId>(rng.Uniform(10000)),
-                   static_cast<kg::RelationId>(rng.Uniform(64)),
-                   static_cast<kg::EntityId>(rng.Uniform(10000))};
-    kg::Triple neg = pos;
-    neg.tail = static_cast<kg::EntityId>(rng.Uniform(10000));
-    grad.Clear();
-    benchmark::DoNotOptimize(
-        core::AccumulateHingeGradients(model, pos, neg, 10.0f, &grad));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HingeGradients);
 
 // --------------------------------------------------------------- sampling --
 

@@ -5,11 +5,9 @@
 // and throughput.
 //
 // `--json <path>` writes a machine-readable throughput report (same artifact
-// convention as bench_ops): the seed-era baseline — map-of-vectors SparseGrad
-// plus reference gradients on scalar kernels, measured in a child process
-// pinned with PKGM_KERNEL=scalar — against the Trainer at 1 worker and at
-// 8 pipelined hogwild workers, all at d=64 on the same synthetic PKG with
-// the same SGD hyper-parameters.
+// convention as bench_ops): the Trainer at 1 worker and at 8 pipelined
+// hogwild workers, both at d=64 on the same synthetic PKG with the same SGD
+// hyper-parameters.
 //
 // `--distributed [N]` adds the true parameter-server path: N in-process
 // ParamServer shards behind epoll NetServers on loopback, driven by a
@@ -27,20 +25,16 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/gradients.h"
 #include "core/pkgm_model.h"
 #include "core/trainer.h"
 #include "dist/dist_trainer.h"
 #include "dist/param_server.h"
 #include "kg/synthetic_pkg.h"
 #include "net/net_server.h"
-#include "tensor/ops.h"
 #include "tensor/simd/kernel_dispatch.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -148,14 +142,13 @@ void Run() {
 // --json / --smoke measurement path
 // ---------------------------------------------------------------------------
 
-// One fixed configuration shared by the seed baseline, the fused
-// single-threaded trainer, and the pipelined sharded trainer, so the JSON
-// speedups compare like with like (same PKG, same SGD hyper-parameters).
+// One fixed configuration shared by the single-threaded trainer, the
+// pipelined sharded trainer and the distributed path, so the JSON rows
+// compare like with like (same PKG, same SGD hyper-parameters).
 struct PretrainConfig {
   kg::SyntheticPkgOptions pkg;
   uint32_t dim = 64;  // paper §III-A2
   uint32_t epochs = 5;
-  uint32_t seed_epochs = 2;  // seed loop is slow; fewer epochs suffice
   uint32_t workers = 8;
   uint32_t batch = 512;
   float lr = 0.05f;
@@ -178,7 +171,6 @@ PretrainConfig MakeConfig(bool smoke) {
     c.pkg.noise_properties = 4;
     c.dim = 16;
     c.epochs = 5;
-    c.seed_epochs = 1;
     c.workers = 2;
     // The smoke KG is ~1k triples; smaller batches give each epoch enough
     // optimizer steps that the hinge-decrease assertion is stable.
@@ -195,91 +187,6 @@ core::PkgmModelOptions ModelOptionsFor(const kg::SyntheticPkg& pkg,
   mo.dim = c.dim;
   mo.seed = c.seed;
   return mo;
-}
-
-// The seed-era training loop, reproduced verbatim: map-of-vectors SparseGrad
-// rebuilt every batch, reference AccumulateHingeGradients, per-row SGD apply,
-// touched-entity set for normalization. Run in a child process with
-// PKGM_KERNEL=scalar this is the pre-optimization engine the JSON speedups
-// are measured against.
-double SeedTrainerTps(const PretrainConfig& c) {
-  kg::SyntheticPkg pkg = kg::SyntheticPkgGenerator(c.pkg).Generate();
-  core::PkgmModel model(ModelOptionsFor(pkg, c));
-  core::NegativeSampler::Options nopt;
-  nopt.num_entities = model.num_entities();
-  nopt.num_relations = model.num_relations();
-  core::NegativeSampler sampler(nopt, &pkg.observed);
-  Rng rng(c.seed);
-
-  Stopwatch sw;
-  uint64_t total = 0;
-  for (uint32_t e = 0; e < c.seed_epochs; ++e) {
-    std::vector<kg::Triple> triples = pkg.observed.triples();
-    rng.Shuffle(&triples);
-    total += triples.size();
-
-    core::SparseGrad grad;
-    std::unordered_set<uint32_t> touched;
-    size_t batch_start = 0;
-    while (batch_start < triples.size()) {
-      const size_t batch_end =
-          std::min(batch_start + c.batch, triples.size());
-      grad.Clear();
-      touched.clear();
-      for (size_t i = batch_start; i < batch_end; ++i) {
-        const kg::Triple& pos = triples[i];
-        core::NegativeSample neg = sampler.Sample(pos, &rng);
-        const float hinge = core::AccumulateHingeGradients(
-            model, pos, neg.triple, c.margin, &grad);
-        if (hinge > 0.0f) {
-          touched.insert(pos.head);
-          touched.insert(pos.tail);
-          touched.insert(neg.triple.head);
-          touched.insert(neg.triple.tail);
-        }
-      }
-      if (!grad.empty()) {
-        const float alpha =
-            -c.lr / static_cast<float>(batch_end - batch_start);
-        const uint32_t d = model.dim();
-        for (const auto& [id, g] : grad.entities()) {
-          Axpy(d, alpha, g.data(), model.entity(id));
-        }
-        for (const auto& [id, g] : grad.relations()) {
-          Axpy(d, alpha, g.data(), model.relation(id));
-        }
-        for (const auto& [id, g] : grad.transfers()) {
-          Axpy(d * d, alpha, g.data(), model.transfer(id));
-        }
-        for (uint32_t ent : touched) model.NormalizeEntity(ent);
-      }
-      batch_start = batch_end;
-    }
-  }
-  const double secs = sw.ElapsedSeconds();
-  return secs > 0 ? static_cast<double>(total) / secs : 0.0;
-}
-
-// Measures the seed baseline by re-running this binary with
-// PKGM_KERNEL=scalar: the kernel table is chosen once per process, so the
-// scalar configuration needs its own process (same trick as bench_ops).
-// Returns 0.0 if the child fails.
-double SeedBaselineTps(const char* argv0, const std::string& tmp_base,
-                       bool smoke) {
-  const std::string tmp = tmp_base + ".tps";
-  std::string cmd = std::string("PKGM_KERNEL=scalar '") + argv0 +
-                    "' --seed-trainer-tps";
-  if (smoke) cmd += " --smoke";
-  cmd += " > '" + tmp + "'";
-  double tps = 0.0;
-  if (std::system(cmd.c_str()) == 0) {
-    if (std::FILE* f = std::fopen(tmp.c_str(), "r")) {
-      if (std::fscanf(f, "%lf", &tps) != 1) tps = 0.0;
-      std::fclose(f);
-    }
-  }
-  std::remove(tmp.c_str());
-  return tps;
 }
 
 struct TrainResult {
@@ -407,8 +314,7 @@ void PrintHingeArray(std::FILE* f, const std::vector<double>& hinge) {
   std::fprintf(f, "]");
 }
 
-int RunJson(const char* argv0, const char* path, bool smoke,
-            uint32_t dist_shards) {
+int RunJson(const char* path, bool smoke, uint32_t dist_shards) {
   const PretrainConfig c = MakeConfig(smoke);
   kg::SyntheticPkg pkg = kg::SyntheticPkgGenerator(c.pkg).Generate();
 
@@ -416,38 +322,29 @@ int RunJson(const char* argv0, const char* path, bool smoke,
               WithThousandsSeparators(pkg.observed.size()).c_str(), c.dim,
               c.epochs, smoke ? " (smoke)" : "");
 
-  const std::string tmp_base = path != nullptr ? path : "bench_pretraining";
-  const double seed_tps = SeedBaselineTps(argv0, tmp_base, smoke);
   const TrainResult single = RunTrainer(pkg, c, 1);
   const TrainResult sharded = RunTrainer(pkg, c, c.workers);
   DistResult dist;
   if (dist_shards > 0) dist = RunDistributed(pkg, c, dist_shards);
 
-  const double single_speedup = seed_tps > 0 ? single.tps / seed_tps : 0.0;
-  const double sharded_speedup = seed_tps > 0 ? sharded.tps / seed_tps : 0.0;
   const double hinge_ratio =
       single.hinge.back() != 0.0 ? sharded.hinge.back() / single.hinge.back()
                                  : 0.0;
 
-  std::printf("  seed baseline (scalar, SparseGrad): %12.0f triples/s\n",
-              seed_tps);
-  std::printf("  fused single-threaded trainer:      %12.0f triples/s "
-              "(%.2fx)\n",
-              single.tps, single_speedup);
-  std::printf("  pipelined sharded, %u workers:       %12.0f triples/s "
-              "(%.2fx)\n",
-              c.workers, sharded.tps, sharded_speedup);
+  std::printf("  fused single-threaded trainer:      %12.0f triples/s\n",
+              single.tps);
+  std::printf("  pipelined sharded, %u workers:       %12.0f triples/s\n",
+              c.workers, sharded.tps);
   std::printf("  final mean hinge: single %.4f, sharded %.4f (ratio %.3f)\n",
               single.hinge.back(), sharded.hinge.back(), hinge_ratio);
-  double dist_speedup = 0.0, dist_hinge_ratio = 0.0;
+  double dist_hinge_ratio = 0.0;
   if (dist_shards > 0 && dist.ok) {
-    dist_speedup = seed_tps > 0 ? dist.train.tps / seed_tps : 0.0;
     dist_hinge_ratio = sharded.hinge.back() != 0.0
                            ? dist.train.hinge.back() / sharded.hinge.back()
                            : 0.0;
     std::printf("  distributed PS, %u shards x %u wrk:  %12.0f triples/s "
-                "(%.2fx; %llu pulls, %llu pushes)\n",
-                dist_shards, c.workers, dist.train.tps, dist_speedup,
+                "(%llu pulls, %llu pushes)\n",
+                dist_shards, c.workers, dist.train.tps,
                 static_cast<unsigned long long>(dist.pulls),
                 static_cast<unsigned long long>(dist.pushes));
     std::printf("  final mean hinge: distributed %.4f vs sharded %.4f "
@@ -477,10 +374,9 @@ int RunJson(const char* argv0, const char* path, bool smoke,
                  static_cast<unsigned long long>(pkg.observed.size()),
                  smoke ? "true" : "false");
     std::fprintf(f,
-                 "  \"seed_baseline_triples_per_sec\": %.1f,\n"
                  "  \"single_thread\": {\"triples_per_sec\": %.1f, "
                  "\"mean_hinge_per_epoch\": ",
-                 seed_tps, single.tps);
+                 single.tps);
     PrintHingeArray(f, single.hinge);
     std::fprintf(f,
                  "},\n  \"sharded\": {\"triples_per_sec\": %.1f, "
@@ -498,15 +394,12 @@ int RunJson(const char* argv0, const char* path, bool smoke,
                    static_cast<unsigned long long>(dist.pushes));
       PrintHingeArray(f, dist.train.hinge);
       std::fprintf(f,
-                   "},\n  \"speedup_distributed_vs_seed_baseline\": %.2f,\n"
-                   "  \"distributed_vs_sharded_final_hinge_ratio\": %.3f,\n",
-                   dist_speedup, dist_hinge_ratio);
+                   "},\n  \"distributed_vs_sharded_final_hinge_ratio\": "
+                   "%.3f,\n",
+                   dist_hinge_ratio);
     }
-    std::fprintf(f,
-                 "  \"speedup_single_vs_seed_baseline\": %.2f,\n"
-                 "  \"speedup_sharded_vs_seed_baseline\": %.2f,\n"
-                 "  \"sharded_vs_single_final_hinge_ratio\": %.3f\n}\n",
-                 single_speedup, sharded_speedup, hinge_ratio);
+    std::fprintf(f, "  \"sharded_vs_single_final_hinge_ratio\": %.3f\n}\n",
+                 hinge_ratio);
     std::fclose(f);
     std::printf("bench_table2_pretraining: wrote %s (kernels=%s)\n", path,
                 simd::ActiveIsaName());
@@ -553,7 +446,6 @@ int RunJson(const char* argv0, const char* path, bool smoke,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool seed_tps = false;
   const char* json = nullptr;
   uint32_t dist_shards = 0;
   for (int i = 1; i < argc; ++i) {
@@ -572,21 +464,13 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-    } else if (std::strcmp(argv[i], "--seed-trainer-tps") == 0) {
-      // Internal: print the seed-era trainer's triples/sec; used by --json
-      // to measure the scalar baseline in a child process.
-      seed_tps = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;
     }
   }
-  if (seed_tps) {
-    std::printf("%.3f\n", pkgm::SeedTrainerTps(pkgm::MakeConfig(smoke)));
-    return 0;
-  }
   if (smoke || json != nullptr || dist_shards > 0) {
-    return pkgm::RunJson(argv[0], json, smoke, dist_shards);
+    return pkgm::RunJson(json, smoke, dist_shards);
   }
   pkgm::Run();
   return 0;

@@ -180,13 +180,22 @@ double MeanHinge(const PkgmModel& model, const NegativeSampler& sampler,
                  const std::vector<kg::Triple>& triples, float margin,
                  Rng* rng) {
   if (triples.empty()) return 0.0;
+  // Chunks of the trainers' default batch. SampleBatch draws what
+  // per-triple Sample calls draw, and the batch engine's hinges are the
+  // per-pair path's, so the sum is the per-pair loop's bit for bit.
+  constexpr size_t kChunk = 512;
   const simd::KernelTable& kernels = simd::Active();
-  HingeWorkspace ws;
+  BatchHingeWorkspace ws;
+  std::vector<NegativeSample> neg(std::min(kChunk, triples.size()));
+  std::vector<float> hinges(neg.size());
   double sum = 0.0;
-  for (const kg::Triple& pos : triples) {
-    const NegativeSample neg = sampler.Sample(pos, rng);
-    sum += FusedHingeGradients(model, pos, neg.triple, margin, kernels, &ws,
-                               nullptr);
+  for (size_t begin = 0; begin < triples.size(); begin += kChunk) {
+    const size_t n = std::min(kChunk, triples.size() - begin);
+    sampler.SampleBatch(triples.data() + begin, n, rng, neg.data());
+    FusedBatchHingeGradients(model, triples.data() + begin, neg.data(), n,
+                             margin, kernels, &ws, /*grad=*/nullptr,
+                             hinges.data());
+    for (size_t i = 0; i < n; ++i) sum += hinges[i];
   }
   return sum / static_cast<double>(triples.size());
 }

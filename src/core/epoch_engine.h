@@ -101,7 +101,9 @@ NegativeSampler::Options FillNegativeOptions(NegativeSampler::Options neg,
                                              const PkgmModel& model);
 
 /// Mean hinge of `triples` against fresh negatives drawn from `rng`,
-/// updating nothing; 0 for an empty list.
+/// updating nothing; 0 for an empty list. Runs the batch engine without
+/// gradients over chunks of 512 triples; the result and the draws from
+/// `rng` equal a per-triple Sample + FusedHingeGradients loop's.
 double MeanHinge(const PkgmModel& model, const NegativeSampler& sampler,
                  const std::vector<kg::Triple>& triples, float margin,
                  Rng* rng);

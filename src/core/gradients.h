@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/negative_sampler.h"
@@ -15,48 +14,6 @@
 #include "util/status.h"
 
 namespace pkgm::core {
-
-/// Map-of-vectors sparse gradient accumulator — the readable reference
-/// implementation. The trainers' hot path uses GradArena +
-/// FusedHingeGradients below (same arithmetic, zero steady-state
-/// allocation); this class is kept as the oracle the fused path is
-/// parity-tested against and as the finite-difference test harness.
-class SparseGrad {
- public:
-  /// Gradient row for an entity embedding; zero-initialized on first access.
-  std::vector<float>& Entity(uint32_t id, uint32_t dim);
-  /// Gradient row for a relation embedding.
-  std::vector<float>& Relation(uint32_t id, uint32_t dim);
-  /// Gradient row for a transfer matrix (dim*dim floats).
-  std::vector<float>& Transfer(uint32_t id, uint32_t dim);
-  /// Gradient row for a TransH hyperplane normal.
-  std::vector<float>& Hyperplane(uint32_t id, uint32_t dim);
-
-  const std::unordered_map<uint32_t, std::vector<float>>& entities() const {
-    return entities_;
-  }
-  const std::unordered_map<uint32_t, std::vector<float>>& relations() const {
-    return relations_;
-  }
-  const std::unordered_map<uint32_t, std::vector<float>>& transfers() const {
-    return transfers_;
-  }
-  const std::unordered_map<uint32_t, std::vector<float>>& hyperplanes() const {
-    return hyperplanes_;
-  }
-
-  void Clear();
-  bool empty() const {
-    return entities_.empty() && relations_.empty() && transfers_.empty() &&
-           hyperplanes_.empty();
-  }
-
- private:
-  std::unordered_map<uint32_t, std::vector<float>> entities_;
-  std::unordered_map<uint32_t, std::vector<float>> relations_;
-  std::unordered_map<uint32_t, std::vector<float>> transfers_;
-  std::unordered_map<uint32_t, std::vector<float>> hyperplanes_;
-};
 
 /// One table of the flat arena accumulator: gradient rows live in a single
 /// contiguous slab in first-touch order, found through an open-addressed
@@ -377,33 +334,23 @@ struct HingeWorkspace {
 
 /// Computes the margin-ranking hinge for one (positive, negative) pair
 /// (Eq. 4): L = max(0, f(pos) + margin - f(neg)), and — when the hinge is
-/// active and `grad` is non-null — accumulates d L / d params into `grad`.
-/// Returns the hinge value.
+/// active and `grad` is non-null — accumulates its exact subgradients into
+/// the flat arena. Returns the hinge value.
 ///
-/// Exact subgradients of the L1-based scores:
-///   f_T = ||h + r - t||_1, s = sign(h + r - t):
-///       dh += s, dr += s, dt -= s
-///   f_R = ||M_r h - r||_1, u = M_r h - r, s' = sign(u):
-///       dM_r += s' h^T, dh += M_r^T s', dr -= s'
-/// with overall sign +1 for the positive triple and -1 for the negative.
-float AccumulateHingeGradients(const PkgmModel& model, const kg::Triple& pos,
-                               const kg::Triple& neg, float margin,
-                               SparseGrad* grad);
-
-/// The hot-path equivalent of AccumulateHingeGradients: one fused
-/// forward+backward over the pair, lowered onto the kernel table `k`
-/// (sign-vector compute, dM_r += s' h^T via ger_multi, dh += M_r^T s' via
-/// gemv_t_multi, each with k = 1) and accumulating into the flat arena.
-/// The forward residuals are kept in `ws` and reused by the backward pass,
-/// so the transfer-matrix GEMV runs once per triple instead of twice. The
-/// trainers use the batch form below; this one serves validation and
-/// single-pair callers.
+/// One fused forward+backward over the pair, lowered onto the kernel table
+/// `k` (sign-vector compute, dM_r += s' h^T via ger_multi, dh += M_r^T s'
+/// via gemv_t_multi, each with k = 1). The forward residuals are kept in
+/// `ws` and reused by the backward pass, so the transfer-matrix GEMV runs
+/// once per triple instead of twice. The trainers and MeanHinge run the
+/// batch form below; this one is the batch engine's per-pair parity
+/// reference, and perfbench's fwd/bwd layer replays it.
 ///
 /// When `k` is the process-wide simd::Active() table, the result is
-/// bit-identical to AccumulateHingeGradients: every composition here
-/// mirrors the reference arithmetic within a table (residual == add∘sub,
-/// gemv_t == the axpy row accumulation, ger row i == axpy(alpha*x[i]), and
-/// l1_norm(h + r - t) == l1_distance(h + r, t)).
+/// bit-identical to the map-of-vectors reference in
+/// tests/reference_gradients.h, which spells the subgradients out: every
+/// composition here mirrors the reference arithmetic within a table
+/// (residual == add∘sub, gemv_t == the axpy row accumulation, ger row i ==
+/// axpy(alpha*x[i]), and l1_norm(h + r - t) == l1_distance(h + r, t)).
 float FusedHingeGradients(const PkgmModel& model, const kg::Triple& pos,
                           const kg::Triple& neg, float margin,
                           const simd::KernelTable& k, HingeWorkspace* ws,

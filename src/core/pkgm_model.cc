@@ -1,6 +1,7 @@
 #include "core/pkgm_model.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/service_math.h"
@@ -10,23 +11,46 @@
 
 namespace pkgm::core {
 
+namespace {
+
+// Rows of the transfer and hyperplane tables: 0 when `o` has no such table.
+size_t TransferRows(const PkgmModelOptions& o) {
+  return o.use_relation_module ? o.num_relations : 0;
+}
+size_t HyperplaneRows(const PkgmModelOptions& o) {
+  return o.scorer == TripleScorerKind::kTransH ? o.num_relations : 0;
+}
+
+// Checks `o` and that each table has the shape `o` gives it.
+void CheckShapes(const PkgmModelOptions& o, const Mat& entities,
+                 const Mat& relations, const Mat& transfers,
+                 const Mat& hyperplanes) {
+  PKGM_CHECK_GT(o.num_entities, 0u);
+  PKGM_CHECK_GT(o.num_relations, 0u);
+  PKGM_CHECK_GT(o.dim, 0u);
+  if (o.scorer == TripleScorerKind::kComplEx) {
+    PKGM_CHECK_EQ(o.dim % 2, 0u) << "ComplEx needs an even dimension";
+  }
+  const auto check_shape = [](const Mat& table, size_t rows, size_t cols) {
+    PKGM_CHECK_EQ(table.rows(), rows);
+    PKGM_CHECK_EQ(table.cols(), cols);
+  };
+  check_shape(entities, o.num_entities, o.dim);
+  check_shape(relations, o.num_relations, o.dim);
+  check_shape(transfers, TransferRows(o), static_cast<size_t>(o.dim) * o.dim);
+  check_shape(hyperplanes, HyperplaneRows(o), o.dim);
+}
+
+}  // namespace
+
 PkgmModel::PkgmModel(const PkgmModelOptions& options)
     : options_(options),
       entities_(options.num_entities, options.dim),
       relations_(options.num_relations, options.dim),
-      transfers_(options.use_relation_module ? options.num_relations : 0,
+      transfers_(TransferRows(options),
                  static_cast<size_t>(options.dim) * options.dim),
-      hyperplanes_(
-          options.scorer == TripleScorerKind::kTransH ? options.num_relations
-                                                      : 0,
-          options.dim) {
-  PKGM_CHECK_GT(options.num_entities, 0u);
-  PKGM_CHECK_GT(options.num_relations, 0u);
-  PKGM_CHECK_GT(options.dim, 0u);
-  if (options.scorer == TripleScorerKind::kComplEx) {
-    PKGM_CHECK_EQ(options.dim % 2, 0u) << "ComplEx needs an even dimension";
-  }
-
+      hyperplanes_(HyperplaneRows(options), options.dim) {
+  CheckShapes(options, entities_, relations_, transfers_, hyperplanes_);
   Rng rng(options.seed);
   const uint32_t d = options.dim;
   for (uint32_t e = 0; e < options.num_entities; ++e) {
@@ -52,6 +76,16 @@ PkgmModel::PkgmModel(const PkgmModelOptions& options)
       }
     }
   }
+}
+
+PkgmModel::PkgmModel(const PkgmModelOptions& options, Mat entities,
+                     Mat relations, Mat transfers, Mat hyperplanes)
+    : options_(options),
+      entities_(std::move(entities)),
+      relations_(std::move(relations)),
+      transfers_(std::move(transfers)),
+      hyperplanes_(std::move(hyperplanes)) {
+  CheckShapes(options, entities_, relations_, transfers_, hyperplanes_);
 }
 
 uint32_t PkgmModel::row_size(ParamTable t) const {

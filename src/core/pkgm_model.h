@@ -67,6 +67,13 @@ class PkgmModel : public EmbeddingSource {
   /// for embeddings, near-identity for transfer matrices).
   explicit PkgmModel(const PkgmModelOptions& options);
 
+  /// Adopts already-filled tables, running no initialization. Every shape
+  /// is checked against `options`: `transfers` has 0 rows of dim^2 floats
+  /// without the relation module, and `hyperplanes` 0 rows of dim floats
+  /// unless the scorer is kTransH. `options.seed` is unused.
+  PkgmModel(const PkgmModelOptions& options, Mat entities, Mat relations,
+            Mat transfers, Mat hyperplanes);
+
   PkgmModel(const PkgmModel&) = delete;
   PkgmModel& operator=(const PkgmModel&) = delete;
   PkgmModel(PkgmModel&&) = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace pkgm::kg {
@@ -189,31 +188,6 @@ IdSpan MmapTripleIndex::RelationsOf(EntityId h) const {
 uint64_t MmapTripleIndex::RelationCount(RelationId r) const {
   if (r >= meta_.num_relations) return 0;
   return pos_.offsets[pred_runs_[r + 1]] - pos_.offsets[pred_runs_[r]];
-}
-
-uint64_t MmapTripleIndex::PredRunBegin(RelationId r) const {
-  return r >= meta_.num_relations ? pos_.num_runs : pred_runs_[r];
-}
-
-uint64_t MmapTripleIndex::PredRunEnd(RelationId r) const {
-  return r >= meta_.num_relations ? pos_.num_runs : pred_runs_[r + 1];
-}
-
-uint64_t MmapTripleIndex::SpoRunLowerBound(EntityId h) const {
-  const uint64_t* end = spo_.keys + spo_.num_runs;
-  const uint64_t* it =
-      std::lower_bound(spo_.keys, end, PkgtRunKey(h, 0));
-  return static_cast<uint64_t>(it - spo_.keys);
-}
-
-IdSpan MmapTripleIndex::PosRunValues(uint64_t run) const {
-  PKGM_CHECK_LT(run, pos_.num_runs);
-  return pos_.Run(run);
-}
-
-uint32_t MmapTripleIndex::PosRunTail(uint64_t run) const {
-  PKGM_CHECK_LT(run, pos_.num_runs);
-  return PkgtKeySecond(pos_.keys[run]);
 }
 
 void MmapTripleIndex::AppendTriples(std::vector<Triple>* out) const {

@@ -57,25 +57,6 @@ class MmapTripleIndex : public TripleSource {
   uint64_t file_size() const { return file_.file_size(); }
   const std::string& path() const { return file_.path(); }
 
-  /// Per-predicate range of POS runs [first, last): each run is one
-  /// distinct (r, tail) pair whose values are the sorted head entities.
-  /// The query engine's merge joins iterate these directly.
-  uint64_t PredRunBegin(RelationId r) const;
-  uint64_t PredRunEnd(RelationId r) const;
-  /// Values of POS run `run` (sorted ascending head ids) and its tail key.
-  IdSpan PosRunValues(uint64_t run) const;
-  uint32_t PosRunTail(uint64_t run) const;
-
-  /// SPO run enumeration for subject scans: runs are sorted by
-  /// (head, relation), so walking them yields every subject in ascending
-  /// order (with one run per relation the subject has).
-  uint64_t NumSpoRuns() const { return spo_.num_runs; }
-  uint32_t SpoRunHead(uint64_t run) const {
-    return PkgtKeyFirst(spo_.keys[run]);
-  }
-  /// First SPO run whose head is >= h (num_runs if none).
-  uint64_t SpoRunLowerBound(EntityId h) const;
-
   /// Re-reads every section against its CRC32C. Used by `pkgm_tool
   /// inspect-kg-index` and after a lazy open.
   Status VerifyChecksum() const { return file_.VerifyChecksum(); }

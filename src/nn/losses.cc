@@ -62,10 +62,4 @@ float BinaryCrossEntropyWithLogits(const Mat& logits,
   return loss * inv_b;
 }
 
-std::vector<float> SoftmaxRow(const float* logits, size_t n) {
-  std::vector<float> out(logits, logits + n);
-  SoftmaxInplace(n, out.data());
-  return out;
-}
-
 }  // namespace pkgm::nn

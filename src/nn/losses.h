@@ -21,9 +21,6 @@ float BinaryCrossEntropyWithLogits(const Mat& logits,
                                    const std::vector<float>& labels,
                                    Mat* dlogits);
 
-/// Softmax probabilities for a single logit row (convenience for eval).
-std::vector<float> SoftmaxRow(const float* logits, size_t n);
-
 }  // namespace pkgm::nn
 
 #endif  // PKGM_NN_LOSSES_H_

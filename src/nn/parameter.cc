@@ -1,25 +1,9 @@
 #include "nn/parameter.h"
 
-#include "tensor/ops.h"
-
 namespace pkgm::nn {
 
 void ZeroAllGrads(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) p->ZeroGrad();
-}
-
-double GradSquaredNorm(const std::vector<Parameter*>& params) {
-  double acc = 0.0;
-  for (const Parameter* p : params) {
-    acc += SquaredL2Norm(p->grad.size(), p->grad.data());
-  }
-  return acc;
-}
-
-void ScaleAllGrads(const std::vector<Parameter*>& params, float factor) {
-  for (Parameter* p : params) {
-    Scale(p->grad.size(), factor, p->grad.data());
-  }
 }
 
 }  // namespace pkgm::nn

@@ -29,13 +29,6 @@ struct Parameter {
 /// Convenience: zeroes the gradients of every parameter in the list.
 void ZeroAllGrads(const std::vector<Parameter*>& params);
 
-/// Sum of squared gradient entries across parameters (for grad-norm
-/// logging/clipping).
-double GradSquaredNorm(const std::vector<Parameter*>& params);
-
-/// Scales all gradients by `factor` (used for global-norm clipping).
-void ScaleAllGrads(const std::vector<Parameter*>& params, float factor);
-
 }  // namespace pkgm::nn
 
 #endif  // PKGM_NN_PARAMETER_H_

@@ -34,19 +34,6 @@ enum class ResponseCode {
   kQuotaExceeded,
 };
 
-/// Human-readable name ("Ok", "Rejected", ...).
-inline const char* ResponseCodeName(ResponseCode code) {
-  switch (code) {
-    case ResponseCode::kOk: return "Ok";
-    case ResponseCode::kRejected: return "Rejected";
-    case ResponseCode::kDeadlineExceeded: return "DeadlineExceeded";
-    case ResponseCode::kInvalidItem: return "InvalidItem";
-    case ResponseCode::kNetworkError: return "NetworkError";
-    case ResponseCode::kQuotaExceeded: return "QuotaExceeded";
-  }
-  return "Unknown";
-}
-
 /// Clock used for request deadlines and latency accounting.
 using ServeClock = std::chrono::steady_clock;
 

@@ -1,8 +1,8 @@
 #include "serve/server_stats.h"
 
 #include <algorithm>
+#include <vector>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -30,6 +30,10 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// The latency quantiles ToTable and StatsJson report: the p50_us, p95_us,
+/// p99_us and p999_us keys of every stage.
+const std::vector<double> kQuantiles = {0.5, 0.95, 0.99, 0.999};
+
 /// 0.5 → "p50", 0.99 → "p99", 0.999 → "p999", 0.9999 → "p9999".
 std::string QuantileLabel(double q) {
   std::string digits = StrFormat("%g", q * 100.0);
@@ -37,14 +41,13 @@ std::string QuantileLabel(double q) {
   return "p" + digits;
 }
 
-std::string HistogramJson(const Histogram& h,
-                          const std::vector<double>& quantiles) {
+std::string HistogramJson(const Histogram& h) {
   if (h.count() == 0) return "{\"count\":0}";
   std::string json =
       StrFormat("{\"count\":%llu", static_cast<unsigned long long>(h.count()));
-  std::vector<double> values = h.Percentiles(quantiles);
-  for (size_t i = 0; i < quantiles.size(); ++i) {
-    json += StrFormat(",\"%s_us\":%.2f", QuantileLabel(quantiles[i]).c_str(),
+  std::vector<double> values = h.Percentiles(kQuantiles);
+  for (size_t i = 0; i < kQuantiles.size(); ++i) {
+    json += StrFormat(",\"%s_us\":%.2f", QuantileLabel(kQuantiles[i]).c_str(),
                       values[i]);
   }
   json += StrFormat(",\"mean_us\":%.2f}", h.Mean());
@@ -104,18 +107,6 @@ Histogram ServerStats::QueueLatency() const {
 Histogram ServerStats::ComputeLatency() const {
   std::lock_guard<std::mutex> lock(histo_mu_);
   return compute_micros_;
-}
-
-void ServerStats::SetQuantiles(std::vector<double> quantiles) {
-  PKGM_CHECK(!quantiles.empty());
-  for (size_t i = 0; i < quantiles.size(); ++i) {
-    PKGM_CHECK_GT(quantiles[i], 0.0);
-    PKGM_CHECK_LE(quantiles[i], 1.0);
-    if (i > 0) {
-      PKGM_CHECK_GT(quantiles[i], quantiles[i - 1]);
-    }
-  }
-  quantiles_ = std::move(quantiles);
 }
 
 void ServerStats::SetBackend(std::string description) {
@@ -199,15 +190,15 @@ std::string ServerStats::ToTable(uint64_t queue_depth, const CacheStats* cache,
   }
 
   std::vector<std::string> headers = {"stage", "count"};
-  for (double q : quantiles_) headers.push_back(QuantileLabel(q) + " us");
+  for (double q : kQuantiles) headers.push_back(QuantileLabel(q) + " us");
   headers.push_back("mean us");
   TablePrinter latency(headers);
-  auto add = [this, &latency](const char* stage, const Histogram& h) {
+  auto add = [&latency](const char* stage, const Histogram& h) {
     std::vector<std::string> row = {stage, std::to_string(h.count())};
     if (h.count() == 0) {
-      for (size_t i = 0; i < quantiles_.size() + 1; ++i) row.push_back("-");
+      for (size_t i = 0; i < kQuantiles.size() + 1; ++i) row.push_back("-");
     } else {
-      for (double v : h.Percentiles(quantiles_)) {
+      for (double v : h.Percentiles(kQuantiles)) {
         row.push_back(StrFormat("%.2f", v));
       }
       row.push_back(StrFormat("%.2f", h.Mean()));
@@ -266,8 +257,8 @@ std::string ServerStats::StatsJson(uint64_t queue_depth,
         static_cast<unsigned long long>(coalescer->bypassed));
   }
   if (net != nullptr) json += ",\"net\":" + net->ToJson();
-  json += ",\"latency\":{\"queue\":" + HistogramJson(QueueLatency(), quantiles_) +
-          ",\"execute\":" + HistogramJson(ComputeLatency(), quantiles_) + "}";
+  json += ",\"latency\":{\"queue\":" + HistogramJson(QueueLatency()) +
+          ",\"execute\":" + HistogramJson(ComputeLatency()) + "}";
   json += "}";
   return json;
 }

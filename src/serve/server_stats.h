@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/coalescer.h"
 #include "serve/request.h"
@@ -116,14 +115,6 @@ class ServerStats {
   Histogram QueueLatency() const;
   Histogram ComputeLatency() const;
 
-  /// Quantiles reported by ToTable/StatsJson, ascending in (0, 1]. The
-  /// default {0.5, 0.95, 0.99, 0.999} keeps every historical JSON key
-  /// (p50_us/p95_us/p99_us) and adds p999_us; callers wanting p9999 pass
-  /// a longer list. Call before serving starts (not synchronized against
-  /// concurrent report reads).
-  void SetQuantiles(std::vector<double> quantiles);
-  const std::vector<double>& quantiles() const { return quantiles_; }
-
   /// Describes the parameter backend serving this run (store dtype, load
   /// mode, generation, file size). Set at server start and again on every
   /// hot-swap, so reports always show which backend answered.
@@ -155,8 +146,6 @@ class ServerStats {
   std::atomic<uint64_t> coalesced_{0};
   std::atomic<uint64_t> exec_rejected_{0};
   std::atomic<uint64_t> task_completed_[kMaxTaskKind + 1] = {};
-
-  std::vector<double> quantiles_{0.5, 0.95, 0.99, 0.999};
 
   mutable std::mutex histo_mu_;
   Histogram queue_micros_{HistogramMode::kBucketed};

@@ -154,20 +154,26 @@ StatusOr<core::PkgmModel> LoadModel(const std::string& path) {
   opt.dim = s.dim();
   opt.scorer = s.scorer();
   opt.use_relation_module = s.has_relation_module();
-  core::PkgmModel model(opt);
-  // fp32 sections hold the heap tables' exact bytes (Open checked sizes).
-  const auto copy = [](const float* rows, Mat* table) {
-    std::memcpy(table->data(), rows, table->size() * sizeof(float));
+  // fp32 sections hold the heap tables' exact bytes (Open checked sizes),
+  // so the tables are copied straight out of the mapping.
+  const auto table = [](const float* rows, size_t num_rows, size_t cols) {
+    Mat m(num_rows, cols);
+    std::memcpy(m.data(), rows, m.size() * sizeof(float));
+    return m;
   };
-  copy(s.EntityRow(0, nullptr), &model.entity_table());
-  copy(s.RelationRow(0, nullptr), &model.relation_table());
+  const uint32_t d = s.dim();
+  Mat entities = table(s.EntityRow(0, nullptr), opt.num_entities, d);
+  Mat relations = table(s.RelationRow(0, nullptr), opt.num_relations, d);
+  Mat transfers(0, static_cast<size_t>(d) * d), hyperplanes(0, d);
   if (s.has_relation_module()) {
-    copy(s.TransferRow(0, nullptr), &model.transfer_table());
+    transfers = table(s.TransferRow(0, nullptr), opt.num_relations,
+                      static_cast<size_t>(d) * d);
   }
   if (s.has_hyperplanes()) {
-    copy(s.HyperplaneRow(0, nullptr), &model.hyperplane_table());
+    hyperplanes = table(s.HyperplaneRow(0, nullptr), opt.num_relations, d);
   }
-  return model;
+  return core::PkgmModel(opt, std::move(entities), std::move(relations),
+                         std::move(transfers), std::move(hyperplanes));
 }
 
 }  // namespace pkgm::store

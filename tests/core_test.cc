@@ -25,6 +25,7 @@
 #include "core/sharded_trainer.h"
 #include "core/trainer.h"
 #include "kg/triple_store.h"
+#include "reference_gradients.h"
 #include "store/embedding_store_writer.h"
 #include "store/mmap_embedding_store.h"
 #include "tensor/ops.h"
@@ -956,6 +957,66 @@ TEST(EpochEngineTest, FailedPrefetchReturnsItsErrorAndRecyclesBatches) {
       if (e.hook == Hook::kPrepare) {
         EXPECT_TRUE(prepared.insert(e.index).second) << "batch " << e.index;
       }
+    }
+  }
+}
+
+TEST(EpochEngineTest, MeanHingeChunksMatchPerPairLoop) {
+  // MeanHinge runs the batch engine over 512-triple chunks; 1,300 triples
+  // make two full chunks and a partial one. The reference is the per-pair
+  // loop: one Sample per triple, then FusedHingeGradients without an arena.
+  // Both must return the same double and leave the eval RNG in one place.
+  constexpr uint32_t kEntities = 200;
+  constexpr uint32_t kRelations = 8;
+  kg::TripleStore store;
+  Rng kg_rng(41);
+  while (store.size() < 1300) {
+    store.Add(static_cast<kg::EntityId>(kg_rng.Uniform(kEntities)),
+              static_cast<kg::RelationId>(kg_rng.Uniform(kRelations)),
+              static_cast<kg::EntityId>(kg_rng.Uniform(kEntities)));
+  }
+  const std::vector<kg::Triple>& triples = store.triples();
+  for (TripleScorerKind scorer :
+       {TripleScorerKind::kTransE, TripleScorerKind::kDistMult,
+        TripleScorerKind::kComplEx, TripleScorerKind::kTransH}) {
+    for (bool rel_module : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "scorer "
+                                        << static_cast<int>(scorer)
+                                        << " rel_module " << rel_module);
+      PkgmModelOptions mopt = SmallModel(kEntities, kRelations, 64,
+                                         rel_module);
+      mopt.scorer = scorer;
+      const PkgmModel model(mopt);
+      const NegativeSampler sampler(FillNegativeOptions({}, model), &store);
+      // A margin leaving about half the pairs active.
+      std::vector<float> gaps;
+      Rng gap_rng(59);
+      for (const kg::Triple& pos : triples) {
+        const NegativeSample neg = sampler.Sample(pos, &gap_rng);
+        gaps.push_back(model.Score(neg.triple) - model.Score(pos));
+      }
+      std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2,
+                       gaps.end());
+      const float margin = gaps[gaps.size() / 2];
+
+      Rng want_rng(59);
+      HingeWorkspace ws;
+      double want = 0.0;
+      size_t active = 0;
+      for (const kg::Triple& pos : triples) {
+        const NegativeSample neg = sampler.Sample(pos, &want_rng);
+        const float hinge = FusedHingeGradients(
+            model, pos, neg.triple, margin, simd::Active(), &ws, nullptr);
+        if (hinge > 0.0f) ++active;
+        want += hinge;
+      }
+      want /= static_cast<double>(triples.size());
+      ASSERT_GT(active, 0u);
+      ASSERT_LT(active, triples.size());
+
+      Rng got_rng(59);
+      EXPECT_EQ(MeanHinge(model, sampler, triples, margin, &got_rng), want);
+      EXPECT_EQ(got_rng.Next(), want_rng.Next());
     }
   }
 }

@@ -1,5 +1,6 @@
-#include "nn/grad_check.h"
+#include "grad_check.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace pkgm::nn {

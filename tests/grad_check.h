@@ -1,5 +1,6 @@
-#ifndef PKGM_NN_GRAD_CHECK_H_
-#define PKGM_NN_GRAD_CHECK_H_
+// Finite-difference gradient checks for the nn layers and TinyBert.
+#ifndef PKGM_TESTS_GRAD_CHECK_H_
+#define PKGM_TESTS_GRAD_CHECK_H_
 
 #include <functional>
 
@@ -33,4 +34,4 @@ GradCheckResult CheckInputGradient(Mat* input, const Mat& analytic,
 
 }  // namespace pkgm::nn
 
-#endif  // PKGM_NN_GRAD_CHECK_H_
+#endif  // PKGM_TESTS_GRAD_CHECK_H_

@@ -1,8 +1,8 @@
 // Tests for the on-disk triple index tier (src/kg/*.pkgt*): round-trip
 // parity between the in-memory TripleStore and the memory-mapped
-// MmapTripleIndex, corrupt-file rejection mirroring the .pkgs suite,
-// IndexedQueryEngine joins against brute force, and bit-identical training
-// and filtered evaluation across the two TripleSource backends.
+// MmapTripleIndex, corrupt-file rejection mirroring the .pkgs suite, and
+// bit-identical training and filtered evaluation across the two
+// TripleSource backends.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,7 +18,6 @@
 #include "core/link_prediction.h"
 #include "core/pkgm_model.h"
 #include "core/trainer.h"
-#include "kg/indexed_query_engine.h"
 #include "kg/mmap_triple_index.h"
 #include "kg/pkgt_format.h"
 #include "kg/synthetic_pkg.h"
@@ -333,130 +332,6 @@ TEST(MutationTest, TripleIndexFilesOpenOrFailCleanly) {
     }
   }
   EXPECT_GT(accepted, 2u);
-  std::remove(path.c_str());
-}
-
-// ------------------------------------------------- indexed query engine --
-
-TEST(IndexedQueryEngine, PointQueriesAndStats) {
-  kg::TripleStore store;
-  store.Add(1, 0, 2);
-  store.Add(1, 0, 3);
-  store.Add(4, 1, 2);
-  const std::string path = TempIndexPath("points.pkgt");
-  kg::MmapTripleIndex index = BuildAndOpen(store, path);
-  kg::IndexedQueryEngine engine(&index);
-
-  EXPECT_EQ(Sorted(engine.TripleQuery(1, 0)), (std::vector<uint32_t>{2, 3}));
-  EXPECT_EQ(Sorted(engine.RelationQuery(4)), (std::vector<uint32_t>{1}));
-  EXPECT_TRUE(engine.TripleQuery(9, 9).empty());
-
-  EXPECT_EQ(engine.num_triple_queries(), 2u);
-  EXPECT_EQ(engine.num_relation_queries(), 1u);
-  EXPECT_EQ(engine.num_empty_results(), 1u);
-  EXPECT_EQ(engine.point_micros().count(), 3u);
-  const std::string json = engine.StatsJson();
-  EXPECT_NE(json.find("\"triple_queries\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"empty_results\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"join_latency\":{\"count\":0}"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-/// Brute-force reference for one conjunctive pattern over all entities.
-std::vector<uint32_t> BruteConjunction(
-    const kg::TripleStore& store,
-    const std::vector<kg::IndexedQueryEngine::Atom>& atoms) {
-  using Atom = kg::IndexedQueryEngine::Atom;
-  const bool has_positive =
-      std::any_of(atoms.begin(), atoms.end(), [](const Atom& a) {
-        return a.kind != Atom::Kind::kMissingRelation;
-      });
-  std::vector<uint32_t> out;
-  for (uint32_t x = 0; x < store.MaxEntityId(); ++x) {
-    // With no positive atom the engine's candidate universe is the graph's
-    // subjects; a positive atom constrains ?x by itself.
-    if (!has_positive && store.RelationsOf(x).empty()) continue;
-    bool ok = true;
-    for (const Atom& a : atoms) {
-      switch (a.kind) {
-        case Atom::Kind::kHasTail:
-          ok = store.Contains(x, a.relation, a.fixed);
-          break;
-        case Atom::Kind::kHasHead:
-          ok = store.Contains(a.fixed, a.relation, x);
-          break;
-        case Atom::Kind::kHasRelation:
-          ok = store.HasRelation(x, a.relation);
-          break;
-        case Atom::Kind::kMissingRelation:
-          ok = !store.HasRelation(x, a.relation);
-          break;
-      }
-      if (!ok) break;
-    }
-    if (ok) out.push_back(x);
-  }
-  return out;
-}
-
-TEST(IndexedQueryEngine, ConjunctionsMatchBruteForce) {
-  kg::SyntheticPkg pkg = SmallPkg(9);
-  const kg::TripleStore& store = pkg.observed;
-  const std::string path = TempIndexPath("joins.pkgt");
-  kg::MmapTripleIndex index = BuildAndOpen(store, path);
-  kg::IndexedQueryEngine engine(&index);
-  using Atom = kg::IndexedQueryEngine::Atom;
-
-  // Pick a well-populated relation/tail pair to join on: the first triple's
-  // category-ish edge plus a second relation that some-but-not-all of those
-  // items carry makes every atom kind selective.
-  const kg::Triple seed = store.triples().front();
-  const kg::RelationId other =
-      (seed.relation + 1) % std::max(1u, store.MaxRelationId());
-
-  const std::vector<std::vector<Atom>> patterns = {
-      // The canonical audit: items of "category" seed.tail missing `other`.
-      {Atom::HasTail(seed.relation, seed.tail),
-       Atom::MissingRelation(other)},
-      {Atom::HasTail(seed.relation, seed.tail), Atom::HasRelation(other)},
-      {Atom::HasRelation(seed.relation)},
-      {Atom::HasRelation(seed.relation), Atom::HasRelation(other)},
-      {Atom::HasHead(seed.head, seed.relation)},
-      {Atom::MissingRelation(seed.relation)},  // purely negative
-      {},                                      // unconstrained: all subjects
-      {Atom::HasTail(seed.relation, seed.tail),
-       Atom::HasTail(seed.relation, seed.tail + 1)},  // likely empty
-  };
-  for (const auto& atoms : patterns) {
-    EXPECT_EQ(engine.ConjunctiveQuery(atoms), BruteConjunction(store, atoms));
-  }
-  EXPECT_EQ(engine.num_conjunctive_queries(), patterns.size());
-  EXPECT_EQ(engine.join_micros().count(), patterns.size());
-  std::remove(path.c_str());
-}
-
-TEST(IndexedQueryEngine, ExpandMatchesBruteForceUnion) {
-  kg::SyntheticPkg pkg = SmallPkg(11);
-  const kg::TripleStore& store = pkg.observed;
-  const std::string path = TempIndexPath("expand.pkgt");
-  kg::MmapTripleIndex index = BuildAndOpen(store, path);
-  kg::IndexedQueryEngine engine(&index);
-
-  const kg::Triple seed = store.triples().front();
-  std::vector<uint32_t> frontier = {seed.head, seed.head + 1, seed.head + 2};
-  std::vector<uint32_t> expect;
-  for (uint32_t h : frontier) {
-    for (uint32_t t : store.Tails(h, seed.relation)) expect.push_back(t);
-  }
-  std::sort(expect.begin(), expect.end());
-  expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
-
-  EXPECT_EQ(engine.Expand(frontier, seed.relation), expect);
-  // Two hops compose.
-  const std::vector<uint32_t> hop2 =
-      engine.Expand(engine.Expand(frontier, seed.relation), seed.relation);
-  EXPECT_TRUE(std::is_sorted(hop2.begin(), hop2.end()));
-  EXPECT_EQ(engine.num_expand_queries(), 3u);
   std::remove(path.c_str());
 }
 

@@ -2,10 +2,10 @@
 
 #include <cmath>
 
+#include "grad_check.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
-#include "nn/grad_check.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/losses.h"
@@ -424,16 +424,6 @@ TEST(OptimizerTest, AdamFirstStepMagnitudeIsLr) {
   p.grad(0, 0) = 1e-3f;
   opt.Step();
   EXPECT_NEAR(std::fabs(p.value(0, 0)), 0.1f, 1e-3);
-}
-
-TEST(ParameterTest, GradNormAndScale) {
-  Parameter a("a", 1, 2), b("b", 1, 1);
-  a.grad(0, 0) = 3;
-  a.grad(0, 1) = 4;
-  b.grad(0, 0) = 0;
-  EXPECT_DOUBLE_EQ(GradSquaredNorm({&a, &b}), 25.0);
-  ScaleAllGrads({&a, &b}, 0.5f);
-  EXPECT_FLOAT_EQ(a.grad(0, 0), 1.5f);
 }
 
 }  // namespace

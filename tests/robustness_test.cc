@@ -16,7 +16,6 @@
 #include "kg/split.h"
 #include "kg/synthetic_pkg.h"
 #include "mutation.h"
-#include "nn/grad_check.h"
 #include "nn/optimizer.h"
 #include "nn/transformer.h"
 #include "store/embedding_store_writer.h"

@@ -9,11 +9,11 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/gradients.h"
 #include "core/link_prediction.h"
 #include "core/pkgm_model.h"
 #include "core/trainer.h"
 #include "kg/triple_store.h"
+#include "reference_gradients.h"
 #include "store/embedding_store_writer.h"
 #include "store/mmap_embedding_store.h"
 #include "tensor/ops.h"

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/grad_check.h"
+#include "grad_check.h"
 #include "nn/parameter.h"
 #include "tensor/init.h"
 #include "text/tiny_bert.h"
