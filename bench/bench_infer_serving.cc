@@ -12,14 +12,10 @@
 //   hot-swap checks hold on any host speed, sanitizer builds included;
 //   --json writes the measured numbers as a machine-readable artifact.
 
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -63,64 +59,6 @@ tasks::PipelineOptions InferBenchPipelineOptions() {
   opt.seed = 2021;
   return opt;
 }
-
-/// Drains NetClient futures on a collector thread so no generator thread
-/// parks on a future (same adapter pkgm_serve --connect uses).
-class FutureDrain {
- public:
-  explicit FutureDrain(net::NetClient* client)
-      : client_(client), worker_([this] { Loop(); }) {}
-
-  ~FutureDrain() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-
-  void Submit(std::vector<serve::ServiceRequest> requests,
-              std::function<void(size_t, serve::ServiceResponse)> done) {
-    Item item;
-    item.futures = client_->SubmitBatch(std::move(requests));
-    item.done = std::move(done);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
- private:
-  struct Item {
-    std::vector<std::future<serve::ServiceResponse>> futures;
-    std::function<void(size_t, serve::ServiceResponse)> done;
-  };
-
-  void Loop() {
-    for (;;) {
-      Item item;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-        if (queue_.empty()) return;
-        item = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      for (size_t i = 0; i < item.futures.size(); ++i) {
-        item.done(i, item.futures[i].get());
-      }
-    }
-  }
-
-  net::NetClient* client_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Item> queue_;
-  bool closed_ = false;
-  std::thread worker_;
-};
 
 serve::LoadGenOptions MixOptions(uint32_t num_items, uint32_t num_users,
                                  uint64_t requests, double rate, bool open_loop,
@@ -217,15 +155,10 @@ void Run(uint64_t requests, double rate, bool open_loop,
 
   // ---- Leg 1: in-process submission.
   {
-    serve::AsyncSubmitFn submit =
-        [&server](std::vector<serve::ServiceRequest> batch,
-                  std::function<void(size_t, serve::ServiceResponse)> done) {
-          server.SubmitBatchAsync(std::move(batch), std::move(done));
-        };
     const serve::LoadGenReport report = serve::RunLoadGen(
         MixOptions(num_items, num_users, requests, rate, open_loop,
                    /*seed=*/31),
-        submit);
+        std::bind_front(&serve::KnowledgeServer::SubmitBatchAsync, &server));
     PrintMixReport("in-process", report, "in_process", &json_rows);
   }
 
@@ -241,12 +174,6 @@ void Run(uint64_t requests, double rate, bool open_loop,
     copt.num_connections = 2;
     auto client = net::NetClient::Connect("127.0.0.1", net.port(), copt);
     PKGM_CHECK(client.ok());
-    FutureDrain drain(client.value().get());
-    serve::AsyncSubmitFn submit =
-        [&drain](std::vector<serve::ServiceRequest> batch,
-                 std::function<void(size_t, serve::ServiceResponse)> done) {
-          drain.Submit(std::move(batch), std::move(done));
-        };
 
     std::thread swapper([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -260,7 +187,8 @@ void Run(uint64_t requests, double rate, bool open_loop,
     const serve::LoadGenReport report = serve::RunLoadGen(
         MixOptions(num_items, num_users, requests, rate, open_loop,
                    /*seed=*/37),
-        submit);
+        std::bind_front(&net::NetClient::SubmitBatchAsync,
+                        client.value().get()));
     swapper.join();
     PrintMixReport("loopback socket (+hot swap)", report, "loopback",
                    &json_rows);

@@ -26,13 +26,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <future>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -112,10 +109,7 @@ core::ServiceVectorProvider CloneProviderOver(
 }
 
 serve::AsyncSubmitFn InProcess(serve::KnowledgeServer* server) {
-  return [server](std::vector<serve::ServiceRequest> batch,
-                  std::function<void(size_t, serve::ServiceResponse)> done) {
-    server->SubmitBatchAsync(std::move(batch), std::move(done));
-  };
+  return std::bind_front(&serve::KnowledgeServer::SubmitBatchAsync, server);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,66 +210,6 @@ HerdResult RunHerd(const core::ServiceVectorProvider* slow_provider,
 // real NetServer/NetClient pair; besides latency it reports syscalls per
 // served frame — waits + per-chunk recvs + sends.
 
-/// Adapts the future-returning NetClient::SubmitBatch to the load
-/// generator's callback seam (same shape as pkgm_serve's drain): a
-/// collector thread resolves futures in submit order and fires the
-/// completion callbacks, so no generator thread parks on a future.
-class FutureDrain {
- public:
-  explicit FutureDrain(net::NetClient* client)
-      : client_(client), worker_([this] { Loop(); }) {}
-
-  ~FutureDrain() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-
-  void Submit(std::vector<serve::ServiceRequest> requests,
-              std::function<void(size_t, serve::ServiceResponse)> done) {
-    Item item;
-    item.futures = client_->SubmitBatch(std::move(requests));
-    item.done = std::move(done);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
- private:
-  struct Item {
-    std::vector<std::future<serve::ServiceResponse>> futures;
-    std::function<void(size_t, serve::ServiceResponse)> done;
-  };
-
-  void Loop() {
-    for (;;) {
-      Item item;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // closed and drained
-        item = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      for (size_t i = 0; i < item.futures.size(); ++i) {
-        item.done(i, item.futures[i].get());
-      }
-    }
-  }
-
-  net::NetClient* client_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Item> queue_;
-  bool closed_ = false;
-  std::thread worker_;
-};
-
 struct NetIoLeg {
   serve::LoadGenReport report;
   serve::NetCounters net;
@@ -309,22 +243,18 @@ NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
   PKGM_CHECK(client.ok());
 
   NetIoLeg leg;
-  {
-    FutureDrain drain(client.value().get());
-    serve::LoadGenOptions lopt;
-    lopt.rate_qps = offered_qps;
-    lopt.total_requests = requests;
-    lopt.threads = 8;
-    lopt.arrival = serve::ArrivalProcess::kPoisson;
-    lopt.num_items = provider->num_items();
-    lopt.seed = 23;
-    leg.report = serve::RunLoadGen(
-        lopt,
-        [&drain](std::vector<serve::ServiceRequest> batch,
-                 std::function<void(size_t, serve::ServiceResponse)> done) {
-          drain.Submit(std::move(batch), std::move(done));
-        });
-  }  // drain joins: every frame is on the wire and answered
+  serve::LoadGenOptions lopt;
+  lopt.rate_qps = offered_qps;
+  lopt.total_requests = requests;
+  lopt.threads = 8;
+  lopt.arrival = serve::ArrivalProcess::kPoisson;
+  lopt.num_items = provider->num_items();
+  lopt.seed = 23;
+  // Returns once every frame is answered: each completion runs on a
+  // connection's reader thread as its reply arrives.
+  leg.report = serve::RunLoadGen(
+      lopt, std::bind_front(&net::NetClient::SubmitBatchAsync,
+                            client.value().get()));
 
   PKGM_CHECK_EQ(client.value()->network_errors(), 0u);
   leg.net = net_server.net_counters();

@@ -16,6 +16,9 @@ namespace pkgm::dist {
 
 namespace {
 
+/// How long Start() waits for every daemon to publish its port file.
+constexpr int kStartupTimeoutMs = 10000;
+
 const char* ScorerName(core::TripleScorerKind scorer) {
   switch (scorer) {
     case core::TripleScorerKind::kTransE:
@@ -126,7 +129,7 @@ Status LocalShardCluster::Start() {
   // a readable file is always complete).
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.startup_timeout_ms);
+      std::chrono::milliseconds(kStartupTimeoutMs);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     for (;;) {
       const uint16_t port = ReadPortFile(port_files[s]);
@@ -146,7 +149,7 @@ Status LocalShardCluster::Start() {
         Stop();
         return Status::IoError(StrFormat(
             "shard daemon %u did not publish a port within %d ms",
-            static_cast<unsigned>(s), options_.startup_timeout_ms));
+            static_cast<unsigned>(s), kStartupTimeoutMs));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }

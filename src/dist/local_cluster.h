@@ -26,8 +26,6 @@ struct LocalShardClusterOptions {
   float learning_rate = 0.02f;
   bool normalize_entities = true;
   size_t io_threads = 1;
-  /// How long Start() waits for every daemon to publish its port file.
-  int startup_timeout_ms = 10000;
 };
 
 /// Spawns one pkgm_psd shard daemon per shard on loopback ephemeral ports

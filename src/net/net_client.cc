@@ -6,13 +6,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <variant>
 
 #include "net/client_io.h"
 #include "net/socket_util.h"
@@ -24,24 +25,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-serve::ServiceResponse NetworkErrorResponse() {
-  serve::ServiceResponse response;
-  response.code = serve::ResponseCode::kNetworkError;
-  return response;
-}
-
-/// A SubmitBatch frame's per-request promises, in the frame's order.
-using BatchPromises = std::vector<std::promise<serve::ServiceResponse>>;
-
-/// One CallFrame's promise (Ping and ServerStatsJson ride on it).
-struct FrameCall {
-  std::promise<StatusOr<Frame>> promise;
-  /// Ping/ServerStatsJson: not counted in network_errors() when lost.
-  bool probe = false;
-};
-
-/// The reply owed to one request frame in flight.
-using PendingReply = std::variant<BatchPromises, FrameCall>;
+/// Bound on one connect attempt, and the cap the reconnect backoff doubles
+/// up to.
+constexpr int kConnectTimeoutMs = 5000;
+constexpr int kReconnectBackoffMaxMs = 2000;
 
 /// Server-to-client frame types; any other type from a server is a
 /// protocol violation.
@@ -61,70 +48,51 @@ bool IsReplyType(FrameType type) {
   }
 }
 
-/// Resolves `entry` with its reply `frame`, adding the requests a garbled
-/// reply fails to `*network_errors`. Returns false on a protocol violation.
-bool Resolve(PendingReply entry, Frame frame,
-             std::atomic<uint64_t>* network_errors) {
-  if (frame.type == FrameType::kError) {
-    WireCode code;
-    std::string message;
-    if (!DecodeError(frame.payload, &code, &message).ok()) return false;
-    if (auto* call = std::get_if<FrameCall>(&entry)) {
-      call->promise.set_value(
-          Status::IoError(StrFormat("server error: %s", message.c_str())));
-      return true;
-    }
-    for (auto& promise : std::get<BatchPromises>(entry)) {
-      serve::ServiceResponse response;
-      response.code = ResponseCodeFromWire(code);
-      promise.set_value(std::move(response));
-    }
-    return true;
-  }
-  if (auto* call = std::get_if<FrameCall>(&entry)) {
-    call->promise.set_value(std::move(frame));
-    return true;
-  }
-  auto& batch = std::get<BatchPromises>(entry);
-  std::vector<serve::ServiceResponse> responses;
-  if (frame.type != FrameType::kServiceReplies ||
-      !DecodeServiceReplies(frame.payload, &responses).ok() ||
-      responses.size() != batch.size()) {
-    // A garbled reply or a count mismatch is a protocol violation; fail
-    // this batch and give up on the stream.
-    *network_errors += batch.size();
-    for (auto& promise : batch) promise.set_value(NetworkErrorResponse());
-    return false;
-  }
-  for (size_t i = 0; i < responses.size(); ++i) {
-    batch[i].set_value(std::move(responses[i]));
-  }
-  return true;
+/// `n` responses that all carry `code`.
+std::vector<serve::ServiceResponse> ResponsesWithCode(
+    size_t n, serve::ResponseCode code) {
+  std::vector<serve::ServiceResponse> responses(n);
+  for (serve::ServiceResponse& response : responses) response.code = code;
+  return responses;
 }
 
 }  // namespace
 
-/// One pooled connection. The submitting thread writes frames under `mu`;
-/// a dedicated reader thread matches response frames back by correlation
-/// id. Teardown is owned by the reader: writers that hit an error only
-/// shutdown() the socket (waking the reader), never close it, so the fd
-/// cannot be pulled out from under a blocked read.
+/// What one request frame in flight is owed, whatever its kind. `complete`
+/// takes the reply frame, or the status that lost the frame, and never runs
+/// under a NetClient mutex. Handed a reply frame that does not decode, it
+/// delivers nothing and returns false: the frame is then lost, and
+/// `complete` runs again with the loss status. `requests` is what a loss
+/// adds to network_errors(): the batch size, 1 for a frame call, 0 for a
+/// probe.
+struct NetClient::Pending {
+  std::function<bool(StatusOr<Frame>)> complete;
+  size_t requests = 0;
+};
+
+/// One pooled connection. Submitting threads write frames under `mu`; the
+/// reader thread, which lives as long as the client, matches reply frames
+/// back by correlation id. Teardown is owned by the reader: writers that hit
+/// an error only shutdown() the socket (waking the reader), never close it,
+/// so the fd cannot be pulled out from under a blocked read. A writer that
+/// finds the socket closed reconnects and wakes the reader on `connected`.
 struct NetClient::Conn {
   std::mutex mu;
+  std::condition_variable connected;
   ScopedFd fd;
-  /// Reused across reconnects: its writer side runs under `mu`, its
-  /// reader side only on the reader thread, and a new reader is spawned
-  /// only after the old one joined.
+  /// Its writer side runs under `mu`, its reader side on the reader thread.
   ClientConnIo io;
-  std::thread reader;
 
-  /// The reply owed to each request frame in flight, by correlation id.
-  std::unordered_map<uint64_t, PendingReply> pending;
+  /// The completion owed to each request frame in flight, by correlation
+  /// id.
+  std::unordered_map<uint64_t, Pending> pending;
 
   /// Reconnect backoff: doubled on every failed connect attempt, reset on
-  /// success and on a clean teardown of a previously working connection.
+  /// success.
   int backoff_ms = 0;
   Clock::time_point next_attempt{};
+
+  std::thread reader;
 };
 
 NetClient::NetClient(NetClientOptions options) : options_(options) {
@@ -134,8 +102,11 @@ NetClient::NetClient(NetClientOptions options) : options_(options) {
 NetClient::~NetClient() {
   closing_.store(true, std::memory_order_release);
   for (auto& conn : conns_) {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RDWR);
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RDWR);
+    }
+    conn->connected.notify_all();
   }
   for (auto& conn : conns_) {
     if (conn->reader.joinable()) conn->reader.join();
@@ -149,13 +120,12 @@ StatusOr<std::unique_ptr<NetClient>> NetClient::Connect(
   client->host_ = host;
   client->port_ = port;
   for (size_t i = 0; i < options.num_connections; ++i) {
+    auto fd = ConnectTcp(host, port, kConnectTimeoutMs);
+    if (!fd.ok()) return fd.status();
     client->conns_.push_back(std::make_unique<Conn>());
+    client->conns_.back()->fd = std::move(fd.value());
   }
   for (auto& conn : client->conns_) {
-    auto fd = ConnectTcp(host, port, options.connect_timeout_ms);
-    if (!fd.ok()) return fd.status();
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->fd = std::move(fd.value());
     Conn* raw = conn.get();
     NetClient* raw_client = client.get();
     conn->reader = std::thread([raw_client, raw] {
@@ -180,20 +150,18 @@ Status NetClient::SendFrame(Conn& conn, const std::string& frame) {
     if (now < conn.next_attempt) {
       return Status::IoError("connection down, reconnect backoff active");
     }
-    auto fd = ConnectTcp(host_, port_, options_.connect_timeout_ms);
+    auto fd = ConnectTcp(host_, port_, kConnectTimeoutMs);
     if (!fd.ok()) {
-      conn.backoff_ms = conn.backoff_ms == 0
-                            ? options_.reconnect_backoff_initial_ms
-                            : std::min(conn.backoff_ms * 2,
-                                       options_.reconnect_backoff_max_ms);
+      conn.backoff_ms =
+          conn.backoff_ms == 0
+              ? options_.reconnect_backoff_initial_ms
+              : std::min(conn.backoff_ms * 2, kReconnectBackoffMaxMs);
       conn.next_attempt = now + std::chrono::milliseconds(conn.backoff_ms);
       return fd.status();
     }
     conn.backoff_ms = 0;
-    if (conn.reader.joinable()) conn.reader.join();  // exited with the old fd
     conn.fd = std::move(fd.value());
-    Conn* raw = &conn;
-    conn.reader = std::thread([this, raw] { ReaderLoop(*raw); });
+    conn.connected.notify_one();
   }
   iovec iov;
   iov.iov_base = const_cast<char*>(frame.data());
@@ -207,6 +175,68 @@ Status NetClient::SendFrame(Conn& conn, const std::string& frame) {
   return status;
 }
 
+void NetClient::Send(Conn& conn, uint64_t correlation_id,
+                     const std::string& frame_bytes, Pending pending) {
+  Status lost;
+  {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    auto [it, inserted] = conn.pending.try_emplace(correlation_id);
+    if (!inserted) {
+      // Correlation id already in flight on this connection (wraparound hit
+      // an unanswered id): refuse rather than corrupt the matching.
+      lost = Status::FailedPrecondition(
+          StrFormat("correlation id %llu already in flight",
+                    static_cast<unsigned long long>(correlation_id)));
+    } else {
+      it->second = std::move(pending);
+      lost = SendFrame(conn, frame_bytes);
+      // Once a socket is open, bytes may have reached the server and the
+      // reader owns the entry; a frame that found no socket is lost here.
+      if (lost.ok() || conn.fd.valid()) return;
+      pending = std::move(it->second);
+      conn.pending.erase(it);
+    }
+  }
+  Lose(pending, lost);
+}
+
+void NetClient::Lose(Pending& pending, const Status& status) {
+  network_errors_ += pending.requests;
+  pending.complete(status);
+}
+
+void NetClient::SubmitBatchAsync(std::vector<serve::ServiceRequest> requests,
+                                 serve::BatchCallback done) {
+  if (requests.empty()) return;
+  const size_t n = requests.size();
+  Pending pending;
+  pending.requests = n;
+  pending.complete = [n, done = std::move(done)](StatusOr<Frame> reply) {
+    std::vector<serve::ServiceResponse> responses;
+    if (!reply.ok()) {
+      responses = ResponsesWithCode(n, serve::ResponseCode::kNetworkError);
+    } else if (reply->type == FrameType::kError) {
+      WireCode code{};
+      std::string message;
+      if (!DecodeError(reply->payload, &code, &message).ok()) return false;
+      responses = ResponsesWithCode(n, ResponseCodeFromWire(code));
+    } else if (reply->type != FrameType::kServiceReplies ||
+               !DecodeServiceReplies(reply->payload, &responses).ok() ||
+               responses.size() != n) {
+      return false;
+    }
+    for (size_t i = 0; i < n; ++i) done(i, std::move(responses[i]));
+    return true;
+  };
+  // The whole batch, whatever its mix of task kinds, is one frame: one
+  // correlation id, one pending entry, one send.
+  const uint64_t correlation_id = NextCorrelationId();
+  Send(PickConn(), correlation_id,
+       EncodeServiceRequests(correlation_id, requests,
+                             serve::ServeClock::now()),
+       std::move(pending));
+}
+
 std::future<serve::ServiceResponse> NetClient::Submit(
     serve::ServiceRequest request) {
   std::vector<serve::ServiceRequest> one;
@@ -217,67 +247,43 @@ std::future<serve::ServiceResponse> NetClient::Submit(
 
 std::vector<std::future<serve::ServiceResponse>> NetClient::SubmitBatch(
     std::vector<serve::ServiceRequest> requests) {
+  auto promises =
+      std::make_shared<std::vector<std::promise<serve::ServiceResponse>>>(
+          requests.size());
   std::vector<std::future<serve::ServiceResponse>> futures;
-  if (requests.empty()) return futures;
-  BatchPromises batch(requests.size());
-  futures.reserve(requests.size());
-  for (auto& promise : batch) futures.push_back(promise.get_future());
-
-  // The whole batch, whatever its mix of task kinds, is one frame: one
-  // correlation id, one pending entry, one send.
-  const uint64_t correlation_id = next_correlation_.fetch_add(1);
-  const std::string frame = EncodeServiceRequests(correlation_id, requests,
-                                                  serve::ServeClock::now());
-  Conn& conn = PickConn();
-  std::lock_guard<std::mutex> lock(conn.mu);
-  conn.pending.emplace(correlation_id, std::move(batch));
-  if (!SendFrame(conn, frame).ok() && !conn.fd.valid()) {
-    // If the write started, the reader owns failing the entry; if we never
-    // had a socket, fail it here.
-    auto it = conn.pending.find(correlation_id);
-    if (it != conn.pending.end()) {
-      auto& failed = std::get<BatchPromises>(it->second);
-      network_errors_ += failed.size();
-      for (auto& promise : failed) promise.set_value(NetworkErrorResponse());
-      conn.pending.erase(it);
-    }
-  }
+  futures.reserve(promises->size());
+  for (auto& promise : *promises) futures.push_back(promise.get_future());
+  SubmitBatchAsync(std::move(requests),
+                   [promises](size_t index, serve::ServiceResponse response) {
+                     (*promises)[index].set_value(std::move(response));
+                   });
   return futures;
 }
 
 std::future<StatusOr<Frame>> NetClient::CallFrame(
     uint64_t correlation_id, const std::string& frame_bytes) {
-  return Call(PickConn(), correlation_id, frame_bytes, /*probe=*/false);
+  return Call(PickConn(), correlation_id, frame_bytes, /*requests=*/1);
 }
 
 std::future<StatusOr<Frame>> NetClient::Call(Conn& conn,
                                              uint64_t correlation_id,
                                              const std::string& frame_bytes,
-                                             bool probe) {
-  std::lock_guard<std::mutex> lock(conn.mu);
-  auto [it, inserted] =
-      conn.pending.try_emplace(correlation_id, FrameCall{{}, probe});
-  if (!inserted) {
-    // Correlation id already in flight on this connection (wraparound hit
-    // an unanswered id): refuse rather than corrupt the matching.
-    std::promise<StatusOr<Frame>> failed;
-    failed.set_value(Status::FailedPrecondition(
-        StrFormat("correlation id %llu already in flight",
-                  static_cast<unsigned long long>(correlation_id))));
-    return failed.get_future();
-  }
-  std::future<StatusOr<Frame>> future =
-      std::get<FrameCall>(it->second).promise.get_future();
-  const Status status = SendFrame(conn, frame_bytes);
-  if (!status.ok()) {
-    // Same split as SubmitBatch: once bytes may have hit the socket, the
-    // reader owns failing the entry; a never-connected socket fails here.
-    auto found = conn.pending.find(correlation_id);
-    if (found != conn.pending.end() && !conn.fd.valid()) {
-      std::get<FrameCall>(found->second).promise.set_value(status);
-      conn.pending.erase(found);
+                                             size_t requests) {
+  auto promise = std::make_shared<std::promise<StatusOr<Frame>>>();
+  std::future<StatusOr<Frame>> future = promise->get_future();
+  Pending pending;
+  pending.requests = requests;
+  pending.complete = [promise](StatusOr<Frame> reply) {
+    if (reply.ok() && reply->type == FrameType::kError) {
+      WireCode code{};
+      std::string message;
+      if (!DecodeError(reply->payload, &code, &message).ok()) return false;
+      reply = Status::IoError(StrFormat("server error: %s", message.c_str()));
     }
-  }
+    promise->set_value(std::move(reply));
+    return true;
+  };
+  Send(conn, correlation_id, frame_bytes, std::move(pending));
   return future;
 }
 
@@ -287,7 +293,7 @@ StatusOr<Frame> NetClient::Probe(FrameType request, FrameType reply_type,
   Conn& conn = PickConn();
   std::future<StatusOr<Frame>> future =
       Call(conn, correlation_id, EncodeControl(request, correlation_id),
-           /*probe=*/true);
+           /*requests=*/0);
   if (future.wait_for(std::chrono::milliseconds(timeout_ms)) !=
       std::future_status::ready) {
     std::lock_guard<std::mutex> lock(conn.mu);
@@ -314,61 +320,68 @@ Status NetClient::Ping(int timeout_ms) {
       .status();
 }
 
-void NetClient::FailPending(Conn& conn) {
-  // Caller holds conn.mu.
-  for (auto& [correlation_id, entry] : conn.pending) {
-    if (auto* batch = std::get_if<BatchPromises>(&entry)) {
-      network_errors_ += batch->size();
-      for (auto& promise : *batch) promise.set_value(NetworkErrorResponse());
-    } else {
-      auto& call = std::get<FrameCall>(entry);
-      if (!call.probe) ++network_errors_;
-      call.promise.set_value(Status::IoError("connection lost"));
+void NetClient::ReaderLoop(Conn& conn) {
+  for (;;) {
+    int fd = -1;
+    {
+      std::unique_lock<std::mutex> lock(conn.mu);
+      conn.connected.wait(lock, [&] {
+        return conn.fd.valid() || closing_.load(std::memory_order_acquire);
+      });
+      if (!conn.fd.valid()) return;  // the client is shutting down
+      fd = conn.fd.get();  // stable: only this thread closes it
+    }
+    ReadReplies(conn, fd);
+
+    // Sole teardown point: close the socket, then fail whatever was in
+    // flight on it outside the lock, so a completion may submit again.
+    std::unordered_map<uint64_t, Pending> lost;
+    {
+      std::lock_guard<std::mutex> lock(conn.mu);
+      conn.fd.Reset();
+      lost.swap(conn.pending);
+    }
+    for (auto& [correlation_id, pending] : lost) {
+      Lose(pending, Status::IoError("connection lost"));
     }
   }
-  conn.pending.clear();
 }
 
-void NetClient::ReaderLoop(Conn& conn) {
+void NetClient::ReadReplies(Conn& conn, int fd) {
   FrameDecoder decoder(options_.max_frame_bytes);
-  const int fd = conn.fd.get();  // stable: only the reader closes it
-  bool healthy = true;
-
-  while (healthy) {
+  for (;;) {
     const std::span<char> dst = decoder.PrepareRead();
     const ssize_t n = conn.io.Recv(fd, dst.data(), dst.size());
-    if (n <= 0) break;  // EOF or error (EINTR retried inside): tear down
+    if (n <= 0) return;  // EOF or error (EINTR retried inside)
     decoder.CommitRead(static_cast<size_t>(n));
 
     Frame frame;
     std::string error;
-    while (healthy) {
+    for (;;) {
       const FrameDecoder::Result result = decoder.Next(&frame, &error);
       if (result == FrameDecoder::Result::kNeedMore) break;
       if (result == FrameDecoder::Result::kError || !IsReplyType(frame.type)) {
         // Garbage, or a request-direction frame from a server: the stream
         // is gone.
-        healthy = false;
-        break;
+        return;
       }
-      // Every reply resolves the entry holding its correlation id; a late
+      // Every reply completes the entry holding its correlation id; a late
       // or unknown id is dropped.
-      PendingReply entry;
+      Pending pending;
       {
         std::lock_guard<std::mutex> lock(conn.mu);
         auto it = conn.pending.find(frame.correlation_id);
         if (it == conn.pending.end()) continue;
-        entry = std::move(it->second);
+        pending = std::move(it->second);
         conn.pending.erase(it);
       }
-      healthy = Resolve(std::move(entry), std::move(frame), &network_errors_);
+      if (!pending.complete(std::move(frame))) {
+        // A reply that does not decode loses its frame and ends the stream.
+        Lose(pending, Status::IoError("garbled reply"));
+        return;
+      }
     }
   }
-
-  // Sole teardown point: close the socket and fail whatever was in flight.
-  std::lock_guard<std::mutex> lock(conn.mu);
-  conn.fd.Reset();
-  FailPending(conn);
 }
 
 }  // namespace pkgm::net

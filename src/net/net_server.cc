@@ -25,6 +25,7 @@ namespace {
 
 constexpr int kPollWaitMs = 100;
 constexpr int kMaxEvents = 64;
+constexpr int kListenBacklog = 128;
 // epoll user-data tags for the two non-connection fds. Connection ids
 // start at 2 (next_conn_id_), so there is no collision.
 constexpr uint64_t kListenerTag = 0;
@@ -144,7 +145,7 @@ NetServer::~NetServer() { Stop(); }
 Status NetServer::Start() {
   PKGM_CHECK(!started_) << "NetServer::Start called twice";
   auto listener =
-      ListenTcp(options_.bind_address, options_.port, options_.listen_backlog,
+      ListenTcp(options_.bind_address, options_.port, kListenBacklog,
                 options_.reuseport, &port_);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener.value());

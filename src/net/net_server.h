@@ -31,7 +31,6 @@ struct NetServerOptions {
   /// Connections with no traffic and no in-flight work for this long are
   /// closed. 0 disables the idle reaper.
   int idle_timeout_ms = 0;
-  int listen_backlog = 128;
   /// SO_REUSEPORT on the listener, so multiple server processes can share
   /// a port for kernel-level load spreading.
   bool reuseport = false;

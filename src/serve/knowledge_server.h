@@ -119,17 +119,13 @@ class KnowledgeServer {
   std::vector<std::future<ServiceResponse>> SubmitBatch(
       std::vector<ServiceRequest> requests);
 
-  /// Completion callback for the async submit path: invoked exactly once
-  /// per request with its index in the submitted batch. Runs on a worker
-  /// thread — or synchronously on the submitting thread when the whole
-  /// batch is rejected at admission — so it must be fast and must not
-  /// block (the network front end posts the response to an event loop).
-  using BatchCallback = std::function<void(size_t, ServiceResponse)>;
-
   /// Future-free submission used by the epoll front end (src/net/): same
   /// admission control and batching as SubmitBatch, but completion is
   /// delivered through `done` instead of futures, so no thread ever parks
-  /// waiting for a response.
+  /// waiting for a response. `done` runs exactly once per request, on a
+  /// worker thread — or synchronously on the submitting thread when a
+  /// request is rejected at admission — so it must be fast and must not
+  /// block (the network front end posts the response to an event loop).
   void SubmitBatchAsync(std::vector<ServiceRequest> requests,
                         BatchCallback done);
 

@@ -1,7 +1,6 @@
 #include "serve/load_gen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -44,6 +43,36 @@ struct Sink {
 };
 constexpr size_t kSinks = 16;
 
+/// kBurst's square wave: the on-half's rate multiplier, and the period.
+constexpr double kBurstFactor = 4.0;
+constexpr double kBurstPeriodS = 0.25;
+
+/// Counts one generator thread's requests in flight. A completion updates
+/// the count and notifies while it holds `mu`, so the waiter, which owns
+/// the counter, cannot see zero and destroy it under a notify still
+/// running.
+class InFlight {
+ public:
+  void Add() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++count_;
+  }
+  void Done() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--count_ == 0) cv_.notify_one();
+  }
+  /// Blocks until every request added so far has completed.
+  void WaitIdle() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t count_ = 0;
+};
+
 void RecordCompletion(Sink* sink, TaskKind task, const ServiceResponse& response,
                       double latency_micros) {
   const uint8_t kind = static_cast<uint8_t>(task);
@@ -82,14 +111,13 @@ double NextGap(const LoadGenOptions& options, double thread_rate,
       return -std::log(u) / thread_rate;
     }
     case ArrivalProcess::kBurst: {
-      // Square wave: rate × burst_factor during the on-half of the period,
-      // rate × max(0.05, 2 − burst_factor) during the off-half, keeping
-      // the average near the configured rate for burst_factor <= 2 and
-      // front-loading it beyond that (the point is the spike).
-      const double phase = std::fmod(elapsed_s, options.burst_period_s);
-      const bool on = phase < options.burst_period_s * 0.5;
+      // Square wave: rate × kBurstFactor during the on-half of the period,
+      // rate × max(0.05, 2 − kBurstFactor) during the off-half. At 4× the
+      // average runs above the configured rate; the point is the spike.
+      const double phase = std::fmod(elapsed_s, kBurstPeriodS);
+      const bool on = phase < kBurstPeriodS * 0.5;
       const double factor =
-          on ? options.burst_factor : std::max(0.05, 2.0 - options.burst_factor);
+          on ? kBurstFactor : std::max(0.05, 2.0 - kBurstFactor);
       double u = rng->UniformDouble();
       if (u < 1e-12) u = 1e-12;
       return -std::log(u) / (thread_rate * factor);
@@ -140,9 +168,6 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options,
   }
 
   std::vector<Sink> sinks(kSinks);
-  std::atomic<uint64_t> outstanding{0};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
 
   // Small lead-in so thread 0's first arrival isn't already in the past by
   // the time the last thread has spawned.
@@ -158,6 +183,9 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options,
   for (size_t t = 0; t < threads; ++t) {
     gens.emplace_back([&, t] {
       Rng rng = thread_rngs[t];
+      // This thread's requests in flight; it returns only once they have
+      // all completed, so every completion finds it alive.
+      InFlight in_flight;
       // Thread t owns arrivals t, t+threads, t+2*threads, ...
       uint64_t quota = options.total_requests / threads +
                        (t < options.total_requests % threads ? 1 : 0);
@@ -217,61 +245,23 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options,
         const auto measure_from = options.open_loop ? intended : send_time;
 
         Sink* sink = &sinks[(t + i) % kSinks];
-        outstanding.fetch_add(1, std::memory_order_relaxed);
-
-        if (options.open_loop) {
-          const TaskKind task = request.task;
-          std::vector<ServiceRequest> batch{request};
-          submit(std::move(batch),
-                 [sink, task, measure_from, &outstanding, &done_mu, &done_cv](
-                     size_t, ServiceResponse response) {
-                   RecordCompletion(
-                       sink, task, response,
-                       MicrosBetween(measure_from, ServeClock::now()));
-                   if (outstanding.fetch_sub(1, std::memory_order_acq_rel) ==
-                       1) {
-                     std::lock_guard<std::mutex> lock(done_mu);
-                     done_cv.notify_all();
-                   }
-                 });
-        } else {
-          // Closed loop: park this generator thread until the response
-          // lands, so a slow response delays every later arrival this
-          // thread owns — exactly the coordinated omission being modeled.
-          std::mutex mu;
-          std::condition_variable cv;
-          bool done = false;
-          std::vector<ServiceRequest> batch{request};
-          submit(std::move(batch),
-                 [&, task = request.task](size_t, ServiceResponse response) {
-                   RecordCompletion(
-                       sink, task, response,
-                       MicrosBetween(measure_from, ServeClock::now()));
-                   {
-                     std::lock_guard<std::mutex> lock(mu);
-                     done = true;
-                   }
-                   cv.notify_one();
-                   if (outstanding.fetch_sub(1, std::memory_order_acq_rel) ==
-                       1) {
-                     std::lock_guard<std::mutex> lock(done_mu);
-                     done_cv.notify_all();
-                   }
-                 });
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&done] { return done; });
-        }
+        in_flight.Add();
+        submit({request}, [sink, task = request.task, measure_from,
+                           &in_flight](size_t, ServiceResponse response) {
+          RecordCompletion(sink, task, response,
+                           MicrosBetween(measure_from, ServeClock::now()));
+          in_flight.Done();
+        });
+        // Closed loop: park this generator thread until the response
+        // lands, so a slow response delays every later arrival this thread
+        // owns — exactly the coordinated omission being modeled.
+        if (!options.open_loop) in_flight.WaitIdle();
         next_s += NextGap(options, thread_rate, next_s, &rng);
       }
+      in_flight.WaitIdle();
     });
   }
   for (auto& g : gens) g.join();
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&outstanding] {
-      return outstanding.load(std::memory_order_acquire) == 0;
-    });
-  }
   const auto t_end = ServeClock::now();
 
   LoadGenReport report;

@@ -18,9 +18,9 @@ enum class ArrivalProcess {
   /// Memoryless (exponential inter-arrival) — the standard model for
   /// independent user traffic.
   kPoisson,
-  /// Square-wave modulated Poisson: `burst_factor`× the base rate during
-  /// the on-half of each `burst_period_s`, throttled during the off-half
-  /// so the average stays `rate_qps`. Models flash-sale / diurnal spikes.
+  /// Square-wave modulated Poisson: 4× the base rate during the on-half of
+  /// each 0.25 s period, throttled to 5% during the off-half. Models
+  /// flash-sale / diurnal spikes.
   kBurst,
 };
 
@@ -53,8 +53,6 @@ struct LoadGenOptions {
   /// top_k carried on kClassify requests.
   uint32_t top_k = 3;
   uint64_t seed = 42;
-  double burst_factor = 4.0;
-  double burst_period_s = 0.25;
   /// Open loop (default): arrivals fire at their scheduled instant no
   /// matter how slow responses are, and latency is measured from the
   /// *intended* send time — queueing delay the server causes is charged to
@@ -97,15 +95,16 @@ struct LoadGenReport {
 };
 
 /// Submission seam: the generator hands over single-request batches and a
-/// completion callback (index within the batch, response). Both the
-/// in-process KnowledgeServer (SubmitBatchAsync) and the socket NetClient
-/// (SubmitBatch futures drained by collector threads) fit behind it.
-using AsyncSubmitFn = std::function<void(
-    std::vector<ServiceRequest>,
-    std::function<void(size_t, ServiceResponse)>)>;
+/// completion callback (index within the batch, response). It binds
+/// straight to either SubmitBatchAsync: the in-process KnowledgeServer's,
+/// whose callbacks run on its workers, or the socket NetClient's, whose
+/// callbacks run on the connection reader threads as replies arrive.
+using AsyncSubmitFn =
+    std::function<void(std::vector<ServiceRequest>, BatchCallback)>;
 
 /// Drives `submit` with the configured traffic and blocks until every
-/// response has arrived. Deterministic request stream for a given
+/// response has arrived; a callback may run on any thread, and each must run
+/// exactly once. Deterministic request stream for a given
 /// (seed, threads, options); actual timing is as close to the schedule as
 /// the host allows.
 LoadGenReport RunLoadGen(const LoadGenOptions& options,

@@ -2,7 +2,9 @@
 #define PKGM_SERVE_REQUEST_H_
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/service.h"
@@ -90,7 +92,8 @@ struct ServiceRequest {
   ServeClock::time_point deadline = ServeClock::time_point::max();
 };
 
-/// Result delivered through the future obtained at submit time.
+/// Result delivered through the future or the callback given at submit
+/// time.
 struct ServiceResponse {
   ResponseCode code = ResponseCode::kOk;
   /// kLookup only. Sequence form: 2k (kAll) or k vectors of dim d, triple
@@ -110,6 +113,11 @@ struct ServiceResponse {
   double queue_micros = 0.0;
   double compute_micros = 0.0;
 };
+
+/// Completion callback of an asynchronous batch submit (KnowledgeServer's
+/// and NetClient's SubmitBatchAsync): invoked exactly once per request with
+/// its index in the submitted batch.
+using BatchCallback = std::function<void(size_t, ServiceResponse)>;
 
 }  // namespace pkgm::serve
 

@@ -20,9 +20,10 @@ struct StoreWriterOptions {
 };
 
 /// Exports any EmbeddingSource — a freshly trained PkgmModel or an already
-/// open MmapEmbeddingStore (which is how `pkgm_tool quantize-store`
-/// re-encodes fp32 -> int8) — into the versioned .pkgs store format. An
-/// fp32 export is also the training checkpoint (store::LoadModel).
+/// open MmapEmbeddingStore (which is how `pkgm_tool export-store` re-encodes
+/// a store at another dtype or generation, fp32 -> int8 included) — into
+/// the versioned .pkgs store format. An fp32 export is also the training
+/// checkpoint (store::LoadModel).
 ///
 /// The tables stream out section by section (one row materialized at a
 /// time) through util's SectionWriter, so exporting never needs a second

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pkgm_model.h"
@@ -1191,6 +1192,228 @@ TEST(NetClientTest, GarbledServingReplyFailsItsBatchAndReconnects) {
     }
     EXPECT_EQ(net.net_counters().connections_accepted, 2u);
     EXPECT_EQ(client.value()->network_errors(), batch.size());
+
+    client.value().reset();
+    net.Stop();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SubmitBatchAsync (the callback path the future-returning calls wrap)
+// ---------------------------------------------------------------------------
+
+// Parks the first kServiceRequests frame's respond and answers every later
+// frame at once, one kOk entry per request; Release() answers the parked
+// frame and Abandon() drops it.
+class ParkFirstServingHandler : public FrameHandler {
+ public:
+  Result HandleFrame(const Frame& frame, Respond respond) override {
+    std::vector<ServiceRequest> requests;
+    if (frame.type != FrameType::kServiceRequests ||
+        !DecodeServiceRequests(frame.payload, ServeClock::now(), &requests)
+             .ok()) {
+      return Result::kRefused;
+    }
+    std::string reply = EncodeServiceReplies(
+        frame.correlation_id, std::vector<ServiceResponse>(requests.size()));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (frames_++ == 0) {
+        parked_ = std::move(respond);
+        parked_reply_ = std::move(reply);
+        return Result::kTaken;
+      }
+    }
+    respond(std::move(reply));
+    return Result::kTaken;
+  }
+
+  bool parked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return parked_ != nullptr;
+  }
+
+  void Release() {
+    Respond respond;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      respond.swap(parked_);
+    }
+    respond(std::move(parked_reply_));
+  }
+
+  /// Drops the parked respond without invoking it; must run before the
+  /// server stops.
+  void Abandon() {
+    std::lock_guard<std::mutex> lock(mu_);
+    parked_ = nullptr;
+  }
+
+ private:
+  std::mutex mu_;
+  int frames_ = 0;
+  Respond parked_;
+  std::string parked_reply_;
+};
+
+std::vector<ServiceRequest> Lookups(size_t n) {
+  std::vector<ServiceRequest> batch;
+  for (size_t i = 0; i < n; ++i) {
+    batch.push_back(MakeTask(TaskKind::kLookup, static_cast<uint32_t>(i)));
+  }
+  return batch;
+}
+
+TEST(NetClientTest, SubmitBatchAsyncCompletesOutOfOrderOnTheReaderThread) {
+  ParkFirstServingHandler handler;
+  NetServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+  NetClientOptions copt;
+  copt.num_connections = 1;
+  auto client = NetClient::Connect("127.0.0.1", server.port(), copt);
+  ASSERT_TRUE(client.ok());
+
+  const std::thread::id test_thread = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<int, size_t>> order;  // (batch, index)
+  auto record = [&](int batch) {
+    return [&, batch](size_t index, ServiceResponse response) {
+      EXPECT_EQ(response.code, ResponseCode::kOk);
+      EXPECT_NE(std::this_thread::get_id(), test_thread);
+      std::lock_guard<std::mutex> lock(mu);
+      order.emplace_back(batch, index);
+    };
+  };
+  auto completed = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return order.size();
+  };
+
+  client.value()->SubmitBatchAsync(Lookups(2), record(0));
+  ASSERT_TRUE(WaitFor([&] { return handler.parked(); }));
+  // The second batch shares the connection and is answered first.
+  client.value()->SubmitBatchAsync(Lookups(3), record(1));
+  ASSERT_TRUE(WaitFor([&] { return completed() == 3; }));
+  handler.Release();
+  ASSERT_TRUE(WaitFor([&] { return completed() == 5; }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(order, (std::vector<std::pair<int, size_t>>{
+                         {1, 0}, {1, 1}, {1, 2}, {0, 0}, {0, 1}}));
+  }
+  EXPECT_EQ(client.value()->network_errors(), 0u);
+
+  client.value().reset();
+  server.Stop();
+}
+
+TEST(NetClientTest, SubmitBatchAsyncFailsEachRequestOnceWhenTheConnectionDies) {
+  ParkFirstServingHandler handler;
+  auto server = std::make_unique<NetServer>(&handler);
+  ASSERT_TRUE(server->Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+
+  constexpr size_t kBatch = 4;
+  std::atomic<int> calls[kBatch] = {};
+  std::atomic<int> lost{0};
+  client.value()->SubmitBatchAsync(
+      Lookups(kBatch), [&](size_t index, ServiceResponse response) {
+        ASSERT_LT(index, kBatch);
+        calls[index].fetch_add(1);
+        if (response.code == ResponseCode::kNetworkError) lost.fetch_add(1);
+      });
+  ASSERT_TRUE(WaitFor([&] { return handler.parked(); }));
+  handler.Abandon();
+  server->Stop();
+  server.reset();
+
+  ASSERT_TRUE(WaitFor([&] { return lost.load() == int{kBatch}; }));
+  for (size_t i = 0; i < kBatch; ++i) EXPECT_EQ(calls[i].load(), 1) << i;
+  EXPECT_EQ(client.value()->network_errors(), kBatch);
+  client.value().reset();
+  for (size_t i = 0; i < kBatch; ++i) EXPECT_EQ(calls[i].load(), 1) << i;
+}
+
+TEST(NetClientTest, SubmitBatchAsyncFailsOnTheSubmittingThreadWithoutAServer) {
+  Fixture fx;
+  KnowledgeServer knowledge(fx.provider.get());
+  knowledge.Start();
+  ServingHandler serving(&knowledge);
+  auto server = std::make_unique<NetServer>(&serving);
+  ASSERT_TRUE(server->Start().ok());
+  NetClientOptions copt;
+  copt.num_connections = 1;
+  auto client = NetClient::Connect("127.0.0.1", server->port(), copt);
+  ASSERT_TRUE(client.ok());
+  server->Stop();
+  server.reset();
+  // Once this fails, the client has closed its socket: the next frame
+  // finds none to send on.
+  ASSERT_EQ(client.value()
+                ->Submit(MakeRequest(1, ServiceForm::kCondensed))
+                .get()
+                .code,
+            ResponseCode::kNetworkError);
+  const uint64_t errors_before = client.value()->network_errors();
+
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::vector<int> calls(3, 0);
+  std::vector<int> nested_calls(2, 0);
+  client.value()->SubmitBatchAsync(
+      Lookups(3), [&](size_t index, ServiceResponse response) {
+        EXPECT_EQ(std::this_thread::get_id(), submitter);
+        EXPECT_EQ(response.code, ResponseCode::kNetworkError);
+        ++calls[index];
+        if (index != 0) return;
+        // Submitting again from the callback, on the same connection, must
+        // not deadlock on the connection mutex.
+        client.value()->SubmitBatchAsync(
+            Lookups(2), [&](size_t nested, ServiceResponse again) {
+              EXPECT_EQ(std::this_thread::get_id(), submitter);
+              EXPECT_EQ(again.code, ResponseCode::kNetworkError);
+              ++nested_calls[nested];
+            });
+      });
+  // Every callback ran before SubmitBatchAsync returned.
+  EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(nested_calls, (std::vector<int>{1, 1}));
+  EXPECT_EQ(client.value()->network_errors(), errors_before + 5);
+
+  client.value().reset();
+  knowledge.Stop();
+}
+
+TEST(NetClientTest, GarbledServingReplyFailsItsAsyncBatchAndEndsTheStream) {
+  for (GarblingServingHandler::Garble garble :
+       {+[](uint64_t cid, size_t n) {
+          return EncodeServiceReplies(cid,
+                                      std::vector<ServiceResponse>(n - 1));
+        },
+        +[](uint64_t cid, size_t) { return EncodePushAck(cid, 1); }}) {
+    GarblingServingHandler handler(garble);
+    NetServer net(&handler);
+    ASSERT_TRUE(net.Start().ok());
+    NetClientOptions copt;
+    copt.num_connections = 1;
+    auto client = NetClient::Connect("127.0.0.1", net.port(), copt);
+    ASSERT_TRUE(client.ok());
+
+    constexpr size_t kBatch = 4;
+    std::atomic<int> calls[kBatch] = {};
+    std::atomic<int> lost{0};
+    client.value()->SubmitBatchAsync(
+        Lookups(kBatch), [&](size_t index, ServiceResponse response) {
+          ASSERT_LT(index, kBatch);
+          calls[index].fetch_add(1);
+          if (response.code == ResponseCode::kNetworkError) lost.fetch_add(1);
+        });
+    ASSERT_TRUE(WaitFor([&] { return lost.load() == int{kBatch}; }));
+    EXPECT_EQ(client.value()->network_errors(), kBatch);
+    // The client closed the stream.
+    ASSERT_TRUE(
+        WaitFor([&] { return net.net_counters().connections_closed == 1; }));
+    for (size_t i = 0; i < kBatch; ++i) EXPECT_EQ(calls[i].load(), 1) << i;
 
     client.value().reset();
     net.Stop();

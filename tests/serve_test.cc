@@ -16,6 +16,7 @@
 #include "core/service.h"
 #include "serve/bounded_queue.h"
 #include "serve/knowledge_server.h"
+#include "serve/load_gen.h"
 #include "serve/request.h"
 #include "serve/vector_cache.h"
 #include "store/model_registry.h"
@@ -829,6 +830,86 @@ TEST(KnowledgeServerTest, StatsJsonSchemaKeepsOldKeysAndAddsTail) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
   }
   EXPECT_NE(json.find("\"quota_rejected\":2"), std::string::npos) << json;
+}
+
+// ------------------------------------------------------------ RunLoadGen --
+
+// Runs `options` against an in-process server with every task kind in the
+// mix, counting each request's completions. No executor is attached, so
+// lookups come back kOk and the inference kinds kRejected; the queue holds
+// the whole run, so admission sheds nothing however slow the host.
+void ExpectEveryRequestCompletesOnce(LoadGenOptions options) {
+  Fixture fx;
+  KnowledgeServerOptions sopt;
+  sopt.num_workers = 2;
+  sopt.queue_capacity = options.total_requests;
+  KnowledgeServer server(fx.provider.get(), sopt);
+  server.Start();
+
+  options.num_items = fx.provider->num_items();
+  options.mix[0] = 0.4;
+  options.mix[1] = 0.2;
+  options.mix[2] = 0.2;
+  options.mix[3] = 0.2;
+  std::vector<std::atomic<int>> calls(options.total_requests);
+  std::atomic<size_t> submitted{0};
+  const LoadGenReport report = RunLoadGen(
+      options, [&](std::vector<ServiceRequest> batch, BatchCallback done) {
+        const size_t slot = submitted.fetch_add(1);
+        ASSERT_LT(slot, calls.size());
+        ASSERT_EQ(batch.size(), 1u);
+        server.SubmitBatchAsync(
+            std::move(batch), [&calls, slot, done = std::move(done)](
+                                  size_t index, ServiceResponse response) {
+              calls[slot].fetch_add(1);
+              done(index, std::move(response));
+            });
+      });
+  server.Stop();
+
+  ASSERT_EQ(submitted.load(), options.total_requests);
+  for (size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "request " << i;
+  }
+  EXPECT_EQ(report.submitted, options.total_requests);
+  EXPECT_EQ(report.completed, report.submitted);
+  EXPECT_EQ(report.ok + report.rejected + report.quota_rejected +
+                report.deadline_exceeded + report.invalid_item +
+                report.network_error,
+            report.completed);
+  uint64_t task_completed = 0;
+  uint64_t task_ok = 0;
+  for (uint8_t k = 0; k <= kMaxTaskKind; ++k) {
+    EXPECT_GT(report.task_completed[k], 0u) << TaskKindName(TaskKind{k});
+    EXPECT_EQ(report.task_latency_us[k].count(), report.task_completed[k]);
+    task_completed += report.task_completed[k];
+    task_ok += report.task_ok[k];
+  }
+  EXPECT_EQ(task_completed, report.completed);
+  EXPECT_EQ(task_ok, report.ok);
+  const uint64_t lookups = report.task_completed[0];
+  EXPECT_EQ(report.ok, lookups);
+  EXPECT_EQ(report.rejected, report.completed - lookups);
+}
+
+TEST(LoadGenTest, OpenLoopCompletesEveryRequestOnce) {
+  LoadGenOptions options;
+  options.rate_qps = 100000.0;
+  options.total_requests = 3000;
+  options.threads = 3;
+  ExpectEveryRequestCompletesOnce(options);
+}
+
+TEST(LoadGenTest, ClosedLoopCompletesEveryRequestOnce) {
+  // Each generator thread parks until its request completes on a server
+  // worker; the completion must not touch the thread's wait state once the
+  // thread can see it done.
+  LoadGenOptions options;
+  options.rate_qps = 100000.0;
+  options.total_requests = 3000;
+  options.threads = 3;
+  options.open_loop = false;
+  ExpectEveryRequestCompletesOnce(options);
 }
 
 }  // namespace

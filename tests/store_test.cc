@@ -266,7 +266,8 @@ TEST(Int8Quantization, StoreDequantizesWithinBoundAndHighCosine) {
 }
 
 TEST(Int8Quantization, QuantizeStoreRecodesAnOpenFp32Store) {
-  // The pkgm_tool quantize-store path: fp32 .pkgs -> mmap -> int8 .pkgs.
+  // The pkgm_tool export-store ... int8 path: fp32 .pkgs -> mmap -> int8
+  // .pkgs.
   core::PkgmModel model(SmallOptions());
   const std::string fp32_path = TempStorePath("recode_fp32.pkgs");
   const std::string int8_path = TempStorePath("recode_int8.pkgs");

@@ -59,11 +59,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -328,66 +326,6 @@ uint64_t JsonU64Field(const std::string& json, const char* key) {
   return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
 }
 
-/// Adapts the future-returning NetClient::SubmitBatch to the load
-/// generator's callback seam: a collector thread drains futures in submit
-/// order (per-connection responses are FIFO anyway) and fires the
-/// completion callbacks, so no generator thread ever parks on a future.
-class FutureDrain {
- public:
-  explicit FutureDrain(net::NetClient* client)
-      : client_(client), worker_([this] { Loop(); }) {}
-
-  ~FutureDrain() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-
-  void Submit(std::vector<serve::ServiceRequest> requests,
-              std::function<void(size_t, serve::ServiceResponse)> done) {
-    Item item;
-    item.futures = client_->SubmitBatch(std::move(requests));
-    item.done = std::move(done);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-  }
-
- private:
-  struct Item {
-    std::vector<std::future<serve::ServiceResponse>> futures;
-    std::function<void(size_t, serve::ServiceResponse)> done;
-  };
-
-  void Loop() {
-    for (;;) {
-      Item item;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // closed and drained
-        item = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      for (size_t i = 0; i < item.futures.size(); ++i) {
-        item.done(i, item.futures[i].get());
-      }
-    }
-  }
-
-  net::NetClient* client_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Item> queue_;
-  bool closed_ = false;
-  std::thread worker_;
-};
-
 int Run(const ServeFlags& flags) {
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
@@ -578,24 +516,13 @@ int Run(const ServeFlags& flags) {
       lopt.top_k = flags.top_k;
     }
 
-    serve::AsyncSubmitFn async_submit;
-    std::unique_ptr<FutureDrain> drain;
-    if (client != nullptr) {
-      drain = std::make_unique<FutureDrain>(client.get());
-      async_submit =
-          [&drain](std::vector<serve::ServiceRequest> requests,
-                   std::function<void(size_t, serve::ServiceResponse)> done) {
-            drain->Submit(std::move(requests), std::move(done));
-          };
-    } else {
-      async_submit =
-          [&server](std::vector<serve::ServiceRequest> requests,
-                    std::function<void(size_t, serve::ServiceResponse)> done) {
-            server->SubmitBatchAsync(std::move(requests), std::move(done));
-          };
-    }
-    serve::LoadGenReport lg = serve::RunLoadGen(lopt, async_submit);
-    drain.reset();
+    serve::LoadGenReport lg = serve::RunLoadGen(
+        lopt,
+        client != nullptr
+            ? serve::AsyncSubmitFn(std::bind_front(
+                  &net::NetClient::SubmitBatchAsync, client.get()))
+            : serve::AsyncSubmitFn(std::bind_front(
+                  &serve::KnowledgeServer::SubmitBatchAsync, server.get())));
     sent = lg.submitted;
     ok = lg.ok;
     rejected = lg.rejected;

@@ -32,8 +32,6 @@
 //                                               dtype or generation
 //   pkgm_tool inspect-store <store.pkgs>        dump META and the section
 //                                               table, verify every CRC32C
-//   pkgm_tool quantize-store <in.pkgs> <out.pkgs>
-//                                               re-encode an fp32 store int8
 //   pkgm_tool build-kg-index <kg.tsv> <out.pkgt>
 //                                               sort a TSV KG into the
 //                                               mmap-servable .pkgt triple
@@ -115,7 +113,6 @@ int Usage() {
                "  pkgm_tool export-store <model.pkgs> <out.pkgs> [fp32|int8] "
                "[generation]\n"
                "  pkgm_tool inspect-store <store.pkgs>\n"
-               "  pkgm_tool quantize-store <in.pkgs> <out.pkgs>\n"
                "  pkgm_tool build-kg-index <kg.tsv> <out.pkgt>\n"
                "  pkgm_tool inspect-kg-index <index.pkgt>\n"
                "  pkgm_tool bench-kernels [dim]\n"
@@ -617,39 +614,6 @@ int CmdInspectStore(int argc, char** argv) {
   return PrintSections(st.file()).ok() ? 0 : 1;
 }
 
-int CmdQuantizeStore(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  auto opened = store::MmapEmbeddingStore::Open(argv[0]);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-    return 1;
-  }
-  if (opened->dtype() == store::StoreDtype::kInt8) {
-    std::fprintf(stderr, "%s is already int8\n", argv[0]);
-    return 1;
-  }
-  store::StoreWriterOptions wopt;
-  wopt.dtype = store::StoreDtype::kInt8;
-  wopt.generation = opened->generation();
-  Status s = store::EmbeddingStoreWriter(wopt).Write(opened.value(), argv[1]);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  auto out = store::MmapEmbeddingStore::Open(argv[1]);
-  if (!out.ok()) {
-    std::fprintf(stderr, "quantize self-check failed: %s\n",
-                 out.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("quantized %s (%llu bytes) -> %s (%llu bytes, %.1f%%)\n",
-              argv[0], static_cast<unsigned long long>(opened->file_size()),
-              argv[1], static_cast<unsigned long long>(out->file_size()),
-              100.0 * static_cast<double>(out->file_size()) /
-                  static_cast<double>(opened->file_size()));
-  return 0;
-}
-
 int CmdBuildKgIndex(int argc, char** argv) {
   if (argc < 2) return Usage();
   kg::Vocab entities, relations;
@@ -875,9 +839,6 @@ int main(int argc, char** argv) {
   }
   if (std::strcmp(cmd, "inspect-store") == 0) {
     return pkgm::CmdInspectStore(argc - 2, argv + 2);
-  }
-  if (std::strcmp(cmd, "quantize-store") == 0) {
-    return pkgm::CmdQuantizeStore(argc - 2, argv + 2);
   }
   if (std::strcmp(cmd, "build-kg-index") == 0) {
     return pkgm::CmdBuildKgIndex(argc - 2, argv + 2);
