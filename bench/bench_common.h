@@ -1,6 +1,7 @@
 #ifndef PKGM_BENCH_BENCH_COMMON_H_
 #define PKGM_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -41,6 +42,19 @@ inline tasks::PipelineOptions BenchPipelineOptions() {
 /// Title generator with the library defaults (noisy seller titles).
 inline text::TitleGeneratorOptions BenchTitleOptions() {
   return text::TitleGeneratorOptions{};
+}
+
+/// VmRSS from /proc/self/status, in bytes (0 if unavailable).
+inline uint64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %llu kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<uint64_t>(kb) * 1024;
 }
 
 /// Prints a section header so bench output is navigable.

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "kg/mmap_triple_index.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_index_writer.h"
@@ -48,22 +49,6 @@ BenchConfig SmokeConfig() {
   c.items_per_category = 150;
   c.point_lookups = 20000;
   return c;
-}
-
-/// VmRSS from /proc/self/status, in bytes (0 if unavailable).
-uint64_t ResidentBytes() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %llu kB",
-                    reinterpret_cast<unsigned long long*>(&kb)) == 1) {
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb * 1024;
 }
 
 struct BackendResult {
@@ -151,10 +136,10 @@ int Run(bool smoke, const std::string& json_path) {
   // store builds inside recycled pages and its growth is invisible to RSS.
   {
     ::malloc_trim(0);
-    const uint64_t rss0 = ResidentBytes();
+    const uint64_t rss0 = bench::ResidentBytes();
     kg::TripleStore store;
     for (const kg::Triple& t : triples) store.Add(t);
-    mem.rss_delta = ResidentBytes() - rss0;
+    mem.rss_delta = bench::ResidentBytes() - rss0;
     mem_sink = DrivePointLookups(store, probes, &mem);
 
     auto stats = kg::TripleIndexWriter().Write(store, index_path);
@@ -165,13 +150,13 @@ int Run(bool smoke, const std::string& json_path) {
   // Phase 2: mmap index. The rss baseline is read before Open() because
   // the checksum pass at open already faults every page of the mapping in.
   ::malloc_trim(0);
-  const uint64_t idx_rss0 = ResidentBytes();
+  const uint64_t idx_rss0 = bench::ResidentBytes();
   Stopwatch open_sw;
   auto opened = kg::MmapTripleIndex::Open(index_path);
   const double open_ms = open_sw.ElapsedMillis();
   PKGM_CHECK(opened.ok()) << opened.status().message();
   const kg::MmapTripleIndex& index = opened.value();
-  idx.rss_delta = ResidentBytes() - idx_rss0;
+  idx.rss_delta = bench::ResidentBytes() - idx_rss0;
   idx_sink = DrivePointLookups(index, probes, &idx);
   PKGM_CHECK_EQ(mem_sink, idx_sink);  // identical answers along the way
 

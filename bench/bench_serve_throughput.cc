@@ -1,8 +1,9 @@
 // Online-serving throughput study for the serving subsystem (src/serve/):
-// how much does request batching amortize queue/wake-up overhead, how much
-// does the sharded condensed-vector cache buy on Zipf-skewed traffic, and
-// what does the TCP front end (src/net/) cost over loopback relative to
-// in-process submission?
+// how much does request batching amortize queue/wake-up overhead, and how
+// much does the sharded condensed-vector cache buy on Zipf-skewed traffic?
+// Each server row is serve::RunLoadGen's unpaced closed loop from one
+// thread, in process. The socket path is measured by perfbench's
+// serve_mixed, bench_infer_serving and bench_tail_latency's net leg.
 //
 //   bench_serve_throughput [--smoke] [--json PATH]
 //
@@ -11,17 +12,13 @@
 
 #include <cstdio>
 #include <cstring>
-#include <future>
+#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "net/net_client.h"
-#include "net/net_server.h"
-#include "net/serving_handler.h"
 #include "serve/knowledge_server.h"
-#include "util/histogram.h"
+#include "serve/load_gen.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -33,44 +30,25 @@ namespace {
 
 constexpr double kZipfSkew = 1.1;
 
-struct DriveResult {
-  double rps = 0.0;
-  Histogram latency_us;  // client-observed per-request latency
-};
-
-/// Runs `requests` condensed kAll requests through `submit` in batches of
-/// `batch_size` (closed loop, one client); measures throughput and the
-/// client-side latency of every request.
-template <typename SubmitFn>
-DriveResult Drive(SubmitFn&& submit, uint32_t num_items, uint32_t batch_size,
-                  uint64_t seed, uint32_t requests) {
-  ZipfSampler zipf(num_items, kZipfSkew);
-  Rng rng(seed);
-  DriveResult result;
-  Stopwatch sw;
-  uint32_t sent = 0;
-  uint64_t sink = 0;
-  while (sent < requests) {
-    const uint32_t n = std::min(batch_size, requests - sent);
-    std::vector<serve::ServiceRequest> batch(n);
-    for (auto& request : batch) {
-      request.item = static_cast<uint32_t>(zipf.Sample(&rng));
-      request.mode = core::ServiceMode::kAll;
-      request.form = serve::ServiceForm::kCondensed;
-    }
-    const auto submit_time = serve::ServeClock::now();
-    auto futures = submit(std::move(batch));
-    for (auto& future : futures) {
-      sink += future.get().vectors.size();
-      result.latency_us.Record(std::chrono::duration<double, std::micro>(
-                                   serve::ServeClock::now() - submit_time)
-                                   .count());
-    }
-    sent += n;
-  }
-  result.rps = requests / sw.ElapsedSeconds();
-  PKGM_CHECK_EQ(sink, requests);  // every request answered with one vector
-  return result;
+/// Runs `requests` condensed kAll lookups through `server` in batches of
+/// `batch` from one unpaced closed-loop generator thread; every request
+/// must be answered.
+serve::LoadGenReport RunClosedLoop(serve::KnowledgeServer* server,
+                                   uint32_t num_items, uint32_t batch,
+                                   uint64_t seed, uint32_t requests) {
+  serve::LoadGenOptions lopt;
+  lopt.rate_qps = 0.0;
+  lopt.open_loop = false;
+  lopt.total_requests = requests;
+  lopt.threads = 1;
+  lopt.batch = batch;
+  lopt.zipf_s = kZipfSkew;
+  lopt.num_items = num_items;
+  lopt.seed = seed;
+  const serve::LoadGenReport report = serve::RunLoadGen(
+      lopt, std::bind_front(&serve::KnowledgeServer::SubmitBatchAsync, server));
+  PKGM_CHECK_EQ(report.ok, requests);
+  return report;
 }
 
 struct JsonRow {
@@ -82,7 +60,7 @@ struct JsonRow {
 };
 
 void Run(uint32_t requests, const std::string& json_path) {
-  bench::PrintHeader("Serving throughput: batching, cache, and the TCP front end");
+  bench::PrintHeader("Serving throughput: batching and the cache");
 
   tasks::PipelineOptions opt = bench::BenchPipelineOptions();
   opt.pretrain_epochs = 5;  // serving throughput does not depend on quality
@@ -135,89 +113,25 @@ void Run(uint32_t requests, const std::string& json_path) {
     sopt.enable_cache = config.cache;
     serve::KnowledgeServer server(p.services.get(), sopt);
     server.Start();
-    auto submit = [&server](std::vector<serve::ServiceRequest> batch) {
-      return server.SubmitBatch(std::move(batch));
-    };
     if (config.cache) {
       // Warm pass so the steady-state (not cold-start) regime is measured.
-      Drive(submit, num_items, config.batch, /*seed=*/11, requests);
+      RunClosedLoop(&server, num_items, config.batch, /*seed=*/11, requests);
     }
-    const DriveResult r =
-        Drive(submit, num_items, config.batch, /*seed=*/13, requests);
+    const serve::LoadGenReport r =
+        RunClosedLoop(&server, num_items, config.batch, /*seed=*/13, requests);
     std::string hit_rate = "-";
     if (config.cache) {
       hit_rate = StrFormat("%.1f%%", 100.0 * server.cache()->Stats().HitRate());
-      if (config.batch == 32) cached_batched_rps = r.rps;
+      if (config.batch == 32) cached_batched_rps = r.achieved_qps;
     }
     server.Stop();
-    table.AddRow({config.name, StrFormat("%.0f", r.rps),
-                  StrFormat("%.2fx", r.rps / direct_rps), hit_rate});
-    json_rows.push_back({"in_process", config.name, r.rps,
+    table.AddRow({config.name, StrFormat("%.0f", r.achieved_qps),
+                  StrFormat("%.2fx", r.achieved_qps / direct_rps), hit_rate});
+    json_rows.push_back({"in_process", config.name, r.achieved_qps,
                          r.latency_us.Percentile(0.5),
                          r.latency_us.Percentile(0.99)});
   }
   std::printf("%s\n", table.ToString().c_str());
-
-  // ---- Loopback socket section: the same closed loop through NetServer +
-  // NetClient, so the delta against in-process submission is exactly the
-  // wire protocol + epoll round trip.
-  {
-    serve::KnowledgeServerOptions sopt;
-    sopt.num_workers = 2;
-    sopt.enable_cache = true;
-    serve::KnowledgeServer server(p.services.get(), sopt);
-    server.Start();
-    net::ServingHandler serving(&server);
-    net::NetServer net(&serving);
-    Status started = net.Start();
-    PKGM_CHECK(started.ok());
-    net::NetClientOptions copt;
-    copt.num_connections = 1;
-    auto client = net::NetClient::Connect("127.0.0.1", net.port(), copt);
-    PKGM_CHECK(client.ok());
-
-    TablePrinter socket_table({"config", "requests/s", "p50 us", "p99 us",
-                               "vs in-process"});
-    for (uint32_t batch : {1u, 32u}) {
-      auto in_process = [&server](std::vector<serve::ServiceRequest> b) {
-        return server.SubmitBatch(std::move(b));
-      };
-      auto over_socket = [&client](std::vector<serve::ServiceRequest> b) {
-        return client.value()->SubmitBatch(std::move(b));
-      };
-      Drive(in_process, num_items, batch, /*seed=*/11, requests);  // warm
-      const DriveResult local =
-          Drive(in_process, num_items, batch, /*seed=*/13, requests);
-      const DriveResult remote =
-          Drive(over_socket, num_items, batch, /*seed=*/13, requests);
-
-      socket_table.AddRow({StrFormat("in-process, cached, batch=%u", batch),
-                           StrFormat("%.0f", local.rps),
-                           StrFormat("%.1f", local.latency_us.Percentile(0.5)),
-                           StrFormat("%.1f", local.latency_us.Percentile(0.99)),
-                           "1.00x"});
-      socket_table.AddRow({StrFormat("loopback socket, cached, batch=%u",
-                                     batch),
-                           StrFormat("%.0f", remote.rps),
-                           StrFormat("%.1f", remote.latency_us.Percentile(0.5)),
-                           StrFormat("%.1f", remote.latency_us.Percentile(0.99)),
-                           StrFormat("%.2fx", remote.rps / local.rps)});
-      json_rows.push_back({"in_process_ref",
-                           StrFormat("cached, batch=%u", batch), local.rps,
-                           local.latency_us.Percentile(0.5),
-                           local.latency_us.Percentile(0.99)});
-      json_rows.push_back({"loopback", StrFormat("cached, batch=%u", batch),
-                           remote.rps, remote.latency_us.Percentile(0.5),
-                           remote.latency_us.Percentile(0.99)});
-    }
-    const uint64_t protocol_errors = net.net_counters().protocol_errors;
-    client.value().reset();
-    net.Stop();
-    server.Stop();
-    PKGM_CHECK_EQ(protocol_errors, 0u);  // a clean run is part of the bench
-    std::printf("loopback socket vs in-process (same server, same loop):\n%s\n",
-                socket_table.ToString().c_str());
-  }
 
   std::printf(
       "batching amortizes the queue handoff; the cache converts the Zipf\n"

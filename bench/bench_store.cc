@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/pkgm_model.h"
 #include "core/service.h"
 #include "store/embedding_store_writer.h"
@@ -52,22 +53,6 @@ BenchConfig SmokeConfig() {
   c.num_items = 400;
   c.requests = 4000;
   return c;
-}
-
-/// VmRSS from /proc/self/status, in bytes (0 if unavailable).
-uint64_t ResidentBytes() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %llu kB",
-                    reinterpret_cast<unsigned long long*>(&kb)) == 1) {
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb * 1024;
 }
 
 struct ItemMap {
@@ -174,14 +159,14 @@ int Run(bool smoke, const std::string& json_path) {
   // Phase 1: heap model — measure, drive, export both stores, then free it
   // so the mmap backends are measured without the heap tables resident.
   {
-    const uint64_t rss0 = ResidentBytes();
+    const uint64_t rss0 = bench::ResidentBytes();
     core::PkgmModelOptions mopt;
     mopt.num_entities = c.num_entities;
     mopt.num_relations = c.num_relations;
     mopt.dim = c.dim;
     mopt.seed = 2021;
     core::PkgmModel model(mopt);
-    heap.rss_delta = ResidentBytes() - rss0;
+    heap.rss_delta = bench::ResidentBytes() - rss0;
     const uint64_t d = c.dim;
     heap.table_bytes =
         (static_cast<uint64_t>(c.num_entities) * d +
@@ -200,28 +185,28 @@ int Run(bool smoke, const std::string& json_path) {
 
   // Phase 2: fp32 mmap. The rss baseline is read before Open() because the
   // checksum pass at open already faults every page of the mapping in.
-  const uint64_t fp32_rss0 = ResidentBytes();
+  const uint64_t fp32_rss0 = bench::ResidentBytes();
   Stopwatch open_sw;
   auto fp32_store = store::MmapEmbeddingStore::Open(fp32_path);
   const double fp32_open_ms = open_sw.ElapsedMillis();
   PKGM_CHECK(fp32_store.ok()) << fp32_store.status().message();
   {
     SweepStore(*fp32_store);
-    fp32.rss_delta = ResidentBytes() - fp32_rss0;
+    fp32.rss_delta = bench::ResidentBytes() - fp32_rss0;
     fp32.table_bytes = fp32_store->file_size();
     core::ServiceVectorProvider provider(&*fp32_store, map.items, map.keys);
     DriveProvider(provider, c, &fp32);
   }
 
   // Phase 3: int8 mmap.
-  const uint64_t int8_rss0 = ResidentBytes();
+  const uint64_t int8_rss0 = bench::ResidentBytes();
   open_sw.Reset();
   auto int8_store = store::MmapEmbeddingStore::Open(int8_path);
   const double int8_open_ms = open_sw.ElapsedMillis();
   PKGM_CHECK(int8_store.ok()) << int8_store.status().message();
   {
     SweepStore(*int8_store);
-    int8.rss_delta = ResidentBytes() - int8_rss0;
+    int8.rss_delta = bench::ResidentBytes() - int8_rss0;
     int8.table_bytes = int8_store->file_size();
     core::ServiceVectorProvider provider(&*int8_store, map.items, map.keys);
     DriveProvider(provider, c, &int8);

@@ -125,30 +125,16 @@ double MeasureCapacity(const core::ServiceVectorProvider* provider,
   serve::KnowledgeServer server(provider, sopt);
   server.Start();
 
-  constexpr uint32_t kThreads = 4;
-  const uint32_t per_thread = requests / kThreads;
-  Stopwatch sw;
-  std::vector<std::thread> drivers;
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    drivers.emplace_back([&server, provider, per_thread, t] {
-      ZipfSampler zipf(provider->num_items(), 0.99);
-      Rng rng(100 + t);
-      uint32_t sent = 0;
-      while (sent < per_thread) {
-        const uint32_t n = std::min(32u, per_thread - sent);
-        std::vector<serve::ServiceRequest> batch(n);
-        for (auto& request : batch) {
-          request.item = static_cast<uint32_t>(zipf.Sample(&rng));
-        }
-        for (auto& future : server.SubmitBatch(std::move(batch))) {
-          future.get();
-        }
-        sent += n;
-      }
-    });
-  }
-  for (auto& d : drivers) d.join();
-  const double capacity = (per_thread * kThreads) / sw.ElapsedSeconds();
+  serve::LoadGenOptions lopt;
+  lopt.rate_qps = 0.0;
+  lopt.open_loop = false;
+  lopt.total_requests = requests;
+  lopt.threads = 4;
+  lopt.batch = 32;
+  lopt.num_items = provider->num_items();
+  lopt.seed = 100;
+  const double capacity =
+      serve::RunLoadGen(lopt, InProcess(&server)).achieved_qps;
   server.Stop();
   return capacity;
 }

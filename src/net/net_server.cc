@@ -537,7 +537,7 @@ void NetServer::IoLoop(size_t thread_index) {
     if (draining && !drain_seen) {
       drain_seen = true;
       drain_deadline =
-          Clock::now() + std::chrono::milliseconds(options_.drain_timeout_ms);
+          Clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
       if (thread_index == 0 && listener_.valid()) {
         ::epoll_ctl(io.epoll_fd.get(), EPOLL_CTL_DEL, listener_.get(),
                     nullptr);

@@ -15,6 +15,10 @@
 
 namespace pkgm::net {
 
+/// Stop(): how long the graceful drain may take before remaining
+/// connections are force-closed.
+inline constexpr int kDrainTimeoutMs = 5000;
+
 struct NetServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back with port().
@@ -34,9 +38,6 @@ struct NetServerOptions {
   /// SO_REUSEPORT on the listener, so multiple server processes can share
   /// a port for kernel-level load spreading.
   bool reuseport = false;
-  /// Stop(): how long the graceful drain may take before remaining
-  /// connections are force-closed.
-  int drain_timeout_ms = 5000;
   /// Kernel send-buffer size for accepted sockets; 0 keeps the default
   /// (tests shrink it to exercise the outbox bound deterministically).
   int so_sndbuf_bytes = 0;

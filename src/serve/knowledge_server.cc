@@ -100,23 +100,15 @@ std::future<ServiceResponse> KnowledgeServer::Submit(ServiceRequest request) {
 
 std::vector<std::future<ServiceResponse>> KnowledgeServer::SubmitBatch(
     std::vector<ServiceRequest> requests) {
-  const auto now = ServeClock::now();
-  Batch batch;
-  batch.reserve(requests.size());
+  auto promises = std::make_shared<std::vector<std::promise<ServiceResponse>>>(
+      requests.size());
   std::vector<std::future<ServiceResponse>> futures;
-  futures.reserve(requests.size());
-  for (ServiceRequest& request : requests) {
-    PendingRequest pending;
-    pending.request = request;
-    pending.enqueue_time = now;
-    auto promise = std::make_shared<std::promise<ServiceResponse>>();
-    futures.push_back(promise->get_future());
-    pending.done = [promise](ServiceResponse response) {
-      promise->set_value(std::move(response));
-    };
-    batch.push_back(std::move(pending));
-  }
-  Enqueue(std::move(batch));
+  futures.reserve(promises->size());
+  for (auto& promise : *promises) futures.push_back(promise.get_future());
+  SubmitBatchAsync(std::move(requests),
+                   [promises](size_t index, ServiceResponse response) {
+                     (*promises)[index].set_value(std::move(response));
+                   });
   return futures;
 }
 

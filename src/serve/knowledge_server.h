@@ -51,7 +51,7 @@ struct KnowledgeServerOptions {
 /// back service vectors, never triples.
 ///
 /// Request lifecycle:
-///   Submit/SubmitBatch  → admission control against a bounded MPMC queue
+///   SubmitBatchAsync    → admission control against a bounded MPMC queue
 ///                         (full ⇒ every request in the batch resolves
 ///                         immediately with kRejected)
 ///   worker Pop          → per-request deadline check (expired ⇒
@@ -60,8 +60,8 @@ struct KnowledgeServerOptions {
 ///                         cache; misses compute via ServiceVectorProvider
 ///                         and populate it; sequence requests always
 ///                         compute
-///   promise.set_value   → the future returned at submit time becomes
-///                         ready
+///   done(index, resp)   → the callback given at submit time runs (Submit
+///                         and SubmitBatch wrap it in promises)
 ///
 /// Thread-safe: any number of client threads may submit concurrently with
 /// the worker pool draining.
@@ -113,19 +113,19 @@ class KnowledgeServer {
   /// worker completes the request.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
-  /// Enqueues `requests` as one unit of work (one queue slot, executed
-  /// back-to-back by one worker — the batching that amortizes queue and
-  /// wake-up overhead). All-or-nothing admission.
+  /// SubmitBatchAsync with one promise per request.
   std::vector<std::future<ServiceResponse>> SubmitBatch(
       std::vector<ServiceRequest> requests);
 
-  /// Future-free submission used by the epoll front end (src/net/): same
-  /// admission control and batching as SubmitBatch, but completion is
-  /// delivered through `done` instead of futures, so no thread ever parks
-  /// waiting for a response. `done` runs exactly once per request, on a
-  /// worker thread — or synchronously on the submitting thread when a
-  /// request is rejected at admission — so it must be fast and must not
-  /// block (the network front end posts the response to an event loop).
+  /// Enqueues `requests` as one unit of work (one queue slot, executed
+  /// back-to-back by one worker — the batching that amortizes queue and
+  /// wake-up overhead). All-or-nothing admission. Completion is delivered
+  /// through `done`, so no thread ever parks waiting for a response (the
+  /// epoll front end in src/net/ and serve::RunLoadGen submit this way).
+  /// `done` runs exactly once per request, on a worker thread — or
+  /// synchronously on the submitting thread when a request is rejected at
+  /// admission — so it must be fast and must not block (the network front
+  /// end posts the response to an event loop).
   void SubmitBatchAsync(std::vector<ServiceRequest> requests,
                         BatchCallback done);
 
@@ -160,8 +160,8 @@ class KnowledgeServer {
  private:
   struct PendingRequest {
     ServiceRequest request;
-    /// Completion sink; invoked exactly once. The future-returning submit
-    /// paths wrap a promise in here.
+    /// Completion sink; invoked exactly once. Calls the batch's
+    /// BatchCallback with this request's index.
     std::function<void(ServiceResponse)> done;
     ServeClock::time_point enqueue_time;
   };
@@ -179,7 +179,7 @@ class KnowledgeServer {
   /// server's own through `render`.
   std::string RenderStats(StatsRenderer render, const NetCounters* net) const;
 
-  /// Shared admission + enqueue path behind SubmitBatch/SubmitBatchAsync.
+  /// SubmitBatchAsync's quota shedding and queue admission.
   void Enqueue(Batch batch);
 
   void WorkerLoop();

@@ -53,9 +53,9 @@ constexpr double kBurstPeriodS = 0.25;
 /// running.
 class InFlight {
  public:
-  void Add() {
+  void Add(uint64_t n) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++count_;
+    count_ += n;
   }
   void Done() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -96,19 +96,19 @@ void RecordCompletion(Sink* sink, TaskKind task, const ServiceResponse& response
 }
 
 /// Draws the next inter-arrival gap (seconds) for one thread's slice of
-/// the process. Each of `threads` threads runs an independent process at
-/// rate/threads; superposed they form the configured offered load (exactly
-/// for uniform with per-thread phase offsets; by the superposition theorem
-/// for Poisson).
-double NextGap(const LoadGenOptions& options, double thread_rate,
+/// the process. Each of `threads` threads runs an independent process of
+/// batch arrivals at `batch_rate` = rate/(threads × batch); superposed they
+/// form the configured offered load (exactly for uniform with per-thread
+/// phase offsets; by the superposition theorem for Poisson).
+double NextGap(const LoadGenOptions& options, double batch_rate,
                double elapsed_s, Rng* rng) {
   switch (options.arrival) {
     case ArrivalProcess::kUniform:
-      return 1.0 / thread_rate;
+      return 1.0 / batch_rate;
     case ArrivalProcess::kPoisson: {
       double u = rng->UniformDouble();
       if (u < 1e-12) u = 1e-12;
-      return -std::log(u) / thread_rate;
+      return -std::log(u) / batch_rate;
     }
     case ArrivalProcess::kBurst: {
       // Square wave: rate × kBurstFactor during the on-half of the period,
@@ -120,10 +120,48 @@ double NextGap(const LoadGenOptions& options, double thread_rate,
           on ? kBurstFactor : std::max(0.05, 2.0 - kBurstFactor);
       double u = rng->UniformDouble();
       if (u < 1e-12) u = 1e-12;
-      return -std::log(u) / (thread_rate * factor);
+      return -std::log(u) / (batch_rate * factor);
     }
   }
-  return 1.0 / thread_rate;
+  return 1.0 / batch_rate;
+}
+
+/// Draws one request of `tenant`'s traffic: a Zipf item offset into the
+/// tenant's slice of the catalog (distinct per-tenant hot sets), a task
+/// kind from the cumulative mix, and that kind's operand.
+ServiceRequest DrawRequest(const LoadGenOptions& options,
+                           const ZipfSampler& zipf, const double* cum_mix,
+                           uint16_t tenant, Rng* rng) {
+  const uint64_t offset = static_cast<uint64_t>(tenant) *
+                          (options.num_items / options.num_tenants);
+  ServiceRequest request;
+  request.item =
+      static_cast<uint32_t>((zipf.Sample(rng) + offset) % options.num_items);
+  request.tenant = tenant;
+  const double kind_draw = rng->UniformDouble();
+  for (uint8_t k = 0; k <= kMaxTaskKind; ++k) {
+    if (kind_draw < cum_mix[k]) {
+      request.task = static_cast<TaskKind>(k);
+      break;
+    }
+  }
+  switch (request.task) {
+    case TaskKind::kLookup:
+      break;
+    case TaskKind::kRecommend:
+      request.user = static_cast<uint32_t>(
+          rng->Uniform(std::max<uint32_t>(1, options.num_users)));
+      break;
+    case TaskKind::kClassify:
+      request.top_k = options.top_k;
+      break;
+    case TaskKind::kAlign:
+      // Second item of the pair, drawn from the same skewed catalog.
+      request.item_b = static_cast<uint32_t>(
+          (zipf.Sample(rng) + offset) % options.num_items);
+      break;
+  }
+  return request;
 }
 
 }  // namespace
@@ -138,16 +176,22 @@ const char* ArrivalProcessName(ArrivalProcess arrival) {
 }
 
 LoadGenReport RunLoadGen(const LoadGenOptions& options,
-                         const AsyncSubmitFn& submit) {
-  PKGM_CHECK_GT(options.rate_qps, 0.0);
+                         const AsyncSubmitFn& submit,
+                         const std::atomic<bool>* stop) {
+  const bool paced = options.rate_qps > 0.0;
+  PKGM_CHECK_GE(options.rate_qps, 0.0);
+  PKGM_CHECK(paced || !options.open_loop)
+      << "an open loop needs rate_qps > 0";
   PKGM_CHECK_GT(options.total_requests, 0u);
   PKGM_CHECK_GE(options.threads, 1u);
+  PKGM_CHECK_GE(options.batch, 1u);
   PKGM_CHECK_GT(options.num_items, 0u);
   PKGM_CHECK_GE(options.num_tenants, 1u);
 
   const size_t threads =
       std::min<size_t>(options.threads, options.total_requests);
-  const double thread_rate = options.rate_qps / static_cast<double>(threads);
+  const double batch_rate = options.rate_qps /
+                            static_cast<double>(threads * options.batch);
   const ZipfSampler zipf(options.num_items, options.zipf_s);
 
   // Normalised cumulative mix for kind drawing; degenerate mixes (all
@@ -168,10 +212,11 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options,
   }
 
   std::vector<Sink> sinks(kSinks);
+  std::vector<uint64_t> sent(threads, 0);
 
-  // Small lead-in so thread 0's first arrival isn't already in the past by
-  // the time the last thread has spawned.
-  const auto t0 = ServeClock::now() + std::chrono::milliseconds(5);
+  // A paced run starts after a small lead-in so thread 0's first arrival
+  // isn't already in the past by the time the last thread has spawned.
+  const auto t0 = ServeClock::now() + std::chrono::milliseconds(paced ? 5 : 0);
 
   Rng root(options.seed);
   std::vector<Rng> thread_rngs;
@@ -186,57 +231,41 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options,
       // This thread's requests in flight; it returns only once they have
       // all completed, so every completion finds it alive.
       InFlight in_flight;
-      // Thread t owns arrivals t, t+threads, t+2*threads, ...
-      uint64_t quota = options.total_requests / threads +
-                       (t < options.total_requests % threads ? 1 : 0);
+      const uint64_t quota = options.total_requests / threads +
+                             (t < options.total_requests % threads ? 1 : 0);
       // Phase-offset the uniform grid so threads interleave evenly.
-      double next_s = (options.arrival == ArrivalProcess::kUniform)
-                          ? static_cast<double>(t) / options.rate_qps
-                          : NextGap(options, thread_rate, 0.0, &rng);
-      for (uint64_t i = 0; i < quota; ++i) {
+      double next_s = 0.0;
+      if (paced) {
+        next_s = options.arrival == ArrivalProcess::kUniform
+                     ? static_cast<double>(t * options.batch) /
+                           options.rate_qps
+                     : NextGap(options, batch_rate, 0.0, &rng);
+      }
+      uint64_t i = 0;  // this thread's requests sent so far
+      for (uint64_t b = 0; i < quota; ++b) {
         const auto intended = t0 + SecondsToDuration(next_s);
-        std::this_thread::sleep_until(intended);
+        if (paced) std::this_thread::sleep_until(intended);
+        if (stop != nullptr && stop->load()) break;
 
-        const uint16_t tenant = static_cast<uint16_t>(
-            (t + i * threads) % options.num_tenants);
-        // Distinct per-tenant hot sets: offset each tenant's Zipf head
-        // into its own slice of the catalog.
-        const uint64_t rank = zipf.Sample(&rng);
-        const uint64_t offset = static_cast<uint64_t>(tenant) *
-                                (options.num_items / options.num_tenants);
-        ServiceRequest request;
-        request.item =
-            static_cast<uint32_t>((rank + offset) % options.num_items);
-        request.tenant = tenant;
-        // Draw the task kind from the cumulative mix; the Zipf item above
-        // is the (first) operand for every kind.
-        const double kind_draw = rng.UniformDouble();
-        for (uint8_t k = 0; k <= kMaxTaskKind; ++k) {
-          if (kind_draw < cum_mix[k]) {
-            request.task = static_cast<TaskKind>(k);
-            break;
-          }
-        }
-        switch (request.task) {
-          case TaskKind::kLookup:
-            break;
-          case TaskKind::kRecommend:
-            request.user = static_cast<uint32_t>(
-                rng.Uniform(std::max<uint32_t>(1, options.num_users)));
-            break;
-          case TaskKind::kClassify:
-            request.top_k = options.top_k;
-            break;
-          case TaskKind::kAlign:
-            // Second item of the pair, drawn from the same skewed catalog.
-            request.item_b = static_cast<uint32_t>(
-                (zipf.Sample(&rng) + offset) % options.num_items);
-            break;
+        const size_t n =
+            static_cast<size_t>(std::min<uint64_t>(options.batch, quota - i));
+        std::vector<ServiceRequest> requests;
+        std::vector<TaskKind> tasks;
+        requests.reserve(n);
+        tasks.reserve(n);
+        for (size_t j = 0; j < n; ++j, ++i) {
+          const uint16_t tenant = static_cast<uint16_t>(
+              (t + i * threads) % options.num_tenants);
+          requests.push_back(
+              DrawRequest(options, zipf, cum_mix, tenant, &rng));
+          tasks.push_back(requests.back().task);
         }
         const auto send_time = ServeClock::now();
         if (options.deadline_us > 0) {
-          request.deadline =
-              send_time + std::chrono::microseconds(options.deadline_us);
+          for (ServiceRequest& request : requests) {
+            request.deadline =
+                send_time + std::chrono::microseconds(options.deadline_us);
+          }
         }
         // Open loop charges the server for any lateness between intended
         // and actual send (the generator itself is only late when the host
@@ -244,28 +273,32 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options,
         // report exposes); closed loop measures from the actual send.
         const auto measure_from = options.open_loop ? intended : send_time;
 
-        Sink* sink = &sinks[(t + i) % kSinks];
-        in_flight.Add();
-        submit({request}, [sink, task = request.task, measure_from,
-                           &in_flight](size_t, ServiceResponse response) {
-          RecordCompletion(sink, task, response,
-                           MicrosBetween(measure_from, ServeClock::now()));
-          in_flight.Done();
-        });
-        // Closed loop: park this generator thread until the response
-        // lands, so a slow response delays every later arrival this thread
-        // owns — exactly the coordinated omission being modeled.
+        Sink* sink = &sinks[(t + b) % kSinks];
+        in_flight.Add(n);
+        submit(std::move(requests),
+               [sink, tasks = std::move(tasks), measure_from, &in_flight](
+                   size_t index, ServiceResponse response) {
+                 RecordCompletion(
+                     sink, tasks[index], response,
+                     MicrosBetween(measure_from, ServeClock::now()));
+                 in_flight.Done();
+               });
+        // Closed loop: park this generator thread until the batch's
+        // responses land, so a slow response delays every later arrival
+        // this thread owns — exactly the coordinated omission being
+        // modeled.
         if (!options.open_loop) in_flight.WaitIdle();
-        next_s += NextGap(options, thread_rate, next_s, &rng);
+        if (paced) next_s += NextGap(options, batch_rate, next_s, &rng);
       }
       in_flight.WaitIdle();
+      sent[t] = i;
     });
   }
   for (auto& g : gens) g.join();
   const auto t_end = ServeClock::now();
 
   LoadGenReport report;
-  report.submitted = options.total_requests;
+  for (uint64_t n : sent) report.submitted += n;
   report.offered_qps = options.rate_qps;
   report.elapsed_s = std::chrono::duration<double>(t_end - t0).count();
   for (Sink& sink : sinks) {

@@ -1,6 +1,8 @@
 #ifndef PKGM_SERVE_LOAD_GEN_H_
 #define PKGM_SERVE_LOAD_GEN_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -27,13 +29,20 @@ enum class ArrivalProcess {
 const char* ArrivalProcessName(ArrivalProcess arrival);
 
 struct LoadGenOptions {
-  /// Offered load, requests/second, across all generator threads.
+  /// Offered load, requests/second, across all generator threads. 0 runs
+  /// the unpaced closed loop (open_loop must be false): each thread sends
+  /// its next batch as soon as its last one has completed, with no lead-in,
+  /// so achieved_qps is the server's capacity.
   double rate_qps = 1000.0;
   uint64_t total_requests = 10000;
-  /// Generator threads; arrival i is owned by thread i % threads, each
-  /// thread drawing its slice of the process from a forked seeded Rng, so
-  /// a run is replayable for any thread count.
+  /// Generator threads; each owns an even share of total_requests and
+  /// draws its slice of the process from a forked seeded Rng, so a run is
+  /// replayable for any thread count.
   size_t threads = 2;
+  /// Requests per submit. A batch is one arrival (rate_qps still counts
+  /// requests), and each request's latency runs from its batch's intended
+  /// (open loop) or actual (closed loop) send.
+  size_t batch = 1;
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
   /// Zipf exponent over the item catalog (rank 0 hottest).
   double zipf_s = 0.99;
@@ -57,13 +66,15 @@ struct LoadGenOptions {
   /// matter how slow responses are, and latency is measured from the
   /// *intended* send time — queueing delay the server causes is charged to
   /// the server (no coordinated omission). Closed loop: each thread waits
-  /// for the response before the next send and measures from the actual
-  /// send — the flawed-but-common methodology, kept for the honesty check.
+  /// for its batch's responses before the next send and measures from the
+  /// actual send — the flawed-but-common methodology, kept for the honesty
+  /// check and, unpaced, for measuring capacity.
   bool open_loop = true;
 };
 
 /// Everything a run produced, merged across generator threads.
 struct LoadGenReport {
+  /// Requests sent: total_requests unless the stop flag ended the run.
   uint64_t submitted = 0;
   uint64_t completed = 0;
   uint64_t ok = 0;
@@ -94,11 +105,12 @@ struct LoadGenReport {
   Histogram server_ok_us{HistogramMode::kBucketed};
 };
 
-/// Submission seam: the generator hands over single-request batches and a
-/// completion callback (index within the batch, response). It binds
-/// straight to either SubmitBatchAsync: the in-process KnowledgeServer's,
-/// whose callbacks run on its workers, or the socket NetClient's, whose
-/// callbacks run on the connection reader threads as replies arrive.
+/// Submission seam: the generator hands over batches of up to
+/// `LoadGenOptions::batch` requests and a completion callback (index within
+/// the batch, response). It binds straight to either SubmitBatchAsync: the
+/// in-process KnowledgeServer's, whose callbacks run on its workers, or the
+/// socket NetClient's, whose callbacks run on the connection reader threads
+/// as replies arrive.
 using AsyncSubmitFn =
     std::function<void(std::vector<ServiceRequest>, BatchCallback)>;
 
@@ -106,9 +118,11 @@ using AsyncSubmitFn =
 /// response has arrived; a callback may run on any thread, and each must run
 /// exactly once. Deterministic request stream for a given
 /// (seed, threads, options); actual timing is as close to the schedule as
-/// the host allows.
+/// the host allows. Once `*stop` reads true, each generator thread sends
+/// nothing more and returns when its requests in flight have completed.
 LoadGenReport RunLoadGen(const LoadGenOptions& options,
-                         const AsyncSubmitFn& submit);
+                         const AsyncSubmitFn& submit,
+                         const std::atomic<bool>* stop = nullptr);
 
 }  // namespace pkgm::serve
 

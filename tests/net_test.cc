@@ -225,6 +225,7 @@ TEST(NetServerTest, EndToEndParityWithDirectSubmit) {
       EXPECT_EQ(over_wire.code, ResponseCode::kOk);
     }
   }
+  EXPECT_EQ(net.net_counters().protocol_errors, 0u);
 
   client.value().reset();
   net.Stop();
@@ -928,7 +929,7 @@ TEST(NetServerTest, DroppedRespondLetsItsConnectionIdleAndDrain) {
   ReversingPushHandler handler;
   NetServerOptions nopt;
   nopt.idle_timeout_ms = 100;
-  ASSERT_EQ(nopt.drain_timeout_ms, 5000);
+  ASSERT_EQ(kDrainTimeoutMs, 5000);
   NetServer server(&handler, nopt);
   ASSERT_TRUE(server.Start().ok());
   const auto park_and_drop = [&](int fd, uint64_t cid) {

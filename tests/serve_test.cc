@@ -837,8 +837,12 @@ TEST(KnowledgeServerTest, StatsJsonSchemaKeepsOldKeysAndAddsTail) {
 // Runs `options` against an in-process server with every task kind in the
 // mix, counting each request's completions. No executor is attached, so
 // lookups come back kOk and the inference kinds kRejected; the queue holds
-// the whole run, so admission sheds nothing however slow the host.
-void ExpectEveryRequestCompletesOnce(LoadGenOptions options) {
+// the whole run, so admission sheds nothing however slow the host. Every
+// submit carries at most `options.batch` requests, and a closed loop never
+// has more than `options.threads` batches in flight. With `stop_after` > 0
+// the stop flag rises once that many requests have been submitted.
+LoadGenReport ExpectEveryRequestCompletesOnce(LoadGenOptions options,
+                                              uint64_t stop_after = 0) {
   Fixture fx;
   KnowledgeServerOptions sopt;
   sopt.num_workers = 2;
@@ -853,25 +857,47 @@ void ExpectEveryRequestCompletesOnce(LoadGenOptions options) {
   options.mix[3] = 0.2;
   std::vector<std::atomic<int>> calls(options.total_requests);
   std::atomic<size_t> submitted{0};
+  std::atomic<size_t> batches_in_flight{0};
+  std::atomic<size_t> max_batches_in_flight{0};
+  std::atomic<bool> stop{false};
   const LoadGenReport report = RunLoadGen(
-      options, [&](std::vector<ServiceRequest> batch, BatchCallback done) {
-        const size_t slot = submitted.fetch_add(1);
-        ASSERT_LT(slot, calls.size());
-        ASSERT_EQ(batch.size(), 1u);
+      options,
+      [&](std::vector<ServiceRequest> batch, BatchCallback done) {
+        EXPECT_GE(batch.size(), 1u);
+        EXPECT_LE(batch.size(), options.batch);
+        const size_t first = submitted.fetch_add(batch.size());
+        ASSERT_LE(first + batch.size(), calls.size());
+        if (stop_after > 0 && first + batch.size() >= stop_after) stop = true;
+        const size_t in_flight = batches_in_flight.fetch_add(1) + 1;
+        size_t seen = max_batches_in_flight.load();
+        while (in_flight > seen &&
+               !max_batches_in_flight.compare_exchange_weak(seen, in_flight)) {
+        }
+        // The batch leaves the in-flight count before its last request's
+        // completion reaches the generator.
+        auto left = std::make_shared<std::atomic<size_t>>(batch.size());
         server.SubmitBatchAsync(
-            std::move(batch), [&calls, slot, done = std::move(done)](
-                                  size_t index, ServiceResponse response) {
-              calls[slot].fetch_add(1);
+            std::move(batch),
+            [&calls, &batches_in_flight, first, left, done = std::move(done)](
+                size_t index, ServiceResponse response) {
+              calls[first + index].fetch_add(1);
+              if (left->fetch_sub(1) == 1) batches_in_flight.fetch_sub(1);
               done(index, std::move(response));
             });
-      });
+      },
+      &stop);
   server.Stop();
 
-  ASSERT_EQ(submitted.load(), options.total_requests);
-  for (size_t i = 0; i < calls.size(); ++i) {
-    EXPECT_EQ(calls[i].load(), 1) << "request " << i;
+  if (stop_after == 0) {
+    EXPECT_EQ(submitted.load(), options.total_requests);
   }
-  EXPECT_EQ(report.submitted, options.total_requests);
+  for (size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].load(), i < submitted.load() ? 1 : 0) << "request " << i;
+  }
+  if (!options.open_loop) {
+    EXPECT_LE(max_batches_in_flight.load(), options.threads);
+  }
+  EXPECT_EQ(report.submitted, submitted.load());
   EXPECT_EQ(report.completed, report.submitted);
   EXPECT_EQ(report.ok + report.rejected + report.quota_rejected +
                 report.deadline_exceeded + report.invalid_item +
@@ -890,6 +916,7 @@ void ExpectEveryRequestCompletesOnce(LoadGenOptions options) {
   const uint64_t lookups = report.task_completed[0];
   EXPECT_EQ(report.ok, lookups);
   EXPECT_EQ(report.rejected, report.completed - lookups);
+  return report;
 }
 
 TEST(LoadGenTest, OpenLoopCompletesEveryRequestOnce) {
@@ -910,6 +937,51 @@ TEST(LoadGenTest, ClosedLoopCompletesEveryRequestOnce) {
   options.threads = 3;
   options.open_loop = false;
   ExpectEveryRequestCompletesOnce(options);
+}
+
+TEST(LoadGenTest, BatchesCompleteEveryRequestOnceInBothLoops) {
+  // 1,000 requests per thread in batches of 7: each thread's last batch
+  // carries the remaining 6.
+  for (bool open_loop : {true, false}) {
+    SCOPED_TRACE(open_loop ? "open loop" : "closed loop");
+    LoadGenOptions options;
+    options.rate_qps = 100000.0;
+    options.total_requests = 3000;
+    options.threads = 3;
+    options.batch = 7;
+    options.open_loop = open_loop;
+    ExpectEveryRequestCompletesOnce(options);
+  }
+}
+
+TEST(LoadGenTest, UnpacedClosedLoopKeepsOneBatchPerThreadInFlight) {
+  LoadGenOptions options;
+  options.rate_qps = 0.0;
+  options.open_loop = false;
+  options.total_requests = 3000;
+  options.threads = 3;
+  options.batch = 4;
+  const LoadGenReport report = ExpectEveryRequestCompletesOnce(options);
+  EXPECT_EQ(report.offered_qps, 0.0);
+  EXPECT_GT(report.achieved_qps, 0.0);
+}
+
+TEST(LoadGenTest, StopFlagEndsTheRunEarly) {
+  // Each thread sends at most one more batch once the flag is up, and still
+  // waits for everything it sent.
+  for (double rate : {100000.0, 0.0}) {
+    SCOPED_TRACE(rate > 0.0 ? "open loop" : "unpaced closed loop");
+    LoadGenOptions options;
+    options.rate_qps = rate;
+    options.open_loop = rate > 0.0;
+    options.total_requests = 3000;
+    options.threads = 3;
+    options.batch = 4;
+    const LoadGenReport report =
+        ExpectEveryRequestCompletesOnce(options, /*stop_after=*/1000);
+    EXPECT_GE(report.submitted, 1000u);
+    EXPECT_LT(report.submitted, options.total_requests);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // pkgm_serve — stands up the online knowledge-serving subsystem end to end:
 // pre-trains PKGM on a synthetic product KG, starts a KnowledgeServer, and
-// drives it with a closed-loop multi-threaded synthetic traffic generator
-// over a Zipf-skewed item distribution (head items dominate, as in real
+// drives it with serve::RunLoadGen's multi-threaded synthetic traffic over
+// a Zipf-skewed item distribution (head items dominate, as in real
 // e-commerce traffic), then prints a latency/throughput/cache report.
 //
-//   pkgm_serve [--qps N] [--rate N] [--arrival poisson|uniform|burst]
+//   pkgm_serve [--rate N] [--arrival poisson|uniform|burst] [--closed-loop]
 //              [--tenants N] [--tenant-rate R] [--tenant-burst N]
-//              [--coalesce 0|1] [--closed-loop]
+//              [--coalesce 0|1]
 //              [--duration-requests N] [--threads N] [--workers N]
 //              [--batch N] [--cache 0|1] [--zipf S] [--deadline-us N]
 //              [--queue-capacity N] [--seed N]
@@ -17,19 +17,21 @@
 //              [--mix-recommend R] [--mix-classify R] [--mix-align R]
 //              [--num-users N] [--top-k N]
 //
-//   --qps 0 (default) runs closed-loop at maximum rate; a positive value
-//   paces the aggregate request rate across client threads.
+//   Every mode sends batches of --batch requests (default 1) from --threads
+//   generator threads. Without --rate the loop is closed and unpaced: each
+//   thread sends its next batch as soon as its last one has completed, so
+//   the achieved rate is the server's capacity.
 //
-//   --rate R switches to the *open-loop* generator: requests fire at their
-//   scheduled arrival instants (Poisson by default; --arrival picks the
+//   --rate R runs the *open loop*: batches fire at their scheduled arrival
+//   instants (R requests/s; Poisson by default, --arrival picks the
 //   process) regardless of how slow responses are, and latency is measured
 //   from the intended send time — so server-induced queueing can't hide
-//   behind coordinated omission. --tenants spreads traffic over N tenant
-//   ids with distinct Zipf hot sets; --tenant-rate/--tenant-burst arm
-//   per-tenant token-bucket quotas in the in-process server. --closed-loop
-//   keeps the open-loop schedule but waits for each response before the
-//   next send (the dishonest baseline, for comparison). Runs are seeded
-//   and replayable.
+//   behind coordinated omission. --closed-loop keeps the --rate schedule but
+//   waits for each batch's responses before the next send and measures
+//   from the actual send (the dishonest baseline, for comparison).
+//   --tenants spreads traffic over N tenant ids with distinct Zipf hot
+//   sets; --tenant-rate/--tenant-burst arm per-tenant token-bucket quotas
+//   in the in-process server. Runs are seeded and replayable.
 //
 //   --store exports the pre-trained model to a .pkgs embedding store,
 //   memory-maps it, and serves from the mapping through a ModelRegistry
@@ -40,20 +42,22 @@
 //
 //   --connect host:port skips the local pipeline entirely and drives a
 //   remote pkgm_netd over the wire protocol instead, through the same
-//   closed loop (--connections pools client sockets; --items must match
-//   the daemon's item space, default 1000). --stats-json writes the
-//   server's JSON stats snapshot — fetched over the socket in connect
-//   mode — to PATH at the end of the run.
+//   generator (--connections pools client sockets; --items must match the
+//   daemon's item space, default 1000). --stats-json writes the server's
+//   JSON stats snapshot — fetched over the socket in connect mode — to PATH
+//   at the end of the run.
 //
-//   --workload mixed (open-loop only) draws each arrival's task kind from
-//   the configured per-type shares — recommend/classify/align inference
-//   frames interleaved with lookups; lookup takes whatever share the three
-//   --mix-* flags leave. In-process mode trains the three downstream
-//   models and attaches the inference engine; in connect mode the remote
-//   daemon must run with --infer 1. The report adds a per-task
-//   completed/p50/p999 table.
+//   --workload mixed draws each request's task kind from the configured
+//   per-type shares — recommend/classify/align inference requests
+//   interleaved with lookups; lookup takes whatever share the three --mix-*
+//   flags leave. In-process mode trains the three downstream models and
+//   attaches the inference engine; in connect mode the remote daemon must
+//   run with --infer 1. The report adds a per-task completed/p50/p999
+//   table.
 //
-//   SIGINT/SIGTERM stop traffic early and still print the final report.
+//   The exit code is 1 when any request comes back kInvalidItem or, in
+//   connect mode, with a network error. SIGINT/SIGTERM stop traffic early
+//   and still print the final report.
 
 #include <signal.h>
 
@@ -63,9 +67,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,7 +85,6 @@
 #include "store/model_registry.h"
 #include "tasks/pipeline.h"
 #include "util/histogram.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -92,22 +93,25 @@ namespace pkgm {
 namespace {
 
 std::atomic<int> g_signal{0};
+std::atomic<bool> g_stop{false};  // RunLoadGen's stop flag
 
-void HandleSignal(int signum) { g_signal.store(signum); }
+void HandleSignal(int signum) {
+  g_signal.store(signum);
+  g_stop.store(true);
+}
 
 struct ServeFlags {
-  double qps = 0.0;                  // 0 = closed loop, no pacing
-  double rate = 0.0;                 // > 0 = open-loop offered rate
-  std::string arrival = "poisson";   // open-loop arrival process
+  double rate = 0.0;                 // > 0 = offered rate; 0 = unpaced
+  std::string arrival = "poisson";   // paced arrival process
   int tenants = 1;                   // tenant ids in generated traffic
   double tenant_rate = 0.0;          // server-side quota refill, tokens/s
   double tenant_burst = 0.0;         // server-side bucket size; 0 = off
   bool coalesce = true;              // hot-key request coalescing
-  bool closed_loop = false;          // --rate mode: wait per response
+  bool closed_loop = false;          // --rate mode: wait per batch
   uint64_t duration_requests = 50000;
   int threads = 4;                   // client threads
   int workers = 2;                   // server worker threads
-  int batch = 16;                    // requests per SubmitBatch
+  int batch = 1;                     // requests per submit
   bool cache = true;
   double zipf = 1.1;                 // item-popularity skew
   int64_t deadline_us = 0;           // 0 = no deadline
@@ -121,7 +125,7 @@ struct ServeFlags {
   size_t connections = 1;            // client socket pool (connect mode)
   uint32_t items = 1000;             // item-space size in connect mode
   std::string stats_json_path;       // write server stats JSON here at end
-  std::string workload = "lookup";   // lookup | mixed (open-loop only)
+  std::string workload = "lookup";   // lookup | mixed
   double mix_recommend = -1.0;       // mixed: per-kind shares; < 0 = default
   double mix_classify = -1.0;
   double mix_align = -1.0;
@@ -131,11 +135,11 @@ struct ServeFlags {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: pkgm_serve [--qps N] [--rate N] "
-               "[--arrival poisson|uniform|burst]\n"
+               "usage: pkgm_serve [--rate N] "
+               "[--arrival poisson|uniform|burst] [--closed-loop]\n"
                "                  [--tenants N] [--tenant-rate R] "
                "[--tenant-burst N]\n"
-               "                  [--coalesce 0|1] [--closed-loop]\n"
+               "                  [--coalesce 0|1]\n"
                "                  [--duration-requests N] "
                "[--threads N]\n"
                "                  [--workers N] [--batch N] [--cache 0|1] "
@@ -161,9 +165,7 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
-    if (std::strcmp(arg, "--qps") == 0 && (v = next())) {
-      flags->qps = std::atof(v);
-    } else if (std::strcmp(arg, "--rate") == 0 && (v = next())) {
+    if (std::strcmp(arg, "--rate") == 0 && (v = next())) {
       flags->rate = std::atof(v);
     } else if (std::strcmp(arg, "--arrival") == 0 && (v = next())) {
       flags->arrival = v;
@@ -239,22 +241,21 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
     std::fprintf(stderr, "--threads/--workers/--batch must be >= 1\n");
     return false;
   }
+  if (flags->rate < 0.0) {
+    std::fprintf(stderr, "--rate must be >= 0\n");
+    return false;
+  }
   if (flags->arrival != "poisson" && flags->arrival != "uniform" &&
       flags->arrival != "burst") {
     std::fprintf(stderr, "--arrival must be poisson, uniform or burst\n");
     return false;
   }
-  if (flags->tenants < 1 || flags->tenants > 65536) {
-    std::fprintf(stderr, "--tenants must be in [1, 65536]\n");
+  if (flags->tenants < 1 || flags->tenants > 65535) {
+    std::fprintf(stderr, "--tenants must be in [1, 65535]\n");
     return false;
   }
   if (flags->closed_loop && flags->rate <= 0.0) {
     std::fprintf(stderr, "--closed-loop needs --rate (the offered load)\n");
-    return false;
-  }
-  if (flags->rate > 0.0 && flags->qps > 0.0) {
-    std::fprintf(stderr, "--rate (open loop) and --qps (paced closed loop) "
-                         "are mutually exclusive\n");
     return false;
   }
   if (flags->hot_swaps > 0 && flags->store_path.empty()) {
@@ -277,12 +278,6 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
     return false;
   }
   if (flags->workload == "mixed") {
-    if (flags->rate <= 0.0) {
-      std::fprintf(stderr,
-                   "--workload mixed runs on the open-loop generator; "
-                   "set --rate\n");
-      return false;
-    }
     // Unset shares default to 0.2 each; lookup takes the remainder.
     if (flags->mix_recommend < 0.0) flags->mix_recommend = 0.2;
     if (flags->mix_classify < 0.0) flags->mix_classify = 0.2;
@@ -334,7 +329,7 @@ int Run(const ServeFlags& flags) {
   ::sigaction(SIGTERM, &sa, nullptr);
 
   // In-process mode stands up the whole pipeline + server; connect mode
-  // only needs a client — both feed the same closed loop through `submit`.
+  // only needs a client — the generator drives either through `submit`.
   tasks::PretrainedPkgm p;
   store::ModelRegistry registry;
   // Inference backend for --workload mixed in-process mode; declared before
@@ -344,9 +339,7 @@ int Run(const ServeFlags& flags) {
   uint32_t num_users = flags.num_users;
   std::unique_ptr<serve::KnowledgeServer> server;
   std::unique_ptr<net::NetClient> client;
-  std::function<std::vector<std::future<serve::ServiceResponse>>(
-      std::vector<serve::ServiceRequest>)>
-      submit;
+  serve::AsyncSubmitFn submit;
   uint32_t num_items = flags.items;
 
   if (!flags.connect.empty()) {
@@ -370,9 +363,8 @@ int Run(const ServeFlags& flags) {
     std::printf("pkgm_serve: driving %s over %zu connection(s), "
                 "%u-item space\n\n",
                 flags.connect.c_str(), flags.connections, num_items);
-    submit = [&client](std::vector<serve::ServiceRequest> batch) {
-      return client->SubmitBatch(std::move(batch));
-    };
+    submit =
+        std::bind_front(&net::NetClient::SubmitBatchAsync, client.get());
   } else {
     std::printf("pkgm_serve: pre-training a synthetic PKG (short run) ...\n");
     Stopwatch setup;
@@ -430,26 +422,36 @@ int Run(const ServeFlags& flags) {
                   infer_setup.ElapsedSeconds(), num_users, bundle.num_classes);
     }
     server->Start();
-    submit = [&server](std::vector<serve::ServiceRequest> batch) {
-      return server->SubmitBatch(std::move(batch));
-    };
+    submit = std::bind_front(&serve::KnowledgeServer::SubmitBatchAsync,
+                             server.get());
   }
 
-  // Closed-loop traffic: each client thread submits a batch, blocks on all
-  // its futures, then submits the next — so offered load adapts to service
-  // capacity and --qps only adds pacing on top.
-  const uint64_t per_thread =
-      (flags.duration_requests + flags.threads - 1) / flags.threads;
-  const double per_thread_qps = flags.qps / flags.threads;
-  ZipfSampler zipf(num_items, flags.zipf);
-
-  std::mutex histo_mu;
-  // Client-observed latency: submit → response (closed loop) or intended
-  // send → response (open loop). Bucketed so p999 stays readable at any
-  // request count.
-  Histogram latency_us{HistogramMode::kBucketed};
-  std::atomic<uint64_t> sent{0}, ok{0}, rejected{0}, expired{0}, hits{0},
-      net_errors{0}, quota_shed{0};
+  serve::LoadGenOptions lopt;
+  lopt.rate_qps = flags.rate;
+  lopt.open_loop = flags.rate > 0.0 && !flags.closed_loop;
+  lopt.total_requests = flags.duration_requests;
+  lopt.threads = static_cast<size_t>(flags.threads);
+  lopt.batch = static_cast<size_t>(flags.batch);
+  if (flags.arrival == "uniform") {
+    lopt.arrival = serve::ArrivalProcess::kUniform;
+  } else if (flags.arrival == "burst") {
+    lopt.arrival = serve::ArrivalProcess::kBurst;
+  }
+  lopt.zipf_s = flags.zipf;
+  lopt.num_items = num_items;
+  lopt.num_tenants = static_cast<uint16_t>(flags.tenants);
+  lopt.deadline_us =
+      flags.deadline_us > 0 ? static_cast<uint32_t>(flags.deadline_us) : 0;
+  lopt.seed = flags.seed;
+  if (flags.workload == "mixed") {
+    lopt.mix[1] = flags.mix_recommend;
+    lopt.mix[2] = flags.mix_classify;
+    lopt.mix[3] = flags.mix_align;
+    lopt.mix[0] =
+        1.0 - (flags.mix_recommend + flags.mix_classify + flags.mix_align);
+    lopt.num_users = num_users;
+    lopt.top_k = flags.top_k;
+  }
 
   // Model-refresh drill: while clients hammer the server, keep exporting
   // and publishing fresh store generations (alternating dtype, distinct
@@ -485,139 +487,10 @@ int Run(const ServeFlags& flags) {
     });
   }
 
-  Stopwatch wall;
-  double wall_s_override = -1.0;
-  if (flags.rate > 0.0) {
-    // Open-loop traffic through the shared load generator.
-    serve::LoadGenOptions lopt;
-    lopt.rate_qps = flags.rate;
-    lopt.total_requests = flags.duration_requests;
-    lopt.threads = static_cast<size_t>(flags.threads);
-    lopt.arrival = flags.arrival == "uniform"
-                       ? serve::ArrivalProcess::kUniform
-                       : flags.arrival == "burst"
-                             ? serve::ArrivalProcess::kBurst
-                             : serve::ArrivalProcess::kPoisson;
-    lopt.zipf_s = flags.zipf;
-    lopt.num_items = num_items;
-    lopt.num_tenants = static_cast<uint16_t>(flags.tenants);
-    lopt.deadline_us = flags.deadline_us > 0
-                           ? static_cast<uint32_t>(flags.deadline_us)
-                           : 0;
-    lopt.seed = flags.seed;
-    lopt.open_loop = !flags.closed_loop;
-    if (flags.workload == "mixed") {
-      lopt.mix[1] = flags.mix_recommend;
-      lopt.mix[2] = flags.mix_classify;
-      lopt.mix[3] = flags.mix_align;
-      lopt.mix[0] =
-          1.0 - (flags.mix_recommend + flags.mix_classify + flags.mix_align);
-      lopt.num_users = num_users;
-      lopt.top_k = flags.top_k;
-    }
-
-    serve::LoadGenReport lg = serve::RunLoadGen(
-        lopt,
-        client != nullptr
-            ? serve::AsyncSubmitFn(std::bind_front(
-                  &net::NetClient::SubmitBatchAsync, client.get()))
-            : serve::AsyncSubmitFn(std::bind_front(
-                  &serve::KnowledgeServer::SubmitBatchAsync, server.get())));
-    sent = lg.submitted;
-    ok = lg.ok;
-    rejected = lg.rejected;
-    expired = lg.deadline_exceeded;
-    hits = lg.cache_hits;
-    net_errors = lg.network_error;
-    quota_shed = lg.quota_rejected;
-    latency_us.Merge(lg.latency_us);
-    wall_s_override = lg.elapsed_s;
-    std::printf("open loop: offered %.0f qps (%s arrivals, %d tenant(s)), "
-                "achieved %.0f qps%s\n",
-                lg.offered_qps, serve::ArrivalProcessName(lopt.arrival),
-                flags.tenants, lg.achieved_qps,
-                flags.closed_loop ? " [closed-loop measurement]" : "");
-    if (flags.workload == "mixed") {
-      TablePrinter mix_table(
-          {"task", "completed", "ok", "p50 us", "p99 us", "p999 us"});
-      for (uint8_t k = 0; k <= serve::kMaxTaskKind; ++k) {
-        if (lg.task_completed[k] == 0) continue;
-        const Histogram& h = lg.task_latency_us[k];
-        mix_table.AddRow({serve::TaskKindName(static_cast<serve::TaskKind>(k)),
-                          std::to_string(lg.task_completed[k]),
-                          std::to_string(lg.task_ok[k]),
-                          StrFormat("%.1f", h.Percentile(0.5)),
-                          StrFormat("%.1f", h.Percentile(0.99)),
-                          StrFormat("%.1f", h.Percentile(0.999))});
-      }
-      std::printf("\nper-task mix:\n%s\n", mix_table.ToString().c_str());
-    }
-  } else {
-  std::vector<std::thread> clients;
-  Rng seeder(flags.seed);
-  for (int c = 0; c < flags.threads; ++c) {
-    Rng rng = seeder.Fork();
-    clients.emplace_back([&, rng]() mutable {
-      std::vector<double> batch_latencies;
-      const auto start = serve::ServeClock::now();
-      uint64_t submitted = 0;
-      while (submitted < per_thread && g_signal.load() == 0) {
-        const uint64_t batch_size =
-            std::min<uint64_t>(flags.batch, per_thread - submitted);
-        std::vector<serve::ServiceRequest> batch(batch_size);
-        for (auto& request : batch) {
-          // Zipf ranks are most-popular-first; use the rank as the item id.
-          request.item = static_cast<uint32_t>(zipf.Sample(&rng));
-          request.mode = core::ServiceMode::kAll;
-          request.form = serve::ServiceForm::kCondensed;
-          if (flags.deadline_us > 0) {
-            request.deadline = serve::ServeClock::now() +
-                               std::chrono::microseconds(flags.deadline_us);
-          }
-        }
-        const auto submit_time = serve::ServeClock::now();
-        auto futures = submit(std::move(batch));
-        batch_latencies.clear();
-        for (auto& future : futures) {
-          serve::ServiceResponse response = future.get();
-          const double us = std::chrono::duration<double, std::micro>(
-                                serve::ServeClock::now() - submit_time)
-                                .count();
-          batch_latencies.push_back(us);
-          switch (response.code) {
-            case serve::ResponseCode::kOk:
-              ++ok;
-              if (response.cache_hit) ++hits;
-              break;
-            case serve::ResponseCode::kRejected: ++rejected; break;
-            case serve::ResponseCode::kDeadlineExceeded: ++expired; break;
-            case serve::ResponseCode::kInvalidItem: break;
-            case serve::ResponseCode::kNetworkError: ++net_errors; break;
-            case serve::ResponseCode::kQuotaExceeded: ++quota_shed; break;
-          }
-        }
-        submitted += batch_size;
-        {
-          std::lock_guard<std::mutex> lock(histo_mu);
-          for (double us : batch_latencies) latency_us.Record(us);
-        }
-        if (per_thread_qps > 0.0) {
-          // Pace: sleep until this thread's cumulative schedule catches up.
-          const double target_s =
-              static_cast<double>(submitted) / per_thread_qps;
-          const auto target =
-              start + std::chrono::duration_cast<serve::ServeClock::duration>(
-                          std::chrono::duration<double>(target_s));
-          std::this_thread::sleep_until(target);
-        }
-      }
-      sent += submitted;
-    });
-  }
-  for (auto& t : clients) t.join();
-  }  // closed-loop branch
-  const double wall_s =
-      wall_s_override > 0.0 ? wall_s_override : wall.ElapsedSeconds();
+  // --duration-requests 0 renders the empty report.
+  const serve::LoadGenReport lg =
+      flags.duration_requests == 0 ? serve::LoadGenReport{}
+                                   : serve::RunLoadGen(lopt, submit, &g_stop);
   traffic_done.store(true);
   if (swapper.joinable()) swapper.join();
 
@@ -643,7 +516,6 @@ int Run(const ServeFlags& flags) {
     std::printf("\ninterrupted (%s): traffic stopped early\n",
                 ::strsignal(g_signal.load()));
   }
-  const uint64_t total = sent.load();
   if (flags.hot_swaps > 0) {
     std::printf("hot swaps: %d published under traffic, %d export failures "
                 "(final generation %llu)\n",
@@ -654,40 +526,60 @@ int Run(const ServeFlags& flags) {
   std::printf(
       "traffic: %s requests in %.2fs over %d client threads "
       "(batch %d, zipf %.2f, %s)\n",
-      WithThousandsSeparators(total).c_str(), wall_s, flags.threads,
-      flags.batch, flags.zipf,
+      WithThousandsSeparators(lg.submitted).c_str(), lg.elapsed_s,
+      flags.threads, flags.batch, flags.zipf,
       flags.rate > 0
-          ? StrFormat("%s loop at %.0f qps",
-                      flags.closed_loop ? "closed" : "open", flags.rate)
+          ? StrFormat("%s loop at %.0f qps, %s arrivals, %d tenant(s)",
+                      flags.closed_loop ? "closed" : "open", flags.rate,
+                      serve::ArrivalProcessName(lopt.arrival), flags.tenants)
                 .c_str()
-          : flags.qps > 0
-                ? StrFormat("paced at %.0f qps", flags.qps).c_str()
-                : "closed loop");
-  std::printf("throughput: %.0f requests/s\n\n",
-              static_cast<double>(total) / wall_s);
+          : StrFormat("closed loop, unpaced, %d tenant(s)", flags.tenants)
+                .c_str());
+  std::printf("throughput: %.0f requests/s\n\n", lg.achieved_qps);
+
+  if (flags.workload == "mixed") {
+    TablePrinter mix_table(
+        {"task", "completed", "ok", "p50 us", "p99 us", "p999 us"});
+    for (uint8_t k = 0; k <= serve::kMaxTaskKind; ++k) {
+      if (lg.task_completed[k] == 0) continue;
+      const Histogram& h = lg.task_latency_us[k];
+      mix_table.AddRow({serve::TaskKindName(static_cast<serve::TaskKind>(k)),
+                        std::to_string(lg.task_completed[k]),
+                        std::to_string(lg.task_ok[k]),
+                        StrFormat("%.1f", h.Percentile(0.5)),
+                        StrFormat("%.1f", h.Percentile(0.99)),
+                        StrFormat("%.1f", h.Percentile(0.999))});
+    }
+    std::printf("per-task mix:\n%s\n", mix_table.ToString().c_str());
+  }
 
   TablePrinter t({"metric", "value"});
-  t.AddRow({"ok", std::to_string(ok.load())});
-  t.AddRow({"rejected", std::to_string(rejected.load())});
-  t.AddRow({"quota shed", std::to_string(quota_shed.load())});
-  t.AddRow({"deadline expired", std::to_string(expired.load())});
-  const uint64_t answered = ok.load();
+  t.AddRow({"ok", std::to_string(lg.ok)});
+  t.AddRow({"rejected", std::to_string(lg.rejected)});
+  t.AddRow({"quota shed", std::to_string(lg.quota_rejected)});
+  t.AddRow({"deadline expired", std::to_string(lg.deadline_exceeded)});
+  t.AddRow({"invalid item", std::to_string(lg.invalid_item)});
+  // Only lookups read the cache.
+  const uint64_t lookups_ok =
+      lg.task_ok[static_cast<uint8_t>(serve::TaskKind::kLookup)];
   t.AddRow({"cache hit rate",
-            answered == 0
+            lookups_ok == 0
                 ? std::string("-")
-                : StrFormat("%.1f%%", 100.0 * static_cast<double>(hits.load()) /
-                                          static_cast<double>(answered))});
-  auto percentile = [&latency_us](double q) {
-    return latency_us.count() == 0 ? std::string("-")
-                                   : StrFormat("%.1f", latency_us.Percentile(q));
+                : StrFormat("%.1f%%",
+                            100.0 * static_cast<double>(lg.cache_hits) /
+                                static_cast<double>(lookups_ok))});
+  auto percentile = [&lg](double q) {
+    return lg.latency_us.count() == 0
+               ? std::string("-")
+               : StrFormat("%.1f", lg.latency_us.Percentile(q));
   };
   t.AddRow({"client p50 us", percentile(0.5)});
   t.AddRow({"client p95 us", percentile(0.95)});
   t.AddRow({"client p99 us", percentile(0.99)});
   t.AddRow({"client p999 us", percentile(0.999)});
-  t.AddRow({"client mean us", StrFormat("%.1f", latency_us.Mean())});
+  t.AddRow({"client mean us", StrFormat("%.1f", lg.latency_us.Mean())});
   if (client != nullptr) {
-    t.AddRow({"network errors", std::to_string(net_errors.load())});
+    t.AddRow({"network errors", std::to_string(lg.network_error)});
   }
   std::printf("%s\n", t.ToString().c_str());
 
@@ -732,7 +624,13 @@ int Run(const ServeFlags& flags) {
     std::printf("server stats json written to %s\n",
                 flags.stats_json_path.c_str());
   }
-  return net_errors.load() == 0 ? 0 : 1;
+  if (lg.invalid_item > 0) {
+    std::fprintf(stderr,
+                 "%llu requests named items the server does not have "
+                 "(--items %u)\n",
+                 static_cast<unsigned long long>(lg.invalid_item), num_items);
+  }
+  return lg.network_error == 0 && lg.invalid_item == 0 ? 0 : 1;
 }
 
 }  // namespace
