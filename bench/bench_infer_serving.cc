@@ -31,6 +31,7 @@
 #include "serve/knowledge_server.h"
 #include "serve/load_gen.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -79,16 +80,10 @@ serve::LoadGenOptions MixOptions(uint32_t num_items, uint32_t num_users,
   return lopt;
 }
 
-struct JsonRow {
-  std::string section;
-  std::string task;
-  uint64_t completed = 0;
-  double p50_us = 0.0;
-  double p999_us = 0.0;
-};
-
+/// Prints `report`'s per-task table and appends one artifact row per task
+/// to the `rows` array.
 void PrintMixReport(const char* title, const serve::LoadGenReport& report,
-                    const char* section, std::vector<JsonRow>* json_rows) {
+                    const char* section, JsonWriter* rows) {
   TablePrinter table(
       {"task", "completed", "ok", "p50 us", "p99 us", "p999 us"});
   for (uint8_t k = 0; k <= serve::kMaxTaskKind; ++k) {
@@ -101,8 +96,13 @@ void PrintMixReport(const char* title, const serve::LoadGenReport& report,
                   StrFormat("%.1f", h.Percentile(0.5)),
                   StrFormat("%.1f", h.Percentile(0.99)),
                   StrFormat("%.1f", h.Percentile(0.999))});
-    json_rows->push_back({section, task, report.task_completed[k],
-                          h.Percentile(0.5), h.Percentile(0.999)});
+    rows->BeginObject()
+        .Field("section", section)
+        .Field("task", task)
+        .Field("completed", report.task_completed[k])
+        .Field("p50_us", h.Percentile(0.5))
+        .Field("p999_us", h.Percentile(0.999))
+        .EndObject();
   }
   std::printf("%s: offered %.0f qps, achieved %.0f qps, %s ok\n%s\n", title,
               report.offered_qps, report.achieved_qps,
@@ -145,7 +145,20 @@ void Run(uint64_t requests, double rate, bool open_loop,
               100 * kMixAlign, WithThousandsSeparators(requests).c_str(),
               rate, open_loop ? "open" : "closed");
 
-  std::vector<JsonRow> json_rows;
+  JsonWriter json;
+  json.BeginObject()
+      .Field("requests_per_leg", requests)
+      .Field("rate_qps", rate)
+      .Field("open_loop", open_loop)
+      .Key("mix")
+      .BeginObject()
+      .Field("lookup", kMixLookup)
+      .Field("recommend", kMixRecommend)
+      .Field("classify", kMixClassify)
+      .Field("align", kMixAlign)
+      .EndObject()
+      .Key("rows")
+      .BeginArray();
 
   serve::KnowledgeServerOptions sopt;
   sopt.num_workers = 2;
@@ -159,7 +172,7 @@ void Run(uint64_t requests, double rate, bool open_loop,
         MixOptions(num_items, num_users, requests, rate, open_loop,
                    /*seed=*/31),
         std::bind_front(&serve::KnowledgeServer::SubmitBatchAsync, &server));
-    PrintMixReport("in-process", report, "in_process", &json_rows);
+    PrintMixReport("in-process", report, "in_process", &json);
   }
 
   // ---- Leg 2: the same mix through the loopback socket, with one weight
@@ -190,8 +203,7 @@ void Run(uint64_t requests, double rate, bool open_loop,
         std::bind_front(&net::NetClient::SubmitBatchAsync,
                         client.value().get()));
     swapper.join();
-    PrintMixReport("loopback socket (+hot swap)", report, "loopback",
-                   &json_rows);
+    PrintMixReport("loopback socket (+hot swap)", report, "loopback", &json);
 
     const uint64_t protocol_errors = net.net_counters().protocol_errors;
     client.value().reset();
@@ -204,28 +216,9 @@ void Run(uint64_t requests, double rate, bool open_loop,
   server.Stop();
   PKGM_CHECK_EQ(exec_rejected, 0u);
 
+  json.EndArray().EndObject();
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    PKGM_CHECK(f != nullptr);
-    std::fprintf(f,
-                 "{\"requests_per_leg\":%llu,\"rate_qps\":%.0f,"
-                 "\"open_loop\":%s,"
-                 "\"mix\":{\"lookup\":%.2f,\"recommend\":%.2f,"
-                 "\"classify\":%.2f,\"align\":%.2f},\"rows\":[",
-                 static_cast<unsigned long long>(requests), rate,
-                 open_loop ? "true" : "false", kMixLookup,
-                 kMixRecommend, kMixClassify, kMixAlign);
-    for (size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& row = json_rows[i];
-      std::fprintf(f,
-                   "%s{\"section\":\"%s\",\"task\":\"%s\","
-                   "\"completed\":%llu,\"p50_us\":%.2f,\"p999_us\":%.2f}",
-                   i == 0 ? "" : ",", row.section.c_str(), row.task.c_str(),
-                   static_cast<unsigned long long>(row.completed), row.p50_us,
-                   row.p999_us);
-    }
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
+    PKGM_CHECK_OK(WriteJsonFile(json_path, json.str()));
     std::printf("json artifact written to %s\n", json_path.c_str());
   }
 }

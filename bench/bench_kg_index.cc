@@ -28,6 +28,7 @@
 #include "kg/triple_index_writer.h"
 #include "kg/triple_store.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -190,44 +191,47 @@ int Run(bool smoke, const std::string& json_path) {
   std::printf("acceptance: %s\n", pass ? "PASS" : "FAIL");
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    JsonWriter json;
+    json.BeginObject()
+        .Field("smoke", smoke)
+        .Key("config")
+        .BeginObject()
+        .Field("triples", triples.size())
+        .Field("categories", c.num_categories)
+        .Field("items_per_category", c.items_per_category)
+        .Field("point_lookups", c.point_lookups)
+        .EndObject()
+        .Key("build")
+        .BeginObject()
+        .Field("triples_per_second",
+               static_cast<double>(build.num_triples) / build.seconds)
+        .Field("file_bytes", build.file_bytes)
+        .Field("spo_runs", build.spo_runs)
+        .Field("pos_runs", build.pos_runs)
+        .Field("osp_runs", build.osp_runs)
+        .EndObject()
+        .Key("backends")
+        .BeginArray();
+    for (const BackendResult* r : {&mem, &idx}) {
+      json.BeginObject()
+          .Field("name", r->name)
+          .Field("rss_delta_bytes", r->rss_delta)
+          .Field("contains_p50_us", r->contains_p50_us)
+          .Field("tails_p50_us", r->tails_p50_us)
+          .Field("heads_p50_us", r->heads_p50_us)
+          .Field("relationsof_p50_us", r->relations_p50_us)
+          .EndObject();
+    }
+    json.EndArray()
+        .Field("open_ms", open_ms)
+        .Field("rss_ratio", rss_ratio)
+        .Field("pass", pass)
+        .EndObject();
+    const Status written = WriteJsonFile(json_path, json.str());
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
       return 1;
     }
-    std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"config\": {\"triples\": %llu, \"categories\": %u, "
-                 "\"items_per_category\": %u, \"point_lookups\": %u},\n",
-                 static_cast<unsigned long long>(triples.size()),
-                 c.num_categories, c.items_per_category, c.point_lookups);
-    std::fprintf(f,
-                 "  \"build\": {\"triples_per_second\": %.0f, "
-                 "\"file_bytes\": %llu, \"spo_runs\": %llu, "
-                 "\"pos_runs\": %llu, \"osp_runs\": %llu},\n",
-                 static_cast<double>(build.num_triples) / build.seconds,
-                 static_cast<unsigned long long>(build.file_bytes),
-                 static_cast<unsigned long long>(build.spo_runs),
-                 static_cast<unsigned long long>(build.pos_runs),
-                 static_cast<unsigned long long>(build.osp_runs));
-    std::fprintf(f, "  \"backends\": [\n");
-    const BackendResult* rs[] = {&mem, &idx};
-    for (int i = 0; i < 2; ++i) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"rss_delta_bytes\": %llu, "
-                   "\"contains_p50_us\": %.3f, \"tails_p50_us\": %.3f, "
-                   "\"heads_p50_us\": %.3f, \"relationsof_p50_us\": %.3f}%s\n",
-                   rs[i]->name.c_str(),
-                   static_cast<unsigned long long>(rs[i]->rss_delta),
-                   rs[i]->contains_p50_us, rs[i]->tails_p50_us,
-                   rs[i]->heads_p50_us, rs[i]->relations_p50_us,
-                   i + 1 < 2 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"open_ms\": %.3f,\n", open_ms);
-    std::fprintf(f, "  \"rss_ratio\": %.4f,\n", rss_ratio);
-    std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
     std::printf("json written to %s\n", json_path.c_str());
   }
   std::remove(index_path.c_str());

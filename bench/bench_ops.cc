@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -26,6 +25,7 @@
 #include "tensor/simd/kernel_bench.h"
 #include "tensor/simd/kernel_dispatch.h"
 #include "text/tokenizer.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -238,64 +238,47 @@ double EvalTailsTriplesPerSec(bool batched) {
   return static_cast<double>(test.size()) / sw.ElapsedSeconds();
 }
 
-// Measures the seed-era baseline — per-candidate scoring on scalar
-// kernels — by re-running this binary with PKGM_KERNEL=scalar. The kernel
-// table is selected once per process and never mutated, so the scalar
-// configuration needs its own process. Returns 0.0 if the child fails.
-double SeedBaselineTps(const char* argv0, const char* json_path) {
-  const std::string tmp = std::string(json_path) + ".tps";
-  const std::string cmd = std::string("PKGM_KERNEL=scalar '") + argv0 +
-                          "' --eval-tails-tps reference > '" + tmp + "'";
-  double tps = 0.0;
-  if (std::system(cmd.c_str()) == 0) {
-    if (std::FILE* f = std::fopen(tmp.c_str(), "r")) {
-      if (std::fscanf(f, "%lf", &tps) != 1) tps = 0.0;
-      std::fclose(f);
-    }
-  }
-  std::remove(tmp.c_str());
-  return tps;
-}
-
-int WriteJsonReport(const char* argv0, const char* path) {
+int WriteJsonReport(const char* path) {
   constexpr size_t kDim = 64;
   const simd::KernelTable& scalar = simd::ScalarKernels();
   const simd::KernelTable& active = simd::Active();
   const auto scalar_results = simd::RunKernelBench(scalar, kDim);
   const auto active_results = simd::RunKernelBench(active, kDim);
 
-  const double seed_tps = SeedBaselineTps(argv0, path);
   const double ref_tps = EvalTailsTriplesPerSec(/*batched=*/false);
   const double batch_tps = EvalTailsTriplesPerSec(/*batched=*/true);
 
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_ops: cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"kernel_isa\": \"%s\",\n  \"dim\": %zu,\n",
-               simd::ActiveIsaName(), kDim);
-  std::fprintf(f, "  \"ops\": {\n");
+  JsonWriter json;
+  json.BeginObject()
+      .Field("kernel_isa", simd::ActiveIsaName())
+      .Field("dim", kDim)
+      .Key("ops")
+      .BeginObject();
   for (size_t i = 0; i < scalar_results.size(); ++i) {
     const auto& s = scalar_results[i];
     const auto& a = active_results[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"scalar_ns_per_op\": %.2f, "
-                 "\"dispatched_ns_per_op\": %.2f, \"scalar_gbps\": %.3f, "
-                 "\"dispatched_gbps\": %.3f, \"speedup\": %.2f}%s\n",
-                 s.op, s.ns_per_op, a.ns_per_op, s.gbps, a.gbps,
-                 s.ns_per_op / a.ns_per_op,
-                 i + 1 < scalar_results.size() ? "," : "");
+    json.Key(s.op)
+        .BeginObject()
+        .Field("scalar_ns_per_op", s.ns_per_op)
+        .Field("dispatched_ns_per_op", a.ns_per_op)
+        .Field("scalar_gbps", s.gbps)
+        .Field("dispatched_gbps", a.gbps)
+        .Field("speedup", s.ns_per_op / a.ns_per_op)
+        .EndObject();
   }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"evaluate_tails\": {\"seed_baseline_triples_per_sec\": "
-               "%.1f, \"reference_triples_per_sec\": %.1f, "
-               "\"batched_triples_per_sec\": %.1f, \"speedup_vs_reference\": "
-               "%.2f, \"speedup_vs_seed_baseline\": %.2f}\n}\n",
-               seed_tps, ref_tps, batch_tps, batch_tps / ref_tps,
-               seed_tps > 0.0 ? batch_tps / seed_tps : 0.0);
-  std::fclose(f);
+  json.EndObject()
+      .Key("evaluate_tails")
+      .BeginObject()
+      .Field("reference_triples_per_sec", ref_tps)
+      .Field("batched_triples_per_sec", batch_tps)
+      .Field("speedup_vs_reference", batch_tps / ref_tps)
+      .EndObject()
+      .EndObject();
+  const Status written = WriteJsonFile(path, json.str());
+  if (!written.ok()) {
+    std::fprintf(stderr, "bench_ops: %s\n", written.ToString().c_str());
+    return 1;
+  }
   std::printf("bench_ops: wrote %s (kernels=%s)\n", path,
               simd::ActiveIsaName());
   return 0;
@@ -307,14 +290,7 @@ int WriteJsonReport(const char* argv0, const char* path) {
 int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      return pkgm::WriteJsonReport(argv[0], argv[i + 1]);
-    }
-    // Internal: print EvaluateTails triples/sec for one scoring path, used
-    // by --json to measure the scalar baseline in a child process.
-    if (std::strcmp(argv[i], "--eval-tails-tps") == 0) {
-      const bool batched = std::strcmp(argv[i + 1], "batched") == 0;
-      std::printf("%.3f\n", pkgm::EvalTailsTriplesPerSec(batched));
-      return 0;
+      return pkgm::WriteJsonReport(argv[i + 1]);
     }
   }
   benchmark::Initialize(&argc, argv);

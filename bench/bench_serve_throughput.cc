@@ -14,11 +14,11 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "serve/knowledge_server.h"
 #include "serve/load_gen.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -51,14 +51,6 @@ serve::LoadGenReport RunClosedLoop(serve::KnowledgeServer* server,
   return report;
 }
 
-struct JsonRow {
-  std::string section;
-  std::string config;
-  double rps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-};
-
 void Run(uint32_t requests, const std::string& json_path) {
   bench::PrintHeader("Serving throughput: batching and the cache");
 
@@ -71,7 +63,11 @@ void Run(uint32_t requests, const std::string& json_path) {
               num_items, p.services->CondensedDim(core::ServiceMode::kAll),
               kZipfSkew, WithThousandsSeparators(requests).c_str());
 
-  std::vector<JsonRow> json_rows;
+  JsonWriter json;
+  json.BeginObject()
+      .Field("requests_per_config", requests)
+      .Key("rows")
+      .BeginArray();
 
   // Baseline: single-item, uncached, computed on the caller's thread — the
   // pre-serving-PR story (ServiceVectorProvider called in-process).
@@ -88,7 +84,13 @@ void Run(uint32_t requests, const std::string& json_path) {
     direct_rps = requests / sw.ElapsedSeconds();
     (void)sink;
   }
-  json_rows.push_back({"direct", "provider call", direct_rps, 0.0, 0.0});
+  json.BeginObject()
+      .Field("section", "direct")
+      .Field("config", "provider call")
+      .Field("rps", direct_rps)
+      .Field("p50_us", 0.0)
+      .Field("p99_us", 0.0)
+      .EndObject();
 
   struct Config {
     const char* name;
@@ -127,9 +129,13 @@ void Run(uint32_t requests, const std::string& json_path) {
     server.Stop();
     table.AddRow({config.name, StrFormat("%.0f", r.achieved_qps),
                   StrFormat("%.2fx", r.achieved_qps / direct_rps), hit_rate});
-    json_rows.push_back({"in_process", config.name, r.achieved_qps,
-                         r.latency_us.Percentile(0.5),
-                         r.latency_us.Percentile(0.99)});
+    json.BeginObject()
+        .Field("section", "in_process")
+        .Field("config", config.name)
+        .Field("rps", r.achieved_qps)
+        .Field("p50_us", r.latency_us.Percentile(0.5))
+        .Field("p99_us", r.latency_us.Percentile(0.99))
+        .EndObject();
   }
   std::printf("%s\n", table.ToString().c_str());
 
@@ -139,20 +145,9 @@ void Run(uint32_t requests, const std::string& json_path) {
       "cached+batched vs direct uncached: %.2fx\n",
       cached_batched_rps / direct_rps);
 
+  json.EndArray().EndObject();
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    PKGM_CHECK(f != nullptr);
-    std::fprintf(f, "{\"requests_per_config\":%u,\"rows\":[", requests);
-    for (size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& row = json_rows[i];
-      std::fprintf(f,
-                   "%s{\"section\":\"%s\",\"config\":\"%s\",\"rps\":%.1f,"
-                   "\"p50_us\":%.2f,\"p99_us\":%.2f}",
-                   i == 0 ? "" : ",", row.section.c_str(), row.config.c_str(),
-                   row.rps, row.p50_us, row.p99_us);
-    }
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
+    PKGM_CHECK_OK(WriteJsonFile(json_path, json.str()));
     std::printf("json artifact written to %s\n", json_path.c_str());
   }
 }

@@ -27,6 +27,7 @@
 #include "store/embedding_store_writer.h"
 #include "store/mmap_embedding_store.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -244,37 +245,44 @@ int Run(bool smoke, const std::string& json_path) {
   std::printf("acceptance: %s\n", pass ? "PASS" : "FAIL");
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    JsonWriter json;
+    json.BeginObject()
+        .Field("smoke", smoke)
+        .Key("config")
+        .BeginObject()
+        .Field("entities", c.num_entities)
+        .Field("relations", c.num_relations)
+        .Field("dim", c.dim)
+        .Field("items", c.num_items)
+        .Field("requests", c.requests)
+        .EndObject()
+        .Key("backends")
+        .BeginArray();
+    for (const BackendResult* r : {&heap, &fp32, &int8}) {
+      json.BeginObject()
+          .Field("name", r->name)
+          .Field("table_bytes", r->table_bytes)
+          .Field("rss_delta_bytes", r->rss_delta)
+          .Field("p50_us", r->p50_us)
+          .Field("p95_us", r->p95_us)
+          .Field("mean_us", r->mean_us)
+          .EndObject();
+    }
+    json.EndArray()
+        .Key("open_ms")
+        .BeginObject()
+        .Field("fp32", fp32_open_ms)
+        .Field("int8", int8_open_ms)
+        .EndObject()
+        .Field("int8_size_ratio", size_ratio)
+        .Field("int8_mean_cosine", cosine)
+        .Field("pass", pass)
+        .EndObject();
+    const Status written = WriteJsonFile(json_path, json.str());
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
       return 1;
     }
-    std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"config\": {\"entities\": %u, \"relations\": %u, "
-                 "\"dim\": %u, \"items\": %u, \"requests\": %u},\n",
-                 c.num_entities, c.num_relations, c.dim, c.num_items,
-                 c.requests);
-    std::fprintf(f, "  \"backends\": [\n");
-    const BackendResult* rs[] = {&heap, &fp32, &int8};
-    for (int i = 0; i < 3; ++i) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"table_bytes\": %llu, "
-                   "\"rss_delta_bytes\": %llu, \"p50_us\": %.3f, "
-                   "\"p95_us\": %.3f, \"mean_us\": %.3f}%s\n",
-                   rs[i]->name.c_str(),
-                   static_cast<unsigned long long>(rs[i]->table_bytes),
-                   static_cast<unsigned long long>(rs[i]->rss_delta),
-                   rs[i]->p50_us, rs[i]->p95_us, rs[i]->mean_us,
-                   i + 1 < 3 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"open_ms\": {\"fp32\": %.3f, \"int8\": %.3f},\n",
-                 fp32_open_ms, int8_open_ms);
-    std::fprintf(f, "  \"int8_size_ratio\": %.4f,\n", size_ratio);
-    std::fprintf(f, "  \"int8_mean_cosine\": %.6f,\n", cosine);
-    std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
     std::printf("json written to %s\n", json_path.c_str());
   }
   std::remove(fp32_path.c_str());

@@ -35,6 +35,7 @@
 #include "kg/synthetic_pkg.h"
 #include "net/net_server.h"
 #include "tensor/simd/kernel_dispatch.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -306,14 +307,6 @@ DistResult RunDistributed(const kg::SyntheticPkg& pkg,
   return r;
 }
 
-void PrintHingeArray(std::FILE* f, const std::vector<double>& hinge) {
-  std::fprintf(f, "[");
-  for (size_t i = 0; i < hinge.size(); ++i) {
-    std::fprintf(f, "%s%.6f", i ? ", " : "", hinge[i]);
-  }
-  std::fprintf(f, "]");
-}
-
 int RunJson(const char* path, bool smoke, uint32_t dist_shards) {
   const PretrainConfig c = MakeConfig(smoke);
   kg::SyntheticPkg pkg = kg::SyntheticPkgGenerator(c.pkg).Generate();
@@ -354,53 +347,51 @@ int RunJson(const char* path, bool smoke, uint32_t dist_shards) {
   }
 
   if (path != nullptr) {
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr,
-                   "bench_table2_pretraining: cannot open %s for writing\n",
-                   path);
+    JsonWriter json;
+    json.BeginObject()
+        .Field("kernel_isa", simd::ActiveIsaName())
+        .Key("config")
+        .BeginObject()
+        .Field("dim", c.dim)
+        .Field("epochs", c.epochs)
+        .Field("batch_size", c.batch)
+        .Field("workers", c.workers)
+        .Field("learning_rate", c.lr)
+        .Field("margin", c.margin)
+        .Field("optimizer", "sgd")
+        .Field("triples", pkg.observed.size())
+        .Field("smoke", smoke)
+        .EndObject()
+        .Key("single_thread")
+        .BeginObject()
+        .Field("triples_per_sec", single.tps)
+        .Field("mean_hinge_per_epoch", single.hinge)
+        .EndObject()
+        .Key("sharded")
+        .BeginObject()
+        .Field("triples_per_sec", sharded.tps)
+        .Field("workers", c.workers)
+        .Field("mean_hinge_per_epoch", sharded.hinge)
+        .EndObject();
+    if (dist_shards > 0 && dist.ok) {
+      json.Key("distributed")
+          .BeginObject()
+          .Field("triples_per_sec", dist.train.tps)
+          .Field("shards", dist_shards)
+          .Field("workers", c.workers)
+          .Field("pulls", dist.pulls)
+          .Field("pushes", dist.pushes)
+          .Field("mean_hinge_per_epoch", dist.train.hinge)
+          .EndObject()
+          .Field("distributed_vs_sharded_final_hinge_ratio", dist_hinge_ratio);
+    }
+    json.Field("sharded_vs_single_final_hinge_ratio", hinge_ratio).EndObject();
+    const Status written = WriteJsonFile(path, json.str());
+    if (!written.ok()) {
+      std::fprintf(stderr, "bench_table2_pretraining: %s\n",
+                   written.ToString().c_str());
       return 1;
     }
-    std::fprintf(f, "{\n  \"kernel_isa\": \"%s\",\n",
-                 simd::ActiveIsaName());
-    std::fprintf(f,
-                 "  \"config\": {\"dim\": %u, \"epochs\": %u, "
-                 "\"batch_size\": %u, \"workers\": %u, "
-                 "\"learning_rate\": %g, \"margin\": %g, "
-                 "\"optimizer\": \"sgd\", \"triples\": %llu, "
-                 "\"smoke\": %s},\n",
-                 c.dim, c.epochs, c.batch, c.workers,
-                 static_cast<double>(c.lr), static_cast<double>(c.margin),
-                 static_cast<unsigned long long>(pkg.observed.size()),
-                 smoke ? "true" : "false");
-    std::fprintf(f,
-                 "  \"single_thread\": {\"triples_per_sec\": %.1f, "
-                 "\"mean_hinge_per_epoch\": ",
-                 single.tps);
-    PrintHingeArray(f, single.hinge);
-    std::fprintf(f,
-                 "},\n  \"sharded\": {\"triples_per_sec\": %.1f, "
-                 "\"workers\": %u, \"mean_hinge_per_epoch\": ",
-                 sharded.tps, c.workers);
-    PrintHingeArray(f, sharded.hinge);
-    std::fprintf(f, "},\n");
-    if (dist_shards > 0 && dist.ok) {
-      std::fprintf(f,
-                   "  \"distributed\": {\"triples_per_sec\": %.1f, "
-                   "\"shards\": %u, \"workers\": %u, \"pulls\": %llu, "
-                   "\"pushes\": %llu, \"mean_hinge_per_epoch\": ",
-                   dist.train.tps, dist_shards, c.workers,
-                   static_cast<unsigned long long>(dist.pulls),
-                   static_cast<unsigned long long>(dist.pushes));
-      PrintHingeArray(f, dist.train.hinge);
-      std::fprintf(f,
-                   "},\n  \"distributed_vs_sharded_final_hinge_ratio\": "
-                   "%.3f,\n",
-                   dist_hinge_ratio);
-    }
-    std::fprintf(f, "  \"sharded_vs_single_final_hinge_ratio\": %.3f\n}\n",
-                 hinge_ratio);
-    std::fclose(f);
     std::printf("bench_table2_pretraining: wrote %s (kernels=%s)\n", path,
                 simd::ActiveIsaName());
   }

@@ -18,8 +18,9 @@
 //
 //   --smoke shrinks request volumes for CI; the assertions run in both
 //   modes (this bench is a gate, not just a report). --json writes the
-//   measured numbers as a machine-readable artifact, with the server's own
-//   StatsJson() blob embedded so stage-level p999s land in CI artifacts.
+//   measured numbers as a machine-readable artifact, with the SLO phase
+//   server's own stats object under slo.server so stage-level p999s land
+//   in CI artifacts.
 //
 // Full mode additionally sweeps offered load through saturation
 // ({0.5, 0.8, 1.0, 1.2} x measured capacity) to locate the knee.
@@ -45,6 +46,7 @@
 #include "serve/load_gen.h"
 #include "tasks/pipeline.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -256,24 +258,20 @@ NetIoLeg RunNetIoLeg(const core::ServiceVectorProvider* provider,
   return leg;
 }
 
-// ---------------------------------------------------------------------------
-// JSON helpers (the artifact is flat enough for fprintf).
-
-void JsonLoadGenFields(std::FILE* f, const serve::LoadGenReport& r) {
-  std::fprintf(
-      f,
-      "\"offered_qps\":%.1f,\"achieved_qps\":%.1f,\"submitted\":%llu,"
-      "\"ok\":%llu,\"rejected\":%llu,\"quota_rejected\":%llu,"
-      "\"deadline_exceeded\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f,"
-      "\"p999_us\":%.1f,\"server_ok_p999_us\":%.1f",
-      r.offered_qps, r.achieved_qps,
-      static_cast<unsigned long long>(r.submitted),
-      static_cast<unsigned long long>(r.ok),
-      static_cast<unsigned long long>(r.rejected),
-      static_cast<unsigned long long>(r.quota_rejected),
-      static_cast<unsigned long long>(r.deadline_exceeded),
-      r.latency_us.Percentile(0.5), r.latency_us.Percentile(0.99),
-      r.latency_us.Percentile(0.999), r.server_ok_us.Percentile(0.999));
+/// A load-generator run's rates, outcome counts and latency quantiles, as
+/// members of the object `w` is writing.
+void WriteLoadGenFields(const serve::LoadGenReport& r, JsonWriter* w) {
+  w->Field("offered_qps", r.offered_qps)
+      .Field("achieved_qps", r.achieved_qps)
+      .Field("submitted", r.submitted)
+      .Field("ok", r.ok)
+      .Field("rejected", r.rejected)
+      .Field("quota_rejected", r.quota_rejected)
+      .Field("deadline_exceeded", r.deadline_exceeded)
+      .Field("p50_us", r.latency_us.Percentile(0.5))
+      .Field("p99_us", r.latency_us.Percentile(0.99))
+      .Field("p999_us", r.latency_us.Percentile(0.999))
+      .Field("server_ok_p999_us", r.server_ok_us.Percentile(0.999));
 }
 
 void PrintLoadGenRow(TablePrinter* table, const std::string& name,
@@ -305,6 +303,9 @@ void Run(bool smoke, const std::string& json_path) {
   const double capacity = MeasureCapacity(provider, capacity_requests);
   std::printf("closed-loop capacity: %.0f requests/s (%u items, %s mode)\n\n",
               capacity, num_items, smoke ? "smoke" : "full");
+  // The --json artifact, written phase by phase.
+  JsonWriter json;
+  json.BeginObject().Field("smoke", smoke).Field("capacity_qps", capacity);
 
   // ---- Phase 2: herd.
   ThrottledSource slow_source(p.services->source(),
@@ -339,11 +340,20 @@ void Run(bool smoke, const std::string& json_path) {
   // must do materially fewer backend fetches than the herd of misses.
   PKGM_CHECK_LT(fetch_ratio, 0.8);
   PKGM_CHECK_GT(herd_on.joined, 0u);
+  json.Key("coalescing")
+      .BeginObject()
+      .Field("herd_epochs", herd_epochs)
+      .Field("herd_size", herd_size)
+      .Field("backend_fetches_off", herd_off.backend_fetches)
+      .Field("backend_fetches_on", herd_on.backend_fetches)
+      .Field("fetch_ratio", fetch_ratio)
+      .Field("leaders", herd_on.leaders)
+      .Field("joined", herd_on.joined)
+      .EndObject();
 
   // ---- Phase 3: SLO under overload with quotas + deadlines.
   const double slo_us = 50000.0;
   serve::LoadGenReport slo_report;
-  std::string slo_server_json;
   {
     serve::KnowledgeServerOptions sopt;
     sopt.num_workers = 4;
@@ -368,7 +378,11 @@ void Run(bool smoke, const std::string& json_path) {
     lopt.deadline_us = static_cast<uint32_t>(slo_us);
     lopt.seed = 2021;
     slo_report = serve::RunLoadGen(lopt, InProcess(&server));
-    slo_server_json = server.StatsJson();
+    json.Key("slo").BeginObject().Field("slo_us", slo_us);
+    WriteLoadGenFields(slo_report, &json);
+    json.Key("server");
+    server.WriteStatsJson(&json);
+    json.EndObject();
     server.Stop();
   }
   // ---- Phase 4: open-loop vs closed-loop honesty at one offered rate.
@@ -396,6 +410,11 @@ void Run(bool smoke, const std::string& json_path) {
     open_report = serve::RunLoadGen(lopt, InProcess(&server));
     server.Stop();
   }
+  json.Key("honesty").BeginObject().Key("open").BeginObject();
+  WriteLoadGenFields(open_report, &json);
+  json.EndObject().Key("closed").BeginObject();
+  WriteLoadGenFields(closed_report, &json);
+  json.EndObject().EndObject();
 
   {
     TablePrinter table({"phase", "offered/s", "achieved/s", "p50 us",
@@ -455,6 +474,15 @@ void Run(bool smoke, const std::string& json_path) {
                 static_cast<unsigned long long>(net_requests), net_offered,
                 table.ToString().c_str());
   }
+  json.Key("net_io").BeginObject();
+  WriteLoadGenFields(net_leg.report, &json);
+  json.Field("io_backend", net_leg.net.io_backend)
+      .Field("frames", net_leg.net.frames_in + net_leg.net.frames_out)
+      .Field("io_wait_calls", net_leg.net.io_wait_calls)
+      .Field("io_recv_syscalls", net_leg.net.io_recv_syscalls)
+      .Field("io_send_syscalls", net_leg.net.io_send_syscalls)
+      .Field("syscalls_per_frame", net_leg.syscalls_per_frame)
+      .EndObject();
 
   // ---- Phase 6 (full mode): sweep offered load through saturation.
   std::vector<serve::LoadGenReport> sweep;
@@ -489,50 +517,15 @@ void Run(bool smoke, const std::string& json_path) {
               "p999 inside SLO with shedding, open >= closed p999.\n",
               fetch_ratio);
 
+  json.Key("sweep").BeginArray();
+  for (const serve::LoadGenReport& r : sweep) {
+    json.BeginObject();
+    WriteLoadGenFields(r, &json);
+    json.EndObject();
+  }
+  json.EndArray().EndObject();
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    PKGM_CHECK(f != nullptr);
-    std::fprintf(f, "{\"smoke\":%s,\"capacity_qps\":%.1f,",
-                 smoke ? "true" : "false", capacity);
-    std::fprintf(
-        f,
-        "\"coalescing\":{\"herd_epochs\":%u,\"herd_size\":%u,"
-        "\"backend_fetches_off\":%llu,\"backend_fetches_on\":%llu,"
-        "\"fetch_ratio\":%.3f,\"leaders\":%llu,\"joined\":%llu},",
-        herd_epochs, herd_size,
-        static_cast<unsigned long long>(herd_off.backend_fetches),
-        static_cast<unsigned long long>(herd_on.backend_fetches), fetch_ratio,
-        static_cast<unsigned long long>(herd_on.leaders),
-        static_cast<unsigned long long>(herd_on.joined));
-    std::fprintf(f, "\"slo\":{\"slo_us\":%.0f,", slo_us);
-    JsonLoadGenFields(f, slo_report);
-    std::fprintf(f, ",\"server\":%s},", slo_server_json.c_str());
-    std::fprintf(f, "\"honesty\":{\"open\":{");
-    JsonLoadGenFields(f, open_report);
-    std::fprintf(f, "},\"closed\":{");
-    JsonLoadGenFields(f, closed_report);
-    std::fprintf(f, "}},\"net_io\":{");
-    JsonLoadGenFields(f, net_leg.report);
-    std::fprintf(
-        f,
-        ",\"io_backend\":\"%s\",\"frames\":%llu,\"io_wait_calls\":%llu,"
-        "\"io_recv_syscalls\":%llu,\"io_send_syscalls\":%llu,"
-        "\"syscalls_per_frame\":%.4f",
-        net_leg.net.io_backend.c_str(),
-        static_cast<unsigned long long>(net_leg.net.frames_in +
-                                        net_leg.net.frames_out),
-        static_cast<unsigned long long>(net_leg.net.io_wait_calls),
-        static_cast<unsigned long long>(net_leg.net.io_recv_syscalls),
-        static_cast<unsigned long long>(net_leg.net.io_send_syscalls),
-        net_leg.syscalls_per_frame);
-    std::fprintf(f, "},\"sweep\":[");
-    for (size_t i = 0; i < sweep.size(); ++i) {
-      std::fprintf(f, "%s{", i == 0 ? "" : ",");
-      JsonLoadGenFields(f, sweep[i]);
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
+    PKGM_CHECK_OK(WriteJsonFile(json_path, json.str()));
     std::printf("json artifact written to %s\n", json_path.c_str());
   }
 }

@@ -11,6 +11,9 @@
 
 namespace pkgm::core {
 
+/// The k of every Hits@k the evaluator reports.
+constexpr int kHitsAt[] = {1, 3, 10};
+
 LinkPredictionEvaluator::LinkPredictionEvaluator(
     const EmbeddingSource* source, const kg::TripleSource* all_known,
     Options options)
@@ -139,7 +142,7 @@ LinkPredictionResult LinkPredictionEvaluator::EvaluateTails(
         candidates_per_relation) const {
   LinkPredictionResult result;
   result.count = test.size();
-  for (int k : options_.hits_at) result.hits[k] = 0.0;
+  for (int k : kHitsAt) result.hits[k] = 0.0;
   if (test.empty()) return result;
 
   const auto candidates_of =
@@ -180,14 +183,14 @@ LinkPredictionResult LinkPredictionEvaluator::EvaluateTails(
   for (double rank : ranks) {
     rr_sum += 1.0 / rank;
     rank_sum += rank;
-    for (int k : options_.hits_at) {
+    for (int k : kHitsAt) {
       if (rank <= static_cast<double>(k)) result.hits[k] += 1.0;
     }
   }
   const double n = static_cast<double>(test.size());
   result.mrr = rr_sum / n;
   result.mean_rank = rank_sum / n;
-  for (int k : options_.hits_at) result.hits[k] /= n;
+  for (int k : kHitsAt) result.hits[k] /= n;
   return result;
 }
 

@@ -17,7 +17,8 @@ namespace pkgm::core {
 struct LinkPredictionResult {
   double mrr = 0.0;
   double mean_rank = 0.0;
-  /// hits[k] = fraction of test triples whose true entity ranked <= k.
+  /// hits[k] = fraction of test triples whose true entity ranked <= k, for
+  /// k in {1, 3, 10}.
   std::map<int, double> hits;
   uint64_t count = 0;
 };
@@ -42,7 +43,6 @@ struct LinkPredictionResult {
 class LinkPredictionEvaluator {
  public:
   struct Options {
-    std::vector<int> hits_at = {1, 3, 10};
     /// Filter candidates that are known positives in `all_known`.
     bool filtered = true;
     /// Worker threads for EvaluateTails: 0 = hardware concurrency, 1 =

@@ -17,14 +17,17 @@ namespace pkgm::dist {
 
 namespace {
 
-/// Resolves one CallFrame future within the deadline; a pending future
-/// past the deadline is abandoned (the promise side is still owned by the
+/// How long a worker waits for any one remote reply (pull, ack, shard
+/// info, barrier). Barriers wait on the slowest peer's epoch tail too, so
+/// it is sized far above one epoch.
+constexpr std::chrono::milliseconds kIoTimeout{60000};
+
+/// Resolves one CallFrame future within kIoTimeout; a pending future past
+/// the deadline is abandoned (the promise side is still owned by the
 /// client's reader thread, which satisfies it whenever the frame — or the
 /// connection teardown — arrives).
-StatusOr<net::Frame> Await(std::future<StatusOr<net::Frame>>& fut,
-                           int timeout_ms) {
-  if (fut.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-      std::future_status::ready) {
+StatusOr<net::Frame> Await(std::future<StatusOr<net::Frame>>& fut) {
+  if (fut.wait_for(kIoTimeout) != std::future_status::ready) {
     return Status::IoError("remote call timed out");
   }
   return fut.get();
@@ -32,8 +35,8 @@ StatusOr<net::Frame> Await(std::future<StatusOr<net::Frame>>& fut,
 
 /// Await + require the reply to be of `want` type.
 StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
-                               net::FrameType want, int timeout_ms) {
-  StatusOr<net::Frame> reply = Await(fut, timeout_ms);
+                               net::FrameType want) {
+  StatusOr<net::Frame> reply = Await(fut);
   if (!reply.ok()) return reply;
   if (reply.value().type != want) {
     return Status::IoError(
@@ -101,7 +104,7 @@ Status DistTrainer::Connect() {
     auto fut = clients_[s]->CallFrame(
         cid, net::EncodeControl(net::FrameType::kShardInfo, cid));
     StatusOr<net::Frame> reply =
-        AwaitType(fut, net::FrameType::kShardInfoReply, options_.io_timeout_ms);
+        AwaitType(fut, net::FrameType::kShardInfoReply);
     if (!reply.ok()) return reply.status();
     PKGM_RETURN_IF_ERROR(
         net::DecodeShardInfoReply(reply.value().payload, &infos[s]));
@@ -256,8 +259,8 @@ Status DistTrainer::FinishPull(BatchScratch* sc) {
     for (size_t f = 0; f < sc->pull_futures.size(); ++f) {
       const size_t s = sc->pull_shards[f];
       const Stopwatch wait;
-      StatusOr<net::Frame> reply = AwaitType(
-          sc->pull_futures[f], net::FrameType::kRows, options_.io_timeout_ms);
+      StatusOr<net::Frame> reply =
+          AwaitType(sc->pull_futures[f], net::FrameType::kRows);
       pull_wait_ns_.fetch_add(
           static_cast<uint64_t>(wait.ElapsedSeconds() * 1e9));
       if (!reply.ok()) return reply.status();
@@ -282,8 +285,7 @@ Status DistTrainer::EpochBarrier(uint32_t epoch) {
                                 options_.num_worker_processes)));
   }
   for (auto& fut : futures) {
-    StatusOr<net::Frame> reply =
-        AwaitType(fut, net::FrameType::kBarrierReply, options_.io_timeout_ms);
+    StatusOr<net::Frame> reply = AwaitType(fut, net::FrameType::kBarrierReply);
     if (!reply.ok()) return reply.status();
     uint32_t got_epoch = 0, arrived = 0;
     PKGM_RETURN_IF_ERROR(
@@ -407,8 +409,7 @@ class DistTrainer::RemoteWorker : public core::EpochWorker {
   }
 
   Status WaitAck(std::future<StatusOr<net::Frame>>& fut) {
-    StatusOr<net::Frame> reply =
-        AwaitType(fut, net::FrameType::kPushAck, t_->options_.io_timeout_ms);
+    StatusOr<net::Frame> reply = AwaitType(fut, net::FrameType::kPushAck);
     if (!reply.ok()) return reply.status();
     uint32_t rows_applied = 0;
     return net::DecodePushAck(reply.value().payload, &rows_applied);

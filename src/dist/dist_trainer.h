@@ -47,10 +47,6 @@ struct DistTrainerOptions {
   /// next pull), the mode whose 1-worker trajectory is bit-identical to the
   /// in-process trainer.
   uint32_t max_inflight_pushes = 4;
-  /// Per remote call (pull / ack / info); barriers wait forever is wrong,
-  /// so they use this bound too — size it to cover the slowest peer's
-  /// epoch tail.
-  int io_timeout_ms = 60000;
 };
 
 /// The worker half of distributed parameter-server training: connects to
@@ -103,7 +99,6 @@ class DistTrainer {
 
   /// Valid after Connect().
   core::PkgmModel* replica();
-  const net::ShardInfo& shard_info() const { return info_; }
   uint32_t num_shards() const {
     return static_cast<uint32_t>(options_.shard_endpoints.size());
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -362,32 +363,24 @@ void ParamServer::AbortBarriers() {
 }
 
 std::string ParamServer::StatsJson(const serve::NetCounters& net) const {
-  return "{\"net\":" + net.ToJson() + ", " + StatsFields() + "}";
-}
-
-std::string ParamServer::StatsJson() const { return "{" + StatsFields() + "}"; }
-
-std::string ParamServer::StatsFields() const {
-  return StrFormat(
-      "\"shard\": %u, \"num_shards\": %u, \"optimizer\": \"%s\", "
-      "\"pulls\": %llu, \"rows_pulled\": %llu, \"pushes\": %llu, "
-      "\"rows_applied\": %llu, \"rejects\": %llu, "
-      "\"barriers_released\": %llu, \"step\": %llu, "
-      "\"transfer_rows_from_log\": %llu, \"transfer_rows_dense\": %llu, "
-      "\"transfer_log_bytes\": %llu",
-      static_cast<unsigned>(options_.shard_index),
-      static_cast<unsigned>(options_.num_shards),
-      options_.optimizer == core::OptimizerKind::kAdam ? "adam" : "sgd",
-      static_cast<unsigned long long>(pulls_.load()),
-      static_cast<unsigned long long>(rows_pulled_.load()),
-      static_cast<unsigned long long>(pushes_.load()),
-      static_cast<unsigned long long>(rows_applied_.load()),
-      static_cast<unsigned long long>(rejects_.load()),
-      static_cast<unsigned long long>(barriers_released_.load()),
-      static_cast<unsigned long long>(optimizer_.step()),
-      static_cast<unsigned long long>(transfer_rows_from_log_.load()),
-      static_cast<unsigned long long>(transfer_rows_dense_.load()),
-      static_cast<unsigned long long>(transfer_log_bytes_.load()));
+  JsonWriter w;
+  w.BeginObject().Key("net");
+  net.WriteJson(&w);
+  w.Field("shard", options_.shard_index)
+      .Field("num_shards", options_.num_shards)
+      .Field("optimizer",
+             options_.optimizer == core::OptimizerKind::kAdam ? "adam" : "sgd")
+      .Field("pulls", pulls_.load())
+      .Field("rows_pulled", rows_pulled_.load())
+      .Field("pushes", pushes_.load())
+      .Field("rows_applied", rows_applied_.load())
+      .Field("rejects", rejects_.load())
+      .Field("barriers_released", barriers_released_.load())
+      .Field("step", optimizer_.step())
+      .Field("transfer_rows_from_log", transfer_rows_from_log_.load())
+      .Field("transfer_rows_dense", transfer_rows_dense_.load())
+      .Field("transfer_log_bytes", transfer_log_bytes_.load());
+  return w.EndObject().str();
 }
 
 }  // namespace pkgm::dist

@@ -86,8 +86,6 @@ class ParamServer : public net::FrameHandler {
   /// pkgm_psd's snapshot: the transport's "net" object, then this shard's
   /// counters.
   std::string StatsJson(const serve::NetCounters& net) const override;
-  /// This shard's counters as one flat JSON object.
-  std::string StatsJson() const;
 
   /// Fails all parked barrier waiters with kError/kRejected and refuses
   /// subsequent kBarrier frames. Call before NetServer::Stop(), otherwise
@@ -127,8 +125,6 @@ class ParamServer : public net::FrameHandler {
   bool OwnsKey(uint32_t key) const {
     return key % options_.num_shards == options_.shard_index;
   }
-  /// The members of StatsJson()'s object, without its braces.
-  std::string StatsFields() const;
   /// Table row count keyed by the table's id space (entities or relations).
   uint32_t NumKeysOf(net::ParamTable table) const;
 

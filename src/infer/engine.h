@@ -58,9 +58,6 @@ class InferenceEngine : public serve::InferExecutor {
                     const std::vector<const serve::ServiceRequest*>& requests,
                     std::vector<serve::ServiceResponse>* responses) override;
 
-  const InferModelRegistry* models() const { return models_; }
-  const std::vector<std::string>& item_titles() const { return item_titles_; }
-
  private:
   /// Snapshots the embedding backend for one batch. In registry mode,
   /// `pinned` keeps the generation alive until the batch completes.

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -398,57 +399,58 @@ StatusOr<std::string> InspectInferModel(const std::string& path) {
   if (!loaded.ok()) return loaded.status();
   const LoadedInferModel& m = loaded.value();
 
-  std::string config_json;
-  uint32_t vocab_size = 0;
+  // Null for the recommender, the one model without an encoder.
+  const text::TinyBertConfig* bert = nullptr;
   std::vector<nn::Parameter*> params;
   uint64_t total_weights = 0;
   size_t num_records = 0;
   if (m.task == InferTask::kRecommend) {
-    const rec::NcfConfig& cfg = m.recommender.config;
-    std::string hidden = "[";
-    for (size_t i = 0; i < cfg.mlp_hidden.size(); ++i) {
-      hidden += StrFormat(i + 1 < cfg.mlp_hidden.size() ? "%u, " : "%u",
-                          cfg.mlp_hidden[i]);
-    }
-    hidden += "]";
-    config_json = StrFormat(
-        "{\"num_users\": %u, \"num_items\": %u, \"gmf_dim\": %u, "
-        "\"mlp_dim\": %u, \"mlp_hidden\": %s, \"pkgm_dim\": %u, "
-        "\"seed\": %llu}",
-        cfg.num_users, cfg.num_items, cfg.gmf_dim, cfg.mlp_dim,
-        hidden.c_str(), cfg.pkgm_dim, static_cast<unsigned long long>(cfg.seed));
     params = m.recommender.model->Params();
     total_weights = m.recommender.item_features.size();
     num_records = 1;
   } else {
     const bool classify = m.task == InferTask::kClassify;
-    const text::TinyBertConfig& cfg =
-        classify ? m.classifier.config : m.aligner.config;
-    config_json = StrFormat(
-        "{\"vocab_size\": %u, \"dim\": %u, \"layers\": %u, \"heads\": %u, "
-        "\"ff_dim\": %u, \"max_len\": %u, \"seed\": %llu",
-        cfg.vocab_size, cfg.dim, cfg.layers, cfg.heads, cfg.ff_dim,
-        cfg.max_len, static_cast<unsigned long long>(cfg.seed));
-    if (classify) {
-      config_json +=
-          StrFormat(", \"num_classes\": %u", m.classifier.num_classes);
-    }
-    config_json += "}";
-    vocab_size = cfg.vocab_size;
+    bert = classify ? &m.classifier.config : &m.aligner.config;
     params = (classify ? m.classifier.bert : m.aligner.bert)->Params();
     (classify ? m.classifier.head : m.aligner.head)->Params(&params);
   }
   num_records += params.size();
   for (const nn::Parameter* p : params) total_weights += p->value.size();
 
-  return StrFormat(
-      "{\"path\": \"%s\", \"task\": \"%s\", \"variant\": \"%s\", "
-      "\"generation\": %llu, \"file_bytes\": %llu, \"vocab_size\": %u, "
-      "\"num_params\": %zu, \"total_weights\": %llu, \"config\": %s}",
-      path.c_str(), InferTaskName(m.task), VariantShortName(m.variant),
-      static_cast<unsigned long long>(m.generation),
-      static_cast<unsigned long long>(m.file_bytes), vocab_size, num_records,
-      static_cast<unsigned long long>(total_weights), config_json.c_str());
+  JsonWriter w;
+  w.BeginObject()
+      .Field("path", path)
+      .Field("task", InferTaskName(m.task))
+      .Field("variant", VariantShortName(m.variant))
+      .Field("generation", m.generation)
+      .Field("file_bytes", m.file_bytes)
+      .Field("vocab_size", bert != nullptr ? bert->vocab_size : 0u)
+      .Field("num_params", num_records)
+      .Field("total_weights", total_weights)
+      .Key("config")
+      .BeginObject();
+  if (bert == nullptr) {
+    const rec::NcfConfig& cfg = m.recommender.config;
+    w.Field("num_users", cfg.num_users)
+        .Field("num_items", cfg.num_items)
+        .Field("gmf_dim", cfg.gmf_dim)
+        .Field("mlp_dim", cfg.mlp_dim)
+        .Field("mlp_hidden", cfg.mlp_hidden)
+        .Field("pkgm_dim", cfg.pkgm_dim)
+        .Field("seed", cfg.seed);
+  } else {
+    w.Field("vocab_size", bert->vocab_size)
+        .Field("dim", bert->dim)
+        .Field("layers", bert->layers)
+        .Field("heads", bert->heads)
+        .Field("ff_dim", bert->ff_dim)
+        .Field("max_len", bert->max_len)
+        .Field("seed", bert->seed);
+    if (m.task == InferTask::kClassify) {
+      w.Field("num_classes", m.classifier.num_classes);
+    }
+  }
+  return w.EndObject().EndObject().str();
 }
 
 }  // namespace pkgm::infer

@@ -22,7 +22,7 @@ InferBundle TrainInferModels(const tasks::PretrainedPkgm& pkgm,
   // Classification (§III-B).
   {
     data::ClassificationDatasetOptions opt;
-    opt.max_per_category = options.classify_max_per_category;
+    opt.max_per_category = 20;
     opt.seed = options.seed + 1;
     data::ClassificationDataset dataset =
         BuildClassificationDataset(pkgm.pkg, titles, opt);
@@ -36,7 +36,7 @@ InferBundle TrainInferModels(const tasks::PretrainedPkgm& pkgm,
   // Alignment (§III-C), category 0.
   {
     data::AlignmentDatasetOptions opt;
-    opt.pairs_per_category = options.align_pairs_per_category;
+    opt.pairs_per_category = 120;
     opt.ranking_cases = 5;
     opt.ranking_negatives = 9;
     opt.seed = options.seed + 3;
@@ -53,7 +53,7 @@ InferBundle TrainInferModels(const tasks::PretrainedPkgm& pkgm,
   // Recommendation (§III-D).
   {
     data::InteractionDatasetOptions opt;
-    opt.num_users = options.recommend_num_users;
+    opt.num_users = 60;
     opt.seed = options.seed + 5;
     data::InteractionDataset dataset =
         BuildInteractionDataset(pkgm.pkg, opt);

@@ -13,21 +13,16 @@
 
 namespace pkgm::infer {
 
-/// Serving-scale downstream training: small datasets and few epochs, so
-/// pkgm_netd, pkgm_tool, the loopback tests and the serving bench can all
-/// stand up the three models in seconds (ASan included). The models only
-/// need to be *real* (exact task arithmetic), not accurate. Deterministic
-/// given `seed`.
+/// Serving-scale downstream training: small datasets (20 titles per
+/// category to classify, 120 alignment pairs from category 0, 60 users'
+/// interactions) and few epochs, so pkgm_netd, pkgm_tool, the loopback
+/// tests and the serving bench can all stand up the three models in
+/// seconds (ASan included). The models only need to be *real* (exact task
+/// arithmetic), not accurate. Deterministic given `seed`.
 struct InferPipelineOptions {
   tasks::PkgmVariant variant = tasks::PkgmVariant::kPkgmAll;
-  /// Classification dataset/model.
-  uint32_t classify_max_per_category = 20;
   tasks::ItemClassificationOptions classify;
-  /// Alignment dataset/model (category 0 of the synthetic PKG).
-  uint32_t align_pairs_per_category = 120;
   tasks::ItemAlignmentOptions align;
-  /// Interaction dataset/model.
-  uint32_t recommend_num_users = 60;
   tasks::RecommendationOptions recommend;
   uint64_t seed = 71;
 

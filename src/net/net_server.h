@@ -82,9 +82,13 @@ class FrameHandler {
   virtual Result HandleFrame(const Frame& frame, Respond respond) = 0;
 
   /// The daemon's whole kStats snapshot around the transport's counters,
-  /// whose "net" object NetCounters::ToJson writes.
+  /// whose "net" object NetCounters::WriteJson writes. The default is that
+  /// object alone.
   virtual std::string StatsJson(const serve::NetCounters& net) const {
-    return "{\"net\":" + net.ToJson() + "}";
+    JsonWriter w;
+    w.BeginObject().Key("net");
+    net.WriteJson(&w);
+    return w.EndObject().str();
   }
 };
 

@@ -346,29 +346,26 @@ void KnowledgeServer::InvalidateCache() {
   if (cache_ != nullptr) cache_->Invalidate();
 }
 
-std::string KnowledgeServer::StatsReport(const NetCounters* net) const {
-  return RenderStats(&ServerStats::ToTable, net);
-}
-
 std::string KnowledgeServer::StatsJson(const NetCounters* net) const {
-  return RenderStats(&ServerStats::StatsJson, net);
+  JsonWriter doc;
+  WriteStatsJson(&doc, net);
+  return doc.str();
 }
 
-std::string KnowledgeServer::RenderStats(StatsRenderer render,
-                                         const NetCounters* net) const {
+void KnowledgeServer::WriteStatsJson(JsonWriter* w,
+                                     const NetCounters* net) const {
   CacheStats cache_stats;
-  const CacheStats* cache_ptr = nullptr;
-  if (cache_ != nullptr) {
-    cache_stats = cache_->Stats();
-    cache_ptr = &cache_stats;
-  }
+  if (cache_ != nullptr) cache_stats = cache_->Stats();
   CoalescerStats co_stats;
-  const CoalescerStats* co_ptr = nullptr;
-  if (coalescer_ != nullptr) {
-    co_stats = coalescer_->stats();
-    co_ptr = &co_stats;
-  }
-  return (stats_.*render)(queue_depth(), cache_ptr, net, co_ptr);
+  if (coalescer_ != nullptr) co_stats = coalescer_->stats();
+  stats_.WriteJson(queue_depth(), cache_ != nullptr ? &cache_stats : nullptr,
+                   net, coalescer_ != nullptr ? &co_stats : nullptr, w);
+}
+
+std::string KnowledgeServer::StatsReport(const NetCounters* net) const {
+  JsonWriter doc;
+  WriteStatsJson(&doc, net);
+  return ServerStats::ToTable(doc);
 }
 
 }  // namespace pkgm::serve

@@ -143,19 +143,16 @@ class KnowledgeServer {
   /// Drops all cached vectors (call after swapping in a new model).
   void InvalidateCache();
 
-  /// Counters + queue gauge + cache + coalescer + latency percentiles as
-  /// ASCII tables, plus the network front end's counters when `net` is
-  /// given (pkgm_netd's final table).
-  std::string StatsReport(const NetCounters* net = nullptr) const;
-
-  /// Machine-readable counterpart to StatsReport(); with `net` it is the
-  /// kStats snapshot of pkgm_netd.
+  /// The server's stats object (ServerStats::WriteJson over the queue
+  /// gauge and the cache and coalescer counters), with the network front
+  /// end's counters when `net` is given: the kStats snapshot of pkgm_netd.
   std::string StatsJson(const NetCounters* net = nullptr) const;
+  /// StatsJson's object written into `w`, e.g. as a bench artifact's member.
+  void WriteStatsJson(JsonWriter* w, const NetCounters* net = nullptr) const;
 
-  /// The fixed provider; null in registry mode (use registry()->Current()).
-  const core::ServiceVectorProvider* provider() const { return provider_; }
-  /// The registry; null in fixed-provider mode.
-  const store::ModelRegistry* registry() const { return registry_; }
+  /// StatsJson rendered as an ASCII table, one row per key path
+  /// (ServerStats::ToTable): pkgm_netd's final table.
+  std::string StatsReport(const NetCounters* net = nullptr) const;
 
  private:
   struct PendingRequest {
@@ -170,14 +167,6 @@ class KnowledgeServer {
   /// Shared ctor tail: builds the cache, coalescer and tenant quotas from
   /// options_.
   void InitAdmissionAndCache();
-
-  /// ServerStats::ToTable or ServerStats::StatsJson.
-  using StatsRenderer = std::string (ServerStats::*)(
-      uint64_t, const CacheStats*, const NetCounters*,
-      const CoalescerStats*) const;
-  /// Snapshots the cache and coalescer counters and renders them with the
-  /// server's own through `render`.
-  std::string RenderStats(StatsRenderer render, const NetCounters* net) const;
 
   /// SubmitBatchAsync's quota shedding and queue admission.
   void Enqueue(Batch batch);

@@ -10,6 +10,7 @@
 #include "serve/request.h"
 #include "serve/vector_cache.h"
 #include "util/histogram.h"
+#include "util/json.h"
 
 namespace pkgm::serve {
 
@@ -42,20 +43,12 @@ struct NetCounters {
   uint64_t io_recv_syscalls = 0;
   uint64_t io_send_syscalls = 0;
 
-  /// Frames moved (in + out) per I/O syscall (waits + recvs + sends): how
-  /// many frames each wakeup, read and gathered write carries on average
-  /// — higher is better.
-  double FramesPerSyscall() const {
-    const uint64_t syscalls =
-        io_wait_calls + io_recv_syscalls + io_send_syscalls;
-    return static_cast<double>(frames_in + frames_out) /
-           static_cast<double>(syscalls > 0 ? syscalls : 1);
-  }
-
-  /// The "net" object of every daemon's kStats snapshot — pkgm_netd's
-  /// (ServerStats::StatsJson) and pkgm_psd's (ParamServer::StatsJson) — so
-  /// both report one key set.
-  std::string ToJson() const;
+  /// Writes the "net" object of every daemon's kStats snapshot — pkgm_netd's
+  /// (ServerStats::WriteJson) and pkgm_psd's (ParamServer::StatsJson) — so
+  /// both report one key set: these counters, then frames_per_syscall,
+  /// frames moved (in + out) per I/O syscall (waits + recvs + sends), how
+  /// many frames each wakeup, read and gathered write carries on average.
+  void WriteJson(JsonWriter* w) const;
 };
 
 /// Thread-safe metrics for the knowledge server: request counters by
@@ -105,15 +98,6 @@ class ServerStats {
   uint64_t task_completed(TaskKind task) const {
     return task_completed_[static_cast<uint8_t>(task)].load();
   }
-  /// Accepted requests that have not yet completed.
-  uint64_t in_flight() const {
-    return accepted_.load() - ok_.load() - deadline_exceeded_.load() -
-           invalid_item_.load() - exec_rejected_.load();
-  }
-
-  /// Snapshots of the stage histograms (copies, safe to interrogate).
-  Histogram QueueLatency() const;
-  Histogram ComputeLatency() const;
 
   /// Describes the parameter backend serving this run (store dtype, load
   /// mode, generation, file size). Set at server start and again on every
@@ -121,19 +105,20 @@ class ServerStats {
   void SetBackend(std::string description);
   std::string backend() const;
 
-  /// Renders counters, the queue-depth gauge, optional cache counters,
-  /// optional network-front-end counters and the per-stage latency
-  /// percentiles as two aligned ASCII tables.
-  std::string ToTable(uint64_t queue_depth, const CacheStats* cache,
-                      const NetCounters* net = nullptr,
-                      const CoalescerStats* coalescer = nullptr) const;
+  /// Writes the stats object into `w`: the outcome counters, the
+  /// queue-depth gauge, completions per task, a "cache", "coalescer" and
+  /// "net" object for each of those given, and the per-stage latency
+  /// quantiles under "latency". With `net` it is pkgm_netd's kStats
+  /// snapshot, which the smokes, perfbench and bench artifacts read by key.
+  void WriteJson(uint64_t queue_depth, const CacheStats* cache,
+                 const NetCounters* net, const CoalescerStats* coalescer,
+                 JsonWriter* w) const;
 
-  /// Machine-readable counterpart to ToTable: one JSON object with the same
-  /// counters/gauges/percentiles, consumed by the load generator, the CI
-  /// smoke job and bench artifacts instead of regex-scraping the tables.
-  std::string StatsJson(uint64_t queue_depth, const CacheStats* cache,
-                        const NetCounters* net = nullptr,
-                        const CoalescerStats* coalescer = nullptr) const;
+  /// Renders `doc`, a document WriteJson wrote, as an aligned ASCII table:
+  /// one row per scalar, labelled with its path ("accepted",
+  /// "cache.hit_rate", "latency.queue.p99_us"), a separator before each
+  /// object's rows.
+  static std::string ToTable(const JsonWriter& doc);
 
  private:
   std::atomic<uint64_t> accepted_{0};

@@ -30,6 +30,7 @@
 #include "dist/dist_trainer.h"
 #include "dist/param_server.h"
 #include "dist/replica.h"
+#include "flat_json.h"
 #include "kg/synthetic_pkg.h"
 #include "kg/triple_store.h"
 #include "mutation.h"
@@ -48,6 +49,15 @@ using net::FrameType;
 using net::ParamTable;
 using net::PullSection;
 using net::RowsSection;
+
+/// `shard`'s kStats snapshot over idle transport counters, parsed; an
+/// empty document (failing the test) when it is not JSON.
+FlatJson ShardStats(const ParamServer& shard) {
+  const std::string json = shard.StatsJson(serve::NetCounters{});
+  std::optional<FlatJson> doc = FlatJson::Parse(json);
+  EXPECT_TRUE(doc.has_value()) << "not JSON: " << json;
+  return doc.value_or(FlatJson());
+}
 
 core::PkgmModelOptions TestModelOptions() {
   core::PkgmModelOptions mo;
@@ -395,9 +405,7 @@ TEST(ParamServerTest, PushRepeatingARowIdRefusedWhole) {
   uint64_t cid = client->NextCorrelationId();
   EXPECT_FALSE(
       Call(client.get(), net::EncodePushGrads(cid, 1.0f, 0, repeated)).ok());
-  EXPECT_NE(cluster.shards[0]->StatsJson().find("\"rejects\": 1,"),
-            std::string::npos)
-      << cluster.shards[0]->StatsJson();
+  EXPECT_EQ(ShardStats(*cluster.shards[0]).Num("rejects"), 1);
   EXPECT_EQ(cluster.shards[0]->step(), 0u);
 
   // No row moved, the unrepeated rows included.
@@ -1965,15 +1973,6 @@ TEST(ParamServerTest, CrossoverPushFitsMaxPushPayload) {
 // Versioned transfer-row pulls: shard logs and worker replay
 // ---------------------------------------------------------------------------
 
-/// The unsigned value of `key` in a flat StatsJson object (0 if absent).
-uint64_t StatOf(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t at = json.find(needle);
-  EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
-  if (at == std::string::npos) return 0;
-  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
-}
-
 /// A push to `shard` of relation `rel`'s transfer gradient as one factor
 /// group of `items` items.
 void PushFactors(ParamServer* shard, uint32_t rel, size_t items) {
@@ -2017,12 +2016,13 @@ TEST(VersionedPullTest, TwoWorkersTwoShardsReplicaByteEqualsShards) {
 
   const core::PkgmModel& replica = *trainer.replica();
   const size_t dd = static_cast<size_t>(mo.dim) * mo.dim;
-  uint64_t from_log = 0;
+  double from_log = 0;
   for (const auto& shard : cluster.shards) {
-    from_log += StatOf(shard->StatsJson(), "transfer_rows_from_log");
-    EXPECT_EQ(StatOf(shard->StatsJson(), "rejects"), 0u);
+    const FlatJson stats = ShardStats(*shard);
+    from_log += stats.Num("transfer_rows_from_log");
+    EXPECT_EQ(stats.Num("rejects"), 0);
   }
-  EXPECT_GT(from_log, 0u);
+  EXPECT_GT(from_log, 0);
   for (uint32_t r = 0; r < mo.num_relations; ++r) {
     const core::PkgmModel& shard = cluster.shards[r % 2]->model();
     EXPECT_EQ(std::memcmp(replica.transfer(r), shard.transfer(r), 4 * dd), 0)
@@ -2258,7 +2258,7 @@ TEST(VersionedPullTest, UnloadableShardIsaGetsIdOnlyTransferSections) {
   ASSERT_TRUE(trainer.PullFullModel().ok());
   EXPECT_GT(handler.id_only.load(), 0);
   EXPECT_EQ(handler.versioned.load(), 0);
-  EXPECT_EQ(StatOf(shard.StatsJson(), "transfer_rows_from_log"), 0u);
+  EXPECT_EQ(ShardStats(shard).Num("transfer_rows_from_log"), 0);
   // Dense pulls keep the replica exact too.
   for (uint32_t r = 0; r < opt.model.num_relations; ++r) {
     EXPECT_EQ(std::memcmp(trainer.replica()->transfer(r),
@@ -2296,21 +2296,21 @@ TEST(ParamServerTest, StatsJsonCountsTransferAnswers) {
     pull({});         // three id-only rows
     PushFactors(&shard, 1, 1);
     pull({0, 0, 7});  // one record for relation 1; version 7 is not yet
-    const std::string json = shard.StatsJson();
+    const FlatJson stats = ShardStats(shard);
     if (optimizer == core::OptimizerKind::kSgd) {
-      EXPECT_EQ(StatOf(json, "transfer_rows_from_log"), 5u);
-      EXPECT_EQ(StatOf(json, "transfer_rows_dense"), 4u);
-      EXPECT_EQ(StatOf(json, "transfer_log_bytes"),
+      EXPECT_EQ(stats.Num("transfer_rows_from_log"), 5);
+      EXPECT_EQ(stats.Num("transfer_rows_dense"), 4);
+      EXPECT_EQ(stats.Num("transfer_log_bytes"),
                 core::FactorGroupBlobBytes(opt.model.dim, 1));
     } else {
       // Adam shards keep no log and answer every versioned row dense.
-      EXPECT_EQ(StatOf(json, "transfer_rows_from_log"), 0u);
-      EXPECT_EQ(StatOf(json, "transfer_rows_dense"), 9u);
-      EXPECT_EQ(StatOf(json, "transfer_log_bytes"), 0u);
+      EXPECT_EQ(stats.Num("transfer_rows_from_log"), 0);
+      EXPECT_EQ(stats.Num("transfer_rows_dense"), 9);
+      EXPECT_EQ(stats.Num("transfer_log_bytes"), 0);
     }
-    EXPECT_EQ(StatOf(json, "pulls"), 3u);
-    EXPECT_EQ(StatOf(json, "rows_pulled"), 9u);
-    EXPECT_EQ(StatOf(json, "pushes"), 1u);
+    EXPECT_EQ(stats.Num("pulls"), 3);
+    EXPECT_EQ(stats.Num("rows_pulled"), 9);
+    EXPECT_EQ(stats.Num("pushes"), 1);
   }
 }
 

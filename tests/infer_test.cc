@@ -12,12 +12,14 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
 #include "core/service.h"
+#include "flat_json.h"
 #include "infer/engine.h"
 #include "infer/model_file.h"
 #include "infer/pipeline.h"
@@ -370,8 +372,28 @@ TEST(InferModelFileTest, RoundTripPreservesForwardsBitExactly) {
 
   auto inspected = InspectInferModel(cls_path);
   ASSERT_TRUE(inspected.ok());
-  EXPECT_NE(inspected.value().find("\"task\": \"classify\""),
-            std::string::npos);
+  const std::optional<FlatJson> doc = FlatJson::Parse(inspected.value());
+  ASSERT_TRUE(doc.has_value()) << inspected.value();
+  EXPECT_EQ(doc->Str("task"), "classify");
+}
+
+// The inspection is JSON whatever the path holds: a quote and a backslash
+// in it are escaped, and the path reads back as written.
+TEST(InferModelFileTest, InspectionEscapesThePath) {
+  InferFixture& fx = Fixture();
+  const std::string path = ::testing::TempDir() + "/a\"b\\c." +
+                           std::to_string(::getpid()) + ".classify.pkgi";
+  ASSERT_TRUE(SaveClassifierModel(fx.offline.classifier, fx.offline.variant,
+                                  /*generation=*/3, path)
+                  .ok());
+  auto inspected = InspectInferModel(path);
+  ASSERT_TRUE(inspected.ok()) << inspected.status().ToString();
+  const std::optional<FlatJson> doc = FlatJson::Parse(inspected.value());
+  ASSERT_TRUE(doc.has_value()) << inspected.value();
+  EXPECT_EQ(doc->Str("path"), path);
+  EXPECT_EQ(doc->Str("task"), "classify");
+  EXPECT_EQ(doc->Num("generation"), 3);
+  std::remove(path.c_str());
 }
 
 TEST(InferModelFileTest, CorruptionIsRejected) {
@@ -515,8 +537,9 @@ TEST(InferServingTest, WireParityWithOfflineForwardsFp32) {
 
   auto stats = client.value()->ServerStatsJson();
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.value().find("\"protocol_errors\":0"), std::string::npos)
-      << stats.value();
+  const std::optional<FlatJson> doc = FlatJson::Parse(stats.value());
+  ASSERT_TRUE(doc.has_value()) << stats.value();
+  EXPECT_EQ(doc->Num("net.protocol_errors"), 0) << stats.value();
   net.Stop();
   server.Stop();
 }
@@ -699,10 +722,10 @@ TEST(InferServingTest, ParityAcrossWeightHotSwapUnderLoad) {
 
   auto stats = client.value()->ServerStatsJson();
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.value().find("\"protocol_errors\":0"), std::string::npos)
-      << stats.value();
-  EXPECT_NE(stats.value().find("\"exec_rejected\":0"), std::string::npos)
-      << stats.value();
+  const std::optional<FlatJson> doc = FlatJson::Parse(stats.value());
+  ASSERT_TRUE(doc.has_value()) << stats.value();
+  EXPECT_EQ(doc->Num("net.protocol_errors"), 0) << stats.value();
+  EXPECT_EQ(doc->Num("exec_rejected"), 0) << stats.value();
   net.Stop();
   server.Stop();
 }

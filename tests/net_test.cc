@@ -7,14 +7,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "core/pkgm_model.h"
 #include "core/service.h"
 #include "dist/param_server.h"
+#include "flat_json.h"
 #include "mutation.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
@@ -127,41 +129,62 @@ bool RawReadFrame(int fd, FrameDecoder* decoder, Frame* frame) {
   }
 }
 
-/// Keys of the flat "net" object in a StatsJson snapshot, in order.
-std::vector<std::string> NetKeys(const std::string& json) {
-  std::vector<std::string> keys;
-  const size_t net = json.find("\"net\":");
-  if (net == std::string::npos) return keys;
-  const size_t open = json.find('{', net);
-  const size_t close = json.find('}', open);
-  const std::string body = json.substr(open + 1, close - open - 1);
-  // Each member is "key":value; no value holds a comma.
-  for (size_t pos = body.find('"'); pos != std::string::npos;) {
-    const size_t end = body.find('"', pos + 1);
-    keys.push_back(body.substr(pos + 1, end - pos - 1));
-    const size_t comma = body.find(',', end);
-    pos = comma == std::string::npos ? comma : body.find('"', comma);
-  }
-  return keys;
+// The kStats snapshots' schema: every flattened key path, in document
+// order. The smokes, pkgm_serve, perfbench and dashboards read these paths
+// by name, so a change here is an interface change.
+
+/// The "net" object (NetCounters::WriteJson) every daemon's snapshot holds.
+const std::vector<std::string> kNetPaths = {
+    "net.connections_accepted", "net.connections_closed",
+    "net.connections_active", "net.frames_in", "net.frames_out",
+    "net.bytes_in", "net.bytes_out", "net.requests_in",
+    "net.protocol_errors", "net.backpressure_disconnects",
+    "net.idle_disconnects", "net.io_backend", "net.io_wait_calls",
+    "net.io_recv_syscalls", "net.io_send_syscalls",
+    "net.frames_per_syscall"};
+
+/// pkgm_netd's counters ahead of its cache object.
+const std::vector<std::string> kServerCounterPaths = {
+    "backend", "accepted", "rejected", "quota_rejected", "ok",
+    "deadline_exceeded", "invalid_item", "exec_rejected", "backend_fetches",
+    "coalesced", "queue_depth", "tasks.lookup", "tasks.recommend",
+    "tasks.classify", "tasks.align"};
+
+const std::vector<std::string> kCachePaths = {
+    "cache.hits",    "cache.misses",  "cache.hit_rate",
+    "cache.evictions", "cache.entries", "cache.stale_inserts"};
+
+const std::vector<std::string> kCoalescerPaths = {
+    "coalescer.leaders", "coalescer.joined", "coalescer.bypassed"};
+
+/// Both stages after at least one request (an empty stage holds only its
+/// count).
+const std::vector<std::string> kLatencyPaths = {
+    "latency.queue.count",     "latency.queue.p50_us",
+    "latency.queue.p95_us",    "latency.queue.p99_us",
+    "latency.queue.p999_us",   "latency.queue.mean_us",
+    "latency.execute.count",   "latency.execute.p50_us",
+    "latency.execute.p95_us",  "latency.execute.p99_us",
+    "latency.execute.p999_us", "latency.execute.mean_us"};
+
+/// pkgm_psd's shard counters after its "net" object.
+const std::vector<std::string> kShardPaths = {
+    "shard", "num_shards", "optimizer", "pulls", "rows_pulled", "pushes",
+    "rows_applied", "rejects", "barriers_released", "step",
+    "transfer_rows_from_log", "transfer_rows_dense", "transfer_log_bytes"};
+
+std::vector<std::string> Concat(
+    std::initializer_list<std::vector<std::string>> parts) {
+  std::vector<std::string> all;
+  for (const auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+  return all;
 }
 
-/// Keys of a StatsJson snapshot's top-level object, in order.
-std::vector<std::string> TopLevelKeys(const std::string& json) {
-  std::vector<std::string> keys;
-  int depth = 0;
-  for (size_t i = 0; i < json.size(); ++i) {
-    if (json[i] == '{') ++depth;
-    if (json[i] == '}') --depth;
-    if (json[i] != '"') continue;
-    // No key or string value in these snapshots holds a quote.
-    const size_t end = json.find('"', i + 1);
-    const size_t next = json.find_first_not_of(' ', end + 1);
-    if (depth == 1 && next != std::string::npos && json[next] == ':') {
-      keys.push_back(json.substr(i + 1, end - i - 1));
-    }
-    i = end;
-  }
-  return keys;
+/// `json` parsed; an empty document (failing the test) when it is not JSON.
+FlatJson ParseStats(const std::string& json) {
+  std::optional<FlatJson> doc = FlatJson::Parse(json);
+  EXPECT_TRUE(doc.has_value()) << "not JSON: " << json;
+  return doc.value_or(FlatJson());
 }
 
 /// A request of `task` kind about `item`, with every operand set.
@@ -578,16 +601,15 @@ TEST(NetServerTest, PingAndStatsProbes) {
 
   auto stats = client.value()->ServerStatsJson();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_NE(stats.value().find("\"net\""), std::string::npos);
-  EXPECT_NE(stats.value().find("\"accepted\""), std::string::npos);
+  const FlatJson doc = ParseStats(stats.value());
+  EXPECT_TRUE(doc.Has("net"));
+  EXPECT_TRUE(doc.Has("accepted"));
 
   // The stats name the event loop serving the sockets, plus the syscall
   // accounting.
-  EXPECT_NE(stats.value().find("\"io_backend\":\"epoll\""),
-            std::string::npos)
-      << stats.value();
-  EXPECT_NE(stats.value().find("\"io_wait_calls\""), std::string::npos);
-  EXPECT_NE(stats.value().find("\"frames_per_syscall\""), std::string::npos);
+  EXPECT_EQ(doc.Str("net.io_backend"), "epoll") << stats.value();
+  EXPECT_TRUE(doc.Has("net.io_wait_calls"));
+  EXPECT_TRUE(doc.Has("net.frames_per_syscall"));
   EXPECT_EQ(net.net_counters().io_backend, "epoll");
 
   client.value().reset();
@@ -609,10 +631,9 @@ TEST(NetServerTest, StatsSnapshotOfCoalescingServerCarriesCoalescer) {
 
   auto stats = client.value()->ServerStatsJson();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  const std::vector<std::string> keys = TopLevelKeys(stats.value());
+  const FlatJson doc = ParseStats(stats.value());
   for (const char* key : {"cache", "coalescer", "net"}) {
-    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
-        << key << " in " << stats.value();
+    EXPECT_TRUE(doc.Has(key)) << key << " in " << stats.value();
   }
 
   client.value().reset();
@@ -840,7 +861,7 @@ TEST(NetClientTest, EveryReplyKindRoutesOverOneConnection) {
   EXPECT_TRUE(client.value()->Ping().ok());
   auto stats = client.value()->ServerStatsJson();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(TopLevelKeys(stats.value()), std::vector<std::string>{"net"});
+  EXPECT_EQ(ParseStats(stats.value()).Paths(), kNetPaths) << stats.value();
   for (auto& future : futures) {
     EXPECT_EQ(future.get().code, ResponseCode::kNetworkError);
   }
@@ -956,17 +977,37 @@ TEST(NetServerTest, DroppedRespondLetsItsConnectionIdleAndDrain) {
             std::chrono::milliseconds(1000));
 }
 
-// pkgm_netd's snapshot (a ServingHandler over a KnowledgeServer) and
-// pkgm_psd's (a ParamServer) report one "net" schema and a fixed set of
-// top-level keys, which the smokes, pkgm_serve and the benchmark read by
-// key.
+// Every key path of the three daemon snapshots, in order: pkgm_netd's (a
+// ServingHandler over a KnowledgeServer with pkgm_netd's defaults: cache on,
+// coalescing off), the same with coalescing on, and pkgm_psd's (a
+// ParamServer). All three share one "net" object.
 TEST(NetServerTest, StatsJsonNetKeysMatchAcrossServerKinds) {
   Fixture fx;
-  KnowledgeServer server(fx.provider.get());
-  server.Start();
-  ServingHandler serving(&server);
-  NetServer knowledge_net(&serving);
-  ASSERT_TRUE(knowledge_net.Start().ok());
+  const auto netd_snapshot = [&fx](KnowledgeServerOptions sopt) {
+    KnowledgeServer server(fx.provider.get(), sopt);
+    server.Start();
+    ServingHandler serving(&server);
+    NetServer net(&serving);
+    EXPECT_TRUE(net.Start().ok());
+    auto client = NetClient::Connect("127.0.0.1", net.port());
+    EXPECT_TRUE(client.ok());
+    if (!client.ok()) return std::string();
+    // One request served, so both latency stages carry their quantiles.
+    EXPECT_EQ(client.value()->Submit(MakeRequest(2, ServiceForm::kCondensed))
+                  .get()
+                  .code,
+              ResponseCode::kOk);
+    std::string json = net.StatsJson();
+    client.value().reset();
+    net.Stop();
+    server.Stop();
+    return json;
+  };
+  const std::string netd = netd_snapshot(KnowledgeServerOptions{});
+  KnowledgeServerOptions coalescing;
+  coalescing.enable_coalescing = true;
+  const std::string netd_coalescing = netd_snapshot(coalescing);
+
   dist::ParamServerOptions popt;
   popt.model.num_entities = 8;
   popt.model.num_relations = 2;
@@ -974,37 +1015,18 @@ TEST(NetServerTest, StatsJsonNetKeysMatchAcrossServerKinds) {
   dist::ParamServer shard(popt);
   NetServer shard_net(&shard);
   ASSERT_TRUE(shard_net.Start().ok());
-
-  const std::string netd = knowledge_net.StatsJson();
   const std::string psd = shard_net.StatsJson();
-  EXPECT_EQ(TopLevelKeys(netd),
-            (std::vector<std::string>{
-                "backend", "accepted", "rejected", "quota_rejected", "ok",
-                "deadline_exceeded", "invalid_item", "exec_rejected",
-                "backend_fetches", "coalesced", "queue_depth", "tasks",
-                "cache", "net", "latency"}))
-      << netd;
-  EXPECT_EQ(TopLevelKeys(psd),
-            (std::vector<std::string>{
-                "net", "shard", "num_shards", "optimizer", "pulls",
-                "rows_pulled", "pushes", "rows_applied", "rejects",
-                "barriers_released", "step", "transfer_rows_from_log",
-                "transfer_rows_dense", "transfer_log_bytes"}))
-      << psd;
-
-  const std::vector<std::string> keys = NetKeys(netd);
-  EXPECT_EQ(NetKeys(psd), keys) << psd;
-  for (const char* key :
-       {"io_backend", "frames_in", "frames_out", "bytes_in", "bytes_out",
-        "io_wait_calls", "io_recv_syscalls", "io_send_syscalls",
-        "protocol_errors", "requests_in", "connections_active",
-        "frames_per_syscall"}) {
-    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
-  }
-
   shard_net.Stop();
-  knowledge_net.Stop();
-  server.Stop();
+
+  EXPECT_EQ(ParseStats(netd).Paths(),
+            Concat({kServerCounterPaths, kCachePaths, kNetPaths,
+                    kLatencyPaths}))
+      << netd;
+  EXPECT_EQ(ParseStats(netd_coalescing).Paths(),
+            Concat({kServerCounterPaths, kCachePaths, kCoalescerPaths,
+                    kNetPaths, kLatencyPaths}))
+      << netd_coalescing;
+  EXPECT_EQ(ParseStats(psd).Paths(), Concat({kNetPaths, kShardPaths})) << psd;
 }
 
 // Answers every routed frame inside HandleFrame, as pkgm_psd's pulls and

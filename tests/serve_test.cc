@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/embedding_source.h"
 #include "core/pkgm_model.h"
 #include "core/service.h"
+#include "flat_json.h"
 #include "serve/bounded_queue.h"
 #include "serve/knowledge_server.h"
 #include "serve/load_gen.h"
@@ -573,10 +576,29 @@ TEST(KnowledgeServerTest, StatsReportRenders) {
   server.Submit(ServiceRequest{}).get();
   server.Stop();
   const std::string report = server.StatsReport();
-  EXPECT_NE(report.find("requests accepted"), std::string::npos);
-  EXPECT_NE(report.find("cache hit rate"), std::string::npos);
-  EXPECT_NE(report.find("p99 us"), std::string::npos);
-  EXPECT_NE(report.find("queue wait"), std::string::npos);
+  EXPECT_NE(report.find("| accepted "), std::string::npos) << report;
+  EXPECT_NE(report.find("| cache.hit_rate "), std::string::npos) << report;
+  EXPECT_NE(report.find("| latency.queue.p99_us "), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("| latency.queue.count "), std::string::npos)
+      << report;
+
+  // The report renders the snapshot: every number in it is a row named by
+  // its path.
+  NetCounters net;
+  net.io_backend = "epoll";
+  const std::string json = server.StatsJson(&net);
+  const std::optional<FlatJson> doc = FlatJson::Parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  const std::string net_report = server.StatsReport(&net);
+  size_t numbers = 0;
+  for (const std::string& path : doc->Paths()) {
+    if (std::isnan(doc->Num(path))) continue;
+    ++numbers;
+    EXPECT_NE(net_report.find("| " + path + " "), std::string::npos)
+        << path << " in\n" << net_report;
+  }
+  EXPECT_GT(numbers, 40u);
 }
 
 TEST(KnowledgeServerTest, BackendReportsActiveKernelIsa) {
@@ -816,20 +838,24 @@ TEST(KnowledgeServerTest, StatsJsonSchemaKeepsOldKeysAndAddsTail) {
   server.Stop();
 
   const std::string json = server.StatsJson();
+  const std::optional<FlatJson> doc = FlatJson::Parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
   // Pre-existing schema keys must survive (dashboards parse these).
-  for (const char* key :
-       {"\"accepted\"", "\"rejected\"", "\"ok\"", "\"p50_us\"",
-        "\"p95_us\"", "\"p99_us\"", "\"cache\"", "\"queue_depth\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
+  for (const char* path :
+       {"accepted", "rejected", "ok", "latency.queue.p50_us",
+        "latency.execute.p50_us", "latency.queue.p95_us",
+        "latency.execute.p95_us", "latency.queue.p99_us",
+        "latency.execute.p99_us", "cache", "queue_depth"}) {
+    EXPECT_TRUE(doc->Has(path)) << path << " missing from " << json;
   }
   // New tail-latency keys.
-  for (const char* key :
-       {"\"p999_us\"", "\"quota_rejected\"", "\"backend_fetches\"",
-        "\"coalesced\"", "\"coalescer\"", "\"leaders\"", "\"joined\"",
-        "\"bypassed\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key << " missing";
+  for (const char* path :
+       {"latency.queue.p999_us", "latency.execute.p999_us", "quota_rejected",
+        "backend_fetches", "coalesced", "coalescer", "coalescer.leaders",
+        "coalescer.joined", "coalescer.bypassed"}) {
+    EXPECT_TRUE(doc->Has(path)) << path << " missing from " << json;
   }
-  EXPECT_NE(json.find("\"quota_rejected\":2"), std::string::npos) << json;
+  EXPECT_EQ(doc->Num("quota_rejected"), 2) << json;
 }
 
 // ------------------------------------------------------------ RunLoadGen --

@@ -1,17 +1,24 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "flat_json.h"
 #include "mutation.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/section_file.h"
 #include "util/status.h"
@@ -521,6 +528,124 @@ TEST(TablePrinterTest, NumericRowFormatting) {
   std::string s = t.ToString();
   EXPECT_NE(s.find("1.23"), std::string::npos);
   EXPECT_NE(s.find("5.00"), std::string::npos);
+}
+
+// ------------------------------------------------------------ JsonWriter --
+
+TEST(JsonWriterTest, WritesMembersInOrderWithTheirPaths) {
+  JsonWriter w;
+  w.BeginObject()
+      .Field("name", "pkgm")
+      .Field("count", uint64_t{3})
+      .Field("delta", -2)
+      .Field("ok", true)
+      .Key("nested")
+      .BeginObject()
+      .Field("rate", 0.25)
+      .EndObject()
+      .Field("list", std::vector<uint32_t>{1, 2})
+      .Key("empty")
+      .BeginArray()
+      .EndArray()
+      .EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"name\":\"pkgm\",\"count\":3,\"delta\":-2,\"ok\":true,"
+            "\"nested\":{\"rate\":0.25},\"list\":[1,2],\"empty\":[]}");
+  std::vector<std::string> paths, texts;
+  for (const JsonWriter::Scalar& scalar : w.scalars()) {
+    paths.push_back(scalar.path);
+    texts.push_back(scalar.text);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"name", "count", "delta", "ok",
+                                             "nested.rate", "list.0",
+                                             "list.1"}));
+  EXPECT_EQ(texts, (std::vector<std::string>{"pkgm", "3", "-2", "true", "0.25",
+                                             "1", "2"}));
+  const std::optional<FlatJson> doc = FlatJson::Parse(w.str());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->Paths(), paths);
+}
+
+TEST(JsonWriterTest, EscapesStringsPerRfc8259) {
+  const std::string nasty = "a\"b\\c/\n\t\r\b\f\x01\x1f caf\xc3\xa9";
+  JsonWriter w;
+  w.BeginObject().Field(nasty, nasty).EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"a\\\"b\\\\c/\\n\\t\\r\\b\\f\\u0001\\u001f caf\xc3\xa9\":"
+            "\"a\\\"b\\\\c/\\n\\t\\r\\b\\f\\u0001\\u001f caf\xc3\xa9\"}");
+  // The recorded text is the string itself.
+  ASSERT_EQ(w.scalars().size(), 1u);
+  EXPECT_EQ(w.scalars()[0].text, nasty);
+  EXPECT_EQ(w.scalars()[0].path, nasty);
+  const std::optional<FlatJson> doc = FlatJson::Parse(w.str());
+  ASSERT_TRUE(doc.has_value()) << w.str();
+  EXPECT_EQ(doc->Str(nasty), nasty);
+}
+
+TEST(JsonWriterTest, NumbersPrintShortestRoundTrip) {
+  JsonWriter w;
+  w.BeginArray()
+      .Value(0.1)
+      .Value(1.0)
+      .Value(1e21)
+      .Value(-2.5e-7)
+      .Value(0.05f)
+      .Value(std::numeric_limits<double>::quiet_NaN())
+      .Value(std::numeric_limits<double>::infinity())
+      .Value(std::numeric_limits<uint64_t>::max())
+      .Value(std::numeric_limits<int64_t>::min())
+      .EndArray();
+  EXPECT_EQ(w.str(),
+            "[0.1,1,1e+21,-2.5e-07,0.05,null,null,18446744073709551615,"
+            "-9223372036854775808]");
+
+  // Every double reads back bit for bit.
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    const double v = std::ldexp(rng.UniformDouble() - 0.5,
+                                static_cast<int>(rng.Uniform(200)) - 100);
+    JsonWriter one;
+    one.Value(v);
+    EXPECT_EQ(std::strtod(one.str().c_str(), nullptr), v) << one.str();
+  }
+}
+
+TEST(JsonWriterTest, WriteJsonFileAppendsANewline) {
+  const std::string path =
+      ::testing::TempDir() + "/json_writer_test." + std::to_string(::getpid());
+  ASSERT_TRUE(WriteJsonFile(path, "{\"a\":1}").ok());
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  char buf[32] = {};
+  const size_t n = std::fread(buf, 1, sizeof(buf), f);
+  std::fclose(f);
+  EXPECT_EQ(std::string(buf, n), "{\"a\":1}\n");
+  std::remove(path.c_str());
+  EXPECT_EQ(WriteJsonFile(path + ".missing/x.json", "{}").code(),
+            StatusCode::kIoError);
+}
+
+TEST(FlatJsonTest, ReadsOnlyValidJson) {
+  const std::optional<FlatJson> doc = FlatJson::Parse(
+      " {\"a\" : {\"b\": [1, -0.5e3, true, null]}, \"s\": \"x\\u00e9\\ud83d\\ude00\"} ");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->Paths(), (std::vector<std::string>{"a.b.0", "a.b.1", "a.b.2",
+                                                    "a.b.3", "s"}));
+  EXPECT_EQ(doc->Num("a.b.1"), -500.0);
+  EXPECT_TRUE(std::isnan(doc->Num("a.b.2")));
+  EXPECT_TRUE(std::isnan(doc->Num("missing")));
+  EXPECT_EQ(doc->Str("s"), "x\xc3\xa9\xf0\x9f\x98\x80");
+  EXPECT_TRUE(doc->Has("a"));
+  EXPECT_TRUE(doc->Has("a.b"));
+  EXPECT_FALSE(doc->Has("a.c"));
+  EXPECT_FALSE(doc->Has("a.b.0.x"));
+  for (const char* bad :
+       {"", "{", "{\"a\":1,}", "[1,]", "{\"a\":01}", "{\"a\":1.}",
+        "{\"a\":.5}", "{\"a\":+1}", "{a:1}", "{\"a\":\"x\ty\"}",
+        "{\"a\":\"\\q\"}", "{\"a\":1,\"a\":2}", "{\"a\":1} 2",
+        "{\"a\":NaN}", "{\"path\": \"/tmp/a\"b.pkgi\"}"}) {
+    EXPECT_FALSE(FlatJson::Parse(bad).has_value()) << bad;
+  }
 }
 
 // ----------------------------------------------------------- SectionFile --

@@ -1,6 +1,5 @@
 // Lifecycle shared by the network daemons (pkgm_netd, pkgm_psd): shutdown
-// signals, the published port file, the serve-until-signal wait and the
-// --stats-json writer.
+// signals, the published port file and the serve-until-signal wait.
 #ifndef PKGM_TOOLS_DAEMON_COMMON_H_
 #define PKGM_TOOLS_DAEMON_COMMON_H_
 
@@ -59,20 +58,6 @@ inline void WaitForShutdown(int run_seconds, const char* daemon) {
   const int signum = g_shutdown_signal.load();
   std::printf("\n%s: %s — draining ...\n", daemon,
               signum != 0 ? ::strsignal(signum) : "run time elapsed");
-}
-
-/// Writes the final `json` snapshot and a newline to `path`. False (with a
-/// message naming `daemon`) on failure.
-inline bool WriteStatsJson(const std::string& path, const std::string& json,
-                           const char* daemon) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot write %s\n", daemon, path.c_str());
-    return false;
-  }
-  std::fprintf(f, "%s\n", json.c_str());
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace pkgm::tool

@@ -32,6 +32,7 @@
 #include "store/model_registry.h"
 #include "daemon_common.h"
 #include "serve_common.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -228,8 +229,9 @@ int Run(const NetdFlags& flags) {
 
   std::printf("final stats:\n%s\n", stats_report.c_str());
   if (!flags.stats_json_path.empty()) {
-    if (!tool::WriteStatsJson(flags.stats_json_path, stats_json,
-                              "pkgm_netd")) {
+    const Status written = WriteJsonFile(flags.stats_json_path, stats_json);
+    if (!written.ok()) {
+      std::fprintf(stderr, "pkgm_netd: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("stats json written to %s\n", flags.stats_json_path.c_str());

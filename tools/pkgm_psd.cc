@@ -26,6 +26,7 @@
 #include "daemon_common.h"
 #include "dist/param_server.h"
 #include "net/net_server.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace pkgm {
@@ -181,9 +182,12 @@ int Run(const PsdFlags& flags) {
   const std::string stats_json = net_server.StatsJson();
 
   std::printf("final stats: %s\n", stats_json.c_str());
-  if (!flags.stats_json_path.empty() &&
-      !tool::WriteStatsJson(flags.stats_json_path, stats_json, "pkgm_psd")) {
-    return 1;
+  if (!flags.stats_json_path.empty()) {
+    const Status written = WriteJsonFile(flags.stats_json_path, stats_json);
+    if (!written.ok()) {
+      std::fprintf(stderr, "pkgm_psd: %s\n", written.ToString().c_str());
+      return 1;
+    }
   }
   return 0;
 }

@@ -85,6 +85,7 @@
 #include "store/model_registry.h"
 #include "tasks/pipeline.h"
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -301,24 +302,6 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
     return false;
   }
   return true;
-}
-
-/// Minimal field extraction from the server's flat StatsJson blob — enough
-/// for the end-of-run I/O summary in connect mode without a JSON parser.
-std::string JsonStringField(const std::string& json, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return "";
-  const size_t start = at + needle.size();
-  const size_t end = json.find('"', start);
-  return end == std::string::npos ? "" : json.substr(start, end - start);
-}
-
-uint64_t JsonU64Field(const std::string& json, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return 0;
-  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
 }
 
 int Run(const ServeFlags& flags) {
@@ -586,41 +569,12 @@ int Run(const ServeFlags& flags) {
   if (server != nullptr) {
     std::printf("server-side stats:\n%s\n", server->StatsReport().c_str());
   }
-  if (client != nullptr) {
-    // End-of-run I/O accounting from the remote daemon: what the frame
-    // stream cost its event loops in syscalls.
-    std::string io_json = stats_json;
-    if (io_json.empty()) {
-      auto fetched = client->ServerStatsJson();
-      if (fetched.ok()) io_json = std::move(fetched.value());
-    }
-    const std::string backend = JsonStringField(io_json, "io_backend");
-    if (!backend.empty()) {
-      const uint64_t waits = JsonU64Field(io_json, "io_wait_calls");
-      const uint64_t recvs = JsonU64Field(io_json, "io_recv_syscalls");
-      const uint64_t sends = JsonU64Field(io_json, "io_send_syscalls");
-      const uint64_t frames = JsonU64Field(io_json, "frames_in") +
-                              JsonU64Field(io_json, "frames_out");
-      const uint64_t syscalls = waits + recvs + sends;
-      std::printf(
-          "remote server i/o: %s loop — %s waits, %s recv + %s send "
-          "syscalls, %.2f frames/syscall\n\n",
-          backend.c_str(), WithThousandsSeparators(waits).c_str(),
-          WithThousandsSeparators(recvs).c_str(),
-          WithThousandsSeparators(sends).c_str(),
-          static_cast<double>(frames) /
-              static_cast<double>(syscalls > 0 ? syscalls : 1));
-    }
-  }
   if (!flags.stats_json_path.empty() && !stats_json.empty()) {
-    std::FILE* f = std::fopen(flags.stats_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   flags.stats_json_path.c_str());
+    const Status written = WriteJsonFile(flags.stats_json_path, stats_json);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
       return 1;
     }
-    std::fprintf(f, "%s\n", stats_json.c_str());
-    std::fclose(f);
     std::printf("server stats json written to %s\n",
                 flags.stats_json_path.c_str());
   }
