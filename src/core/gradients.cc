@@ -250,21 +250,13 @@ class BlobWriter {
     }
   }
 
-  // One factor item: the sign, the s' code words and h. A code is
-  // (x > 0) | (x < 0) << 1, so +-0 and NaN encode as 0.
-  void FactorItem(float sign, const float* s2, const float* h, uint32_t dim) {
+  // One factor item: the sign, the s' code words (packed on `k`, whose
+  // bytes every table shares) and h.
+  void FactorItem(float sign, const float* s2, const float* h, uint32_t dim,
+                  const simd::KernelTable& k) {
     F32Run(&sign, 1);
-    for (uint32_t base = 0; base < dim; base += kCodesPerWord) {
-      const uint32_t n = std::min(dim - base, kCodesPerWord);
-      uint32_t word = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const float x = s2[base + i];
-        word |= (static_cast<uint32_t>(x > 0.0f) |
-                 static_cast<uint32_t>(x < 0.0f) << 1)
-                << (2 * i);
-      }
-      U32(word);
-    }
+    k.pack_sign_codes(dim, s2, p_);
+    p_ += 4 * static_cast<size_t>(CodeWords(dim));
     F32Run(h, dim);
   }
 
@@ -306,17 +298,6 @@ const char* FactorItemsDefect(const char* p, size_t bytes_left, uint32_t dim,
   return nullptr;
 }
 
-void DecodeSignCodes(const char* p, uint32_t dim, float* out) {
-  static constexpr float kValue[4] = {0.0f, 1.0f, -1.0f, 0.0f};
-  for (uint32_t w = 0; w < CodeWords(dim); ++w) {
-    uint32_t word = BlobLoadU32(p + 4 * w);
-    const uint32_t stop = std::min(dim, (w + 1) * kCodesPerWord);
-    for (uint32_t i = w * kCodesPerWord; i < stop; ++i, word >>= 2) {
-      out[i] = kValue[word & 3];
-    }
-  }
-}
-
 Status BlobCorruption(const char* what) {
   return Status::Corruption(std::string("GradArena blob: ") + what);
 }
@@ -355,6 +336,7 @@ size_t SerializeGradArena(const GradArena& arena, uint32_t shard,
   const GradSlab* slabs[4] = {&arena.entities(), &arena.relations(),
                               &arena.transfers(), &arena.hyperplanes()};
   const TransferFactors& tf = arena.transfer_factors();
+  const simd::KernelTable& k = simd::Active();
   const uint32_t d = tf.dim();
   const size_t crossover = tf.empty() ? 0 : TransferFactorCrossover(d);
   const auto owned = [&](uint32_t id) {
@@ -422,7 +404,7 @@ size_t SerializeGradArena(const GradArena& arena, uint32_t shard,
     w.U32(tf.relation(g));
     w.U32(static_cast<uint32_t>(tf.end(g) - tf.begin(g)));
     for (size_t q = tf.begin(g); q < tf.end(g); ++q) {
-      w.FactorItem(tf.sign(q), tf.s2(q), tf.head(q), d);
+      w.FactorItem(tf.sign(q), tf.s2(q), tf.head(q), d, k);
     }
   }
   PKGM_CHECK(w.pos() == out->data() + out->size());
@@ -547,7 +529,7 @@ const float* RebuildTransferRow(const BlobFactorGroup& group,
     const uint32_t sign_bits = BlobLoadU32(item);
     std::memcpy(&scratch->signs[q], &sign_bits, sizeof(float));
     float* s2 = scratch->values.data() + q * d;
-    DecodeSignCodes(item + 4, group.dim, s2);
+    k.unpack_sign_codes(d, item + 4, s2);
     scratch->s2[q] = s2;
     const char* h = item + h_offset;
     scratch->heads[q] =

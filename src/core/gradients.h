@@ -185,7 +185,8 @@ constexpr uint8_t kGradArenaBlobVersion = 2;
 ///         f32 sign (exactly +1.0f or -1.0f),
 ///         ceil(dim / 16) u32 words of 2-bit s' codes (coordinate i at bits
 ///           2 (i % 16) of word i / 16; 0 = +0, 1 = +1, 2 = -1; code 3 and
-///           non-zero padding bits are refused),
+///           non-zero padding bits are refused; the kernel table's
+///           pack_sign_codes / unpack_sign_codes convert them),
 ///         dim * f32 h
 ///
 /// An empty slab or section serializes as 0, 0. Every field is 4 bytes wide

@@ -48,6 +48,26 @@ StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
 
 }  // namespace
 
+void SortUniqueIds(std::vector<uint32_t>* ids,
+                   std::vector<uint32_t>* scratch) {
+  uint32_t bits = 0;  // has the largest id's top bit
+  for (uint32_t id : *ids) bits |= id;
+  scratch->resize(ids->size());
+  for (uint32_t shift = 0; shift < 32 && (bits >> shift) != 0; shift += 8) {
+    size_t start[256] = {};
+    for (uint32_t id : *ids) ++start[(id >> shift) & 0xff];
+    size_t sum = 0;
+    for (size_t& s : start) {
+      const size_t count = s;
+      s = sum;
+      sum += count;
+    }
+    for (uint32_t id : *ids) (*scratch)[start[(id >> shift) & 0xff]++] = id;
+    ids->swap(*scratch);
+  }
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
 /// Per-worker reusable scratch: the touched ids of the batch being pulled
 /// split per shard (sorted unique), how far the rounds sent so far reach
 /// into them, and the round in flight. Everything keeps its capacity
@@ -55,6 +75,7 @@ StatusOr<net::Frame> AwaitType(std::future<StatusOr<net::Frame>>& fut,
 struct DistTrainer::BatchScratch {
   std::vector<std::vector<uint32_t>> shard_ents;  // per shard
   std::vector<std::vector<uint32_t>> shard_rels;
+  std::vector<uint32_t> sort_scratch;  // SortUniqueIds' buffer
   std::vector<size_t> next_ent, next_rel;  // per shard: ids already sent
   bool more = false;  // ids are left after the round in flight
   std::vector<std::vector<net::PullSection>> requests;  // per shard
@@ -265,9 +286,13 @@ Status DistTrainer::FinishPull(BatchScratch* sc) {
           static_cast<uint64_t>(wait.ElapsedSeconds() * 1e9));
       if (!reply.ok()) return reply.status();
       uint64_t rows = 0;
-      PKGM_RETURN_IF_ERROR(replica_->Apply(reply.value().payload,
-                                           sc->requests[s], replay_kernels_[s],
-                                           &sc->apply, &rows));
+      const Stopwatch apply;
+      const Status st =
+          replica_->Apply(reply.value().payload, sc->requests[s],
+                          replay_kernels_[s], &sc->apply, &rows);
+      pull_apply_ns_.fetch_add(
+          static_cast<uint64_t>(apply.ElapsedSeconds() * 1e9));
+      PKGM_RETURN_IF_ERROR(st);
       rows_pulled_.fetch_add(rows);
     }
     if (!sc->more) return Status::Ok();
@@ -402,8 +427,7 @@ class DistTrainer::RemoteWorker : public core::EpochWorker {
     }
     for (auto* lists : {&ents, &rels}) {
       for (std::vector<uint32_t>& ids : *lists) {
-        std::sort(ids.begin(), ids.end());
-        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        SortUniqueIds(&ids, &scratch_.sort_scratch);
       }
     }
   }

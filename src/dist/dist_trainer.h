@@ -111,6 +111,13 @@ class DistTrainer {
   /// Time workers spent blocked on kRows replies, summed over workers; the
   /// replica apply of the replies is not counted.
   double pull_wait_seconds() const { return pull_wait_ns_.load() * 1e-9; }
+  /// Time workers spent applying kRows replies (Replica::Apply: row copies
+  /// and log replay), summed over workers.
+  double pull_apply_seconds() const { return pull_apply_ns_.load() * 1e-9; }
+  /// Transfer-row log records the applied replies carried, and how many of
+  /// them the replica already held. Valid after Connect().
+  uint64_t log_records_pulled() const { return replica_->log_records(); }
+  uint64_t log_records_held() const { return replica_->held_log_records(); }
 
  private:
   struct BatchScratch;
@@ -148,7 +155,14 @@ class DistTrainer {
   std::atomic<uint64_t> pushes_{0};
   std::atomic<uint64_t> rows_pushed_{0};
   std::atomic<uint64_t> pull_wait_ns_{0};
+  std::atomic<uint64_t> pull_apply_ns_{0};
 };
+
+/// Sorts `ids` ascending and drops repeats, as std::sort then std::unique
+/// would, in time linear in the list: an LSD radix sort on 8-bit digits,
+/// as many passes as the largest id needs, through `scratch`. Both vectors
+/// keep their capacity, so a worker reusing them allocates nothing.
+void SortUniqueIds(std::vector<uint32_t>* ids, std::vector<uint32_t>* scratch);
 
 }  // namespace pkgm::dist
 

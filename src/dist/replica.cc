@@ -1,5 +1,7 @@
 #include "dist/replica.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace pkgm::dist {
@@ -63,7 +65,7 @@ Status Replica::Apply(std::string_view payload,
   }
 
   // Pass 2 writes it.
-  uint64_t answered = 0;
+  uint64_t answered = 0, records = 0, held_records = 0;
   for (size_t s = 0; s < views.size(); ++s) {
     const net::RowsView& sec = views[s];
     answered += sec.count;
@@ -82,6 +84,11 @@ Status Replica::Apply(std::string_view payload,
       TransferSlot& slot = transfer_slots_[id];
       std::lock_guard<std::mutex> lock(slot.mu);
       const uint64_t held = slot.version.load(std::memory_order_relaxed);
+      if (answer.row == nullptr) {
+        records += answer.version - version;
+        held_records +=
+            std::min(answer.version, held) - std::min(version, held);
+      }
       // Another worker got here first, or (a log answer) the replica does
       // not hold the requested version — it always does: a pull names the
       // version the replica held, and versions only grow.
@@ -107,6 +114,8 @@ Status Replica::Apply(std::string_view payload,
     }
   }
   *rows = answered;
+  log_records_.fetch_add(records, std::memory_order_relaxed);
+  held_log_records_.fetch_add(held_records, std::memory_order_relaxed);
   return Status::Ok();
 }
 

@@ -60,6 +60,17 @@ class Replica {
                const simd::KernelTable* replay, Scratch* scratch,
                uint64_t* rows);
 
+  /// Log records the applied replies carried, summed over every Apply.
+  uint64_t log_records() const {
+    return log_records_.load(std::memory_order_relaxed);
+  }
+  /// Of those, the records the replica already held when their answer was
+  /// applied (at or below its version, so skipped): another worker's reply
+  /// had brought the row that far first.
+  uint64_t held_log_records() const {
+    return held_log_records_.load(std::memory_order_relaxed);
+  }
+
  private:
   struct TransferSlot {
     std::mutex mu;
@@ -69,6 +80,8 @@ class Replica {
 
   core::PkgmModel model_;
   std::unique_ptr<TransferSlot[]> transfer_slots_;
+  std::atomic<uint64_t> log_records_{0};
+  std::atomic<uint64_t> held_log_records_{0};
 };
 
 }  // namespace pkgm::dist

@@ -97,6 +97,16 @@ struct KernelTable {
   /// every table — so all tables agree with the scalar reference
   /// bit-for-bit (unlike the reassociating sum reductions above).
   void (*softmax)(size_t n, float* x);
+  /// The 2-bit s' codes of a GradArena blob (core/gradients.h). Writes
+  /// ceil(n / 16) little-endian u32 words to `codes`: coordinate i's code
+  /// (x[i] > 0) | (x[i] < 0) << 1 at bits 2 (i % 16) of word i / 16, so +-0
+  /// and NaN code 0, and the bits past coordinate n - 1 are zero. Every
+  /// table writes the scalar table's bytes.
+  void (*pack_sign_codes)(size_t n, const float* x, char* codes);
+  /// The inverse over ceil(n / 16) words at `codes`: out[i] is 0, +1, -1
+  /// or 0 for code 0, 1, 2 or 3 (zeros are +0.0f); bits past coordinate
+  /// n - 1 are ignored. Every table writes the scalar table's floats.
+  void (*unpack_sign_codes)(size_t n, const char* codes, float* out);
 };
 
 /// The always-available portable reference kernels.

@@ -16,9 +16,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/simd/kernel_dispatch.h"
 #include "tensor/simd/multi_loop.h"
+#include "tensor/simd/sign_codes.h"
 
 namespace pkgm::simd {
 namespace internal {
@@ -319,6 +322,74 @@ void Avx2Softmax(size_t n, float* x) {
   Avx2Scale(n, 1.0f / sum, x);
 }
 
+// The s' code word of x[0..16): the spread > 0 mask in the even bits, the
+// spread < 0 mask in the odd ones. Ordered compares are false for NaN, as
+// the scalar reference's are, so +-0 and NaN code 0.
+inline uint32_t SignCodeWord(const float* x) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 lo = _mm256_loadu_ps(x);
+  const __m256 hi = _mm256_loadu_ps(x + 8);
+  const auto mask = [](__m256 cmp) {
+    return static_cast<uint32_t>(_mm256_movemask_ps(cmp));
+  };
+  const uint32_t pos = mask(_mm256_cmp_ps(lo, zero, _CMP_GT_OQ)) |
+                       mask(_mm256_cmp_ps(hi, zero, _CMP_GT_OQ)) << 8;
+  const uint32_t neg = mask(_mm256_cmp_ps(lo, zero, _CMP_LT_OQ)) |
+                       mask(_mm256_cmp_ps(hi, zero, _CMP_LT_OQ)) << 8;
+  return SpreadBits16(pos) | SpreadBits16(neg) << 1;
+}
+
+void Avx2PackSignCodes(size_t n, const float* x, char* codes) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16, codes += 4) {
+    const uint32_t word = SignCodeWord(x + i);
+    std::memcpy(codes, &word, sizeof(word));
+  }
+  if (i < n) {
+    // The tail through a zero-filled block: +0 codes 0, the padding bits.
+    float block[16] = {};
+    std::memcpy(block, x + i, (n - i) * sizeof(float));
+    const uint32_t word = SignCodeWord(block);
+    std::memcpy(codes, &word, sizeof(word));
+  }
+}
+
+// Lane j of the result takes code j of `word` after `shifts` (2j, or
+// 2j + 16 for the high half): the bits of +1.0f for code 1, of -1.0f for
+// code 2, and +0 for codes 0 and 3.
+inline __m256 UnpackSignCodes8(uint32_t word, __m256i shifts) {
+  const __m256i code = _mm256_and_si256(
+      _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(word)), shifts),
+      _mm256_set1_epi32(3));
+  const __m256i plus = _mm256_and_si256(
+      _mm256_cmpeq_epi32(code, _mm256_set1_epi32(1)),
+      _mm256_castps_si256(_mm256_set1_ps(1.0f)));
+  const __m256i minus = _mm256_and_si256(
+      _mm256_cmpeq_epi32(code, _mm256_set1_epi32(2)),
+      _mm256_castps_si256(_mm256_set1_ps(-1.0f)));
+  return _mm256_castsi256_ps(_mm256_or_si256(plus, minus));
+}
+
+void Avx2UnpackSignCodes(size_t n, const char* codes, float* out) {
+  const __m256i lo_shifts = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
+  const __m256i hi_shifts = _mm256_setr_epi32(16, 18, 20, 22, 24, 26, 28, 30);
+  for (size_t i = 0; i < n; i += 16, codes += 4) {
+    uint32_t word;
+    std::memcpy(&word, codes, sizeof(word));
+    const __m256 lo = UnpackSignCodes8(word, lo_shifts);
+    const __m256 hi = UnpackSignCodes8(word, hi_shifts);
+    if (n - i >= 16) {
+      _mm256_storeu_ps(out + i, lo);
+      _mm256_storeu_ps(out + i + 8, hi);
+    } else {
+      float block[16];
+      _mm256_storeu_ps(block, lo);
+      _mm256_storeu_ps(block + 8, hi);
+      std::memcpy(out + i, block, (n - i) * sizeof(float));
+    }
+  }
+}
+
 }  // namespace
 
 extern const KernelTable kAvx2Table = {
@@ -329,7 +400,8 @@ extern const KernelTable kAvx2Table = {
     Avx2GemvRaw,      Avx2Residual,      Avx2GemvT,
     Avx2Ger,          GemvTMultiLoop<Avx2GemvT>,
     GerMultiLoop<Avx2Ger>,               Avx2AdamRow,
-    Avx2GemmBias,     Avx2Softmax,
+    Avx2GemmBias,     Avx2Softmax,       Avx2PackSignCodes,
+    Avx2UnpackSignCodes,
 };
 
 }  // namespace internal

@@ -17,8 +17,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "tensor/simd/kernel_dispatch.h"
+#include "tensor/simd/sign_codes.h"
 
 namespace pkgm::simd {
 namespace internal {
@@ -602,6 +605,57 @@ void Avx512Softmax(size_t n, float* x) {
   Avx512Scale(n, 1.0f / sum, x);
 }
 
+// The s' code word of 16 floats: the spread > 0 mask in the even bits,
+// the spread < 0 mask in the odd ones. Ordered compares are false for NaN,
+// as the scalar reference's are, so +-0 and NaN code 0.
+inline uint32_t SignCodeWord(__m512 v) {
+  const __m512 zero = _mm512_setzero_ps();
+  return SpreadBits16(_mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ)) |
+         SpreadBits16(_mm512_cmp_ps_mask(v, zero, _CMP_LT_OQ)) << 1;
+}
+
+void Avx512PackSignCodes(size_t n, const float* x, char* codes) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16, codes += 4) {
+    const uint32_t word = SignCodeWord(_mm512_loadu_ps(x + i));
+    std::memcpy(codes, &word, sizeof(word));
+  }
+  if (i < n) {
+    // Lanes past n load as +0, which codes 0: the zero padding bits.
+    const uint32_t word =
+        SignCodeWord(_mm512_maskz_loadu_ps(TailMask(n - i), x + i));
+    std::memcpy(codes, &word, sizeof(word));
+  }
+}
+
+// Lane j takes bits 2j and 2j+1 of the word broadcast to every lane; code 1
+// selects +1, code 2 selects -1, and codes 0 and 3 leave +0.
+void Avx512UnpackSignCodes(size_t n, const char* codes, float* out) {
+  const __m512i shifts = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                           20, 22, 24, 26, 28, 30);
+  const __m512i three = _mm512_set1_epi32(3);
+  const __m512i plus_code = _mm512_set1_epi32(1);
+  const __m512i minus_code = _mm512_set1_epi32(2);
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 neg_one = _mm512_set1_ps(-1.0f);
+  for (size_t i = 0; i < n; i += 16, codes += 4) {
+    uint32_t word;
+    std::memcpy(&word, codes, sizeof(word));
+    // The full-mask form of srlv, for the reason ShuffleLanes gives.
+    const __m512i words = _mm512_set1_epi32(static_cast<int>(word));
+    const __m512i code = _mm512_and_si512(
+        _mm512_mask_srlv_epi32(words, 0xFFFF, words, shifts), three);
+    const __m512 v = _mm512_mask_mov_ps(
+        _mm512_maskz_mov_ps(_mm512_cmpeq_epi32_mask(code, plus_code), one),
+        _mm512_cmpeq_epi32_mask(code, minus_code), neg_one);
+    if (n - i >= 16) {
+      _mm512_storeu_ps(out + i, v);
+    } else {
+      _mm512_mask_storeu_ps(out + i, TailMask(n - i), v);
+    }
+  }
+}
+
 }  // namespace
 
 extern const KernelTable kAvx512Table = {
@@ -612,6 +666,7 @@ extern const KernelTable kAvx512Table = {
     Avx512GemvRaw,      Avx512Residual,      Avx512GemvT,
     Avx512Ger,          Avx512GemvTMulti,    Avx512GerMulti,
     Avx512AdamRow,      Avx512GemmBias,      Avx512Softmax,
+    Avx512PackSignCodes, Avx512UnpackSignCodes,
 };
 
 }  // namespace internal

@@ -15,6 +15,7 @@
 
 #include "tensor/simd/kernel_dispatch.h"
 #include "tensor/simd/multi_loop.h"
+#include "tensor/simd/sign_codes.h"
 
 namespace pkgm::simd {
 namespace internal {
@@ -286,6 +287,8 @@ extern const KernelTable kNeonTable = {
     NeonGer,          GemvTMultiLoop<NeonGemvT>,
     GerMultiLoop<NeonGer>,               NeonAdamRow,
     NeonGemmBias,     NeonSoftmax,
+    // No NEON version of the s' code pair: the scalar loops.
+    ScalarPackSignCodes,                 ScalarUnpackSignCodes,
 };
 
 }  // namespace internal

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/simd/kernel_dispatch.h"
 #include "tensor/simd/multi_loop.h"
+#include "tensor/simd/sign_codes.h"
 
 namespace pkgm::simd {
 namespace {
@@ -130,6 +132,39 @@ void ScalarSoftmax(size_t n, float* x) {
 
 }  // namespace
 
+namespace internal {
+
+// The u32 words are assembled and stored a byte at a time, so the codes
+// are little-endian on any host.
+void ScalarPackSignCodes(size_t n, const float* x, char* codes) {
+  for (size_t base = 0; base < n; base += 16, codes += 4) {
+    const size_t m = std::min<size_t>(n - base, 16);
+    uint32_t word = 0;
+    for (size_t i = 0; i < m; ++i) {
+      const float v = x[base + i];
+      word |= (static_cast<uint32_t>(v > 0.0f) |
+               static_cast<uint32_t>(v < 0.0f) << 1)
+              << (2 * i);
+    }
+    for (int b = 0; b < 4; ++b) codes[b] = static_cast<char>(word >> (8 * b));
+  }
+}
+
+void ScalarUnpackSignCodes(size_t n, const char* codes, float* out) {
+  static constexpr float kValue[4] = {0.0f, 1.0f, -1.0f, 0.0f};
+  for (size_t base = 0; base < n; base += 16, codes += 4) {
+    const auto* b = reinterpret_cast<const unsigned char*>(codes);
+    uint32_t word = static_cast<uint32_t>(b[0]) |
+                    static_cast<uint32_t>(b[1]) << 8 |
+                    static_cast<uint32_t>(b[2]) << 16 |
+                    static_cast<uint32_t>(b[3]) << 24;
+    const size_t stop = std::min(n, base + 16);
+    for (size_t i = base; i < stop; ++i, word >>= 2) out[i] = kValue[word & 3];
+  }
+}
+
+}  // namespace internal
+
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       KernelIsa::kScalar, ScalarDot,           ScalarAxpy,
@@ -139,7 +174,8 @@ const KernelTable& ScalarKernels() {
       ScalarGemvRaw,      ScalarResidual,      ScalarGemvT,
       ScalarGer,          internal::GemvTMultiLoop<ScalarGemvT>,
       internal::GerMultiLoop<ScalarGer>,       ScalarAdamRow,
-      ScalarGemmBias,     ScalarSoftmax,
+      ScalarGemmBias,     ScalarSoftmax,       internal::ScalarPackSignCodes,
+      internal::ScalarUnpackSignCodes,
   };
   return table;
 }

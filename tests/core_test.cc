@@ -1877,6 +1877,98 @@ TEST(GradArenaBlobTest, BytesMatchTheLayoutFieldByField) {
   EXPECT_TRUE(whole == expected(0, 1));
 }
 
+TEST(GradArenaBlobTest, FactorItemsHoldTheScalarTablesCodeBytes) {
+  // SerializeGradArena packs s' on the active table. Whichever that is, a
+  // factor item holds the code bytes the scalar table writes, for every
+  // float s' may hold, and rebuilding the group decodes them as the scalar
+  // table's unpack does.
+  using Limits = std::numeric_limits<float>;
+  const float kInputs[] = {0.0f,  -0.0f, 1.0f,
+                           -1.0f, 2.5f,  Limits::quiet_NaN(),
+                           Limits::infinity(), -Limits::infinity(),
+                           Limits::denorm_min(), -Limits::denorm_min()};
+  constexpr size_t kNumInputs = sizeof(kInputs) / sizeof(kInputs[0]);
+  const simd::KernelTable& scalar = simd::ScalarKernels();
+  for (uint32_t dim : {17u, 20u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "dim=" << dim);
+    constexpr size_t kCount = 3;
+    const float signs[kCount] = {1.0f, -1.0f, 1.0f};
+    std::vector<float> s2(kCount * dim), h(kCount * dim);
+    const float* s2_ptrs[kCount];
+    const float* h_ptrs[kCount];
+    for (size_t q = 0; q < kCount; ++q) {
+      for (uint32_t i = 0; i < dim; ++i) {
+        s2[q * dim + i] = kInputs[(q * 7 + i * 3) % kNumInputs];
+        h[q * dim + i] = 0.5f * static_cast<float>(i) - static_cast<float>(q);
+      }
+      s2_ptrs[q] = s2.data() + q * dim;
+      h_ptrs[q] = h.data() + q * dim;
+    }
+    GradArena arena;
+    arena.transfer_factors().AddGroup(7, dim, kCount, signs, s2_ptrs, h_ptrs,
+                                      simd::Active());
+    std::string blob;
+    ASSERT_EQ(SerializeGradArena(arena, &blob), 1u);
+
+    LittleEndianBytes b;
+    b.U32(0x44524750);  // "PGRD"
+    b.U8(2);            // version
+    b.U8(5);            // sections
+    b.U8(0);
+    b.U8(0);
+    for (int t = 0; t < 4; ++t) {
+      b.U32(0);  // an empty slab
+      b.U32(0);
+    }
+    b.U32(dim);
+    b.U32(1);  // groups
+    b.U32(7);  // relation
+    b.U32(kCount);
+    std::vector<float> unpacked(kCount * dim);
+    for (size_t q = 0; q < kCount; ++q) {
+      b.F32(signs[q]);
+      std::string codes(4 * ((dim + 15) / 16), '\0');
+      scalar.pack_sign_codes(dim, s2_ptrs[q], codes.data());
+      b.bytes += codes;
+      for (uint32_t i = 0; i < dim; ++i) b.F32(h_ptrs[q][i]);
+      scalar.unpack_sign_codes(dim, codes.data(), unpacked.data() + q * dim);
+    }
+    EXPECT_TRUE(blob == b.bytes)
+        << "first differing byte at "
+        << std::mismatch(b.bytes.begin(), b.bytes.end(), blob.begin()).first -
+               b.bytes.begin();
+
+    // The group rebuilt from the blob equals one rebuilt from the scalar
+    // table's unpacked floats, both on the active table.
+    TransferRebuildScratch scratch;
+    std::vector<float> got_row;
+    ASSERT_TRUE(VisitGradArenaBlob(
+                    blob,
+                    [](uint32_t, uint32_t, const float*, uint32_t) {
+                      return Status::Ok();
+                    },
+                    [&](const BlobFactorGroup& group) {
+                      const float* row =
+                          RebuildTransferRow(group, simd::Active(), &scratch);
+                      got_row.assign(row, row + dim * dim);
+                      return Status::Ok();
+                    })
+                    .ok());
+    ASSERT_EQ(got_row.size(), static_cast<size_t>(dim) * dim);
+    const float* unpacked_ptrs[kCount];
+    for (size_t q = 0; q < kCount; ++q) {
+      unpacked_ptrs[q] = unpacked.data() + q * dim;
+    }
+    GradArena from_floats;
+    from_floats.transfer_factors().AddGroup(7, dim, kCount, signs,
+                                            unpacked_ptrs, h_ptrs,
+                                            simd::Active());
+    const float* want = from_floats.transfer_factors().Rebuild(0, &scratch);
+    EXPECT_EQ(0, std::memcmp(got_row.data(), want,
+                             got_row.size() * sizeof(float)));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Transfer-row update logs
 // ---------------------------------------------------------------------------

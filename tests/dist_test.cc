@@ -788,6 +788,9 @@ TEST(DistTrainerTest, TwoWorkersTwoShardsHingeParity) {
   }
   EXPECT_GT(trainer.pulls(), 0u);
   EXPECT_GT(trainer.pushes(), 0u);
+  EXPECT_GT(trainer.pull_apply_seconds(), 0.0);
+  EXPECT_GT(trainer.log_records_pulled(), 0u);
+  EXPECT_LE(trainer.log_records_held(), trainer.log_records_pulled());
 
   // Acceptance bound: within 2% of the in-process trainer at the same
   // seed budget.
@@ -2185,6 +2188,92 @@ TEST(VersionedPullTest, OverlappingLogAnswersReplayEachRecordOnce) {
     EXPECT_EQ(std::memcmp(replica.model().transfer(1), once.model().transfer(1),
                           4 * static_cast<size_t>(mo.dim) * mo.dim),
               0);
+  }
+}
+
+TEST(ReplicaTest, CountsTheLogRecordsItAlreadyHeld) {
+  // OverlappingLogAnswersReplayEachRecordOnce's answers: records 1-2 and
+  // records 1-3, both pulled from version 0. In either order five records
+  // arrive, and the second answer brings two the replica already holds.
+  const core::PkgmModelOptions mo = TestModelOptions();
+  const std::string records = FuzzLog(mo.dim, {1, 2, 1});
+  const size_t two = core::FactorGroupBlobBytes(mo.dim, 1) +
+                     core::FactorGroupBlobBytes(mo.dim, 2);
+  const auto payload = [&](uint64_t version, std::string_view log) {
+    RowsSection sec;
+    sec.table = ParamTable::kTransfer;
+    sec.row_size = mo.dim * mo.dim;
+    sec.ids = {1};
+    sec.versioned = true;
+    net::AppendLogAnswer(version, log, &sec.answers);
+    return Payload(net::EncodeRows(1, {sec}));
+  };
+  std::vector<PullSection> req(1);
+  req[0] = {ParamTable::kTransfer, {1}, {0}};
+  const simd::KernelTable& k = simd::ScalarKernels();
+  Replica::Scratch scratch;
+  uint64_t rows = 0;
+  const std::string short_log = payload(2, records.substr(0, two));
+  const std::string long_log = payload(3, records);
+  for (const bool short_first : {true, false}) {
+    SCOPED_TRACE(short_first);
+    Replica replica(mo);
+    ASSERT_TRUE(replica
+                    .Apply(short_first ? short_log : long_log, req, &k,
+                           &scratch, &rows)
+                    .ok());
+    EXPECT_EQ(replica.log_records(), short_first ? 2u : 3u);
+    EXPECT_EQ(replica.held_log_records(), 0u);
+    ASSERT_TRUE(replica
+                    .Apply(short_first ? long_log : short_log, req, &k,
+                           &scratch, &rows)
+                    .ok());
+    EXPECT_EQ(replica.log_records(), 5u);
+    EXPECT_EQ(replica.held_log_records(), 2u);
+  }
+  // A dense answer carries no records.
+  Replica replica(mo);
+  RowsSection dense;
+  dense.table = ParamTable::kTransfer;
+  dense.row_size = mo.dim * mo.dim;
+  dense.ids = {1};
+  dense.versioned = true;
+  const std::vector<float> row(mo.dim * mo.dim, 0.5f);
+  net::AppendDenseAnswer(4, row.data(), dense.row_size, &dense.answers);
+  ASSERT_TRUE(replica
+                  .Apply(Payload(net::EncodeRows(1, {dense})), req, &k,
+                         &scratch, &rows)
+                  .ok());
+  EXPECT_EQ(replica.log_records(), 0u);
+  EXPECT_EQ(replica.held_log_records(), 0u);
+}
+
+TEST(SortUniqueIdsTest, MatchesSortThenUnique) {
+  std::vector<std::vector<uint32_t>> lists = {{}, {7}, {1u << 31}, {0, 0, 0}};
+  Rng rng(77);
+  // Ids from 2^24 up need all four 8-bit passes, smaller spans fewer;
+  // every third id repeats its predecessor.
+  for (const uint32_t base : {0u, 1u << 24}) {
+    for (const uint32_t span : {300u, 70000u, 1u << 31}) {
+      for (const size_t n : {size_t{2}, size_t{255}, size_t{2048}}) {
+        std::vector<uint32_t> ids(n);
+        for (uint32_t& id : ids) {
+          id = base + static_cast<uint32_t>(rng.Uniform(span));
+        }
+        for (size_t i = 0; i + 1 < n; i += 3) ids[i + 1] = ids[i];
+        lists.push_back(ids);
+      }
+    }
+  }
+  std::vector<uint32_t> scratch = {9, 9, 9};
+  for (const std::vector<uint32_t>& list : lists) {
+    SCOPED_TRACE(testing::Message() << "size " << list.size());
+    std::vector<uint32_t> want = list;
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    std::vector<uint32_t> got = list;
+    SortUniqueIds(&got, &scratch);
+    EXPECT_EQ(got, want);
   }
 }
 

@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -490,6 +492,92 @@ TEST(SimdInferenceKernelsTest, SoftmaxMatchesScalarBitForBit) {
           sum += p;
         }
         EXPECT_NEAR(sum, 1.0f, 1e-4f);
+      }
+    }
+  }
+}
+
+uint32_t LoadLe32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
+         static_cast<uint32_t>(b[2]) << 16 | static_cast<uint32_t>(b[3]) << 24;
+}
+
+TEST(SimdSignCodesTest, PackAndUnpackMatchTheScalarTable) {
+  // The codes go out in every push blob and come back in every replayed
+  // log record, so every table writes the scalar table's bytes and floats,
+  // at any length and alignment, and writes nothing past them.
+  using Limits = std::numeric_limits<float>;
+  const float kInputs[] = {0.0f,
+                           -0.0f,
+                           1.0f,
+                           -1.0f,
+                           2.5f,
+                           -3.0f,
+                           Limits::quiet_NaN(),
+                           -Limits::quiet_NaN(),
+                           Limits::infinity(),
+                           -Limits::infinity(),
+                           Limits::denorm_min(),
+                           -Limits::denorm_min(),
+                           Limits::min(),
+                           -Limits::min()};
+  constexpr size_t kNumInputs = sizeof(kInputs) / sizeof(kInputs[0]);
+  constexpr float kValue[4] = {0.0f, 1.0f, -1.0f, 0.0f};
+  const KernelTable& ref = ScalarKernels();
+  Rng rng(901);
+  for (const KernelTable* table : AllUsableTables()) {
+    SCOPED_TRACE(std::string("isa=") + KernelIsaName(table->isa));
+    for (size_t n : {1, 15, 16, 17, 20, 64, 100}) {
+      for (size_t offset = 0; offset <= 3; ++offset) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " offset=" << offset);
+        const size_t words = (n + 15) / 16;
+        std::vector<float> xs(offset + n);
+        float* x = xs.data() + offset;
+        for (size_t i = 0; i < n; ++i) x[i] = kInputs[rng.Uniform(kNumInputs)];
+
+        // Pack, into a byte-misaligned buffer with a sentinel word after.
+        std::vector<char> got(offset + 4 * words + 4, '\x5a');
+        std::vector<char> want(4 * words + 4, '\x5a');
+        table->pack_sign_codes(n, x, got.data() + offset);
+        ref.pack_sign_codes(n, x, want.data());
+        EXPECT_EQ(0, std::memcmp(got.data() + offset, want.data(),
+                                 want.size()));
+        // The scalar table codes the layout: (x > 0) | (x < 0) << 1, and
+        // zero padding bits.
+        for (size_t i = 0; i < 16 * words; ++i) {
+          const uint32_t code =
+              LoadLe32(want.data() + 4 * (i / 16)) >> (2 * (i % 16)) & 3;
+          const uint32_t layout =
+              i < n ? static_cast<uint32_t>(x[i] > 0.0f) |
+                          static_cast<uint32_t>(x[i] < 0.0f) << 1
+                    : 0;
+          EXPECT_EQ(code, layout) << "i=" << i;
+        }
+        // Unpacking what was packed gives the scalar sign_of.
+        std::vector<float> back(n), sign(n);
+        table->unpack_sign_codes(n, got.data() + offset, back.data());
+        ref.sign_of(n, x, sign.data());
+        EXPECT_TRUE(SameBits(back, sign));
+
+        // Unpack random words: every code, 3 included, and non-zero bits
+        // past coordinate n - 1, which are ignored.
+        std::vector<char> codes(offset + 4 * words);
+        for (char& c : codes) c = static_cast<char>(rng.Uniform(256));
+        std::memset(codes.data() + offset, 0xe4, 1);  // codes 0, 1, 2, 3
+        std::vector<float> out(offset + n + 1, 7.0f), ref_out(n + 1, 7.0f);
+        table->unpack_sign_codes(n, codes.data() + offset, out.data() + offset);
+        ref.unpack_sign_codes(n, codes.data() + offset, ref_out.data());
+        EXPECT_EQ(0, std::memcmp(out.data() + offset, ref_out.data(),
+                                 ref_out.size() * sizeof(float)));
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t code =
+              LoadLe32(codes.data() + offset + 4 * (i / 16)) >>
+                  (2 * (i % 16)) &
+              3;
+          EXPECT_EQ(0, std::memcmp(&ref_out[i], &kValue[code], sizeof(float)))
+              << "i=" << i << " code=" << code;
+        }
       }
     }
   }

@@ -48,9 +48,11 @@
 //                                               <prefix>.{recommend,classify,
 //                                               align}.pkgi (checksummed,
 //                                               self-checked by reload)
-//   pkgm_tool inspect-infer-model <model.pkgi>  print the section table,
-//                                               then META + config as JSON;
-//                                               verifies every CRC32C
+//   pkgm_tool inspect-infer-model <model.pkgi>  verify every CRC32C, print
+//                                               the section table to
+//                                               stderr, then META + config
+//                                               as one JSON document on
+//                                               stdout
 //
 // A checkpoint is an fp32 .pkgs store (store::LoadModel reads it back), so
 // every trained model is servable as written.
@@ -163,20 +165,22 @@ core::PkgmModel MustLoadModel(const char* path) {
   return std::move(model.value());
 }
 
-/// The section table every inspect-* command prints, then the verdict of
-/// re-reading each section against its CRC32C (returned).
-Status PrintSections(const SectionFile& file) {
-  std::printf("format version   %u\n", file.version());
-  std::printf("file size        %s bytes\n",
-              WithThousandsSeparators(file.file_size()).c_str());
-  std::printf("section  %12s %16s  crc32c\n", "offset", "bytes");
+/// The section table every inspect-* command prints to `out`, then the
+/// verdict of re-reading each section against its CRC32C (returned).
+Status PrintSections(const SectionFile& file, FILE* out) {
+  std::fprintf(out, "format version   %u\n", file.version());
+  std::fprintf(out, "file size        %s bytes\n",
+               WithThousandsSeparators(file.file_size()).c_str());
+  std::fprintf(out, "section  %12s %16s  crc32c\n", "offset", "bytes");
   for (const SectionEntry& s : file.sections()) {
-    std::printf("  %-6s %12llu %16s  %08x\n", SectionTagName(s.tag).c_str(),
-                static_cast<unsigned long long>(s.offset),
-                WithThousandsSeparators(s.bytes).c_str(), s.crc);
+    std::fprintf(out, "  %-6s %12llu %16s  %08x\n",
+                 SectionTagName(s.tag).c_str(),
+                 static_cast<unsigned long long>(s.offset),
+                 WithThousandsSeparators(s.bytes).c_str(), s.crc);
   }
   Status s = file.VerifyChecksum();
-  std::printf("checksum         %s\n", s.ok() ? "OK" : s.ToString().c_str());
+  std::fprintf(out, "checksum         %s\n",
+               s.ok() ? "OK" : s.ToString().c_str());
   return s;
 }
 
@@ -449,10 +453,13 @@ int CmdTrain(int argc, char** argv) {
       report(e, stats.value());
     }
     std::printf("trained in %.1fs (%llu pulls, %.2fs pull wait, "
+                "%.2fs pull apply, %llu of %llu log records already held, "
                 "%llu pushes)\n",
                 sw.ElapsedSeconds(),
                 static_cast<unsigned long long>(trainer.pulls()),
-                trainer.pull_wait_seconds(),
+                trainer.pull_wait_seconds(), trainer.pull_apply_seconds(),
+                static_cast<unsigned long long>(trainer.log_records_held()),
+                static_cast<unsigned long long>(trainer.log_records_pulled()),
                 static_cast<unsigned long long>(trainer.pushes()));
     // Refresh the replica so the checkpoint is the shards' merged state.
     st = trainer.PullFullModel();
@@ -611,7 +618,7 @@ int CmdInspectStore(int argc, char** argv) {
   std::printf("hyperplanes      %s\n", st.has_hyperplanes() ? "yes" : "no");
   std::printf("generation       %llu\n",
               static_cast<unsigned long long>(st.generation()));
-  return PrintSections(st.file()).ok() ? 0 : 1;
+  return PrintSections(st.file(), stdout).ok() ? 0 : 1;
 }
 
 int CmdBuildKgIndex(int argc, char** argv) {
@@ -664,7 +671,7 @@ int CmdInspectKgIndex(int argc, char** argv) {
               WithThousandsSeparators(index.NumTriples()).c_str());
   std::printf("entities         %u\n", index.MaxEntityId());
   std::printf("relations        %u\n", index.MaxRelationId());
-  Status cs = PrintSections(index.file());
+  Status cs = PrintSections(index.file(), stdout);
   Status vs = index.Validate();
   std::printf("structure        %s\n", vs.ok() ? "OK" : vs.ToString().c_str());
   return cs.ok() && vs.ok() ? 0 : 1;
@@ -762,7 +769,8 @@ int CmdInspectInferModel(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
     return 1;
   }
-  if (!PrintSections(file.value()).ok()) return 1;
+  // The table goes to stderr, so stdout is the one JSON document.
+  if (!PrintSections(file.value(), stderr).ok()) return 1;
   auto json = infer::InspectInferModel(argv[0]);
   if (!json.ok()) {
     std::fprintf(stderr, "%s\n", json.status().ToString().c_str());
