@@ -59,10 +59,8 @@ void InferenceEngine::ExecuteBatch(
       ExecuteRecommend(requests, responses);
       return;
     case serve::TaskKind::kClassify:
-      ExecuteClassify(requests, responses);
-      return;
     case serve::TaskKind::kAlign:
-      ExecuteAlign(requests, responses);
+      ExecuteEncoder(task, requests, responses);
       return;
     case serve::TaskKind::kLookup:
       break;  // the KnowledgeServer serves lookups itself
@@ -140,53 +138,68 @@ void InferenceEngine::ExecuteRecommend(
   }
 }
 
-void InferenceEngine::ExecuteClassify(
+void InferenceEngine::ExecuteEncoder(
+    serve::TaskKind task,
     const std::vector<const serve::ServiceRequest*>& requests,
     std::vector<serve::ServiceResponse>* responses) {
-  auto gen = models_->classifier();
+  const bool align = task == serve::TaskKind::kAlign;
+  auto gen = align ? models_->aligner() : models_->classifier();
   if (gen == nullptr) {
     FillCode(responses, serve::ResponseCode::kRejected);
     return;
   }
   std::shared_ptr<const store::ServingGeneration> pinned;
   const core::ServiceVectorProvider* provider = PinProvider(&pinned);
-  const text::TinyBertConfig& cfg = gen->model.config;
-  const uint32_t num_classes = gen->model.num_classes;
-  const bool uses_pkgm = gen->variant != tasks::PkgmVariant::kBase;
-  if (uses_pkgm && provider->dim() != cfg.dim) {
+  tasks::TrainedEncoder& model = gen->model;
+  const tasks::PkgmVariant variant = gen->variant;
+  const bool uses_pkgm = variant != tasks::PkgmVariant::kBase;
+  if (uses_pkgm && provider->dim() != model.config.dim) {
     FillCode(responses, serve::ResponseCode::kRejected);
     return;
   }
   const core::ServiceVectorProvider* services =
       uses_pkgm ? provider : nullptr;
+  // An item needs a catalog title and, for a PKGM model, service vectors.
+  const size_t num_items =
+      uses_pkgm ? std::min<size_t>(item_titles_.size(), provider->num_items())
+                : item_titles_.size();
 
   std::lock_guard<std::mutex> lock(gen->mu);
-  std::vector<float> probs(num_classes);
-  std::vector<uint32_t> order(num_classes);
+  std::vector<float> probs(model.num_outputs);
+  std::vector<uint32_t> order(model.num_outputs);
   for (size_t i = 0; i < requests.size(); ++i) {
     const serve::ServiceRequest& request = *requests[i];
     serve::ServiceResponse& response = (*responses)[i];
-    if (request.item >= item_titles_.size() ||
-        (uses_pkgm && request.item >= provider->num_items())) {
+    if (request.item >= num_items || (align && request.item_b >= num_items)) {
       response.code = serve::ResponseCode::kInvalidItem;
       continue;
     }
-    data::ClassificationSample sample;
-    sample.item_index = request.item;
-    sample.title = item_titles_[request.item];
-    text::EncodedInput input = tasks::EncodeClassificationSample(
-        sample, gen->model.tokenizer, services, gen->variant, cfg.max_len);
-
-    Vec cls;
-    gen->model.bert->EncodeCls(input, &cls);
-    Mat cls_mat(1, cfg.dim);
-    for (uint32_t j = 0; j < cfg.dim; ++j) cls_mat(0, j) = cls[j];
+    text::EncodedInput input;
+    if (align) {
+      data::AlignmentPair pair;
+      pair.item_a = request.item;
+      pair.item_b = request.item_b;
+      pair.title_a = item_titles_[request.item];
+      pair.title_b = item_titles_[request.item_b];
+      input = tasks::EncodeAlignmentPair(pair, model.tokenizer, services,
+                                         variant, model.config.max_len);
+    } else {
+      data::ClassificationSample sample;
+      sample.item_index = request.item;
+      sample.title = item_titles_[request.item];
+      input = tasks::EncodeClassificationSample(
+          sample, model.tokenizer, services, variant, model.config.max_len);
+    }
     Mat logits;
-    gen->model.head->Forward(cls_mat, &logits);
+    model.Logits(input, &logits);
+    if (align) {
+      response.score = logits(0, 0);
+      continue;
+    }
 
+    const uint32_t num_classes = model.num_outputs;
     std::copy(logits.Row(0), logits.Row(0) + num_classes, probs.begin());
     SoftmaxInplace(num_classes, probs.data());
-
     const uint32_t k =
         std::min(request.top_k == 0 ? 1u : request.top_k, num_classes);
     std::iota(order.begin(), order.end(), 0u);
@@ -200,54 +213,6 @@ void InferenceEngine::ExecuteClassify(
     for (uint32_t j = 0; j < k; ++j) {
       response.class_probs.push_back(probs[order[j]]);
     }
-  }
-}
-
-void InferenceEngine::ExecuteAlign(
-    const std::vector<const serve::ServiceRequest*>& requests,
-    std::vector<serve::ServiceResponse>* responses) {
-  auto gen = models_->aligner();
-  if (gen == nullptr) {
-    FillCode(responses, serve::ResponseCode::kRejected);
-    return;
-  }
-  std::shared_ptr<const store::ServingGeneration> pinned;
-  const core::ServiceVectorProvider* provider = PinProvider(&pinned);
-  const text::TinyBertConfig& cfg = gen->model.config;
-  const bool uses_pkgm = gen->variant != tasks::PkgmVariant::kBase;
-  if (uses_pkgm && provider->dim() != cfg.dim) {
-    FillCode(responses, serve::ResponseCode::kRejected);
-    return;
-  }
-  const core::ServiceVectorProvider* services =
-      uses_pkgm ? provider : nullptr;
-
-  std::lock_guard<std::mutex> lock(gen->mu);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const serve::ServiceRequest& request = *requests[i];
-    serve::ServiceResponse& response = (*responses)[i];
-    const uint32_t limit = static_cast<uint32_t>(item_titles_.size());
-    if (request.item >= limit || request.item_b >= limit ||
-        (uses_pkgm && (request.item >= provider->num_items() ||
-                       request.item_b >= provider->num_items()))) {
-      response.code = serve::ResponseCode::kInvalidItem;
-      continue;
-    }
-    data::AlignmentPair pair;
-    pair.item_a = request.item;
-    pair.item_b = request.item_b;
-    pair.title_a = item_titles_[request.item];
-    pair.title_b = item_titles_[request.item_b];
-    text::EncodedInput input = tasks::EncodeAlignmentPair(
-        pair, gen->model.tokenizer, services, gen->variant, cfg.max_len);
-
-    Vec cls;
-    gen->model.bert->EncodeCls(input, &cls);
-    Mat cls_mat(1, cfg.dim);
-    for (uint32_t j = 0; j < cfg.dim; ++j) cls_mat(0, j) = cls[j];
-    Mat logits;
-    gen->model.head->Forward(cls_mat, &logits);
-    response.score = logits(0, 0);
   }
 }
 

@@ -31,11 +31,11 @@ namespace pkgm::infer {
 ///   recommend  NCF forward over the (user, item) rows; the condensed
 ///              service vector joins the MLP tower input (Eq. 21);
 ///              score = sigmoid(logit).
-///   classify   TinyBert over the item's catalog title with service vectors
-///              injected after [SEP] (Fig. 2), head logits, SIMD-dispatched
-///              softmax, top-k classes.
-///   align      TinyBert pair encoding of both items' titles and vectors
-///              (Fig. 5); score = raw head logit (> 0 means same product).
+///   classify   the encoder model (TrainedEncoder::Logits) over the item's
+///   align      catalog title with service vectors injected after [SEP]
+///              (Fig. 4), or over both items' titles and vectors (Fig. 5).
+///              Classify answers SIMD-dispatched softmax top-k classes,
+///              align the raw logit (> 0 means same product).
 ///
 /// The title catalog is fixed at construction: item i's canonical title —
 /// the same text::TitleGenerator::Stable output the training datasets used,
@@ -67,11 +67,12 @@ class InferenceEngine : public serve::InferExecutor {
   void ExecuteRecommend(
       const std::vector<const serve::ServiceRequest*>& requests,
       std::vector<serve::ServiceResponse>* responses);
-  void ExecuteClassify(
+  /// Classify and align: one path, which differs only in the input encoder
+  /// and in how the logits become the answer.
+  void ExecuteEncoder(
+      serve::TaskKind task,
       const std::vector<const serve::ServiceRequest*>& requests,
       std::vector<serve::ServiceResponse>* responses);
-  void ExecuteAlign(const std::vector<const serve::ServiceRequest*>& requests,
-                    std::vector<serve::ServiceResponse>* responses);
 
   const InferModelRegistry* models_;
   const core::ServiceVectorProvider* provider_ = nullptr;

@@ -12,6 +12,29 @@
 namespace pkgm::infer {
 namespace {
 
+/// What classify and align differ in on disk, and the least encoder config
+/// their input builders serve: the single input needs max_len >= 3 and
+/// reads segment 0; the pair input needs max_len >= 5 and reads segment 1.
+struct EncoderFormat {
+  const char* head_name;  // prefix of the head's PARM records
+  bool has_num_classes;   // CONF ends with the head's width
+  uint32_t min_max_len;
+  uint32_t min_segments;
+};
+
+/// Null for the recommender, the one model without an encoder.
+const EncoderFormat* EncoderFormatOf(InferTask task) {
+  static constexpr EncoderFormat kClassify{tasks::kClassifierHeadName, true,
+                                           3, 1};
+  static constexpr EncoderFormat kAlign{tasks::kAlignerHeadName, false, 5, 2};
+  switch (task) {
+    case InferTask::kClassify: return &kClassify;
+    case InferTask::kAlign: return &kAlign;
+    case InferTask::kRecommend: break;
+  }
+  return nullptr;
+}
+
 // ------------------------------------------------------------- writing --
 
 /// Appends `v`'s little-endian bytes.
@@ -124,7 +147,8 @@ Status Corrupt(const char* what) {
                                       what));
 }
 
-Status ReadBertConfig(PayloadReader* r, text::TinyBertConfig* cfg) {
+Status ReadBertConfig(PayloadReader* r, const EncoderFormat& format,
+                      text::TinyBertConfig* cfg) {
   if (!r->Read(&cfg->vocab_size) || !r->Read(&cfg->dim) ||
       !r->Read(&cfg->layers) || !r->Read(&cfg->heads) ||
       !r->Read(&cfg->ff_dim) || !r->Read(&cfg->max_len) ||
@@ -132,8 +156,14 @@ Status ReadBertConfig(PayloadReader* r, text::TinyBertConfig* cfg) {
     return Corrupt("encoder config");
   }
   if (cfg->dim == 0 || cfg->heads == 0 || cfg->dim % cfg->heads != 0 ||
-      cfg->max_len < 3 || cfg->layers == 0 || cfg->layers > 64) {
+      cfg->layers == 0 || cfg->layers > 64) {
     return Corrupt("encoder config");
+  }
+  // A model its input builder cannot serve would load, then abort on its
+  // first request.
+  if (cfg->max_len < format.min_max_len) return Corrupt("encoder max_len");
+  if (cfg->num_segments < format.min_segments) {
+    return Corrupt("encoder num_segments");
   }
   return Status::Ok();
 }
@@ -256,35 +286,25 @@ Status SaveRecommenderModel(const tasks::TrainedRecommender& model,
                    /*tok=*/nullptr, params, &model.item_features, path);
 }
 
-Status SaveClassifierModel(const tasks::TrainedClassifier& model,
-                           tasks::PkgmVariant variant, uint64_t generation,
-                           const std::string& path) {
-  if (model.bert == nullptr || model.head == nullptr) {
-    return Status::InvalidArgument("classifier bundle holds no model");
-  }
-  std::string config;
-  PutBertConfig(&config, model.config);
-  Put(&config, model.num_classes);
-  std::vector<nn::Parameter*> params =
-      const_cast<text::TinyBert*>(model.bert.get())->Params();
-  const_cast<nn::Linear*>(model.head.get())->Params(&params);
-  return WriteFile(InferTask::kClassify, variant, generation, config,
-                   &model.tokenizer, params, /*item_features=*/nullptr, path);
-}
-
-Status SaveAlignerModel(const tasks::TrainedAligner& model,
+Status SaveEncoderModel(const tasks::TrainedEncoder& model, InferTask task,
                         tasks::PkgmVariant variant, uint64_t generation,
                         const std::string& path) {
+  const EncoderFormat* format = EncoderFormatOf(task);
+  if (format == nullptr) {
+    return Status::InvalidArgument(
+        "an encoder model saves as classify or align");
+  }
   if (model.bert == nullptr || model.head == nullptr) {
-    return Status::InvalidArgument("aligner bundle holds no model");
+    return Status::InvalidArgument("encoder bundle holds no model");
   }
   std::string config;
   PutBertConfig(&config, model.config);
-  std::vector<nn::Parameter*> params =
-      const_cast<text::TinyBert*>(model.bert.get())->Params();
-  const_cast<nn::Linear*>(model.head.get())->Params(&params);
-  return WriteFile(InferTask::kAlign, variant, generation, config,
-                   &model.tokenizer, params, /*item_features=*/nullptr, path);
+  if (format->has_num_classes) Put(&config, model.num_outputs);
+  // Params() only registers pointers; serialization does not mutate.
+  const std::vector<nn::Parameter*> params =
+      const_cast<tasks::TrainedEncoder&>(model).Params();
+  return WriteFile(task, variant, generation, config, &model.tokenizer, params,
+                   /*item_features=*/nullptr, path);
 }
 
 StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
@@ -337,7 +357,6 @@ StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
       return Corrupt("recommender config");
     }
     loaded.recommender.config = cfg;
-    loaded.recommender.pkgm_dim = cfg.pkgm_dim;
     loaded.recommender.model = std::make_unique<rec::NcfModel>(cfg);
     PKGM_RETURN_IF_ERROR(ApplyParams(loaded.recommender.model->Params(),
                                      records, /*extra_allowed=*/1));
@@ -355,12 +374,13 @@ StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
     return loaded;
   }
 
-  // Classify and align: a TinyBERT encoder plus a linear head.
+  // Classify and align: the encoder model.
+  const EncoderFormat& format = *EncoderFormatOf(loaded.task);
   text::TinyBertConfig cfg;
-  PKGM_RETURN_IF_ERROR(ReadBertConfig(&config, &cfg));
-  uint32_t num_classes = 1;
-  if (loaded.task == InferTask::kClassify &&
-      (!config.Read(&num_classes) || num_classes == 0)) {
+  PKGM_RETURN_IF_ERROR(ReadBertConfig(&config, format, &cfg));
+  uint32_t num_outputs = 1;
+  if (format.has_num_classes &&
+      (!config.Read(&num_outputs) || num_outputs == 0)) {
     return Corrupt("num_classes");
   }
   if (!config.done()) return Corrupt("trailing config bytes");
@@ -369,50 +389,33 @@ StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
   PKGM_RETURN_IF_ERROR(ReadVocab(&vocab, cfg.vocab_size, &names));
   if (!vocab.done()) return Corrupt("trailing vocab bytes");
 
-  const bool classify = loaded.task == InferTask::kClassify;
-  text::Tokenizer& tokenizer =
-      classify ? loaded.classifier.tokenizer : loaded.aligner.tokenizer;
-  std::unique_ptr<text::TinyBert>& bert =
-      classify ? loaded.classifier.bert : loaded.aligner.bert;
-  std::unique_ptr<nn::Linear>& head =
-      classify ? loaded.classifier.head : loaded.aligner.head;
-  if (classify) {
-    loaded.classifier.config = cfg;
-    loaded.classifier.num_classes = num_classes;
-  } else {
-    loaded.aligner.config = cfg;
-  }
-  tokenizer.LoadVocab(std::move(names));
-  bert = std::make_unique<text::TinyBert>(cfg);
   Rng head_rng(0);  // weights are overwritten below
-  head = std::make_unique<nn::Linear>(cfg.dim, num_classes, &head_rng,
-                                      classify ? "cls.head" : "align.head");
-  std::vector<nn::Parameter*> model_params = bert->Params();
-  head->Params(&model_params);
+  loaded.encoder =
+      tasks::TrainedEncoder(cfg, num_outputs, format.head_name, &head_rng);
+  loaded.encoder.tokenizer.LoadVocab(std::move(names));
   PKGM_RETURN_IF_ERROR(
-      ApplyParams(model_params, records, /*extra_allowed=*/0));
+      ApplyParams(loaded.encoder.Params(), records, /*extra_allowed=*/0));
   return loaded;
 }
 
 StatusOr<std::string> InspectInferModel(const std::string& path) {
   auto loaded = LoadInferModel(path);
   if (!loaded.ok()) return loaded.status();
-  const LoadedInferModel& m = loaded.value();
+  LoadedInferModel& m = loaded.value();
 
-  // Null for the recommender, the one model without an encoder.
+  // Both null for the recommender, the one model without an encoder.
+  const EncoderFormat* format = EncoderFormatOf(m.task);
   const text::TinyBertConfig* bert = nullptr;
   std::vector<nn::Parameter*> params;
   uint64_t total_weights = 0;
   size_t num_records = 0;
-  if (m.task == InferTask::kRecommend) {
+  if (format == nullptr) {
     params = m.recommender.model->Params();
     total_weights = m.recommender.item_features.size();
     num_records = 1;
   } else {
-    const bool classify = m.task == InferTask::kClassify;
-    bert = classify ? &m.classifier.config : &m.aligner.config;
-    params = (classify ? m.classifier.bert : m.aligner.bert)->Params();
-    (classify ? m.classifier.head : m.aligner.head)->Params(&params);
+    bert = &m.encoder.config;
+    params = m.encoder.Params();
   }
   num_records += params.size();
   for (const nn::Parameter* p : params) total_weights += p->value.size();
@@ -446,8 +449,8 @@ StatusOr<std::string> InspectInferModel(const std::string& path) {
         .Field("ff_dim", bert->ff_dim)
         .Field("max_len", bert->max_len)
         .Field("seed", bert->seed);
-    if (m.task == InferTask::kClassify) {
-      w.Field("num_classes", m.classifier.num_classes);
+    if (format->has_num_classes) {
+      w.Field("num_classes", m.encoder.num_outputs);
     }
   }
   return w.EndObject().EndObject().str();

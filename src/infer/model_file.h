@@ -4,8 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "tasks/item_alignment.h"
-#include "tasks/item_classification.h"
+#include "tasks/encoder_model.h"
 #include "tasks/recommendation.h"
 #include "tasks/variant.h"
 #include "util/section_file.h"
@@ -59,35 +58,35 @@ struct InferModelMeta {
 static_assert(sizeof(InferModelMeta) == 16,
               "InferModelMeta must be packed to 16B");
 
-/// Serializers for the three trained bundles. `generation` is recorded in
-/// META (and reported by inspect) so a refresher pipeline can tag
-/// exports monotonically.
+/// Serializers for the two model kinds. `generation` is recorded in META
+/// (and reported by inspect) so a refresher pipeline can tag exports
+/// monotonically. An encoder model is saved as `task` kClassify (CONF
+/// ends with num_classes) or kAlign (a 1-wide head); the task also names
+/// the head its PARM records carry.
 Status SaveRecommenderModel(const tasks::TrainedRecommender& model,
                             tasks::PkgmVariant variant, uint64_t generation,
                             const std::string& path);
-Status SaveClassifierModel(const tasks::TrainedClassifier& model,
-                           tasks::PkgmVariant variant, uint64_t generation,
-                           const std::string& path);
-Status SaveAlignerModel(const tasks::TrainedAligner& model,
+Status SaveEncoderModel(const tasks::TrainedEncoder& model, InferTask task,
                         tasks::PkgmVariant variant, uint64_t generation,
                         const std::string& path);
 
-/// A deserialized .pkgi: exactly one of the three bundles is populated,
-/// per `task`. Move-only (the bundles own their models).
+/// A deserialized .pkgi: `recommender` for kRecommend, `encoder` for
+/// kClassify and kAlign. Move-only (the bundles own their models).
 struct LoadedInferModel {
   InferTask task = InferTask::kRecommend;
   tasks::PkgmVariant variant = tasks::PkgmVariant::kBase;
   uint64_t generation = 0;
   uint64_t file_bytes = 0;
   tasks::TrainedRecommender recommender;
-  tasks::TrainedClassifier classifier;
-  tasks::TrainedAligner aligner;
+  tasks::TrainedEncoder encoder;
 };
 
 /// Maps, checksums and reconstructs a .pkgi model: the config section
 /// rebuilds the model through its normal constructor (seeds reproduce the
 /// shapes), then every parameter is overwritten by name with shape checks.
-/// Loaded weights are bit-identical to the saved ones.
+/// Loaded weights are bit-identical to the saved ones. An encoder config
+/// the task's input builder cannot serve (align below max_len 5 or 2
+/// segments, classify below 1 segment) is Corruption.
 StatusOr<LoadedInferModel> LoadInferModel(const std::string& path);
 
 /// One-line JSON summary of a .pkgi file (META, config, param count and

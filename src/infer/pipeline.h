@@ -53,8 +53,8 @@ struct InferBundle {
   uint32_t num_users = 0;
   uint32_t num_classes = 0;
   tasks::TrainedRecommender recommender;
-  tasks::TrainedClassifier classifier;
-  tasks::TrainedAligner aligner;
+  tasks::TrainedEncoder classifier;
+  tasks::TrainedEncoder aligner;
 };
 
 /// Builds the three downstream datasets over `pkgm`'s synthetic PKG and

@@ -30,13 +30,13 @@ uint64_t InferModelRegistry::PublishRecommender(tasks::TrainedRecommender model,
                    variant);
 }
 
-uint64_t InferModelRegistry::PublishClassifier(tasks::TrainedClassifier model,
+uint64_t InferModelRegistry::PublishClassifier(tasks::TrainedEncoder model,
                                                tasks::PkgmVariant variant) {
   return PublishTo(&mu_, &classifier_, &next_classifier_, std::move(model),
                    variant);
 }
 
-uint64_t InferModelRegistry::PublishAligner(tasks::TrainedAligner model,
+uint64_t InferModelRegistry::PublishAligner(tasks::TrainedEncoder model,
                                             tasks::PkgmVariant variant) {
   return PublishTo(&mu_, &aligner_, &next_aligner_, std::move(model), variant);
 }

@@ -6,15 +6,14 @@
 #include <memory>
 #include <mutex>
 
-#include "tasks/item_alignment.h"
-#include "tasks/item_classification.h"
+#include "tasks/encoder_model.h"
 #include "tasks/recommendation.h"
 #include "tasks/variant.h"
 
 namespace pkgm::infer {
 
-/// One published downstream-model generation. The model classes cache
-/// per-batch activations (NcfModel::Forward, TinyBert::EncodeCls), so every
+/// One published downstream-model generation. The models cache per-batch
+/// activations (NcfModel::Forward, TrainedEncoder::Logits), so every
 /// forward pass on a generation must hold its `mu` — the InferenceEngine
 /// takes it once per batch. Everything else is immutable after Publish.
 ///
@@ -30,8 +29,8 @@ struct InferGeneration {
 };
 
 using RecommenderGeneration = InferGeneration<tasks::TrainedRecommender>;
-using ClassifierGeneration = InferGeneration<tasks::TrainedClassifier>;
-using AlignerGeneration = InferGeneration<tasks::TrainedAligner>;
+/// Classify and align publish the one encoder-with-head model kind.
+using EncoderGeneration = InferGeneration<tasks::TrainedEncoder>;
 
 /// Publication point for the three downstream models, mirroring
 /// store::ModelRegistry: each task slot is a shared_ptr that a publish
@@ -50,11 +49,11 @@ class InferModelRegistry {
     std::lock_guard<std::mutex> lock(mu_);
     return recommender_;
   }
-  std::shared_ptr<ClassifierGeneration> classifier() const {
+  std::shared_ptr<EncoderGeneration> classifier() const {
     std::lock_guard<std::mutex> lock(mu_);
     return classifier_;
   }
-  std::shared_ptr<AlignerGeneration> aligner() const {
+  std::shared_ptr<EncoderGeneration> aligner() const {
     std::lock_guard<std::mutex> lock(mu_);
     return aligner_;
   }
@@ -62,16 +61,16 @@ class InferModelRegistry {
   /// Publish a trained bundle; returns its generation number.
   uint64_t PublishRecommender(tasks::TrainedRecommender model,
                               tasks::PkgmVariant variant);
-  uint64_t PublishClassifier(tasks::TrainedClassifier model,
+  uint64_t PublishClassifier(tasks::TrainedEncoder model,
                              tasks::PkgmVariant variant);
-  uint64_t PublishAligner(tasks::TrainedAligner model,
+  uint64_t PublishAligner(tasks::TrainedEncoder model,
                           tasks::PkgmVariant variant);
 
  private:
   mutable std::mutex mu_;  // guards the three slots
   std::shared_ptr<RecommenderGeneration> recommender_;
-  std::shared_ptr<ClassifierGeneration> classifier_;
-  std::shared_ptr<AlignerGeneration> aligner_;
+  std::shared_ptr<EncoderGeneration> classifier_;
+  std::shared_ptr<EncoderGeneration> aligner_;
   std::atomic<uint64_t> next_recommender_{1};
   std::atomic<uint64_t> next_classifier_{1};
   std::atomic<uint64_t> next_aligner_{1};

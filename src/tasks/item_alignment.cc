@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "nn/linear.h"
 #include "nn/losses.h"
-#include "nn/optimizer.h"
-#include "text/mlm.h"
-#include "text/tiny_bert.h"
 #include "text/tokenizer.h"
 #include "util/logging.h"
 
@@ -75,114 +71,36 @@ ItemAlignmentTask::ItemAlignmentTask(const data::AlignmentDataset* dataset,
   PKGM_CHECK(dataset != nullptr);
 }
 
-TrainedAligner ItemAlignmentTask::Train(PkgmVariant variant) const {
-  PKGM_CHECK(variant == PkgmVariant::kBase || services_ != nullptr);
-  Rng rng(options_.seed);
-
-  TrainedAligner trained;
-  text::Tokenizer& tok = trained.tokenizer;
-  for (const auto& p : dataset_->train) {
-    tok.CountCorpusLine(p.title_a);
-    tok.CountCorpusLine(p.title_b);
+TrainedEncoder ItemAlignmentTask::Train(PkgmVariant variant) const {
+  const std::vector<data::AlignmentPair>& train = dataset_->train;
+  EncoderFineTune task;
+  for (const auto& p : train) {
+    task.vocab_lines.push_back(p.title_a);
+    task.vocab_lines.push_back(p.title_b);
   }
-  tok.BuildVocab(1);
-
-  const uint32_t dim = services_ != nullptr ? services_->dim() : 64;
-  text::TinyBertConfig cfg;
-  cfg.vocab_size = tok.vocab_size();
-  cfg.dim = dim;
-  cfg.layers = options_.bert_layers;
-  cfg.heads = options_.bert_heads;
-  cfg.ff_dim = options_.bert_ff;
-  cfg.max_len = options_.max_len;
-  cfg.seed = options_.seed + 1;
-  trained.config = cfg;
-  trained.bert = std::make_unique<text::TinyBert>(cfg);
-  text::TinyBert& bert = *trained.bert;
-
-  if (options_.mlm_pretrain_epochs > 0) {
-    std::vector<text::EncodedInput> corpus;
-    for (const auto& p : dataset_->train) {
-      text::EncodedInput in;
-      in.token_ids = text::BuildPairInput(tok.Encode(p.title_a),
-                                          tok.Encode(p.title_b), cfg.max_len,
-                                          &in.valid_len, &in.segment_ids);
-      corpus.push_back(std::move(in));
-    }
-    text::MlmOptions mlm_opt;
-    mlm_opt.epochs = options_.mlm_pretrain_epochs;
-    mlm_opt.seed = options_.seed + 2;
-    text::MlmPretrainer(&bert, mlm_opt).Pretrain(corpus);
-  }
-
-  Rng head_rng(options_.seed + 3);
-  trained.head = std::make_unique<nn::Linear>(dim, 1, &head_rng, "align.head");
-  nn::Linear& head = *trained.head;
-  std::vector<nn::Parameter*> params = bert.Params();
-  head.Params(&params);
-  nn::AdamOptimizer::Options adam;
-  adam.lr = options_.learning_rate;
-  nn::AdamOptimizer optimizer(params, adam);
-
-  std::vector<size_t> order(dataset_->train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (uint32_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double loss_sum = 0.0;
-    uint32_t since_step = 0;
-    for (size_t idx : order) {
-      const auto& pair = dataset_->train[idx];
-      text::EncodedInput input =
-          EncodeAlignmentPair(pair, tok, services_, variant, cfg.max_len);
-
-      Vec cls;
-      bert.EncodeCls(input, &cls);
-      Mat cls_mat(1, dim);
-      for (uint32_t j = 0; j < dim; ++j) cls_mat(0, j) = cls[j];
-
-      Mat logits;
-      head.Forward(cls_mat, &logits);
-      Mat dlogits;
-      loss_sum +=
-          nn::BinaryCrossEntropyWithLogits(logits, {pair.label}, &dlogits);
-
-      Mat dcls_mat;
-      head.Backward(cls_mat, dlogits, &dcls_mat);
-      Vec dcls(dim);
-      for (uint32_t j = 0; j < dim; ++j) dcls[j] = dcls_mat(0, j);
-      bert.BackwardFromCls(input, dcls);
-
-      if (++since_step >= options_.batch_size) {
-        optimizer.Step();
-        since_step = 0;
-      }
-    }
-    if (since_step > 0) optimizer.Step();
-    trained.train_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  }
-  return trained;
+  task.num_train = train.size();
+  task.encode = [&](const text::Tokenizer& tok, size_t i, PkgmVariant v) {
+    return EncodeAlignmentPair(train[i], tok, services_, v, options_.max_len);
+  };
+  task.num_outputs = 1;
+  task.head_name = kAlignerHeadName;
+  task.loss = [&](size_t i, const Mat& logits, Mat* dlogits) -> double {
+    return nn::BinaryCrossEntropyWithLogits(logits, {train[i].label}, dlogits);
+  };
+  return FineTuneEncoder(options_, services_, variant, task);
 }
 
 AlignmentMetrics ItemAlignmentTask::Run(PkgmVariant variant) const {
-  TrainedAligner trained = Train(variant);
-  text::TinyBert& bert = *trained.bert;
-  nn::Linear& head = *trained.head;
-  const text::Tokenizer& tok = trained.tokenizer;
-  const uint32_t dim = trained.config.dim;
+  TrainedEncoder trained = Train(variant);
 
   AlignmentMetrics metrics;
   metrics.train_loss = trained.train_loss;
 
   auto score = [&](const data::AlignmentPair& pair) {
-    text::EncodedInput input = EncodeAlignmentPair(
-        pair, tok, services_, variant, trained.config.max_len);
-    Vec cls;
-    bert.EncodeCls(input, &cls);
-    Mat cls_mat(1, dim);
-    for (uint32_t j = 0; j < dim; ++j) cls_mat(0, j) = cls[j];
+    const text::EncodedInput input = EncodeAlignmentPair(
+        pair, trained.tokenizer, services_, variant, trained.config.max_len);
     Mat logits;
-    head.Forward(cls_mat, &logits);
+    trained.Logits(input, &logits);
     return logits(0, 0);  // monotone in probability
   };
 
@@ -199,30 +117,14 @@ AlignmentMetrics ItemAlignmentTask::Run(PkgmVariant variant) const {
 
   // Hit@k on the ranking split (Table VI): rank the aligned pair among
   // 1 + negatives candidates.
-  const std::vector<int> ks = {1, 3, 10};
-  for (int k : ks) metrics.hits[k] = 0.0;
+  std::vector<double> ranks;
   for (const auto& rc : dataset_->test_r) {
     const float pos = score(rc.positive);
-    uint64_t higher = 0, ties = 0;
-    for (const auto& neg : rc.negatives) {
-      const float s = score(neg);
-      if (s > pos) {
-        ++higher;
-      } else if (s == pos) {
-        ++ties;
-      }
-    }
-    const double rank = 1.0 + static_cast<double>(higher) +
-                        static_cast<double>(ties) / 2.0;
-    for (int k : ks) {
-      if (rank <= k) metrics.hits[k] += 1.0;
-    }
+    std::vector<float> negatives;
+    for (const auto& neg : rc.negatives) negatives.push_back(score(neg));
+    ranks.push_back(RankAmong(pos, negatives));
   }
-  if (!dataset_->test_r.empty()) {
-    for (int k : ks) {
-      metrics.hits[k] /= static_cast<double>(dataset_->test_r.size());
-    }
-  }
+  metrics.hits = HitsAtK(ranks);
   return metrics;
 }
 

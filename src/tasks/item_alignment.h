@@ -1,13 +1,11 @@
 #ifndef PKGM_TASKS_ITEM_ALIGNMENT_H_
 #define PKGM_TASKS_ITEM_ALIGNMENT_H_
 
-#include <cstdint>
 #include <map>
-#include <memory>
 
 #include "core/service.h"
 #include "data/alignment_dataset.h"
-#include "nn/linear.h"
+#include "tasks/encoder_model.h"
 #include "tasks/variant.h"
 #include "text/tiny_bert.h"
 #include "text/tokenizer.h"
@@ -24,17 +22,6 @@ text::EncodedInput EncodeAlignmentPair(
     const core::ServiceVectorProvider* services, PkgmVariant variant,
     size_t max_len);
 
-/// A trained pair scorer ready for serving: tokenizer + pair encoder +
-/// 1-logit head (score > 0 means "same product"). TinyBert caches
-/// per-sequence activations, so concurrent callers must serialize on it.
-struct TrainedAligner {
-  text::TinyBertConfig config;
-  text::Tokenizer tokenizer;
-  std::unique_ptr<text::TinyBert> bert;
-  std::unique_ptr<nn::Linear> head;
-  double train_loss = 0.0;
-};
-
 /// Metrics for Tables VI (Hit@k over 100 candidates) and VII (accuracy).
 struct AlignmentMetrics {
   std::map<int, double> hits;  ///< Hit@1/3/10 on the ranking test split
@@ -46,16 +33,13 @@ struct AlignmentMetrics {
 /// pair-encoder classifies whether two titles describe the same product.
 /// PKGM variants append each item's service vectors after its title's [SEP]
 /// (Fig. 5), 4k injected vectors total for PKGM-all.
-struct ItemAlignmentOptions {
-  uint32_t max_len = 48;
-  uint32_t bert_layers = 2;
-  uint32_t bert_heads = 4;
-  uint32_t bert_ff = 128;
-  uint32_t epochs = 2;
-  uint32_t batch_size = 16;
-  float learning_rate = 1e-3f;
-  uint32_t mlm_pretrain_epochs = 0;
-  uint64_t seed = 419;
+struct ItemAlignmentOptions : EncoderTaskOptions {
+  ItemAlignmentOptions() {
+    max_len = 48;
+    epochs = 2;
+    mlm_pretrain_epochs = 0;
+    seed = 419;
+  }
 };
 
 class ItemAlignmentTask {
@@ -69,8 +53,9 @@ class ItemAlignmentTask {
   AlignmentMetrics Run(PkgmVariant variant) const;
 
   /// Trains the same pair model Run() would (identical seeds and
-  /// arithmetic) and returns it for serving instead of evaluating.
-  TrainedAligner Train(PkgmVariant variant) const;
+  /// arithmetic) and returns it for serving instead of evaluating: an
+  /// encoder model with one logit (> 0 means "same product").
+  TrainedEncoder Train(PkgmVariant variant) const;
 
  private:
   const data::AlignmentDataset* dataset_;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "nn/linear.h"
 #include "nn/losses.h"
-#include "nn/optimizer.h"
-#include "text/mlm.h"
 #include "util/logging.h"
 
 namespace pkgm::tasks {
@@ -40,26 +37,6 @@ text::EncodedInput EncodeClassificationSample(
   return input;
 }
 
-namespace {
-
-/// 1-based rank of `label` in `logits` (higher logit = better), mean of
-/// optimistic/pessimistic over ties.
-double RankOfLabel(const float* logits, size_t n, uint32_t label) {
-  const float target = logits[label];
-  uint64_t higher = 0, ties = 0;
-  for (size_t j = 0; j < n; ++j) {
-    if (j == label) continue;
-    if (logits[j] > target) {
-      ++higher;
-    } else if (logits[j] == target) {
-      ++ties;
-    }
-  }
-  return 1.0 + static_cast<double>(higher) + static_cast<double>(ties) / 2.0;
-}
-
-}  // namespace
-
 ItemClassificationTask::ItemClassificationTask(
     const data::ClassificationDataset* dataset,
     const core::ServiceVectorProvider* services,
@@ -68,135 +45,48 @@ ItemClassificationTask::ItemClassificationTask(
   PKGM_CHECK(dataset != nullptr);
 }
 
-TrainedClassifier ItemClassificationTask::Train(PkgmVariant variant) const {
-  PKGM_CHECK(variant == PkgmVariant::kBase || services_ != nullptr);
-  Rng rng(options_.seed);
-
-  TrainedClassifier trained;
-  trained.num_classes = dataset_->num_classes;
-
-  // Tokenizer vocabulary from the training titles.
-  text::Tokenizer& tok = trained.tokenizer;
-  for (const auto& s : dataset_->train) tok.CountCorpusLine(s.title);
-  tok.BuildVocab(1);
-
-  const uint32_t dim = services_ != nullptr ? services_->dim() : 64;
-  text::TinyBertConfig cfg;
-  cfg.vocab_size = tok.vocab_size();
-  cfg.dim = dim;
-  cfg.layers = options_.bert_layers;
-  cfg.heads = options_.bert_heads;
-  cfg.ff_dim = options_.bert_ff;
-  cfg.max_len = options_.max_len;
-  cfg.seed = options_.seed + 1;
-  trained.config = cfg;
-  trained.bert = std::make_unique<text::TinyBert>(cfg);
-  text::TinyBert& bert = *trained.bert;
-
-  // "Pre-trained language model": MLM on the training titles.
-  if (options_.mlm_pretrain_epochs > 0) {
-    std::vector<text::EncodedInput> corpus;
-    corpus.reserve(dataset_->train.size());
-    for (const auto& s : dataset_->train) {
-      text::EncodedInput in;
-      in.token_ids =
-          text::BuildSingleInput(tok.Encode(s.title), cfg.max_len, &in.valid_len);
-      corpus.push_back(std::move(in));
-    }
-    text::MlmOptions mlm_opt;
-    mlm_opt.epochs = options_.mlm_pretrain_epochs;
-    mlm_opt.seed = options_.seed + 2;
-    text::MlmPretrainer(&bert, mlm_opt).Pretrain(corpus);
-  }
-
-  // Classifier head over [CLS] (Eq. 10).
-  Rng head_rng(options_.seed + 3);
-  trained.head = std::make_unique<nn::Linear>(dim, dataset_->num_classes,
-                                              &head_rng, "cls.head");
-  nn::Linear& head = *trained.head;
-  std::vector<nn::Parameter*> params = bert.Params();
-  head.Params(&params);
-  nn::AdamOptimizer::Options adam;
-  adam.lr = options_.learning_rate;
-  nn::AdamOptimizer optimizer(params, adam);
-
-  // Fine-tune.
-  std::vector<size_t> order(dataset_->train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (uint32_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double loss_sum = 0.0;
-    uint32_t since_step = 0;
-    for (size_t idx : order) {
-      const auto& sample = dataset_->train[idx];
-      text::EncodedInput input = EncodeClassificationSample(
-          sample, tok, services_, variant, cfg.max_len);
-
-      Vec cls;
-      bert.EncodeCls(input, &cls);
-      Mat cls_mat(1, dim);
-      for (uint32_t j = 0; j < dim; ++j) cls_mat(0, j) = cls[j];
-
-      Mat logits;
-      head.Forward(cls_mat, &logits);
-      Mat dlogits;
-      loss_sum += nn::SoftmaxCrossEntropy(logits, {sample.label}, &dlogits);
-
-      Mat dcls_mat;
-      head.Backward(cls_mat, dlogits, &dcls_mat);
-      Vec dcls(dim);
-      for (uint32_t j = 0; j < dim; ++j) dcls[j] = dcls_mat(0, j);
-      bert.BackwardFromCls(input, dcls);
-
-      if (++since_step >= options_.batch_size) {
-        optimizer.Step();
-        since_step = 0;
-      }
-    }
-    if (since_step > 0) optimizer.Step();
-    trained.train_loss = order.empty() ? 0.0 : loss_sum / order.size();
-  }
-  return trained;
+TrainedEncoder ItemClassificationTask::Train(PkgmVariant variant) const {
+  const std::vector<data::ClassificationSample>& train = dataset_->train;
+  EncoderFineTune task;
+  for (const auto& s : train) task.vocab_lines.push_back(s.title);
+  task.num_train = train.size();
+  task.encode = [&](const text::Tokenizer& tok, size_t i, PkgmVariant v) {
+    return EncodeClassificationSample(train[i], tok, services_, v,
+                                      options_.max_len);
+  };
+  task.num_outputs = dataset_->num_classes;
+  task.head_name = kClassifierHeadName;
+  task.loss = [&](size_t i, const Mat& logits, Mat* dlogits) -> double {
+    return nn::SoftmaxCrossEntropy(logits, {train[i].label}, dlogits);
+  };
+  return FineTuneEncoder(options_, services_, variant, task);
 }
 
 ClassificationMetrics ItemClassificationTask::Run(PkgmVariant variant) const {
-  TrainedClassifier trained = Train(variant);
-  text::TinyBert& bert = *trained.bert;
-  nn::Linear& head = *trained.head;
-  const text::Tokenizer& tok = trained.tokenizer;
-  const uint32_t dim = trained.config.dim;
+  TrainedEncoder trained = Train(variant);
 
   ClassificationMetrics metrics;
   metrics.train_loss = trained.train_loss;
 
   // Evaluation helper: class logits for one sample.
   auto predict = [&](const data::ClassificationSample& sample) {
-    text::EncodedInput input = EncodeClassificationSample(
-        sample, tok, services_, variant, trained.config.max_len);
-    Vec cls;
-    bert.EncodeCls(input, &cls);
-    Mat cls_mat(1, dim);
-    for (uint32_t j = 0; j < dim; ++j) cls_mat(0, j) = cls[j];
+    const text::EncodedInput input = EncodeClassificationSample(
+        sample, trained.tokenizer, services_, variant, trained.config.max_len);
     Mat logits;
-    head.Forward(cls_mat, &logits);
+    trained.Logits(input, &logits);
     return logits;
   };
 
   // Hit@k on test (rank of the correct label among all classes, §III-B4).
-  const std::vector<int> ks = {1, 3, 10};
-  for (int k : ks) metrics.hits[k] = 0.0;
+  std::vector<double> ranks;
   for (const auto& sample : dataset_->test) {
-    Mat logits = predict(sample);
-    const double rank =
-        RankOfLabel(logits.Row(0), dataset_->num_classes, sample.label);
-    for (int k : ks) {
-      if (rank <= k) metrics.hits[k] += 1.0;
-    }
+    const Mat logits = predict(sample);
+    std::vector<float> others(logits.Row(0),
+                              logits.Row(0) + dataset_->num_classes);
+    others.erase(others.begin() + sample.label);
+    ranks.push_back(RankAmong(logits(0, sample.label), others));
   }
-  if (!dataset_->test.empty()) {
-    for (int k : ks) metrics.hits[k] /= static_cast<double>(dataset_->test.size());
-  }
+  metrics.hits = HitsAtK(ranks);
 
   // Accuracy on dev (the paper's AC column).
   uint64_t correct = 0;

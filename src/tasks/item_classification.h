@@ -1,13 +1,11 @@
 #ifndef PKGM_TASKS_ITEM_CLASSIFICATION_H_
 #define PKGM_TASKS_ITEM_CLASSIFICATION_H_
 
-#include <cstdint>
 #include <map>
-#include <memory>
 
 #include "core/service.h"
 #include "data/classification_dataset.h"
-#include "nn/linear.h"
+#include "tasks/encoder_model.h"
 #include "tasks/variant.h"
 #include "text/tiny_bert.h"
 #include "text/tokenizer.h"
@@ -25,18 +23,6 @@ text::EncodedInput EncodeClassificationSample(
     const core::ServiceVectorProvider* services, PkgmVariant variant,
     size_t max_len);
 
-/// A trained title classifier ready for serving: tokenizer + encoder +
-/// [CLS] head. TinyBert caches per-sequence activations, so concurrent
-/// callers must serialize on it.
-struct TrainedClassifier {
-  text::TinyBertConfig config;
-  text::Tokenizer tokenizer;
-  std::unique_ptr<text::TinyBert> bert;
-  std::unique_ptr<nn::Linear> head;
-  uint32_t num_classes = 0;
-  double train_loss = 0.0;
-};
-
 /// Metrics reported in Table IV: Hit@k over the class ranking plus
 /// prediction accuracy (AC, computed on the dev split as in the paper).
 struct ClassificationMetrics {
@@ -48,24 +34,17 @@ struct ClassificationMetrics {
 /// Item classification (paper §III-B): classify an item's title into its
 /// category with a BERT-style encoder; PKGM variants replace the trailing
 /// title tokens with service vectors (Fig. 4).
-struct ItemClassificationOptions {
-  uint32_t max_len = 32;
-  uint32_t bert_layers = 2;
-  uint32_t bert_heads = 4;
-  uint32_t bert_ff = 128;
-  uint32_t epochs = 3;      // paper: 3 fine-tuning epochs
-  uint32_t batch_size = 16;
-  float learning_rate = 1e-3f;
-  /// If > 0, MLM-pretrain the encoder on the training titles for this many
-  /// epochs before fine-tuning ("pre-trained language model" substitution).
-  uint32_t mlm_pretrain_epochs = 1;
-  uint64_t seed = 401;
+struct ItemClassificationOptions : EncoderTaskOptions {
+  ItemClassificationOptions() {
+    max_len = 32;
+    epochs = 3;  // paper: 3 fine-tuning epochs
+    mlm_pretrain_epochs = 1;
+    seed = 401;
+  }
 };
 
-/// Runs one full train + evaluate cycle for a variant. The encoder
-/// dimension is taken from `services->dim()` (service vectors are injected
-/// as token embeddings, so the dims must match); `services` may be null for
-/// kBase only if no PKGM variant will run — pass it always in practice.
+/// Runs one full train + evaluate cycle for a variant. `services` sets the
+/// encoder dimension (FineTuneEncoder); pass it always in practice.
 class ItemClassificationTask {
  public:
   /// All pointers must outlive the task. `services` must be item-index
@@ -79,8 +58,9 @@ class ItemClassificationTask {
   ClassificationMetrics Run(PkgmVariant variant) const;
 
   /// Trains the same classifier Run() would (identical seeds and
-  /// arithmetic) and returns it for serving instead of evaluating.
-  TrainedClassifier Train(PkgmVariant variant) const;
+  /// arithmetic) and returns it for serving instead of evaluating: an
+  /// encoder model with one logit per class.
+  TrainedEncoder Train(PkgmVariant variant) const;
 
  private:
   const data::ClassificationDataset* dataset_;

@@ -23,6 +23,21 @@ std::vector<std::unordered_set<uint32_t>> BuildObserved(
   return observed;
 }
 
+/// The rows of `trained.item_features` for `items`, the NCF's PKGM input
+/// (Eq. 21); null for a model trained without PKGM features.
+const Mat* GatherItemFeatures(const TrainedRecommender& trained,
+                              const std::vector<uint32_t>& items, Mat* rows) {
+  const uint32_t pkgm_dim = trained.config.pkgm_dim;
+  if (pkgm_dim == 0) return nullptr;
+  *rows = Mat(items.size(), pkgm_dim);
+  for (size_t b = 0; b < items.size(); ++b) {
+    const float* src = trained.item_features.Row(items[b]);
+    float* dst = rows->Row(b);
+    for (uint32_t j = 0; j < pkgm_dim; ++j) dst[j] = src[j];
+  }
+  return rows;
+}
+
 }  // namespace
 
 RecommendationTask::RecommendationTask(
@@ -54,8 +69,6 @@ TrainedRecommender RecommendationTask::Train(PkgmVariant variant) const {
       for (uint32_t j = 0; j < pkgm_dim; ++j) dst[j] = s[j];
     }
   }
-  trained.pkgm_dim = pkgm_dim;
-  const Mat& item_features = trained.item_features;
 
   rec::NcfConfig cfg;
   cfg.num_users = num_users;
@@ -117,16 +130,7 @@ TrainedRecommender RecommendationTask::Train(PkgmVariant variant) const {
       if (batch_users.empty()) break;
 
       Mat pkgm;
-      const Mat* pkgm_ptr = nullptr;
-      if (pkgm_dim > 0) {
-        pkgm = Mat(batch_users.size(), pkgm_dim);
-        for (size_t b = 0; b < batch_items.size(); ++b) {
-          const float* src = item_features.Row(batch_items[b]);
-          float* dst = pkgm.Row(b);
-          for (uint32_t j = 0; j < pkgm_dim; ++j) dst[j] = src[j];
-        }
-        pkgm_ptr = &pkgm;
-      }
+      const Mat* pkgm_ptr = GatherItemFeatures(trained, batch_items, &pkgm);
       loss_sum +=
           model.ForwardBackward(batch_users, batch_items, pkgm_ptr, batch_labels);
       optimizer.Step();
@@ -141,8 +145,6 @@ TrainedRecommender RecommendationTask::Train(PkgmVariant variant) const {
 RecommendationMetrics RecommendationTask::Run(PkgmVariant variant) const {
   TrainedRecommender trained = Train(variant);
   rec::NcfModel& model = *trained.model;
-  const Mat& item_features = trained.item_features;
-  const uint32_t pkgm_dim = trained.pkgm_dim;
   const uint32_t num_users = dataset_->num_users;
   const uint32_t num_items = dataset_->num_items;
   const std::vector<std::unordered_set<uint32_t>> observed =
@@ -165,16 +167,7 @@ RecommendationMetrics RecommendationTask::Run(PkgmVariant variant) const {
       if (!observed[u].count(cand)) cand_items.push_back(cand);
     }
     Mat pkgm;
-    const Mat* pkgm_ptr = nullptr;
-    if (pkgm_dim > 0) {
-      pkgm = Mat(cand_items.size(), pkgm_dim);
-      for (size_t b = 0; b < cand_items.size(); ++b) {
-        const float* src = item_features.Row(cand_items[b]);
-        float* dst = pkgm.Row(b);
-        for (uint32_t j = 0; j < pkgm_dim; ++j) dst[j] = src[j];
-      }
-      pkgm_ptr = &pkgm;
-    }
+    const Mat* pkgm_ptr = GatherItemFeatures(trained, cand_items, &pkgm);
     Mat logits;
     model.Forward(cand_users, cand_items, pkgm_ptr, &logits);
     const float pos = logits(0, 0);

@@ -16,12 +16,11 @@ namespace pkgm::tasks {
 /// A trained NCF ready for serving. The model's Forward caches per-batch
 /// activations, so concurrent callers must serialize on it. `item_features`
 /// (row = item index) holds the condensed PKGM vectors the model was
-/// trained against; empty when pkgm_dim == 0 (kBase variant).
+/// trained against; empty when config.pkgm_dim == 0 (kBase variant).
 struct TrainedRecommender {
   rec::NcfConfig config;
   std::unique_ptr<rec::NcfModel> model;
   Mat item_features;
-  uint32_t pkgm_dim = 0;
   double train_loss = 0.0;
 };
 

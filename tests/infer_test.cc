@@ -117,7 +117,7 @@ float OfflineRecommend(const tasks::TrainedRecommender& m,
   return nn::SigmoidScalar(logits(0, 0));
 }
 
-void OfflineClassify(const tasks::TrainedClassifier& m,
+void OfflineClassify(const tasks::TrainedEncoder& m,
                      const core::ServiceVectorProvider* services,
                      tasks::PkgmVariant variant, const std::string& title,
                      uint32_t item, uint32_t top_k,
@@ -135,11 +135,11 @@ void OfflineClassify(const tasks::TrainedClassifier& m,
   for (uint32_t j = 0; j < m.config.dim; ++j) cls_mat(0, j) = cls[j];
   Mat logits;
   m.head->Forward(cls_mat, &logits);
-  std::vector<float> probs(logits.Row(0), logits.Row(0) + m.num_classes);
-  SoftmaxInplace(m.num_classes, probs.data());
-  const uint32_t k = std::min(top_k == 0 ? 1u : top_k, m.num_classes);
-  std::vector<uint32_t> order(m.num_classes);
-  for (uint32_t j = 0; j < m.num_classes; ++j) order[j] = j;
+  std::vector<float> probs(logits.Row(0), logits.Row(0) + m.num_outputs);
+  SoftmaxInplace(m.num_outputs, probs.data());
+  const uint32_t k = std::min(top_k == 0 ? 1u : top_k, m.num_outputs);
+  std::vector<uint32_t> order(m.num_outputs);
+  for (uint32_t j = 0; j < m.num_outputs; ++j) order[j] = j;
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
                     [&](uint32_t a, uint32_t b) {
                       if (probs[a] != probs[b]) return probs[a] > probs[b];
@@ -150,7 +150,7 @@ void OfflineClassify(const tasks::TrainedClassifier& m,
   for (uint32_t j = 0; j < k; ++j) class_probs->push_back(probs[order[j]]);
 }
 
-float OfflineAlign(const tasks::TrainedAligner& m,
+float OfflineAlign(const tasks::TrainedEncoder& m,
                    const core::ServiceVectorProvider* services,
                    tasks::PkgmVariant variant, const std::string& title_a,
                    const std::string& title_b, uint32_t item_a,
@@ -328,13 +328,12 @@ TEST(InferModelFileTest, RoundTripPreservesForwardsBitExactly) {
   ASSERT_TRUE(SaveRecommenderModel(bundle.recommender, bundle.variant,
                                    /*generation=*/7, rec_path)
                   .ok());
-  ASSERT_TRUE(SaveClassifierModel(bundle.classifier, bundle.variant,
-                                  /*generation=*/7, cls_path)
+  ASSERT_TRUE(SaveEncoderModel(bundle.classifier, InferTask::kClassify,
+                               bundle.variant, /*generation=*/7, cls_path)
                   .ok());
-  ASSERT_TRUE(
-      SaveAlignerModel(bundle.aligner, bundle.variant, /*generation=*/7,
-                       aln_path)
-          .ok());
+  ASSERT_TRUE(SaveEncoderModel(bundle.aligner, InferTask::kAlign,
+                               bundle.variant, /*generation=*/7, aln_path)
+                  .ok());
 
   auto rec = LoadInferModel(rec_path);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -356,13 +355,13 @@ TEST(InferModelFileTest, RoundTripPreservesForwardsBitExactly) {
                                item % bundle.num_users, item));
     std::vector<uint32_t> ids_a, ids_b;
     std::vector<float> probs_a, probs_b;
-    OfflineClassify(cls.value().classifier, &services, bundle.variant,
+    OfflineClassify(cls.value().encoder, &services, bundle.variant,
                     bundle.titles[item], item, 3, &ids_a, &probs_a);
     OfflineClassify(bundle.classifier, &services, bundle.variant,
                     bundle.titles[item], item, 3, &ids_b, &probs_b);
     EXPECT_EQ(ids_a, ids_b);
     EXPECT_EQ(probs_a, probs_b);
-    EXPECT_EQ(OfflineAlign(aln.value().aligner, &services, bundle.variant,
+    EXPECT_EQ(OfflineAlign(aln.value().encoder, &services, bundle.variant,
                            bundle.titles[item], bundle.titles[999 - item],
                            item, 999 - item),
               OfflineAlign(bundle.aligner, &services, bundle.variant,
@@ -383,8 +382,8 @@ TEST(InferModelFileTest, InspectionEscapesThePath) {
   InferFixture& fx = Fixture();
   const std::string path = ::testing::TempDir() + "/a\"b\\c." +
                            std::to_string(::getpid()) + ".classify.pkgi";
-  ASSERT_TRUE(SaveClassifierModel(fx.offline.classifier, fx.offline.variant,
-                                  /*generation=*/3, path)
+  ASSERT_TRUE(SaveEncoderModel(fx.offline.classifier, InferTask::kClassify,
+                               fx.offline.variant, /*generation=*/3, path)
                   .ok());
   auto inspected = InspectInferModel(path);
   ASSERT_TRUE(inspected.ok()) << inspected.status().ToString();
@@ -402,8 +401,9 @@ TEST(InferModelFileTest, CorruptionIsRejected) {
   iopt.seed = 97;
   InferBundle bundle = TrainInferModels(fx.pkgm, iopt);
   const std::string path = ::testing::TempDir() + "/corrupt.align.pkgi";
-  ASSERT_TRUE(
-      SaveAlignerModel(bundle.aligner, bundle.variant, 1, path).ok());
+  ASSERT_TRUE(SaveEncoderModel(bundle.aligner, InferTask::kAlign,
+                               bundle.variant, 1, path)
+                  .ok());
 
   // Flip one weight byte: the checksum must catch it.
   std::string bytes = ReadFileBytes(path);
@@ -419,6 +419,64 @@ TEST(InferModelFileTest, CorruptionIsRejected) {
   EXPECT_FALSE(LoadInferModel(path).ok());
   EXPECT_FALSE(InspectInferModel(path).ok());
   EXPECT_FALSE(LoadInferModel(path + ".does-not-exist").ok());
+}
+
+// An encoder config its task's input builder cannot serve is refused at
+// load, naming the field, where it used to load and then abort on its first
+// request. Each floor itself loads.
+TEST(InferModelFileTest, UnservableEncoderConfigIsRejected) {
+  struct Case {
+    InferTask task;
+    uint32_t max_len;
+    uint32_t num_segments;
+    const char* refused_field;  // null: the config loads
+  };
+  const Case cases[] = {
+      {InferTask::kAlign, 32, 1, "num_segments"},
+      {InferTask::kAlign, 4, 2, "max_len"},
+      {InferTask::kClassify, 20, 0, "num_segments"},
+      {InferTask::kAlign, 5, 2, nullptr},
+      {InferTask::kClassify, 3, 1, nullptr},
+  };
+  const std::string path = ::testing::TempDir() + "/unservable." +
+                           std::to_string(::getpid()) + ".pkgi";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(InferTaskName(c.task)) + " max_len " +
+                 std::to_string(c.max_len) + " num_segments " +
+                 std::to_string(c.num_segments));
+    text::Tokenizer tok;
+    tok.CountCorpusLine("red cotton shirt");
+    tok.BuildVocab(1);
+    text::TinyBertConfig cfg;
+    cfg.vocab_size = tok.vocab_size();
+    cfg.dim = 8;
+    cfg.layers = 1;
+    cfg.heads = 2;
+    cfg.ff_dim = 16;
+    cfg.max_len = c.max_len;
+    cfg.num_segments = c.num_segments;
+    const bool classify = c.task == InferTask::kClassify;
+    Rng head_rng(1);
+    tasks::TrainedEncoder model(
+        cfg, classify ? 4 : 1,
+        classify ? tasks::kClassifierHeadName : tasks::kAlignerHeadName,
+        &head_rng);
+    model.tokenizer = std::move(tok);
+    ASSERT_TRUE(SaveEncoderModel(model, c.task, tasks::PkgmVariant::kBase,
+                                 /*generation=*/1, path)
+                    .ok());
+    auto loaded = LoadInferModel(path);
+    if (c.refused_field == nullptr) {
+      EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+      continue;
+    }
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(c.refused_field),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(InferModelFileTest, ParentVersionIsRejected) {
@@ -440,18 +498,12 @@ TEST(InferModelFileTest, ParentVersionIsRejected) {
   std::remove(path.c_str());
 }
 
-// Writes a loaded model back out through the saver of its task.
+// Writes a loaded model back out through the saver of its model kind.
 Status SaveLoaded(const LoadedInferModel& m, const std::string& path) {
-  switch (m.task) {
-    case InferTask::kRecommend:
-      return SaveRecommenderModel(m.recommender, m.variant, m.generation,
-                                  path);
-    case InferTask::kClassify:
-      return SaveClassifierModel(m.classifier, m.variant, m.generation, path);
-    case InferTask::kAlign:
-      break;
+  if (m.task == InferTask::kRecommend) {
+    return SaveRecommenderModel(m.recommender, m.variant, m.generation, path);
   }
-  return SaveAlignerModel(m.aligner, m.variant, m.generation, path);
+  return SaveEncoderModel(m.encoder, m.task, m.variant, m.generation, path);
 }
 
 // Every mutant of a .pkgi loads or returns Corruption, never a crash or a
@@ -468,10 +520,13 @@ TEST(MutationTest, InferModelFilesLoadOrFailCleanly) {
   const std::string path = ::testing::TempDir() + "/mutant." + tag + ".pkgi";
   const std::string rewrite_path =
       ::testing::TempDir() + "/rewrite." + tag + ".pkgi";
-  ASSERT_TRUE(SaveClassifierModel(bundle.classifier, bundle.variant, 1, path)
+  ASSERT_TRUE(SaveEncoderModel(bundle.classifier, InferTask::kClassify,
+                               bundle.variant, 1, path)
                   .ok());
   const std::string other = ReadFileBytes(path);
-  ASSERT_TRUE(SaveAlignerModel(bundle.aligner, bundle.variant, 1, path).ok());
+  ASSERT_TRUE(SaveEncoderModel(bundle.aligner, InferTask::kAlign,
+                               bundle.variant, 1, path)
+                  .ok());
   const std::string input = ReadFileBytes(path);
   const std::vector<size_t> fields = SectionTableFields(input);
 
@@ -665,11 +720,11 @@ TEST(InferServingTest, ParityAcrossWeightHotSwapUnderLoad) {
                                    swap_source.variant, 2,
                                    prefix + ".rec.pkgi")
                   .ok());
-  ASSERT_TRUE(SaveClassifierModel(swap_source.classifier, swap_source.variant,
-                                  2, prefix + ".cls.pkgi")
+  ASSERT_TRUE(SaveEncoderModel(swap_source.classifier, InferTask::kClassify,
+                               swap_source.variant, 2, prefix + ".cls.pkgi")
                   .ok());
-  ASSERT_TRUE(SaveAlignerModel(swap_source.aligner, swap_source.variant, 2,
-                               prefix + ".aln.pkgi")
+  ASSERT_TRUE(SaveEncoderModel(swap_source.aligner, InferTask::kAlign,
+                               swap_source.variant, 2, prefix + ".aln.pkgi")
                   .ok());
 
   constexpr int kThreads = 3;
@@ -704,13 +759,13 @@ TEST(InferServingTest, ParityAcrossWeightHotSwapUnderLoad) {
         break;
       case InferTask::kClassify:
         EXPECT_EQ(models.PublishClassifier(
-                      std::move(loaded.value().classifier),
+                      std::move(loaded.value().encoder),
                       loaded.value().variant),
                   2u);
         break;
       case InferTask::kAlign:
         EXPECT_EQ(
-            models.PublishAligner(std::move(loaded.value().aligner),
+            models.PublishAligner(std::move(loaded.value().encoder),
                                   loaded.value().variant),
             2u);
         break;

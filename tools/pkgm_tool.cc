@@ -744,14 +744,16 @@ int CmdExportInferModel(int argc, char** argv) {
     return 1;
   }
   const std::string cls_path = prefix + ".classify.pkgi";
-  if (save_one(infer::SaveClassifierModel(bundle.classifier, bundle.variant,
-                                          generation, cls_path),
+  if (save_one(infer::SaveEncoderModel(bundle.classifier,
+                                       infer::InferTask::kClassify,
+                                       bundle.variant, generation, cls_path),
                cls_path) != 0) {
     return 1;
   }
   const std::string aln_path = prefix + ".align.pkgi";
-  if (save_one(infer::SaveAlignerModel(bundle.aligner, bundle.variant,
-                                       generation, aln_path),
+  if (save_one(infer::SaveEncoderModel(bundle.aligner,
+                                       infer::InferTask::kAlign,
+                                       bundle.variant, generation, aln_path),
                aln_path) != 0) {
     return 1;
   }
