@@ -105,12 +105,20 @@ Status RunPipelinedEpoch(
     GradArena arena;
     BatchHingeWorkspace ws;
     std::vector<float> hinges;
+    float scale = 1.0f;
+    TransferGroupSink take_group;
+    if (worker.TakesTransferGroups()) {
+      take_group = [&](const FactorGroup& group) {
+        worker.ApplyTransferGroup(group, scale);
+      };
+    }
     const auto run_batch = [&](const PairBatch& pb) -> Status {
       const size_t count = pb.pos.size();
       hinges.resize(count);
+      scale = 1.0f / static_cast<float>(count);
       FusedBatchHingeGradients(*plan.model, pb.pos.data(), pb.neg.data(),
                                count, plan.margin, kernels, &ws, &arena,
-                               hinges.data());
+                               hinges.data(), take_group);
       double hinge_sum = 0.0;
       uint64_t active = 0;
       for (const float hinge : hinges) {
@@ -123,7 +131,7 @@ Status RunPipelinedEpoch(
       batch_active[pb.index] = active;
       batch_pairs[pb.index] = count;
       if (arena.empty()) return Status::Ok();
-      Status st = worker.Apply(arena, 1.0f / static_cast<float>(count));
+      Status st = worker.Apply(arena, scale);
       arena.Clear();
       return st;
     };

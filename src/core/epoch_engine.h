@@ -47,8 +47,19 @@ class EpochWorker {
   /// that batch's pull here, so the round trip overlaps the current batch.
   /// The next Prepare is for `next`.
   virtual Status Prefetch(const PairBatch& /*next*/) { return Status::Ok(); }
+  /// Whether the worker takes the batch's transfer-matrix factors group by
+  /// group through ApplyTransferGroup. Otherwise (the default) they reach
+  /// Apply in grad.transfer_factors().
+  virtual bool TakesTransferGroups() const { return false; }
+  /// One relation group's factors, handed over by the batch's backward
+  /// (FusedBatchHingeGradients' take_group) right after the group's
+  /// M_r^T s' has read M_r, so an update of M_r made here finds it in L1.
+  /// `scale` is the one Apply gets, and Apply follows in the same batch.
+  virtual void ApplyTransferGroup(const FactorGroup& /*group*/,
+                                  float /*scale*/) {}
   /// Applies the batch's gradients, each row multiplied by `scale`
-  /// (1 / batch size). Called only when `grad` is not empty.
+  /// (1 / batch size). Called only when `grad` is not empty, which it is
+  /// whenever a pair was active.
   virtual Status Apply(const GradArena& grad, float scale) = 0;
   /// Once the work queue has drained, also after an error.
   virtual Status Finish() { return Status::Ok(); }
@@ -81,11 +92,12 @@ struct EpochPlan {
 ///   * plan.num_workers threads, each with a worker from `make_worker`, its
 ///     own GradArena and BatchHingeWorkspace, take batches one ahead:
 ///     Prepare(b), take the next batch and Prefetch it, one
-///     FusedBatchHingeGradients of b on plan.model, Apply when any pair was
-///     active, then the same for the next batch. A worker holds at most two
-///     batches, so the third keeps the producer ahead. A worker whose hook
-///     fails keeps recycling batches without running them, so the producer
-///     never starves.
+///     FusedBatchHingeGradients of b on plan.model (handing each transfer
+///     group to ApplyTransferGroup when the worker takes them), Apply when
+///     any pair was active, then the same for the next batch. A worker
+///     holds at most two batches, so the third keeps the producer ahead. A
+///     worker whose hook fails keeps recycling batches without running
+///     them, so the producer never starves.
 ///   * per-batch hinge sums and counts land in batch-indexed slots, merged
 ///     in batch order, so the stats do not depend on scheduling.
 ///

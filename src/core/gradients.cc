@@ -91,6 +91,12 @@ void RebuildTransferRow(const simd::KernelTable& k, uint32_t dim,
   k.ger_multi(count, dim, dim, signs, s2, heads, out);
 }
 
+void ApplyTransferGroup(const FactorGroup& group, float alpha,
+                        const simd::KernelTable& k, float* row) {
+  k.ger_multi_axpy(group.count, group.dim, group.dim, group.signs, group.s2,
+                   group.heads, alpha, row);
+}
+
 void TransferFactors::AddGroup(uint32_t rel, uint32_t dim, size_t count,
                                const float* signs, const float* const* s2,
                                const float* const* heads,
@@ -510,9 +516,13 @@ Status VisitGradArenaBlob(std::string_view blob,
   return Status::Ok();
 }
 
-const float* RebuildTransferRow(const BlobFactorGroup& group,
-                                const simd::KernelTable& k,
-                                TransferRebuildScratch* scratch) {
+namespace {
+
+// A visited blob group's factors in memory: the decoded s' (and, when h
+// cannot be read in place, h) in `scratch`, the rest read in place.
+FactorGroup DecodeFactorGroup(const BlobFactorGroup& group,
+                              const simd::KernelTable& k,
+                              TransferRebuildScratch* scratch) {
   const size_t d = group.dim;
   const size_t count = group.count;
   const size_t item_bytes = static_cast<size_t>(FactorItemBytes(group.dim));
@@ -536,9 +546,18 @@ const float* RebuildTransferRow(const BlobFactorGroup& group,
         in_place ? reinterpret_cast<const float*>(h)
                  : CopyF32Run(h, d, scratch->values.data() + (count + q) * d);
   }
-  scratch->row.resize(d * d);
-  RebuildTransferRow(k, group.dim, count, scratch->signs.data(),
-                     scratch->s2.data(), scratch->heads.data(),
+  return {group.relation,      group.dim,          count,
+          scratch->signs.data(), scratch->s2.data(), scratch->heads.data()};
+}
+
+}  // namespace
+
+const float* RebuildTransferRow(const BlobFactorGroup& group,
+                                const simd::KernelTable& k,
+                                TransferRebuildScratch* scratch) {
+  const FactorGroup f = DecodeFactorGroup(group, k, scratch);
+  scratch->row.resize(static_cast<size_t>(f.dim) * f.dim);
+  RebuildTransferRow(k, f.dim, f.count, f.signs, f.s2, f.heads,
                      scratch->row.data());
   return scratch->row.data();
 }
@@ -546,8 +565,7 @@ const float* RebuildTransferRow(const BlobFactorGroup& group,
 void ApplyTransferGroup(const BlobFactorGroup& group, float alpha,
                         const simd::KernelTable& k,
                         TransferRebuildScratch* scratch, float* row) {
-  k.axpy(static_cast<size_t>(group.dim) * group.dim, alpha,
-         RebuildTransferRow(group, k, scratch), row);
+  ApplyTransferGroup(DecodeFactorGroup(group, k, scratch), alpha, k, row);
 }
 
 void AppendTransferLogRecord(float alpha, const BlobFactorGroup& group,
@@ -644,11 +662,13 @@ namespace {
 // Forward score of one triple under table `k`, parking the residuals the
 // backward pass reuses: `diff` = h + r - t (TransE), `u` = M_r h (relation
 // module; the "- r" happens in the backward so the forward can use the
-// fused l1_distance reduction). Arithmetic mirrors PkgmModel::Score
-// composition-for-composition, so the value is bit-identical when `k` is
-// the active table.
+// fused l1_distance reduction). A non-null `mh` is M_r h already computed
+// on `k` for this triple's head and relation, copied instead of a second
+// gemv_raw. Arithmetic mirrors PkgmModel::Score composition-for-
+// composition, so the value is bit-identical when `k` is the active table.
 float FusedForward(const PkgmModel& model, const kg::Triple& t,
-                   const simd::KernelTable& k, float* diff, float* u) {
+                   const simd::KernelTable& k, float* diff, float* u,
+                   const float* mh = nullptr) {
   const uint32_t d = model.dim();
   const float* h = model.entity(t.head);
   const float* r = model.relation(t.relation);
@@ -694,7 +714,11 @@ float FusedForward(const PkgmModel& model, const kg::Triple& t,
     }
   }
   if (model.use_relation_module()) {
-    k.gemv_raw(d, d, model.transfer(t.relation), h, u);
+    if (mh != nullptr) {
+      std::memcpy(u, mh, d * sizeof(float));
+    } else {
+      k.gemv_raw(d, d, model.transfer(t.relation), h, u);
+    }
     f += k.l1_distance(d, u, r);
   }
   return f;
@@ -872,7 +896,8 @@ void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
                               const NegativeSample* neg, size_t n,
                               float margin, const simd::KernelTable& k,
                               BatchHingeWorkspace* ws, GradArena* grad,
-                              float* hinges) {
+                              float* hinges,
+                              const TransferGroupSink& take_group) {
   const uint32_t d = model.dim();
   const size_t items = 2 * n;
   const auto side = [&](size_t q) -> const kg::Triple& {
@@ -907,9 +932,16 @@ void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
   }
 
   // 2. Forward, one relation group after another, so each transfer matrix
-  // is read for all its side-items while it is in cache.
+  // is read for all its side-items while it is in cache. A negative that
+  // kept its positive's head and relation copies the positive's M_r h:
+  // the same inputs on the same table, and the stable sort put the
+  // positive first.
   for (const uint32_t q : ws->order) {
-    ws->score[q] = FusedForward(model, side(q), k, diff + q * d, u + q * d);
+    const kg::Triple& t = side(q);
+    const bool positives_mh = q % 2 == 1 && t.head == pos[q / 2].head &&
+                              t.relation == pos[q / 2].relation;
+    ws->score[q] = FusedForward(model, t, k, diff + q * d, u + q * d,
+                                positives_mh ? u + (q - 1) * d : nullptr);
   }
 
   // 3. Hinges in pair order.
@@ -928,8 +960,9 @@ void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
   }
 
   // 5. The relation module's matrix half, once per relation group over the
-  // group's active side-items, in group (= pair) order; dM_r is recorded
-  // as the group's factors (sign, s', h).
+  // group's active side-items, in group (= pair) order; dM_r goes as the
+  // group's factors (sign, s', h) to take_group while the gemv_t_multi has
+  // M_r in L1, or is recorded.
   if (model.use_relation_module()) {
     TransferFactors& factors = grad->transfer_factors();
     PKGM_CHECK(factors.empty());  // one group per relation
@@ -950,12 +983,18 @@ void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
         ws->group_signs.push_back(sign(q));
       }
       if (!ws->heads.empty()) {
-        RelationMatrixBackward(model, rel, ws->heads.size(),
-                               ws->heads.data(), ws->group_u.data(),
-                               ws->group_mts.data(), ws->group_signs.data(),
-                               k, /*gm=*/nullptr);
-        factors.AddGroup(rel, d, ws->heads.size(), ws->group_signs.data(),
-                         ws->group_u.data(), ws->heads.data(), k);
+        const FactorGroup group{rel, d, ws->heads.size(),
+                                ws->group_signs.data(), ws->group_u.data(),
+                                ws->heads.data()};
+        RelationMatrixBackward(model, rel, group.count, group.heads,
+                               ws->group_u.data(), ws->group_mts.data(),
+                               group.signs, k, /*gm=*/nullptr);
+        if (take_group) {
+          take_group(group);
+        } else {
+          factors.AddGroup(rel, d, group.count, group.signs, group.s2,
+                           group.heads, k);
+        }
       }
       begin = stop;
     }

@@ -55,9 +55,9 @@ class GradSlab {
   std::vector<float> slab_;           // ids_.size() rows of row_size_ floats
 };
 
-/// Reusable scratch for rebuilding dense transfer rows from factors: the
-/// one d x d row every rebuild writes, so it stays hot in cache from group
-/// to group, plus the kernel's operand arrays.
+/// Reusable scratch for rebuilding dense transfer rows from factors (or
+/// applying them): the one d x d row every rebuild writes, so it stays hot
+/// in cache from group to group, plus the kernel's operand arrays.
 struct TransferRebuildScratch {
   std::vector<float> row;
   std::vector<float> signs;
@@ -74,15 +74,34 @@ void RebuildTransferRow(const simd::KernelTable& k, uint32_t dim,
                         const float* const* s2, const float* const* heads,
                         float* out);
 
+/// One relation group's transfer-matrix gradient as sufficient factors,
+/// borrowed: dM_r = sum over q < count of signs[q] s2[q] heads[q]^T, each
+/// vector `dim` floats.
+struct FactorGroup {
+  uint32_t relation = 0;
+  uint32_t dim = 0;
+  size_t count = 0;
+  const float* signs = nullptr;
+  const float* const* s2 = nullptr;
+  const float* const* heads = nullptr;
+};
+
+/// The SGD step on one transfer row straight from its factors: row +=
+/// alpha * dM_r in one k.ger_multi_axpy, the bytes of RebuildTransferRow
+/// on `k` followed by one k.axpy of the rebuilt row. Every SGD transfer
+/// update goes through it: the in-process trainer's, a parameter server's
+/// push apply and a worker's replay of the server's log.
+void ApplyTransferGroup(const FactorGroup& group, float alpha,
+                        const simd::KernelTable& k, float* row);
+
 /// A batch's transfer-matrix gradients as sufficient factors (Xie et al.,
 /// arXiv:1511.08486). dM_r is the sum of sign_q s'_q h_q^T over the
 /// relation's active side-items, so FusedBatchHingeGradients records each
 /// item's sign, s' = sign(M_r h - r) and h instead of a dense d x d row:
 /// one group per relation, items in group (= pair) order. h is copied,
-/// because the model row can change before the group is applied: Trainer
-/// applies entity rows first, and another DistTrainer worker's pull can
-/// refresh the replica between backward and push. Storage is reused
-/// across Clears, like the slabs'.
+/// because the model row can change before the group is applied: another
+/// DistTrainer worker's pull can refresh the replica between backward and
+/// push. Storage is reused across Clears, like the slabs'.
 class TransferFactors {
  public:
   /// Appends relation `rel`'s group of `count` items: item q has sign
@@ -257,11 +276,10 @@ const float* RebuildTransferRow(const BlobFactorGroup& group,
                                 const simd::KernelTable& k,
                                 TransferRebuildScratch* scratch);
 
-/// The SGD step on one transfer row: row += alpha * dM_r, with dM_r the
-/// group rebuilt on `k` (the rebuild contract), then one k.axpy. A
-/// parameter server applies pushed factor groups with it and a worker
-/// replays the server's log records with it, so on the same table the two
-/// rows stay byte-identical.
+/// Decodes a visited factor group and applies it to `row` on `k` as the
+/// FactorGroup overload does. A parameter server applies pushed factor
+/// groups with it and a worker replays the server's log records with it,
+/// so on the same table the two rows stay byte-identical.
 void ApplyTransferGroup(const BlobFactorGroup& group, float alpha,
                         const simd::KernelTable& k,
                         TransferRebuildScratch* scratch, float* row);
@@ -360,10 +378,11 @@ float FusedHingeGradients(const PkgmModel& model, const kg::Triple& pos,
 /// Reusable per-worker scratch for FusedBatchHingeGradients: a batch's
 /// per-side-item residuals and backward vectors plus its relation grouping.
 /// Grows to the largest batch seen (3 x 2n x d floats plus about 36 bytes
-/// per side-item; 0.82 MB at d = 64, n = 512), then allocates nothing. The
-/// arena's TransferFactors copy of s' and h is at most 2n x (2d + 1)
-/// floats more (0.53 MB), against the 2.06 MB of dense transfer rows a
-/// batch of the bench KG's 126 relations used to claim.
+/// per side-item; 0.82 MB at d = 64, n = 512), then allocates nothing.
+/// Recorded into the arena, a batch's TransferFactors copy of s' and h is
+/// at most 2n x (2d + 1) floats more (0.53 MB), against the 2.06 MB of
+/// dense transfer rows a batch of the bench KG's 126 relations used to
+/// claim.
 struct BatchHingeWorkspace {
   std::vector<float> score;  // f of each side-item
   std::vector<float> diff;   // TransE residual h + r - t, d per side-item
@@ -378,6 +397,11 @@ struct BatchHingeWorkspace {
   std::vector<float> group_signs;
 };
 
+/// Takes each relation group's transfer-matrix factors from
+/// FusedBatchHingeGradients in place of grad->transfer_factors(). The
+/// group's pointers are valid only during the call.
+using TransferGroupSink = std::function<void(const FactorGroup& group)>;
+
 /// The batch form of FusedHingeGradients: hinges[i] = the hinge of pair
 /// (pos[i], neg[i].triple) for i in [0, n), with every gradient of the
 /// active pairs accumulated into `grad` (nothing is touched when `grad` is
@@ -385,21 +409,27 @@ struct BatchHingeWorkspace {
 ///
 /// The engine groups the 2n side-items by relation (a stable counting
 /// sort) and runs the forward once per group, so a transfer matrix stays
-/// in cache for all its side-items; it computes the hinges and claims
-/// entity, relation and hyperplane rows in pair order; it runs the
-/// relation module's matrix half (s' = sign(M_r h - r), M_r^T s' on
-/// `gemv_t_multi`) once per group and records the group's dM_r as factors
-/// in grad->transfer_factors() instead of claiming a dense transfer row;
-/// last, it accumulates every entity, relation and hyperplane row in pair
-/// order. The hinges, the dense slabs' row order and every gradient byte
-/// equal n FusedHingeGradients calls in pair order on the same table `k`,
-/// and each group's Rebuild equals that loop's dense dM_r row byte for
-/// byte. One group per relation: `grad`'s factors must be empty on entry.
+/// in cache for all its side-items; a negative with its positive's head
+/// and relation (a tail corruption) copies the positive's M_r h, which the
+/// stable sort computed first. It computes the hinges and claims entity,
+/// relation and hyperplane rows in pair order; it runs the relation
+/// module's matrix half (s' = sign(M_r h - r), M_r^T s' on
+/// `gemv_t_multi`) once per group and, instead of claiming a dense
+/// transfer row, hands the group's dM_r as factors to `take_group` right
+/// after its gemv_t_multi, while M_r is in L1 — or, when `take_group` is
+/// empty, records them in grad->transfer_factors(); last, it accumulates
+/// every entity, relation and hyperplane row in pair order. Those rows
+/// read no transfer matrix, so `take_group` may update M_r in place. The
+/// hinges, the dense slabs' row order and every gradient byte equal n
+/// FusedHingeGradients calls in pair order on the same table `k`, and each
+/// group rebuilt equals that loop's dense dM_r row byte for byte. One
+/// group per relation: `grad`'s factors must be empty on entry.
 void FusedBatchHingeGradients(const PkgmModel& model, const kg::Triple* pos,
                               const NegativeSample* neg, size_t n,
                               float margin, const simd::KernelTable& k,
                               BatchHingeWorkspace* ws, GradArena* grad,
-                              float* hinges);
+                              float* hinges,
+                              const TransferGroupSink& take_group = {});
 
 }  // namespace pkgm::core
 

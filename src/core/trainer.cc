@@ -1,7 +1,9 @@
 #include "core/trainer.h"
 
 #include <atomic>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -45,40 +47,67 @@ struct alignas(64) Trainer::Stripe {
 };
 
 /// Publishes each row of a batch's gradients to the shared model under its
-/// stripe lock.
+/// stripe lock: each transfer group as the batch's backward hands it over,
+/// the entity, relation and hyperplane rows in Apply.
 class Trainer::LocalWorker : public EpochWorker {
  public:
   explicit LocalWorker(Trainer* trainer) : t_(trainer) {}
 
+  bool TakesTransferGroups() const override { return true; }
+
+  // SGD applies the factors straight into M_r; Adam rebuilds dM_r first,
+  // outside the lock.
+  void ApplyTransferGroup(const FactorGroup& group, float scale) override {
+    const OptimizerStep& step = Step(scale);
+    const bool adam = t_->options_.optimizer == OptimizerKind::kAdam;
+    if (adam) {
+      rebuilt_.resize(static_cast<size_t>(group.dim) * group.dim);
+      RebuildTransferRow(kernels_, group.dim, group.count, group.signs,
+                         group.s2, group.heads, rebuilt_.data());
+    }
+    Stripe& stripe =
+        t_->stripes_[StripeOf(ParamTable::kTransfer, group.relation)];
+    stripe.Lock();
+    if (adam) {
+      t_->optimizer_.ApplyRow(step, ParamTable::kTransfer, group.relation,
+                              rebuilt_.data());
+    } else {
+      core::ApplyTransferGroup(group, step.sgd_alpha, kernels_,
+                               t_->model_->transfer(group.relation));
+    }
+    stripe.Unlock();
+  }
+
   Status Apply(const GradArena& grad, float scale) override {
-    const OptimizerStep step = t_->optimizer_.BeginStep(scale);
-    const auto apply_row = [&](ParamTable table, uint32_t id,
-                               const float* g) {
-      Stripe& stripe = t_->stripes_[StripeOf(table, id)];
-      stripe.Lock();
-      t_->optimizer_.ApplyRow(step, table, id, g);
-      stripe.Unlock();
-    };
+    const OptimizerStep step = Step(scale);
+    step_.reset();
     const auto apply_slab = [&](const GradSlab& slab, ParamTable table) {
       for (size_t i = 0; i < slab.size(); ++i) {
-        apply_row(table, slab.id_at(i), slab.row_at(i));
+        Stripe& stripe = t_->stripes_[StripeOf(table, slab.id_at(i))];
+        stripe.Lock();
+        t_->optimizer_.ApplyRow(step, table, slab.id_at(i), slab.row_at(i));
+        stripe.Unlock();
       }
     };
     apply_slab(grad.entities(), ParamTable::kEntity);
     apply_slab(grad.relations(), ParamTable::kRelation);
-    // A transfer gradient is rebuilt from its factors outside the lock.
-    const TransferFactors& factors = grad.transfer_factors();
-    for (size_t g = 0; g < factors.num_groups(); ++g) {
-      apply_row(ParamTable::kTransfer, factors.relation(g),
-                factors.Rebuild(g, &rebuild_scratch_));
-    }
     apply_slab(grad.hyperplanes(), ParamTable::kHyperplane);
     return Status::Ok();
   }
 
  private:
+  // The batch's step, begun by its first transfer group or by Apply,
+  // whichever comes first; a batch with no active pair begins none.
+  const OptimizerStep& Step(float scale) {
+    if (!step_) step_ = t_->optimizer_.BeginStep(scale);
+    return *step_;
+  }
+
   Trainer* t_;
-  TransferRebuildScratch rebuild_scratch_;
+  // The engine's table, which RowOptimizer uses too.
+  const simd::KernelTable& kernels_ = simd::Active();
+  std::optional<OptimizerStep> step_;
+  std::vector<float> rebuilt_;  // Adam's dM_r
 };
 
 Trainer::Trainer(PkgmModel* model, const kg::TripleSource* store,

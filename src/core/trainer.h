@@ -40,10 +40,13 @@ struct TrainerOptions : OptimizerOptions {
 /// asynchronous PS regime), and publish each row through the RowOptimizer
 /// under a striped spinlock (cache-line-sized stripes hashed by table and
 /// row id), the row's Adam moments under the same stripe. A transfer
-/// gradient is rebuilt from its factors before its lock is taken. With one
-/// worker the locks are uncontended, and for a fixed seed two runs produce
-/// bit-identical embeddings; validation draws from its own RNG stream, so
-/// interleaving EvaluateMeanHinge calls cannot perturb the trajectory.
+/// matrix is updated inside the batch's backward, as soon as its relation
+/// group's factors are known: under SGD straight from the factors
+/// (ApplyTransferGroup), under Adam rebuilt before its lock is taken. With
+/// one worker the locks are uncontended, and for a fixed seed two runs
+/// produce bit-identical embeddings; validation draws from its own RNG
+/// stream, so interleaving EvaluateMeanHinge calls cannot perturb the
+/// trajectory.
 class Trainer {
  public:
   /// `model` and `store` must outlive the trainer. `store` doubles as the

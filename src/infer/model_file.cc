@@ -168,6 +168,40 @@ Status ReadBertConfig(PayloadReader* r, const EncoderFormat& format,
   return Status::Ok();
 }
 
+/// Refuses, naming the field, a CONF size whose tensor cannot fit in the
+/// PARM section's `param_bytes`, before the encoder is built from CONF:
+/// the file must carry every layer's dim x dim attention weights and
+/// dim x ff_dim feed-forward weight, bert.tok (vocab_size x dim), bert.pos
+/// (max_len x dim), bert.seg (num_segments x dim) and the dim x
+/// num_outputs head. So what the loader allocates stays within a constant
+/// times the file's size. ReadBertConfig has refused a zero dim.
+Status CheckEncoderFitsParams(const text::TinyBertConfig& cfg,
+                              uint32_t num_outputs, uint64_t param_bytes) {
+  const uint64_t dim = cfg.dim;
+  const struct {
+    const char* field;
+    uint64_t rows;  // of a tensor with dim columns
+  } tensors[] = {
+      {"dim", dim},
+      {"layers", cfg.layers * dim},
+      {"ff_dim", cfg.ff_dim},
+      {"vocab_size", cfg.vocab_size},
+      {"max_len", cfg.max_len},
+      {"num_segments", cfg.num_segments},
+      {"num_classes", num_outputs},
+  };
+  for (const auto& t : tensors) {
+    // t.rows x dim floats need more than param_bytes, without overflow.
+    if (t.rows > param_bytes / sizeof(float) / dim) {
+      return Status::Corruption(StrFormat(
+          "encoder %s needs more weights than the %llu-byte PARM section "
+          "holds in .pkgi",
+          t.field, static_cast<unsigned long long>(param_bytes)));
+    }
+  }
+  return Status::Ok();
+}
+
 Status ReadVocab(PayloadReader* r, uint32_t expected_size,
                  std::vector<std::string>* names) {
   uint32_t count = 0;
@@ -328,7 +362,8 @@ StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
   PKGM_RETURN_IF_ERROR(file.ExpectSections(tags));
 
   std::vector<MatRecord> records;
-  PayloadReader params(file.bytes(*file.Find(kParamsSection)));
+  const std::string_view param_bytes = file.bytes(*file.Find(kParamsSection));
+  PayloadReader params(param_bytes);
   PKGM_RETURN_IF_ERROR(ReadParams(&params, &records));
   if (!params.done()) return Corrupt("trailing param bytes");
   PayloadReader config(file.bytes(*file.Find(kConfigSection)));
@@ -384,6 +419,8 @@ StatusOr<LoadedInferModel> LoadInferModel(const std::string& path) {
     return Corrupt("num_classes");
   }
   if (!config.done()) return Corrupt("trailing config bytes");
+  PKGM_RETURN_IF_ERROR(
+      CheckEncoderFitsParams(cfg, num_outputs, param_bytes.size()));
   std::vector<std::string> names;
   PayloadReader vocab(file.bytes(*file.Find(kVocabSection)));
   PKGM_RETURN_IF_ERROR(ReadVocab(&vocab, cfg.vocab_size, &names));

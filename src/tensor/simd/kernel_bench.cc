@@ -97,6 +97,9 @@ std::vector<KernelBenchResult> RunKernelBench(const KernelTable& table,
   run("ger_multi", (2 * fdim * fdim + 2 * fk * fdim) * 4, [&] {
     table.ger_multi(kMulti, dim, dim, alphas, xs, ys, sq.data());
   });
+  run("ger_multi_axpy", (2 * fdim * fdim + 2 * fk * fdim) * 4, [&] {
+    table.ger_multi_axpy(kMulti, dim, dim, alphas, xs, ys, -0.25f, sq.data());
+  });
   std::vector<float> am(dim, 0.0f), av(dim, 0.0f);
   run("adam_row", 5 * fdim * 4, [&] {
     table.adam_row(dim, x.data(), 0.5f, 0.9f, 0.999f, 1e-3f, 1e-8f, z.data(),

@@ -17,11 +17,12 @@ struct KernelBenchResult {
 
 /// Times the hot kernel-table entries (dot, l1_norm, axpy, l1_distance,
 /// l1_distance_batch, gemv_raw, residual, gemv_t, ger, gemv_t_multi,
-/// ger_multi, adam_row) on deterministic data at embedding dimension
-/// `dim`: l1_distance_batch and gemv_raw run over `batch_rows` contiguous
-/// rows, gemv_t and ger over a dim x dim matrix, and the `_multi` ops over
-/// 8 vectors sharing that matrix. Used by `bench_ops --json` and
-/// `pkgm_tool bench-kernels` so both report the same measurement.
+/// ger_multi, ger_multi_axpy, adam_row) on deterministic data at embedding
+/// dimension `dim`: l1_distance_batch and gemv_raw run over `batch_rows`
+/// contiguous rows, gemv_t and ger over a dim x dim matrix, and the
+/// `_multi` ops over 8 vectors sharing that matrix. Used by
+/// `bench_ops --json` and `pkgm_tool bench-kernels` so both report the
+/// same measurement.
 std::vector<KernelBenchResult> RunKernelBench(const KernelTable& table,
                                               size_t dim,
                                               size_t batch_rows = 256);

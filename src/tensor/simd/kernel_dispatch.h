@@ -72,6 +72,15 @@ struct KernelTable {
   /// so every element of A sees its updates in the same sequence.
   void (*ger_multi)(size_t k, size_t m, size_t n, const float* alphas,
                     const float* const* xs, const float* const* ys, float* a);
+  /// A += beta (sum_q alphas[q] xs[q] ys[q]^T): a relation group's factors
+  /// applied to its transfer row in one pass. Within a table, exactly
+  /// zeroing an m x n buffer, ger_multi(k, m, n, alphas, xs, ys, buffer),
+  /// then axpy(m n, beta, buffer, a). Per element, on the tables whose axpy
+  /// fuses: the group's fmas in q order from +0 (rows with xs[q][i] == 0
+  /// skipped), then one fma with beta, applied to every element.
+  void (*ger_multi_axpy)(size_t k, size_t m, size_t n, const float* alphas,
+                         const float* const* xs, const float* const* ys,
+                         float beta, float* a);
   /// Fused sparse-Adam row update. For each i, with g_i = g[i] * gscale:
   ///   m[i] = beta1 * m[i] + (1 - beta1) * g_i
   ///   v[i] = beta2 * v[i] + (1 - beta2) * g_i * g_i   (left-associated)

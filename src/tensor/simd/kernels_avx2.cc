@@ -399,7 +399,9 @@ extern const KernelTable kAvx2Table = {
     Avx2SignOf,       Avx2L1Distance,    Avx2L1DistanceBatch,
     Avx2GemvRaw,      Avx2Residual,      Avx2GemvT,
     Avx2Ger,          GemvTMultiLoop<Avx2GemvT>,
-    GerMultiLoop<Avx2Ger>,               Avx2AdamRow,
+    GerMultiLoop<Avx2Ger>,
+    GerMultiAxpyLoop<GerMultiLoop<Avx2Ger>, Avx2Axpy>,
+    Avx2AdamRow,
     Avx2GemmBias,     Avx2Softmax,       Avx2PackSignCodes,
     Avx2UnpackSignCodes,
 };

@@ -4,11 +4,11 @@
 // and remainders are handled with masked loads so no tail reads past the
 // span. Unlike the other tables, the d x d training kernels are register
 // blocked: gemv_raw reduces 16 rows at once through a transposed copy of
-// Dot's horizontal-sum tree, and gemv_t(_multi)/ger(_multi) keep their
-// accumulators in registers across rows and vectors. Every blocked kernel
-// performs, per output element, exactly the roundings of the single-row
-// composition it replaces, so blocked and per-row results agree
-// bit-for-bit within this table.
+// Dot's horizontal-sum tree, and gemv_t(_multi), ger(_multi) and
+// ger_multi_axpy keep their accumulators in registers across rows and
+// vectors. Every blocked kernel performs, per output element, exactly the
+// roundings of the single-row composition it replaces, so blocked and
+// per-row results agree bit-for-bit within this table.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -529,6 +529,79 @@ void Avx512Ger(size_t m, size_t n, float alpha, const float* x,
   Avx512GerMulti(1, m, n, &alpha, &x, &y, a);
 }
 
+// Columns [c, c + 64) of rows [i, i + R) of A += beta (sum_q alphas[q]
+// xs[q] ys[q]^T): the R rows' panels accumulate in registers from +0, each
+// ys[q] panel is loaded once for all R rows and taken in q order by the
+// rows whose xs[q][i] is non-zero, then every row takes one fma with beta
+// into A. Per element that is GerPanel's sequence into a zeroed buffer,
+// then Avx512Axpy's fma — without the buffer's store and reload.
+template <int R, bool kTail>
+void GerAxpyPanel(size_t k, size_t n, const float* alphas,
+                  const float* const* xs, const float* const* ys, float beta,
+                  float* a, size_t i, size_t c) {
+  constexpr int kChunks = 4;
+  __mmask16 mask[kChunks];
+  if (kTail) PanelMasks<kChunks>(n, c, mask);
+  __m512 acc[R][kChunks];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int j = 0; j < kChunks; ++j) acc[r][j] = _mm512_setzero_ps();
+  }
+  for (size_t q = 0; q < k; ++q) {
+    __m512 yv[kChunks];
+#pragma GCC unroll 16
+    for (int j = 0; j < kChunks; ++j) {
+      yv[j] = LoadChunk<kTail>(mask, j, ys[q] + c);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const float xq = xs[q][i + r];
+      if (xq == 0.0f) continue;
+      const __m512 s = _mm512_set1_ps(alphas[q] * xq);
+#pragma GCC unroll 16
+      for (int j = 0; j < kChunks; ++j) {
+        acc[r][j] = _mm512_fmadd_ps(s, yv[j], acc[r][j]);
+      }
+    }
+  }
+  const __m512 vb = _mm512_set1_ps(beta);
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+    float* row = a + (i + r) * n + c;
+#pragma GCC unroll 16
+    for (int j = 0; j < kChunks; ++j) {
+      StoreChunk<kTail>(
+          mask, j, row,
+          _mm512_fmadd_ps(vb, acc[r][j], LoadChunk<kTail>(mask, j, row)));
+    }
+  }
+}
+
+// Every row of one column panel: blocks of four rows, then single rows.
+template <bool kTail>
+void GerAxpyRows(size_t k, size_t m, size_t n, const float* alphas,
+                 const float* const* xs, const float* const* ys, float beta,
+                 float* a, size_t c) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    GerAxpyPanel<4, kTail>(k, n, alphas, xs, ys, beta, a, i, c);
+  }
+  for (; i < m; ++i) {
+    GerAxpyPanel<1, kTail>(k, n, alphas, xs, ys, beta, a, i, c);
+  }
+}
+
+void Avx512GerMultiAxpy(size_t k, size_t m, size_t n, const float* alphas,
+                        const float* const* xs, const float* const* ys,
+                        float beta, float* a) {
+  size_t c = 0;
+  for (; c + 64 <= n; c += 64) {
+    GerAxpyRows<false>(k, m, n, alphas, xs, ys, beta, a, c);
+  }
+  if (c < n) GerAxpyRows<true>(k, m, n, alphas, xs, ys, beta, a, c);
+}
+
 // No FMA here on purpose: the update is elementwise, and keeping each
 // multiply/add a separate rounding makes every table agree bit-for-bit
 // with the scalar reference (the dispatch-header contract).
@@ -665,7 +738,8 @@ extern const KernelTable kAvx512Table = {
     Avx512SignOf,       Avx512L1Distance,    Avx512L1DistanceBatch,
     Avx512GemvRaw,      Avx512Residual,      Avx512GemvT,
     Avx512Ger,          Avx512GemvTMulti,    Avx512GerMulti,
-    Avx512AdamRow,      Avx512GemmBias,      Avx512Softmax,
+    Avx512GerMultiAxpy, Avx512AdamRow,       Avx512GemmBias,
+    Avx512Softmax,
     Avx512PackSignCodes, Avx512UnpackSignCodes,
 };
 

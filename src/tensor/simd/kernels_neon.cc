@@ -285,7 +285,9 @@ extern const KernelTable kNeonTable = {
     NeonSignOf,       NeonL1Distance,    NeonL1DistanceBatch,
     NeonGemvRaw,      NeonResidual,      NeonGemvT,
     NeonGer,          GemvTMultiLoop<NeonGemvT>,
-    GerMultiLoop<NeonGer>,               NeonAdamRow,
+    GerMultiLoop<NeonGer>,
+    GerMultiAxpyLoop<GerMultiLoop<NeonGer>, NeonAxpy>,
+    NeonAdamRow,
     NeonGemmBias,     NeonSoftmax,
     // No NEON version of the s' code pair: the scalar loops.
     ScalarPackSignCodes,                 ScalarUnpackSignCodes,

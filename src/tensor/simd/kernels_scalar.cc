@@ -173,7 +173,10 @@ const KernelTable& ScalarKernels() {
       ScalarSignOf,       ScalarL1Distance,    ScalarL1DistanceBatch,
       ScalarGemvRaw,      ScalarResidual,      ScalarGemvT,
       ScalarGer,          internal::GemvTMultiLoop<ScalarGemvT>,
-      internal::GerMultiLoop<ScalarGer>,       ScalarAdamRow,
+      internal::GerMultiLoop<ScalarGer>,
+      internal::GerMultiAxpyLoop<internal::GerMultiLoop<ScalarGer>,
+                                 ScalarAxpy>,
+      ScalarAdamRow,
       ScalarGemmBias,     ScalarSoftmax,       internal::ScalarPackSignCodes,
       internal::ScalarUnpackSignCodes,
   };

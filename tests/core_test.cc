@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
@@ -831,17 +832,28 @@ class LookaheadWorker : public EpochWorker {
     size_t index;  // the batch; 0 for kFinish
   };
   LookaheadWorker(std::vector<Event>* events, bool fail_prefetch,
-                  std::barrier<>* start)
-      : events_(events), fail_prefetch_(fail_prefetch), start_(start) {}
+                  std::barrier<>* start, std::latch* failed)
+      : events_(events),
+        fail_prefetch_(fail_prefetch),
+        start_(start),
+        failed_(failed) {}
 
   Status Prepare(const PairBatch& batch) override {
     if (events_->empty()) start_->arrive_and_wait();
     events_->push_back({Hook::kPrepare, batch.index});
     return Status::Ok();
   }
+  // A healthy worker's first Prefetch waits for every failing worker's, so
+  // a failing worker always gets a second batch to prefetch: otherwise a
+  // healthy worker scheduled first could drain the epoch.
   Status Prefetch(const PairBatch& next) override {
     events_->push_back({Hook::kPrefetch, next.index});
-    return fail_prefetch_ ? Status::Internal("prefetch failed") : Status::Ok();
+    if (fail_prefetch_) {
+      failed_->count_down();
+      return Status::Internal("prefetch failed");
+    }
+    if (events_->size() == 2) failed_->wait();
+    return Status::Ok();
   }
   Status Apply(const GradArena&, float) override { return Status::Ok(); }
   Status Finish() override {
@@ -853,6 +865,7 @@ class LookaheadWorker : public EpochWorker {
   std::vector<Event>* events_;
   const bool fail_prefetch_;
   std::barrier<>* start_;
+  std::latch* failed_;  // counted down by each failing worker's Prefetch
 };
 
 using Hook = LookaheadWorker::Hook;
@@ -875,6 +888,7 @@ Status RunLookaheadEpoch(uint32_t batch_size, const std::vector<bool>& fail,
   plan.num_workers = static_cast<uint32_t>(fail.size());
   events->assign(fail.size(), {});
   std::barrier<> start(static_cast<std::ptrdiff_t>(fail.size()));
+  std::latch failed(std::count(fail.begin(), fail.end(), true));
   size_t made = 0;
   EpochStats stats;
   return RunPipelinedEpoch(
@@ -882,7 +896,7 @@ Status RunLookaheadEpoch(uint32_t batch_size, const std::vector<bool>& fail,
       [&] {
         const size_t w = made++;
         return std::make_unique<LookaheadWorker>(&(*events)[w], fail[w],
-                                                 &start);
+                                                 &start, &failed);
       },
       &stats);
 }

@@ -479,6 +479,44 @@ TEST(InferModelFileTest, UnservableEncoderConfigIsRejected) {
   std::remove(path.c_str());
 }
 
+// CONF sizes are bounded by the PARM section before the encoder is built
+// from them: an align model whose CONF claims max_len 1,000,000 (a
+// 1,000,000 x dim bert.pos) is refused naming the field, where the loader
+// used to allocate that table and only then refuse its shape.
+TEST(InferModelFileTest, ConfigOutgrowingItsParamsIsRefusedBeforeBuilding) {
+  InferFixture& fx = Fixture();
+  InferPipelineOptions iopt;
+  iopt.seed = 97;
+  InferBundle bundle = TrainInferModels(fx.pkgm, iopt);
+  const std::string path = ::testing::TempDir() + "/outgrown." +
+                           std::to_string(::getpid()) + ".align.pkgi";
+  ASSERT_TRUE(SaveEncoderModel(bundle.aligner, InferTask::kAlign,
+                               bundle.variant, 1, path)
+                  .ok());
+  ASSERT_TRUE(LoadInferModel(path).ok());
+  uint64_t max_len_at = 0;
+  {
+    auto file = SectionFile::Open(path, kInferModelMagic, kInferModelVersion);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    // CONF: vocab_size, dim, layers, heads, ff_dim, then max_len.
+    const SectionEntry& conf = *file.value().Find(kConfigSection);
+    max_len_at = conf.offset + 5 * 4;
+    uint32_t max_len = 0;
+    std::memcpy(&max_len, file.value().data(conf) + 5 * 4, sizeof(max_len));
+    ASSERT_EQ(max_len, 32u);
+  }
+  const uint32_t huge = 1000000;
+  ASSERT_TRUE(PatchSealed(path, max_len_at, &huge, sizeof(huge)));
+  auto loaded = LoadInferModel(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find(
+                "encoder max_len needs more weights than the"),
+            std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
 TEST(InferModelFileTest, ParentVersionIsRejected) {
   // The version-1 layout: a 48-byte header (magic, version, ...) and one
   // sequential payload. Only the version refuses it.

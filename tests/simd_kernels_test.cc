@@ -411,6 +411,64 @@ TEST(SimdBlockedKernelsTest, MultiEntriesMatchSingleCallSequences) {
   }
 }
 
+TEST(SimdBlockedKernelsTest, GerMultiAxpyMatchesZeroGerMultiAxpyComposition) {
+  // Within a table, ger_multi_axpy must write exactly the bytes of zeroing
+  // an m x n buffer, ger_multi into it and one axpy of it into A — the
+  // in-process trainer, the shard's push apply and the replica's replay
+  // all rely on it. The shapes straddle the AVX-512 table's 4-row blocks
+  // and 64-column panels; xs hold +0, -0 and NaN entries, A holds -0.0f
+  // (an untouched row still takes beta * +0), and the floats past A's
+  // last column must stay as they were.
+  constexpr size_t kCols[] = {1, 8, 15, 16, 17, 20, 63, 64, 65, 100};
+  constexpr size_t kRows[] = {1, 3, 4, 5, 64};
+  constexpr size_t kGroups[] = {1, 2, 3, 4, 5, 8, 9};
+  constexpr size_t kSentinels = 17;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const KernelTable* table : AllUsableTables()) {
+    SCOPED_TRACE(std::string("isa=") + KernelIsaName(table->isa));
+    for (size_t k : kGroups) {
+      for (size_t m : kRows) {
+        for (size_t n : kCols) {
+          SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                       " n=" + std::to_string(n));
+          Misaligned a0(m * n + kSentinels, (m + n) % 4, 37 * m + n + k);
+          a0.ptr[0] = -0.0f;
+          a0.ptr[m * n - 1] = -0.0f;
+          std::vector<Misaligned> xs, ys;
+          std::vector<const float*> xp, yp;
+          xs.reserve(k);
+          ys.reserve(k);
+          std::vector<float> alphas = {1.0f, -1.0f, 0.5f, -0.0f};
+          alphas.resize(k, -1.0f);
+          for (size_t q = 0; q < k; ++q) {
+            xs.emplace_back(m, q % 4, 41 * m + n + q);
+            ys.emplace_back(n, (q + 2) % 4, 43 * m + n + q);
+            Misaligned& x = xs.back();
+            // Row m - 1 is zero in every vector: only beta * +0 reaches it.
+            x.ptr[m - 1] = q % 2 == 0 ? 0.0f : -0.0f;
+            if (m > 2) x.ptr[q % (m - 1)] = -0.0f;
+            // One NaN row per group (every NaN here has the same bits).
+            if (q == k / 2 && m > 1) x.ptr[m / 2] = nan;
+            xp.push_back(x.ptr);
+            yp.push_back(ys.back().ptr);
+          }
+          for (float beta : {-0.0625f, 0.75f, 0.0f, -0.0f}) {
+            SCOPED_TRACE("beta=" + std::to_string(beta));
+            std::vector<float> got(a0.ptr, a0.ptr + a0.size), want(got);
+            table->ger_multi_axpy(k, m, n, alphas.data(), xp.data(),
+                                  yp.data(), beta, got.data());
+            std::vector<float> buffer(m * n, 0.0f);
+            table->ger_multi(k, m, n, alphas.data(), xp.data(), yp.data(),
+                             buffer.data());
+            table->axpy(m * n, beta, buffer.data(), want.data());
+            ASSERT_TRUE(SameBits(got, want));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdInferenceKernelsTest, GemmBiasMatchesGemmThenBiasCompositionExactly) {
   // The fused linear forward: within a table, row i must equal "zero the
   // row, axpy each B row scaled by A(i,p) in p order, then axpy the bias"
